@@ -92,15 +92,13 @@ def cold_start(
     return x
 
 
-def shift_warm_start(previous, layout: DecisionLayout, steps: int = 1) -> np.ndarray:
+def shift_warm_start(previous, layout: DecisionLayout) -> np.ndarray:
     """Advance a solution by one knot; the final knot duplicates its predecessor."""
     x_prev = previous.x if isinstance(previous, Solution) else np.asarray(previous, dtype=float)
     if x_prev.size != layout.size:
         raise ValueError(
             f"warm start has {x_prev.size} entries, layout expects {layout.size}"
         )
-    if steps != 1:
-        raise ValueError("only single-knot shifts are supported")
     out = x_prev.copy()
     n_states = layout.n_state_vars
     states = out[:n_states].reshape(layout.n_knots + 1, layout.state_dim)
@@ -143,16 +141,12 @@ def mpc_step(
     options: MpcOptions,
     params: PhysicalParams,
     nominal_spline=None,
-    reset_multipliers: bool = False,
 ) -> MpcOutput:
     """One receding-horizon solve at time t.
 
     The measured disturbance is held constant over the prediction horizon.
     Contact positions at knot 0 are pinned to their measured values, so
     adjustment applies only to touchdowns ahead of the current instant.
-    reset_multipliers drops the dual warm start; set it when the problem
-    changed qualitatively since the previous cycle (a push appeared or
-    vanished), where stale duals mislead more than they help.
     """
     n_knots = options.horizon_knots
     period = options.period
@@ -182,8 +176,7 @@ def mpc_step(
     if previous is not None and previous.x.size == layout.size:
         warm = shift_warm_start(previous, layout)
         # duals from a solve that never converged mislead more than they help
-        inherit = previous.converged and not reset_multipliers
-        y0 = previous.multipliers if inherit else None
+        y0 = previous.multipliers if previous.converged else None
     else:
         warm = cold_start(plan, current_state, layout, options, params, t0=t)
         y0 = None

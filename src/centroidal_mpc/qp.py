@@ -4,7 +4,7 @@ Solves   min 1/2 x' P x + q' x   s.t.  lower <= A x <= upper
 with P positive semidefinite, by operator splitting: Ruiz-scaled data, one
 factorization of the condensed system P + sigma I + A' diag(rho) A (banded
 Cholesky under a variable ordering that makes it narrow-banded), a step
-size per constraint row, and an optional active-set polish for
+size per constraint row, and an active-set polish, always on, for
 high-accuracy solutions.  Equality rows are expressed as lower == upper.
 Everything is deterministic: no randomized pivoting, no time-based stopping.
 """
@@ -20,6 +20,23 @@ from scipy.linalg import lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 _DIV_GUARD = 1e-30
+_SIGMA = 1e-6
+_RHO = 0.1
+_RHO_EQ_SCALE = 1e3
+_RELAXATION = 1.6
+_EPS_ABS = 1e-6
+_EPS_REL = 1e-6
+_EPS_INFEASIBLE = 1e-9
+_CHECK_INTERVAL = 25
+_ADAPTIVE_RHO_INTERVAL = 100
+_ADAPTIVE_RHO_TOLERANCE = 5.0
+_MAX_REFACTORIZATIONS = 4
+_SCALING_ITERATIONS = 10
+# Active-set polish: a successful polish ends the solve at machine accuracy
+# long before the first-order iteration would grind down to _EPS_ABS on its
+# own.  Refinement stops early once a pass no longer halves the KKT residual.
+_POLISH_REG = 1e-9
+_POLISH_REFINE_STEPS = 25
 # Weight of the active rows in the polish's condensed matrix (scaled units):
 # the inverse of the dual regularization of the saddle system it replaces.
 _POLISH_RHO = 1e6
@@ -27,27 +44,9 @@ _POLISH_RHO = 1e6
 
 @dataclass(frozen=True)
 class QpOptions:
-    sigma: float = 1e-6
-    rho: float = 0.1
-    rho_eq_scale: float = 1e3
-    relaxation: float = 1.6
-    eps_abs: float = 1e-6
-    eps_rel: float = 1e-6
-    eps_infeasible: float = 1e-9
+    """The ADMM iteration cap, the one setting callers choose per solve."""
+
     max_iterations: int = 20000
-    check_interval: int = 25
-    adaptive_rho: bool = True
-    adaptive_rho_interval: int = 100
-    adaptive_rho_tolerance: float = 5.0
-    max_refactorizations: int = 4
-    scaling_iterations: int = 10
-    # Active-set polish: a successful polish ends the solve at machine
-    # accuracy long before the first-order iteration would grind down to
-    # eps_abs on its own.  Refinement stops early once a pass no longer
-    # halves the KKT residual.
-    polish: bool = True
-    polish_reg: float = 1e-9
-    polish_refine_steps: int = 25
 
 
 @dataclass
@@ -304,9 +303,9 @@ def solve_qp(
     similarly seeds the step size with the value a previous related solve
     adapted to.  `ordering` is a permutation of range(n) under which
     P + A'A is narrow-banded (reverse Cuthill-McKee when not given); any
-    other array raises ValueError.  With `y0` and polish on, the active set
-    its signs suggest is polished before any ADMM iteration; when that point
-    already meets eps_abs it is returned with 0 iterations.
+    other array raises ValueError.  With `y0`, the active set its signs
+    suggest is polished before any ADMM iteration; when that point already
+    meets _EPS_ABS it is returned with 0 iterations.
     """
     opts = options or QpOptions()
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -343,7 +342,7 @@ def solve_qp(
             As.data *= e[As.indices] * d[np.repeat(np.arange(n), np.diff(As.indptr))]
         qs = c * d * q
     else:
-        Ps, qs, As, d, e, c = _ruiz_scale(P, q, A, opts.scaling_iterations)
+        Ps, qs, As, d, e, c = _ruiz_scale(P, q, A, _SCALING_ITERATIONS)
     ls = e * lower
     us = e * upper
     data = _ScaledQp(
@@ -351,8 +350,8 @@ def solve_qp(
     )
     AsT = data.AT
     eq_mask = np.isfinite(lower) & np.isfinite(upper) & (lower == upper)
-    rho_base = float(rho0) if rho0 is not None else opts.rho
-    rho_vec = np.where(eq_mask, rho_base * opts.rho_eq_scale, rho_base)
+    rho_base = float(rho0) if rho0 is not None else _RHO
+    rho_vec = np.where(eq_mask, rho_base * _RHO_EQ_SCALE, rho_base)
 
     if x0 is not None and np.asarray(x0).size == n:
         x = np.asarray(x0, dtype=float) / d
@@ -374,18 +373,18 @@ def solve_qp(
 
     guess_prev = None
     guesses_tried = set()
-    if opts.polish and warm_duals:
+    if warm_duals:
         # A warm start from a related solve often carries the right active
         # set already; polishing it first can skip the ADMM phase entirely.
         guess_prev = np.sign(y[~eq_mask]).astype(np.int8).tobytes()
         guesses_tried.add(guess_prev)
-        warm = _polish_point(data, x, y, opts)
+        warm = _polish_point(data, x, y)
         if warm is not None:
             warm = polished_result(*warm, "solved", 0)
-            if max(warm.primal_residual, warm.dual_residual) <= opts.eps_abs:
+            if max(warm.primal_residual, warm.dual_residual) <= _EPS_ABS:
                 return warm
 
-    lu = _factor_kkt(data.system, opts.sigma, rho_vec)
+    lu = _factor_kkt(data.system, _SIGMA, rho_vec)
     refactorizations = 0
     status = "max_iterations"
     iterations = opts.max_iterations
@@ -396,41 +395,40 @@ def solve_qp(
     At = A.T
     for it in range(1, opts.max_iterations + 1):
         if m:
-            rhs = opts.sigma * x - qs + AsT @ (rho_vec * z - y)
+            rhs = _SIGMA * x - qs + AsT @ (rho_vec * z - y)
         else:
-            rhs = opts.sigma * x - qs
+            rhs = _SIGMA * x - qs
         x_tilde = lu.solve(rhs)
-        x = opts.relaxation * x_tilde + (1.0 - opts.relaxation) * x
+        x = _RELAXATION * x_tilde + (1.0 - _RELAXATION) * x
         if m:
             z_tilde = As @ x_tilde
-            w = opts.relaxation * z_tilde + (1.0 - opts.relaxation) * z + y / rho_vec
+            w = _RELAXATION * z_tilde + (1.0 - _RELAXATION) * z + y / rho_vec
             z_new = np.clip(w, ls, us)
             y = rho_vec * (w - z_new)
             z = z_new
 
-        if it % opts.check_interval and it != opts.max_iterations:
+        if it % _CHECK_INTERVAL and it != opts.max_iterations:
             continue
         pri_res, dua_res, pri_ref, dua_ref = data.residuals(x, y, z)
-        eps_pri = opts.eps_abs + opts.eps_rel * pri_ref
-        eps_dua = opts.eps_abs + opts.eps_rel * dua_ref
+        eps_pri = _EPS_ABS + _EPS_REL * pri_ref
+        eps_dua = _EPS_ABS + _EPS_REL * dua_ref
         if pri_res <= eps_pri and dua_res <= eps_dua:
             status = "solved"
             iterations = it
             break
-        if opts.polish:
-            # The active-set guess (the sign pattern of y on the inequality
-            # rows) settles long before the residuals reach eps; once it has
-            # held over a whole check interval, polish it, and try each
-            # settled guess only once.
-            guess = np.sign(y[~eq_mask]).astype(np.int8).tobytes()
-            if guess == guess_prev and guess not in guesses_tried:
-                guesses_tried.add(guess)
-                early = _polish_point(data, x, y, opts)
-                if early is not None:
-                    early = polished_result(*early, "solved", it)
-                    if max(early.primal_residual, early.dual_residual) <= opts.eps_abs:
-                        return early
-            guess_prev = guess
+        # The active-set guess (the sign pattern of y on the inequality rows)
+        # settles long before the residuals reach eps; once it has held over
+        # a whole check interval, polish it, and try each settled guess only
+        # once.
+        guess = np.sign(y[~eq_mask]).astype(np.int8).tobytes()
+        if guess == guess_prev and guess not in guesses_tried:
+            guesses_tried.add(guess)
+            early = _polish_point(data, x, y)
+            if early is not None:
+                early = polished_result(*early, "solved", it)
+                if max(early.primal_residual, early.dual_residual) <= _EPS_ABS:
+                    return early
+        guess_prev = guess
 
         dy = (e * (y - y_prev_chk)) / c if m else np.zeros(0)
         dx = d * (x - x_prev_chk)
@@ -441,13 +439,13 @@ def solve_qp(
             lo_term = np.where(np.isfinite(lower) & (dy < 0), lower, 0.0) * np.minimum(dy, 0.0)
             support = float(np.sum(up_term) + np.sum(lo_term))
             unbounded_push = bool(
-                np.any((dy > opts.eps_infeasible * norm_dy) & ~np.isfinite(upper))
-                or np.any((dy < -opts.eps_infeasible * norm_dy) & ~np.isfinite(lower))
+                np.any((dy > _EPS_INFEASIBLE * norm_dy) & ~np.isfinite(upper))
+                or np.any((dy < -_EPS_INFEASIBLE * norm_dy) & ~np.isfinite(lower))
             )
             if (
                 not unbounded_push
-                and at_dy <= opts.eps_infeasible * norm_dy
-                and support <= -opts.eps_infeasible * norm_dy
+                and at_dy <= _EPS_INFEASIBLE * norm_dy
+                and support <= -_EPS_INFEASIBLE * norm_dy
             ):
                 status = "primal_infeasible"
                 iterations = it
@@ -456,7 +454,7 @@ def solve_qp(
         if norm_dx > _DIV_GUARD:
             p_dx = float(np.max(np.abs(P @ dx), initial=0.0))
             q_dx = float(q @ dx)
-            tol = opts.eps_infeasible * norm_dx
+            tol = _EPS_INFEASIBLE * norm_dx
             if m:
                 adx = A @ dx
                 directions_ok = bool(
@@ -473,47 +471,46 @@ def solve_qp(
         y_prev_chk = y.copy()
 
         if (
-            opts.adaptive_rho
-            and m
-            and it % opts.adaptive_rho_interval == 0
-            and refactorizations < opts.max_refactorizations
+            m
+            and it % _ADAPTIVE_RHO_INTERVAL == 0
+            and refactorizations < _MAX_REFACTORIZATIONS
             and it < opts.max_iterations
         ):
             scale = np.sqrt(
                 max(pri_res / max(pri_ref, _DIV_GUARD), _DIV_GUARD)
                 / max(dua_res / max(dua_ref, _DIV_GUARD), _DIV_GUARD)
             )
-            if scale > opts.adaptive_rho_tolerance or scale < 1.0 / opts.adaptive_rho_tolerance:
+            if scale > _ADAPTIVE_RHO_TOLERANCE or scale < 1.0 / _ADAPTIVE_RHO_TOLERANCE:
                 rho_base = float(np.clip(rho_base * scale, 1e-6, 1e5))
-                rho_vec = np.where(eq_mask, rho_base * opts.rho_eq_scale, rho_base)
-                lu = _factor_kkt(data.system, opts.sigma, rho_vec)
+                rho_vec = np.where(eq_mask, rho_base * _RHO_EQ_SCALE, rho_base)
+                lu = _factor_kkt(data.system, _SIGMA, rho_vec)
                 refactorizations += 1
 
     x_out, y_out = data.unscale(x, y)
     result = QpResult(x_out, y_out, status, iterations, pri_res, dua_res,
                       scaling=(d, e, c), rho_final=rho_base)
 
-    if opts.polish and status in ("solved", "max_iterations"):
+    if status in ("solved", "max_iterations"):
         # Also salvages an iteration-capped run: the active-set guess is
         # often already right, and the polished point is then essentially
         # exact.
-        found = _polish_point(data, x, y, opts)
+        found = _polish_point(data, x, y)
         if found is not None:
             polished = polished_result(*found, status, iterations)
             worst = max(polished.primal_residual, polished.dual_residual)
-            if worst <= opts.eps_abs:
+            if worst <= _EPS_ABS:
                 result = replace(polished, status="solved")
             elif worst <= max(pri_res, dua_res):
                 result = polished
     return result
 
 
-def _polish_point(data: _ScaledQp, x_est, y_est, opts: QpOptions):
+def _polish_point(data: _ScaledQp, x_est, y_est):
     """Solve the equality-constrained problem on the active set guessed from y.
 
     Works on the scaled data and returns a scaled (x, y), or None.  The
     equality-constrained QP is solved by iterative refinement with the
-    factor of P + polish_reg I + _POLISH_RHO A_act' A_act, the regularized
+    factor of P + _POLISH_REG I + _POLISH_RHO A_act' A_act, the regularized
     saddle system with its multiplier block eliminated; it has the band
     structure of the ADMM matrix.  The multipliers start from the estimate
     y_est (sign-correct where it comes from the ADMM projection), and the
@@ -543,7 +540,7 @@ def _polish_point(data: _ScaledQp, x_est, y_est, opts: QpOptions):
         targets = np.where(eq_rows | guess_upp, upper, np.where(guess_low, lower, 0.0))
         weight = np.where(active, _POLISH_RHO, 0.0)
         try:
-            factor = _factor_kkt(data.system, opts.polish_reg, weight)
+            factor = _factor_kkt(data.system, _POLISH_REG, weight)
         except RuntimeError:
             return None
         xh = x_est
@@ -552,7 +549,7 @@ def _polish_point(data: _ScaledQp, x_est, y_est, opts: QpOptions):
         # regularized system for a step (dx, dy) against the exact KKT
         # residuals, so rounding in the steps shrinks with the steps.
         residual = np.inf
-        for _ in range(opts.polish_refine_steps):
+        for _ in range(_POLISH_REFINE_STEPS):
             r_pri = np.where(active, data.A @ xh - targets, 0.0)
             r_dua = data.P @ xh + data.q + data.AT @ yh
             last, residual = residual, max(

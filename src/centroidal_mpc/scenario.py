@@ -44,9 +44,6 @@ class DisturbanceEvent:
     def active(self, t: float) -> bool:
         return self.t_start <= t < self.t_start + self.duration
 
-    def true_force(self, t: float) -> np.ndarray:
-        return self.force if self.active(t) else np.zeros(3)
-
 
 @dataclass
 class ScenarioConfig:

@@ -9,12 +9,23 @@ objective; a small diagonal floor keeps the subproblems strictly convex.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .qp import QpOptions, qp_solve, solve_qp  # noqa: F401  (qp_solve re-exported)
+from .qp import QpOptions, solve_qp
+
+_ARMIJO_FACTOR = 1e-4
+_BACKTRACK_RATIO = 0.5
+_HESSIAN_REGULARIZATION = 1e-9
+_ELASTIC_WEIGHT = 1e6
+# Every subproblem is solved to full accuracy: the active-set polish, tried
+# first from the current multipliers, usually makes that cheaper than an
+# inexact first-order solve.  One subproblem never deserves a long
+# first-order grind: a capped, slightly inexact step still makes progress
+# under the merit test.
+_SUBPROBLEM_OPTIONS = QpOptions(max_iterations=500)
 
 
 @dataclass(frozen=True)
@@ -22,17 +33,12 @@ class SolverOptions:
     max_iterations: int = 100
     kkt_tolerance: float = 1e-6
     constraint_tolerance: float = 1e-7
-    armijo_factor: float = 1e-4
-    backtrack_ratio: float = 0.5
     max_backtracks: int = 30
-    hessian_regularization: float = 1e-9
-    elastic_weight: float = 1e6
-    qp: QpOptions = field(default_factory=QpOptions)
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("kkt_tolerance", "constraint_tolerance", "hessian_regularization"):
+        for name in ("kkt_tolerance", "constraint_tolerance"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -130,7 +136,7 @@ def _l1_infeasibility(problem, x) -> float:
     return total
 
 
-def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, weight, options, n):
+def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, n):
     """Relax the inequality rows with l1-penalized slacks and re-solve."""
     m_in = j_in.shape[0]
     if m_in == 0:
@@ -149,8 +155,8 @@ def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, weight, options, n):
     lower = np.concatenate([-c_eq, -inf, lo, np.zeros(m_in)])
     upper = np.concatenate([-c_eq, hi, inf, inf])
     P_aug = sp.block_diag([P, 1e-8 * sp.eye(m_in)], format="csc")
-    g_aug = np.concatenate([g, weight * np.ones(m_in)])
-    res = solve_qp(P_aug, g_aug, A, lower, upper, options=options)
+    g_aug = np.concatenate([g, _ELASTIC_WEIGHT * np.ones(m_in)])
+    res = solve_qp(P_aug, g_aug, A, lower, upper)
     if res.status != "solved":
         return None
     m_eq = c_eq.size
@@ -179,7 +185,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
     else:
         y = np.zeros(m_eq + m_in)
     hess = sp.csc_matrix(problem.cost_hess())
-    P = hess + opts.hessian_regularization * sp.eye(problem.dimension, format="csc")
+    P = hess + _HESSIAN_REGULARIZATION * sp.eye(problem.dimension, format="csc")
     lo = problem.ineq_lower if m_in else np.zeros(0)
     hi = problem.ineq_upper if m_in else np.zeros(0)
 
@@ -193,14 +199,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
     best = None  # (phase, merit, x, y, kkt, viol, cost)
     qp_x0 = None
     qp_scaling = None
-    # Every subproblem is solved to full accuracy: the active-set polish,
-    # tried first from the current multipliers, usually makes that cheaper
-    # than an inexact first-order solve.  One subproblem never deserves a
-    # long first-order grind: a capped, slightly inexact step still makes
-    # progress under the merit test.
-    qp_options = replace(opts.qp, max_iterations=min(opts.qp.max_iterations, 500))
     last_step = np.inf
-    retried_exact = False
     qp_rho = None
     elastic_stall = 0
     viol_at_elastic = None
@@ -247,7 +246,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             A = lower = upper = None
         qp_res = solve_qp(
             P, g, A, lower, upper,
-            options=qp_options,
+            options=_SUBPROBLEM_OPTIONS,
             x0=qp_x0, y0=y, scaling=qp_scaling, rho0=qp_rho, ordering=problem.ordering,
         )
         if qp_scaling is None:
@@ -255,8 +254,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         qp_rho = qp_res.rho_final
         if qp_res.status == "primal_infeasible":
             elastic = _elastic_qp(
-                P, g, j_eq, c_eq, j_in, lo - v_in, hi - v_in,
-                opts.elastic_weight, opts.qp, problem.dimension,
+                P, g, j_eq, c_eq, j_in, lo - v_in, hi - v_in, problem.dimension
             )
             if elastic is None:
                 status = "infeasible"
@@ -300,37 +298,13 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             f_try = problem.cost(x_try)
             infeas_try = _l1_infeasibility(problem, x_try)
             merit_try = f_try + nu * infeas_try
-            if np.isfinite(merit_try) and merit_try <= merit0 + opts.armijo_factor * alpha * min(
+            if np.isfinite(merit_try) and merit_try <= merit0 + _ARMIJO_FACTOR * alpha * min(
                 descent, 0.0
             ):
                 accepted = True
                 break
-            alpha *= opts.backtrack_ratio
+            alpha *= _BACKTRACK_RATIO
         merit_history.append((merit0, merit_try if accepted else merit0, nu))
-        if not accepted and qp_res.status != "solved" and not retried_exact:
-            # The rejected direction came from an iteration-capped subproblem;
-            # pay for one exact solve before giving up on this iterate.
-            retried_exact = True
-            qp_res = solve_qp(
-                P, g, A, lower, upper,
-                options=replace(opts.qp, max_iterations=20000),
-                y0=y, scaling=qp_scaling, ordering=problem.ordering,
-            )
-            if qp_res.solved and np.all(np.isfinite(qp_res.x)):
-                d = qp_res.x
-                y_new = qp_res.y
-                step_norm = float(np.max(np.abs(d), initial=0.0))
-                nu = max(nu, 1.5 * float(np.max(np.abs(y_new), initial=0.0)) + 1e-6)
-                merit0 = f + nu * infeas0
-                descent = float(g @ d) - nu * infeas0
-                alpha = 1.0
-                for _ in range(opts.max_backtracks):
-                    x_try = x + alpha * d
-                    merit_try = problem.cost(x_try) + nu * _l1_infeasibility(problem, x_try)
-                    if np.isfinite(merit_try) and merit_try <= merit0 + opts.armijo_factor * alpha * min(descent, 0.0):
-                        accepted = True
-                        break
-                    alpha *= opts.backtrack_ratio
         if not accepted:
             # No merit progress along the QP direction; adopt the multipliers
             # and let the same KKT test as at the loop head decide.
@@ -404,8 +378,10 @@ class DerivativeReport:
         )
 
 
-def _rel_err(analytic, estimate) -> float:
-    return abs(analytic - estimate) / max(1.0, abs(analytic), abs(estimate))
+def _rel_err(analytic, estimate):
+    """Elementwise |analytic - estimate| / max(1, |analytic|, |estimate|)."""
+    scale = np.maximum(np.maximum(1.0, np.abs(analytic)), np.abs(estimate))
+    return np.abs(analytic - estimate) / scale
 
 
 def _color_columns(pattern_rows, pattern_cols, n_cols):
@@ -444,22 +420,25 @@ def _fd_jacobian_check(fun, jac_matrix, pattern, x, h, m_rows):
     """
     rows_pat, cols_pat = pattern
     n = x.size
-    dense_cols = jac_matrix.tocsc()
+    jac = jac_matrix.tocsc()
     groups, col_rows = _color_columns(np.asarray(rows_pat), np.asarray(cols_pat), n)
     worst = (0.0, -1, -1)
     for group in groups:
         direction = np.zeros(n)
         direction[group] = 1.0
         delta = (fun(x + h * direction) - fun(x - h * direction)) / (2.0 * h)
+        # The group's entries in column, then row order, so the first strict
+        # maximum is the entry a scan in that order would keep; a NaN error
+        # never beats the running worst.
+        rows = np.concatenate([col_rows[c] for c in group])
+        cols = np.repeat(group, [col_rows[c].size for c in group])
+        if rows.size:
+            err = _rel_err(np.asarray(jac[rows, cols]).ravel(), delta[rows])
+            k = int(np.argmax(np.where(np.isnan(err), -np.inf, err)))
+            if err[k] > worst[0]:
+                worst = (err[k], int(rows[k]), int(cols[k]))
         claimed = np.zeros(m_rows, dtype=bool)
-        for c in group:
-            rows = col_rows[c]
-            claimed[rows] = True
-            col = dense_cols[:, c].toarray().ravel()
-            for r in rows:
-                err = _rel_err(col[r], delta[r])
-                if err > worst[0]:
-                    worst = (err, int(r), int(c))
+        claimed[rows] = True
         stray = np.abs(np.where(claimed, 0.0, delta))
         r = int(np.argmax(stray)) if stray.size else 0
         if stray.size and stray[r] > worst[0]:

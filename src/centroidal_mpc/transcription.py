@@ -293,24 +293,7 @@ class NlpProblem:
     ineq_pattern: tuple | None = None
     ineq_lower: np.ndarray | None = None
     ineq_upper: np.ndarray | None = None
-    x_lower: np.ndarray | None = None
-    x_upper: np.ndarray | None = None
     ordering: np.ndarray | None = None
-
-    def constraint_violation(self, x: np.ndarray) -> float:
-        """Max-norm violation of equalities, inequality intervals and bounds."""
-        worst = 0.0
-        if self.n_eq:
-            worst = max(worst, float(np.max(np.abs(self.eq(x)))))
-        if self.n_ineq:
-            v = self.ineq(x)
-            worst = max(worst, float(np.max(np.maximum(self.ineq_lower - v, 0.0))))
-            worst = max(worst, float(np.max(np.maximum(v - self.ineq_upper, 0.0))))
-        if self.x_lower is not None:
-            worst = max(worst, float(np.max(np.maximum(self.x_lower - x, 0.0))))
-        if self.x_upper is not None:
-            worst = max(worst, float(np.max(np.maximum(x - self.x_upper, 0.0))))
-        return worst
 
 
 # The latest (key, result) of _cost_hessian, a pure function of its key.  A
@@ -401,20 +384,19 @@ def _quadratic_cost_terms(
     weights: Weights,
     nominal_com_samples: np.ndarray,
     nominal_contacts: np.ndarray,
-    nominal_ang_momentum: np.ndarray,
     period: float,
 ):
-    """Sparse Hessian, linear term and constant of the summed quadratic costs."""
+    """Sparse Hessian, linear term and constant of the summed quadratic costs.
+
+    The angular-momentum reference is zero, so that term adds nothing to the
+    linear term or the constant.
+    """
     c = np.zeros(layout.size)
     constant = 0.0
     for k in range(layout.n_knots + 1):
         sl = layout.com_slice(k)
         c[sl] -= weights.com_tracking * nominal_com_samples[k]
         constant += 0.5 * float(np.sum(weights.com_tracking * nominal_com_samples[k] ** 2))
-        mom = layout.momentum_slice(k)
-        ang = slice(mom.start + 3, mom.stop)
-        c[ang] -= weights.ang_momentum * nominal_ang_momentum
-        constant += 0.5 * float(np.sum(weights.ang_momentum * nominal_ang_momentum**2))
         for i in range(layout.n_contacts):
             sl = layout.contact_position_slice(k, i)
             c[sl] -= weights.contact_reg * nominal_contacts[i]
@@ -435,16 +417,14 @@ def build_nlp(
     period: float,
     params: PhysicalParams,
     disturbance_profile: np.ndarray | None = None,
-    nominal_ang_momentum=(0.0, 0.0, 0.0),
-    friction_at_inactive: bool = True,
 ) -> NlpProblem:
     """Assemble the horizon problem for one control instant.
 
     schedule holds the gate per step (n_knots rows); nominal_com_samples
     covers all n_knots + 1 state knots.  The disturbance profile (one wrench
-    per step) enters the momentum defects as a known input.  With
-    friction_at_inactive False, pyramid rows are built only for steps whose
-    contact bears load (their forces are gated out of the dynamics anyway).
+    per step) enters the momentum defects as a known input.  Pyramid rows
+    are built for every step of a contact that bears load somewhere in the
+    horizon, gated-out steps included.
     """
     n_c = plan.n_contacts
     layout = DecisionLayout(n_knots, [c.geometry.n_corners for c in plan.contacts])
@@ -489,7 +469,6 @@ def build_nlp(
         weights,
         nominal_com_samples,
         nominal_contacts,
-        _as_vector(nominal_ang_momentum, 3, "nominal_ang_momentum"),
         period,
     )
 
@@ -644,7 +623,7 @@ def build_nlp(
     dead_contact = [not schedule[:, i].any() for i in range(n_c)]
     for k in range(n_knots):
         for i in range(n_c):
-            if dead_contact[i] or not (friction_at_inactive or schedule[k, i]):
+            if dead_contact[i]:
                 continue
             for j in range(layout.corner_counts[i]):
                 base = layout.force_slice(k, i, j).start

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from centroidal_mpc import controller
 from centroidal_mpc.controller import (
     MpcOptions,
+    _sanitize_forces,
     cold_start,
     layout_for,
     mpc_step,
@@ -10,7 +12,7 @@ from centroidal_mpc.controller import (
 )
 from centroidal_mpc.model import CentroidalState, ContactGeometry, ExternalWrench, PhysicalParams
 from centroidal_mpc.plan import ContactPlan, NominalContact, nominal_com_trajectory
-from centroidal_mpc.solver import SolverOptions
+from centroidal_mpc.solver import Solution, SolverOptions
 
 POINT = ContactGeometry.point()
 RECT = ContactGeometry.rectangle(0.2, 0.1)
@@ -158,6 +160,36 @@ class TestMpcStep:
             contact = plan.contact(cid)
             residual = contact.orientation.T @ (contact.nominal_position - landing)
             assert tight.box.contains(residual, tol=1e-9)
+
+    def test_hard_failure_reuses_shifted_previous_solution(self, monkeypatch):
+        plan = standing_plan()
+        spline = nominal_com_trajectory(plan, PARAMS)
+        state = CentroidalState(spline.position(0.0), [0.3, 0, 0], np.zeros(3))
+        positions = {c.contact_id: c.nominal_position.copy() for c in plan.contacts}
+        previous = mpc_step(state, positions, plan, 0.0, ExternalWrench([2, 0, 0]), None,
+                            OPTIONS, PARAMS, spline).solution
+        assert previous.converged
+
+        def failed_solve(problem, warm_start, options=None, y0=None):
+            return Solution(
+                x=np.full(problem.dimension, np.nan), status="numerical_failure",
+                iterations=1, kkt_residual=np.inf, constraint_violation=np.inf,
+                solve_time_ms=0.0, cost=np.nan,
+                multipliers=np.zeros(problem.n_eq + problem.n_ineq),
+            )
+
+        monkeypatch.setattr(controller, "solve", failed_solve)
+        out = mpc_step(state, positions, plan, 0.1, ExternalWrench.zero(), previous,
+                       OPTIONS, PARAMS, spline)
+        assert out.degraded
+        layout = layout_for(plan, OPTIONS)
+        shifted, _ = layout.control_arrays(shift_warm_start(previous, layout))
+        rotations = np.array([c.orientation for c in plan.contacts])
+        expected = _sanitize_forces(shifted, out.schedule.astype(float), OPTIONS.pyramid(),
+                                    rotations)
+        for i, cid in enumerate(("l", "r")):
+            assert np.all(np.isfinite(out.forces[cid]))
+            assert np.array_equal(out.forces[cid], expected[i][0])
 
     def test_forces_satisfy_pyramid_after_sanitize(self):
         plan = standing_plan()

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from centroidal_mpc.solver import SolverOptions, check_derivatives, solve
+from centroidal_mpc.solver import (
+    SolverOptions,
+    _color_columns,
+    _fd_jacobian_check,
+    check_derivatives,
+    solve,
+)
 from centroidal_mpc.transcription import NlpProblem
 
 
@@ -235,6 +241,63 @@ class TestCheckDerivatives:
         assert report.worst_block == "eq_jac"
         assert (report.worst_row, report.worst_col) == (0, 2)
         assert report.max_relative_error > 0.1
+
+    @staticmethod
+    def entry_by_entry_scan(fun, jac_matrix, pattern, x, h, m_rows):
+        """Reference for _fd_jacobian_check: one entry at a time, in group,
+        column and row order, keeping the first strict maximum."""
+        n = x.size
+        dense = jac_matrix.toarray()
+        groups, col_rows = _color_columns(pattern[0], pattern[1], n)
+        worst = (0.0, -1, -1)
+        for group in groups:
+            direction = np.zeros(n)
+            direction[group] = 1.0
+            delta = (fun(x + h * direction) - fun(x - h * direction)) / (2.0 * h)
+            claimed = np.zeros(m_rows, dtype=bool)
+            for c in group:
+                claimed[col_rows[c]] = True
+                for r in col_rows[c]:
+                    a, e = dense[r, c], delta[r]
+                    err = abs(a - e) / max(1.0, abs(a), abs(e))
+                    if err > worst[0]:
+                        worst = (err, int(r), int(c))
+            stray = np.abs(np.where(claimed, 0.0, delta))
+            r = int(np.argmax(stray))
+            if stray[r] > worst[0]:
+                worst = (float(stray[r]), r, int(group[0]))
+        return worst
+
+    @pytest.mark.parametrize("case", ["ties", "nan", "stray"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grouped_check_matches_entry_by_entry_scan(self, seed, case):
+        # A corrupted entry of 1e20 scores exactly 1.0.  "ties": every entry
+        # of two columns is corrupted, so the order of the scan decides the
+        # reported index.  "nan": the first entry of such a column is NaN.
+        # "stray": an entry missing from the declared pattern scores 2.5.
+        rng = np.random.RandomState(seed)
+        m, n = 10, 14
+        mask = rng.rand(m, n) < 0.3
+        mask[:3, :2] = True
+        coef = rng.randn(m, n) * mask
+        stray_r, stray_c = np.argwhere(~mask)[rng.randint((~mask).sum())]
+        stray_coef = 2.5 if case == "stray" else 0.5
+
+        def fun(v):
+            out = coef @ np.sin(v)
+            out[stray_r] += stray_coef * v[stray_c]
+            return out
+
+        x = rng.randn(n)
+        jac = coef * np.cos(x)[None, :]
+        columns = rng.choice(n, size=2, replace=False) if case == "ties" else [0, 1]
+        for c in columns:
+            jac[mask[:, c], c] = 1e20
+        if case == "nan":
+            jac[0, 0] = np.nan
+        rows, cols = np.nonzero(mask)
+        args = (fun, sp.csr_matrix(jac), (rows, cols), x, 1e-6, m)
+        assert _fd_jacobian_check(*args) == self.entry_by_entry_scan(*args)
 
     def test_fd_step_validation(self):
         problem = quadratic_problem(np.eye(2), np.zeros(2))
