@@ -18,6 +18,10 @@ DEFAULT_GRAVITY = (0.0, 0.0, -9.81)
 
 _ORTHONORMAL_TOL = 1e-9
 
+# Component c of a cross product pairs components c+1 and c+2 (mod 3).
+_NEXT = np.array([1, 2, 0])
+_AFTER_NEXT = np.array([2, 0, 1])
+
 
 def _as_vector(value, size: int, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float).reshape(-1)
@@ -36,6 +40,15 @@ def skew(v) -> np.ndarray:
     """Matrix S such that S @ u == np.cross(v, u)."""
     x, y, z = np.asarray(v, dtype=float).reshape(3)
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis (length 3), equal to np.cross bit for bit.
+
+    Component c is a[c+1] * b[c+2] - a[c+2] * b[c+1] (indices mod 3), the
+    float operations np.cross performs, without its per-call axis handling.
+    """
+    return a[..., _NEXT] * b[..., _AFTER_NEXT] - a[..., _AFTER_NEXT] * b[..., _NEXT]
 
 
 def skew_batch(v: np.ndarray) -> np.ndarray:
@@ -202,23 +215,24 @@ def momentum_rate_batch(
     gamma (K, n_c), rotations (n_c, 3, 3), corner_offsets[i] (n_v_i, 3),
     wrench (K, 6).  Returns (K, 6) stacked (linear, angular) rates.
 
-    Accumulation is an explicit loop over contacts and corners so that the
-    summation order is identical for any K; this keeps single-step rollouts
-    bit-identical to batched evaluations of the same quantities.
+    The gated forces, lever arms and torques of all corners of a contact are
+    computed at once (torques by `cross_rows`, the float operations of
+    np.cross); each corner's (force, torque) is then added to the rates in
+    an explicit loop over contacts and corners, so the summation order is
+    identical for any K.  This keeps single-step rollouts bit-identical to
+    batched evaluations of the same quantities.
     """
-    k = p_com.shape[0]
-    rate_lin = np.broadcast_to(mass * gravity, (k, 3)) + wrench[:, 0:3]
-    rate_lin = np.ascontiguousarray(rate_lin)
-    rate_ang = wrench[:, 3:6].copy()
+    rate = np.empty((p_com.shape[0], 6))
+    np.add(mass * gravity, wrench[:, 0:3], out=rate[:, 0:3])
+    rate[:, 3:6] = wrench[:, 3:6]
     for i, force_i in enumerate(forces):
         offsets_world = corner_offsets[i] @ rotations[i].T
-        gate = gamma[:, i : i + 1]
+        f = gamma[:, i, None, None] * force_i
+        arms = p_contacts[:, i, None, :] + offsets_world - p_com[:, None, :]
+        corner_wrenches = np.concatenate([f, cross_rows(arms, f)], axis=2)
         for j in range(force_i.shape[1]):
-            f = gate * force_i[:, j, :]
-            arm = p_contacts[:, i, :] + offsets_world[j] - p_com
-            rate_lin += f
-            rate_ang += np.cross(arm, f)
-    return np.concatenate([rate_lin, rate_ang], axis=1)
+            rate += corner_wrenches[:, j]
+    return rate
 
 
 def euler_step_batch(

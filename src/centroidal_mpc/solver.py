@@ -9,6 +9,7 @@ objective; a small diagonal floor keeps the subproblems strictly convex.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -384,11 +385,37 @@ def _rel_err(analytic, estimate):
     return np.abs(analytic - estimate) / scale
 
 
+# Colourings of the latest patterns, keyed on their content.  Every
+# derivative check of one problem colours the same two patterns (eq and
+# ineq); the acceptance suite's 200 colourings use 4 distinct patterns, so a
+# few entries let checks of several problems share them.
+_COLORINGS: OrderedDict = OrderedDict()
+_COLORINGS_KEPT = 8
+
+
 def _color_columns(pattern_rows, pattern_cols, n_cols):
-    """Greedy column grouping: columns in one group share no constraint row."""
+    """_color_groups of a pattern, recomputed only for a pattern not seen lately."""
+    key = (n_cols, pattern_rows.dtype.str, pattern_rows.tobytes(),
+           pattern_cols.dtype.str, pattern_cols.tobytes())
+    if key in _COLORINGS:
+        _COLORINGS.move_to_end(key)
+    else:
+        _COLORINGS[key] = _color_groups(pattern_rows, pattern_cols, n_cols)
+        if len(_COLORINGS) > _COLORINGS_KEPT:
+            _COLORINGS.popitem(last=False)
+    return _COLORINGS[key]
+
+
+def _color_groups(pattern_rows, pattern_cols, n_cols):
+    """Greedy column grouping: columns in one group share no constraint row.
+
+    Returns the groups (arrays of columns) and each column's rows, all
+    read-only, since _color_columns shares them between calls.
+    """
     order = np.argsort(pattern_cols, kind="stable")
     sorted_cols = pattern_cols[order]
     sorted_rows = pattern_rows[order]
+    sorted_rows.flags.writeable = False
     boundaries = np.searchsorted(sorted_cols, np.arange(n_cols + 1))
     col_rows = [sorted_rows[boundaries[c] : boundaries[c + 1]] for c in range(n_cols)]
     groups = []
@@ -408,7 +435,10 @@ def _color_columns(pattern_rows, pattern_cols, n_cols):
             mask[rows] = True
             groups.append([c])
             group_masks.append(mask)
-    return groups, col_rows
+    groups = tuple(np.array(group) for group in groups)
+    for group in groups:
+        group.flags.writeable = False
+    return groups, tuple(col_rows)
 
 
 def _fd_jacobian_check(fun, jac_matrix, pattern, x, h, m_rows):

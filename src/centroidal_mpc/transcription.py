@@ -379,6 +379,111 @@ def _cost_hessian(layout: DecisionLayout, weights: Weights, period: float) -> sp
     return hess
 
 
+class _EqTemplate:
+    """Layout-only structure of the equality-constraint Jacobian.
+
+    Entries are listed in build_nlp's order: the knot-0 pin, then per step
+    its constant entries (identity chains, the mass-scaled momentum column,
+    the gated velocity and linear-force columns), then the bilinear entries
+    of the angular-momentum rows for all steps.  `knot_values` holds one
+    step's constant values, with zeros where build_nlp writes the values
+    that depend on the period, the mass and the schedule.  `csr_order` maps
+    the CSR positions of the numbered matrix to entries.  Every array is
+    read-only: one template is shared by all problems of its layout.
+    """
+
+    def __init__(self, layout: DecisionLayout):
+        sd, n_knots = layout.state_dim, layout.n_knots
+        ks = np.arange(n_knots)
+        row_off, col_off, col_step, values = [], [], [], []
+
+        def put_diag(row: int, col: int, count: int, step: int, value: float) -> slice:
+            start = sum(seg.size for seg in row_off)
+            row_off.append(row + np.arange(count))
+            col_off.append(col + np.arange(count))
+            col_step.append(np.full(count, step))
+            values.append(np.full(count, value))
+            return slice(start, start + count)
+
+        # One step k, with columns given at k = 0: state columns move by sd
+        # per step and control columns by control_dim.
+        cd = layout.control_dim
+        put_diag(0, layout.com_slice(1).start, 3, sd, 1.0)
+        put_diag(0, layout.com_slice(0).start, 3, sd, -1.0)
+        self.momentum_entries = put_diag(0, layout.momentum_slice(0).start, 3, sd, 0.0)
+        put_diag(3, layout.momentum_slice(1).start, 6, sd, 1.0)
+        put_diag(3, layout.momentum_slice(0).start, 6, sd, -1.0)
+        self.gated_entries = []
+        for i, nv in enumerate(layout.corner_counts):
+            row = 9 + 3 * i
+            put_diag(row, layout.contact_position_slice(1, i).start, 3, sd, 1.0)
+            put_diag(row, layout.contact_position_slice(0, i).start, 3, sd, -1.0)
+            velocity = put_diag(row, layout.contact_velocity_slice(0, i).start, 3, cd, 0.0)
+            first = put_diag(3, layout.force_slice(0, i, 0).start, 3, cd, 0.0)
+            for j in range(1, nv):
+                put_diag(3, layout.force_slice(0, i, j).start, 3, cd, 0.0)
+            self.gated_entries.append((velocity, slice(first.start, first.start + 3 * nv)))
+        row_off, col_off, col_step = (np.concatenate(a) for a in (row_off, col_off, col_step))
+        self.knot_values = np.concatenate(values)
+        const_rows = np.concatenate(
+            [np.arange(sd), (sd + sd * ks[:, None] + row_off).ravel()]
+        )
+        const_cols = np.concatenate(
+            [np.arange(sd), (col_off + ks[:, None] * col_step).ravel()]
+        )
+
+        var_rows, var_cols = [], []
+        grid = np.indices((3, 3))
+        row_base = sd + ks * sd + 6
+        for i, nv in enumerate(layout.corner_counts):
+            # d(ang defect)/d f_{i,j}: 9 entries per (k, j), C-ordered (k, j, a, b).
+            col_base = layout.n_state_vars + ks * cd + int(layout._force_offsets[i])
+            r = row_base[:, None, None, None] + np.zeros((1, nv, 1, 1), dtype=int) + grid[0]
+            cmat = col_base[:, None, None, None] + 3 * np.arange(nv)[None, :, None, None] + grid[1]
+            var_rows.append(r.ravel())
+            var_cols.append(cmat.ravel())
+        for i in range(layout.n_contacts):
+            # d(ang defect)/d p_{C_i}: 9 entries per k.
+            col_base = ks * sd + 9 + 3 * i
+            var_rows.append((row_base[:, None, None] + grid[0]).ravel())
+            var_cols.append((col_base[:, None, None] + grid[1]).ravel())
+        # d(ang defect)/d p_com: 9 entries per k.
+        var_rows.append((row_base[:, None, None] + grid[0]).ravel())
+        var_cols.append((ks[:, None, None] * sd + grid[1]).ravel())
+
+        self.rows = np.concatenate([const_rows] + var_rows)
+        self.cols = np.concatenate([const_cols] + var_cols)
+        self.n_var_entries = self.rows.size - const_rows.size
+        # The CSR layout of the Jacobian never changes: number the entries
+        # once, let scipy place them, and refresh only the values.
+        m_eq = sd + n_knots * sd
+        numbered = sp.coo_matrix(
+            (np.arange(1.0, self.rows.size + 1.0), (self.rows, self.cols)),
+            shape=(m_eq, layout.size),
+        ).tocsr()
+        if numbered.nnz != self.rows.size:
+            raise AssertionError("eq Jacobian entries must be structurally distinct")
+        self.csr_order = numbered.data.astype(np.int64) - 1
+        self.indices = numbered.indices
+        self.indptr = numbered.indptr
+        for array in (self.knot_values, self.rows, self.cols, self.csr_order,
+                      self.indices, self.indptr):
+            array.flags.writeable = False
+
+
+# The latest (key, result) of _eq_template, a pure function of its key.  A
+# run keeps one layout, so one entry serves all of its horizon problems.
+_LAST_EQ_TEMPLATE: list = [None, None]
+
+
+def _eq_template(layout: DecisionLayout) -> _EqTemplate:
+    """The _EqTemplate of a layout, rebuilt only when the layout changes."""
+    key = (layout.n_knots, layout.corner_counts)
+    if _LAST_EQ_TEMPLATE[0] != key:
+        _LAST_EQ_TEMPLATE[:] = [key, _EqTemplate(layout)]
+    return _LAST_EQ_TEMPLATE[1]
+
+
 def _quadratic_cost_terms(
     layout: DecisionLayout,
     weights: Weights,
@@ -392,16 +497,100 @@ def _quadratic_cost_terms(
     linear term or the constant.
     """
     c = np.zeros(layout.size)
+    states = c[: layout.n_state_vars].reshape(layout.n_knots + 1, layout.state_dim)
+    states[:, 0:3] -= weights.com_tracking * nominal_com_samples
+    states[:, 9:] -= (weights.contact_reg * nominal_contacts).ravel()
+    # The constant is summed term by term in (knot, CoM then contacts) order.
+    contact_terms = [
+        0.5 * float(np.sum(weights.contact_reg * p**2)) for p in nominal_contacts
+    ]
     constant = 0.0
-    for k in range(layout.n_knots + 1):
-        sl = layout.com_slice(k)
-        c[sl] -= weights.com_tracking * nominal_com_samples[k]
-        constant += 0.5 * float(np.sum(weights.com_tracking * nominal_com_samples[k] ** 2))
-        for i in range(layout.n_contacts):
-            sl = layout.contact_position_slice(k, i)
-            c[sl] -= weights.contact_reg * nominal_contacts[i]
-            constant += 0.5 * float(np.sum(weights.contact_reg * nominal_contacts[i] ** 2))
+    for com_sq in weights.com_tracking * nominal_com_samples**2:
+        constant += 0.5 * float(com_sq.sum())
+        for term in contact_terms:
+            constant += term
     return _cost_hessian(layout, weights, period), c, constant
+
+
+def _inequality_rows(
+    layout: DecisionLayout,
+    schedule: np.ndarray,
+    rotations: np.ndarray,
+    nominal_contacts: np.ndarray,
+    pyramid: FrictionPyramid,
+    box: ContactBox,
+):
+    """The constant inequality matrix (CSR) with its lower and upper bounds.
+
+    Rows come in three blocks: six pyramid rows per (step, contact, corner),
+    step-major, for every contact that bears load somewhere in the horizon
+    (gated-out steps included); three zero pins per (contact, step, corner)
+    for every other contact; three box rows per (knot, contact), knot-major,
+    from the first knot the contact can move to.
+    """
+    n_knots, n_c = layout.n_knots, layout.n_contacts
+    step_cols = layout.control_dim * np.arange(n_knots)[:, None]
+    xyz = np.arange(3)
+    # A contact gated out over the entire horizon leaves its forces with no
+    # dynamic or cost anchor: a flat optimal manifold whose boundary is the
+    # cone apex.  Pin those dead variables to their exact optimum (zero) and
+    # drop their vacuous pyramid rows.
+    dead = [not schedule[:, i].any() for i in range(n_c)]
+    live = [(i, j) for i in range(n_c) if not dead[i] for j in range(layout.corner_counts[i])]
+    live_cols = step_cols + [layout.force_slice(0, i, j).start for i, j in live]
+    friction_shape = (n_knots, len(live), 6, 3)
+    friction_cols = np.broadcast_to(live_cols[:, :, None, None] + xyz, friction_shape)
+    pyr_local = [pyramid.A @ rotations[i].T for i in range(n_c)]
+    friction_vals = np.broadcast_to(
+        np.array([pyr_local[i] for i, _ in live]).reshape(len(live), 6, 3), friction_shape
+    )
+    dead_cols = [np.zeros(0, dtype=int)] + [
+        (step_cols + [layout.force_slice(0, i, j).start for j in range(nv)]).ravel()
+        for i, nv in enumerate(layout.corner_counts)
+        if dead[i]
+    ]
+    pin_cols = np.concatenate(dead_cols)[:, None] + xyz
+    # While a contact has been gated on since knot 0, the defect chain pins
+    # its whole position trajectory to the measured (already box-checked)
+    # value; box rows there would only duplicate equalities, and the
+    # redundant pairs admit arbitrary multiplier splits that first-order
+    # methods never shake off.  Impose the box only from the first knot the
+    # position can actually move to (row k - 1 of `movable` is knot k).
+    movable = np.logical_or.accumulate(~schedule, axis=0)
+    box_knots, box_contacts = np.nonzero(movable)
+    box_base = (box_knots + 1) * layout.state_dim + 9 + 3 * box_contacts
+    box_cols = np.broadcast_to(box_base[:, None, None] + xyz, (box_base.size, 3, 3))
+    box_vals = rotations.transpose(0, 2, 1)[box_contacts]
+    anchors = np.array([rotations[i].T @ nominal_contacts[i] for i in range(n_c)])
+
+    # (columns, values) of each block, one row of the block per leading index.
+    blocks = [
+        (friction_cols.reshape(-1, 3), friction_vals.reshape(-1, 3)),
+        (pin_cols.reshape(-1, 1), np.ones((pin_cols.size, 1))),
+        (box_cols.reshape(-1, 3), box_vals.reshape(-1, 3)),
+    ]
+    row_widths = np.concatenate([np.full(cols.shape[0], cols.shape[1]) for cols, _ in blocks])
+    n_rows = row_widths.size
+    matrix = sp.coo_matrix(
+        (
+            np.concatenate([vals.ravel() for _, vals in blocks]),
+            (
+                np.repeat(np.arange(n_rows), row_widths),
+                np.concatenate([cols.ravel() for cols, _ in blocks]),
+            ),
+        ),
+        shape=(n_rows, layout.size),
+    ).tocsr()
+    n_friction = n_knots * len(live)
+    lower = np.concatenate(
+        [np.full(6 * n_friction, -np.inf), np.zeros(pin_cols.size),
+         (anchors - box.upper)[box_contacts].ravel()]
+    )
+    upper = np.concatenate(
+        [np.tile(pyramid.b, n_friction), np.zeros(pin_cols.size),
+         (anchors - box.lower)[box_contacts].ravel()]
+    )
+    return matrix, lower, upper
 
 
 def build_nlp(
@@ -504,84 +693,15 @@ def build_nlp(
         out[sd:] = (states[1:] - stepped).ravel()
         return out
 
-    # Constant Jacobian entries (identity chains, gated velocity columns, the
-    # gated linear-force columns) are laid out first; the bilinear entries of
-    # the angular-momentum rows are appended and refreshed on every call.
-    const_rows, const_cols, const_vals = [], [], []
-
-    def put_diag(row0: int, col0: int, count: int, value):
-        r = row0 + np.arange(count)
-        cval = col0 + np.arange(count)
-        const_rows.append(r)
-        const_cols.append(cval)
-        const_vals.append(np.full(count, value) if np.isscalar(value) else value)
-
-    put_diag(0, 0, sd, 1.0)
-    ks = np.arange(n_knots)
-    for k in range(n_knots):
-        rb = sd + k * sd
-        put_diag(rb, layout.com_slice(k + 1).start, 3, 1.0)
-        put_diag(rb, layout.com_slice(k).start, 3, -1.0)
-        put_diag(rb, layout.momentum_slice(k).start, 3, -period / mass)
-        put_diag(rb + 3, layout.momentum_slice(k + 1).start, 6, 1.0)
-        put_diag(rb + 3, layout.momentum_slice(k).start, 6, -1.0)
-        for i in range(n_c):
-            row = rb + 9 + 3 * i
-            put_diag(row, layout.contact_position_slice(k + 1, i).start, 3, 1.0)
-            put_diag(row, layout.contact_position_slice(k, i).start, 3, -1.0)
-            put_diag(
-                row,
-                layout.contact_velocity_slice(k, i).start,
-                3,
-                -period * (1.0 - gamma[k, i]),
-            )
-            for j in range(layout.corner_counts[i]):
-                put_diag(
-                    rb + 3, layout.force_slice(k, i, j).start, 3, -period * gamma[k, i]
-                )
-
-    var_rows, var_cols = [], []
-    grid = np.indices((3, 3))
-    for i in range(n_c):
-        nv = layout.corner_counts[i]
-        # d(ang defect)/d f_{i,j}: 9 entries per (k, j), C-ordered (k, j, a, b).
-        row_base = sd + ks * sd + 6
-        col_base = (
-            layout.n_state_vars
-            + ks * layout.control_dim
-            + int(layout._force_offsets[i])
-        )
-        r = row_base[:, None, None, None] + np.zeros((1, nv, 1, 1), dtype=int) + grid[0]
-        cmat = col_base[:, None, None, None] + 3 * np.arange(nv)[None, :, None, None] + grid[1]
-        var_rows.append(r.ravel())
-        var_cols.append(cmat.ravel())
-    for i in range(n_c):
-        # d(ang defect)/d p_{C_i}: 9 entries per k.
-        row_base = sd + ks * sd + 6
-        col_base = ks * sd + 9 + 3 * i
-        r = row_base[:, None, None] + grid[0]
-        cmat = col_base[:, None, None] + grid[1]
-        var_rows.append(r.ravel())
-        var_cols.append(cmat.ravel())
-    # d(ang defect)/d p_com: 9 entries per k.
-    row_base = sd + ks * sd + 6
-    col_base = ks * sd
-    var_rows.append((row_base[:, None, None] + grid[0]).ravel())
-    var_cols.append((col_base[:, None, None] + grid[1]).ravel())
-
-    jac_rows = np.concatenate(const_rows + var_rows)
-    jac_cols = np.concatenate(const_cols + var_cols)
-    const_data = np.concatenate(const_vals)
-    n_var_entries = sum(seg.size for seg in var_rows)
-    eq_pattern = (jac_rows, jac_cols)
-    # The CSR layout of the Jacobian never changes: number the entries once,
-    # let scipy place them, and refresh only the values on every call.
-    numbered = sp.coo_matrix(
-        (np.arange(1.0, jac_rows.size + 1.0), (jac_rows, jac_cols)), shape=(m_eq, layout.size)
-    ).tocsr()
-    if numbered.nnz != jac_rows.size:
-        raise AssertionError("eq Jacobian entries must be structurally distinct")
-    csr_order = numbered.data.astype(np.int64) - 1
+    # Constant Jacobian values per step; the bilinear entries of the
+    # angular-momentum rows follow them and are refreshed on every call.
+    template = _eq_template(layout)
+    knot_values = np.tile(template.knot_values, (n_knots, 1))
+    knot_values[:, template.momentum_entries] = -period / mass
+    for i, (velocity, force) in enumerate(template.gated_entries):
+        knot_values[:, velocity] = (-period * (1.0 - gamma[:, i]))[:, None]
+        knot_values[:, force] = (-period * gamma[:, i])[:, None]
+    const_data = np.concatenate([np.ones(sd), knot_values.ravel()])
 
     def eq_jac(x: np.ndarray) -> sp.spmatrix:
         com, _, contacts = layout.state_arrays(x)
@@ -603,75 +723,17 @@ def build_nlp(
             segments.append((scale * skew_batch(fsum)).ravel())
         segments.append((-period * skew_batch(total)).ravel())
         var_data = np.concatenate(segments)
-        assert var_data.size == n_var_entries
+        assert var_data.size == template.n_var_entries
         data = np.concatenate([const_data, var_data])
         return sp.csr_matrix(
-            (data[csr_order], numbered.indices.copy(), numbered.indptr.copy()),
+            (data[template.csr_order], template.indices.copy(), template.indptr.copy()),
             shape=(m_eq, layout.size),
         )
 
-    # Inequalities: friction rows per (step, contact, corner), then box rows
-    # per (knot, contact).  The matrix and interval bounds are constant.
-    in_rows, in_cols, in_vals = [], [], []
-    lower_parts, upper_parts = [], []
-    row = 0
-    pyr_local = [pyramid.A @ rotations[i].T for i in range(n_c)]
-    # A contact gated out over the entire horizon leaves its forces with no
-    # dynamic or cost anchor: a flat optimal manifold whose boundary is the
-    # cone apex.  Pin those dead variables to their exact optimum (zero) and
-    # drop their vacuous pyramid rows.
-    dead_contact = [not schedule[:, i].any() for i in range(n_c)]
-    for k in range(n_knots):
-        for i in range(n_c):
-            if dead_contact[i]:
-                continue
-            for j in range(layout.corner_counts[i]):
-                base = layout.force_slice(k, i, j).start
-                in_rows.append(row + np.repeat(np.arange(6), 3))
-                in_cols.append(base + np.tile(np.arange(3), 6))
-                in_vals.append(pyr_local[i].ravel())
-                lower_parts.append(np.full(6, -np.inf))
-                upper_parts.append(pyramid.b)
-                row += 6
-    for i in range(n_c):
-        if not dead_contact[i]:
-            continue
-        for k in range(n_knots):
-            for j in range(layout.corner_counts[i]):
-                base = layout.force_slice(k, i, j).start
-                in_rows.append(row + np.arange(3))
-                in_cols.append(base + np.arange(3))
-                in_vals.append(np.ones(3))
-                lower_parts.append(np.zeros(3))
-                upper_parts.append(np.zeros(3))
-                row += 3
-    # While a contact has been gated on since knot 0, the defect chain pins
-    # its whole position trajectory to the measured (already box-checked)
-    # value; box rows there would only duplicate equalities, and the
-    # redundant pairs admit arbitrary multiplier splits that first-order
-    # methods never shake off.  Impose the box only from the first knot the
-    # position can actually move to.
-    movable = np.zeros(n_c, dtype=bool)
-    for k in range(1, n_knots + 1):
-        movable = movable | ~schedule[k - 1]
-        for i in range(n_c):
-            if not movable[i]:
-                continue
-            base = layout.contact_position_slice(k, i).start
-            in_rows.append(row + np.repeat(np.arange(3), 3))
-            in_cols.append(base + np.tile(np.arange(3), 3))
-            in_vals.append(rotations[i].T.ravel())
-            anchor = rotations[i].T @ nominal_contacts[i]
-            lower_parts.append(anchor - box.upper)
-            upper_parts.append(anchor - box.lower)
-            row += 3
-    m_ineq = row
-    ineq_matrix = sp.coo_matrix(
-        (np.concatenate(in_vals), (np.concatenate(in_rows), np.concatenate(in_cols))),
-        shape=(m_ineq, layout.size),
-    ).tocsr()
-    ineq_lower = np.concatenate(lower_parts)
-    ineq_upper = np.concatenate(upper_parts)
+    ineq_matrix, ineq_lower, ineq_upper = _inequality_rows(
+        layout, schedule, rotations, nominal_contacts, pyramid, box
+    )
+    m_ineq = ineq_matrix.shape[0]
     in_coo = ineq_matrix.tocoo()
 
     def ineq(x: np.ndarray) -> np.ndarray:
@@ -688,7 +750,7 @@ def build_nlp(
         n_eq=m_eq,
         eq=eq,
         eq_jac=eq_jac,
-        eq_pattern=eq_pattern,
+        eq_pattern=(template.rows, template.cols),
         n_ineq=m_ineq,
         ineq=ineq,
         ineq_jac=ineq_jac,

@@ -1,0 +1,288 @@
+"""build_nlp against a reference builder that assembles every row knot by knot.
+
+`reference_structure` is the per-knot loop form of the equality Jacobian,
+the inequality rows and the cost's linear term.  build_nlp builds the
+layout-only parts once per layout and fills the rest vectorized over knots;
+both must give the same entries in the same order, bit for bit.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from centroidal_mpc import transcription
+from centroidal_mpc.model import CentroidalState, ContactGeometry, PhysicalParams, skew_batch
+from centroidal_mpc.plan import ContactPlan, NominalContact
+from centroidal_mpc.transcription import (
+    ContactBox,
+    DecisionLayout,
+    Weights,
+    build_nlp,
+    friction_pyramid,
+)
+
+N_KNOTS = 6
+PERIOD = 0.1
+PYRAMID = friction_pyramid(0.8, 0.0, 60.0)
+BOX = ContactBox((-0.15, -0.1, -0.02), (0.12, 0.15, 0.03))
+PARAMS = PhysicalParams(mass=2.5, com_height_nominal=0.8)
+
+
+def yaw(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
+
+
+def make_plan(geometries):
+    contacts = tuple(
+        NominalContact(f"c{i}", [0.0513 * i + 0.0123, 0.1071 - 0.2 * i, 0.0137 * i],
+                       yaw(0.3 * i + 0.1), g, ((0.0, 1.0),))
+        for i, g in enumerate(geometries)
+    )
+    return ContactPlan(contacts, 1.0)
+
+
+def make_problem(plan, schedule, seed=0):
+    rng = np.random.RandomState(seed)
+    n_c = plan.n_contacts
+    state = CentroidalState(rng.randn(3), rng.randn(3), rng.randn(3))
+    measured = np.array([c.nominal_position for c in plan.contacts]) + 0.01 * rng.randn(n_c, 3)
+    nominal = np.array([0.0, 0.0, 0.8]) + 0.05 * rng.randn(N_KNOTS + 1, 3)
+    profile = 0.3 * rng.randn(N_KNOTS, 6)
+    return build_nlp(
+        plan, state, measured, np.asarray(schedule, dtype=bool), nominal, Weights(),
+        PYRAMID, BOX, N_KNOTS, PERIOD, PARAMS, profile,
+    ), nominal
+
+
+def reference_structure(plan, schedule, nominal_com_samples):
+    """Equality-Jacobian entries, inequality rows and cost terms, knot by knot."""
+    n_knots, period, mass = N_KNOTS, PERIOD, PARAMS.mass
+    n_c = plan.n_contacts
+    layout = DecisionLayout(n_knots, [c.geometry.n_corners for c in plan.contacts])
+    schedule = np.asarray(schedule, dtype=bool)
+    gamma = schedule.astype(float)
+    rotations = np.array([c.orientation for c in plan.contacts])
+    corner_offsets = [c.geometry.offsets_matrix() for c in plan.contacts]
+    nominal_contacts = np.array([c.nominal_position for c in plan.contacts])
+    weights = Weights()
+    sd = layout.state_dim
+
+    c_lin = np.zeros(layout.size)
+    constant = 0.0
+    for k in range(n_knots + 1):
+        sl = layout.com_slice(k)
+        c_lin[sl] -= weights.com_tracking * nominal_com_samples[k]
+        constant += 0.5 * float(np.sum(weights.com_tracking * nominal_com_samples[k] ** 2))
+        for i in range(n_c):
+            sl = layout.contact_position_slice(k, i)
+            c_lin[sl] -= weights.contact_reg * nominal_contacts[i]
+            constant += 0.5 * float(np.sum(weights.contact_reg * nominal_contacts[i] ** 2))
+
+    const_rows, const_cols, const_vals = [], [], []
+
+    def put_diag(row0, col0, count, value):
+        const_rows.append(row0 + np.arange(count))
+        const_cols.append(col0 + np.arange(count))
+        const_vals.append(np.full(count, value) if np.isscalar(value) else value)
+
+    put_diag(0, 0, sd, 1.0)
+    ks = np.arange(n_knots)
+    for k in range(n_knots):
+        rb = sd + k * sd
+        put_diag(rb, layout.com_slice(k + 1).start, 3, 1.0)
+        put_diag(rb, layout.com_slice(k).start, 3, -1.0)
+        put_diag(rb, layout.momentum_slice(k).start, 3, -period / mass)
+        put_diag(rb + 3, layout.momentum_slice(k + 1).start, 6, 1.0)
+        put_diag(rb + 3, layout.momentum_slice(k).start, 6, -1.0)
+        for i in range(n_c):
+            row = rb + 9 + 3 * i
+            put_diag(row, layout.contact_position_slice(k + 1, i).start, 3, 1.0)
+            put_diag(row, layout.contact_position_slice(k, i).start, 3, -1.0)
+            put_diag(row, layout.contact_velocity_slice(k, i).start, 3,
+                     -period * (1.0 - gamma[k, i]))
+            for j in range(layout.corner_counts[i]):
+                put_diag(rb + 3, layout.force_slice(k, i, j).start, 3, -period * gamma[k, i])
+
+    var_rows, var_cols = [], []
+    grid = np.indices((3, 3))
+    row_base = sd + ks * sd + 6
+    for i in range(n_c):
+        nv = layout.corner_counts[i]
+        for_knot = layout.n_state_vars + ks * layout.control_dim + int(layout._force_offsets[i])
+        r = row_base[:, None, None, None] + np.zeros((1, nv, 1, 1), dtype=int) + grid[0]
+        cmat = for_knot[:, None, None, None] + 3 * np.arange(nv)[None, :, None, None] + grid[1]
+        var_rows.append(r.ravel())
+        var_cols.append(cmat.ravel())
+    for i in range(n_c):
+        var_rows.append((row_base[:, None, None] + grid[0]).ravel())
+        var_cols.append(((ks * sd + 9 + 3 * i)[:, None, None] + grid[1]).ravel())
+    var_rows.append((row_base[:, None, None] + grid[0]).ravel())
+    var_cols.append(((ks * sd)[:, None, None] + grid[1]).ravel())
+    jac_rows = np.concatenate(const_rows + var_rows)
+    jac_cols = np.concatenate(const_cols + var_cols)
+    const_data = np.concatenate(const_vals)
+
+    def eq_jac(x):
+        com, _, contacts = layout.state_arrays(x)
+        forces, _ = layout.control_arrays(x)
+        segments = []
+        total = np.zeros((n_knots, 3))
+        for i in range(n_c):
+            arms = (
+                contacts[:n_knots, i, None, :]
+                + (corner_offsets[i] @ rotations[i].T)[None, :, :]
+                - com[:n_knots, None, :]
+            )
+            segments.append(((-period * gamma[:, i])[:, None, None, None]
+                             * skew_batch(arms)).ravel())
+        for i in range(n_c):
+            fsum = forces[i].sum(axis=1)
+            total += gamma[:, i : i + 1] * fsum
+            segments.append(((period * gamma[:, i])[:, None, None] * skew_batch(fsum)).ravel())
+        segments.append((-period * skew_batch(total)).ravel())
+        data = np.concatenate([const_data] + segments)
+        return sp.coo_matrix(
+            (data, (jac_rows, jac_cols)), shape=(sd + n_knots * sd, layout.size)
+        ).tocsr()
+
+    in_rows, in_cols, in_vals, lower, upper = [], [], [], [], []
+    row = 0
+    pyr_local = [PYRAMID.A @ rotations[i].T for i in range(n_c)]
+    dead_contact = [not schedule[:, i].any() for i in range(n_c)]
+    for k in range(n_knots):
+        for i in range(n_c):
+            if dead_contact[i]:
+                continue
+            for j in range(layout.corner_counts[i]):
+                base = layout.force_slice(k, i, j).start
+                in_rows.append(row + np.repeat(np.arange(6), 3))
+                in_cols.append(base + np.tile(np.arange(3), 6))
+                in_vals.append(pyr_local[i].ravel())
+                lower.append(np.full(6, -np.inf))
+                upper.append(PYRAMID.b)
+                row += 6
+    for i in range(n_c):
+        if not dead_contact[i]:
+            continue
+        for k in range(n_knots):
+            for j in range(layout.corner_counts[i]):
+                base = layout.force_slice(k, i, j).start
+                in_rows.append(row + np.arange(3))
+                in_cols.append(base + np.arange(3))
+                in_vals.append(np.ones(3))
+                lower.append(np.zeros(3))
+                upper.append(np.zeros(3))
+                row += 3
+    movable = np.zeros(n_c, dtype=bool)
+    for k in range(1, n_knots + 1):
+        movable = movable | ~schedule[k - 1]
+        for i in range(n_c):
+            if not movable[i]:
+                continue
+            base = layout.contact_position_slice(k, i).start
+            in_rows.append(row + np.repeat(np.arange(3), 3))
+            in_cols.append(base + np.tile(np.arange(3), 3))
+            in_vals.append(rotations[i].T.ravel())
+            anchor = rotations[i].T @ nominal_contacts[i]
+            lower.append(anchor - BOX.upper)
+            upper.append(anchor - BOX.lower)
+            row += 3
+    ineq_matrix = sp.coo_matrix(
+        (np.concatenate(in_vals), (np.concatenate(in_rows), np.concatenate(in_cols))),
+        shape=(row, layout.size),
+    ).tocsr()
+    return dict(
+        eq_pattern=(jac_rows, jac_cols),
+        eq_jac=eq_jac,
+        ineq_matrix=ineq_matrix,
+        ineq_lower=np.concatenate(lower),
+        ineq_upper=np.concatenate(upper),
+        c_lin=c_lin,
+        constant=constant,
+    )
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def same_csr(a, b):
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(bits(a.data), bits(b.data))
+    )
+
+
+def assert_matches_reference(plan, schedule, seed=0):
+    problem, nominal = make_problem(plan, schedule, seed)
+    ref = reference_structure(plan, schedule, nominal)
+    for ours, theirs in zip(problem.eq_pattern, ref["eq_pattern"]):
+        assert np.array_equal(ours, theirs)
+    rng = np.random.RandomState(seed + 100)
+    for _ in range(2):
+        x = rng.randn(problem.dimension)
+        assert same_csr(problem.eq_jac(x), ref["eq_jac"](x))
+        hess = problem.cost_hess()
+        expected_cost = float(0.5 * x @ (hess @ x) + ref["c_lin"] @ x + ref["constant"])
+        assert bits(problem.cost(x)) == bits(expected_cost)
+        assert np.array_equal(bits(problem.cost_grad(x)), bits(hess @ x + ref["c_lin"]))
+    x = rng.randn(problem.dimension)
+    assert same_csr(problem.ineq_jac(x), ref["ineq_matrix"])
+    assert problem.n_ineq == ref["ineq_matrix"].shape[0]
+    assert np.array_equal(bits(problem.ineq_lower), bits(ref["ineq_lower"]))
+    assert np.array_equal(bits(problem.ineq_upper), bits(ref["ineq_upper"]))
+    ref_coo = ref["ineq_matrix"].tocoo()
+    assert np.array_equal(problem.ineq_pattern[0], ref_coo.row)
+    assert np.array_equal(problem.ineq_pattern[1], ref_coo.col)
+    return problem
+
+
+RECT = ContactGeometry.rectangle(0.2, 0.1)
+POINT = ContactGeometry.point()
+ON, OFF = True, False
+
+
+class TestMatchesKnotByKnotReference:
+    def test_mixed_corner_counts_with_liftoff_and_touchdown(self):
+        # rectangle lifts off mid-horizon; the point foot touches down
+        schedule = [[ON, OFF], [ON, OFF], [ON, ON], [OFF, ON], [OFF, ON], [ON, ON]]
+        assert_matches_reference(make_plan([RECT, POINT]), schedule)
+
+    def test_contact_dead_over_whole_horizon(self):
+        schedule = [[OFF, ON]] * 3 + [[OFF, OFF]] * 3
+        assert_matches_reference(make_plan([RECT, POINT]), schedule, seed=1)
+
+    def test_two_dead_contacts_beside_an_always_on_one(self):
+        schedule = [[ON, OFF, OFF]] * N_KNOTS
+        assert_matches_reference(make_plan([POINT, POINT, RECT]), schedule, seed=2)
+
+    def test_flight_phase_and_single_contact(self):
+        schedule = [[ON], [ON], [OFF], [OFF], [ON], [ON]]
+        assert_matches_reference(make_plan([RECT]), schedule, seed=3)
+
+
+class TestLayoutTemplateMemo:
+    def test_alternating_layouts_each_get_their_own_jacobian(self):
+        one_leg = make_plan([POINT])
+        two_legs = make_plan([RECT, POINT])
+        first = assert_matches_reference(one_leg, [[ON]] * 2 + [[OFF]] * 4)
+        assert_matches_reference(two_legs, [[ON, OFF]] * 3 + [[ON, ON]] * 3, seed=1)
+        again = assert_matches_reference(one_leg, [[ON]] * 2 + [[OFF]] * 4)
+        x = np.random.RandomState(9).randn(first.dimension)
+        assert same_csr(first.eq_jac(x), again.eq_jac(x))
+
+    def test_shared_template_arrays_are_read_only(self):
+        problem, _ = make_problem(make_plan([RECT, POINT]), [[ON, OFF]] * N_KNOTS)
+        layout = DecisionLayout(N_KNOTS, [4, 1])
+        template = transcription._eq_template(layout)
+        shared = [template.rows, template.cols, template.csr_order, template.indices,
+                  template.indptr, template.knot_values, *problem.eq_pattern]
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # a returned Jacobian is the caller's own to modify
+        jac = problem.eq_jac(np.zeros(problem.dimension))
+        assert all(a.flags.writeable for a in (jac.data, jac.indices, jac.indptr))

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from centroidal_mpc import solver
 from centroidal_mpc.solver import (
     SolverOptions,
     _color_columns,
+    _color_groups,
     _fd_jacobian_check,
     check_derivatives,
     solve,
@@ -298,6 +300,29 @@ class TestCheckDerivatives:
         rows, cols = np.nonzero(mask)
         args = (fun, sp.csr_matrix(jac), (rows, cols), x, 1e-6, m)
         assert _fd_jacobian_check(*args) == self.entry_by_entry_scan(*args)
+
+    def test_coloring_memo_is_keyed_on_content_and_bounded(self):
+        rng = np.random.RandomState(3)
+        rows, cols = np.nonzero(rng.rand(12, 20) < 0.3)
+        first = _color_columns(rows, cols, 20)
+        # equal content in new arrays finds the same entry
+        assert _color_columns(rows.copy(), cols.copy(), 20) is first
+        fresh = _color_groups(rows, cols, 20)
+        assert [g.tolist() for g in first[0]] == [g.tolist() for g in fresh[0]]
+        assert [r.tolist() for r in first[1]] == [r.tolist() for r in fresh[1]]
+        with pytest.raises(ValueError, match="read-only"):
+            first[0][0][0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            first[1][0][...] = 0
+        # one more column is another pattern
+        wider = _color_columns(rows, cols, 21)
+        assert wider is not first and len(wider[1]) == 21
+        for extra in range(2 * solver._COLORINGS_KEPT):
+            _color_columns(rows, (cols + extra) % 20, 20)
+            assert len(solver._COLORINGS) <= solver._COLORINGS_KEPT
+        again = _color_columns(rows, cols, 20)
+        assert again is not first  # evicted, then coloured anew
+        assert [g.tolist() for g in again[0]] == [g.tolist() for g in fresh[0]]
 
     def test_fd_step_validation(self):
         problem = quadratic_problem(np.eye(2), np.zeros(2))
