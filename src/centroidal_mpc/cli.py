@@ -68,8 +68,7 @@ def _cmd_check_derivatives(args) -> int:
     config = _load_config(args.scenario, args.override)
     plan, params, options = config.plan, config.params, config.mpc
     layout = layout_for(plan, options)
-    schedule = horizon_schedule(plan, 0.0, options.horizon_knots, options.period,
-                                clamp_to_duration=True)
+    schedule = horizon_schedule(plan, 0.0, options.horizon_knots, options.period)
     spline = nominal_com_trajectory(plan, params)
     samples = spline.sample(options.period * np.arange(options.horizon_knots + 1))
     measured = np.array([c.nominal_position for c in plan.contacts])

@@ -61,7 +61,6 @@ class MpcOutput:
     adjusted_contacts: dict
     predicted_com: np.ndarray
     predicted_momentum: np.ndarray
-    predicted_contacts: np.ndarray
     schedule: np.ndarray
     solution: Solution
     degraded: bool
@@ -151,7 +150,7 @@ def mpc_step(
     n_knots = options.horizon_knots
     period = options.period
     layout = layout_for(plan, options)
-    schedule = horizon_schedule(plan, t, n_knots, period, clamp_to_duration=True)
+    schedule = horizon_schedule(plan, t, n_knots, period)
     spline = nominal_spline or nominal_com_trajectory(plan, params)
     nominal_samples = spline.sample(t + period * np.arange(n_knots + 1))
     wrench = disturbance_estimate.stacked()
@@ -201,10 +200,8 @@ def mpc_step(
     pc = measured[None, :, :]
     predicted_com = np.empty((n_knots + 1, 3))
     predicted_momentum = np.empty((n_knots + 1, 6))
-    predicted_contacts = np.empty((n_knots + 1, plan.n_contacts, 3))
     predicted_com[0] = p[0]
     predicted_momentum[0] = h[0]
-    predicted_contacts[0] = pc[0]
     for k in range(n_knots):
         p, h, pc = euler_step_batch(
             p,
@@ -222,7 +219,6 @@ def mpc_step(
         )
         predicted_com[k + 1] = p[0]
         predicted_momentum[k + 1] = h[0]
-        predicted_contacts[k + 1] = pc[0]
 
     force_out = {
         c.contact_id: forces[i][0].copy() for i, c in enumerate(plan.contacts)
@@ -243,7 +239,6 @@ def mpc_step(
         adjusted_contacts=adjusted,
         predicted_com=predicted_com,
         predicted_momentum=predicted_momentum,
-        predicted_contacts=predicted_contacts,
         schedule=schedule,
         solution=solution,
         degraded=degraded,

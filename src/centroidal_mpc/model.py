@@ -36,12 +36,6 @@ def _require_finite(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def skew(v) -> np.ndarray:
-    """Matrix S such that S @ u == np.cross(v, u)."""
-    x, y, z = np.asarray(v, dtype=float).reshape(3)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis (length 3), equal to np.cross bit for bit.
 

@@ -97,12 +97,11 @@ def horizon_schedule(
     t0: float,
     n_knots: int,
     period: float,
-    clamp_to_duration: bool = False,
 ) -> np.ndarray:
     """Gate matrix of shape (n_knots, n_contacts); entry [k, i] = gate at t0 + k*period.
 
-    With clamp_to_duration, sample times beyond the plan end are clamped just
-    inside the final instant so the last planned phase persists.
+    Sample times beyond the plan end are clamped just inside the final
+    instant, so the last planned phase persists.
     """
     if not period > 0.0:
         raise ValueError(f"period must be positive, got {period}")
@@ -111,9 +110,7 @@ def horizon_schedule(
     out = np.zeros((n_knots, plan.n_contacts), dtype=bool)
     t_max = np.nextafter(plan.duration, -np.inf)
     for k in range(n_knots):
-        t = t0 + k * period
-        if clamp_to_duration and t > t_max:
-            t = t_max
+        t = min(t0 + k * period, t_max)
         for i, contact in enumerate(plan.contacts):
             out[k, i] = contact.active_at(t)
     return out

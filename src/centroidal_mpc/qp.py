@@ -290,7 +290,6 @@ def solve_qp(
     lower=None,
     upper=None,
     options: QpOptions | None = None,
-    x0=None,
     y0=None,
     scaling: tuple | None = None,
     rho0: float | None = None,
@@ -353,10 +352,7 @@ def solve_qp(
     rho_base = float(rho0) if rho0 is not None else _RHO
     rho_vec = np.where(eq_mask, rho_base * _RHO_EQ_SCALE, rho_base)
 
-    if x0 is not None and np.asarray(x0).size == n:
-        x = np.asarray(x0, dtype=float) / d
-    else:
-        x = np.zeros(n)
+    x = np.zeros(n)
     warm_duals = y0 is not None and np.asarray(y0).size == m
     if warm_duals:
         y = c * np.asarray(y0, dtype=float) / np.where(e > 0, e, 1.0)
@@ -589,7 +585,6 @@ def qp_solve(
     x_lower=None,
     x_upper=None,
     options: QpOptions | None = None,
-    x0=None,
 ):
     """Convenience front end with equality rows, interval rows and variable bounds.
 
@@ -629,7 +624,7 @@ def qp_solve(
         upper = np.concatenate(highs)
     else:
         A = lower = upper = None
-    result = solve_qp(hessian, gradient, A, lower, upper, options=options, x0=x0)
+    result = solve_qp(hessian, gradient, A, lower, upper, options=options)
     y_eq = result.y[:m_eq]
     y_in = result.y[m_eq : m_eq + m_in]
     return result.x, y_eq, y_in, result

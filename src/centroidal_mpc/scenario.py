@@ -2,14 +2,18 @@
 
 Sections: [physical], [mpc], [simulation], one [contact NAME] per planned
 contact and any number of [disturbance] sections.  Keys carry their unit in
-the name.  Unknown sections or keys are rejected with their line number, as
-are missing required keys; all semantic complaints are reported together.
+the name.  Every key is read through one table, `_KEYS`.  Unknown sections
+and keys, missing required keys and bad values (empty, malformed or not
+finite) are rejected with their line number; all semantic complaints are
+reported together.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -69,108 +73,136 @@ def _yaw_matrix(yaw: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+@dataclass
 class _Section:
-    def __init__(self, name: str, line: int):
-        self.name = name
-        self.line = line
-        self.entries: list = []  # (key, value, line)
-
-    def all(self, key: str):
-        return [(v, ln) for k, v, ln in self.entries if k == key]
-
-    def get(self, key: str, problems: list, required: bool = False, default=None):
-        hits = self.all(key)
-        if not hits:
-            if required:
-                problems.append(f"section [{self.name}]: missing required key {key!r}")
-            return default
-        if len(hits) > 1:
-            problems.append(
-                f"line {hits[1][1]}: duplicate key {key!r} in section [{self.name}]"
-            )
-        return hits[0][0]
-
-    def check_known(self, known: set, repeatable: set, problems: list):
-        for key, _, ln in self.entries:
-            if key not in known and key not in repeatable:
-                problems.append(f"line {ln}: unknown key {key!r} in section [{self.name}]")
+    name: str
+    line: int
+    entries: list  # (key, value, line)
 
 
-def _tokenize(text: str):
-    """Yield (kind, payload, line_number); kind is 'section' or 'pair'."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            yield "section", line[1:-1].strip(), lineno
-            continue
-        if "=" not in line:
-            raise ScenarioError([f"line {lineno}: expected 'key = value', got {raw.strip()!r}"])
-        key, value = line.split("=", 1)
-        yield "pair", (key.strip(), value.strip()), lineno
-
-
-def _parse_float(value: str, key: str, line: int, problems: list) -> float | None:
-    try:
-        return float(value)
-    except ValueError:
-        problems.append(f"line {line}: key {key!r} expects a number, got {value!r}")
-        return None
-
-
-def _parse_floats(value: str, count: int, key: str, line: int, problems: list):
+def _number(value: str, count: int = 0):
+    """One finite float, or an array of `count` of them."""
     parts = value.split()
-    if len(parts) != count:
-        problems.append(f"line {line}: key {key!r} expects {count} numbers, got {value!r}")
-        return None
+    if len(parts) != max(count, 1):
+        raise ValueError(f"expects {count} numbers" if count else "expects a number")
     try:
-        return np.array([float(p) for p in parts])
+        numbers = [float(p) for p in parts]
     except ValueError:
-        problems.append(f"line {line}: key {key!r} expects numbers, got {value!r}")
-        return None
+        raise ValueError("expects numbers" if count else "expects a number") from None
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError("must be finite")
+    return np.array(numbers) if count else numbers[0]
 
 
-def _parse_int(value: str, key: str, line: int, problems: list) -> int | None:
+def _integer(value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        problems.append(f"line {line}: key {key!r} expects an integer, got {value!r}")
+        raise ValueError("expects an integer") from None
+
+
+def _boolean(value: str) -> bool:
+    low = value.lower()
+    if low not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError("expects true/false")
+    return low in ("true", "yes", "1")
+
+
+def _text(value: str) -> str:
+    if not value:
+        raise ValueError("expects a value")
+    return value
+
+
+_PAIR = partial(_number, count=2)
+_VECTOR = partial(_number, count=3)
+_REQUIRED = object()
+_REPEATED = object()
+
+# Section -> key -> (parser, default).  A default is scenario text, parsed
+# like a value from the file; None leaves an absent key as None.  Repeated
+# keys read as a list of (value, line) pairs.
+_KEYS = {
+    "physical": {
+        "mass_kg": (_number, _REQUIRED),
+        "gravity_mps2": (_VECTOR, "0 0 -9.81"),
+        "com_height_nominal_m": (_number, _REQUIRED),
+    },
+    "mpc": {
+        "horizon_knots": (_integer, "30"),
+        "period_s": (_number, "0.1"),
+        "friction_mu": (_number, "0.8"),
+        "normal_force_min_n": (_number, "0"),
+        "normal_force_max_n": (_number, None),  # 3 m |g| when absent
+        "box_half_x_m": (_number, "0.15"),
+        "box_half_y_m": (_number, "0.15"),
+        "weight_com_tracking": (_number, "100"),
+        "weight_ang_momentum": (_number, "10"),
+        "weight_force_reg": (_number, "0.1"),
+        "weight_force_rate": (_number, "0.01"),
+        "weight_contact_reg": (_number, "1000"),
+        "max_iterations": (_integer, "100"),
+        "kkt_tolerance": (_number, "1e-6"),
+        "constraint_tolerance": (_number, "1e-7"),
+    },
+    "simulation": {
+        "duration_s": (_number, _REQUIRED),
+        "substeps": (_integer, "10"),
+        "output_dir": (_text, None),
+        "disturbances_enabled": (_boolean, "true"),
+    },
+    "contact": {
+        "position_m": (_VECTOR, _REQUIRED),
+        "yaw_rad": (_number, "0"),
+        "surface_m": (_PAIR, None),
+        "corner_m": (_VECTOR, _REPEATED),
+        "active_s": (_PAIR, _REPEATED),
+    },
+    "disturbance": {
+        "t_start_s": (_number, _REQUIRED),
+        "duration_s": (_number, _REQUIRED),
+        "force_n": (_VECTOR, _REQUIRED),
+        "estimated_force_n": (_VECTOR, None),  # the true force when absent
+        "application": (_text, "com"),
+    },
+}
+
+
+def _parse(parser, key: str, value: str, line: int, problems: list):
+    """parser(value), or None after adding the parser's ValueError to `problems`."""
+    try:
+        return parser(value)
+    except ValueError as exc:
+        problems.append(f"line {line}: key {key!r} {exc}, got {value!r}")
         return None
 
 
-def _parse_bool(value: str, key: str, line: int, problems: list) -> bool | None:
-    low = value.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    problems.append(f"line {line}: key {key!r} expects true/false, got {value!r}")
-    return None
+def _read(table: dict, section: _Section, problems: list) -> dict:
+    """Every key of `table` mapped to its parsed value from `section`.
 
-
-_PHYSICAL_KEYS = {"mass_kg", "gravity_mps2", "com_height_nominal_m"}
-_MPC_KEYS = {
-    "horizon_knots",
-    "period_s",
-    "friction_mu",
-    "normal_force_min_n",
-    "normal_force_max_n",
-    "box_half_x_m",
-    "box_half_y_m",
-    "weight_com_tracking",
-    "weight_ang_momentum",
-    "weight_force_reg",
-    "weight_force_rate",
-    "weight_contact_reg",
-    "max_iterations",
-    "kkt_tolerance",
-    "constraint_tolerance",
-}
-_SIM_KEYS = {"duration_s", "substeps", "output_dir", "disturbances_enabled"}
-_CONTACT_KEYS = {"position_m", "yaw_rad", "surface_m"}
-_CONTACT_REPEAT = {"corner_m", "active_s"}
-_DIST_KEYS = {"t_start_s", "duration_s", "force_n", "estimated_force_n", "application"}
+    Unknown, duplicate and missing required keys and bad values go to
+    `problems`; a missing or bad value reads as None.
+    """
+    values = {key: [] for key, (_, default) in table.items() if default is _REPEATED}
+    for key, value, line in section.entries:
+        if key not in table:
+            problems.append(f"line {line}: unknown key {key!r} in section [{section.name}]")
+        elif table[key][1] is _REPEATED:
+            parsed = _parse(table[key][0], key, value, line, problems)
+            if parsed is not None:
+                values[key].append((parsed, line))
+        elif key in values:
+            problems.append(f"line {line}: duplicate key {key!r} in section [{section.name}]")
+        else:
+            values[key] = _parse(table[key][0], key, value, line, problems)
+    for key, (parser, default) in table.items():
+        if key in values:
+            continue
+        if default is _REQUIRED:
+            problems.append(f"section [{section.name}]: missing required key {key!r}")
+        absent = default in (None, _REQUIRED)
+        values[key] = None if absent else _parse(parser, key, default, section.line, problems)
+    return values
 
 
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
@@ -178,22 +210,24 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
     problems: list = []
     sections: list = []
     version_seen = None
-    current = None
-    for kind, payload, lineno in _tokenize(text):
-        if kind == "section":
-            current = _Section(payload, lineno)
-            sections.append(current)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        key, value = payload
-        if current is None:
-            if key == "format_version":
-                version_seen = (_parse_int(value, key, lineno, problems), lineno)
-            else:
-                problems.append(
-                    f"line {lineno}: key {key!r} before any section (only format_version allowed)"
-                )
+        if line.startswith("[") and line.endswith("]"):
+            sections.append(_Section(line[1:-1].strip(), lineno, []))
             continue
-        current.entries.append((key, value, lineno))
+        if "=" not in line:
+            raise ScenarioError([f"line {lineno}: expected 'key = value', got {raw.strip()!r}"])
+        key, value = (part.strip() for part in line.split("=", 1))
+        if sections:
+            sections[-1].entries.append((key, value, lineno))
+        elif key == "format_version":
+            version_seen = (_parse(_integer, key, value, lineno, problems), lineno)
+        else:
+            problems.append(
+                f"line {lineno}: key {key!r} before any section (only format_version allowed)"
+            )
 
     if version_seen is None:
         problems.append("missing required top-level key 'format_version'")
@@ -229,115 +263,54 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
     if problems:
         raise ScenarioError(problems)
 
-    phys = by_name["physical"]
-    phys.check_known(_PHYSICAL_KEYS, set(), problems)
-    mass = phys.get("mass_kg", problems, required=True)
-    gravity = phys.get("gravity_mps2", problems, default="0 0 -9.81")
-    com_height = phys.get("com_height_nominal_m", problems, required=True)
-    mass_v = _parse_float(mass, "mass_kg", phys.line, problems) if mass else None
-    gravity_v = _parse_floats(gravity, 3, "gravity_mps2", phys.line, problems)
-    height_v = (
-        _parse_float(com_height, "com_height_nominal_m", phys.line, problems)
-        if com_height
-        else None
+    phys, mpc, sim = (
+        _read(_KEYS[s], by_name[s], problems) for s in ("physical", "mpc", "simulation")
     )
-    if mass_v is not None and mass_v <= 0.0:
-        problems.append(f"section [physical]: mass_kg must be positive, got {mass_v}")
-
-    mpc_s = by_name["mpc"]
-    mpc_s.check_known(_MPC_KEYS, set(), problems)
-
-    def mpc_num(key, default, parser=_parse_float):
-        raw = mpc_s.get(key, problems)
-        if raw is None:
-            return default
-        return parser(raw, key, mpc_s.line, problems)
-
-    horizon = mpc_num("horizon_knots", 30, _parse_int)
-    period = mpc_num("period_s", 0.1)
-    mu = mpc_num("friction_mu", 0.8)
-    f_min = mpc_num("normal_force_min_n", 0.0)
-    f_max = mpc_num("normal_force_max_n", None)
-    box_x = mpc_num("box_half_x_m", 0.15)
-    box_y = mpc_num("box_half_y_m", 0.15)
-    w_com = mpc_num("weight_com_tracking", 100.0)
-    w_ang = mpc_num("weight_ang_momentum", 10.0)
-    w_force = mpc_num("weight_force_reg", 0.1)
-    w_rate = mpc_num("weight_force_rate", 0.01)
-    w_contact = mpc_num("weight_contact_reg", 1000.0)
-    max_iter = mpc_num("max_iterations", 100, _parse_int)
-    kkt_tol = mpc_num("kkt_tolerance", 1e-6)
-    con_tol = mpc_num("constraint_tolerance", 1e-7)
-
-    sim_s = by_name["simulation"]
-    sim_s.check_known(_SIM_KEYS, set(), problems)
-    duration_raw = sim_s.get("duration_s", problems, required=True)
-    duration = (
-        _parse_float(duration_raw, "duration_s", sim_s.line, problems) if duration_raw else None
-    )
-    substeps = sim_s.get("substeps", problems, default="10")
-    substeps_v = _parse_int(substeps, "substeps", sim_s.line, problems)
-    output_dir = sim_s.get("output_dir", problems)
-    dist_enabled_raw = sim_s.get("disturbances_enabled", problems, default="true")
-    dist_enabled = _parse_bool(dist_enabled_raw, "disturbances_enabled", sim_s.line, problems)
-    if substeps_v is not None and substeps_v < 1:
-        problems.append(f"section [simulation]: substeps must be >= 1, got {substeps_v}")
+    mass = phys["mass_kg"]
+    if mass is not None and mass <= 0.0:
+        problems.append(f"section [physical]: mass_kg must be positive, got {mass}")
+    duration = sim["duration_s"]
+    if sim["substeps"] is not None and sim["substeps"] < 1:
+        problems.append(f"section [simulation]: substeps must be >= 1, got {sim['substeps']}")
     if duration is not None and duration <= 0.0:
         problems.append(f"section [simulation]: duration_s must be positive, got {duration}")
 
     contacts: list = []
     seen_labels: set = set()
     for label, sec in contacts_s:
-        sec.check_known(_CONTACT_KEYS, _CONTACT_REPEAT, problems)
+        values = _read(_KEYS["contact"], sec, problems)
         if label in seen_labels:
             problems.append(f"line {sec.line}: duplicate contact name {label!r}")
         seen_labels.add(label)
-        pos_raw = sec.get("position_m", problems, required=True)
-        pos = (
-            _parse_floats(pos_raw, 3, "position_m", sec.line, problems)
-            if pos_raw
-            else None
-        )
-        yaw_raw = sec.get("yaw_rad", problems, default="0")
-        yaw = _parse_float(yaw_raw, "yaw_rad", sec.line, problems)
-        surface_raw = sec.get("surface_m", problems)
-        corner_rows = sec.all("corner_m")
-        if surface_raw is not None and corner_rows:
+        dims = values["surface_m"]
+        corners = tuple(corner for corner, _ in values["corner_m"])
+        if dims is not None and corners:
             problems.append(
                 f"section [contact {label}]: give either surface_m or corner_m lines, not both"
             )
         geometry = None
-        if surface_raw is not None:
-            dims = _parse_floats(surface_raw, 2, "surface_m", sec.line, problems)
-            if dims is not None:
-                if np.any(dims <= 0):
-                    problems.append(
-                        f"section [contact {label}]: surface_m dimensions must be positive"
-                    )
-                else:
-                    geometry = ContactGeometry.rectangle(dims[0], dims[1])
-        elif corner_rows:
-            corners = []
-            for value, ln in corner_rows:
-                corner = _parse_floats(value, 3, "corner_m", ln, problems)
-                if corner is not None:
-                    corners.append(corner)
-            if corners:
-                geometry = ContactGeometry(tuple(corners))
+        if dims is not None:
+            if np.any(dims <= 0):
+                problems.append(
+                    f"section [contact {label}]: surface_m dimensions must be positive"
+                )
+            else:
+                geometry = ContactGeometry.rectangle(dims[0], dims[1])
+        elif corners:
+            geometry = ContactGeometry(corners)
         else:
             problems.append(
                 f"section [contact {label}]: needs surface_m or at least one corner_m"
             )
         windows = []
-        for value, ln in sec.all("active_s"):
-            pair = _parse_floats(value, 2, "active_s", ln, problems)
-            if pair is not None:
-                if pair[0] >= pair[1]:
-                    problems.append(f"line {ln}: active_s window [{pair[0]}, {pair[1]}) is empty")
-                else:
-                    windows.append((float(pair[0]), float(pair[1])))
+        for pair, ln in values["active_s"]:
+            if pair[0] >= pair[1]:
+                problems.append(f"line {ln}: active_s window [{pair[0]}, {pair[1]}) is empty")
+            else:
+                windows.append((float(pair[0]), float(pair[1])))
         if not windows:
             problems.append(f"section [contact {label}]: needs at least one active_s window")
+        pos, yaw = values["position_m"], values["yaw_rad"]
         if pos is not None and yaw is not None and geometry is not None and windows:
             try:
                 contacts.append(
@@ -348,61 +321,56 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
 
     events: list = []
     for sec in disturbances_s:
-        sec.check_known(_DIST_KEYS, set(), problems)
-        t0_raw = sec.get("t_start_s", problems, required=True)
-        dur_raw = sec.get("duration_s", problems, required=True)
-        force_raw = sec.get("force_n", problems, required=True)
-        est_raw = sec.get("estimated_force_n", problems)
-        app = sec.get("application", problems, default="com")
-        if app not in (None, "com"):
+        values = _read(_KEYS["disturbance"], sec, problems)
+        force, estimate = values["force_n"], values["estimated_force_n"]
+        if estimate is None:
+            estimate = force
+        events.append(DisturbanceEvent(values["t_start_s"], values["duration_s"], force, estimate))
+        if values["application"] not in (None, "com"):
             problems.append(
                 f"section [disturbance] at line {sec.line}: only application = com is supported"
             )
-        t0 = _parse_float(t0_raw, "t_start_s", sec.line, problems) if t0_raw else None
-        dur = _parse_float(dur_raw, "duration_s", sec.line, problems) if dur_raw else None
-        force = (
-            _parse_floats(force_raw, 3, "force_n", sec.line, problems) if force_raw else None
-        )
-        est = force
-        if est_raw is not None:
-            est = _parse_floats(est_raw, 3, "estimated_force_n", sec.line, problems)
-        if dur is not None and dur <= 0:
+        if values["duration_s"] is not None and values["duration_s"] <= 0:
             problems.append(f"section [disturbance] at line {sec.line}: duration_s must be > 0")
-        if None not in (t0, dur) and force is not None and est is not None:
-            events.append(DisturbanceEvent(t0, dur, force, est))
 
     if problems:
         raise ScenarioError(problems)
 
+    f_max = mpc["normal_force_max_n"]
     if f_max is None:
-        f_max = 3.0 * mass_v * float(np.linalg.norm(gravity_v))
+        f_max = 3.0 * mass * float(np.linalg.norm(phys["gravity_mps2"]))
     try:
-        params = PhysicalParams(mass=mass_v, gravity=gravity_v, com_height_nominal=height_v)
+        params = PhysicalParams(
+            mass=mass,
+            gravity=phys["gravity_mps2"],
+            com_height_nominal=phys["com_height_nominal_m"],
+        )
         plan = ContactPlan(tuple(contacts), duration)
         weights = Weights(
-            force_reg=w_force,
-            force_rate=w_rate,
-            ang_momentum=w_ang,
-            com_tracking=w_com,
-            contact_reg=w_contact,
+            force_reg=mpc["weight_force_reg"],
+            force_rate=mpc["weight_force_rate"],
+            ang_momentum=mpc["weight_ang_momentum"],
+            com_tracking=mpc["weight_com_tracking"],
+            contact_reg=mpc["weight_contact_reg"],
         )
-        mpc = MpcOptions(
-            horizon_knots=horizon,
-            period=period,
+        mpc_options = MpcOptions(
+            horizon_knots=mpc["horizon_knots"],
+            period=mpc["period_s"],
             weights=weights,
-            friction_mu=mu,
-            normal_force_min=f_min,
+            friction_mu=mpc["friction_mu"],
+            normal_force_min=mpc["normal_force_min_n"],
             normal_force_max=f_max,
-            box=ContactBox.planar(box_x, box_y),
+            box=ContactBox.planar(mpc["box_half_x_m"], mpc["box_half_y_m"]),
             solver=SolverOptions(
-                max_iterations=max_iter,
-                kkt_tolerance=kkt_tol,
-                constraint_tolerance=con_tol,
+                max_iterations=mpc["max_iterations"],
+                kkt_tolerance=mpc["kkt_tolerance"],
+                constraint_tolerance=mpc["constraint_tolerance"],
             ),
         )
     except (ValueError, KeyError) as exc:
         raise ScenarioError([str(exc)]) from exc
 
+    period = mpc["period_s"]
     for event in events:
         if event.t_start < 0 or event.t_start + event.duration > duration:
             raise ScenarioError(
@@ -422,12 +390,12 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
         name=name,
         params=params,
         plan=plan,
-        mpc=mpc,
+        mpc=mpc_options,
         duration=duration,
-        substeps=substeps_v,
+        substeps=sim["substeps"],
         disturbances=tuple(events),
-        disturbances_enabled=bool(dist_enabled),
-        output_dir=output_dir,
+        disturbances_enabled=sim["disturbances_enabled"],
+        output_dir=sim["output_dir"],
         config_hash=digest,
     )
 
@@ -435,24 +403,23 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
 def apply_overrides(text: str, overrides) -> str:
     """Rewrite scenario text with 'section.key=value' overrides.
 
-    The key must already exist in the section (or is appended if the section
-    exists and the key is valid-for-overriding); works on [physical], [mpc]
-    and [simulation] only.
+    Works on [physical], [mpc] and [simulation] only, and the key must be one
+    the section accepts.  The value replaces the key's line in the section,
+    or is appended to the section when the key is absent.
     """
     parsed = []
     for item in overrides:
-        if "=" not in item:
+        path, eq, value = item.partition("=")
+        section, dot, key = (part.strip() for part in path.partition("."))
+        if not (eq and dot):
             raise ScenarioError([f"override {item!r} must look like section.key=value"])
-        path, value = item.split("=", 1)
-        if "." not in path:
-            raise ScenarioError([f"override {item!r} must look like section.key=value"])
-        section, key = path.split(".", 1)
-        section = section.strip()
         if section not in ("physical", "mpc", "simulation"):
             raise ScenarioError(
                 [f"override {item!r}: only physical/mpc/simulation keys can be overridden"]
             )
-        parsed.append((section, key.strip(), value.strip()))
+        if key not in _KEYS[section]:
+            raise ScenarioError([f"override {item!r}: unknown key {key!r} in section [{section}]"])
+        parsed.append((section, key, value.strip()))
 
     lines = text.splitlines()
     for section, key, value in parsed:

@@ -19,7 +19,7 @@ import numpy as np
 from .controller import MpcOutput, mpc_step
 from .model import CentroidalState, ContactInstant, ExternalWrench, integrate_step
 from .plan import nominal_com_trajectory
-from .scenario import ScenarioConfig, parse_scenario  # noqa: F401  (re-export)
+from .scenario import ScenarioConfig
 
 log = logging.getLogger("centroidal_mpc")
 

@@ -198,7 +198,6 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
     nu = 1.0
     merit_history: list = []
     best = None  # (phase, merit, x, y, kkt, viol, cost)
-    qp_x0 = None
     qp_scaling = None
     last_step = np.inf
     qp_rho = None
@@ -248,7 +247,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         qp_res = solve_qp(
             P, g, A, lower, upper,
             options=_SUBPROBLEM_OPTIONS,
-            x0=qp_x0, y0=y, scaling=qp_scaling, rho0=qp_rho, ordering=problem.ordering,
+            y0=y, scaling=qp_scaling, rho0=qp_rho, ordering=problem.ordering,
         )
         if qp_scaling is None:
             qp_scaling = qp_res.scaling
@@ -283,8 +282,10 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
 
         step_norm = float(np.max(np.abs(d), initial=0.0))
         if step_norm <= 1e-14:
+            # A zero step cannot pass the line search.  Seen only from elastic
+            # mode at a point of least violation: iterate, so that the
+            # elastic-stall test ends the solve as infeasible.
             y = y_new
-            qp_x0 = d
             continue
 
         nu = max(nu, 1.5 * float(np.max(np.abs(y_new), initial=0.0)) + 1e-6)
@@ -320,7 +321,6 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         x_old = x
         x = x + alpha * d
         y = y_new
-        qp_x0 = None if alpha == 1.0 else d * (1.0 - alpha)
         # A small step that stopped shrinking marks a period-2 cycle between
         # two active-set candidates; their midpoint cancels the alternating
         # component.  Jump only when it strictly improves stationarity.

@@ -73,9 +73,6 @@ class FrictionPyramid:
         f_local = np.asarray(rotation, dtype=float).T @ _as_vector(force_world, 3, "force")
         return float(np.max(self.A @ f_local - self.b))
 
-    def satisfied(self, force_world, rotation, tol: float = 0.0) -> bool:
-        return self.violation(force_world, rotation) <= tol
-
 
 def friction_pyramid(mu: float, f_min: float, f_max: float) -> FrictionPyramid:
     """Inner pyramid approximation of the friction cone with normal-force bounds.

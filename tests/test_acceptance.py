@@ -57,8 +57,7 @@ def two_leg_push():
 
 def _scenario_nlp(config, t=0.0):
     plan, params, options = config.plan, config.params, config.mpc
-    schedule = horizon_schedule(plan, t, options.horizon_knots, options.period,
-                                clamp_to_duration=True)
+    schedule = horizon_schedule(plan, t, options.horizon_knots, options.period)
     spline = nominal_com_trajectory(plan, params)
     samples = spline.sample(t + options.period * np.arange(options.horizon_knots + 1))
     state = CentroidalState(spline.position(t), np.zeros(3), np.zeros(3))

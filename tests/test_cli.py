@@ -65,6 +65,12 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    def test_empty_value_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "empty.txt"
+        bad.write_text(QUICK.replace("mass_kg = 1.0", "mass_kg ="))
+        assert main(["run", str(bad)]) == 2
+        assert "error: line 4: key 'mass_kg' expects a number, got ''" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self):
         assert main(["run", "/nonexistent/path.txt"]) == 2
 

@@ -82,9 +82,7 @@ class TestHorizonSchedule:
 
     def test_clamp_to_duration(self):
         plan = simple_plan([(2.0, 3.0)])
-        free = horizon_schedule(plan, 2.5, 5, 0.5)
-        clamped = horizon_schedule(plan, 2.5, 5, 0.5, clamp_to_duration=True)
-        assert free[:, 0].tolist() == [True, False, False, False, False]
+        clamped = horizon_schedule(plan, 2.5, 5, 0.5)
         assert clamped[:, 0].tolist() == [True] * 5
 
 

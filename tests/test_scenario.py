@@ -25,6 +25,8 @@ corner_m = 0.0 0.0 0.0
 active_s = 0.0 1.0
 """
 
+PUSH = "\n[disturbance]\nt_start_s = 0.2\nduration_s = 0.3\nforce_n = 2 0 0\n"
+
 
 class TestParsing:
     def test_minimal_scenario(self):
@@ -117,6 +119,28 @@ class TestParsing:
         cfg = parse_scenario(text)
         assert cfg.disturbances[0].estimated_force.tolist() == [0, 0, 0]
 
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            ("mass_kg = 1.0", "mass_kg ="),
+            ("duration_s = 1.0", "duration_s ="),
+            ("com_height_nominal_m = 0.6", "com_height_nominal_m ="),
+            ("position_m = 0.0 0.0 0.0", "position_m ="),
+            ("force_n = 2 0 0", "force_n ="),
+            ("t_start_s = 0.2", "t_start_s ="),
+            ("duration_s = 1.0", "duration_s = inf"),
+            ("duration_s = 0.3", "duration_s = nan"),
+            ("mass_kg = 1.0", "mass_kg = abc"),
+        ],
+    )
+    def test_bad_value_reported_at_its_line(self, line, bad):
+        text = (MINIMAL + PUSH).replace(line, bad)
+        lineno = text.splitlines().index(bad) + 1
+        key = bad.split("=")[0].strip()
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert any(p.startswith(f"line {lineno}: key {key!r} ") for p in err.value.problems)
+
     def test_config_hash_tracks_text(self):
         a = parse_scenario(MINIMAL)
         b = parse_scenario(MINIMAL.replace("substeps = 2", "substeps = 4"))
@@ -137,6 +161,10 @@ class TestOverrides:
             apply_overrides(MINIMAL, ["horizon_knots=20"])
         with pytest.raises(ScenarioError):
             apply_overrides(MINIMAL, ["contact foot.position_m=1 1 1"])
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ScenarioError, match="kkt_tolernce"):
+            apply_overrides(MINIMAL, ["mpc.kkt_tolernce=1e-5"])
 
     def test_override_is_textual_and_reparses(self):
         text = apply_overrides(MINIMAL, ["physical.mass_kg=2.5", "mpc.period_s=0.2"])
