@@ -1,17 +1,18 @@
 """Sparse convex QP solver.
 
 Solves   min 1/2 x' P x + q' x   s.t.  lower <= A x <= upper
-with P positive semidefinite, by operator splitting: Ruiz-scaled data, one
-factorization of the condensed system P + sigma I + A' diag(rho) A (banded
-Cholesky under a variable ordering that makes it narrow-banded), a step
-size per constraint row, and an active-set polish, always on, for
-high-accuracy solutions.  Equality rows are expressed as lower == upper.
+with P positive semidefinite, by a primal-dual active-set iteration on
+Ruiz-scaled data: each iteration solves the equality-constrained QP of one
+active set with a factor of the condensed system P + reg I + rho A_act' A_act
+(banded Cholesky under a variable ordering that makes it narrow-banded) and
+iterative refinement, then updates the set from the solution's violated rows
+and wrong-sign multipliers.  Equality rows are expressed as lower == upper.
 Everything is deterministic: no randomized pivoting, no time-based stopping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,31 +21,31 @@ from scipy.linalg import lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 _DIV_GUARD = 1e-30
-_SIGMA = 1e-6
-_RHO = 0.1
-_RHO_EQ_SCALE = 1e3
-_RELAXATION = 1.6
 _EPS_ABS = 1e-6
-_EPS_REL = 1e-6
+# Violation (original units) beyond which an inactive row joins the active
+# set, also when the point already meets _EPS_ABS.
+_EPS_ACTIVATE = 1e-9
 _EPS_INFEASIBLE = 1e-9
-_CHECK_INTERVAL = 25
-_ADAPTIVE_RHO_INTERVAL = 100
-_ADAPTIVE_RHO_TOLERANCE = 5.0
-_MAX_REFACTORIZATIONS = 4
 _SCALING_ITERATIONS = 10
-# Active-set polish: a successful polish ends the solve at machine accuracy
-# long before the first-order iteration would grind down to _EPS_ABS on its
-# own.  Refinement stops early once a pass no longer halves the KKT residual.
+# Iterations of the plain active-set rule before one row per iteration takes
+# over, also without a repeated set: on general QPs the plain rule can wander
+# through new sets for long.  The closed-loop QPs of the bundled scenarios
+# and of perfbench's push sweep need at most 12 iterations.
+_PLAIN_ITERATIONS = 20
+# Equality-constrained solve: refinement stops once a pass cuts the KKT
+# residual by less than a tenth, which ends it at rounding level and on an
+# inconsistent or unbounded active set, but not while a nearly dependent
+# set converges slowly.
 _POLISH_REG = 1e-9
 _POLISH_REFINE_STEPS = 25
-# Weight of the active rows in the polish's condensed matrix (scaled units):
-# the inverse of the dual regularization of the saddle system it replaces.
+# Weight of the active rows in the condensed matrix (scaled units): the
+# inverse of the dual regularization of the saddle system it replaces.
 _POLISH_RHO = 1e6
 
 
 @dataclass(frozen=True)
 class QpOptions:
-    """The ADMM iteration cap, the one setting callers choose per solve."""
+    """The active-set iteration cap, the one setting callers choose per solve."""
 
     max_iterations: int = 20000
 
@@ -59,7 +60,6 @@ class QpResult:
     dual_residual: float
     polished: bool = False
     scaling: tuple | None = None
-    rho_final: float = 0.1
 
     @property
     def solved(self) -> bool:
@@ -232,17 +232,16 @@ class _BandedCholesky:
         return out
 
 
-def _factor_kkt(system: _CondensedSystem, sigma: float, rho_vec: np.ndarray):
-    """Factor the condensed system P + sigma I + A' diag(rho) A.
+def _factor_kkt(system: _CondensedSystem, sigma: float, weights: np.ndarray):
+    """Factor the condensed system P + sigma I + A' diag(weights) A.
 
-    Much smaller and fills far less than the equivalent 2x2 saddle form; the
-    consensus iterate follows as z_tilde = A x_tilde.  A sparse LU takes over
-    should rounding make the banded Cholesky break down.
+    Much smaller and fills far less than the equivalent 2x2 saddle form.  A
+    sparse LU takes over should rounding make the banded Cholesky break down.
     """
-    factor, info = lapack.dpbtrf(system.band(sigma, rho_vec))
+    factor, info = lapack.dpbtrf(system.band(sigma, weights))
     if info == 0:
         return _BandedCholesky(factor, system.pattern.perm)
-    return spla.splu(system.matrix(sigma, rho_vec), permc_spec="MMD_AT_PLUS_A")
+    return spla.splu(system.matrix(sigma, weights), permc_spec="MMD_AT_PLUS_A")
 
 
 @dataclass
@@ -255,6 +254,7 @@ class _ScaledQp:
     AT: sp.csr_matrix
     lower: np.ndarray
     upper: np.ndarray
+    eq: np.ndarray
     d: np.ndarray
     e: np.ndarray
     c: float
@@ -263,24 +263,43 @@ class _ScaledQp:
     def unscale(self, x: np.ndarray, y: np.ndarray):
         return self.d * x, (self.e * y) / self.c
 
-    def residuals(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
-        """Primal and dual residuals in original units, with their references."""
-        ax = (self.A @ x) / self.e
-        pri = float(np.max(np.abs(ax - z / self.e), initial=0.0))
-        px = (self.P @ x) / (self.c * self.d)
-        aty = (self.AT @ y) / (self.c * self.d)
-        qs = self.q / (self.c * self.d)
-        dua = float(np.max(np.abs(px + aty + qs), initial=0.0))
-        pri_ref = max(
-            float(np.max(np.abs(ax), initial=0.0)),
-            float(np.max(np.abs(z / self.e), initial=0.0)),
+
+def _certificate(P, q, A, lower, upper, dx, dy):
+    """The infeasibility a step (dx, dy) in original units certifies, or None.
+
+    dy certifies primal infeasibility when A' dy = 0 while its support
+    function over the bounds is negative (Farkas); dx certifies an unbounded
+    objective when it is a descent direction of zero curvature along which
+    no finite bound is reached.  Returns the status name, or None.
+    """
+    norm_dy = float(np.max(np.abs(dy), initial=0.0))
+    if norm_dy > _DIV_GUARD:
+        at_dy = float(np.max(np.abs(A.T @ dy), initial=0.0))
+        up_term = np.where(np.isfinite(upper) & (dy > 0), upper, 0.0) * np.maximum(dy, 0.0)
+        lo_term = np.where(np.isfinite(lower) & (dy < 0), lower, 0.0) * np.minimum(dy, 0.0)
+        support = float(np.sum(up_term) + np.sum(lo_term))
+        unbounded_push = bool(
+            np.any((dy > _EPS_INFEASIBLE * norm_dy) & ~np.isfinite(upper))
+            or np.any((dy < -_EPS_INFEASIBLE * norm_dy) & ~np.isfinite(lower))
         )
-        dua_ref = max(
-            float(np.max(np.abs(px), initial=0.0)),
-            float(np.max(np.abs(aty), initial=0.0)),
-            float(np.max(np.abs(qs), initial=0.0)),
-        )
-        return pri, dua, pri_ref, dua_ref
+        if (
+            not unbounded_push
+            and at_dy <= _EPS_INFEASIBLE * norm_dy
+            and support <= -_EPS_INFEASIBLE * norm_dy
+        ):
+            return "primal_infeasible"
+    norm_dx = float(np.max(np.abs(dx), initial=0.0))
+    if norm_dx > _DIV_GUARD:
+        tol = _EPS_INFEASIBLE * norm_dx
+        adx = A @ dx
+        if (
+            float(np.max(np.abs(P @ dx), initial=0.0)) <= tol
+            and float(q @ dx) < -tol
+            and np.all(adx[np.isfinite(lower)] >= -tol)
+            and np.all(adx[np.isfinite(upper)] <= tol)
+        ):
+            return "dual_infeasible"
+    return None
 
 
 def solve_qp(
@@ -292,19 +311,17 @@ def solve_qp(
     options: QpOptions | None = None,
     y0=None,
     scaling: tuple | None = None,
-    rho0: float | None = None,
     ordering=None,
 ) -> QpResult:
     """Solve the interval-constrained convex QP; see module docstring.
 
     `scaling` may carry (d, e, c) equilibration vectors from a previous solve
-    of a structurally identical problem, saving the Ruiz sweeps; `rho0`
-    similarly seeds the step size with the value a previous related solve
-    adapted to.  `ordering` is a permutation of range(n) under which
-    P + A'A is narrow-banded (reverse Cuthill-McKee when not given); any
-    other array raises ValueError.  With `y0`, the active set its signs
-    suggest is polished before any ADMM iteration; when that point already
-    meets _EPS_ABS it is returned with 0 iterations.
+    of a structurally identical problem, saving the Ruiz sweeps.  `ordering`
+    is a permutation of range(n) under which P + A'A is narrow-banded
+    (reverse Cuthill-McKee when not given); any other array raises
+    ValueError.  The first active set is the sign pattern of `y0` (no
+    inequality row without it), so a warm start that carries the right
+    active set costs one iteration.
     """
     opts = options or QpOptions()
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -344,234 +361,159 @@ def solve_qp(
         Ps, qs, As, d, e, c = _ruiz_scale(P, q, A, _SCALING_ITERATIONS)
     ls = e * lower
     us = e * upper
+    eq = np.isfinite(lower) & (lower == upper)
     data = _ScaledQp(
-        Ps, qs, As, As.T.tocsr(), ls, us, d, e, c, _CondensedSystem(Ps, As, ordering)
+        Ps, qs, As, As.T.tocsr(), ls, us, eq, d, e, c, _CondensedSystem(Ps, As, ordering)
     )
-    AsT = data.AT
-    eq_mask = np.isfinite(lower) & np.isfinite(upper) & (lower == upper)
-    rho_base = float(rho0) if rho0 is not None else _RHO
-    rho_vec = np.where(eq_mask, rho_base * _RHO_EQ_SCALE, rho_base)
 
+    # Primal-dual active-set iteration: solve the equality-constrained QP on
+    # the active set, then activate the inactive rows its solution violates
+    # and release the active rows whose multipliers have the wrong sign.
+    # Once a set would repeat, the rule could cycle; from then on (or after
+    # _PLAIN_ITERATIONS) each iteration changes one row, as the dual
+    # active-set method of Goldfarb and Idnani does: release the row whose
+    # multiplier first changes sign on the way from the current point to the
+    # new solution (stepping to that point), or else activate the most
+    # violated row.
     x = np.zeros(n)
-    warm_duals = y0 is not None and np.asarray(y0).size == m
-    if warm_duals:
+    if y0 is not None and np.asarray(y0).size == m:
         y = c * np.asarray(y0, dtype=float) / np.where(e > 0, e, 1.0)
     else:
         y = np.zeros(m)
-    z = np.clip(As @ x, ls, us) if m else np.zeros(0)
-
-    def polished_result(xs, ys, status_out, iters):
-        pri, dua, _, _ = data.residuals(xs, ys, np.clip(As @ xs, ls, us))
-        return QpResult(
-            *data.unscale(xs, ys), status_out, iters, pri, dua,
-            polished=True, scaling=(d, e, c), rho_final=rho_base,
-        )
-
-    guess_prev = None
-    guesses_tried = set()
-    if warm_duals:
-        # A warm start from a related solve often carries the right active
-        # set already; polishing it first can skip the ADMM phase entirely.
-        guess_prev = np.sign(y[~eq_mask]).astype(np.int8).tobytes()
-        guesses_tried.add(guess_prev)
-        warm = _polish_point(data, x, y)
-        if warm is not None:
-            warm = polished_result(*warm, "solved", 0)
-            if max(warm.primal_residual, warm.dual_residual) <= _EPS_ABS:
-                return warm
-
-    lu = _factor_kkt(data.system, _SIGMA, rho_vec)
-    refactorizations = 0
+    low = ~eq & (y < 0.0) & np.isfinite(lower)
+    upp = ~eq & (y > 0.0) & np.isfinite(upper)
+    y = np.where(eq | low | upp, y, 0.0)
+    seen = set()
+    one_row = False
     status = "max_iterations"
-    iterations = opts.max_iterations
-    pri_res = np.inf
-    dua_res = np.inf
-    x_prev_chk = x.copy()
-    y_prev_chk = y.copy()
-    At = A.T
-    for it in range(1, opts.max_iterations + 1):
-        if m:
-            rhs = _SIGMA * x - qs + AsT @ (rho_vec * z - y)
-        else:
-            rhs = _SIGMA * x - qs
-        x_tilde = lu.solve(rhs)
-        x = _RELAXATION * x_tilde + (1.0 - _RELAXATION) * x
-        if m:
-            z_tilde = As @ x_tilde
-            w = _RELAXATION * z_tilde + (1.0 - _RELAXATION) * z + y / rho_vec
-            z_new = np.clip(w, ls, us)
-            y = rho_vec * (w - z_new)
-            z = z_new
-
-        if it % _CHECK_INTERVAL and it != opts.max_iterations:
-            continue
-        pri_res, dua_res, pri_ref, dua_ref = data.residuals(x, y, z)
-        eps_pri = _EPS_ABS + _EPS_REL * pri_ref
-        eps_dua = _EPS_ABS + _EPS_REL * dua_ref
-        if pri_res <= eps_pri and dua_res <= eps_dua:
-            status = "solved"
-            iterations = it
+    best = (np.inf, x, y, np.inf, np.inf)
+    iterations = 0
+    for iterations in range(1, opts.max_iterations + 1):
+        seen.add(np.concatenate([low, upp]).tobytes())
+        found = _polish_point(data, x, y, low, upp)
+        if found is None:
             break
-        # The active-set guess (the sign pattern of y on the inequality rows)
-        # settles long before the residuals reach eps; once it has held over
-        # a whole check interval, polish it, and try each settled guess only
-        # once.
-        guess = np.sign(y[~eq_mask]).astype(np.int8).tobytes()
-        if guess == guess_prev and guess not in guesses_tried:
-            guesses_tried.add(guess)
-            early = _polish_point(data, x, y)
-            if early is not None:
-                early = polished_result(*early, "solved", it)
-                if max(early.primal_residual, early.dual_residual) <= _EPS_ABS:
-                    return early
-        guess_prev = guess
+        x_new, y_new, dx, dy = found
+        ax = As @ x_new
+        sign_tol = 1e-10 * max(1.0, float(np.max(np.abs(y_new), initial=0.0)))
+        wrong = (upp & (y_new < -sign_tol)) | (low & (y_new > sign_tol))
+        # Active rows the solution cannot meet are inconsistent; the stalled
+        # refinement moves their multipliers along the gaps.  Release the
+        # row whose multiplier that move takes to zero first.
+        gap = np.where(low, ax - ls, np.where(upp | eq, ax - us, 0.0))
+        inconsistent = float(np.max(np.abs(gap) / e, initial=0.0)) > _EPS_ABS
+        inward = (low & (gap > 0.0)) | (upp & (gap < 0.0))
+        if inconsistent and np.any(inward):
+            reach = np.abs(y_new) / np.where(inward, np.abs(gap), 1.0)
+            wrong[np.flatnonzero(inward)[np.argmin(reach[inward])]] = True
+        inactive = ~(eq | low | upp)
+        under = inactive & ((ls - ax) / e > _EPS_ACTIVATE)
+        over = inactive & ((ax - us) / e > _EPS_ACTIVATE)
 
-        dy = (e * (y - y_prev_chk)) / c if m else np.zeros(0)
-        dx = d * (x - x_prev_chk)
-        if m and float(np.max(np.abs(dy), initial=0.0)) > _DIV_GUARD:
-            norm_dy = float(np.max(np.abs(dy)))
-            at_dy = float(np.max(np.abs((At @ dy) / d), initial=0.0))
-            up_term = np.where(np.isfinite(upper) & (dy > 0), upper, 0.0) * np.maximum(dy, 0.0)
-            lo_term = np.where(np.isfinite(lower) & (dy < 0), lower, 0.0) * np.minimum(dy, 0.0)
-            support = float(np.sum(up_term) + np.sum(lo_term))
-            unbounded_push = bool(
-                np.any((dy > _EPS_INFEASIBLE * norm_dy) & ~np.isfinite(upper))
-                or np.any((dy < -_EPS_INFEASIBLE * norm_dy) & ~np.isfinite(lower))
+        # The KKT test in original units: bound violation of every row,
+        # distance of every active row from its bound, and stationarity with
+        # the multipliers clipped to their signs.
+        signed = np.where(upp, np.maximum(y_new, 0.0), np.where(low, np.minimum(y_new, 0.0), y_new))
+        off = np.maximum(np.maximum(ls - ax, ax - us), np.abs(gap))
+        pri = float(np.max(off / e, initial=0.0))
+        gradient = Ps @ x_new + qs
+        dua = float(np.max(np.abs(gradient + data.AT @ signed) / (c * d)))
+        done = max(pri, dua) <= _EPS_ABS and not np.any(wrong | under | over)
+        if done or max(pri, dua) < best[0]:
+            best = (max(pri, dua), x_new, signed, pri, dua)
+        if done:
+            status = "solved"
+            break
+        # Certificates are read only off an active set the refinement could
+        # not solve, since the step after a solved one is rounding noise.
+        stationary = np.abs(gradient + data.AT @ y_new) / (c * d)
+        unbounded = float(np.max(stationary, initial=0.0)) > _EPS_ABS
+        certified = (inconsistent or unbounded) and _certificate(
+            P, q, A, lower, upper, d * dx, e * dy / c
+        )
+        if certified:
+            status = certified
+            break
+
+        if not one_row:
+            new_low, new_upp = (low & ~wrong) | under, (upp & ~wrong) | over
+            one_row = (
+                np.concatenate([new_low, new_upp]).tobytes() in seen
+                or iterations >= _PLAIN_ITERATIONS
             )
-            if (
-                not unbounded_push
-                and at_dy <= _EPS_INFEASIBLE * norm_dy
-                and support <= -_EPS_INFEASIBLE * norm_dy
-            ):
-                status = "primal_infeasible"
-                iterations = it
-                break
-        norm_dx = float(np.max(np.abs(dx), initial=0.0))
-        if norm_dx > _DIV_GUARD:
-            p_dx = float(np.max(np.abs(P @ dx), initial=0.0))
-            q_dx = float(q @ dx)
-            tol = _EPS_INFEASIBLE * norm_dx
-            if m:
-                adx = A @ dx
-                directions_ok = bool(
-                    np.all(adx[np.isfinite(lower)] >= -tol)
-                    and np.all(adx[np.isfinite(upper)] <= tol)
-                )
-            else:
-                directions_ok = True
-            if p_dx <= tol and q_dx < -tol and directions_ok:
-                status = "dual_infeasible"
-                iterations = it
-                break
-        x_prev_chk = x.copy()
-        y_prev_chk = y.copy()
+            if not one_row:
+                low, upp = new_low, new_upp
+                x, y = x_new, np.where(eq | low | upp, y_new, 0.0)
+                continue
+        if np.any(wrong):
+            right = np.where(upp, (y > 0.0) & (y_new < 0.0), (y < 0.0) & (y_new > 0.0))
+            ratio = np.where(wrong & right, y / np.where(right, y - y_new, 1.0), 0.0)
+            row = int(np.flatnonzero(wrong)[np.argmin(ratio[wrong])])
+            x, y = x + ratio[row] * (x_new - x), y + ratio[row] * (y_new - y)
+            y[row] = 0.0
+            low[row] = upp[row] = False
+        elif np.any(under | over):
+            x, y = x_new, y_new
+            row = int(np.argmax(np.where(under, ls - ax, np.where(over, ax - us, -np.inf))))
+            low[row], upp[row] = bool(under[row]), bool(over[row])
+        else:
+            break
 
-        if (
-            m
-            and it % _ADAPTIVE_RHO_INTERVAL == 0
-            and refactorizations < _MAX_REFACTORIZATIONS
-            and it < opts.max_iterations
-        ):
-            scale = np.sqrt(
-                max(pri_res / max(pri_ref, _DIV_GUARD), _DIV_GUARD)
-                / max(dua_res / max(dua_ref, _DIV_GUARD), _DIV_GUARD)
-            )
-            if scale > _ADAPTIVE_RHO_TOLERANCE or scale < 1.0 / _ADAPTIVE_RHO_TOLERANCE:
-                rho_base = float(np.clip(rho_base * scale, 1e-6, 1e5))
-                rho_vec = np.where(eq_mask, rho_base * _RHO_EQ_SCALE, rho_base)
-                lu = _factor_kkt(data.system, _SIGMA, rho_vec)
-                refactorizations += 1
-
-    x_out, y_out = data.unscale(x, y)
-    result = QpResult(x_out, y_out, status, iterations, pri_res, dua_res,
-                      scaling=(d, e, c), rho_final=rho_base)
-
-    if status in ("solved", "max_iterations"):
-        # Also salvages an iteration-capped run: the active-set guess is
-        # often already right, and the polished point is then essentially
-        # exact.
-        found = _polish_point(data, x, y)
-        if found is not None:
-            polished = polished_result(*found, status, iterations)
-            worst = max(polished.primal_residual, polished.dual_residual)
-            if worst <= _EPS_ABS:
-                result = replace(polished, status="solved")
-            elif worst <= max(pri_res, dua_res):
-                result = polished
-    return result
+    kkt, xs, ys, pri, dua = best
+    if status == "max_iterations" and kkt <= _EPS_ABS:
+        status = "solved"
+    return QpResult(
+        *data.unscale(xs, ys), status, iterations, pri, dua,
+        polished=bool(np.isfinite(kkt)), scaling=(d, e, c),
+    )
 
 
-def _polish_point(data: _ScaledQp, x_est, y_est):
-    """Solve the equality-constrained problem on the active set guessed from y.
+def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
+    """Solve the equality-constrained QP of one active set.
 
-    Works on the scaled data and returns a scaled (x, y), or None.  The
+    The equality rows and the inequality rows marked in `low` (held at their
+    lower bound) and `upp` (at their upper bound) are active.  Works on the
+    scaled data and returns a scaled (x, y, dx, dy), or None when the system
+    cannot be factored or the solution is not finite.  The
     equality-constrained QP is solved by iterative refinement with the
     factor of P + _POLISH_REG I + _POLISH_RHO A_act' A_act, the regularized
-    saddle system with its multiplier block eliminated; it has the band
-    structure of the ADMM matrix.  The multipliers start from the estimate
-    y_est (sign-correct where it comes from the ADMM projection), and the
-    refinement keeps their component that the active rows leave undetermined.
+    saddle system with its multiplier block eliminated.  The refinement
+    starts from (x_est, y_est) and keeps the component of y_est that the
+    active rows leave undetermined.
 
-    The multiplier signs only suggest the active set; a guessed row whose
-    solution does not actually sit on the targeted bound (for example because
-    a true equality row already fixes those variables) is dropped and the
-    reduced system re-solved.  Without this refinement a phantom multiplier
-    on a slack row survives warm start after warm start and permanently
-    blocks the complementarity test downstream.  A row whose multiplier comes
-    out with the wrong sign for its bound is dropped the same way: where more
-    rows meet than there are variables (a friction-pyramid apex) the reduced
-    system is free to split the multipliers with either sign, and such a
-    point is not a KKT point of the original problem.
-
-    Returns None when the reduced system cannot be factored, produces
-    non-finite values, or the active-set guess keeps disagreeing with its own
-    solution.
+    (dx, dy) is the refinement step that would follow (x, y).  Where the
+    active rows are inconsistent the refinement stalls with the multipliers
+    running off along dy, a Farkas direction of those rows; where the
+    objective is unbounded on them, x runs off along dx.
     """
-    lower, upper = data.lower, data.upper
-    eq_rows = np.isfinite(lower) & np.isfinite(upper) & (lower == upper)
-    guess_low = (~eq_rows) & (y_est < 0.0) & np.isfinite(lower)
-    guess_upp = (~eq_rows) & (y_est > 0.0) & np.isfinite(upper)
-    for _ in range(3):
-        active = eq_rows | guess_low | guess_upp
-        targets = np.where(eq_rows | guess_upp, upper, np.where(guess_low, lower, 0.0))
-        weight = np.where(active, _POLISH_RHO, 0.0)
-        try:
-            factor = _factor_kkt(data.system, _POLISH_REG, weight)
-        except RuntimeError:
-            return None
-        xh = x_est
-        yh = np.where(active, y_est, 0.0)
-        # Iterative refinement in correction form: each pass solves the
-        # regularized system for a step (dx, dy) against the exact KKT
-        # residuals, so rounding in the steps shrinks with the steps.
-        residual = np.inf
-        for _ in range(_POLISH_REFINE_STEPS):
-            r_pri = np.where(active, data.A @ xh - targets, 0.0)
-            r_dua = data.P @ xh + data.q + data.AT @ yh
-            last, residual = residual, max(
-                float(np.max(np.abs(r_pri), initial=0.0)), float(np.max(np.abs(r_dua)))
-            )
-            if residual > 0.5 * last:
-                break
-            dx = factor.solve(-(r_dua + data.AT @ (weight * r_pri)))
-            xh = xh + dx
-            yh = yh + weight * (r_pri + data.A @ dx)
-        if not (np.all(np.isfinite(xh)) and np.all(np.isfinite(yh))):
-            return None
-        gap = (data.A @ xh - targets) / data.e
-        sign_tol = 1e-10 * max(1.0, float(np.max(np.abs(yh), initial=0.0)))
-        wrong = (guess_low | guess_upp) & (
-            (np.abs(gap) > 1e-6 * (1.0 + np.abs(targets / data.e)))
-            | np.where(guess_upp, yh < -sign_tol, yh > sign_tol)
+    active = data.eq | low | upp
+    targets = np.where(data.eq | upp, data.upper, np.where(low, data.lower, 0.0))
+    weight = np.where(active, _POLISH_RHO, 0.0)
+    try:
+        factor = _factor_kkt(data.system, _POLISH_REG, weight)
+    except RuntimeError:
+        return None
+    xh = x_est
+    yh = np.where(active, y_est, 0.0)
+    # Iterative refinement in correction form: each pass solves the
+    # regularized system for a step (dx, dy) against the exact KKT
+    # residuals, so rounding in the steps shrinks with the steps.
+    residual = np.inf
+    for _ in range(_POLISH_REFINE_STEPS):
+        r_pri = np.where(active, data.A @ xh - targets, 0.0)
+        r_dua = data.P @ xh + data.q + data.AT @ yh
+        last, residual = residual, max(
+            float(np.max(np.abs(r_pri), initial=0.0)), float(np.max(np.abs(r_dua)))
         )
-        if not np.any(wrong):
-            # Clear the rounding-level wrong-sign remainders sign_tol let pass.
-            yh = np.where(guess_upp, np.maximum(yh, 0.0), yh)
-            yh = np.where(guess_low, np.minimum(yh, 0.0), yh)
-            return xh, yh
-        guess_low[wrong] = False
-        guess_upp[wrong] = False
-    return None
+        dx = factor.solve(-(r_dua + data.AT @ (weight * r_pri)))
+        dy = weight * (r_pri + data.A @ dx)
+        if residual > 0.9 * last:
+            break
+        xh = xh + dx
+        yh = yh + dy
+    if not (np.all(np.isfinite(xh)) and np.all(np.isfinite(yh))):
+        return None
+    return xh, yh, dx, dy
 
 
 def qp_solve(

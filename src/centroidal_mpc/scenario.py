@@ -404,8 +404,9 @@ def apply_overrides(text: str, overrides) -> str:
     """Rewrite scenario text with 'section.key=value' overrides.
 
     Works on [physical], [mpc] and [simulation] only, and the key must be one
-    the section accepts.  The value replaces the key's line in the section,
-    or is appended to the section when the key is absent.
+    the section accepts, with a value its parser accepts.  The value replaces
+    the key's line in the section, or is appended to the section when the key
+    is absent.
     """
     parsed = []
     for item in overrides:
@@ -419,6 +420,10 @@ def apply_overrides(text: str, overrides) -> str:
             )
         if key not in _KEYS[section]:
             raise ScenarioError([f"override {item!r}: unknown key {key!r} in section [{section}]"])
+        try:
+            _KEYS[section][key][0](value.strip())
+        except ValueError as exc:
+            raise ScenarioError([f"override {item!r}: key {key!r} {exc}"]) from None
         parsed.append((section, key, value.strip()))
 
     lines = text.splitlines()

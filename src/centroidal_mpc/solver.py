@@ -21,11 +21,10 @@ _ARMIJO_FACTOR = 1e-4
 _BACKTRACK_RATIO = 0.5
 _HESSIAN_REGULARIZATION = 1e-9
 _ELASTIC_WEIGHT = 1e6
-# Every subproblem is solved to full accuracy: the active-set polish, tried
-# first from the current multipliers, usually makes that cheaper than an
-# inexact first-order solve.  One subproblem never deserves a long
-# first-order grind: a capped, slightly inexact step still makes progress
-# under the merit test.
+# Every subproblem is solved to full accuracy by the QP's active-set
+# iteration, started from the active set of the current multipliers.  One
+# subproblem never deserves a long search: a capped, slightly inexact step
+# still makes progress under the merit test.
 _SUBPROBLEM_OPTIONS = QpOptions(max_iterations=500)
 
 
@@ -197,10 +196,9 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
     cost_value = np.inf
     nu = 1.0
     merit_history: list = []
-    best = None  # (phase, merit, x, y, kkt, viol, cost)
+    best = None  # (key, x, y, kkt, viol, f)
     qp_scaling = None
     last_step = np.inf
-    qp_rho = None
     elastic_stall = 0
     viol_at_elastic = None
 
@@ -247,11 +245,10 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         qp_res = solve_qp(
             P, g, A, lower, upper,
             options=_SUBPROBLEM_OPTIONS,
-            y0=y, scaling=qp_scaling, rho0=qp_rho, ordering=problem.ordering,
+            y0=y, scaling=qp_scaling, ordering=problem.ordering,
         )
         if qp_scaling is None:
             qp_scaling = qp_res.scaling
-        qp_rho = qp_res.rho_final
         if qp_res.status == "primal_infeasible":
             elastic = _elastic_qp(
                 P, g, j_eq, c_eq, j_in, lo - v_in, hi - v_in, problem.dimension

@@ -158,6 +158,20 @@ class TestCriterion3:
         )
 
 
+class TestNoDegradedSteps:
+    """Criterion 3 lets 5 % of the steps miss convergence; the bundled
+    scenarios must have none, so `centroidal-mpc run` exits 0 on both."""
+
+    def test_every_mpc_step_converges(self, one_leg_push, two_leg_push):
+        runs = {"one_leg_jump": one_leg_push[1], "two_leg_walk_run": two_leg_push[1]}
+        missed = {
+            name: [(k, s) for k, s in enumerate(traj.statuses) if s != "converged"]
+            for name, traj in runs.items()
+        }
+        assert missed == {name: [] for name in runs}
+        assert not any(traj.degraded.any() for traj in runs.values())
+
+
 class TestCriterion4:
     def test_derivative_correctness(self, one_leg_push, two_leg_push):
         rng = np.random.RandomState(2024)

@@ -3,8 +3,13 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from centroidal_mpc import qp
 from centroidal_mpc.qp import qp_solve, solve_qp
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def brute_force_qp(P, q, A, lower, upper):
@@ -80,6 +85,69 @@ class TestAnalyticProblems:
         np.testing.assert_allclose(x, [0.5, 0.5, 0.0], atol=1e-8)
 
 
+    def test_nearly_dependent_equality_rows(self):
+        # The rows differ by 3e-4 in their second entry.  Refinement
+        # converges at about 0.71 per pass here, and must not stop at the
+        # first pass that fails to halve the residual.  x1 = 1 is known only
+        # to the residual over 3e-4.
+        A = np.array([[1.0, 0.0, 0.0], [1.0, 3e-4, 0.0]])
+        b = np.array([1.0, 1.0003])
+        q = np.array([-1.0, 2.0, -3.0])
+        res = solve_qp(sp.eye(3, format="csc"), q, sp.csc_matrix(A), b, b)
+        assert res.solved
+        assert kkt_violation(np.eye(3), q, A, b, b, res.x, res.y) <= 1e-6
+        np.testing.assert_allclose(res.x, [1.0, 1.0, 3.0], atol=1e-2)
+
+def kkt_violation(P, q, A, lower, upper, x, y):
+    """Largest violation of the KKT conditions of (x, y), multipliers relative."""
+    v = A @ x
+    primal = np.max(np.maximum(np.maximum(lower - v, v - upper), 0.0), initial=0.0)
+    stationarity = np.max(np.abs(P @ x + q + A.T @ y)) / max(1.0, np.max(np.abs(y), initial=0.0))
+    # y > 0 pushes against the upper bound, y < 0 against the lower one.
+    sign = np.max(np.where(np.isfinite(upper), 0.0, y), initial=0.0)
+    sign = max(sign, np.max(np.where(np.isfinite(lower), 0.0, -y), initial=0.0))
+    slack = np.where(y > 0, upper - v, np.where(y < 0, v - lower, 0.0))
+    comp = np.max(np.where(y == 0, 0.0, np.minimum(np.abs(y), np.abs(slack))), initial=0.0)
+    return max(primal, stationarity, sign, comp)
+
+
+@st.composite
+def bounded_qps(draw):
+    """A feasible QP whose objective is bounded below, with its warm duals.
+
+    The structure is drawn: the rank of P, the kind of each row (interval,
+    one-sided, equality or free), a duplicated row and the warm start.  The
+    bounds enclose A x_f, so x_f is feasible; q = -P c keeps the objective
+    bounded on every set, also for singular P.
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 6))
+    rank = draw(st.integers(0, n))
+    kinds = draw(st.lists(
+        st.sampled_from(["interval", "lower", "upper", "equality", "free"]),
+        min_size=m, max_size=m,
+    ))
+    duplicate = m >= 2 and draw(st.booleans())
+    warm = draw(st.sampled_from([None, 1.0, 100.0]))
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    M = rng.randn(n, rank)
+    P = M @ M.T + (0.5 * np.eye(n) if rank == n else 0.0)
+    A = rng.randn(m, n)
+    if duplicate:
+        A[-1] = rng.choice([1.0, -2.0, 0.5]) * A[0]
+    v = A @ rng.randn(n)
+    # Zero widths put a bound exactly on the feasible point.
+    lower = v - rng.choice([0.0, 0.3, 1.0], size=m) * np.abs(rng.randn(m))
+    upper = v + rng.choice([0.0, 0.3, 1.0], size=m) * np.abs(rng.randn(m))
+    kinds = np.array(kinds, dtype=object)
+    lower[(kinds == "upper") | (kinds == "free")] = -np.inf
+    upper[(kinds == "lower") | (kinds == "free")] = np.inf
+    lower[kinds == "equality"] = upper[kinds == "equality"] = v[kinds == "equality"]
+    q = -P @ rng.randn(n)
+    y0 = None if warm is None else warm * rng.randn(m)
+    return P, q, A, lower, upper, y0, rank == n
+
+
 class TestRandomAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_enumeration(self, seed):
@@ -96,6 +164,102 @@ class TestRandomAgainstBruteForce:
         assert res.solved
         np.testing.assert_allclose(res.x, expected, atol=1e-7)
 
+    @PROPERTY
+    @given(bounded_qps())
+    def test_every_feasible_bounded_qp_is_solved(self, case):
+        P, q, A, lower, upper, y0, definite = case
+        res = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper, y0=y0)
+        assert res.solved, res.status
+        assert kkt_violation(P, q, A, lower, upper, res.x, res.y) <= 1e-7
+        if definite:
+            np.testing.assert_allclose(res.x, brute_force_qp(P, q, A, lower, upper), atol=1e-7)
+
+
+def plain_active_sets(P, q, A, lower, upper):
+    """Active sets of the unguarded rule from a cold start, up to the first repeat.
+
+    Each step solves the equality-constrained QP of the set densely, then
+    activates every violated row and releases every wrong-sign multiplier.
+    Returns the sets as (low, upp) masks, the repeated one last, or None if
+    the rule settles.
+    """
+    m = A.shape[0]
+    low = np.zeros(m, dtype=bool)
+    upp = np.zeros(m, dtype=bool)
+    sets = []
+    while True:
+        sets.append((low, upp))
+        rows = np.flatnonzero(low | upp)
+        kkt = np.block([[P, A[rows].T], [A[rows], np.zeros((rows.size, rows.size))]])
+        t = np.where(upp, upper, lower)[rows]
+        solution = np.linalg.solve(kkt, np.concatenate([-q, t]))
+        y = np.zeros(m)
+        y[rows] = solution[q.size:]
+        v = A @ solution[: q.size]
+        wrong = (upp & (y < 0)) | (low & (y > 0))
+        inactive = ~(low | upp)
+        low = (low & ~wrong) | (inactive & (v < lower - 1e-9))
+        upp = (upp & ~wrong) | (inactive & (v > upper + 1e-9))
+        if np.array_equal(low, sets[-1][0]) and np.array_equal(upp, sets[-1][1]):
+            return None
+        if any(np.array_equal(low, a) and np.array_equal(upp, b) for a, b in sets):
+            return sets + [(low, upp)]
+
+
+class TestCyclingSafeguard:
+    """The fallback to one row per iteration, after a repeat or a budget."""
+
+    P = np.array([[0.1, 0.2, -0.1], [0.2, 3.7, -1.6], [-0.1, -1.6, 0.9]])
+    q = np.array([-1.7, 4.1, 0.2])
+    A = np.array([[1.5, 0.8, 0.5], [-0.2, 0.4, 1.8], [-0.4, -1.0, -0.6]])
+    lower = np.array([-2.0, -2.1, -1.2])
+    upper = np.array([2.3, 0.3, 1.4])
+
+    def test_one_row_per_iteration_after_the_first_repeat(self, monkeypatch):
+        # On this QP the unguarded rule revisits an active set after five.
+        plain = plain_active_sets(self.P, self.q, self.A, self.lower, self.upper)
+        assert plain is not None and len(plain) == 6
+        visited = []
+        polish = qp._polish_point
+
+        def recording(data, x, y, low, upp):
+            visited.append((low.copy(), upp.copy()))
+            return polish(data, x, y, low, upp)
+
+        monkeypatch.setattr(qp, "_polish_point", recording)
+        res = solve_qp(
+            sp.csc_matrix(self.P), self.q, sp.csc_matrix(self.A), self.lower, self.upper
+        )
+        assert res.solved
+        np.testing.assert_allclose(
+            res.x, brute_force_qp(self.P, self.q, self.A, self.lower, self.upper), atol=1e-7
+        )
+        # The same sets as the unguarded rule up to the repeat; instead of
+        # the repeated set, a set one row away from the last one.
+        for (low, upp), (plain_low, plain_upp) in zip(visited[:5], plain[:5]):
+            assert np.array_equal(low, plain_low) and np.array_equal(upp, plain_upp)
+        changed = (visited[5][0] != visited[4][0]) | (visited[5][1] != visited[4][1])
+        assert changed.sum() == 1
+
+    def test_budget_ends_a_wander_without_repeats(self, monkeypatch):
+        # On this QP the unguarded rule passes through new sets for more
+        # than 200 iterations; after _PLAIN_ITERATIONS the one-row rule
+        # solves it.
+        rng = np.random.RandomState(3)
+        n, m = 10, 20
+        M = rng.randn(n, n)
+        P = M @ M.T + 0.1 * np.eye(n)
+        q = 3.0 * rng.randn(n)
+        A = rng.randn(m, n)
+        v = A @ rng.randn(n)
+        lower, upper = v - np.abs(rng.randn(m)), v + np.abs(rng.randn(m))
+        args = (sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper)
+        res = solve_qp(*args, options=qp.QpOptions(max_iterations=200))
+        assert res.solved
+        assert kkt_violation(P, q, A, lower, upper, res.x, res.y) <= 1e-7
+        monkeypatch.setattr(qp, "_PLAIN_ITERATIONS", 10**9)
+        assert not solve_qp(*args, options=qp.QpOptions(max_iterations=200)).solved
+
 
 class TestInfeasibility:
     def test_primal_infeasible_detected(self):
@@ -105,6 +269,34 @@ class TestInfeasibility:
             np.array([1.0, -np.inf]), np.array([np.inf, -1.0]),
         )
         assert res.status == "primal_infeasible"
+
+    def test_single_point_feasible_set_is_not_infeasible(self):
+        # Three equality rows fix x, and row 2's lower bound sits exactly
+        # there.  The warm signs make an inconsistent set active; a Farkas
+        # test with its 1e-9 tolerances must not take that for infeasibility.
+        A = np.array([[-0.768094391819956], [-0.8874833011514502], [0.03943134829648476],
+                      [-1.0067271787490701], [-1.3368876699538101], [0.560545716741833],
+                      [-0.8874833011514502]])
+        lower = np.array([-1.5050692506205556, -np.inf, 0.07726512582773754,
+                          -2.173688279236797, -2.619611007461811, 1.0983807860335864, -np.inf])
+        upper = np.array([-1.5050692506205556, -1.7163798912864, 0.4694061461209763,
+                          np.inf, -2.619611007461811, 1.0983807860335864, np.inf])
+        y0 = np.array([0.18872116557751945, -0.21620351176915437, 0.026327383569634433,
+                       0.12113310528166671, -0.18703180942952888, 0.056507494956781694,
+                       0.14729281331893998])
+        res = solve_qp(sp.csc_matrix((1, 1)), np.zeros(1), sp.csc_matrix(A), lower, upper, y0=y0)
+        assert res.solved, res.status
+        assert res.x[0] == pytest.approx(lower[0] / A[0, 0], abs=1e-9)
+
+    @pytest.mark.parametrize("y0", [None, [1.0], [-1.0]])
+    def test_unbounded_objective_detected(self, y0):
+        # x1 has no curvature, a falling cost and no bound.
+        res = solve_qp(
+            sp.diags([1.0, 0.0], format="csc"), np.array([0.0, -1.0]),
+            sp.csc_matrix(np.array([[1.0, 0.0]])), np.array([-1.0]), np.array([1.0]),
+            y0=y0,
+        )
+        assert res.status == "dual_infeasible"
 
 
 class TestDeterminism:
@@ -161,6 +353,26 @@ class TestPolish:
         assert np.max(comp) < 1e-6
 
 
+    def test_inconsistent_warm_set_is_left(self):
+        # The warm signs make all four rows active on one variable, at
+        # three different points, and the multipliers keep those signs while
+        # the refinement stalls.  The feasible set is the single point where
+        # the upper bound of row 0 meets the lower bound of row 1.
+        P = np.array([[0.00015638594609633]])
+        q = np.array([9.402329616622116e-05])
+        A = np.array([[0.3494260234561596], [1.2155754258052294],
+                      [-1.7804872742488906], [1.2155754258052294]])
+        lower = np.array([-1.036524429282732, -2.501819540956858,
+                          3.231437008146509, -2.572053336829391])
+        upper = np.array([-0.7191662771747592, -2.2954949495532344, np.inf, np.inf])
+        y0 = np.array([121.00807398587243, -240.7666340132455,
+                       -139.4961533974582, -61.09353735516348])
+        res = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper, y0=y0)
+        assert res.solved
+        assert kkt_violation(P, q, A, lower, upper, res.x, res.y) <= 1e-7
+        assert res.x[0] == pytest.approx(upper[0] / A[0, 0], abs=1e-9)
+
+
 class TestPyramidApex:
     """Friction-pyramid apex: four faces and the normal row (f_min = 0) meet
     at zero force, five active rows on three variables.  The reduced system
@@ -207,14 +419,6 @@ class TestPyramidApex:
 
 
 class TestOptions:
-    def test_rho_continuation_seed(self):
-        P = sp.eye(3, format="csc")
-        q = -np.ones(3)
-        A = sp.csc_matrix(np.eye(3))
-        res = solve_qp(P, q, A, np.zeros(3), 0.5 * np.ones(3), rho0=5.0)
-        assert res.solved
-        np.testing.assert_allclose(res.x, 0.5 * np.ones(3), atol=1e-8)
-
     def test_invalid_bounds_raise(self):
         with pytest.raises(ValueError):
             solve_qp(sp.eye(1, format="csc"), [0.0], sp.csc_matrix([[1.0]]), [2.0], [1.0])

@@ -166,6 +166,25 @@ class TestOverrides:
         with pytest.raises(ScenarioError, match="kkt_tolernce"):
             apply_overrides(MINIMAL, ["mpc.kkt_tolernce=1e-5"])
 
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ("simulation.substeps=abc", "expects an integer"),
+            ("mpc.period_s=nan", "must be finite"),
+            ("physical.gravity_mps2=0 -9.81", "expects 3 numbers"),
+            ("simulation.disturbances_enabled=maybe", "expects true/false"),
+            ("simulation.output_dir=", "expects a value"),
+        ],
+    )
+    def test_bad_value_names_the_override(self, item, message):
+        # Reported against the override, not against a line of the text it
+        # rewrites (which need not exist in the file at all).
+        with pytest.raises(ScenarioError) as err:
+            apply_overrides(MINIMAL, [item])
+        (problem,) = err.value.problems
+        assert problem.startswith(f"override {item!r}") and message in problem
+        assert "line" not in problem
+
     def test_override_is_textual_and_reparses(self):
         text = apply_overrides(MINIMAL, ["physical.mass_kg=2.5", "mpc.period_s=0.2"])
         cfg = parse_scenario(text)
