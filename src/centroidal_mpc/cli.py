@@ -84,7 +84,8 @@ def _cmd_check_derivatives(args) -> int:
     worst = None
     for _ in range(args.points):
         point = base + rng.uniform(-0.5, 0.5, size=layout.size)
-        report = check_derivatives(problem, point, fd_step=1e-6)
+        multipliers = rng.uniform(-700.0, 700.0, size=problem.n_eq)
+        report = check_derivatives(problem, point, fd_step=1e-6, multipliers=multipliers)
         if worst is None or report.max_relative_error > worst.max_relative_error:
             worst = report
     print(f"checked {args.points} random points: {worst}")

@@ -1,12 +1,18 @@
-"""Sparse convex QP solver.
+"""Sparse QP solver.
 
 Solves   min 1/2 x' P x + q' x   s.t.  lower <= A x <= upper
-with P positive semidefinite, by a primal-dual active-set iteration on
-Ruiz-scaled data: each iteration solves the equality-constrained QP of one
-active set with a factor of the condensed system P + reg I + rho A_act' A_act
-(banded Cholesky under a variable ordering that makes it narrow-banded) and
-iterative refinement, then updates the set from the solution's violated rows
-and wrong-sign multipliers.  Equality rows are expressed as lower == upper.
+by a primal-dual active-set iteration on Ruiz-scaled data: each iteration
+solves the equality-constrained QP of one active set with a factor of the
+condensed system P + reg I + rho A_act' A_act (banded Cholesky under a
+variable ordering that makes it narrow-banded) and iterative refinement,
+then updates the set from the solution's violated rows and wrong-sign
+multipliers.  Equality rows are expressed as lower == upper.
+
+P may be indefinite, but on the null space of every active set the
+iteration visits, P + reg I must be positive definite.  With rho large that
+holds exactly when the Cholesky factorization succeeds, so a breakdown ends
+the solve with status non_convex (inertia test, no factor of a shifted
+matrix is tried).  A convex QP (P positive semidefinite) always passes it.
 Everything is deterministic: no randomized pivoting, no time-based stopping.
 """
 
@@ -16,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -192,7 +197,6 @@ class _CondensedSystem:
     """
 
     def __init__(self, P: sp.csc_matrix, A: sp.csc_matrix, ordering=None):
-        self.P, self.A = P, A
         Ar = sp.csr_matrix(A)
         Ar.sum_duplicates()
         self.pattern = pattern = _band_pattern(P, Ar, ordering)
@@ -212,12 +216,6 @@ class _CondensedSystem:
         band[-1] += sigma
         return band
 
-    def matrix(self, sigma: float, weights: np.ndarray) -> sp.csc_matrix:
-        M = self.P + sigma * sp.eye(self.P.shape[0], format="csc")
-        if self.A.shape[0]:
-            M = M + self.A.T @ sp.diags(weights) @ self.A
-        return sp.csc_matrix(M)
-
 
 class _BandedCholesky:
     """LAPACK banded Cholesky factor plus the ordering it was computed in."""
@@ -232,16 +230,23 @@ class _BandedCholesky:
         return out
 
 
-def _factor_kkt(system: _CondensedSystem, sigma: float, weights: np.ndarray):
-    """Factor the condensed system P + sigma I + A' diag(weights) A.
+class _NotPositiveDefinite(Exception):
+    """The condensed system of an active set has no Cholesky factor."""
 
-    Much smaller and fills far less than the equivalent 2x2 saddle form.  A
-    sparse LU takes over should rounding make the banded Cholesky break down.
+
+def _factor_kkt(system: _CondensedSystem, sigma: float, weights: np.ndarray):
+    """Banded Cholesky factor of P + sigma I + A' diag(weights) A.
+
+    Much smaller and fills far less than the equivalent 2x2 saddle form.
+    With large weights on the active rows, the matrix is positive definite
+    exactly when P + sigma I is positive definite on their null space
+    (Finsler's lemma), so a breakdown of the factorization is the inertia
+    test of the active set: it raises _NotPositiveDefinite.
     """
     factor, info = lapack.dpbtrf(system.band(sigma, weights))
-    if info == 0:
-        return _BandedCholesky(factor, system.pattern.perm)
-    return spla.splu(system.matrix(sigma, weights), permc_spec="MMD_AT_PLUS_A")
+    if info > 0:
+        raise _NotPositiveDefinite
+    return _BandedCholesky(factor, system.pattern.perm)
 
 
 @dataclass
@@ -313,8 +318,11 @@ def solve_qp(
     scaling: tuple | None = None,
     ordering=None,
 ) -> QpResult:
-    """Solve the interval-constrained convex QP; see module docstring.
+    """Solve the interval-constrained QP; see module docstring.
 
+    The status is solved, max_iterations (returning the best point seen),
+    primal_infeasible, dual_infeasible (unbounded objective) or non_convex
+    (P not positive definite on the null space of an active set).
     `scaling` may carry (d, e, c) equilibration vectors from a previous solve
     of a structurally identical problem, saving the Ruiz sweeps.  `ordering`
     is a permutation of range(n) under which P + A'A is narrow-banded
@@ -390,7 +398,11 @@ def solve_qp(
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
         seen.add(np.concatenate([low, upp]).tobytes())
-        found = _polish_point(data, x, y, low, upp)
+        try:
+            found = _polish_point(data, x, y, low, upp)
+        except _NotPositiveDefinite:
+            status = "non_convex"
+            break
         if found is None:
             break
         x_new, y_new, dx, dy = found
@@ -473,8 +485,9 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
 
     The equality rows and the inequality rows marked in `low` (held at their
     lower bound) and `upp` (at their upper bound) are active.  Works on the
-    scaled data and returns a scaled (x, y, dx, dy), or None when the system
-    cannot be factored or the solution is not finite.  The
+    scaled data and returns a scaled (x, y, dx, dy), or None when the
+    solution is not finite; _factor_kkt raises _NotPositiveDefinite when P
+    is not positive definite on the null space of the active rows.  The
     equality-constrained QP is solved by iterative refinement with the
     factor of P + _POLISH_REG I + _POLISH_RHO A_act' A_act, the regularized
     saddle system with its multiplier block eliminated.  The refinement
@@ -489,10 +502,7 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
     active = data.eq | low | upp
     targets = np.where(data.eq | upp, data.upper, np.where(low, data.lower, 0.0))
     weight = np.where(active, _POLISH_RHO, 0.0)
-    try:
-        factor = _factor_kkt(data.system, _POLISH_REG, weight)
-    except RuntimeError:
-        return None
+    factor = _factor_kkt(data.system, _POLISH_REG, weight)
     xh = x_est
     yh = np.where(active, y_est, 0.0)
     # Iterative refinement in correction form: each pass solves the

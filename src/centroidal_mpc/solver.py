@@ -1,9 +1,14 @@
-"""Gauss-Newton SQP over the transcribed problem.
+"""SQP with the exact Lagrangian Hessian over the transcribed problem.
 
-Each iteration solves a convex QP built from the (constant) quadratic cost
-Hessian and the current constraint linearizations, then backtracks on an l1
-merit function.  The quadratic costs make the Gauss-Newton model exact in the
-objective; a small diagonal floor keeps the subproblems strictly convex.
+Each iteration solves a QP built from the Hessian of the Lagrangian at the
+current iterate and multipliers (the quadratic cost Hessian plus the
+multiplier-weighted curvature of the bilinear torque defects) and the
+current constraint linearizations, then backtracks on an l1 merit function.
+A small diagonal floor is added to every QP Hessian.  The exact Hessian is
+indefinite; the QP's banded Cholesky tests, on each active set, that it is
+positive definite on the constraints' null space.  When that test fails the
+same iteration is solved again with the Gauss-Newton Hessian (cost Hessian
+only, positive semidefinite), the only safeguard.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ class Solution:
       function, and the iterate fails that test;
     - max_iterations: the iteration limit was reached;
     - infeasible: the linearized constraints stayed inconsistent;
-    - numerical_failure: non-finite values or an unbounded subproblem.
+    - numerical_failure: non-finite values, or a subproblem that is unbounded
+      or non-convex under the Gauss-Newton Hessian too.
 
     Any status other than converged returns the best iterate seen.
     """
@@ -169,7 +175,8 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
     """Run the SQP iteration from the given starting point.
 
     y0 optionally seeds the multipliers (e.g. from the previous solve of a
-    structurally identical problem); they only shape the first subproblem.
+    structurally identical problem); they shape the first subproblem's
+    Hessian and active set.
     """
     opts = options or SolverOptions()
     x = np.array(warm_start, dtype=float).reshape(-1)
@@ -184,8 +191,15 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         y = np.array(y0, dtype=float).reshape(-1)
     else:
         y = np.zeros(m_eq + m_in)
-    hess = sp.csc_matrix(problem.cost_hess())
-    P = hess + _HESSIAN_REGULARIZATION * sp.eye(problem.dimension, format="csc")
+    # Each subproblem's P is the Lagrangian Hessian at (x, y) when the
+    # problem provides one, and the Gauss-Newton model (cost Hessian only)
+    # otherwise and for a subproblem that the exact P makes non-convex.
+    if problem.lagrangian_hess is None:
+        gauss_newton = sp.csc_matrix(problem.cost_hess()) + _HESSIAN_REGULARIZATION * sp.eye(
+            problem.dimension, format="csc"
+        )
+    else:
+        gauss_newton = problem.lagrangian_hess(x, np.zeros(m_eq), _HESSIAN_REGULARIZATION)
     lo = problem.ineq_lower if m_in else np.zeros(0)
     hi = problem.ineq_upper if m_in else np.zeros(0)
 
@@ -198,7 +212,6 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
     merit_history: list = []
     best = None  # (key, x, y, kkt, viol, f)
     qp_scaling = None
-    last_step = np.inf
     elastic_stall = 0
     viol_at_elastic = None
 
@@ -242,11 +255,18 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             )
         else:
             A = lower = upper = None
-        qp_res = solve_qp(
-            P, g, A, lower, upper,
-            options=_SUBPROBLEM_OPTIONS,
-            y0=y, scaling=qp_scaling, ordering=problem.ordering,
-        )
+        hessians = [gauss_newton]
+        if problem.lagrangian_hess is not None:
+            exact = problem.lagrangian_hess(x, y[:m_eq], _HESSIAN_REGULARIZATION)
+            hessians = [exact, gauss_newton]
+        for P in hessians:
+            qp_res = solve_qp(
+                P, g, A, lower, upper,
+                options=_SUBPROBLEM_OPTIONS,
+                y0=y, scaling=qp_scaling, ordering=problem.ordering,
+            )
+            if qp_res.status != "non_convex":
+                break
         if qp_scaling is None:
             qp_scaling = qp_res.scaling
         if qp_res.status == "primal_infeasible":
@@ -267,7 +287,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
                 elastic_stall = 0
             viol_at_elastic = viol
             d, y_new = elastic
-        elif qp_res.status == "dual_infeasible":
+        elif qp_res.status in ("dual_infeasible", "non_convex"):
             status = "numerical_failure"
             break
         else:
@@ -315,30 +335,8 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             else:
                 status = "line_search_stall"
             break
-        x_old = x
         x = x + alpha * d
         y = y_new
-        # A small step that stopped shrinking marks a period-2 cycle between
-        # two active-set candidates; their midpoint cancels the alternating
-        # component.  Jump only when it strictly improves stationarity.
-        if (
-            alpha == 1.0
-            and step_norm <= 1e-3
-            and step_norm > 0.5 * last_step
-            and viol <= opts.constraint_tolerance
-        ):
-            x_mid = 0.5 * (x + x_old)
-            g_mid = problem.cost_grad(x_mid)
-            stat_mid = g_mid + problem.eq_jac(x_mid).T @ y[:m_eq] if m_eq else g_mid
-            if m_in:
-                stat_mid = stat_mid + problem.ineq_jac(x_mid).T @ y[m_eq:]
-            g_new = problem.cost_grad(x)
-            stat_new = g_new + problem.eq_jac(x).T @ y[:m_eq] if m_eq else g_new
-            if m_in:
-                stat_new = stat_new + problem.ineq_jac(x).T @ y[m_eq:]
-            if float(np.max(np.abs(stat_mid))) < float(np.max(np.abs(stat_new))):
-                x = x_mid
-        last_step = alpha * step_norm
 
     if status != "converged" and best is not None:
         _, x_best, y_best, kkt_best, viol_best, f_best = best
@@ -366,13 +364,14 @@ class DerivativeReport:
     gradient_error: float
     eq_error: float
     ineq_error: float
+    hessian_error: float
 
     def __str__(self):
         return (
             f"max rel error {self.max_relative_error:.3e} in {self.worst_block}"
             f"[{self.worst_row}, {self.worst_col}] "
             f"(grad {self.gradient_error:.2e}, eq {self.eq_error:.2e}, "
-            f"ineq {self.ineq_error:.2e})"
+            f"ineq {self.ineq_error:.2e}, hess {self.hessian_error:.2e})"
         )
 
 
@@ -474,8 +473,16 @@ def _fd_jacobian_check(fun, jac_matrix, pattern, x, h, m_rows):
     return worst
 
 
-def check_derivatives(problem, point, fd_step: float = 1e-6) -> DerivativeReport:
-    """Central-difference audit of the gradient and both constraint Jacobians."""
+def check_derivatives(
+    problem, point, fd_step: float = 1e-6, multipliers=None
+) -> DerivativeReport:
+    """Central-difference audit of the gradient, both constraint Jacobians
+    and, when the problem has one, the Lagrangian Hessian.
+
+    The Hessian is audited at the equality multipliers `multipliers` (all
+    ones when not given) against grouped differences of the Lagrangian's
+    gradient cost_grad(x) + eq_jac(x)' y, coloured by its own pattern.
+    """
     if not fd_step > 0.0:
         raise ValueError("fd_step must be positive")
     x = np.array(point, dtype=float).reshape(-1)
@@ -518,6 +525,22 @@ def check_derivatives(problem, point, fd_step: float = 1e-6) -> DerivativeReport
         if err > worst[0]:
             worst = (err, "ineq_jac", r, c)
 
+    hess_worst = 0.0
+    if problem.lagrangian_hess is not None:
+        y = np.ones(problem.n_eq) if multipliers is None else np.asarray(multipliers, float)
+        hess = problem.lagrangian_hess(x, y, 0.0).tocoo()
+
+        def lagrangian_grad(z):
+            g_z = problem.cost_grad(z)
+            return g_z + problem.eq_jac(z).T @ y if problem.n_eq else g_z
+
+        err, r, c = _fd_jacobian_check(
+            lagrangian_grad, hess, (hess.row, hess.col), x, h, x.size
+        )
+        hess_worst = err
+        if err > worst[0]:
+            worst = (err, "lagrangian_hess", r, c)
+
     return DerivativeReport(
         max_relative_error=worst[0],
         worst_block=worst[1],
@@ -526,4 +549,5 @@ def check_derivatives(problem, point, fd_step: float = 1e-6) -> DerivativeReport
         gradient_error=grad_worst,
         eq_error=eq_worst,
         ineq_error=ineq_worst,
+        hessian_error=hess_worst,
     )

@@ -5,8 +5,8 @@ one location per contact; per knot k in [0, N-1]: corner forces and one
 sliding velocity per contact.  Equality constraints are the explicit-Euler
 defects between consecutive knots plus a pin of knot 0 to the measured state.
 Inequalities are friction-pyramid rows on every corner force and box rows
-keeping each contact near its nominal location.  All first derivatives are
-analytic and sparse.
+keeping each contact near its nominal location.  All first derivatives and
+the Hessian of the Lagrangian are analytic and sparse.
 """
 
 from __future__ import annotations
@@ -274,6 +274,11 @@ class NlpProblem:
     set, is a permutation of the variables under which the Hessian plus the
     constraint Jacobians' Gram matrix is narrow-banded; the QP subproblems
     factor in that order.
+
+    `lagrangian_hess(x, y_eq, shift)`, when set, returns the Hessian of
+    cost(x) + y_eq' eq(x) at x, plus shift times the identity, as a CSC
+    matrix whose sparsity pattern never changes (explicit zeros included).
+    Inequalities must be linear: they add no curvature.
     """
 
     dimension: int
@@ -291,6 +296,7 @@ class NlpProblem:
     ineq_lower: np.ndarray | None = None
     ineq_upper: np.ndarray | None = None
     ordering: np.ndarray | None = None
+    lagrangian_hess: Callable[[np.ndarray, np.ndarray, float], sp.spmatrix] | None = None
 
 
 # The latest (key, result) of _cost_hessian, a pure function of its key.  A
@@ -479,6 +485,78 @@ def _eq_template(layout: DecisionLayout) -> _EqTemplate:
     if _LAST_EQ_TEMPLATE[0] != key:
         _LAST_EQ_TEMPLATE[:] = [key, _EqTemplate(layout)]
     return _LAST_EQ_TEMPLATE[1]
+
+
+# Entry e of the off-diagonal part of skew(y) is _SKEW_SIGN[e] *
+# y[_SKEW_SOURCE[e]], at row _SKEW_ROW[e] and column _SKEW_COL[e].
+_SKEW_ROW = np.array([0, 0, 1, 1, 2, 2])
+_SKEW_COL = np.array([1, 2, 0, 2, 0, 1])
+_SKEW_SOURCE = np.array([2, 1, 2, 0, 1, 0])
+_SKEW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+
+class _HessianTemplate:
+    """Layout-only structure of the Lagrangian Hessian, in CSC form.
+
+    y_eq' eq(x) is bilinear: with the arm a = p_i + R_i c_j - r, the angular
+    rows of defect k hold -T gamma_ki a x f_ij, so its Hessian couples the
+    corner force f_ij(k) with the contact position p_i(k) through
+    -T gamma_ki skew(y_k) and with the CoM r(k) through +T gamma_ki skew(y_k),
+    y_k being the multipliers of those rows.  The pattern is the union of
+    the cost Hessian's, the whole diagonal and the six off-diagonal entries
+    of every such block and its transpose, for every knot and contact
+    (gated-out ones too), so it depends on the layout alone: the cost
+    Hessian's pattern does too, since every weight is positive.
+
+    `curvature_slots` lists the CSC positions of the blocks (f, p), (p, f),
+    (f, r), (r, f), each ordered (contact, knot, corner, entry);
+    `cost_slots` those of the cost Hessian's CSR entries and `diag_slots`
+    those of the diagonal.  Every array is read-only.
+    """
+
+    def __init__(self, layout: DecisionLayout, cost_hess: sp.csr_matrix):
+        n, sd, cd = layout.size, layout.state_dim, layout.control_dim
+        ks = np.arange(layout.n_knots)
+        forces, positions, coms = [], [], []
+        for i, nv in enumerate(layout.corner_counts):
+            shape = (layout.n_knots, nv, 6)
+            f_base = layout.n_state_vars + ks * cd + int(layout._force_offsets[i])
+            forces.append(
+                (f_base[:, None, None] + 3 * np.arange(nv)[:, None] + _SKEW_ROW).ravel()
+            )
+            positions.append(
+                np.broadcast_to((ks * sd + 9 + 3 * i)[:, None, None] + _SKEW_COL, shape).ravel()
+            )
+            coms.append(np.broadcast_to((ks * sd)[:, None, None] + _SKEW_COL, shape).ravel())
+        f, p, r = (np.concatenate(a).astype(np.int64) for a in (forces, positions, coms))
+        # Keys col * n + row sort into CSC order.
+        curvature_keys = np.concatenate([p, f, r, f]) * n + np.concatenate([f, p, f, r])
+        cost_keys = cost_hess.indices.astype(np.int64) * n + np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(cost_hess.indptr)
+        )
+        diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
+        keys = np.unique(np.concatenate([curvature_keys, cost_keys, diag_keys]))
+        self.nnz = keys.size
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
+        self.curvature_slots = np.searchsorted(keys, curvature_keys)
+        self.cost_slots = np.searchsorted(keys, cost_keys)
+        self.diag_slots = np.searchsorted(keys, diag_keys)
+        for array in (self.indices, self.indptr, self.curvature_slots, self.cost_slots,
+                      self.diag_slots):
+            array.flags.writeable = False
+
+
+# The latest (key, result) of _hessian_template, a pure function of its key.
+_LAST_HESSIAN_TEMPLATE: list = [None, None]
+
+
+def _hessian_template(layout: DecisionLayout, cost_hess: sp.csr_matrix) -> _HessianTemplate:
+    """The _HessianTemplate of a layout, rebuilt only when the layout changes."""
+    key = (layout.n_knots, layout.corner_counts)
+    if _LAST_HESSIAN_TEMPLATE[0] != key:
+        _LAST_HESSIAN_TEMPLATE[:] = [key, _HessianTemplate(layout, cost_hess)]
+    return _LAST_HESSIAN_TEMPLATE[1]
 
 
 def _quadratic_cost_terms(
@@ -727,6 +805,28 @@ def build_nlp(
             shape=(m_eq, layout.size),
         )
 
+    hess_template = _hessian_template(layout, hess)
+    hess_base = np.zeros(hess_template.nnz)
+    hess_base[hess_template.cost_slots] = hess.data
+    gates = [period * gamma[:, i, None, None] for i in range(n_c)]
+
+    def lagrangian_hess(x: np.ndarray, y_eq: np.ndarray, shift: float) -> sp.csc_matrix:
+        y_ang = np.asarray(y_eq, dtype=float)[sd:].reshape(n_knots, sd)[:, 6:9]
+        skew = (y_ang[:, _SKEW_SOURCE] * _SKEW_SIGN)[:, None, :]
+        curvature = np.concatenate(
+            [np.broadcast_to(gate * skew, (n_knots, nv, 6)).ravel()
+             for gate, nv in zip(gates, layout.corner_counts)]
+        )
+        data = hess_base.copy()
+        data[hess_template.diag_slots] += shift
+        data[hess_template.curvature_slots] = np.concatenate(
+            [-curvature, -curvature, curvature, curvature]
+        )
+        return sp.csc_matrix(
+            (data, hess_template.indices.copy(), hess_template.indptr.copy()),
+            shape=(layout.size, layout.size),
+        )
+
     ineq_matrix, ineq_lower, ineq_upper = _inequality_rows(
         layout, schedule, rotations, nominal_contacts, pyramid, box
     )
@@ -755,4 +855,5 @@ def build_nlp(
         ineq_lower=ineq_lower,
         ineq_upper=ineq_upper,
         ordering=layout.stage_order(),
+        lagrangian_hess=lagrangian_hess,
     )

@@ -172,10 +172,25 @@ class TestNoDegradedSteps:
         assert not any(traj.degraded.any() for traj in runs.values())
 
 
+class TestSqpIterationCount:
+    """The exact Lagrangian Hessian converges fast after the push: no MPC
+    step of the bundled runs needs more than a handful of SQP iterations
+    (the Gauss-Newton model needed up to 9 on one leg and 10 on two)."""
+
+    def test_iterations_per_step(self, one_leg_push, two_leg_push):
+        worst = {
+            "one_leg_jump": int(one_leg_push[1].iterations.max()),
+            "two_leg_walk_run": int(two_leg_push[1].iterations.max()),
+        }
+        assert worst["one_leg_jump"] <= 4, worst
+        assert worst["two_leg_walk_run"] <= 5, worst
+
+
 class TestCriterion4:
     def test_derivative_correctness(self, one_leg_push, two_leg_push):
         rng = np.random.RandomState(2024)
-        worst = 0.0
+        multiplier_rng = np.random.RandomState(2025)
+        worst = worst_hess = 0.0
         points_total = 0
         for config in (one_leg_push[0], two_leg_push[0]):
             problem, plan, params, options, schedule, state, measured = _scenario_nlp(config)
@@ -183,15 +198,19 @@ class TestCriterion4:
             base = cold_start(plan, state, layout, options, params)
             for _ in range(50):
                 point = base + rng.uniform(-0.5, 0.5, size=layout.size)
-                report = check_derivatives(problem, point, fd_step=1e-6)
+                # multipliers of the size seen after a push (100-700)
+                y = multiplier_rng.uniform(-700.0, 700.0, size=problem.n_eq)
+                report = check_derivatives(problem, point, fd_step=1e-6, multipliers=y)
                 worst = max(worst, report.max_relative_error)
+                worst_hess = max(worst_hess, report.hessian_error)
                 points_total += 1
         ok = worst < 1e-5
         _report(
             "4 (derivative correctness)",
             ok,
-            f"max relative error {worst:.2e} < 1e-5 across {points_total} random points "
-            f"on both scenario NLPs (central differences, step 1e-6)",
+            f"max relative error {worst:.2e} < 1e-5 (Lagrangian Hessian {worst_hess:.2e}) "
+            f"across {points_total} random points and multipliers on both scenario NLPs "
+            f"(central differences, step 1e-6)",
         )
 
 

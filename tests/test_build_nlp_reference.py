@@ -286,3 +286,105 @@ class TestLayoutTemplateMemo:
         # a returned Jacobian is the caller's own to modify
         jac = problem.eq_jac(np.zeros(problem.dimension))
         assert all(a.flags.writeable for a in (jac.data, jac.indices, jac.indptr))
+
+
+def dense_lagrangian_hessian(problem, x, y, h=1e-6):
+    """Column by column central differences of cost_grad + eq_jac' y."""
+    def grad(z):
+        return problem.cost_grad(z) + problem.eq_jac(z).T @ y
+
+    out = np.empty((problem.dimension, problem.dimension))
+    for c in range(problem.dimension):
+        e = np.zeros(problem.dimension)
+        e[c] = h
+        out[:, c] = (grad(x + e) - grad(x - e)) / (2.0 * h)
+    return out
+
+
+class TestLagrangianHessian:
+    @pytest.mark.parametrize("geometries, schedule", [
+        ([RECT, POINT], [[ON, OFF], [ON, OFF], [ON, ON], [OFF, ON], [OFF, ON], [ON, ON]]),
+        ([RECT, POINT], [[OFF, ON]] * 3 + [[OFF, OFF]] * 3),
+        ([RECT], [[ON], [ON], [OFF], [OFF], [ON], [ON]]),
+    ])
+    def test_matches_dense_finite_differences(self, geometries, schedule):
+        problem, _ = make_problem(make_plan(geometries), schedule)
+        rng = np.random.RandomState(5)
+        x = rng.randn(problem.dimension)
+        y = 300.0 * rng.randn(problem.n_eq)
+        hess = problem.lagrangian_hess(x, y, 0.0)
+        dense = dense_lagrangian_hessian(problem, x, y)
+        scale = np.maximum(1.0, np.abs(dense))
+        assert np.max(np.abs(hess.toarray() - dense) / scale) < 1e-6
+        # the cost part is cost_hess, the shift lands on the diagonal only
+        without_curvature = problem.lagrangian_hess(x, np.zeros(problem.n_eq), 0.0)
+        assert np.array_equal(without_curvature.toarray(), problem.cost_hess().toarray())
+        shifted = problem.lagrangian_hess(x, y, 1e-3).toarray()
+        np.testing.assert_array_equal(shifted - np.diag(np.diag(shifted)),
+                                      hess.toarray() - np.diag(np.diag(hess.toarray())))
+        np.testing.assert_allclose(np.diag(shifted), np.diag(hess.toarray()) + 1e-3,
+                                   rtol=0, atol=1e-15)
+
+    def test_curvature_couples_variables_of_one_stage(self):
+        # so it stays inside the band of the stage-wise ordering
+        problem, _ = make_problem(make_plan([RECT, POINT]), [[ON, ON]] * N_KNOTS)
+        layout = DecisionLayout(N_KNOTS, [4, 1])
+        curvature = (
+            problem.lagrangian_hess(np.zeros(problem.dimension), np.ones(problem.n_eq), 0.0)
+            - problem.cost_hess()
+        ).tocoo()
+        assert curvature.nnz == 4 * 6 * N_KNOTS * 5  # (f, p), (f, r) and transposes
+        position = np.empty(problem.dimension, dtype=int)
+        position[problem.ordering] = np.arange(problem.dimension)
+        stage = position // (layout.state_dim + layout.control_dim)
+        assert np.array_equal(stage[curvature.row], stage[curvature.col])
+
+    def test_pattern_is_identical_for_every_schedule_of_a_layout(self):
+        # every schedule of two contacts over three knots, dead contacts
+        # included; gated-out blocks stay as explicit zeros
+        n_knots = 3
+        plan = make_plan([RECT, POINT])
+        layout = DecisionLayout(n_knots, [4, 1])
+        rng = np.random.RandomState(8)
+        x = rng.randn(layout.size)
+        y = rng.randn(layout.state_dim * (n_knots + 1))
+        first = None
+        for bits_ in range(2 ** (2 * n_knots)):
+            schedule = (bits_ >> np.arange(2 * n_knots) & 1).astype(bool).reshape(n_knots, 2)
+            problem = build_nlp(
+                plan, CentroidalState(np.zeros(3), np.zeros(3), np.zeros(3)),
+                np.array([c.nominal_position for c in plan.contacts]), schedule,
+                np.zeros((n_knots + 1, 3)), Weights(), PYRAMID, BOX, n_knots, PERIOD, PARAMS,
+            )
+            hess = problem.lagrangian_hess(x, y, 1e-9)
+            assert hess.format == "csc" and hess.has_sorted_indices
+            if first is None:
+                first = hess
+            assert np.array_equal(hess.indptr, first.indptr)
+            assert np.array_equal(hess.indices, first.indices)
+            # a contact gated out at knot k adds no curvature there
+            for k, i in zip(*np.nonzero(~schedule)):
+                for j in range(layout.corner_counts[i]):
+                    rows = np.arange(layout.force_slice(k, i, j).start,
+                                     layout.force_slice(k, i, j).stop)
+                    block = hess[rows][:, layout.contact_position_slice(k, i)]
+                    assert block.nnz == 6 and not np.any(block.data)
+
+    def test_alternating_layouts_each_get_their_own_hessian(self):
+        one_leg = make_plan([POINT])
+        two_legs = make_plan([RECT, POINT])
+        first, _ = make_problem(one_leg, [[ON]] * N_KNOTS)
+        y = np.random.RandomState(3).randn(first.n_eq)
+        x = np.zeros(first.dimension)
+        expected = first.lagrangian_hess(x, y, 0.0)
+        other, _ = make_problem(two_legs, [[ON, ON]] * N_KNOTS, seed=1)
+        assert other.lagrangian_hess(np.zeros(other.dimension), np.ones(other.n_eq),
+                                     0.0).shape == (other.dimension, other.dimension)
+        again, _ = make_problem(one_leg, [[ON]] * N_KNOTS)
+        assert same_csr(again.lagrangian_hess(x, y, 0.0).tocsr(), expected.tocsr())
+        # the memo holds the one-leg template, so no cost Hessian is needed
+        template = transcription._hessian_template(DecisionLayout(N_KNOTS, [1]), None)
+        for array in (template.indices, template.indptr, template.curvature_slots,
+                      template.cost_slots, template.diag_slots):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0

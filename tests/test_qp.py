@@ -299,6 +299,55 @@ class TestInfeasibility:
         assert res.status == "dual_infeasible"
 
 
+class TestNonConvex:
+    """P may be indefinite; it must be positive definite on the null space
+    of every active set the iteration visits, and a breakdown of the banded
+    Cholesky says it is not."""
+
+    P = sp.diags([1.0, -1.0], format="csc")
+
+    def test_indefinite_on_the_active_null_space(self):
+        # x0 = 1 leaves x1 free, along which the curvature is -1.
+        res = solve_qp(self.P, np.zeros(2), sp.csc_matrix(np.array([[1.0, 0.0]])),
+                       np.array([1.0]), np.array([1.0]))
+        assert res.status == "non_convex"
+        assert not res.solved
+
+    def test_definite_on_the_active_null_space_is_solved(self):
+        # x1 = 1 leaves x0 free, along which the curvature is +1.
+        q = np.array([-2.0, 0.5])
+        res = solve_qp(self.P, q, sp.csc_matrix(np.array([[0.0, 1.0]])),
+                       np.array([1.0]), np.array([1.0]))
+        assert res.solved
+        np.testing.assert_allclose(res.x, [2.0, 1.0], atol=1e-9)
+        # stationarity: P x + q + A' y = 0
+        assert res.y[0] == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("y0, expected", [(None, "non_convex"), ([1.0], "solved")])
+    def test_every_visited_set_is_tested(self, y0, expected):
+        # 0 <= x1 <= 1 with the curvature -1 along x1: the empty set that a
+        # cold start visits first breaks down; warm duals that start at the
+        # upper bound, a local minimum, never visit it.
+        res = solve_qp(self.P, np.zeros(2), sp.csc_matrix(np.array([[0.0, 1.0]])),
+                       np.array([0.0]), np.array([1.0]), y0=y0)
+        assert res.status == expected
+        if expected == "solved":
+            np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-9)
+
+    def test_no_factor_of_another_matrix_is_tried(self, monkeypatch):
+        calls = []
+        original = qp._factor_kkt
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qp, "_factor_kkt", counted)
+        res = solve_qp(self.P, np.zeros(2), sp.csc_matrix(np.array([[1.0, 0.0]])),
+                       np.array([1.0]), np.array([1.0]))
+        assert res.status == "non_convex" and len(calls) == 1
+
+
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         rng = np.random.RandomState(3)

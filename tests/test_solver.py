@@ -165,6 +165,77 @@ class TestRobustness:
             solve(problem, np.zeros(3))
 
 
+class TestGaussNewtonFallback:
+    """The exact-Hessian subproblem that is non-convex is solved again with
+    the Gauss-Newton Hessian, at the same iterate."""
+
+    @staticmethod
+    def hyperbola_problem():
+        # min 1/2 |x - (1.5, 1.5)|^2  s.t.  x0 x1 = 1: solution (1, 1) with
+        # multiplier 0.5.  The Lagrangian Hessian I + y [[0, 1], [1, 0]] is
+        # negative along the constraint's tangent when y is large.
+        target = np.array([1.5, 1.5])
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        return NlpProblem(
+            dimension=2,
+            cost=lambda x: float(0.5 * np.sum((x - target) ** 2)),
+            cost_grad=lambda x: x - target,
+            cost_hess=lambda: sp.csr_matrix(np.eye(2)),
+            n_eq=1,
+            eq=lambda x: np.array([x[0] * x[1] - 1.0]),
+            eq_jac=lambda x: sp.csr_matrix(np.array([[x[1], x[0]]])),
+            lagrangian_hess=lambda x, y, shift: sp.csc_matrix(
+                (1.0 + shift) * np.eye(2) + y[0] * swap
+            ),
+        )
+
+    @staticmethod
+    def spy_statuses(monkeypatch):
+        statuses = []
+        original = solver.solve_qp
+
+        def spy(*args, **kwargs):
+            result = original(*args, **kwargs)
+            statuses.append(result.status)
+            return result
+
+        monkeypatch.setattr(solver, "solve_qp", spy)
+        return statuses
+
+    def test_breakdown_is_resolved_with_gauss_newton(self, monkeypatch):
+        statuses = self.spy_statuses(monkeypatch)
+        sol = solve(self.hyperbola_problem(), np.array([1.2, 0.9]), TIGHT, y0=[5.0])
+        assert statuses[:2] == ["non_convex", "solved"]
+        assert "non_convex" not in statuses[2:]
+        assert sol.converged
+        np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-8)
+        assert sol.multipliers[0] == pytest.approx(0.5, abs=1e-8)
+
+    def test_exact_hessian_converges_quadratically(self, monkeypatch):
+        statuses = self.spy_statuses(monkeypatch)
+        exact = solve(self.hyperbola_problem(), np.array([1.2, 0.9]), TIGHT, y0=[0.5])
+        problem = self.hyperbola_problem()
+        problem.lagrangian_hess = None
+        gauss_newton = solve(problem, np.array([1.2, 0.9]), TIGHT, y0=[0.5])
+        assert exact.converged and gauss_newton.converged
+        assert "non_convex" not in statuses
+        assert exact.iterations < gauss_newton.iterations
+
+    def test_gauss_newton_breakdown_is_numerical_failure(self, monkeypatch):
+        # Curvature -1 along the free variable, in the cost itself.
+        statuses = self.spy_statuses(monkeypatch)
+        H = np.diag([1.0, -1.0])
+        problem = quadratic_problem(H, np.zeros(2), eq=(np.array([[1.0, 0.0]]), np.array([1.0])))
+        problem.lagrangian_hess = lambda x, y, shift: sp.csc_matrix(H + shift * np.eye(2))
+        sol = solve(problem, np.zeros(2))
+        assert statuses == ["non_convex", "non_convex"]
+        assert sol.status == "numerical_failure"
+        problem.lagrangian_hess = None
+        statuses.clear()
+        assert solve(problem, np.zeros(2)).status == "numerical_failure"
+        assert statuses == ["non_convex"]
+
+
 class TestRejectedStepExit:
     @staticmethod
     def circle_problem():
@@ -243,6 +314,34 @@ class TestCheckDerivatives:
         assert report.worst_block == "eq_jac"
         assert (report.worst_row, report.worst_col) == (0, 2)
         assert report.max_relative_error > 0.1
+
+    @pytest.mark.parametrize("fault", ["value", "missing"])
+    def test_corrupted_hessian_flagged_at_exact_index(self, fault):
+        problem = TestGaussNewtonFallback.hyperbola_problem()
+        exact = problem.lagrangian_hess
+        y = np.array([0.7])
+        x = np.array([0.3, -1.1])
+        good = check_derivatives(problem, x, multipliers=y)
+        assert good.hessian_error < 1e-8 and good.max_relative_error < 1e-8
+
+        def corrupted(v, y_eq, shift):
+            hess = exact(v, y_eq, shift).toarray()
+            if fault == "value":
+                hess[1, 0] += 0.25
+            else:
+                hess[1, 0] = hess[0, 1] = 0.0  # dropped from the pattern too
+            return sp.csc_matrix(hess)
+
+        problem.lagrangian_hess = corrupted
+        report = check_derivatives(problem, x, multipliers=y)
+        assert report.worst_block == "lagrangian_hess"
+        if fault == "value":
+            assert (report.worst_row, report.worst_col) == (1, 0)
+            assert report.hessian_error == pytest.approx(0.25)
+        else:
+            # Both columns share one probe; row 0 sees 1 + 0.7 for its 1.
+            assert (report.worst_row, report.worst_col) == (0, 0)
+            assert report.hessian_error == pytest.approx(0.7 / 1.7)
 
     @staticmethod
     def entry_by_entry_scan(fun, jac_matrix, pattern, x, h, m_rows):
