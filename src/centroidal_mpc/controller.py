@@ -1,11 +1,12 @@
 """Receding-horizon controller around the transcribed problem.
 
 Each control instant builds the horizon problem from the measured state and
-the plan, solves it warm-started from the shifted previous solution, and
-extracts the first control plus the optimized landing positions of upcoming
-touchdowns.  The predicted trajectory is reconstructed by rolling the solved
-controls through the same Euler step the plant uses, so prediction and plant
-agree exactly when their inputs match.
+the plan, solves it warm-started from the previous primal and dual solution,
+both shifted one knot in time, and extracts the first control plus the
+optimized landing positions of upcoming touchdowns.  The predicted
+trajectory is reconstructed by rolling the solved controls through the same
+Euler step the plant uses, so prediction and plant agree exactly when their
+inputs match.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .transcription import (
     ContactBox,
     DecisionLayout,
     FrictionPyramid,
+    NlpProblem,
     Weights,
     build_nlp,
     friction_pyramid,
@@ -107,6 +109,16 @@ def shift_warm_start(previous, layout: DecisionLayout) -> np.ndarray:
     return out
 
 
+def shift_multipliers(multipliers, problem: NlpProblem) -> np.ndarray:
+    """Advance constraint multipliers by one knot, as shift_warm_start does x."""
+    y_prev = np.asarray(multipliers, dtype=float)
+    if y_prev.size != problem.shift_rows.size:
+        raise ValueError(
+            f"multipliers have {y_prev.size} entries, problem has {problem.shift_rows.size} rows"
+        )
+    return y_prev[problem.shift_rows]
+
+
 def _sanitize_forces(forces, schedule, pyramid: FrictionPyramid, rotations):
     """Zero gated-out forces and clamp the rest into the pyramid.
 
@@ -175,7 +187,7 @@ def mpc_step(
     if previous is not None and previous.x.size == layout.size:
         warm = shift_warm_start(previous, layout)
         # duals from a solve that never converged mislead more than they help
-        y0 = previous.multipliers if previous.converged else None
+        y0 = shift_multipliers(previous.multipliers, problem) if previous.converged else None
     else:
         warm = cold_start(plan, current_state, layout, options, params, t0=t)
         y0 = None

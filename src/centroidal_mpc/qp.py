@@ -77,11 +77,15 @@ def _column_max(abs_data: np.ndarray, indices: np.ndarray, size: int) -> np.ndar
     return out
 
 
-def _ruiz_scale(P: sp.csc_matrix, q: np.ndarray, A: sp.csc_matrix, iterations: int):
+def _ruiz_scale(
+    P: sp.csc_matrix, q: np.ndarray, A: sp.csc_matrix, free: np.ndarray, iterations: int
+):
     """Modified Ruiz equilibration of the stacked KKT data plus cost scaling.
 
-    Operates in place on copies of the nonzero data, which keeps the cost
-    linear in nnz per sweep.
+    Rows marked `free` (no finite bound) take no part in the norms, so they
+    leave the scaling of the other rows, the variables and the cost as it
+    would be without them.  Operates in place on copies of the nonzero data,
+    which keeps the cost linear in nnz per sweep.
     """
     n, m = q.size, A.shape[0]
     d = np.ones(n)
@@ -94,9 +98,10 @@ def _ruiz_scale(P: sp.csc_matrix, q: np.ndarray, A: sp.csc_matrix, iterations: i
     p_row = Ps.indices
     a_col = np.repeat(np.arange(n), np.diff(As.indptr))
     a_row = As.indices
+    counted = ~free[a_row]
     for _ in range(iterations):
         abs_p = np.abs(Ps.data)
-        abs_a = np.abs(As.data)
+        abs_a = np.where(counted, np.abs(As.data), 0.0)
         norm_x = _column_max(abs_p, p_col, n)
         if m:
             np.maximum.at(norm_x, a_col, abs_a)
@@ -164,10 +169,10 @@ class _BandPattern:
 
 
 # The latest (key, result) of _band_pattern, a pure function of its key.
-# The QPs of one MPC step share a pattern, which changes only with the
-# contact schedule.  In the bundled runs a single entry serves 114 of 130
-# lookups (one leg) and 91 of 114 (two legs); an unbounded memo would serve
-# 114 and 94.
+# build_nlp's constraint rows depend on the layout alone, so the QPs of a
+# whole run share a pattern: in the bundled runs the single entry serves 63
+# of 64 lookups (one leg) and 67 of 68 (two legs), the first QP of the run
+# building it.
 _LAST_PATTERN: list = [None, None]
 
 
@@ -329,7 +334,9 @@ def solve_qp(
     (reverse Cuthill-McKee when not given); any other array raises
     ValueError.  The first active set is the sign pattern of `y0` (no
     inequality row without it), so a warm start that carries the right
-    active set costs one iteration.
+    active set costs one iteration.  A row whose bounds are both infinite
+    never becomes active and changes neither the scaling nor the solution;
+    its multiplier is zero.
     """
     opts = options or QpOptions()
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -366,7 +373,8 @@ def solve_qp(
             As.data *= e[As.indices] * d[np.repeat(np.arange(n), np.diff(As.indptr))]
         qs = c * d * q
     else:
-        Ps, qs, As, d, e, c = _ruiz_scale(P, q, A, _SCALING_ITERATIONS)
+        free = ~(np.isfinite(lower) | np.isfinite(upper))
+        Ps, qs, As, d, e, c = _ruiz_scale(P, q, A, free, _SCALING_ITERATIONS)
     ls = e * lower
     us = e * upper
     eq = np.isfinite(lower) & (lower == upper)

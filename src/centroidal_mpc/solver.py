@@ -174,9 +174,9 @@ def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, n):
 def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) -> Solution:
     """Run the SQP iteration from the given starting point.
 
-    y0 optionally seeds the multipliers (e.g. from the previous solve of a
-    structurally identical problem); they shape the first subproblem's
-    Hessian and active set.
+    y0 optionally seeds the multipliers, one per constraint row (equality
+    rows first), e.g. from the previous solve of a problem with the same
+    rows; they shape the first subproblem's Hessian and active set.
     """
     opts = options or SolverOptions()
     x = np.array(warm_start, dtype=float).reshape(-1)
@@ -187,10 +187,12 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
     t_start = time.perf_counter()
     m_eq = problem.n_eq
     m_in = problem.n_ineq
-    if y0 is not None and np.asarray(y0).size == m_eq + m_in:
-        y = np.array(y0, dtype=float).reshape(-1)
-    else:
+    if y0 is None:
         y = np.zeros(m_eq + m_in)
+    else:
+        y = np.array(y0, dtype=float).reshape(-1)
+        if y.size != m_eq + m_in:
+            raise ValueError(f"y0 has {y.size} entries, problem has {m_eq + m_in} rows")
     # Each subproblem's P is the Lagrangian Hessian at (x, y) when the
     # problem provides one, and the Gauss-Newton model (cost Hessian only)
     # otherwise and for a subproblem that the exact P makes non-convex.

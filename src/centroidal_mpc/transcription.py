@@ -279,6 +279,12 @@ class NlpProblem:
     cost(x) + y_eq' eq(x) at x, plus shift times the identity, as a CSC
     matrix whose sparsity pattern never changes (explicit zeros included).
     Inequalities must be linear: they add no curvature.
+
+    `shift_rows`, when set, lists per constraint row (equality rows, then
+    inequality rows) the row of the same constraint one knot later; the
+    rows of the last knot list themselves.  Multipliers y of one control
+    instant, read as y[shift_rows], seed those of the next, as
+    controller.shift_warm_start seeds x.
     """
 
     dimension: int
@@ -297,6 +303,7 @@ class NlpProblem:
     ineq_upper: np.ndarray | None = None
     ordering: np.ndarray | None = None
     lagrangian_hess: Callable[[np.ndarray, np.ndarray, float], sp.spmatrix] | None = None
+    shift_rows: np.ndarray | None = None
 
 
 # The latest (key, result) of _cost_hessian, a pure function of its key.  A
@@ -587,6 +594,80 @@ def _quadratic_cost_terms(
     return _cost_hessian(layout, weights, period), c, constant
 
 
+class _IneqTemplate:
+    """The inequality matrix of a layout, its rotations and its pyramid.
+
+    Rows come in two blocks: six pyramid rows per (step, contact, corner),
+    step-major, then three box rows per (knot 1..N, contact), knot-major.
+    The rows do not depend on the schedule, which sets only their bounds
+    (_inequality_rows).  `matrix` is CSR and `pattern` its (row, col)
+    entries in CSR order; every array is read-only, since one template is
+    shared by all problems of its key.
+    """
+
+    def __init__(self, layout: DecisionLayout, rotations: np.ndarray, pyramid: FrictionPyramid):
+        n_knots, n_c, sd = layout.n_knots, layout.n_contacts, layout.state_dim
+        xyz = np.arange(3)
+        contact_of = np.repeat(np.arange(n_c), layout.corner_counts)
+        force_starts = layout.force_slice(0, 0, 0).start + 3 * np.arange(contact_of.size)
+        friction_cols = (
+            layout.control_dim * np.arange(n_knots)[:, None, None, None]
+            + force_starts[:, None, None]
+            + xyz
+        )
+        friction_shape = (n_knots, contact_of.size, 6, 3)
+        pyr_local = np.array([pyramid.A @ rotations[i].T for i in range(n_c)])
+        friction_vals = np.broadcast_to(pyr_local[contact_of], friction_shape)
+        position_starts = 9 + 3 * np.arange(n_c)
+        box_cols = (
+            sd * np.arange(1, n_knots + 1)[:, None, None, None]
+            + position_starts[:, None, None]
+            + xyz
+        )
+        box_shape = (n_knots, n_c, 3, 3)
+        box_vals = np.broadcast_to(rotations.transpose(0, 2, 1), box_shape)
+        n_rows = friction_vals.size // 3 + box_vals.size // 3
+        self.matrix = sp.coo_matrix(
+            (
+                np.concatenate([friction_vals.ravel(), box_vals.ravel()]),
+                (
+                    np.repeat(np.arange(n_rows), 3),
+                    np.concatenate([
+                        np.broadcast_to(friction_cols, friction_shape).ravel(),
+                        np.broadcast_to(box_cols, box_shape).ravel(),
+                    ]),
+                ),
+            ),
+            shape=(n_rows, layout.size),
+        ).tocsr()
+        coo = self.matrix.tocoo()
+        self.pattern = (coo.row, coo.col)
+        for array in (self.matrix.data, self.matrix.indices, self.matrix.indptr, *self.pattern):
+            array.flags.writeable = False
+
+
+# The latest (key, result) of _ineq_template, a pure function of its key.  A
+# run keeps one layout, one set of contact rotations and one pyramid, so one
+# entry serves all of its horizon problems.
+_LAST_INEQ_TEMPLATE: list = [None, None]
+
+
+def _ineq_template(
+    layout: DecisionLayout, rotations: np.ndarray, pyramid: FrictionPyramid
+) -> _IneqTemplate:
+    """The _IneqTemplate of its key, rebuilt only when the key changes."""
+    key = (layout.n_knots, layout.corner_counts, rotations.tobytes(), pyramid.A.tobytes())
+    if _LAST_INEQ_TEMPLATE[0] != key:
+        _LAST_INEQ_TEMPLATE[:] = [key, _IneqTemplate(layout, rotations, pyramid)]
+    return _LAST_INEQ_TEMPLATE[1]
+
+
+# Pyramid faces x - c z, y - c z and z (friction_pyramid's rows 0, 2 and 5):
+# their normals are independent, so holding all three at zero holds the
+# contact-frame force, and with it the force, at zero.
+_PIN_FACES = np.array([0, 2, 5])
+
+
 def _inequality_rows(
     layout: DecisionLayout,
     schedule: np.ndarray,
@@ -595,77 +676,62 @@ def _inequality_rows(
     pyramid: FrictionPyramid,
     box: ContactBox,
 ):
-    """The constant inequality matrix (CSR) with its lower and upper bounds.
+    """The shared _IneqTemplate of the problem with this schedule's bounds.
 
-    Rows come in three blocks: six pyramid rows per (step, contact, corner),
-    step-major, for every contact that bears load somewhere in the horizon
-    (gated-out steps included); three zero pins per (contact, step, corner)
-    for every other contact; three box rows per (knot, contact), knot-major,
-    from the first knot the contact can move to.
+    The rows are the template's, the same for every schedule of a layout.
+    The schedule sets only the bounds, and a row that does not apply gets
+    (-inf, inf), which the QP never activates.  Pyramid rows hold the
+    pyramid's bounds at every step of a contact that bears load somewhere in
+    the horizon, gated-out steps included; those of any other contact pin
+    its forces to zero.  Box rows hold the box from the first knot the
+    contact can move to.
     """
-    n_knots, n_c = layout.n_knots, layout.n_contacts
-    step_cols = layout.control_dim * np.arange(n_knots)[:, None]
-    xyz = np.arange(3)
+    n_knots = layout.n_knots
+    template = _ineq_template(layout, rotations, pyramid)
     # A contact gated out over the entire horizon leaves its forces with no
     # dynamic or cost anchor: a flat optimal manifold whose boundary is the
-    # cone apex.  Pin those dead variables to their exact optimum (zero) and
-    # drop their vacuous pyramid rows.
-    dead = [not schedule[:, i].any() for i in range(n_c)]
-    live = [(i, j) for i in range(n_c) if not dead[i] for j in range(layout.corner_counts[i])]
-    live_cols = step_cols + [layout.force_slice(0, i, j).start for i, j in live]
-    friction_shape = (n_knots, len(live), 6, 3)
-    friction_cols = np.broadcast_to(live_cols[:, :, None, None] + xyz, friction_shape)
-    pyr_local = [pyramid.A @ rotations[i].T for i in range(n_c)]
-    friction_vals = np.broadcast_to(
-        np.array([pyr_local[i] for i, _ in live]).reshape(len(live), 6, 3), friction_shape
-    )
-    dead_cols = [np.zeros(0, dtype=int)] + [
-        (step_cols + [layout.force_slice(0, i, j).start for j in range(nv)]).ravel()
-        for i, nv in enumerate(layout.corner_counts)
-        if dead[i]
-    ]
-    pin_cols = np.concatenate(dead_cols)[:, None] + xyz
+    # cone apex.  Pin those dead variables to their exact optimum (zero)
+    # with three independent faces held at zero; the other three are free.
+    dead = np.repeat(~schedule.any(axis=0), layout.corner_counts)
+    face_lower = np.full((dead.size, 6), -np.inf)
+    face_upper = np.where(dead[:, None], np.inf, pyramid.b)
+    face_lower[np.ix_(dead, _PIN_FACES)] = 0.0
+    face_upper[np.ix_(dead, _PIN_FACES)] = 0.0
     # While a contact has been gated on since knot 0, the defect chain pins
     # its whole position trajectory to the measured (already box-checked)
     # value; box rows there would only duplicate equalities, and the
     # redundant pairs admit arbitrary multiplier splits that first-order
     # methods never shake off.  Impose the box only from the first knot the
     # position can actually move to (row k - 1 of `movable` is knot k).
-    movable = np.logical_or.accumulate(~schedule, axis=0)
-    box_knots, box_contacts = np.nonzero(movable)
-    box_base = (box_knots + 1) * layout.state_dim + 9 + 3 * box_contacts
-    box_cols = np.broadcast_to(box_base[:, None, None] + xyz, (box_base.size, 3, 3))
-    box_vals = rotations.transpose(0, 2, 1)[box_contacts]
-    anchors = np.array([rotations[i].T @ nominal_contacts[i] for i in range(n_c)])
+    movable = np.logical_or.accumulate(~schedule, axis=0)[:, :, None]
+    anchors = np.array([rotations[i].T @ nominal_contacts[i] for i in range(layout.n_contacts)])
+    box_lower = np.where(movable, anchors - box.upper, -np.inf)
+    box_upper = np.where(movable, anchors - box.lower, np.inf)
+    lower = np.concatenate([np.tile(face_lower.ravel(), n_knots), box_lower.ravel()])
+    upper = np.concatenate([np.tile(face_upper.ravel(), n_knots), box_upper.ravel()])
+    return template, lower, upper
 
-    # (columns, values) of each block, one row of the block per leading index.
-    blocks = [
-        (friction_cols.reshape(-1, 3), friction_vals.reshape(-1, 3)),
-        (pin_cols.reshape(-1, 1), np.ones((pin_cols.size, 1))),
-        (box_cols.reshape(-1, 3), box_vals.reshape(-1, 3)),
-    ]
-    row_widths = np.concatenate([np.full(cols.shape[0], cols.shape[1]) for cols, _ in blocks])
-    n_rows = row_widths.size
-    matrix = sp.coo_matrix(
-        (
-            np.concatenate([vals.ravel() for _, vals in blocks]),
-            (
-                np.repeat(np.arange(n_rows), row_widths),
-                np.concatenate([cols.ravel() for cols, _ in blocks]),
-            ),
-        ),
-        shape=(n_rows, layout.size),
-    ).tocsr()
-    n_friction = n_knots * len(live)
-    lower = np.concatenate(
-        [np.full(6 * n_friction, -np.inf), np.zeros(pin_cols.size),
-         (anchors - box.upper)[box_contacts].ravel()]
+
+def _shift_rows(layout: DecisionLayout) -> np.ndarray:
+    """Per constraint row, the row of the same constraint one knot later.
+
+    Equality rows come first: the knot-0 pin and then one defect block per
+    step, so the pin maps to the first defect, whose multipliers are the
+    costate of knot 1.  Then the pyramid rows, one block per step, and the
+    box rows, one block per knot.  Block k maps to block k + 1, and the last
+    block of each kind to itself, the rule of controller.shift_warm_start.
+    """
+    blocks = (
+        (layout.n_knots + 1, layout.state_dim),
+        (layout.n_knots, 6 * sum(layout.corner_counts)),
+        (layout.n_knots, 3 * layout.n_contacts),
     )
-    upper = np.concatenate(
-        [np.tile(pyramid.b, n_friction), np.zeros(pin_cols.size),
-         (anchors - box.lower)[box_contacts].ravel()]
-    )
-    return matrix, lower, upper
+    out, start = [], 0
+    for count, size in blocks:
+        rows = np.arange(start, start + count * size)
+        out.append(np.where(rows < start + (count - 1) * size, rows + size, rows))
+        start += count * size
+    return np.concatenate(out)
 
 
 def build_nlp(
@@ -686,9 +752,9 @@ def build_nlp(
 
     schedule holds the gate per step (n_knots rows); nominal_com_samples
     covers all n_knots + 1 state knots.  The disturbance profile (one wrench
-    per step) enters the momentum defects as a known input.  Pyramid rows
-    are built for every step of a contact that bears load somewhere in the
-    horizon, gated-out steps included.
+    per step) enters the momentum defects as a known input.  The constraint
+    rows depend on the layout alone; the schedule sets the equality
+    Jacobian's gated values and the inequality bounds (_inequality_rows).
     """
     n_c = plan.n_contacts
     layout = DecisionLayout(n_knots, [c.geometry.n_corners for c in plan.contacts])
@@ -827,11 +893,10 @@ def build_nlp(
             shape=(layout.size, layout.size),
         )
 
-    ineq_matrix, ineq_lower, ineq_upper = _inequality_rows(
+    ineq_template, ineq_lower, ineq_upper = _inequality_rows(
         layout, schedule, rotations, nominal_contacts, pyramid, box
     )
-    m_ineq = ineq_matrix.shape[0]
-    in_coo = ineq_matrix.tocoo()
+    ineq_matrix = ineq_template.matrix
 
     def ineq(x: np.ndarray) -> np.ndarray:
         return ineq_matrix @ x
@@ -848,12 +913,13 @@ def build_nlp(
         eq=eq,
         eq_jac=eq_jac,
         eq_pattern=(template.rows, template.cols),
-        n_ineq=m_ineq,
+        n_ineq=ineq_matrix.shape[0],
         ineq=ineq,
         ineq_jac=ineq_jac,
-        ineq_pattern=(in_coo.row.copy(), in_coo.col.copy()),
+        ineq_pattern=ineq_template.pattern,
         ineq_lower=ineq_lower,
         ineq_upper=ineq_upper,
         ordering=layout.stage_order(),
         lagrangian_hess=lagrangian_hess,
+        shift_rows=_shift_rows(layout),
     )

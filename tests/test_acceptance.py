@@ -7,11 +7,12 @@ re-runs, which need fresh executions by design).
 """
 
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from centroidal_mpc import bundled_scenario
+from centroidal_mpc import bundled_scenario, controller, qp
 from centroidal_mpc.controller import cold_start, layout_for
 from centroidal_mpc.model import CentroidalState, euler_step_batch
 from centroidal_mpc.plan import horizon_schedule, nominal_com_trajectory
@@ -29,12 +30,41 @@ def _report(criterion: str, passed: bool, detail: str):
     assert passed, f"criterion {criterion}: {detail}"
 
 
+@dataclass
+class SolveRecord:
+    """What the controller handed to `solve` over one run, and what came back."""
+
+    calls: list = field(default_factory=list)  # (problem, y0, solution) per MPC step
+    factorizations: int = 0
+
+
+def _recorded_simulation(config):
+    """simulate(config), recording every solve call and counting KKT factorizations."""
+    record = SolveRecord()
+    real_solve, real_factor = controller.solve, qp._factor_kkt
+
+    def recording_solve(problem, warm_start, options=None, y0=None):
+        solution = real_solve(problem, warm_start, options, y0=y0)
+        record.calls.append((problem, y0, solution))
+        return solution
+
+    def counting_factor(*args):
+        record.factorizations += 1
+        return real_factor(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "solve", recording_solve)
+        patch.setattr(qp, "_factor_kkt", counting_factor)
+        traj, metrics = simulate(config)
+    return traj, metrics, record
+
+
 @pytest.fixture(scope="module")
 def one_leg_push():
     config = parse_scenario(bundled_scenario("one_leg_jump"), name="one_leg_jump")
     start = time.perf_counter()
-    traj, metrics = simulate(config)
-    return config, traj, metrics, time.perf_counter() - start
+    traj, metrics, record = _recorded_simulation(config)
+    return config, traj, metrics, time.perf_counter() - start, record
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +81,7 @@ def one_leg_baseline():
 @pytest.fixture(scope="module")
 def two_leg_push():
     config = parse_scenario(bundled_scenario("two_leg_walk_run"), name="two_leg_walk_run")
-    traj, metrics = simulate(config)
-    return config, traj, metrics
+    return (config, *_recorded_simulation(config))
 
 
 def _scenario_nlp(config, t=0.0):
@@ -71,7 +100,7 @@ def _scenario_nlp(config, t=0.0):
 
 class TestCriterion1:
     def test_one_leg_jump_with_push(self, one_leg_push, one_leg_baseline):
-        _, _, pushed, t_push = one_leg_push
+        _, _, pushed, t_push, _ = one_leg_push
         _, _, base, t_base = one_leg_baseline
         runtime = t_push + t_base
         ok = (
@@ -91,7 +120,7 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_two_leg_walk_to_run(self, two_leg_push):
-        _, traj, metrics = two_leg_push
+        _, traj, metrics, _ = two_leg_push
         # completion: simulate() raising SimulationDiverged would have failed
         # the fixture; also require genuinely aerial prediction knots
         aerial_knots = 0
@@ -124,7 +153,7 @@ class TestCriterion2:
     def test_plant_angular_momentum_conserved_in_aerial_intervals(self, two_leg_push):
         # all pushes act at the CoM, so the plant's angular momentum is
         # bit-constant across every logged aerial step
-        _, traj, _ = two_leg_push
+        _, traj, _, _ = two_leg_push
         aerial_steps = np.where(~traj.gamma[: traj.n_steps].any(axis=1))[0]
         assert aerial_steps.size > 0
         for k in aerial_steps:
@@ -142,8 +171,8 @@ class TestCriterion2:
 
 class TestCriterion3:
     def test_solve_time_budget(self, one_leg_push, two_leg_push):
-        _, traj_one, _, _ = one_leg_push
-        _, traj_two, _ = two_leg_push
+        _, traj_one, _, _, _ = one_leg_push
+        _, traj_two, _, _ = two_leg_push
         times = np.concatenate([traj_one.solve_times_ms, traj_two.solve_times_ms])
         statuses = traj_one.statuses + traj_two.statuses
         p95 = float(np.percentile(times, 95))
@@ -184,6 +213,36 @@ class TestSqpIterationCount:
         }
         assert worst["one_leg_jump"] <= 4, worst
         assert worst["two_leg_walk_run"] <= 5, worst
+
+
+class TestFactorizationCount:
+    """Warm-started from the shifted primal-dual solution, the bundled runs
+    factor the QP's condensed KKT matrix 71 times (one leg) and 97 times
+    (two legs); with the multipliers mostly dropped they took 89 and 110."""
+
+    def test_factorizations_per_run(self, one_leg_push, two_leg_push):
+        counts = {
+            "one_leg_jump": one_leg_push[4].factorizations,
+            "two_leg_walk_run": two_leg_push[3].factorizations,
+        }
+        assert counts["one_leg_jump"] <= 75, counts
+        assert counts["two_leg_walk_run"] <= 100, counts
+
+
+class TestDualWarmStart:
+    """After a converged step, the next solve gets the previous multipliers
+    shifted one knot, at full size: the constraint rows of a layout do not
+    change with the schedule."""
+
+    def test_every_step_after_a_converged_one_gets_shifted_multipliers(
+        self, one_leg_push, two_leg_push
+    ):
+        for record in (one_leg_push[4], two_leg_push[3]):
+            assert record.calls[0][1] is None
+            for (_, _, previous), (problem, y0, _) in zip(record.calls, record.calls[1:]):
+                assert previous.converged
+                assert y0 is not None and y0.size == problem.n_eq + problem.n_ineq
+                assert np.array_equal(y0, previous.multipliers[problem.shift_rows])
 
 
 class TestCriterion4:

@@ -1,9 +1,9 @@
 """build_nlp against a reference builder that assembles every row knot by knot.
 
 `reference_structure` is the per-knot loop form of the equality Jacobian,
-the inequality rows and the cost's linear term.  build_nlp builds the
-layout-only parts once per layout and fills the rest vectorized over knots;
-both must give the same entries in the same order, bit for bit.
+the inequality rows, the cost's linear term and the row shift.  build_nlp
+builds the layout-only parts once per layout and fills the rest vectorized
+over knots; both must give the same entries in the same order, bit for bit.
 """
 
 import numpy as np
@@ -56,7 +56,7 @@ def make_problem(plan, schedule, seed=0):
 
 
 def reference_structure(plan, schedule, nominal_com_samples):
-    """Equality-Jacobian entries, inequality rows and cost terms, knot by knot."""
+    """Equality-Jacobian entries, inequality rows, cost terms and row shift, knot by knot."""
     n_knots, period, mass = N_KNOTS, PERIOD, PARAMS.mass
     n_c = plan.n_contacts
     layout = DecisionLayout(n_knots, [c.geometry.n_corners for c in plan.contacts])
@@ -146,48 +146,55 @@ def reference_structure(plan, schedule, nominal_com_samples):
             (data, (jac_rows, jac_cols)), shape=(sd + n_knots * sd, layout.size)
         ).tocsr()
 
+    # Every pyramid and box row exists for every schedule; the schedule sets
+    # only the bounds, (-inf, inf) where a row does not apply.  `blocks`
+    # names each row by (kind, knot, position in its block), so that the
+    # row of the same constraint one knot later can be looked up.
+    blocks = [("eq", k, r) for k in range(n_knots + 1) for r in range(sd)]
     in_rows, in_cols, in_vals, lower, upper = [], [], [], [], []
     row = 0
     pyr_local = [PYRAMID.A @ rotations[i].T for i in range(n_c)]
     dead_contact = [not schedule[:, i].any() for i in range(n_c)]
+    free = np.full(6, np.inf)
     for k in range(n_knots):
+        position = 0
         for i in range(n_c):
-            if dead_contact[i]:
-                continue
             for j in range(layout.corner_counts[i]):
                 base = layout.force_slice(k, i, j).start
                 in_rows.append(row + np.repeat(np.arange(6), 3))
                 in_cols.append(base + np.tile(np.arange(3), 6))
                 in_vals.append(pyr_local[i].ravel())
-                lower.append(np.full(6, -np.inf))
-                upper.append(PYRAMID.b)
+                if dead_contact[i]:
+                    # faces x - c z, y - c z and z held at zero pin the force
+                    lower.append(np.array([0.0, -np.inf, 0.0, -np.inf, -np.inf, 0.0]))
+                    upper.append(np.array([0.0, np.inf, 0.0, np.inf, np.inf, 0.0]))
+                else:
+                    lower.append(-free)
+                    upper.append(PYRAMID.b)
+                blocks += [("pyramid", k, position + r) for r in range(6)]
+                position += 6
                 row += 6
-    for i in range(n_c):
-        if not dead_contact[i]:
-            continue
-        for k in range(n_knots):
-            for j in range(layout.corner_counts[i]):
-                base = layout.force_slice(k, i, j).start
-                in_rows.append(row + np.arange(3))
-                in_cols.append(base + np.arange(3))
-                in_vals.append(np.ones(3))
-                lower.append(np.zeros(3))
-                upper.append(np.zeros(3))
-                row += 3
     movable = np.zeros(n_c, dtype=bool)
     for k in range(1, n_knots + 1):
         movable = movable | ~schedule[k - 1]
         for i in range(n_c):
-            if not movable[i]:
-                continue
             base = layout.contact_position_slice(k, i).start
             in_rows.append(row + np.repeat(np.arange(3), 3))
             in_cols.append(base + np.tile(np.arange(3), 3))
             in_vals.append(rotations[i].T.ravel())
             anchor = rotations[i].T @ nominal_contacts[i]
-            lower.append(anchor - BOX.upper)
-            upper.append(anchor - BOX.lower)
+            if movable[i]:
+                lower.append(anchor - BOX.upper)
+                upper.append(anchor - BOX.lower)
+            else:
+                lower.append(-free[:3])
+                upper.append(free[:3])
+            blocks += [("box", k, 3 * i + r) for r in range(3)]
             row += 3
+    index = {block: r for r, block in enumerate(blocks)}
+    shift_rows = np.array(
+        [index.get((kind, k + 1, r), own) for own, (kind, k, r) in enumerate(blocks)]
+    )
     ineq_matrix = sp.coo_matrix(
         (np.concatenate(in_vals), (np.concatenate(in_rows), np.concatenate(in_cols))),
         shape=(row, layout.size),
@@ -200,6 +207,7 @@ def reference_structure(plan, schedule, nominal_com_samples):
         ineq_upper=np.concatenate(upper),
         c_lin=c_lin,
         constant=constant,
+        shift_rows=shift_rows,
     )
 
 
@@ -237,6 +245,7 @@ def assert_matches_reference(plan, schedule, seed=0):
     ref_coo = ref["ineq_matrix"].tocoo()
     assert np.array_equal(problem.ineq_pattern[0], ref_coo.row)
     assert np.array_equal(problem.ineq_pattern[1], ref_coo.col)
+    assert np.array_equal(problem.shift_rows, ref["shift_rows"])
     return problem
 
 
@@ -286,6 +295,37 @@ class TestLayoutTemplateMemo:
         # a returned Jacobian is the caller's own to modify
         jac = problem.eq_jac(np.zeros(problem.dimension))
         assert all(a.flags.writeable for a in (jac.data, jac.indices, jac.indptr))
+        # the inequality matrix is the template's, shared by every schedule
+        ineq = problem.ineq_jac(np.zeros(problem.dimension))
+        for array in (ineq.data, ineq.indices, ineq.indptr, *problem.ineq_pattern):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_rows_are_identical_for_every_schedule_of_a_layout(self):
+        # every schedule of two contacts over three knots, dead contacts
+        # included: the schedule sets the inequality bounds and nothing else
+        n_knots = 3
+        plan = make_plan([RECT, POINT])
+        first, bounds = None, set()
+        for bits_ in range(2 ** (2 * n_knots)):
+            schedule = (bits_ >> np.arange(2 * n_knots) & 1).astype(bool).reshape(n_knots, 2)
+            problem = build_nlp(
+                plan, CentroidalState(np.zeros(3), np.zeros(3), np.zeros(3)),
+                np.array([c.nominal_position for c in plan.contacts]), schedule,
+                np.zeros((n_knots + 1, 3)), Weights(), PYRAMID, BOX, n_knots, PERIOD, PARAMS,
+            )
+            if first is None:
+                first = problem
+            assert problem.n_ineq == first.n_ineq == 6 * 5 * n_knots + 3 * 2 * n_knots
+            for ours, theirs in zip(problem.ineq_pattern, first.ineq_pattern):
+                assert np.array_equal(ours, theirs)
+            x = np.zeros(problem.dimension)
+            assert same_csr(problem.ineq_jac(x), first.ineq_jac(x))
+            assert np.array_equal(problem.shift_rows, first.shift_rows)
+            bounds.add((bits(problem.ineq_lower).tobytes(), bits(problem.ineq_upper).tobytes()))
+        # five bound sets per contact: dead, or bearing load with the box
+        # from knot 1, 2, 3 or never
+        assert len(bounds) == 5 * 5
 
 
 def dense_lagrangian_hessian(problem, x, y, h=1e-6):

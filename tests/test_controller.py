@@ -8,11 +8,18 @@ from centroidal_mpc.controller import (
     cold_start,
     layout_for,
     mpc_step,
+    shift_multipliers,
     shift_warm_start,
 )
 from centroidal_mpc.model import CentroidalState, ContactGeometry, ExternalWrench, PhysicalParams
-from centroidal_mpc.plan import ContactPlan, NominalContact, nominal_com_trajectory
+from centroidal_mpc.plan import (
+    ContactPlan,
+    NominalContact,
+    horizon_schedule,
+    nominal_com_trajectory,
+)
 from centroidal_mpc.solver import Solution, SolverOptions
+from centroidal_mpc.transcription import build_nlp
 
 POINT = ContactGeometry.point()
 RECT = ContactGeometry.rectangle(0.2, 0.1)
@@ -69,6 +76,42 @@ class TestShiftWarmStart:
         assert shift_warm_start(x, layout).size == x.size
         with pytest.raises(ValueError):
             shift_warm_start(x[:-1], layout)
+
+
+class TestShiftMultipliers:
+    @staticmethod
+    def problem(plan, t):
+        layout = layout_for(plan, OPTIONS)
+        n = OPTIONS.horizon_knots
+        samples = nominal_com_trajectory(plan, PARAMS).sample(t + 0.1 * np.arange(n + 1))
+        problem = build_nlp(
+            plan, CentroidalState(samples[0], np.zeros(3), np.zeros(3)),
+            np.array([c.nominal_position for c in plan.contacts]),
+            horizon_schedule(plan, t, n, OPTIONS.period), samples, OPTIONS.weights,
+            OPTIONS.pyramid(), OPTIONS.box, n, OPTIONS.period, PARAMS,
+        )
+        return layout, problem
+
+    def test_block_k_takes_block_k_plus_1_and_the_last_is_duplicated(self):
+        for plan in (standing_plan(), hop_plan()):
+            layout, problem = self.problem(plan, 1.0)
+            n = layout.n_knots
+            # (blocks, rows per block): the knot-0 pin and one defect per
+            # step, pyramid rows per step, box rows per knot 1..N
+            kinds = [(n + 1, layout.state_dim), (n, 6 * sum(layout.corner_counts)),
+                     (n, 3 * layout.n_contacts)]
+            codes = [1000 * kind + 10 * np.repeat(np.arange(count), size)
+                     + np.tile(np.arange(size), count) / size
+                     for kind, (count, size) in enumerate(kinds)]
+            shifted = shift_multipliers(np.concatenate(codes), problem)
+            expected = [code.reshape(count, size)[np.minimum(np.arange(count) + 1, count - 1)]
+                        for code, (count, size) in zip(codes, kinds)]
+            assert np.array_equal(shifted, np.concatenate([e.ravel() for e in expected]))
+
+    def test_size_checked(self):
+        _, problem = self.problem(hop_plan(), 0.0)
+        with pytest.raises(ValueError):
+            shift_multipliers(np.zeros(problem.n_eq + problem.n_ineq - 1), problem)
 
 
 class TestColdStart:

@@ -467,6 +467,61 @@ class TestPyramidApex:
         assert solved == 200
 
 
+def with_free_rows(A, lower, upper, y0, count, rng):
+    """The QP's rows with `count` random rows of bounds (-inf, inf) spread in.
+
+    Returns the new (A, lower, upper, y0) and the positions of the free rows;
+    the free rows get random warm multipliers, which the QP must ignore.
+    """
+    m, n = A.shape
+    free = np.sort(rng.choice(m + count, size=count, replace=False))
+    kept = np.setdiff1d(np.arange(m + count), free)
+    A_all = np.empty((m + count, n))
+    A_all[kept], A_all[free] = A, rng.randn(count, n)
+    lower_all = np.full(m + count, -np.inf)
+    upper_all = np.full(m + count, np.inf)
+    lower_all[kept], upper_all[kept] = lower, upper
+    y0_all = None
+    if y0 is not None:
+        y0_all = 100.0 * rng.randn(m + count)
+        y0_all[kept] = y0
+    return A_all, lower_all, upper_all, y0_all, free
+
+
+def assert_free_rows_change_nothing(P, q, A, lower, upper, y0, count, seed):
+    base = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper, y0=y0)
+    A_all, lower_all, upper_all, y0_all, free = with_free_rows(
+        A, lower, upper, y0, count, np.random.RandomState(seed)
+    )
+    res = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A_all), lower_all, upper_all, y0=y0_all)
+    assert res.status == base.status
+    np.testing.assert_allclose(res.x, base.x, rtol=0, atol=1e-9)
+    assert np.all(res.y[free] == 0.0)
+    np.testing.assert_allclose(np.delete(res.y, free), base.y, rtol=0, atol=1e-9)
+
+
+class TestFreeRows:
+    """A row with both bounds infinite never becomes active: adding such rows
+    changes neither the status nor the solution, and their multipliers are
+    zero.  build_nlp relies on this to keep one row set per layout."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_qps(self, seed):
+        rng = np.random.RandomState(seed)
+        M = rng.randn(5, 5)
+        P = M @ M.T + 0.5 * np.eye(5)
+        A = rng.randn(4, 5)
+        lower = -np.abs(rng.randn(4)) - 0.1
+        upper = np.abs(rng.randn(4)) + 0.1
+        assert_free_rows_change_nothing(P, rng.randn(5), A, lower, upper, None, 3, seed)
+
+    @PROPERTY
+    @given(bounded_qps(), st.integers(1, 4), st.integers(0, 2**31 - 1))
+    def test_every_feasible_bounded_qp(self, case, count, seed):
+        P, q, A, lower, upper, y0, _ = case
+        assert_free_rows_change_nothing(P, q, A, lower, upper, y0, count, seed)
+
+
 class TestOptions:
     def test_invalid_bounds_raise(self):
         with pytest.raises(ValueError):

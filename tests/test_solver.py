@@ -211,6 +211,10 @@ class TestGaussNewtonFallback:
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-8)
         assert sol.multipliers[0] == pytest.approx(0.5, abs=1e-8)
 
+    def test_multipliers_of_another_row_count_raise(self):
+        with pytest.raises(ValueError, match="y0"):
+            solve(self.hyperbola_problem(), np.array([1.2, 0.9]), TIGHT, y0=[0.5, 0.5])
+
     def test_exact_hessian_converges_quadratically(self, monkeypatch):
         statuses = self.spy_statuses(monkeypatch)
         exact = solve(self.hyperbola_problem(), np.array([1.2, 0.9]), TIGHT, y0=[0.5])
