@@ -332,8 +332,9 @@ def solve_qp(
     of a structurally identical problem, saving the Ruiz sweeps.  `ordering`
     is a permutation of range(n) under which P + A'A is narrow-banded
     (reverse Cuthill-McKee when not given); any other array raises
-    ValueError.  The first active set is the sign pattern of `y0` (no
-    inequality row without it), so a warm start that carries the right
+    ValueError, as do a `scaling` of other sizes than (n, m) and a `y0` of
+    other than m entries.  The first active set is the sign pattern of `y0`
+    (no inequality row without it), so a warm start that carries the right
     active set costs one iteration.  A row whose bounds are both infinite
     never becomes active and changes neither the scaling nor the solution;
     its multiplier is zero.
@@ -363,8 +364,15 @@ def solve_qp(
             or not np.array_equal(np.sort(ordering), np.arange(n))
         ):
             raise ValueError("ordering is not a permutation of the variables")
+    if y0 is not None and np.asarray(y0).size != m:
+        raise ValueError(f"y0 has {np.asarray(y0).size} entries, the QP has {m} rows")
+    if scaling is not None and (scaling[0].size, scaling[1].size) != (n, m):
+        raise ValueError(
+            f"scaling has {scaling[0].size} variable and {scaling[1].size} row factors,"
+            f" the QP has {n} and {m}"
+        )
 
-    if scaling is not None and scaling[0].size == n and scaling[1].size == m:
+    if scaling is not None:
         d, e, c = scaling[0].copy(), scaling[1].copy(), float(scaling[2])
         Ps = P.tocsc(copy=True)
         Ps.data *= c * d[Ps.indices] * d[np.repeat(np.arange(n), np.diff(Ps.indptr))]
@@ -392,8 +400,8 @@ def solve_qp(
     # new solution (stepping to that point), or else activate the most
     # violated row.
     x = np.zeros(n)
-    if y0 is not None and np.asarray(y0).size == m:
-        y = c * np.asarray(y0, dtype=float) / np.where(e > 0, e, 1.0)
+    if y0 is not None:
+        y = c * np.asarray(y0, dtype=float).reshape(-1) / np.where(e > 0, e, 1.0)
     else:
         y = np.zeros(m)
     low = ~eq & (y < 0.0) & np.isfinite(lower)

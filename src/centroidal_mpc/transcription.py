@@ -7,11 +7,17 @@ defects between consecutive knots plus a pin of knot 0 to the measured state.
 Inequalities are friction-pyramid rows on every corner force and box rows
 keeping each contact near its nominal location.  All first derivatives and
 the Hessian of the Lagrangian are analytic and sparse.
+
+The structure of a horizon problem (the cost Hessian, every constraint row,
+the sparsity patterns of the Jacobians and of the Lagrangian Hessian, the
+row shift and the variable ordering) is built once per (layout, weights,
+period, contact rotations, pyramid) and shared read-only by every problem
+of that key.  The contact schedule sets only values and bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -306,29 +312,8 @@ class NlpProblem:
     shift_rows: np.ndarray | None = None
 
 
-# The latest (key, result) of _cost_hessian, a pure function of its key.  A
-# run keeps one layout, one set of weights and one period, so one entry
-# serves all of its horizon problems.
-_LAST_COST_HESSIAN: list = [None, None]
-
-
 def _cost_hessian(layout: DecisionLayout, weights: Weights, period: float) -> sp.csr_matrix:
-    """Sparse Hessian of the summed quadratic costs (shared, read-only arrays).
-
-    It depends only on the layout, the weights and the period, so every
-    horizon problem of a run reuses one copy.
-    """
-    key = (
-        layout.n_knots,
-        layout.corner_counts,
-        period,
-        tuple(
-            tuple(getattr(weights, name))
-            for name in ("force_reg", "force_rate", "ang_momentum", "com_tracking", "contact_reg")
-        ),
-    )
-    if _LAST_COST_HESSIAN[0] == key:
-        return _LAST_COST_HESSIAN[1]
+    """Sparse Hessian of the summed quadratic costs."""
     rows, cols, vals = [], [], []
     n = layout.size
     n_knots = layout.n_knots
@@ -380,29 +365,83 @@ def _cost_hessian(layout: DecisionLayout, weights: Weights, period: float) -> sp
                 cols.append(ia)
                 vals.append(-rate)
 
-    hess = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     ).tocsr()
-    for array in (hess.data, hess.indices, hess.indptr):
-        array.flags.writeable = False
-    _LAST_COST_HESSIAN[:] = [key, hess]
-    return hess
 
 
-class _EqTemplate:
-    """Layout-only structure of the equality-constraint Jacobian.
+def _number_pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple):
+    """CSR structure of a fixed (row, col) pattern and each entry's slot in it.
 
-    Entries are listed in build_nlp's order: the knot-0 pin, then per step
-    its constant entries (identity chains, the mass-scaled momentum column,
-    the gated velocity and linear-force columns), then the bilinear entries
-    of the angular-momentum rows for all steps.  `knot_values` holds one
-    step's constant values, with zeros where build_nlp writes the values
-    that depend on the period, the mass and the schedule.  `csr_order` maps
-    the CSR positions of the numbered matrix to entries.  Every array is
-    read-only: one template is shared by all problems of its layout.
+    Returns (indices, indptr, slots), columns sorted within each row;
+    repeated entries share one slot, and data[slots] = values fills the
+    matrix.  Given (cols, rows) and the transposed shape, it numbers the CSC
+    structure instead.
+    """
+    n_cols = shape[1]
+    keys = rows.astype(np.int64) * n_cols + cols
+    unique = np.unique(keys)
+    indices = (unique % n_cols).astype(np.int32)
+    indptr = np.searchsorted(unique // n_cols, np.arange(shape[0] + 1)).astype(np.int32)
+    return indices, indptr, np.searchsorted(unique, keys)
+
+
+# Entry e of the off-diagonal part of skew(y) is _SKEW_SIGN[e] *
+# y[_SKEW_SOURCE[e]], at row _SKEW_ROW[e] and column _SKEW_COL[e].
+_SKEW_ROW = np.array([0, 0, 1, 1, 2, 2])
+_SKEW_COL = np.array([1, 2, 0, 2, 0, 1])
+_SKEW_SOURCE = np.array([2, 1, 2, 0, 1, 0])
+_SKEW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+
+class _HorizonStructure:
+    """Everything of a horizon problem that its contact schedule does not set.
+
+    Built by _horizon_structure once per (layout, weights, period, contact
+    rotations, pyramid) and shared by every problem of that key, so every
+    array is read-only.  The schedule, the measured state and the references
+    set only values and bounds (build_nlp, _inequality_bounds).  It holds
+    the cost Hessian `cost_hess` (CSR), the fixed patterns of the equality
+    Jacobian, the Lagrangian Hessian and the inequality matrix (see the
+    _add_* methods), and NlpProblem's `shift_rows` and `ordering`.
     """
 
-    def __init__(self, layout: DecisionLayout):
+    def __init__(
+        self,
+        layout: DecisionLayout,
+        weights: Weights,
+        period: float,
+        rotations: np.ndarray,
+        pyramid: FrictionPyramid,
+    ):
+        self.cost_hess = _cost_hessian(layout, weights, period)
+        self._add_eq_jacobian(layout)
+        self._add_lagrangian_hessian(layout)
+        self._add_inequality_matrix(layout, rotations, pyramid)
+        self.shift_rows = _shift_rows(layout)
+        self.ordering = layout.stage_order()
+        for array in (
+            self.cost_hess.data, self.cost_hess.indices, self.cost_hess.indptr,
+            self.knot_values, self.eq_rows, self.eq_cols, self.eq_indices, self.eq_indptr,
+            self.eq_slots, self.hess_base, self.hess_indices, self.hess_indptr,
+            self.curvature_slots, self.diag_slots, self.ineq_matrix.data,
+            self.ineq_matrix.indices, self.ineq_matrix.indptr, *self.ineq_pattern,
+            self.shift_rows, self.ordering,
+        ):
+            array.flags.writeable = False
+
+    def _add_eq_jacobian(self, layout: DecisionLayout):
+        """Entries of the equality-constraint Jacobian and their CSR slots.
+
+        `eq_rows` and `eq_cols` list the entries in build_nlp's order: the
+        knot-0 pin, then per step its constant entries (identity chains, the
+        mass-scaled momentum column, the gated velocity and linear-force
+        columns), then the bilinear entries of the angular-momentum rows for
+        all steps.  `knot_values` holds one step's constant values, with
+        zeros where build_nlp writes the values that depend on the period,
+        the mass and the schedule.  Entry e goes to position `eq_slots[e]` of
+        the CSR structure (`eq_indices`, `eq_indptr`).
+        """
         sd, n_knots = layout.state_dim, layout.n_knots
         ks = np.arange(n_knots)
         row_off, col_off, col_step, values = [], [], [], []
@@ -461,67 +500,33 @@ class _EqTemplate:
         var_rows.append((row_base[:, None, None] + grid[0]).ravel())
         var_cols.append((ks[:, None, None] * sd + grid[1]).ravel())
 
-        self.rows = np.concatenate([const_rows] + var_rows)
-        self.cols = np.concatenate([const_cols] + var_cols)
-        self.n_var_entries = self.rows.size - const_rows.size
-        # The CSR layout of the Jacobian never changes: number the entries
-        # once, let scipy place them, and refresh only the values.
-        m_eq = sd + n_knots * sd
-        numbered = sp.coo_matrix(
-            (np.arange(1.0, self.rows.size + 1.0), (self.rows, self.cols)),
-            shape=(m_eq, layout.size),
-        ).tocsr()
-        if numbered.nnz != self.rows.size:
+        self.eq_rows = np.concatenate([const_rows] + var_rows)
+        self.eq_cols = np.concatenate([const_cols] + var_cols)
+        self.n_var_entries = self.eq_rows.size - const_rows.size
+        self.eq_indices, self.eq_indptr, self.eq_slots = _number_pattern(
+            self.eq_rows, self.eq_cols, (sd + n_knots * sd, layout.size)
+        )
+        if self.eq_indices.size != self.eq_rows.size:
             raise AssertionError("eq Jacobian entries must be structurally distinct")
-        self.csr_order = numbered.data.astype(np.int64) - 1
-        self.indices = numbered.indices
-        self.indptr = numbered.indptr
-        for array in (self.knot_values, self.rows, self.cols, self.csr_order,
-                      self.indices, self.indptr):
-            array.flags.writeable = False
 
+    def _add_lagrangian_hessian(self, layout: DecisionLayout):
+        """CSC structure of the Lagrangian Hessian and its cost part.
 
-# The latest (key, result) of _eq_template, a pure function of its key.  A
-# run keeps one layout, so one entry serves all of its horizon problems.
-_LAST_EQ_TEMPLATE: list = [None, None]
+        y_eq' eq(x) is bilinear: with the arm a = p_i + R_i c_j - r, the
+        angular rows of defect k hold -T gamma_ki a x f_ij, so its Hessian
+        couples the corner force f_ij(k) with the contact position p_i(k)
+        through -T gamma_ki skew(y_k) and with the CoM r(k) through
+        +T gamma_ki skew(y_k), y_k being the multipliers of those rows.  The
+        pattern (`hess_indices`, `hess_indptr`) is the union of the cost
+        Hessian's, the whole diagonal and the six off-diagonal entries of
+        every such block and its transpose, for every knot and contact
+        (gated-out ones too).
 
-
-def _eq_template(layout: DecisionLayout) -> _EqTemplate:
-    """The _EqTemplate of a layout, rebuilt only when the layout changes."""
-    key = (layout.n_knots, layout.corner_counts)
-    if _LAST_EQ_TEMPLATE[0] != key:
-        _LAST_EQ_TEMPLATE[:] = [key, _EqTemplate(layout)]
-    return _LAST_EQ_TEMPLATE[1]
-
-
-# Entry e of the off-diagonal part of skew(y) is _SKEW_SIGN[e] *
-# y[_SKEW_SOURCE[e]], at row _SKEW_ROW[e] and column _SKEW_COL[e].
-_SKEW_ROW = np.array([0, 0, 1, 1, 2, 2])
-_SKEW_COL = np.array([1, 2, 0, 2, 0, 1])
-_SKEW_SOURCE = np.array([2, 1, 2, 0, 1, 0])
-_SKEW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-
-
-class _HessianTemplate:
-    """Layout-only structure of the Lagrangian Hessian, in CSC form.
-
-    y_eq' eq(x) is bilinear: with the arm a = p_i + R_i c_j - r, the angular
-    rows of defect k hold -T gamma_ki a x f_ij, so its Hessian couples the
-    corner force f_ij(k) with the contact position p_i(k) through
-    -T gamma_ki skew(y_k) and with the CoM r(k) through +T gamma_ki skew(y_k),
-    y_k being the multipliers of those rows.  The pattern is the union of
-    the cost Hessian's, the whole diagonal and the six off-diagonal entries
-    of every such block and its transpose, for every knot and contact
-    (gated-out ones too), so it depends on the layout alone: the cost
-    Hessian's pattern does too, since every weight is positive.
-
-    `curvature_slots` lists the CSC positions of the blocks (f, p), (p, f),
-    (f, r), (r, f), each ordered (contact, knot, corner, entry);
-    `cost_slots` those of the cost Hessian's CSR entries and `diag_slots`
-    those of the diagonal.  Every array is read-only.
-    """
-
-    def __init__(self, layout: DecisionLayout, cost_hess: sp.csr_matrix):
+        `curvature_slots` lists the CSC positions of the blocks (f, p),
+        (p, f), (f, r), (r, f), each ordered (contact, knot, corner, entry),
+        and `diag_slots` those of the diagonal.  `hess_base` holds the cost
+        Hessian's values and zeros elsewhere.
+        """
         n, sd, cd = layout.size, layout.state_dim, layout.control_dim
         ks = np.arange(layout.n_knots)
         forces, positions, coms = [], [], []
@@ -535,77 +540,28 @@ class _HessianTemplate:
                 np.broadcast_to((ks * sd + 9 + 3 * i)[:, None, None] + _SKEW_COL, shape).ravel()
             )
             coms.append(np.broadcast_to((ks * sd)[:, None, None] + _SKEW_COL, shape).ravel())
-        f, p, r = (np.concatenate(a).astype(np.int64) for a in (forces, positions, coms))
-        # Keys col * n + row sort into CSC order.
-        curvature_keys = np.concatenate([p, f, r, f]) * n + np.concatenate([f, p, f, r])
-        cost_keys = cost_hess.indices.astype(np.int64) * n + np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(cost_hess.indptr)
+        f, p, r = (np.concatenate(a) for a in (forces, positions, coms))
+        cost = self.cost_hess.tocoo()
+        diag = np.arange(n)
+        self.hess_indices, self.hess_indptr, slots = _number_pattern(
+            np.concatenate([p, f, r, f, cost.col, diag]),
+            np.concatenate([f, p, f, r, cost.row, diag]),
+            (n, n),
         )
-        diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
-        keys = np.unique(np.concatenate([curvature_keys, cost_keys, diag_keys]))
-        self.nnz = keys.size
-        self.indices = (keys % n).astype(np.int32)
-        self.indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
-        self.curvature_slots = np.searchsorted(keys, curvature_keys)
-        self.cost_slots = np.searchsorted(keys, cost_keys)
-        self.diag_slots = np.searchsorted(keys, diag_keys)
-        for array in (self.indices, self.indptr, self.curvature_slots, self.cost_slots,
-                      self.diag_slots):
-            array.flags.writeable = False
+        self.curvature_slots = slots[: 4 * f.size]
+        self.diag_slots = slots[-n:]
+        self.hess_base = np.zeros(self.hess_indices.size)
+        self.hess_base[slots[4 * f.size : -n]] = cost.data
 
+    def _add_inequality_matrix(
+        self, layout: DecisionLayout, rotations: np.ndarray, pyramid: FrictionPyramid
+    ):
+        """The inequality matrix `ineq_matrix` (CSR) and `ineq_pattern`.
 
-# The latest (key, result) of _hessian_template, a pure function of its key.
-_LAST_HESSIAN_TEMPLATE: list = [None, None]
-
-
-def _hessian_template(layout: DecisionLayout, cost_hess: sp.csr_matrix) -> _HessianTemplate:
-    """The _HessianTemplate of a layout, rebuilt only when the layout changes."""
-    key = (layout.n_knots, layout.corner_counts)
-    if _LAST_HESSIAN_TEMPLATE[0] != key:
-        _LAST_HESSIAN_TEMPLATE[:] = [key, _HessianTemplate(layout, cost_hess)]
-    return _LAST_HESSIAN_TEMPLATE[1]
-
-
-def _quadratic_cost_terms(
-    layout: DecisionLayout,
-    weights: Weights,
-    nominal_com_samples: np.ndarray,
-    nominal_contacts: np.ndarray,
-    period: float,
-):
-    """Sparse Hessian, linear term and constant of the summed quadratic costs.
-
-    The angular-momentum reference is zero, so that term adds nothing to the
-    linear term or the constant.
-    """
-    c = np.zeros(layout.size)
-    states = c[: layout.n_state_vars].reshape(layout.n_knots + 1, layout.state_dim)
-    states[:, 0:3] -= weights.com_tracking * nominal_com_samples
-    states[:, 9:] -= (weights.contact_reg * nominal_contacts).ravel()
-    # The constant is summed term by term in (knot, CoM then contacts) order.
-    contact_terms = [
-        0.5 * float(np.sum(weights.contact_reg * p**2)) for p in nominal_contacts
-    ]
-    constant = 0.0
-    for com_sq in weights.com_tracking * nominal_com_samples**2:
-        constant += 0.5 * float(com_sq.sum())
-        for term in contact_terms:
-            constant += term
-    return _cost_hessian(layout, weights, period), c, constant
-
-
-class _IneqTemplate:
-    """The inequality matrix of a layout, its rotations and its pyramid.
-
-    Rows come in two blocks: six pyramid rows per (step, contact, corner),
-    step-major, then three box rows per (knot 1..N, contact), knot-major.
-    The rows do not depend on the schedule, which sets only their bounds
-    (_inequality_rows).  `matrix` is CSR and `pattern` its (row, col)
-    entries in CSR order; every array is read-only, since one template is
-    shared by all problems of its key.
-    """
-
-    def __init__(self, layout: DecisionLayout, rotations: np.ndarray, pyramid: FrictionPyramid):
+        Rows come in two blocks: six pyramid rows per (step, contact,
+        corner), step-major, then three box rows per (knot 1..N, contact),
+        knot-major.  `ineq_pattern` is the (row, col) entries in CSR order.
+        """
         n_knots, n_c, sd = layout.n_knots, layout.n_contacts, layout.state_dim
         xyz = np.arange(3)
         contact_of = np.repeat(np.arange(n_c), layout.corner_counts)
@@ -627,7 +583,7 @@ class _IneqTemplate:
         box_shape = (n_knots, n_c, 3, 3)
         box_vals = np.broadcast_to(rotations.transpose(0, 2, 1), box_shape)
         n_rows = friction_vals.size // 3 + box_vals.size // 3
-        self.matrix = sp.coo_matrix(
+        self.ineq_matrix = sp.coo_matrix(
             (
                 np.concatenate([friction_vals.ravel(), box_vals.ravel()]),
                 (
@@ -640,26 +596,63 @@ class _IneqTemplate:
             ),
             shape=(n_rows, layout.size),
         ).tocsr()
-        coo = self.matrix.tocoo()
-        self.pattern = (coo.row, coo.col)
-        for array in (self.matrix.data, self.matrix.indices, self.matrix.indptr, *self.pattern):
-            array.flags.writeable = False
+        coo = self.ineq_matrix.tocoo()
+        self.ineq_pattern = (coo.row, coo.col)
 
 
-# The latest (key, result) of _ineq_template, a pure function of its key.  A
-# run keeps one layout, one set of contact rotations and one pyramid, so one
-# entry serves all of its horizon problems.
-_LAST_INEQ_TEMPLATE: list = [None, None]
+# The latest (key, result) of _horizon_structure, a pure function of its
+# key.  A run keeps one layout, one set of weights, one period, one set of
+# contact rotations and one pyramid, so one entry serves all of its horizon
+# problems.
+_LAST_STRUCTURE: list = [None, None]
 
 
-def _ineq_template(
-    layout: DecisionLayout, rotations: np.ndarray, pyramid: FrictionPyramid
-) -> _IneqTemplate:
-    """The _IneqTemplate of its key, rebuilt only when the key changes."""
-    key = (layout.n_knots, layout.corner_counts, rotations.tobytes(), pyramid.A.tobytes())
-    if _LAST_INEQ_TEMPLATE[0] != key:
-        _LAST_INEQ_TEMPLATE[:] = [key, _IneqTemplate(layout, rotations, pyramid)]
-    return _LAST_INEQ_TEMPLATE[1]
+def _horizon_structure(
+    layout: DecisionLayout,
+    weights: Weights,
+    period: float,
+    rotations: np.ndarray,
+    pyramid: FrictionPyramid,
+) -> _HorizonStructure:
+    """The _HorizonStructure of its key, rebuilt only when the key changes."""
+    key = (
+        layout.n_knots,
+        layout.corner_counts,
+        period,
+        tuple(tuple(getattr(weights, field.name)) for field in fields(weights)),
+        rotations.tobytes(),
+        pyramid.A.tobytes(),
+    )
+    if _LAST_STRUCTURE[0] != key:
+        _LAST_STRUCTURE[:] = [key, _HorizonStructure(layout, weights, period, rotations, pyramid)]
+    return _LAST_STRUCTURE[1]
+
+
+def _cost_linear_terms(
+    layout: DecisionLayout,
+    weights: Weights,
+    nominal_com_samples: np.ndarray,
+    nominal_contacts: np.ndarray,
+):
+    """Linear term and constant of the summed quadratic costs.
+
+    The angular-momentum reference is zero, so that term adds nothing to the
+    linear term or the constant.
+    """
+    c = np.zeros(layout.size)
+    states = c[: layout.n_state_vars].reshape(layout.n_knots + 1, layout.state_dim)
+    states[:, 0:3] -= weights.com_tracking * nominal_com_samples
+    states[:, 9:] -= (weights.contact_reg * nominal_contacts).ravel()
+    # The constant is summed term by term in (knot, CoM then contacts) order.
+    contact_terms = [
+        0.5 * float(np.sum(weights.contact_reg * p**2)) for p in nominal_contacts
+    ]
+    constant = 0.0
+    for com_sq in weights.com_tracking * nominal_com_samples**2:
+        constant += 0.5 * float(com_sq.sum())
+        for term in contact_terms:
+            constant += term
+    return c, constant
 
 
 # Pyramid faces x - c z, y - c z and z (friction_pyramid's rows 0, 2 and 5):
@@ -668,7 +661,7 @@ def _ineq_template(
 _PIN_FACES = np.array([0, 2, 5])
 
 
-def _inequality_rows(
+def _inequality_bounds(
     layout: DecisionLayout,
     schedule: np.ndarray,
     rotations: np.ndarray,
@@ -676,18 +669,17 @@ def _inequality_rows(
     pyramid: FrictionPyramid,
     box: ContactBox,
 ):
-    """The shared _IneqTemplate of the problem with this schedule's bounds.
+    """Lower and upper bounds of the inequality rows under this schedule.
 
-    The rows are the template's, the same for every schedule of a layout.
-    The schedule sets only the bounds, and a row that does not apply gets
-    (-inf, inf), which the QP never activates.  Pyramid rows hold the
-    pyramid's bounds at every step of a contact that bears load somewhere in
-    the horizon, gated-out steps included; those of any other contact pin
-    its forces to zero.  Box rows hold the box from the first knot the
-    contact can move to.
+    The rows are _HorizonStructure.ineq_matrix's, the same for every
+    schedule.  The schedule sets only the bounds, and a row that does not
+    apply gets (-inf, inf), which the QP never activates.  Pyramid rows hold
+    the pyramid's bounds at every step of a contact that bears load
+    somewhere in the horizon, gated-out steps included; those of any other
+    contact pin its forces to zero.  Box rows hold the box from the first
+    knot the contact can move to.
     """
     n_knots = layout.n_knots
-    template = _ineq_template(layout, rotations, pyramid)
     # A contact gated out over the entire horizon leaves its forces with no
     # dynamic or cost anchor: a flat optimal manifold whose boundary is the
     # cone apex.  Pin those dead variables to their exact optimum (zero)
@@ -709,7 +701,7 @@ def _inequality_rows(
     box_upper = np.where(movable, anchors - box.lower, np.inf)
     lower = np.concatenate([np.tile(face_lower.ravel(), n_knots), box_lower.ravel()])
     upper = np.concatenate([np.tile(face_upper.ravel(), n_knots), box_upper.ravel()])
-    return template, lower, upper
+    return lower, upper
 
 
 def _shift_rows(layout: DecisionLayout) -> np.ndarray:
@@ -752,9 +744,10 @@ def build_nlp(
 
     schedule holds the gate per step (n_knots rows); nominal_com_samples
     covers all n_knots + 1 state knots.  The disturbance profile (one wrench
-    per step) enters the momentum defects as a known input.  The constraint
-    rows depend on the layout alone; the schedule sets the equality
-    Jacobian's gated values and the inequality bounds (_inequality_rows).
+    per step) enters the momentum defects as a known input.  Everything but
+    values and bounds is the shared _HorizonStructure of (layout, weights,
+    period, rotations, pyramid); the schedule sets the equality Jacobian's
+    gated values and the inequality bounds (_inequality_bounds).
     """
     n_c = plan.n_contacts
     layout = DecisionLayout(n_knots, [c.geometry.n_corners for c in plan.contacts])
@@ -794,13 +787,9 @@ def build_nlp(
         [initial_state.p_com, initial_state.momentum, initial_contacts.ravel()]
     )
 
-    hess, c_lin, c0 = _quadratic_cost_terms(
-        layout,
-        weights,
-        nominal_com_samples,
-        nominal_contacts,
-        period,
-    )
+    structure = _horizon_structure(layout, weights, period, rotations, pyramid)
+    hess = structure.cost_hess
+    c_lin, c0 = _cost_linear_terms(layout, weights, nominal_com_samples, nominal_contacts)
 
     def cost(x: np.ndarray) -> float:
         return float(0.5 * x @ (hess @ x) + c_lin @ x + c0)
@@ -836,10 +825,9 @@ def build_nlp(
 
     # Constant Jacobian values per step; the bilinear entries of the
     # angular-momentum rows follow them and are refreshed on every call.
-    template = _eq_template(layout)
-    knot_values = np.tile(template.knot_values, (n_knots, 1))
-    knot_values[:, template.momentum_entries] = -period / mass
-    for i, (velocity, force) in enumerate(template.gated_entries):
+    knot_values = np.tile(structure.knot_values, (n_knots, 1))
+    knot_values[:, structure.momentum_entries] = -period / mass
+    for i, (velocity, force) in enumerate(structure.gated_entries):
         knot_values[:, velocity] = (-period * (1.0 - gamma[:, i]))[:, None]
         knot_values[:, force] = (-period * gamma[:, i])[:, None]
     const_data = np.concatenate([np.ones(sd), knot_values.ravel()])
@@ -864,16 +852,14 @@ def build_nlp(
             segments.append((scale * skew_batch(fsum)).ravel())
         segments.append((-period * skew_batch(total)).ravel())
         var_data = np.concatenate(segments)
-        assert var_data.size == template.n_var_entries
-        data = np.concatenate([const_data, var_data])
+        assert var_data.size == structure.n_var_entries
+        data = np.empty(structure.eq_slots.size)
+        data[structure.eq_slots] = np.concatenate([const_data, var_data])
         return sp.csr_matrix(
-            (data[template.csr_order], template.indices.copy(), template.indptr.copy()),
+            (data, structure.eq_indices.copy(), structure.eq_indptr.copy()),
             shape=(m_eq, layout.size),
         )
 
-    hess_template = _hessian_template(layout, hess)
-    hess_base = np.zeros(hess_template.nnz)
-    hess_base[hess_template.cost_slots] = hess.data
     gates = [period * gamma[:, i, None, None] for i in range(n_c)]
 
     def lagrangian_hess(x: np.ndarray, y_eq: np.ndarray, shift: float) -> sp.csc_matrix:
@@ -883,20 +869,20 @@ def build_nlp(
             [np.broadcast_to(gate * skew, (n_knots, nv, 6)).ravel()
              for gate, nv in zip(gates, layout.corner_counts)]
         )
-        data = hess_base.copy()
-        data[hess_template.diag_slots] += shift
-        data[hess_template.curvature_slots] = np.concatenate(
+        data = structure.hess_base.copy()
+        data[structure.diag_slots] += shift
+        data[structure.curvature_slots] = np.concatenate(
             [-curvature, -curvature, curvature, curvature]
         )
         return sp.csc_matrix(
-            (data, hess_template.indices.copy(), hess_template.indptr.copy()),
+            (data, structure.hess_indices.copy(), structure.hess_indptr.copy()),
             shape=(layout.size, layout.size),
         )
 
-    ineq_template, ineq_lower, ineq_upper = _inequality_rows(
+    ineq_lower, ineq_upper = _inequality_bounds(
         layout, schedule, rotations, nominal_contacts, pyramid, box
     )
-    ineq_matrix = ineq_template.matrix
+    ineq_matrix = structure.ineq_matrix
 
     def ineq(x: np.ndarray) -> np.ndarray:
         return ineq_matrix @ x
@@ -912,14 +898,14 @@ def build_nlp(
         n_eq=m_eq,
         eq=eq,
         eq_jac=eq_jac,
-        eq_pattern=(template.rows, template.cols),
+        eq_pattern=(structure.eq_rows, structure.eq_cols),
         n_ineq=ineq_matrix.shape[0],
         ineq=ineq,
         ineq_jac=ineq_jac,
-        ineq_pattern=ineq_template.pattern,
+        ineq_pattern=structure.ineq_pattern,
         ineq_lower=ineq_lower,
         ineq_upper=ineq_upper,
-        ordering=layout.stage_order(),
+        ordering=structure.ordering,
         lagrangian_hess=lagrangian_hess,
-        shift_rows=_shift_rows(layout),
+        shift_rows=structure.shift_rows,
     )

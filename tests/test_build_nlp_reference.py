@@ -2,17 +2,20 @@
 
 `reference_structure` is the per-knot loop form of the equality Jacobian,
 the inequality rows, the cost's linear term and the row shift.  build_nlp
-builds the layout-only parts once per layout and fills the rest vectorized
-over knots; both must give the same entries in the same order, bit for bit.
+builds the parts the schedule does not set once per (layout, weights,
+period, rotations, pyramid) and fills the rest vectorized over knots; both
+must give the same entries in the same order, bit for bit.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from centroidal_mpc import transcription
+from centroidal_mpc import bundled_scenario, transcription
 from centroidal_mpc.model import CentroidalState, ContactGeometry, PhysicalParams, skew_batch
 from centroidal_mpc.plan import ContactPlan, NominalContact
+from centroidal_mpc.scenario import parse_scenario
+from centroidal_mpc.sim import simulate
 from centroidal_mpc.transcription import (
     ContactBox,
     DecisionLayout,
@@ -53,6 +56,25 @@ def make_problem(plan, schedule, seed=0):
         plan, state, measured, np.asarray(schedule, dtype=bool), nominal, Weights(),
         PYRAMID, BOX, N_KNOTS, PERIOD, PARAMS, profile,
     ), nominal
+
+
+def rotations_of(plan):
+    return np.array([c.orientation for c in plan.contacts])
+
+
+@pytest.fixture
+def structure_builds(monkeypatch):
+    """Every _HorizonStructure built during the test, starting from an empty memo."""
+    built = []
+    build = transcription._HorizonStructure
+
+    def counting(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(transcription, "_HorizonStructure", counting)
+    monkeypatch.setattr(transcription, "_LAST_STRUCTURE", [None, None])
+    return built
 
 
 def reference_structure(plan, schedule, nominal_com_samples):
@@ -283,12 +305,19 @@ class TestLayoutTemplateMemo:
         x = np.random.RandomState(9).randn(first.dimension)
         assert same_csr(first.eq_jac(x), again.eq_jac(x))
 
-    def test_shared_template_arrays_are_read_only(self):
-        problem, _ = make_problem(make_plan([RECT, POINT]), [[ON, OFF]] * N_KNOTS)
-        layout = DecisionLayout(N_KNOTS, [4, 1])
-        template = transcription._eq_template(layout)
-        shared = [template.rows, template.cols, template.csr_order, template.indices,
-                  template.indptr, template.knot_values, *problem.eq_pattern]
+    def test_shared_template_arrays_are_read_only(self, structure_builds):
+        plan = make_plan([RECT, POINT])
+        problem, _ = make_problem(plan, [[ON, OFF]] * N_KNOTS)
+        structure = transcription._horizon_structure(
+            DecisionLayout(N_KNOTS, [4, 1]), Weights(), PERIOD, rotations_of(plan), PYRAMID
+        )
+        # the accessor returns the structure build_nlp built, without a rebuild
+        assert len(structure_builds) == 1 and structure is structure_builds[0]
+        hess = structure.cost_hess
+        shared = [structure.eq_rows, structure.eq_cols, structure.eq_slots,
+                  structure.eq_indices, structure.eq_indptr, structure.knot_values,
+                  *problem.eq_pattern, hess.data, hess.indices, hess.indptr,
+                  problem.shift_rows, problem.ordering]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -410,7 +439,7 @@ class TestLagrangianHessian:
                     block = hess[rows][:, layout.contact_position_slice(k, i)]
                     assert block.nnz == 6 and not np.any(block.data)
 
-    def test_alternating_layouts_each_get_their_own_hessian(self):
+    def test_alternating_layouts_each_get_their_own_hessian(self, structure_builds):
         one_leg = make_plan([POINT])
         two_legs = make_plan([RECT, POINT])
         first, _ = make_problem(one_leg, [[ON]] * N_KNOTS)
@@ -422,9 +451,51 @@ class TestLagrangianHessian:
                                      0.0).shape == (other.dimension, other.dimension)
         again, _ = make_problem(one_leg, [[ON]] * N_KNOTS)
         assert same_csr(again.lagrangian_hess(x, y, 0.0).tocsr(), expected.tocsr())
-        # the memo holds the one-leg template, so no cost Hessian is needed
-        template = transcription._hessian_template(DecisionLayout(N_KNOTS, [1]), None)
-        for array in (template.indices, template.indptr, template.curvature_slots,
-                      template.cost_slots, template.diag_slots):
+        # the memo holds the one-leg structure, so the accessor builds nothing
+        structure = transcription._horizon_structure(
+            DecisionLayout(N_KNOTS, [1]), Weights(), PERIOD, rotations_of(one_leg), PYRAMID
+        )
+        assert len(structure_builds) == 3 and structure is structure_builds[-1]
+        for array in (structure.hess_indices, structure.hess_indptr, structure.curvature_slots,
+                      structure.hess_base, structure.diag_slots):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    def test_alternating_weights_and_periods_each_get_their_own_cost_hessian(
+        self, structure_builds
+    ):
+        plan = make_plan([RECT, POINT])
+        layout = DecisionLayout(N_KNOTS, [4, 1])
+        schedule = np.array([[ON, OFF]] * 3 + [[ON, ON]] * 3)
+        other = Weights(force_reg=0.7, force_rate=(0.02, 0.03, 0.05), ang_momentum=4.0,
+                        com_tracking=50.0, contact_reg=300.0)
+        # consecutive keys differ in the period alone or in the weights alone
+        keys = [(Weights(), PERIOD), (Weights(), 0.05), (other, 0.05), (other, PERIOD),
+                (Weights(), PERIOD)]
+        x = np.random.RandomState(4).randn(layout.size)
+        hessians = []
+        for weights, period in keys:
+            problem = build_nlp(
+                plan, CentroidalState(np.zeros(3), np.zeros(3), np.zeros(3)),
+                np.array([c.nominal_position for c in plan.contacts]), schedule,
+                np.zeros((N_KNOTS + 1, 3)), weights, PYRAMID, BOX, N_KNOTS, period, PARAMS,
+            )
+            cost_hess = problem.cost_hess()
+            assert same_csr(cost_hess, transcription._cost_hessian(layout, weights, period))
+            without_curvature = problem.lagrangian_hess(x, np.zeros(problem.n_eq), 0.0)
+            assert np.array_equal(without_curvature.toarray(), cost_hess.toarray())
+            hessians.append(cost_hess.toarray().tobytes())
+        # every change of key rebuilds, and four keys give four cost Hessians
+        assert len(structure_builds) == len(keys)
+        assert len(set(hessians)) == 4 and hessians[-1] == hessians[0]
+
+
+class TestHorizonStructureTraffic:
+    @pytest.mark.parametrize("name", ["one_leg_jump", "two_leg_walk_run"])
+    def test_one_build_per_fresh_run_and_none_on_a_repeat(self, structure_builds, name):
+        config = parse_scenario(bundled_scenario(name), name=name)
+        traj, _ = simulate(config)
+        assert traj.n_steps > 1
+        assert len(structure_builds) == 1
+        simulate(config)
+        assert len(structure_builds) == 1

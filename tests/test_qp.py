@@ -537,3 +537,24 @@ class TestOptions:
         for bad in ([0, 1], [0, 1, 1], [0.0, 1.0, 2.0], [0, 1, 3]):
             with pytest.raises(ValueError):
                 solve_qp(P, q, A, np.zeros(3), np.ones(3), ordering=bad)
+
+    def test_warm_start_of_another_size_raises(self):
+        P = sp.diags([1.0, 2.0, 3.0], format="csc")
+        q = -np.ones(3)
+        A = sp.csc_matrix(np.eye(3)[:2])
+        lower, upper = np.zeros(2), np.full(2, 0.5)
+        first = solve_qp(P, q, A, lower, upper, y0=[1.0, 0.0])
+        assert first.solved
+        # matching sizes are taken: the duals and the scaling of a previous solve
+        again = solve_qp(P, q, A, lower, upper, y0=first.y, scaling=first.scaling)
+        assert again.solved
+        np.testing.assert_allclose(again.x, first.x, atol=1e-12)
+        for y0 in ([1.0], [1.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="y0 has"):
+                solve_qp(P, q, A, lower, upper, y0=y0)
+        with pytest.raises(ValueError, match="y0 has 1 entries, the QP has 0 rows"):
+            solve_qp(P, q, y0=[1.0])
+        d, e, c = first.scaling
+        for scaling in ((d[:2], e, c), (d, np.append(e, 1.0), c), (d, e[:0], c)):
+            with pytest.raises(ValueError, match="scaling has"):
+                solve_qp(P, q, A, lower, upper, scaling=scaling)
