@@ -32,7 +32,7 @@ from .transcription import (  # noqa: F401
     build_nlp,
     friction_pyramid,
 )
-from .qp import QpOptions, QpResult, qp_solve, solve_qp  # noqa: F401
+from .qp import QpOptions, QpResult, QpWorkspace, qp_solve, solve_qp  # noqa: F401
 from .solver import (  # noqa: F401
     DerivativeReport,
     Solution,

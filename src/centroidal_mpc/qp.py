@@ -1,12 +1,18 @@
 """Sparse QP solver.
 
 Solves   min 1/2 x' P x + q' x   s.t.  lower <= A x <= upper
-by a primal-dual active-set iteration on Ruiz-scaled data: each iteration
+by a primal-dual active-set iteration on equilibrated data: each iteration
 solves the equality-constrained QP of one active set with a factor of the
 condensed system P + reg I + rho A_act' A_act (banded Cholesky under a
 variable ordering that makes it narrow-banded) and iterative refinement,
 then updates the set from the solution's violated rows and wrong-sign
 multipliers.  Equality rows are expressed as lower == upper.
+
+Everything that depends only on the sparsity patterns of P and A is set up
+once, in a QpWorkspace: the patterns of A and A', the band slot of every
+entry of the condensed system, and one Ruiz equilibration.  The QPs on
+those patterns then bring values only, as in the setup/update split of
+OSQP; solve_qp sets up a one-off workspace when it is given none.
 
 P may be indefinite, but on the null space of every active set the
 iteration visits, P + reg I must be positive definite.  With rho large that
@@ -64,7 +70,6 @@ class QpResult:
     primal_residual: float
     dual_residual: float
     polished: bool = False
-    scaling: tuple | None = None
 
     @property
     def solved(self) -> bool:
@@ -77,181 +82,240 @@ def _column_max(abs_data: np.ndarray, indices: np.ndarray, size: int) -> np.ndar
     return out
 
 
-def _ruiz_scale(
-    P: sp.csc_matrix, q: np.ndarray, A: sp.csc_matrix, free: np.ndarray, iterations: int
-):
-    """Modified Ruiz equilibration of the stacked KKT data plus cost scaling.
+def _ruiz_scale(workspace, p_data: np.ndarray, a_data: np.ndarray, q, free):
+    """Modified Ruiz equilibration (d, e, c) of P and A on the workspace's patterns.
 
-    Rows marked `free` (no finite bound) take no part in the norms, so they
-    leave the scaling of the other rows, the variables and the cost as it
-    would be without them.  Operates in place on copies of the nonzero data,
-    which keeps the cost linear in nnz per sweep.
+    Scaled, P is c D P D, q is c D q and A is E A D, with d and e the
+    diagonals of D and E.  Rows marked in `free` (no finite bound; None
+    marks none) take no part in the norms, so they leave the scaling of the
+    other rows and of the variables as it would be without them.  The cost
+    is scaled as well only when its gradient q is given; c = 1 otherwise.
+    Works on copies of the nonzero data, which keeps the cost linear in nnz
+    per sweep.
     """
-    n, m = q.size, A.shape[0]
+    m, n = workspace.shape
+    p_row, p_col = workspace.p_row, workspace.p_col
+    a_row, a_col = workspace.a_row, workspace.a_col
     d = np.ones(n)
     e = np.ones(m)
     c = 1.0
-    Ps = P.tocsc(copy=True)
-    As = A.tocsc(copy=True)
-    qs = q.copy()
-    p_col = np.repeat(np.arange(n), np.diff(Ps.indptr))
-    p_row = Ps.indices
-    a_col = np.repeat(np.arange(n), np.diff(As.indptr))
-    a_row = As.indices
-    counted = ~free[a_row]
-    for _ in range(iterations):
-        abs_p = np.abs(Ps.data)
-        abs_a = np.where(counted, np.abs(As.data), 0.0)
-        norm_x = _column_max(abs_p, p_col, n)
-        if m:
-            np.maximum.at(norm_x, a_col, abs_a)
+    ps = p_data.copy()
+    a_abs = np.abs(a_data) if free is None else np.where(free[a_row], 0.0, np.abs(a_data))
+    qs = None if q is None else q.copy()
+    for _ in range(_SCALING_ITERATIONS):
+        norm_x = _column_max(np.abs(ps), p_col, n)
+        np.maximum.at(norm_x, a_col, a_abs)
         delta_x = 1.0 / np.sqrt(np.where(norm_x > _DIV_GUARD, norm_x, 1.0))
-        if m:
-            row_a = _column_max(abs_a, a_row, m)
-            delta_e = 1.0 / np.sqrt(np.where(row_a > _DIV_GUARD, row_a, 1.0))
-            As.data *= delta_e[a_row] * delta_x[a_col]
-            e *= delta_e
-        Ps.data *= delta_x[p_row] * delta_x[p_col]
-        qs *= delta_x
+        row_a = _column_max(a_abs, a_row, m)
+        delta_e = 1.0 / np.sqrt(np.where(row_a > _DIV_GUARD, row_a, 1.0))
+        a_abs *= delta_e[a_row] * delta_x[a_col]
+        e *= delta_e
+        ps *= delta_x[p_row] * delta_x[p_col]
         d *= delta_x
-        col_p = _column_max(np.abs(Ps.data), p_col, n)
+        if qs is None:
+            continue
+        qs *= delta_x
+        col_p = _column_max(np.abs(ps), p_col, n)
         denom = max(float(col_p.mean()) if n else 0.0, float(np.abs(qs).max(initial=0.0)))
         gamma = 1.0 / denom if denom > _DIV_GUARD else 1.0
-        Ps.data *= gamma
+        ps *= gamma
         qs *= gamma
         c *= gamma
-    return Ps, qs, As, d, e, c
+    return d, e, c
 
 
-class _BandPattern:
-    """Where each entry of P + A' diag(w) A lands in banded storage.
+def _sparse(M, fmt: str):
+    """M as a float sparse matrix in format fmt ("csc" or "csr"), converted if need be."""
+    if sp.issparse(M) and M.format == fmt and M.dtype == np.float64:
+        return M
+    return (sp.csc_matrix if fmt == "csc" else sp.csr_matrix)(M, dtype=float)
 
-    Depends only on the sparsity patterns of P and A and on the variable
-    ordering, which the SQP subproblems of one horizon problem share.
+
+def _row_blocks(A) -> tuple:
+    """A, one matrix or a tuple of row blocks, as canonical float CSR blocks."""
+    blocks = []
+    for block in A if isinstance(A, tuple) else (A,):
+        block = _sparse(block, "csr")
+        if not block.has_canonical_format:
+            block = block.copy()
+            block.sum_duplicates()
+        blocks.append(block)
+    return tuple(blocks)
+
+
+def _pattern(M) -> tuple:
+    """Shape and read-only copies of the index arrays of a CSR or CSC matrix."""
+    indptr, indices = M.indptr.copy(), M.indices.copy()
+    indptr.flags.writeable = indices.flags.writeable = False
+    return M.shape, indptr, indices
+
+
+def _fits(M, pattern: tuple) -> bool:
+    shape, indptr, indices = pattern
+    return M.shape == shape and all(map(np.array_equal, (M.indptr, M.indices), (indptr, indices)))
+
+
+class QpWorkspace:
+    """What every QP on one pair of sparsity patterns shares, set up once.
+
+    P is read as CSC; A is one matrix or a tuple of row blocks stacked in
+    order, each read as CSR.  The workspace holds the patterns of P and A,
+    the pattern of A' with the position in it of each of A's entries, the
+    band slot of every entry of P + A' diag(w) A under `ordering` (reverse
+    Cuthill-McKee when not given) and the pairs of A's entries behind it,
+    and one equilibration (d, e, c) by _ruiz_scale of the values of P and A
+    given here, `free` and `q` as there.  Every array is read-only, so one
+    workspace serves any number of QPs whose P and A blocks have its
+    patterns (`scaled_values`).
     """
 
-    def __init__(self, P: sp.csc_matrix, A: sp.csr_matrix, ordering):
-        n = P.shape[0]
-        # Every pair (left, right) of nonzeros sharing a row of A, with left
-        # at or before right within the row.
-        lens = np.diff(A.indptr)
-        entry_row = np.repeat(np.arange(A.shape[0], dtype=np.int32), lens)
-        after = A.indptr[1:][entry_row] - np.arange(A.nnz)
-        left = np.repeat(np.arange(A.nnz, dtype=np.int32), after)
+    def __init__(self, P, A, ordering=None, q=None, free=None):
+        P = _sparse(P, "csc")
+        blocks = _row_blocks(A)
+        # A's entries numbered in stacking order; A' in CSR lists them
+        # column by column, each column in row order.
+        numbered = sp.vstack(blocks, format="csr")
+        numbered.data = np.arange(numbered.nnz, dtype=float)
+        m, n = self.shape = numbered.shape
+        if P.shape != (n, n):
+            raise ValueError(f"P of shape {P.shape} does not fit A's {n} columns")
+        self.p_pattern, self.blocks = _pattern(P), tuple(map(_pattern, blocks))
+        _, self.p_indptr, self.p_indices = self.p_pattern
+        transposed = numbered.T.tocsr()
+        self.indptr, self.indices = numbered.indptr, numbered.indices
+        self.at_indptr, self.at_indices = transposed.indptr, transposed.indices
+        self.at_order = transposed.data.astype(np.intp)
+        lens = np.diff(self.indptr)
+        self.a_row, self.a_col = np.repeat(np.arange(m), lens), self.indices
+        self.p_row, self.p_col = self.p_indices, np.repeat(np.arange(n), np.diff(self.p_indptr))
+        self._add_band(ordering, lens)
+        a_data = np.concatenate([block.data for block in blocks])
+        self.d, self.e, self.c = _ruiz_scale(self, P.data, a_data, q, free)
+        self.p_scale = self.c * self.d[self.p_row] * self.d[self.p_col]
+        self.a_scale = self.e[self.a_row] * self.d[self.a_col]
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def _add_band(self, ordering, lens):
+        """Band slots of P's entries and of every pair of A's entries in a row.
+
+        The pairs (left, right) of nonzeros sharing a row of A, left at or
+        before right, come row by row: those of row r are
+        pair_ptr[r]:pair_ptr[r + 1].
+        """
+        n = self.shape[1]
+        entries = np.arange(self.indices.size)
+        after = self.indptr[1:][self.a_row] - entries
+        left = np.repeat(entries, after)
         right = left + (np.arange(left.size) - np.repeat(np.cumsum(after) - after, after))
-        p_col = np.repeat(np.arange(n), np.diff(P.indptr))
-        p_row = P.indices
         if ordering is None:
-            graph = sp.coo_matrix(
-                (np.ones(left.size + P.nnz),
-                 (np.concatenate([A.indices[left], p_row]),
-                  np.concatenate([A.indices[right], p_col]))),
-                shape=(n, n),
-            )
-            ordering = reverse_cuthill_mckee((graph + graph.T).tocsr(), symmetric_mode=True)
+            rows = np.concatenate([self.indices[left], self.p_row])
+            cols = np.concatenate([self.indices[right], self.p_col])
+            graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+            ordering = reverse_cuthill_mckee(graph + graph.T, symmetric_mode=True)
+        ordering = np.asarray(ordering)
+        if (
+            ordering.shape != (n,)
+            or ordering.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(ordering), np.arange(n))
+        ):
+            raise ValueError("ordering is not a permutation of the variables")
         self.perm = ordering.copy()
         position = np.empty(n, dtype=np.int64)
         position[self.perm] = np.arange(n)
-        pi, pj = position[A.indices[left]], position[A.indices[right]]
+        pi, pj = position[self.indices[left]], position[self.indices[right]]
         lo, hi = np.minimum(pi, pj), np.maximum(pi, pj)
-        qi, qj = position[p_row], position[p_col]
+        qi, qj = position[self.p_row], position[self.p_col]
         self.p_entries = np.flatnonzero(qi <= qj)
         qi, qj = qi[self.p_entries], qj[self.p_entries]
         self.width = w = int(max(np.max(hi - lo, initial=0), np.max(qj - qi, initial=0)))
+        self.pair_left, self.pair_right = left, right
+        self.pair_ptr = np.concatenate([[0], np.cumsum(lens * (lens + 1) // 2)])
         self.pair_slot = (w + lo - hi) * n + hi
-        self.pair_left = left
-        self.pair_right = right.astype(np.int32)
-        self.pair_row = entry_row[left]
-        self.p_slot = (w + qi - qj) * n + qj
-        for array in (self.perm, self.p_entries, self.pair_slot, self.pair_left,
-                      self.pair_right, self.pair_row, self.p_slot):
-            array.flags.writeable = False
+        self.band_slot = np.concatenate([(w + qi - qj) * n + qj, self.pair_slot])
 
+    def scaled_values(self, P, A):
+        """The equilibrated data of P and of A's blocks, stacked.
 
-# The latest (key, result) of _band_pattern, a pure function of its key.
-# build_nlp's constraint rows depend on the layout alone, so the QPs of a
-# whole run share a pattern: in the bundled runs the single entry serves 63
-# of 64 lookups (one leg) and 67 of 68 (two legs), the first QP of the run
-# building it.
-_LAST_PATTERN: list = [None, None]
-
-
-def _band_pattern(P: sp.csc_matrix, A: sp.csr_matrix, ordering) -> _BandPattern:
-    """The _BandPattern of (P, A, ordering), rebuilt only when the key changes."""
-    key = (
-        P.shape[0],
-        P.indptr.tobytes(), P.indices.tobytes(),
-        A.indptr.tobytes(), A.indices.tobytes(),
-        None if ordering is None else ordering.tobytes(),
-    )
-    if _LAST_PATTERN[0] != key:
-        _LAST_PATTERN[:] = [key, _BandPattern(P, A, ordering)]
-    return _LAST_PATTERN[1]
+        Raises ValueError unless P and the blocks have the set-up patterns.
+        """
+        P, blocks = _sparse(P, "csc"), _row_blocks(A)
+        if not _fits(P, self.p_pattern):
+            raise ValueError("P does not have the workspace's pattern")
+        if len(blocks) != len(self.blocks) or not all(map(_fits, blocks, self.blocks)):
+            raise ValueError("A's blocks do not have the workspace's patterns")
+        a_data = np.concatenate([block.data for block in blocks])
+        return P.data * self.p_scale, a_data * self.a_scale
 
 
 class _CondensedSystem:
-    """The matrices P + sigma I + A' diag(w) A of one QP in banded storage.
+    """P + reg I + rho A_act' A_act of one QP, for any active set, banded.
 
     Under a stage-wise ordering of the variables these matrices are narrow
     band matrices: bandwidth 26 for the 552 variables of the one-leg
-    horizon, 53 for the 1365 of the two-leg one.  Reverse Cuthill-McKee, the
-    ordering used when none is given, reaches 55 and 65-69 on them.  With
-    the band slot of every entry known (_BandPattern), each factorization,
-    for any sigma and row weights w, is one weighted bincount plus LAPACK's
-    banded Cholesky.
+    horizon, 53 for the 1365 of the two-leg one (reverse Cuthill-McKee: 55
+    and 65-69).  The equality rows are active in every set, so their share,
+    with P and reg I, is summed once per QP (`base`, one weighted bincount
+    over the workspace's band slots); the band of an active set adds to it
+    only the pair products of its active inequality rows, which are few.
     """
 
-    def __init__(self, P: sp.csc_matrix, A: sp.csc_matrix, ordering=None):
-        Ar = sp.csr_matrix(A)
-        Ar.sum_duplicates()
-        self.pattern = pattern = _band_pattern(P, Ar, ordering)
-        self.shape = (pattern.width + 1, P.shape[0])
-        self.pair_value = Ar.data[pattern.pair_left] * Ar.data[pattern.pair_right]
-        self.p_band = np.bincount(
-            pattern.p_slot, weights=P.data[pattern.p_entries], minlength=np.prod(self.shape)
-        ).reshape(self.shape).astype(float)
+    def __init__(self, workspace: QpWorkspace, p_data, a_data, eq):
+        self.workspace = ws = workspace
+        self.a_data = a_data
+        # With the equality rows scaled by sqrt(rho) and the others by zero,
+        # a pair's product is its weighted share of the base or else zero.
+        a_eq = np.where(eq[ws.a_row], a_data * np.sqrt(_POLISH_RHO), 0.0)
+        weights = np.empty(ws.band_slot.size)
+        n_p = ws.p_entries.size
+        np.take(p_data, ws.p_entries, out=weights[:n_p])
+        np.take(a_eq, ws.pair_left, out=weights[n_p:])
+        weights[n_p:] *= a_eq[ws.pair_right]
+        shape = (ws.width + 1, ws.shape[1])
+        self.base = np.bincount(
+            ws.band_slot, weights=weights, minlength=shape[0] * shape[1]
+        ).reshape(shape).astype(float, copy=False)
+        self.base[-1] += _POLISH_REG
 
-    def band(self, sigma: float, weights: np.ndarray) -> np.ndarray:
-        """Upper band storage of P + sigma I + A' diag(weights) A, permuted."""
-        band = self.p_band + np.bincount(
-            self.pattern.pair_slot,
-            weights=self.pair_value * weights[self.pattern.pair_row],
-            minlength=np.prod(self.shape),
-        ).reshape(self.shape)
-        band[-1] += sigma
+    def band(self, rows: np.ndarray) -> np.ndarray:
+        """Upper band storage, permuted, with the inequality `rows` active."""
+        ws = self.workspace
+        start = ws.pair_ptr[rows]
+        count = ws.pair_ptr[rows + 1] - start
+        pairs = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        values = self.a_data[ws.pair_left[pairs]] * self.a_data[ws.pair_right[pairs]]
+        band = self.base.copy()
+        np.add.at(band.reshape(-1), ws.pair_slot[pairs], values * _POLISH_RHO)
         return band
-
-
-class _BandedCholesky:
-    """LAPACK banded Cholesky factor plus the ordering it was computed in."""
-
-    def __init__(self, factor: np.ndarray, perm: np.ndarray):
-        self.factor = factor
-        self.perm = perm
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rhs)
-        out[self.perm] = lapack.dpbtrs(self.factor, rhs[self.perm])[0]
-        return out
 
 
 class _NotPositiveDefinite(Exception):
     """The condensed system of an active set has no Cholesky factor."""
 
 
-def _factor_kkt(system: _CondensedSystem, sigma: float, weights: np.ndarray):
-    """Banded Cholesky factor of P + sigma I + A' diag(weights) A.
+def _factor_kkt(system: _CondensedSystem, rows: np.ndarray):
+    """Banded Cholesky factor of P + reg I + rho A_act' A_act.
 
-    Much smaller and fills far less than the equivalent 2x2 saddle form.
-    With large weights on the active rows, the matrix is positive definite
-    exactly when P + sigma I is positive definite on their null space
+    The active rows are the equality rows and the inequality `rows`.  Much
+    smaller and fills far less than the equivalent 2x2 saddle form.  With
+    large weights on the active rows, the matrix is positive definite
+    exactly when P + reg I is positive definite on their null space
     (Finsler's lemma), so a breakdown of the factorization is the inertia
-    test of the active set: it raises _NotPositiveDefinite.
+    test of the active set: it raises _NotPositiveDefinite.  Returns the
+    solve with the factor, in the original order of the variables.
     """
-    factor, info = lapack.dpbtrf(system.band(sigma, weights))
+    factor, info = lapack.dpbtrf(system.band(rows))
     if info > 0:
         raise _NotPositiveDefinite
-    return _BandedCholesky(factor, system.pattern.perm)
+    perm = system.workspace.perm
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        out = np.empty_like(rhs)
+        out[perm] = lapack.dpbtrs(factor, rhs[perm])[0]
+        return out
+
+    return solve
 
 
 @dataclass
@@ -260,7 +324,7 @@ class _ScaledQp:
 
     P: sp.csc_matrix
     q: np.ndarray
-    A: sp.csc_matrix
+    A: sp.csr_matrix
     AT: sp.csr_matrix
     lower: np.ndarray
     upper: np.ndarray
@@ -270,27 +334,28 @@ class _ScaledQp:
     c: float
     system: _CondensedSystem
 
-    def unscale(self, x: np.ndarray, y: np.ndarray):
-        return self.d * x, (self.e * y) / self.c
 
+def _certificate(data: _ScaledQp, lower, upper, dx, dy):
+    """The infeasibility a scaled step (dx, dy) certifies, or None.
 
-def _certificate(P, q, A, lower, upper, dx, dy):
-    """The infeasibility a step (dx, dy) in original units certifies, or None.
-
-    dy certifies primal infeasibility when A' dy = 0 while its support
-    function over the bounds is negative (Farkas); dx certifies an unbounded
-    objective when it is a descent direction of zero curvature along which
-    no finite bound is reached.  Returns the status name, or None.
+    Every test is made in original units, in which the step is (d dx,
+    e dy / c).  dy certifies primal infeasibility when A' dy = 0 while its
+    support function over the bounds is negative (Farkas); dx certifies an
+    unbounded objective when it is a descent direction of zero curvature
+    along which no finite bound is reached.  Returns the status name, or
+    None.
     """
-    norm_dy = float(np.max(np.abs(dy), initial=0.0))
+    d, e, c = data.d, data.e, data.c
+    x_step, y_step = d * dx, e * dy / c
+    norm_dy = float(np.max(np.abs(y_step), initial=0.0))
     if norm_dy > _DIV_GUARD:
-        at_dy = float(np.max(np.abs(A.T @ dy), initial=0.0))
-        up_term = np.where(np.isfinite(upper) & (dy > 0), upper, 0.0) * np.maximum(dy, 0.0)
-        lo_term = np.where(np.isfinite(lower) & (dy < 0), lower, 0.0) * np.minimum(dy, 0.0)
-        support = float(np.sum(up_term) + np.sum(lo_term))
+        at_dy = float(np.max(np.abs(data.AT @ dy) / (c * d), initial=0.0))
+        up = np.where(np.isfinite(upper) & (y_step > 0), upper, 0.0) * np.maximum(y_step, 0.0)
+        lo = np.where(np.isfinite(lower) & (y_step < 0), lower, 0.0) * np.minimum(y_step, 0.0)
+        support = float(np.sum(up) + np.sum(lo))
         unbounded_push = bool(
-            np.any((dy > _EPS_INFEASIBLE * norm_dy) & ~np.isfinite(upper))
-            or np.any((dy < -_EPS_INFEASIBLE * norm_dy) & ~np.isfinite(lower))
+            np.any((y_step > _EPS_INFEASIBLE * norm_dy) & ~np.isfinite(upper))
+            or np.any((y_step < -_EPS_INFEASIBLE * norm_dy) & ~np.isfinite(lower))
         )
         if (
             not unbounded_push
@@ -298,13 +363,13 @@ def _certificate(P, q, A, lower, upper, dx, dy):
             and support <= -_EPS_INFEASIBLE * norm_dy
         ):
             return "primal_infeasible"
-    norm_dx = float(np.max(np.abs(dx), initial=0.0))
+    norm_dx = float(np.max(np.abs(x_step), initial=0.0))
     if norm_dx > _DIV_GUARD:
         tol = _EPS_INFEASIBLE * norm_dx
-        adx = A @ dx
+        adx = (data.A @ dx) / e
         if (
-            float(np.max(np.abs(P @ dx), initial=0.0)) <= tol
-            and float(q @ dx) < -tol
+            float(np.max(np.abs(data.P @ dx) / (c * d), initial=0.0)) <= tol
+            and float(data.q @ dx) / c < -tol
             and np.all(adx[np.isfinite(lower)] >= -tol)
             and np.all(adx[np.isfinite(upper)] <= tol)
         ):
@@ -320,74 +385,53 @@ def solve_qp(
     upper=None,
     options: QpOptions | None = None,
     y0=None,
-    scaling: tuple | None = None,
-    ordering=None,
+    workspace: QpWorkspace | None = None,
 ) -> QpResult:
     """Solve the interval-constrained QP; see module docstring.
 
     The status is solved, max_iterations (returning the best point seen),
     primal_infeasible, dual_infeasible (unbounded objective) or non_convex
-    (P not positive definite on the null space of an active set).
-    `scaling` may carry (d, e, c) equilibration vectors from a previous solve
-    of a structurally identical problem, saving the Ruiz sweeps.  `ordering`
-    is a permutation of range(n) under which P + A'A is narrow-banded
-    (reverse Cuthill-McKee when not given); any other array raises
-    ValueError, as do a `scaling` of other sizes than (n, m) and a `y0` of
-    other than m entries.  The first active set is the sign pattern of `y0`
-    (no inequality row without it), so a warm start that carries the right
-    active set costs one iteration.  A row whose bounds are both infinite
-    never becomes active and changes neither the scaling nor the solution;
-    its multiplier is zero.
+    (P not positive definite on the null space of an active set).  A is a
+    matrix or a tuple of row blocks, stacked in order.  `workspace` is a
+    QpWorkspace set up for P's pattern and A's blocks, whose variable
+    ordering and equilibration the solve takes; values that do not fit it
+    raise ValueError.  Without one, solve_qp sets one up for this QP alone,
+    equilibrated on its P, q and A.  A `y0` of other than m entries raises
+    ValueError.  The first active set is the sign pattern of
+    `y0` (no inequality row without it), so a warm start that carries the
+    right active set costs one iteration.  A row whose bounds are both
+    infinite never becomes active and changes neither the scaling nor the
+    solution; its multiplier is zero.
     """
     opts = options or QpOptions()
     q = np.asarray(q, dtype=float).reshape(-1)
     n = q.size
-    P = sp.csc_matrix(P, shape=(n, n), dtype=float)
-    if A is None or (hasattr(A, "shape") and A.shape[0] == 0):
-        A = sp.csc_matrix((0, n))
-        lower = np.zeros(0)
-        upper = np.zeros(0)
-    else:
-        A = sp.csc_matrix(A, dtype=float)
+    P = _sparse(P, "csc")
+    if A is None:
+        A, lower, upper = sp.csr_matrix((0, n)), np.zeros(0), np.zeros(0)
+    A = _row_blocks(A)
     lower = np.asarray(lower, dtype=float).reshape(-1)
     upper = np.asarray(upper, dtype=float).reshape(-1)
-    m = A.shape[0]
+    m = sum(block.shape[0] for block in A)
     if lower.size != m or upper.size != m:
         raise ValueError("constraint bounds do not match the number of rows")
     if np.any(lower > upper):
         raise ValueError("lower bound exceeds upper bound on some row")
-    if ordering is not None:
-        ordering = np.asarray(ordering)
-        if (
-            ordering.shape != (n,)
-            or ordering.dtype.kind not in "iu"
-            or not np.array_equal(np.sort(ordering), np.arange(n))
-        ):
-            raise ValueError("ordering is not a permutation of the variables")
     if y0 is not None and np.asarray(y0).size != m:
         raise ValueError(f"y0 has {np.asarray(y0).size} entries, the QP has {m} rows")
-    if scaling is not None and (scaling[0].size, scaling[1].size) != (n, m):
-        raise ValueError(
-            f"scaling has {scaling[0].size} variable and {scaling[1].size} row factors,"
-            f" the QP has {n} and {m}"
-        )
-
-    if scaling is not None:
-        d, e, c = scaling[0].copy(), scaling[1].copy(), float(scaling[2])
-        Ps = P.tocsc(copy=True)
-        Ps.data *= c * d[Ps.indices] * d[np.repeat(np.arange(n), np.diff(Ps.indptr))]
-        As = A.tocsc(copy=True)
-        if m:
-            As.data *= e[As.indices] * d[np.repeat(np.arange(n), np.diff(As.indptr))]
-        qs = c * d * q
-    else:
-        free = ~(np.isfinite(lower) | np.isfinite(upper))
-        Ps, qs, As, d, e, c = _ruiz_scale(P, q, A, free, _SCALING_ITERATIONS)
-    ls = e * lower
-    us = e * upper
+    if workspace is None:
+        workspace = QpWorkspace(P, A, q=q, free=~(np.isfinite(lower) | np.isfinite(upper)))
+    ws = workspace
+    ps, as_ = ws.scaled_values(P, A)
+    d, e, c = ws.d, ws.e, ws.c
+    ls, us = e * lower, e * upper
     eq = np.isfinite(lower) & (lower == upper)
     data = _ScaledQp(
-        Ps, qs, As, As.T.tocsr(), ls, us, eq, d, e, c, _CondensedSystem(Ps, As, ordering)
+        sp.csc_matrix((ps, ws.p_indices, ws.p_indptr), shape=(n, n)),
+        c * d * q,
+        sp.csr_matrix((as_, ws.indices, ws.indptr), shape=(m, n)),
+        sp.csr_matrix((as_[ws.at_order], ws.at_indices, ws.at_indptr), shape=(n, m)),
+        ls, us, eq, d, e, c, _CondensedSystem(ws, ps, as_, eq),
     )
 
     # Primal-dual active-set iteration: solve the equality-constrained QP on
@@ -422,7 +466,7 @@ def solve_qp(
         if found is None:
             break
         x_new, y_new, dx, dy = found
-        ax = As @ x_new
+        ax = data.A @ x_new
         sign_tol = 1e-10 * max(1.0, float(np.max(np.abs(y_new), initial=0.0)))
         wrong = (upp & (y_new < -sign_tol)) | (low & (y_new > sign_tol))
         # Active rows the solution cannot meet are inconsistent; the stalled
@@ -444,7 +488,7 @@ def solve_qp(
         signed = np.where(upp, np.maximum(y_new, 0.0), np.where(low, np.minimum(y_new, 0.0), y_new))
         off = np.maximum(np.maximum(ls - ax, ax - us), np.abs(gap))
         pri = float(np.max(off / e, initial=0.0))
-        gradient = Ps @ x_new + qs
+        gradient = data.P @ x_new + data.q
         dua = float(np.max(np.abs(gradient + data.AT @ signed) / (c * d)))
         done = max(pri, dua) <= _EPS_ABS and not np.any(wrong | under | over)
         if done or max(pri, dua) < best[0]:
@@ -457,7 +501,7 @@ def solve_qp(
         stationary = np.abs(gradient + data.AT @ y_new) / (c * d)
         unbounded = float(np.max(stationary, initial=0.0)) > _EPS_ABS
         certified = (inconsistent or unbounded) and _certificate(
-            P, q, A, lower, upper, d * dx, e * dy / c
+            data, lower, upper, dx, dy
         )
         if certified:
             status = certified
@@ -491,8 +535,8 @@ def solve_qp(
     if status == "max_iterations" and kkt <= _EPS_ABS:
         status = "solved"
     return QpResult(
-        *data.unscale(xs, ys), status, iterations, pri, dua,
-        polished=bool(np.isfinite(kkt)), scaling=(d, e, c),
+        d * xs, (e * ys) / c, status, iterations, pri, dua,
+        polished=bool(np.isfinite(kkt)),
     )
 
 
@@ -518,7 +562,7 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
     active = data.eq | low | upp
     targets = np.where(data.eq | upp, data.upper, np.where(low, data.lower, 0.0))
     weight = np.where(active, _POLISH_RHO, 0.0)
-    factor = _factor_kkt(data.system, _POLISH_REG, weight)
+    solve = _factor_kkt(data.system, np.flatnonzero(low | upp))
     xh = x_est
     yh = np.where(active, y_est, 0.0)
     # Iterative refinement in correction form: each pass solves the
@@ -531,7 +575,7 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
         last, residual = residual, max(
             float(np.max(np.abs(r_pri), initial=0.0)), float(np.max(np.abs(r_dua)))
         )
-        dx = factor.solve(-(r_dua + data.AT @ (weight * r_pri)))
+        dx = solve(-(r_dua + data.AT @ (weight * r_pri)))
         dy = weight * (r_pri + data.A @ dx)
         if residual > 0.9 * last:
             break
@@ -561,38 +605,28 @@ def qp_solve(
     """
     gradient = np.asarray(gradient, dtype=float).reshape(-1)
     n = gradient.size
-    blocks, lows, highs = [], [], []
+
+    def bound(value, default, size):
+        return np.full(size, default) if value is None else np.asarray(value, dtype=float)
+
+    rows = []  # (block, lower, upper) per row block
     m_eq = m_in = 0
     if eq_matrix is not None:
-        eq_rhs = np.asarray(eq_rhs, dtype=float).reshape(-1)
-        blocks.append(sp.csc_matrix(eq_matrix))
-        lows.append(eq_rhs)
-        highs.append(eq_rhs)
-        m_eq = eq_rhs.size
+        rhs = np.asarray(eq_rhs, dtype=float).reshape(-1)
+        rows.append((eq_matrix, rhs, rhs))
+        m_eq = rhs.size
     if ineq_matrix is not None:
-        blocks.append(sp.csc_matrix(ineq_matrix))
-        lo = -np.inf * np.ones(blocks[-1].shape[0]) if ineq_lower is None else ineq_lower
-        hi = np.inf * np.ones(blocks[-1].shape[0]) if ineq_upper is None else ineq_upper
-        lows.append(np.asarray(lo, dtype=float))
-        highs.append(np.asarray(hi, dtype=float))
-        m_in = blocks[-1].shape[0]
+        m_in = _sparse(ineq_matrix, "csr").shape[0]
+        lo, hi = bound(ineq_lower, -np.inf, m_in), bound(ineq_upper, np.inf, m_in)
+        rows.append((ineq_matrix, lo, hi))
     if x_lower is not None or x_upper is not None:
-        lo = -np.inf * np.ones(n) if x_lower is None else np.asarray(x_lower, dtype=float)
-        hi = np.inf * np.ones(n) if x_upper is None else np.asarray(x_upper, dtype=float)
-        finite = np.isfinite(lo) | np.isfinite(hi)
-        if np.any(finite):
-            idx = np.where(finite)[0]
-            eye = sp.eye(n, format="csr")[idx]
-            blocks.append(sp.csc_matrix(eye))
-            lows.append(lo[idx])
-            highs.append(hi[idx])
-    if blocks:
-        A = sp.vstack(blocks, format="csc")
-        lower = np.concatenate(lows)
-        upper = np.concatenate(highs)
-    else:
-        A = lower = upper = None
+        lo, hi = bound(x_lower, -np.inf, n), bound(x_upper, np.inf, n)
+        idx = np.flatnonzero(np.isfinite(lo) | np.isfinite(hi))
+        if idx.size:
+            rows.append((sp.eye(n, format="csr")[idx], lo[idx], hi[idx]))
+    A = lower = upper = None
+    if rows:
+        A, lows, highs = zip(*rows)
+        lower, upper = np.concatenate(lows), np.concatenate(highs)
     result = solve_qp(hessian, gradient, A, lower, upper, options=options)
-    y_eq = result.y[:m_eq]
-    y_in = result.y[m_eq : m_eq + m_in]
-    return result.x, y_eq, y_in, result
+    return result.x, result.y[:m_eq], result.y[m_eq : m_eq + m_in], result

@@ -8,7 +8,8 @@ A small diagonal floor is added to every QP Hessian.  The exact Hessian is
 indefinite; the QP's banded Cholesky tests, on each active set, that it is
 positive definite on the constraints' null space.  When that test fails the
 same iteration is solved again with the Gauss-Newton Hessian (cost Hessian
-only, positive semidefinite), the only safeguard.
+only, positive semidefinite), the only safeguard.  The subproblems bring
+values only to the QP workspace of the problem's horizon structure.
 """
 
 from __future__ import annotations
@@ -113,33 +114,30 @@ def _interval_violation(values, lower, upper) -> np.ndarray:
     return np.maximum(lower - values, 0.0) + np.maximum(values - upper, 0.0)
 
 
-def _evaluate(problem, x):
+def _l1_infeasibility(c_eq, in_gap) -> float:
+    return float(np.sum(np.abs(c_eq))) + float(np.sum(in_gap))
+
+
+def _constraint_values(problem, x):
+    """eq(x) and ineq(x), empty for a problem without such rows."""
+    return (
+        problem.eq(x) if problem.n_eq else np.zeros(0),
+        problem.ineq(x) if problem.n_ineq else np.zeros(0),
+    )
+
+
+def _evaluate(problem, x, values=None):
+    """Cost, gradient, constraint values and Jacobians at x.
+
+    `values` are _constraint_values at x when the caller has them already
+    (the accepted line-search trial); they are not evaluated again.
+    """
     f = problem.cost(x)
     g = problem.cost_grad(x)
-    if problem.n_eq:
-        c_eq = problem.eq(x)
-        j_eq = problem.eq_jac(x)
-    else:
-        c_eq = np.zeros(0)
-        j_eq = sp.csr_matrix((0, problem.dimension))
-    if problem.n_ineq:
-        v_in = problem.ineq(x)
-        j_in = problem.ineq_jac(x)
-    else:
-        v_in = np.zeros(0)
-        j_in = sp.csr_matrix((0, problem.dimension))
+    c_eq, v_in = _constraint_values(problem, x) if values is None else values
+    j_eq = problem.eq_jac(x) if problem.n_eq else sp.csr_matrix((0, problem.dimension))
+    j_in = problem.ineq_jac(x) if problem.n_ineq else sp.csr_matrix((0, problem.dimension))
     return f, g, c_eq, j_eq, v_in, j_in
-
-
-def _l1_infeasibility(problem, x) -> float:
-    total = 0.0
-    if problem.n_eq:
-        total += float(np.sum(np.abs(problem.eq(x))))
-    if problem.n_ineq:
-        total += float(
-            np.sum(_interval_violation(problem.ineq(x), problem.ineq_lower, problem.ineq_upper))
-        )
-    return total
 
 
 def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, n):
@@ -148,15 +146,7 @@ def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, n):
     if m_in == 0:
         return None
     eye = sp.eye(m_in, format="csc")
-    A = sp.bmat(
-        [
-            [j_eq, None],
-            [j_in, -eye],
-            [j_in, eye],
-            [None, eye],
-        ],
-        format="csc",
-    )
+    A = sp.bmat([[j_eq, None], [j_in, -eye], [j_in, eye], [None, eye]], format="csc")
     inf = np.inf * np.ones(m_in)
     lower = np.concatenate([-c_eq, -inf, lo, np.zeros(m_in)])
     upper = np.concatenate([-c_eq, hi, inf, inf])
@@ -213,12 +203,12 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
     nu = 1.0
     merit_history: list = []
     best = None  # (key, x, y, kkt, viol, f)
-    qp_scaling = None
+    values = None  # _constraint_values at x, once a line search has them
     elastic_stall = 0
     viol_at_elastic = None
 
     for it in range(opts.max_iterations + 1):
-        f, g, c_eq, j_eq, v_in, j_in = _evaluate(problem, x)
+        f, g, c_eq, j_eq, v_in, j_in = _evaluate(problem, x, values)
         finite = (
             np.isfinite(f)
             and np.all(np.isfinite(g))
@@ -229,7 +219,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             status = "numerical_failure"
             break
         viol_eq = float(np.max(np.abs(c_eq), initial=0.0))
-        in_gap = _interval_violation(v_in, lo, hi) if m_in else np.zeros(0)
+        in_gap = _interval_violation(v_in, lo, hi)
         viol = max(viol_eq, float(np.max(in_gap, initial=0.0)))
         cost_value = f
         kkt = _kkt_residual(g, j_eq, j_in, v_in, lo, hi, y)
@@ -246,31 +236,20 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         if it == opts.max_iterations:
             break
 
-        if m_eq or m_in:
-            rows = ([j_eq] if m_eq else []) + ([j_in] if m_in else [])
-            A = sp.vstack(rows, format="csc") if len(rows) > 1 else rows[0].tocsc()
-            lower = np.concatenate(
-                ([-c_eq] if m_eq else []) + ([lo - v_in] if m_in else [])
-            )
-            upper = np.concatenate(
-                ([-c_eq] if m_eq else []) + ([hi - v_in] if m_in else [])
-            )
-        else:
-            A = lower = upper = None
+        lower = np.concatenate([-c_eq, lo - v_in])
+        upper = np.concatenate([-c_eq, hi - v_in])
         hessians = [gauss_newton]
         if problem.lagrangian_hess is not None:
             exact = problem.lagrangian_hess(x, y[:m_eq], _HESSIAN_REGULARIZATION)
             hessians = [exact, gauss_newton]
         for P in hessians:
             qp_res = solve_qp(
-                P, g, A, lower, upper,
+                P, g, (j_eq, j_in), lower, upper,
                 options=_SUBPROBLEM_OPTIONS,
-                y0=y, scaling=qp_scaling, ordering=problem.ordering,
+                y0=y, workspace=problem.qp_workspace,
             )
             if qp_res.status != "non_convex":
                 break
-        if qp_scaling is None:
-            qp_scaling = qp_res.scaling
         if qp_res.status == "primal_infeasible":
             elastic = _elastic_qp(
                 P, g, j_eq, c_eq, j_in, lo - v_in, hi - v_in, problem.dimension
@@ -308,7 +287,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             continue
 
         nu = max(nu, 1.5 * float(np.max(np.abs(y_new), initial=0.0)) + 1e-6)
-        infeas0 = float(np.sum(np.abs(c_eq))) + float(np.sum(in_gap))
+        infeas0 = _l1_infeasibility(c_eq, in_gap)
         merit0 = f + nu * infeas0
         descent = float(g @ d) - nu * infeas0
         alpha = 1.0
@@ -317,7 +296,8 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         for _ in range(opts.max_backtracks):
             x_try = x + alpha * d
             f_try = problem.cost(x_try)
-            infeas_try = _l1_infeasibility(problem, x_try)
+            values = _constraint_values(problem, x_try)
+            infeas_try = _l1_infeasibility(values[0], _interval_violation(values[1], lo, hi))
             merit_try = f_try + nu * infeas_try
             if np.isfinite(merit_try) and merit_try <= merit0 + _ARMIJO_FACTOR * alpha * min(
                 descent, 0.0
@@ -337,7 +317,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             else:
                 status = "line_search_stall"
             break
-        x = x + alpha * d
+        x = x_try
         y = y_new
 
     if status != "converged" and best is not None:
@@ -501,33 +481,14 @@ def check_derivatives(
         if err > worst[0]:
             worst = (err, "cost_grad", 0, i)
 
-    eq_worst = 0.0
+    # (block, function, its analytic Jacobian at x, pattern, rows) per audit
+    audits = []
     if problem.n_eq:
-        pattern = problem.eq_pattern
-        if pattern is None:
-            coo = problem.eq_jac(x).tocoo()
-            pattern = (coo.row, coo.col)
-        err, r, c = _fd_jacobian_check(
-            problem.eq, problem.eq_jac(x), pattern, x, h, problem.n_eq
-        )
-        eq_worst = err
-        if err > worst[0]:
-            worst = (err, "eq_jac", r, c)
-
-    ineq_worst = 0.0
+        audits.append(("eq_jac", problem.eq, problem.eq_jac(x), problem.eq_pattern, problem.n_eq))
     if problem.n_ineq:
-        pattern = problem.ineq_pattern
-        if pattern is None:
-            coo = problem.ineq_jac(x).tocoo()
-            pattern = (coo.row, coo.col)
-        err, r, c = _fd_jacobian_check(
-            problem.ineq, problem.ineq_jac(x), pattern, x, h, problem.n_ineq
+        audits.append(
+            ("ineq_jac", problem.ineq, problem.ineq_jac(x), problem.ineq_pattern, problem.n_ineq)
         )
-        ineq_worst = err
-        if err > worst[0]:
-            worst = (err, "ineq_jac", r, c)
-
-    hess_worst = 0.0
     if problem.lagrangian_hess is not None:
         y = np.ones(problem.n_eq) if multipliers is None else np.asarray(multipliers, float)
         hess = problem.lagrangian_hess(x, y, 0.0).tocoo()
@@ -536,12 +497,16 @@ def check_derivatives(
             g_z = problem.cost_grad(z)
             return g_z + problem.eq_jac(z).T @ y if problem.n_eq else g_z
 
-        err, r, c = _fd_jacobian_check(
-            lagrangian_grad, hess, (hess.row, hess.col), x, h, x.size
-        )
-        hess_worst = err
+        audits.append(("lagrangian_hess", lagrangian_grad, hess, (hess.row, hess.col), x.size))
+    errors = dict.fromkeys(("eq_jac", "ineq_jac", "lagrangian_hess"), 0.0)
+    for block, fun, jac, pattern, m_rows in audits:
+        if pattern is None:
+            coo = jac.tocoo()
+            pattern = (coo.row, coo.col)
+        err, r, c = _fd_jacobian_check(fun, jac, pattern, x, h, m_rows)
+        errors[block] = err
         if err > worst[0]:
-            worst = (err, "lagrangian_hess", r, c)
+            worst = (err, block, r, c)
 
     return DerivativeReport(
         max_relative_error=worst[0],
@@ -549,7 +514,7 @@ def check_derivatives(
         worst_row=worst[2],
         worst_col=worst[3],
         gradient_error=grad_worst,
-        eq_error=eq_worst,
-        ineq_error=ineq_worst,
-        hessian_error=hess_worst,
+        eq_error=errors["eq_jac"],
+        ineq_error=errors["ineq_jac"],
+        hessian_error=errors["lagrangian_hess"],
     )

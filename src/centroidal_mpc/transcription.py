@@ -32,6 +32,7 @@ from .model import (
     skew_batch,
 )
 from .plan import ContactPlan
+from .qp import QpWorkspace
 
 
 def _as_diag3(value, name: str) -> np.ndarray:
@@ -276,15 +277,18 @@ class NlpProblem:
     Inequalities are interval constraints lower <= ineq(x) <= upper; equality
     constraints are eq(x) = 0.  Jacobian callbacks return scipy CSR matrices
     whose sparsity never changes between evaluations; the (row, col) patterns
-    are exposed for structure-aware finite differencing.  `ordering`, when
-    set, is a permutation of the variables under which the Hessian plus the
-    constraint Jacobians' Gram matrix is narrow-banded; the QP subproblems
-    factor in that order.
+    are exposed for structure-aware finite differencing.
 
     `lagrangian_hess(x, y_eq, shift)`, when set, returns the Hessian of
     cost(x) + y_eq' eq(x) at x, plus shift times the identity, as a CSC
     matrix whose sparsity pattern never changes (explicit zeros included).
     Inequalities must be linear: they add no curvature.
+
+    `qp_workspace`, when set, is the QpWorkspace of every SQP subproblem:
+    its P has lagrangian_hess's pattern, its A the equality Jacobian's rows
+    over the inequality Jacobian's, and the subproblems bring values only.
+    They factor in its variable ordering, under which the Hessian plus the
+    constraint Jacobians' Gram matrix is narrow-banded.
 
     `shift_rows`, when set, lists per constraint row (equality rows, then
     inequality rows) the row of the same constraint one knot later; the
@@ -307,9 +311,9 @@ class NlpProblem:
     ineq_pattern: tuple | None = None
     ineq_lower: np.ndarray | None = None
     ineq_upper: np.ndarray | None = None
-    ordering: np.ndarray | None = None
     lagrangian_hess: Callable[[np.ndarray, np.ndarray, float], sp.spmatrix] | None = None
     shift_rows: np.ndarray | None = None
+    qp_workspace: QpWorkspace | None = None
 
 
 def _cost_hessian(layout: DecisionLayout, weights: Weights, period: float) -> sp.csr_matrix:
@@ -403,7 +407,8 @@ class _HorizonStructure:
     set only values and bounds (build_nlp, _inequality_bounds).  It holds
     the cost Hessian `cost_hess` (CSR), the fixed patterns of the equality
     Jacobian, the Lagrangian Hessian and the inequality matrix (see the
-    _add_* methods), and NlpProblem's `shift_rows` and `ordering`.
+    _add_* methods), the variable `ordering`, and NlpProblem's `shift_rows`
+    and `qp_workspace`.
     """
 
     def __init__(
@@ -420,6 +425,7 @@ class _HorizonStructure:
         self._add_inequality_matrix(layout, rotations, pyramid)
         self.shift_rows = _shift_rows(layout)
         self.ordering = layout.stage_order()
+        self._add_qp_workspace(layout)
         for array in (
             self.cost_hess.data, self.cost_hess.indices, self.cost_hess.indptr,
             self.knot_values, self.eq_rows, self.eq_cols, self.eq_indices, self.eq_indptr,
@@ -552,6 +558,31 @@ class _HorizonStructure:
         self.diag_slots = slots[-n:]
         self.hess_base = np.zeros(self.hess_indices.size)
         self.hess_base[slots[4 * f.size : -n]] = cost.data
+
+    def _add_qp_workspace(self, layout: DecisionLayout):
+        """The QpWorkspace `qp_workspace` of every SQP subproblem.
+
+        Its equilibration is that of the values this structure fixes: the
+        cost Hessian, the equality Jacobian's unit entries (the others,
+        set by the period, the mass, the schedule and the iterate, count as
+        zero) and the inequality matrix.  The cost is left unscaled, since
+        the gradient that sets its size changes with every subproblem.
+        """
+        n, sd, n_knots = layout.size, layout.state_dim, layout.n_knots
+        eq_values = np.empty(self.eq_slots.size)
+        eq_values[self.eq_slots] = np.concatenate(
+            [np.ones(sd), np.tile(self.knot_values, n_knots), np.zeros(self.n_var_entries)]
+        )
+        self.qp_workspace = QpWorkspace(
+            sp.csc_matrix((self.hess_base, self.hess_indices, self.hess_indptr), shape=(n, n)),
+            (
+                sp.csr_matrix(
+                    (eq_values, self.eq_indices, self.eq_indptr), shape=(sd + n_knots * sd, n)
+                ),
+                self.ineq_matrix,
+            ),
+            self.ordering,
+        )
 
     def _add_inequality_matrix(
         self, layout: DecisionLayout, rotations: np.ndarray, pyramid: FrictionPyramid
@@ -905,7 +936,7 @@ def build_nlp(
         ineq_pattern=structure.ineq_pattern,
         ineq_lower=ineq_lower,
         ineq_upper=ineq_upper,
-        ordering=structure.ordering,
         lagrangian_hess=lagrangian_hess,
         shift_rows=structure.shift_rows,
+        qp_workspace=structure.qp_workspace,
     )

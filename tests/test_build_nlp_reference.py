@@ -317,7 +317,7 @@ class TestLayoutTemplateMemo:
         shared = [structure.eq_rows, structure.eq_cols, structure.eq_slots,
                   structure.eq_indices, structure.eq_indptr, structure.knot_values,
                   *problem.eq_pattern, hess.data, hess.indices, hess.indptr,
-                  problem.shift_rows, problem.ordering]
+                  problem.shift_rows, problem.qp_workspace.perm]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -404,7 +404,7 @@ class TestLagrangianHessian:
         ).tocoo()
         assert curvature.nnz == 4 * 6 * N_KNOTS * 5  # (f, p), (f, r) and transposes
         position = np.empty(problem.dimension, dtype=int)
-        position[problem.ordering] = np.arange(problem.dimension)
+        position[problem.qp_workspace.perm] = np.arange(problem.dimension)
         stage = position // (layout.state_dim + layout.control_dim)
         assert np.array_equal(stage[curvature.row], stage[curvature.col])
 

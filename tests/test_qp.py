@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centroidal_mpc import qp
-from centroidal_mpc.qp import qp_solve, solve_qp
+from centroidal_mpc.qp import QpWorkspace, qp_solve, solve_qp
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -44,6 +44,30 @@ def brute_force_qp(P, q, A, lower, upper):
                 if best is None or value < best[0]:
                     best = (value, x)
     return best[1]
+
+
+def free_rows(lower, upper):
+    return ~(np.isfinite(lower) | np.isfinite(upper))
+
+
+def one_off_workspace(P, q, A, lower, upper):
+    """The workspace solve_qp sets up for this QP when it is given none."""
+    return QpWorkspace(sp.csc_matrix(P), sp.csc_matrix(A), q=q, free=free_rows(lower, upper))
+
+
+def assert_same_result(res, other, atol=1e-9):
+    assert res.status == other.status
+    np.testing.assert_allclose(res.x, other.x, rtol=0, atol=atol)
+    np.testing.assert_allclose(res.y, other.y, rtol=0, atol=atol)
+
+
+def random_qp(seed, n=5, m=4):
+    """A strictly convex QP with interval rows, dense P and A (full patterns)."""
+    rng = np.random.RandomState(seed)
+    M = rng.randn(n, n)
+    P = M @ M.T + 0.5 * np.eye(n)
+    return (P, rng.randn(n), rng.randn(m, n),
+            -np.abs(rng.randn(m)) - 0.1, np.abs(rng.randn(m)) + 0.1)
 
 
 class TestAnalyticProblems:
@@ -151,14 +175,7 @@ def bounded_qps(draw):
 class TestRandomAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_enumeration(self, seed):
-        rng = np.random.RandomState(seed)
-        n, m = 5, 4
-        M = rng.randn(n, n)
-        P = M @ M.T + 0.5 * np.eye(n)
-        q = rng.randn(n)
-        A = rng.randn(m, n)
-        lower = -np.abs(rng.randn(m)) - 0.1
-        upper = np.abs(rng.randn(m)) + 0.1
+        P, q, A, lower, upper = random_qp(seed)
         expected = brute_force_qp(P, q, A, lower, upper)
         res = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper)
         assert res.solved
@@ -531,12 +548,14 @@ class TestOptions:
         P = sp.diags([1.0, 2.0, 3.0], format="csc")
         q = -np.ones(3)
         A = sp.csc_matrix(np.eye(3))
-        res = solve_qp(P, q, A, np.zeros(3), np.ones(3), ordering=[2, 0, 1])
+        workspace = QpWorkspace(P, A, ordering=[2, 0, 1], q=q)
+        assert np.array_equal(workspace.perm, [2, 0, 1])
+        res = solve_qp(P, q, A, np.zeros(3), np.ones(3), workspace=workspace)
         assert res.solved
         np.testing.assert_allclose(res.x, [1.0, 0.5, 1.0 / 3.0], atol=1e-8)
         for bad in ([0, 1], [0, 1, 1], [0.0, 1.0, 2.0], [0, 1, 3]):
             with pytest.raises(ValueError):
-                solve_qp(P, q, A, np.zeros(3), np.ones(3), ordering=bad)
+                QpWorkspace(P, A, ordering=bad, q=q)
 
     def test_warm_start_of_another_size_raises(self):
         P = sp.diags([1.0, 2.0, 3.0], format="csc")
@@ -545,8 +564,10 @@ class TestOptions:
         lower, upper = np.zeros(2), np.full(2, 0.5)
         first = solve_qp(P, q, A, lower, upper, y0=[1.0, 0.0])
         assert first.solved
-        # matching sizes are taken: the duals and the scaling of a previous solve
-        again = solve_qp(P, q, A, lower, upper, y0=first.y, scaling=first.scaling)
+        # matching sizes are taken: the duals of a previous solve, on a
+        # workspace equilibrated as the one-off one
+        workspace = QpWorkspace(P, A, q=q)
+        again = solve_qp(P, q, A, lower, upper, y0=first.y, workspace=workspace)
         assert again.solved
         np.testing.assert_allclose(again.x, first.x, atol=1e-12)
         for y0 in ([1.0], [1.0, 0.0, 0.0]):
@@ -554,7 +575,86 @@ class TestOptions:
                 solve_qp(P, q, A, lower, upper, y0=y0)
         with pytest.raises(ValueError, match="y0 has 1 entries, the QP has 0 rows"):
             solve_qp(P, q, y0=[1.0])
-        d, e, c = first.scaling
-        for scaling in ((d[:2], e, c), (d, np.append(e, 1.0), c), (d, e[:0], c)):
-            with pytest.raises(ValueError, match="scaling has"):
-                solve_qp(P, q, A, lower, upper, scaling=scaling)
+        # a workspace of other sizes is refused, as the scaling of one was
+        for P_other, q_other, A_other, bounds in (
+            (P, q, A[:1], 1),
+            (P, q, sp.csc_matrix(np.eye(3)), 3),
+            (P[:2, :2], q[:2], A[:, :2], 2),
+        ):
+            with pytest.raises(ValueError, match="pattern"):
+                solve_qp(P_other, q_other, A_other, np.zeros(bounds), np.ones(bounds),
+                         workspace=workspace)
+
+
+class TestWorkspace:
+    """A QpWorkspace set up once serves every QP on its patterns."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_workspace_solve_matches_one_off(self, seed):
+        P, q, A, lower, upper = random_qp(seed)
+        one_off = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper)
+        workspace = one_off_workspace(P, q, A, lower, upper)
+        res = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper, workspace=workspace)
+        assert_same_result(res, one_off)
+
+    @PROPERTY
+    @given(bounded_qps())
+    def test_every_bounded_qp_matches_one_off(self, case):
+        P, q, A, lower, upper, y0, _ = case
+        one_off = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper, y0=y0)
+        workspace = one_off_workspace(P, q, A, lower, upper)
+        res = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper, y0=y0,
+                       workspace=workspace)
+        assert_same_result(res, one_off)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reuse_for_new_values_matches_a_fresh_workspace(self, seed):
+        # The second QP has the patterns of the first and new values; the
+        # workspace, equilibrated on the first, solves it as a fresh one
+        # equilibrated the same way does, and carries nothing from the
+        # first solve over.
+        first = random_qp(seed)
+        P, q, A, lower, upper = random_qp(seed + 100)
+        workspace = one_off_workspace(*first)
+        solve_qp(*(sp.csc_matrix(v) if v.ndim == 2 else v for v in first),
+                 workspace=workspace)
+        reused = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper,
+                          workspace=workspace)
+        fresh = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper,
+                         workspace=one_off_workspace(*first))
+        assert_same_result(reused, fresh, atol=0.0)
+        assert reused.solved
+        assert kkt_violation(P, q, A, lower, upper, reused.x, reused.y) <= 1e-7
+        np.testing.assert_allclose(reused.x, brute_force_qp(P, q, A, lower, upper), atol=1e-7)
+
+    def test_row_blocks_stack_in_order(self):
+        # A workspace of two row blocks solves the QP of the stacked matrix.
+        P, q, A, lower, upper = random_qp(4)
+        blocks = (sp.csr_matrix(A[:1]), sp.csr_matrix(A[1:]))
+        stacked = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper)
+        workspace = QpWorkspace(sp.csc_matrix(P), blocks, q=q)
+        assert_same_result(solve_qp(P, q, blocks, lower, upper, workspace=workspace), stacked)
+
+    def test_values_that_do_not_fit_raise(self):
+        P, q, A, lower, upper = random_qp(1)
+        workspace = QpWorkspace(sp.csc_matrix(P), sp.csc_matrix(A), q=q)
+        sparser_P = sp.csc_matrix(np.diag(np.diag(P)))
+        sparser_A = sp.csc_matrix(np.where(np.abs(A) > 0.5, A, 0.0))
+        blocks = (sp.csr_matrix(A[:2]), sp.csr_matrix(A[2:]))
+        for args in (
+            (sparser_P, q, A, lower, upper),
+            (P, q, sparser_A, lower, upper),
+            (P, q, blocks, lower, upper),
+            (P, q, A[:3], lower[:3], upper[:3]),
+            (P[:4, :4], q[:4], A[:, :4], lower, upper),
+        ):
+            with pytest.raises(ValueError, match="pattern"):
+                solve_qp(*args, workspace=workspace)
+
+    def test_arrays_are_read_only(self):
+        P, q, A, lower, upper = random_qp(2)
+        workspace = QpWorkspace(sp.csc_matrix(P), sp.csc_matrix(A), q=q)
+        for array in (workspace.d, workspace.e, workspace.perm, workspace.band_slot,
+                      workspace.indices, workspace.at_order, *workspace.p_pattern[1:]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0

@@ -1,6 +1,15 @@
+import importlib.util
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import centroidal_mpc
+from centroidal_mpc import bundled_scenario, qp, transcription
 from centroidal_mpc.scenario import apply_overrides, parse_scenario
 from centroidal_mpc.sim import Touchdown, compute_metrics, export_csv, simulate, write_manifest
 
@@ -172,3 +181,68 @@ class TestComputeMetrics:
         _, metrics = standing_run
         assert metrics.solve_time_max_ms >= metrics.solve_time_mean_ms > 0
         assert 0.0 <= metrics.convergence_rate <= 1.0
+
+
+def push_sweep_scenarios(seed):
+    """(name, text) of perfbench's push_sweep scenarios for one seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.scenarios("push_sweep", seed, bundled_scenario)
+
+
+# Simulates stdin's scenario text (named argv[2]) and exports its CSVs to argv[1].
+_FRESH_RUN = """
+import sys
+from centroidal_mpc import export_csv, parse_scenario, simulate
+traj, _ = simulate(parse_scenario(sys.stdin.read(), name=sys.argv[2]))
+export_csv(traj, sys.argv[1])
+"""
+
+
+class TestQpWorkspaceTraffic:
+    """The QP workspace of a run's horizon structure is set up with the
+    structure, and no run leaves anything behind that a later run reads."""
+
+    @pytest.mark.parametrize("name", ["one_leg_jump", "two_leg_walk_run"])
+    def test_set_up_once_per_structure(self, name, monkeypatch):
+        counts = Counter()
+        set_up, ruiz = qp.QpWorkspace.__init__, qp._ruiz_scale
+
+        def counting_set_up(self, *args, **kwargs):
+            counts["workspace"] += 1
+            set_up(self, *args, **kwargs)
+
+        def counting_ruiz(*args):
+            counts["ruiz"] += 1
+            return ruiz(*args)
+
+        monkeypatch.setattr(qp.QpWorkspace, "__init__", counting_set_up)
+        monkeypatch.setattr(qp, "_ruiz_scale", counting_ruiz)
+        # an empty structure memo, as in a fresh process
+        monkeypatch.setattr(transcription, "_LAST_STRUCTURE", [None, None])
+        config = parse_scenario(bundled_scenario(name), name=name)
+        simulate(config)
+        # one workspace and one equilibration, the structure's; none per QP
+        assert counts == {"workspace": 1, "ruiz": 1}
+        simulate(config)
+        assert counts == {"workspace": 1, "ruiz": 1}
+
+    def test_run_after_another_exports_what_a_fresh_process_does(self, tmp_path):
+        # The earlier run has the layout of the push scenarios but another
+        # mass, so its subproblems differ from theirs from the first on.
+        heavier = apply_overrides(bundled_scenario("one_leg_jump"), ["physical.mass_kg=1.2"])
+        simulate(parse_scenario(heavier, name="heavier"))
+        name, text = push_sweep_scenarios(1)[0]
+        traj, _ = simulate(parse_scenario(text, name=name))
+        files = export_csv(traj, tmp_path / "after")
+        src = str(Path(centroidal_mpc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-c", _FRESH_RUN, str(tmp_path / "fresh"), name],
+            input=text, text=True, env=env, check=True, timeout=300,
+        )
+        assert files
+        for path in files:
+            assert Path(path).read_bytes() == (tmp_path / "fresh" / Path(path).name).read_bytes()

@@ -106,6 +106,27 @@ class TestNonlinearEquality:
         for before, after, nu in sol.merit_history:
             assert after <= before + 1e-9 * (1 + abs(before))
 
+    def test_accepted_trial_is_not_evaluated_again(self):
+        # Every loop head after the first reuses the constraint values of
+        # the line-search trial it accepted, so without backtracks eq runs
+        # once per iterate: cost, called at every head and every trial,
+        # shows there were none.
+        problem = self.bilinear_problem()
+        calls = {"eq": 0, "cost": 0}
+
+        def counted(name, fn):
+            def wrapper(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapper
+
+        problem.eq = counted("eq", problem.eq)
+        problem.cost = counted("cost", problem.cost)
+        sol = solve(problem, np.array([0.5, 0.5, 0.0]))
+        assert sol.converged and sol.iterations >= 2
+        assert calls["cost"] == 2 * sol.iterations + 1
+        assert calls["eq"] == sol.iterations + 1
+
     def test_constraints_hold_at_solution_independently(self):
         problem = self.bilinear_problem()
         sol = solve(problem, np.array([0.5, 0.5, 0.0]))
