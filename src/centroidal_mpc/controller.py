@@ -4,8 +4,9 @@ Each control instant builds the horizon problem from the measured state and
 the plan, solves it warm-started from the previous primal and dual solution,
 both shifted one knot in time, and extracts the first control plus the
 optimized landing positions of upcoming touchdowns.  The predicted
-trajectory is reconstructed by rolling the solved controls through the same
-Euler step the plant uses, so prediction and plant agree exactly when their
+trajectory is reconstructed by rolling the solved controls out from the
+measured state in one euler_step_batch call, the rollout the plant's
+integrate_step makes, so prediction and plant agree exactly when their
 inputs match.
 """
 
@@ -84,10 +85,12 @@ def cold_start(
 ) -> np.ndarray:
     """Nominal-CoM initialization: spline samples for the CoM knots, nominal
     positions for the contacts, zeros for momenta, forces and velocities."""
-    spline = nominal_com_trajectory(plan, params)
+    samples = nominal_com_trajectory(plan, params).sample(
+        t0 + options.period * np.arange(layout.n_knots + 1)
+    )
     x = np.zeros(layout.size)
     for k in range(layout.n_knots + 1):
-        x[layout.com_slice(k)] = spline.position(t0 + k * options.period)
+        x[layout.com_slice(k)] = samples[k]
         for i, contact in enumerate(plan.contacts):
             x[layout.contact_position_slice(k, i)] = contact.nominal_position
     return x
@@ -207,30 +210,22 @@ def mpc_step(
     gamma = schedule.astype(float)
     forces = _sanitize_forces(forces_raw, gamma, options.pyramid(), rotations)
 
-    p = current_state.p_com[None, :]
-    h = current_state.momentum[None, :]
-    pc = measured[None, :, :]
-    predicted_com = np.empty((n_knots + 1, 3))
-    predicted_momentum = np.empty((n_knots + 1, 6))
-    predicted_com[0] = p[0]
-    predicted_momentum[0] = h[0]
-    for k in range(n_knots):
-        p, h, pc = euler_step_batch(
-            p,
-            h,
-            pc,
-            [f[k : k + 1] for f in forces],
-            velocities[k : k + 1],
-            gamma[k : k + 1],
-            rotations,
-            corner_offsets,
-            params.mass,
-            params.gravity,
-            profile[k : k + 1],
-            period,
-        )
-        predicted_com[k + 1] = p[0]
-        predicted_momentum[k + 1] = h[0]
+    p_next, h_next, _ = euler_step_batch(
+        current_state.p_com,
+        current_state.momentum,
+        measured,
+        forces,
+        velocities,
+        gamma,
+        rotations,
+        corner_offsets,
+        params.mass,
+        params.gravity,
+        profile,
+        period,
+    )
+    predicted_com = np.concatenate([current_state.p_com[None], p_next])
+    predicted_momentum = np.concatenate([current_state.momentum[None], h_next])
 
     force_out = {
         c.contact_id: forces[i][0].copy() for i, c in enumerate(plan.contacts)

@@ -192,6 +192,31 @@ class ExternalWrench:
         return ExternalWrench(np.zeros(3), np.zeros(3))
 
 
+def _gated_forces(forces: Sequence[np.ndarray], gamma: np.ndarray) -> list:
+    return [gamma[:, i, None, None] * force_i for i, force_i in enumerate(forces)]
+
+
+def _force_rate(gated: list, mass: float, gravity: np.ndarray, wrench: np.ndarray) -> np.ndarray:
+    """Linear momentum rate (K, 3): weight, disturbance force, gated corner forces."""
+    rate = mass * gravity + wrench[:, 0:3]
+    for f in gated:
+        for j in range(f.shape[1]):
+            rate += f[:, j]
+    return rate
+
+
+def _torque_rate(p_com, p_contacts, gated, rotations, corner_offsets, wrench) -> np.ndarray:
+    """Angular momentum rate (K, 3) about the CoM: disturbance torque plus corner torques."""
+    rate = wrench[:, 3:6].copy()
+    for i, f in enumerate(gated):
+        offsets_world = corner_offsets[i] @ rotations[i].T
+        arms = p_contacts[:, i, None, :] + offsets_world - p_com[:, None, :]
+        torques = cross_rows(arms, f)
+        for j in range(f.shape[1]):
+            rate += torques[:, j]
+    return rate
+
+
 def momentum_rate_batch(
     p_com: np.ndarray,
     p_contacts: np.ndarray,
@@ -211,22 +236,24 @@ def momentum_rate_batch(
 
     The gated forces, lever arms and torques of all corners of a contact are
     computed at once (torques by `cross_rows`, the float operations of
-    np.cross); each corner's (force, torque) is then added to the rates in
+    np.cross); each corner's force and torque are then added to the rates in
     an explicit loop over contacts and corners, so the summation order is
     identical for any K.  This keeps single-step rollouts bit-identical to
     batched evaluations of the same quantities.
     """
-    rate = np.empty((p_com.shape[0], 6))
-    np.add(mass * gravity, wrench[:, 0:3], out=rate[:, 0:3])
-    rate[:, 3:6] = wrench[:, 3:6]
-    for i, force_i in enumerate(forces):
-        offsets_world = corner_offsets[i] @ rotations[i].T
-        f = gamma[:, i, None, None] * force_i
-        arms = p_contacts[:, i, None, :] + offsets_world - p_com[:, None, :]
-        corner_wrenches = np.concatenate([f, cross_rows(arms, f)], axis=2)
-        for j in range(force_i.shape[1]):
-            rate += corner_wrenches[:, j]
-    return rate
+    gated = _gated_forces(forces, gamma)
+    return np.concatenate(
+        [
+            _force_rate(gated, mass, gravity, wrench),
+            _torque_rate(p_com, p_contacts, gated, rotations, corner_offsets, wrench),
+        ],
+        axis=1,
+    )
+
+
+def _chain(start: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """start, start + increments[0], ... as K + 1 rows; np.add.accumulate adds in sequence."""
+    return np.add.accumulate(np.concatenate([start[None], increments]), axis=0)
 
 
 def euler_step_batch(
@@ -243,18 +270,40 @@ def euler_step_batch(
     wrench: np.ndarray,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One explicit Euler step of the gated dynamics, batched over knots.
+    """K explicit Euler steps of the gated dynamics, batched over knots.
 
-    Returns (p_com_next (K,3), momentum_next (K,6), p_contacts_next (K,n_c,3)).
-    Active contact positions are carried over bit-exactly.
+    forces[i] (K, n_v_i, 3), contact_velocities (K, n_c, 3), gamma (K, n_c)
+    and wrench (K, 6) drive the K steps.  With states per knot, p_com (K, 3),
+    momentum (K, 6) and p_contacts (K, n_c, 3), step k starts from row k
+    (the steps are independent, as in the transcription's defects).  With one
+    start state, p_com (3,), momentum (6,) and p_contacts (n_c, 3), the steps
+    are chained into a rollout: step k starts where step k - 1 ended.
+    Returns the states after the steps, (p_com (K, 3), momentum (K, 6),
+    p_contacts (K, n_c, 3)).  Active contact positions are carried over
+    bit-exactly.
+
+    The rollout takes prefix sums in place of K calls.  Linear momentum, CoM
+    and contact positions do not depend on the angular momentum, so each is
+    one accumulate; one batched rate evaluation at those states gives every
+    step's torque, and one more accumulate chains the angular momentum.
+    Each row equals K chained single-step calls bit for bit.
     """
-    rate = momentum_rate_batch(
-        p_com, p_contacts, forces, gamma, rotations, corner_offsets, mass, gravity, wrench
-    )
-    momentum_next = momentum + dt * rate
+    gated = _gated_forces(forces, gamma)
+    force_rate = _force_rate(gated, mass, gravity, wrench)
+    held = (gamma > 0.5)[..., None]
+    slide = dt * ((1.0 - gamma)[..., None] * contact_velocities)
+    if p_com.ndim == 1:
+        h_lin = _chain(momentum[0:3], dt * force_rate)
+        com = _chain(p_com, (dt / mass) * h_lin[:-1])
+        # adding -0.0 leaves every float as it is, the sign of a zero too
+        contacts = _chain(p_contacts, np.where(held, -0.0, slide))
+        torque = _torque_rate(com[:-1], contacts[:-1], gated, rotations, corner_offsets, wrench)
+        h_ang = _chain(momentum[3:6], dt * torque)
+        return com[1:], np.concatenate([h_lin[1:], h_ang[1:]], axis=1), contacts[1:]
+    torque = _torque_rate(p_com, p_contacts, gated, rotations, corner_offsets, wrench)
+    momentum_next = momentum + dt * np.concatenate([force_rate, torque], axis=1)
     p_com_next = p_com + (dt / mass) * momentum[:, 0:3]
-    moved = p_contacts + dt * ((1.0 - gamma)[..., None] * contact_velocities)
-    p_contacts_next = np.where((gamma > 0.5)[..., None], p_contacts, moved)
+    p_contacts_next = np.where(held, p_contacts, p_contacts + slide)
     return p_com_next, momentum_next, p_contacts_next
 
 
@@ -263,6 +312,7 @@ def _batch_inputs(
     contacts: Sequence[ContactInstant],
     geometries: Sequence[ContactGeometry],
 ):
+    """The start state, unbatched, and the contact inputs of one knot."""
     if len(contacts) != len(geometries):
         raise ValueError(
             f"got {len(contacts)} contacts but {len(geometries)} geometries"
@@ -276,14 +326,12 @@ def _batch_inputs(
             )
         forces.append(contact.forces_matrix()[None, :, :])
     n_c = len(contacts)
-    p_com = state.p_com[None, :]
-    momentum = state.momentum[None, :]
-    p_contacts = np.array([c.position for c in contacts]).reshape(1, n_c, 3)
+    p_contacts = np.array([c.position for c in contacts]).reshape(n_c, 3)
     velocities = np.array([c.corner_velocity for c in contacts]).reshape(1, n_c, 3)
     gamma = np.array([[1.0 if c.active else 0.0 for c in contacts]])
     rotations = np.array([c.orientation for c in contacts]).reshape(n_c, 3, 3)
     offsets = [g.offsets_matrix() for g in geometries]
-    return p_com, momentum, p_contacts, forces, velocities, gamma, rotations, offsets
+    return state.p_com, state.momentum, p_contacts, forces, velocities, gamma, rotations, offsets
 
 
 def momentum_derivative(
@@ -305,7 +353,8 @@ def momentum_derivative(
     for idx, f in enumerate(forces):
         _require_finite(f, f"contact {idx} corner forces")
     rate = momentum_rate_batch(
-        p_com, p_contacts, forces, gamma, rotations, offsets, params.mass, params.gravity, wrench
+        p_com[None], p_contacts[None], forces, gamma, rotations, offsets,
+        params.mass, params.gravity, wrench,
     )
     return rate[0]
 
@@ -326,17 +375,29 @@ def integrate_step(
     contacts: Sequence[ContactInstant],
     geometries: Sequence[ContactGeometry],
     params: PhysicalParams,
-    disturbance: ExternalWrench | None = None,
+    disturbance: ExternalWrench | np.ndarray | None = None,
     dt: float = 0.1,
 ) -> tuple[CentroidalState, list[np.ndarray]]:
-    """One explicit Euler step; returns the new state and contact positions.
+    """Explicit Euler steps of length dt; returns the new state and contact positions.
 
-    The CoM moves with the pre-step linear momentum.  Positions of active
-    contacts are returned bit-exactly unchanged.
+    `disturbance` is one ExternalWrench (None for none), which makes one
+    step, or an (S, 6) array of stacked (force, torque) wrenches, one per
+    step, which makes S steps.  The contacts (gates, forces, velocities) are
+    held over all steps, and the steps are one euler_step_batch rollout, so
+    S steps equal S chained single-wrench calls bit for bit.  The CoM moves
+    with the pre-step linear momentum.  Positions of active contacts are
+    returned bit-exactly unchanged.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    wrench = (disturbance or ExternalWrench.zero()).stacked()[None, :]
+    if disturbance is None or isinstance(disturbance, ExternalWrench):
+        wrench = (disturbance or ExternalWrench.zero()).stacked()[None, :]
+    else:
+        wrench = np.asarray(disturbance, dtype=float)
+        if wrench.ndim != 2 or wrench.shape[0] < 1 or wrench.shape[1] != 6:
+            raise ValueError(f"disturbance must have shape (S, 6), got {wrench.shape}")
+        _require_finite(wrench, "disturbance")
+    steps = wrench.shape[0]
     p_com, momentum, p_contacts, forces, velocities, gamma, rotations, offsets = _batch_inputs(
         state, contacts, geometries
     )
@@ -344,9 +405,9 @@ def integrate_step(
         p_com,
         momentum,
         p_contacts,
-        forces,
-        velocities,
-        gamma,
+        [np.broadcast_to(f, (steps,) + f.shape[1:]) for f in forces],
+        np.broadcast_to(velocities, (steps,) + velocities.shape[1:]),
+        np.broadcast_to(gamma, (steps,) + gamma.shape[1:]),
         rotations,
         offsets,
         params.mass,
@@ -356,5 +417,5 @@ def integrate_step(
     )
     if not (np.all(np.isfinite(p_next)) and np.all(np.isfinite(h_next))):
         raise ValueError("integration produced non-finite state")
-    new_state = CentroidalState(p_next[0], h_next[0, 0:3], h_next[0, 3:6])
-    return new_state, [pc_next[0, i].copy() for i in range(len(contacts))]
+    new_state = CentroidalState(p_next[-1], h_next[-1, 0:3], h_next[-1, 3:6])
+    return new_state, [pc_next[-1, i].copy() for i in range(len(contacts))]

@@ -8,6 +8,7 @@ zero velocity and acceleration at both ends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,12 +108,11 @@ def horizon_schedule(
         raise ValueError(f"period must be positive, got {period}")
     if n_knots < 1:
         raise ValueError(f"n_knots must be >= 1, got {n_knots}")
+    times = np.minimum(t0 + np.arange(n_knots) * period, np.nextafter(plan.duration, -np.inf))
     out = np.zeros((n_knots, plan.n_contacts), dtype=bool)
-    t_max = np.nextafter(plan.duration, -np.inf)
-    for k in range(n_knots):
-        t = min(t0 + k * period, t_max)
-        for i, contact in enumerate(plan.contacts):
-            out[k, i] = contact.active_at(t)
+    for i, contact in enumerate(plan.contacts):
+        for start, end in contact.activation_windows:
+            out[:, i] |= (start <= times) & (times < end)
     return out
 
 
@@ -184,40 +184,44 @@ class QuinticSpline:
         coeffs = np.linalg.solve(A, b)
         return coeffs.reshape(n_seg, 6, points.shape[1])
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        times = self.knot_times
-        if times.size == 1 or t <= times[0]:
-            return 0, 0.0
-        if t >= times[-1]:
-            return len(times) - 2, times[-1] - times[-2]
-        seg = int(np.searchsorted(times, t, side="right") - 1)
-        seg = min(seg, len(times) - 2)
-        return seg, t - times[seg]
+    def _evaluate(self, times, order: int) -> np.ndarray:
+        """Derivative `order` at each of `times` (1-D), one row per time.
 
-    def _eval(self, t: float, order: int) -> np.ndarray:
-        if self.knot_times.size == 1:
-            return self.knot_points[0].copy() if order == 0 else np.zeros(self.dim)
-        seg, tau = self._locate(t)
-        c = self._coeffs[seg]
-        out = np.zeros(self.dim)
+        The powers of the local times are taken one by one with math.pow:
+        numpy's array power differs in the last bit from the scalar
+        `tau ** p` for some values, and the exported CSVs hold these samples.
+        """
+        times = np.asarray(times, dtype=float).reshape(-1)
+        out = np.zeros((times.size, self.dim))
+        knots = self.knot_times
+        if knots.size == 1:
+            if order == 0:
+                out[:] = self.knot_points[0]
+            return out
+        seg = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, knots.size - 2)
+        tau = np.where(times <= knots[0], 0.0, times - knots[seg])
+        tau = np.where(times >= knots[-1], knots[-1] - knots[-2], tau).tolist()
+        powers = np.array([[math.pow(x, e) for e in range(6 - order)] for x in tau])
+        coeffs = self._coeffs[seg]
         for p in range(order, 6):
             fact = 1.0
             for q in range(order):
                 fact *= p - q
-            out += fact * tau ** (p - order) * c[p]
+            out += (fact * powers[:, p - order])[:, None] * coeffs[:, p]
         return out
 
     def position(self, t: float) -> np.ndarray:
-        return self._eval(t, 0)
+        return self._evaluate(t, 0)[0]
 
     def velocity(self, t: float) -> np.ndarray:
-        return self._eval(t, 1)
+        return self._evaluate(t, 1)[0]
 
     def acceleration(self, t: float) -> np.ndarray:
-        return self._eval(t, 2)
+        return self._evaluate(t, 2)[0]
 
     def sample(self, times) -> np.ndarray:
-        return np.array([self.position(t) for t in np.asarray(times, dtype=float).reshape(-1)])
+        """Positions at `times`, one row each, equal to position(t) bit for bit."""
+        return self._evaluate(times, 0)
 
 
 def support_phases(plan: ContactPlan) -> list[tuple[float, float, list[str]]]:

@@ -24,6 +24,7 @@ Everything is deterministic: no randomized pivoting, no time-based stopping.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -465,8 +466,7 @@ def solve_qp(
             break
         if found is None:
             break
-        x_new, y_new, dx, dy = found
-        ax = data.A @ x_new
+        x_new, y_new, ax, gradient, stationarity, correction = found
         sign_tol = 1e-10 * max(1.0, float(np.max(np.abs(y_new), initial=0.0)))
         wrong = (upp & (y_new < -sign_tol)) | (low & (y_new > sign_tol))
         # Active rows the solution cannot meet are inconsistent; the stalled
@@ -488,7 +488,6 @@ def solve_qp(
         signed = np.where(upp, np.maximum(y_new, 0.0), np.where(low, np.minimum(y_new, 0.0), y_new))
         off = np.maximum(np.maximum(ls - ax, ax - us), np.abs(gap))
         pri = float(np.max(off / e, initial=0.0))
-        gradient = data.P @ x_new + data.q
         dua = float(np.max(np.abs(gradient + data.AT @ signed) / (c * d)))
         done = max(pri, dua) <= _EPS_ABS and not np.any(wrong | under | over)
         if done or max(pri, dua) < best[0]:
@@ -498,10 +497,10 @@ def solve_qp(
             break
         # Certificates are read only off an active set the refinement could
         # not solve, since the step after a solved one is rounding noise.
-        stationary = np.abs(gradient + data.AT @ y_new) / (c * d)
+        stationary = np.abs(stationarity) / (c * d)
         unbounded = float(np.max(stationary, initial=0.0)) > _EPS_ABS
         certified = (inconsistent or unbounded) and _certificate(
-            data, lower, upper, dx, dy
+            data, lower, upper, *correction()
         )
         if certified:
             status = certified
@@ -545,24 +544,37 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
 
     The equality rows and the inequality rows marked in `low` (held at their
     lower bound) and `upp` (at their upper bound) are active.  Works on the
-    scaled data and returns a scaled (x, y, dx, dy), or None when the
-    solution is not finite; _factor_kkt raises _NotPositiveDefinite when P
-    is not positive definite on the null space of the active rows.  The
-    equality-constrained QP is solved by iterative refinement with the
-    factor of P + _POLISH_REG I + _POLISH_RHO A_act' A_act, the regularized
-    saddle system with its multiplier block eliminated.  The refinement
-    starts from (x_est, y_est) and keeps the component of y_est that the
-    active rows leave undetermined.
+    scaled data and returns a scaled (x, y, A x, P x + q, P x + q + A' y,
+    correction), or None when the solution is not finite; _factor_kkt raises
+    _NotPositiveDefinite when P is not positive definite on the null space
+    of the active rows.  The equality-constrained QP is solved by iterative
+    refinement with the factor of P + _POLISH_REG I + _POLISH_RHO A_act'
+    A_act, the regularized saddle system with its multiplier block
+    eliminated.  The refinement starts from (x_est, y_est) and keeps the
+    component of y_est that the active rows leave undetermined.
 
-    (dx, dy) is the refinement step that would follow (x, y).  Where the
-    active rows are inconsistent the refinement stalls with the multipliers
-    running off along dy, a Farkas direction of those rows; where the
-    objective is unbounded on them, x runs off along dx.
+    correction() returns the scaled refinement step (dx, dy) that would
+    follow (x, y), computed only when called; after _POLISH_REFINE_STEPS
+    passes it is the last step taken.  Where the active rows are
+    inconsistent the refinement stalls with the multipliers running off
+    along dy, a Farkas direction of those rows; where the objective is
+    unbounded on them, x runs off along dx.
     """
     active = data.eq | low | upp
     targets = np.where(data.eq | upp, data.upper, np.where(low, data.lower, 0.0))
     weight = np.where(active, _POLISH_RHO, 0.0)
     solve = _factor_kkt(data.system, np.flatnonzero(low | upp))
+
+    def products(xh, yh):
+        """A x, P x + q and P x + q + A' y at (xh, yh)."""
+        ax = data.A @ xh
+        gradient = data.P @ xh + data.q
+        return ax, gradient, gradient + data.AT @ yh
+
+    def step(r_pri, r_dua):
+        dx = solve(-(r_dua + data.AT @ (weight * r_pri)))
+        return dx, weight * (r_pri + data.A @ dx)
+
     xh = x_est
     yh = np.where(active, y_est, 0.0)
     # Iterative refinement in correction form: each pass solves the
@@ -570,20 +582,26 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
     # residuals, so rounding in the steps shrinks with the steps.
     residual = np.inf
     for _ in range(_POLISH_REFINE_STEPS):
-        r_pri = np.where(active, data.A @ xh - targets, 0.0)
-        r_dua = data.P @ xh + data.q + data.AT @ yh
+        ax, gradient, r_dua = products(xh, yh)
+        r_pri = np.where(active, ax - targets, 0.0)
         last, residual = residual, max(
             float(np.max(np.abs(r_pri), initial=0.0)), float(np.max(np.abs(r_dua)))
         )
-        dx = solve(-(r_dua + data.AT @ (weight * r_pri)))
-        dy = weight * (r_pri + data.A @ dx)
         if residual > 0.9 * last:
+            correction = functools.partial(step, r_pri, r_dua)
             break
+        dx, dy = step(r_pri, r_dua)
         xh = xh + dx
         yh = yh + dy
+    else:
+        # The pass cap ended the refinement after a step: evaluate at its end.
+        def correction(taken=(dx, dy)):
+            return taken
+
+        ax, gradient, r_dua = products(xh, yh)
     if not (np.all(np.isfinite(xh)) and np.all(np.isfinite(yh))):
         return None
-    return xh, yh, dx, dy
+    return xh, yh, ax, gradient, r_dua, correction
 
 
 def qp_solve(

@@ -45,8 +45,9 @@ class DisturbanceEvent:
     force: np.ndarray
     estimated_force: np.ndarray
 
-    def active(self, t: float) -> bool:
-        return self.t_start <= t < self.t_start + self.duration
+    def active(self, t):
+        """Whether t lies in [t_start, t_start + duration); elementwise for an array."""
+        return (self.t_start <= t) & (t < self.t_start + self.duration)
 
 
 @dataclass

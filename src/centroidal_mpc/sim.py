@@ -1,8 +1,9 @@
 """Closed-loop plant, logging, metrics and CSV export.
 
 The plant is the same gated centroidal model the controller predicts with,
-integrated at a finer substep.  Gates are held constant over each control
-period (sampled at its start); the true disturbance is applied per substep.
+integrated at a finer substep, one integrate_step rollout per control
+period.  Gates are held constant over each control period (sampled at its
+start); the true disturbance is applied per substep.
 Adjusted touchdown positions are committed at contact onset, clamped into the
 feasibility box as a hard guarantee.
 """
@@ -100,12 +101,12 @@ class Metrics:
         }
 
 
-def _wrench_sum(events, t: float, estimated: bool) -> ExternalWrench:
-    total = np.zeros(3)
+def _disturbance_forces(events, times: np.ndarray, estimated: bool) -> np.ndarray:
+    """Summed force of the events active at each of `times`, shape times.shape + (3,)."""
+    total = np.zeros(times.shape + (3,))
     for event in events:
-        if event.active(t):
-            total = total + (event.estimated_force if estimated else event.force)
-    return ExternalWrench(total, np.zeros(3))
+        total[event.active(times)] += event.estimated_force if estimated else event.force
+    return total
 
 
 def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
@@ -125,19 +126,26 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
     corner_counts = [g.n_corners for g in geometries]
     nominal_contacts = np.array([c.nominal_position for c in plan.contacts])
 
-    state = CentroidalState(spline.position(0.0), np.zeros(3), np.zeros(3))
+    times = np.arange(n_steps + 1) * period
+    nominal_log = spline.sample(times)
+    estimates = _disturbance_forces(events, times[:n_steps], estimated=True)
+    # the true disturbance per substep, as (force, zero torque) wrenches
+    truth = _disturbance_forces(
+        events, times[:n_steps, None] + np.arange(substeps) * dt_sub, estimated=False
+    )
+    plant_wrenches = np.concatenate([truth, np.zeros_like(truth)], axis=2)
+
+    state = CentroidalState(nominal_log[0], np.zeros(3), np.zeros(3))
     positions = {c.contact_id: c.nominal_position.copy() for c in plan.contacts}
     pending: dict = {}
     previous = None
     prev_gamma = np.array([c.active_at(0.0) for c in plan.contacts])
 
-    times = np.arange(n_steps + 1) * period
     com_log = np.zeros((n_steps + 1, 3))
     momentum_log = np.zeros((n_steps + 1, 6))
     position_log = np.zeros((n_steps + 1, n_c, 3))
     gamma_log = np.zeros((n_steps + 1, n_c), dtype=bool)
     force_log = [np.zeros((n_steps + 1, nv, 3)) for nv in corner_counts]
-    nominal_log = np.zeros((n_steps + 1, 3))
     touchdowns: list = []
     statuses: list = []
     iterations = np.zeros(n_steps, dtype=int)
@@ -169,7 +177,7 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
                     )
         prev_gamma = gamma_now
 
-        estimate = _wrench_sum(events, t, estimated=True)
+        estimate = ExternalWrench(estimates[k], np.zeros(3))
         out: MpcOutput = mpc_step(
             state, positions, plan, t, estimate, previous, options, params, spline
         )
@@ -182,7 +190,6 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
             position_log[k, i] = positions[cid]
             force_log[i][k] = out.forces[cid]
         gamma_log[k] = gamma_now
-        nominal_log[k] = spline.position(t)
         statuses.append(out.solution.status)
         iterations[k] = out.solution.iterations
         kkts[k] = out.solution.kkt_residual
@@ -203,10 +210,9 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
             )
             for i, cid in enumerate(ids)
         ]
-        for s in range(substeps):
-            tau = t + s * dt_sub
-            truth = _wrench_sum(events, tau, estimated=False)
-            state, _ = integrate_step(state, contacts_now, geometries, params, truth, dt_sub)
+        state, _ = integrate_step(
+            state, contacts_now, geometries, params, plant_wrenches[k], dt_sub
+        )
         if float(np.max(np.abs(state.p_com))) > 1e3:
             raise SimulationDiverged(
                 f"CoM left the sane region at t={t + period:.3f}: {state.p_com}"
@@ -218,7 +224,6 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
     gamma_log[n_steps] = [c.active_at(t_end) for c in plan.contacts]
     for i, cid in enumerate(ids):
         position_log[n_steps, i] = positions[cid]
-    nominal_log[n_steps] = spline.position(t_end)
 
     traj = TrajectoryLog(
         times=times,

@@ -14,6 +14,7 @@ values only to the QP workspace of the problem's horizon structure.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -89,6 +90,17 @@ def _kkt_scale(y: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(y), initial=0.0)) / 100.0)
 
 
+def _transpose_matvec(J, v: np.ndarray) -> np.ndarray:
+    """J' v without forming J'.
+
+    Summed over J's CSR entries in order, as scipy's product with the
+    transpose sums them, so the result is the same bit for bit.
+    """
+    J = J if sp.issparse(J) and J.format == "csr" else sp.csr_matrix(J, dtype=float)
+    weights = J.data * np.repeat(v, np.diff(J.indptr))
+    return np.bincount(J.indices, weights=weights, minlength=J.shape[1])
+
+
 def _kkt_residual(g, j_eq, j_in, v_in, lo, hi, y) -> float:
     """Scaled max of stationarity and complementarity at one iterate.
 
@@ -98,7 +110,7 @@ def _kkt_residual(g, j_eq, j_in, v_in, lo, hi, y) -> float:
     in full.
     """
     m_eq = j_eq.shape[0]
-    grad_lagrangian = g + j_eq.T @ y[:m_eq] + j_in.T @ y[m_eq:]
+    grad_lagrangian = g + _transpose_matvec(j_eq, y[:m_eq]) + _transpose_matvec(j_in, y[m_eq:])
     stationarity = float(np.max(np.abs(grad_lagrangian), initial=0.0))
     comp = 0.0
     if v_in.size:
@@ -138,6 +150,18 @@ def _evaluate(problem, x, values=None):
     j_eq = problem.eq_jac(x) if problem.n_eq else sp.csr_matrix((0, problem.dimension))
     j_in = problem.ineq_jac(x) if problem.n_ineq else sp.csr_matrix((0, problem.dimension))
     return f, g, c_eq, j_eq, v_in, j_in
+
+
+def _subproblem_hessians(problem, x, y_eq, gauss_newton):
+    """The Hessians a subproblem tries in turn, each formed only when asked for.
+
+    The Lagrangian Hessian at (x, y_eq) when the problem provides one, then
+    the Gauss-Newton model `gauss_newton()`, for a subproblem that the exact
+    Hessian makes non-convex or a problem without one.
+    """
+    if problem.lagrangian_hess is not None:
+        yield problem.lagrangian_hess(x, y_eq, _HESSIAN_REGULARIZATION)
+    yield gauss_newton()
 
 
 def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, n):
@@ -183,15 +207,17 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         y = np.array(y0, dtype=float).reshape(-1)
         if y.size != m_eq + m_in:
             raise ValueError(f"y0 has {y.size} entries, problem has {m_eq + m_in} rows")
-    # Each subproblem's P is the Lagrangian Hessian at (x, y) when the
-    # problem provides one, and the Gauss-Newton model (cost Hessian only)
-    # otherwise and for a subproblem that the exact P makes non-convex.
-    if problem.lagrangian_hess is None:
-        gauss_newton = sp.csc_matrix(problem.cost_hess()) + _HESSIAN_REGULARIZATION * sp.eye(
-            problem.dimension, format="csc"
-        )
-    else:
-        gauss_newton = problem.lagrangian_hess(x, np.zeros(m_eq), _HESSIAN_REGULARIZATION)
+    x_start = x
+
+    @functools.cache
+    def gauss_newton():
+        """The Gauss-Newton model (cost Hessian only) at the start point."""
+        if problem.lagrangian_hess is None:
+            return sp.csc_matrix(problem.cost_hess()) + _HESSIAN_REGULARIZATION * sp.eye(
+                problem.dimension, format="csc"
+            )
+        return problem.lagrangian_hess(x_start, np.zeros(m_eq), _HESSIAN_REGULARIZATION)
+
     lo = problem.ineq_lower if m_in else np.zeros(0)
     hi = problem.ineq_upper if m_in else np.zeros(0)
 
@@ -238,11 +264,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
 
         lower = np.concatenate([-c_eq, lo - v_in])
         upper = np.concatenate([-c_eq, hi - v_in])
-        hessians = [gauss_newton]
-        if problem.lagrangian_hess is not None:
-            exact = problem.lagrangian_hess(x, y[:m_eq], _HESSIAN_REGULARIZATION)
-            hessians = [exact, gauss_newton]
-        for P in hessians:
+        for P in _subproblem_hessians(problem, x, y[:m_eq], gauss_newton):
             qp_res = solve_qp(
                 P, g, (j_eq, j_in), lower, upper,
                 options=_SUBPROBLEM_OPTIONS,

@@ -2,8 +2,10 @@
 
 The kernel must agree bit for bit with the per-corner np.cross form it
 replaced, and a K-knot call must agree bit for bit with K one-knot calls: the
-controller's rollout and the plant step one knot at a time, while the
-transcription's defects evaluate all knots at once.
+transcription's defects evaluate all knots at once.  The rollout that the
+controller's prediction and the plant make (euler_step_batch from one start
+state, and integrate_step over the wrenches of several substeps) must agree
+bit for bit with the same steps chained one call at a time.
 """
 
 import numpy as np
@@ -11,7 +13,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from centroidal_mpc.model import cross_rows, momentum_rate_batch
+from centroidal_mpc.model import (
+    CentroidalState,
+    ContactGeometry,
+    ContactInstant,
+    ExternalWrench,
+    PhysicalParams,
+    cross_rows,
+    euler_step_batch,
+    integrate_step,
+    momentum_derivative,
+    momentum_rate_batch,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -116,3 +129,192 @@ class TestMomentumRateBatch:
                 for k in range(args["p_com"].shape[0])
             ]
         assert np.array_equal(bits(batched), bits(np.concatenate(single)))
+
+
+@st.composite
+def rollout_inputs(draw):
+    """Arguments of a rollout: one start state, 1-30 steps, 1-3 contacts of 1
+    or 4 corners, each in stance or swing at every step, a wrench per step."""
+    k = draw(st.integers(1, 30))
+    counts = draw(st.lists(st.sampled_from([1, 4]), min_size=1, max_size=3))
+    n_c = len(counts)
+
+    def values(shape):
+        return draw(arrays(np.float64, shape, elements=MODERATE))
+
+    return dict(
+        p_com=values((3,)),
+        momentum=values((6,)),
+        p_contacts=values((n_c, 3)),
+        forces=[values((k, c, 3)) for c in counts],
+        contact_velocities=values((k, n_c, 3)),
+        gamma=draw(arrays(np.float64, (k, n_c), elements=st.sampled_from([0.0, 1.0]))),
+        rotations=values((n_c, 3, 3)),
+        corner_offsets=[values((c, 3)) for c in counts],
+        mass=draw(st.floats(min_value=0.1, max_value=100.0)),
+        gravity=values((3,)),
+        wrench=values((k, 6)),
+        dt=draw(st.floats(min_value=1e-3, max_value=0.5)),
+    )
+
+
+STATE = ("p_com", "momentum", "p_contacts")
+
+
+def chained_steps(args):
+    """The rollout as K one-knot euler_step_batch calls, each from the last one's end."""
+    fixed = {name: args[name] for name in ("rotations", "corner_offsets", "mass", "gravity", "dt")}
+    p, h, pc = (args[name][None] for name in STATE)
+    rows = []
+    for k in range(args["gamma"].shape[0]):
+        p, h, pc = euler_step_batch(
+            p, h, pc,
+            forces=[f[k : k + 1] for f in args["forces"]],
+            contact_velocities=args["contact_velocities"][k : k + 1],
+            gamma=args["gamma"][k : k + 1],
+            wrench=args["wrench"][k : k + 1],
+            **fixed,
+        )
+        rows.append((p[0], h[0], pc[0]))
+    return [np.stack(column) for column in zip(*rows)]
+
+
+# A stance contact at signed zeros, which the rollout must carry over as they are.
+SIGNED_ZERO_STANCE = dict(
+    p_com=np.array([0.1, -0.2, 0.9]),
+    momentum=np.array([-0.0, 0.0, 1.0, -0.0, 0.0, -0.0]),
+    p_contacts=np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]),
+    forces=[np.full((3, 1, 3), -0.0), np.ones((3, 4, 3))],
+    contact_velocities=np.array([[[1.0, -1.0, 0.5]] * 2] * 3),
+    gamma=np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    rotations=np.array([np.eye(3), np.eye(3)]),
+    corner_offsets=[np.zeros((1, 3)), -np.ones((4, 3))],
+    mass=2.0,
+    gravity=np.array([0.0, 0.0, -9.81]),
+    wrench=np.zeros((3, 6)),
+    dt=0.1,
+)
+
+
+class TestRollout:
+    @PROPERTY
+    @given(rollout_inputs())
+    @example(SIGNED_ZERO_STANCE)
+    def test_equals_chained_single_steps_bit_for_bit(self, args):
+        with np.errstate(all="ignore"):
+            rolled = euler_step_batch(**args)
+            chained = chained_steps(args)
+        for ours, reference in zip(rolled, chained):
+            assert ours.shape == reference.shape
+            assert np.array_equal(bits(ours), bits(reference))
+
+    @PROPERTY
+    @given(rollout_inputs())
+    def test_knot_states_step_as_the_one_step_formula(self, args):
+        # with a state per knot the steps are independent Euler steps
+        k = args["gamma"].shape[0]
+        rng = np.random.RandomState(k)
+        p = rng.randn(k, 3)
+        h = rng.randn(k, 6)
+        pc = rng.randn(k, *args["p_contacts"].shape)
+        inputs = {name: args[name] for name in args if name not in STATE}
+        with np.errstate(all="ignore"):
+            ours = euler_step_batch(p, h, pc, **inputs)
+            rate = momentum_rate_batch(
+                p, pc, args["forces"], args["gamma"], args["rotations"],
+                args["corner_offsets"], args["mass"], args["gravity"], args["wrench"],
+            )
+            dt, gamma = args["dt"], args["gamma"]
+            moved = pc + dt * ((1.0 - gamma)[..., None] * args["contact_velocities"])
+            reference = (
+                p + (dt / args["mass"]) * h[:, 0:3],
+                h + dt * rate,
+                np.where((gamma > 0.5)[..., None], pc, moved),
+            )
+        for a, b in zip(ours, reference):
+            assert np.array_equal(bits(a), bits(b))
+
+
+def _yaw(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+@st.composite
+def plant_inputs(draw):
+    """A state, 1-3 contacts (point or rectangle, stance or swing) and 1-12 substep wrenches."""
+    def values(shape):
+        return draw(arrays(np.float64, shape, elements=MODERATE))
+
+    n_c = draw(st.integers(1, 3))
+    geometries = [
+        draw(st.sampled_from([ContactGeometry.point(), ContactGeometry.rectangle(0.2, 0.1)]))
+        for _ in range(n_c)
+    ]
+    contacts = [
+        ContactInstant(
+            values((3,)),
+            _yaw(draw(st.floats(min_value=-3.0, max_value=3.0))),
+            draw(st.booleans()),
+            tuple(values((g.n_corners, 3))),
+            values((3,)),
+        )
+        for g in geometries
+    ]
+    state = CentroidalState(values((3,)), values((3,)), values((3,)))
+    params = PhysicalParams(mass=draw(st.floats(min_value=0.1, max_value=100.0)))
+    wrenches = values((draw(st.integers(1, 12)), 6))
+    dt = draw(st.floats(min_value=1e-3, max_value=0.1))
+    return state, contacts, geometries, params, wrenches, dt
+
+
+def _moved(contacts, positions):
+    return [
+        ContactInstant(p, c.orientation, c.active, c.corner_forces, c.corner_velocity)
+        for c, p in zip(contacts, positions)
+    ]
+
+
+class TestIntegrateStep:
+    @PROPERTY
+    @given(plant_inputs())
+    def test_substep_wrenches_equal_chained_single_wrench_calls(self, case):
+        state, contacts, geometries, params, wrenches, dt = case
+        with np.errstate(all="ignore"):
+            ours, our_positions = integrate_step(state, contacts, geometries, params, wrenches, dt)
+            chained, current = state, contacts
+            for w in wrenches:
+                chained, positions = integrate_step(
+                    chained, current, geometries, params, ExternalWrench(w[:3], w[3:]), dt
+                )
+                current = _moved(contacts, positions)
+        assert np.array_equal(bits(ours.p_com), bits(chained.p_com))
+        assert np.array_equal(bits(ours.momentum), bits(chained.momentum))
+        assert np.array_equal(bits(np.array(our_positions)), bits(np.array(positions)))
+
+    @PROPERTY
+    @given(plant_inputs())
+    @example(
+        (
+            CentroidalState([0.0, 0.0, 0.6], [-0.0, 0.0, 0.0], [0.0, -0.0, 0.0]),
+            [ContactInstant([-0.0, 0.0, -0.0], np.eye(3), True, ((0.0, 0.0, 9.81),), [1, 1, 1]),
+             ContactInstant([0.0, -0.0, 0.0], np.eye(3), False, ((1.0, 1.0, 1.0),), [0, 0, 0])],
+            [ContactGeometry.point(), ContactGeometry.point()],
+            PhysicalParams(mass=1.0),
+            np.zeros((3, 6)),
+            0.01,
+        )
+    )
+    def test_single_wrench_is_one_euler_step(self, case):
+        state, contacts, geometries, params, wrenches, dt = case
+        wrench = ExternalWrench(wrenches[0, :3], wrenches[0, 3:])
+        with np.errstate(all="ignore"):
+            ours, positions = integrate_step(state, contacts, geometries, params, wrench, dt)
+            rate = momentum_derivative(state, contacts, geometries, params, wrench)
+            h_next = state.momentum + dt * rate
+            p_next = state.p_com + (dt / params.mass) * state.h_lin
+        assert np.array_equal(bits(ours.p_com), bits(p_next))
+        assert np.array_equal(bits(ours.momentum), bits(h_next))
+        for c, p in zip(contacts, positions):
+            expected = c.position if c.active else c.position + dt * (1.0 * c.corner_velocity)
+            assert np.array_equal(bits(p), bits(expected))

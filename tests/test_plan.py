@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from centroidal_mpc import bundled_scenario, parse_scenario
 from centroidal_mpc.model import ContactGeometry, PhysicalParams
 from centroidal_mpc.plan import (
     ContactPlan,
@@ -13,6 +16,53 @@ from centroidal_mpc.plan import (
 )
 
 POINT = ContactGeometry.point()
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+TIME = st.floats(min_value=-5.0, max_value=10.0, allow_nan=False)
+
+
+def bits(a) -> np.ndarray:
+    """The IEEE bit patterns of a float64 array, so -0.0 != 0.0."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def scalar_position(spline, t):
+    """Position at one time as the spline evaluated it one sample at a time,
+    with the scalar power `tau ** p` of a numpy float."""
+    times = spline.knot_times
+    if times.size == 1:
+        return spline.knot_points[0].copy()
+    if t <= times[0]:
+        seg, tau = 0, 0.0
+    elif t >= times[-1]:
+        seg, tau = len(times) - 2, times[-1] - times[-2]
+    else:
+        seg = min(int(np.searchsorted(times, t, side="right") - 1), len(times) - 2)
+        tau = t - times[seg]
+    out = np.zeros(spline.dim)
+    for p in range(6):
+        out += 1.0 * tau ** p * spline._coeffs[seg][p]
+    return out
+
+
+def scalar_schedule(plan, t0, n_knots, period):
+    """horizon_schedule one entry at a time through active_at, clamped below the plan end."""
+    t_max = np.nextafter(plan.duration, -np.inf)
+    return np.array(
+        [[c.active_at(min(t0 + k * period, t_max)) for c in plan.contacts]
+         for k in range(n_knots)],
+        dtype=bool,
+    ).reshape(n_knots, plan.n_contacts)
+
+
+@st.composite
+def splines(draw):
+    """1-6 knots at increasing times in [0, 4] with points in a 2 m cube."""
+    n = draw(st.integers(1, 6))
+    gaps = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n))
+    times = np.cumsum(gaps) - gaps[0]
+    point = st.floats(min_value=-2.0, max_value=2.0)
+    points = np.array(draw(st.lists(st.tuples(point, point, point), min_size=n, max_size=n)))
+    return QuinticSpline(times, points)
 
 
 def simple_plan(windows, duration=3.0, position=(0, 0.1, 0)):
@@ -85,6 +135,33 @@ class TestHorizonSchedule:
         clamped = horizon_schedule(plan, 2.5, 5, 0.5)
         assert clamped[:, 0].tolist() == [True] * 5
 
+    @PROPERTY
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=2, max_size=6),
+        st.floats(min_value=0.0, max_value=4.0),
+        st.integers(1, 40),
+        st.floats(min_value=0.01, max_value=0.5),
+    )
+    def test_equals_scalar_active_at_reference(self, cuts, t0, n_knots, period):
+        cuts = sorted(set(cuts))
+        windows = [(a, b) for a, b in zip(cuts[::2], cuts[1::2])]
+        plan = ContactPlan(
+            (
+                NominalContact("c", (0, 0.1, 0), np.eye(3), POINT, tuple(windows)),
+                NominalContact("d", (0, -0.1, 0), np.eye(3), POINT, ((0.0, 3.0),)),
+            ),
+            3.0,
+        )
+        expected = scalar_schedule(plan, t0, n_knots, period)
+        assert np.array_equal(horizon_schedule(plan, t0, n_knots, period), expected)
+
+    def test_bundled_plans_equal_scalar_reference_past_their_end(self):
+        for name in ("one_leg_jump", "two_leg_walk_run"):
+            plan = parse_scenario(bundled_scenario(name), name=name).plan
+            for t0 in np.arange(0.0, plan.duration + 0.05, 0.1):
+                expected = scalar_schedule(plan, t0, 30, 0.1)
+                assert np.array_equal(horizon_schedule(plan, t0, 30, 0.1), expected)
+
 
 class TestQuinticSpline:
     def test_single_knot_constant(self):
@@ -133,6 +210,31 @@ class TestQuinticSpline:
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
             QuinticSpline([1.0, 0.5], np.zeros((2, 3)))
+
+    @PROPERTY
+    @given(splines(), st.lists(TIME, min_size=1, max_size=40))
+    def test_sample_equals_scalar_evaluation_bit_for_bit(self, spline, times):
+        # times before the first knot, inside the span and after the last
+        times = times + [spline.knot_times[0] - 1.0, spline.knot_times[-1] + 1.0]
+        sampled = spline.sample(times)
+        assert sampled.shape == (len(times), 3)
+        assert np.array_equal(bits(sampled), bits([scalar_position(spline, t) for t in times]))
+        assert np.array_equal(bits(sampled), bits([spline.position(t) for t in times]))
+
+    def test_one_knot_sample(self):
+        s = QuinticSpline([1.0], np.array([[0.5, -0.5, 1.0]]))
+        times = [-1.0, 1.0, 3.0]
+        assert np.array_equal(s.sample(times), np.tile([0.5, -0.5, 1.0], (3, 1)))
+        assert np.array_equal(s.sample(times), [scalar_position(s, t) for t in times])
+
+    def test_bundled_references_equal_scalar_evaluation(self):
+        for name in ("one_leg_jump", "two_leg_walk_run"):
+            config = parse_scenario(bundled_scenario(name), name=name)
+            spline = nominal_com_trajectory(config.plan, config.params)
+            for t0 in np.arange(0.0, config.duration + 0.05, 0.1):
+                times = t0 + 0.1 * np.arange(31)
+                expected = [scalar_position(spline, t) for t in times]
+                assert np.array_equal(bits(spline.sample(times)), bits(expected))
 
 
 class TestNominalComTrajectory:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import centroidal_mpc
-from centroidal_mpc import bundled_scenario, qp, transcription
+from centroidal_mpc import bundled_scenario, controller, qp, sim, transcription
 from centroidal_mpc.scenario import apply_overrides, parse_scenario
 from centroidal_mpc.sim import Touchdown, compute_metrics, export_csv, simulate, write_manifest
 
@@ -124,6 +124,26 @@ class TestSimulate:
             predicted = traj.predicted_next[k]
             actual = np.concatenate([traj.com[k + 1], traj.momentum[k + 1]])
             assert np.array_equal(predicted, actual)
+
+
+    def test_one_plant_rollout_per_period_and_one_prediction_per_step(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(sim, "integrate_step", counting("plant", sim.integrate_step))
+        monkeypatch.setattr(
+            controller, "euler_step_batch", counting("prediction", controller.euler_step_batch)
+        )
+        traj, _ = simulate(parse_scenario(STANDING, name="standing"))
+        # 5 periods of 3 substeps each
+        assert traj.n_steps == 5
+        assert counts == {"plant": 5, "prediction": 5}
 
 
 class TestExportCsv:
