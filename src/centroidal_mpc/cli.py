@@ -79,7 +79,7 @@ def _cmd_check_derivatives(args) -> int:
         plan, state, measured, schedule, samples, options.weights, options.pyramid(),
         options.box, options.horizon_knots, options.period, params,
     )
-    base = cold_start(plan, state, layout, options, params)
+    base = cold_start(plan, layout, samples)
     rng = np.random.RandomState(args.seed)
     worst = None
     for _ in range(args.points):

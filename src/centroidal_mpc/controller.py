@@ -76,21 +76,14 @@ def layout_for(plan: ContactPlan, options: MpcOptions) -> DecisionLayout:
 
 
 def cold_start(
-    plan: ContactPlan,
-    initial_state: CentroidalState,
-    layout: DecisionLayout,
-    options: MpcOptions,
-    params: PhysicalParams,
-    t0: float = 0.0,
+    plan: ContactPlan, layout: DecisionLayout, nominal_samples: np.ndarray
 ) -> np.ndarray:
-    """Nominal-CoM initialization: spline samples for the CoM knots, nominal
-    positions for the contacts, zeros for momenta, forces and velocities."""
-    samples = nominal_com_trajectory(plan, params).sample(
-        t0 + options.period * np.arange(layout.n_knots + 1)
-    )
+    """Nominal-CoM initialization: the nominal CoM samples (one per state
+    knot) for the CoM knots, nominal positions for the contacts, zeros for
+    momenta, forces and velocities."""
     x = np.zeros(layout.size)
     for k in range(layout.n_knots + 1):
-        x[layout.com_slice(k)] = samples[k]
+        x[layout.com_slice(k)] = nominal_samples[k]
         for i, contact in enumerate(plan.contacts):
             x[layout.contact_position_slice(k, i)] = contact.nominal_position
     return x
@@ -192,7 +185,7 @@ def mpc_step(
         # duals from a solve that never converged mislead more than they help
         y0 = shift_multipliers(previous.multipliers, problem) if previous.converged else None
     else:
-        warm = cold_start(plan, current_state, layout, options, params, t0=t)
+        warm = cold_start(plan, layout, nominal_samples)
         y0 = None
     solution = solve(problem, warm, options.solver, y0=y0)
 

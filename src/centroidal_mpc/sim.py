@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,16 +89,7 @@ class Metrics:
     max_constraint_violation: float
 
     def as_dict(self) -> dict:
-        return {
-            "touchdown_count": self.touchdown_count,
-            "mean_adjustment_m": self.mean_adjustment_m,
-            "max_adjustment_m": self.max_adjustment_m,
-            "solve_time_mean_ms": self.solve_time_mean_ms,
-            "solve_time_max_ms": self.solve_time_max_ms,
-            "solve_time_p95_ms": self.solve_time_p95_ms,
-            "convergence_rate": self.convergence_rate,
-            "max_constraint_violation": self.max_constraint_violation,
-        }
+        return asdict(self)
 
 
 def _disturbance_forces(events, times: np.ndarray, estimated: bool) -> np.ndarray:

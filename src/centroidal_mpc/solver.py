@@ -4,17 +4,16 @@ Each iteration solves a QP built from the Hessian of the Lagrangian at the
 current iterate and multipliers (the quadratic cost Hessian plus the
 multiplier-weighted curvature of the bilinear torque defects) and the
 current constraint linearizations, then backtracks on an l1 merit function.
-A small diagonal floor is added to every QP Hessian.  The exact Hessian is
-indefinite; the QP's banded Cholesky tests, on each active set, that it is
-positive definite on the constraints' null space.  When that test fails the
-same iteration is solved again with the Gauss-Newton Hessian (cost Hessian
-only, positive semidefinite), the only safeguard.  The subproblems bring
-values only to the QP workspace of the problem's horizon structure.
+The exact Hessian is indefinite; the QP's banded Cholesky tests, on each
+active set, that it is positive definite on the constraints' null space.
+When that test fails the same iteration is solved again with the
+Gauss-Newton Hessian, the Lagrangian Hessian at the same iterate with zero
+multipliers, the only safeguard.  The subproblems bring values only to the
+QP workspace of the problem's horizon structure.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -26,7 +25,6 @@ from .qp import QpOptions, solve_qp
 
 _ARMIJO_FACTOR = 1e-4
 _BACKTRACK_RATIO = 0.5
-_HESSIAN_REGULARIZATION = 1e-9
 _ELASTIC_WEIGHT = 1e6
 # Every subproblem is solved to full accuracy by the QP's active-set
 # iteration, started from the active set of the current multipliers.  One
@@ -152,18 +150,6 @@ def _evaluate(problem, x, values=None):
     return f, g, c_eq, j_eq, v_in, j_in
 
 
-def _subproblem_hessians(problem, x, y_eq, gauss_newton):
-    """The Hessians a subproblem tries in turn, each formed only when asked for.
-
-    The Lagrangian Hessian at (x, y_eq) when the problem provides one, then
-    the Gauss-Newton model `gauss_newton()`, for a subproblem that the exact
-    Hessian makes non-convex or a problem without one.
-    """
-    if problem.lagrangian_hess is not None:
-        yield problem.lagrangian_hess(x, y_eq, _HESSIAN_REGULARIZATION)
-    yield gauss_newton()
-
-
 def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, n):
     """Relax the inequality rows with l1-penalized slacks and re-solve."""
     m_in = j_in.shape[0]
@@ -207,17 +193,6 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         y = np.array(y0, dtype=float).reshape(-1)
         if y.size != m_eq + m_in:
             raise ValueError(f"y0 has {y.size} entries, problem has {m_eq + m_in} rows")
-    x_start = x
-
-    @functools.cache
-    def gauss_newton():
-        """The Gauss-Newton model (cost Hessian only) at the start point."""
-        if problem.lagrangian_hess is None:
-            return sp.csc_matrix(problem.cost_hess()) + _HESSIAN_REGULARIZATION * sp.eye(
-                problem.dimension, format="csc"
-            )
-        return problem.lagrangian_hess(x_start, np.zeros(m_eq), _HESSIAN_REGULARIZATION)
-
     lo = problem.ineq_lower if m_in else np.zeros(0)
     hi = problem.ineq_upper if m_in else np.zeros(0)
 
@@ -264,7 +239,10 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
 
         lower = np.concatenate([-c_eq, lo - v_in])
         upper = np.concatenate([-c_eq, hi - v_in])
-        for P in _subproblem_hessians(problem, x, y[:m_eq], gauss_newton):
+        # The exact Hessian first; the Gauss-Newton one (zero multipliers)
+        # only for a subproblem that the exact one makes non-convex.
+        for y_hess in (y[:m_eq], np.zeros(m_eq)):
+            P = problem.lagrangian_hess(x, y_hess)
             qp_res = solve_qp(
                 P, g, (j_eq, j_in), lower, upper,
                 options=_SUBPROBLEM_OPTIONS,
@@ -441,17 +419,18 @@ def _color_groups(pattern_rows, pattern_cols, n_cols):
     return groups, tuple(col_rows)
 
 
-def _fd_jacobian_check(fun, jac_matrix, pattern, x, h, m_rows):
+def _fd_jacobian_check(fun, jac_matrix, x, h, m_rows):
     """Compare an analytic sparse Jacobian against grouped central differences.
 
-    Within each probe, rows claimed by exactly one perturbed column estimate
-    that column's entries; rows claimed by no column must stay zero, which
-    catches entries missing from the declared sparsity.
+    The columns are grouped by the matrix's own stored entries (explicit
+    zeros included).  Within each probe, rows claimed by exactly one
+    perturbed column estimate that column's entries; rows claimed by no
+    column must stay zero, which catches entries missing from the sparsity.
     """
-    rows_pat, cols_pat = pattern
     n = x.size
     jac = jac_matrix.tocsc()
-    groups, col_rows = _color_columns(np.asarray(rows_pat), np.asarray(cols_pat), n)
+    pattern = jac_matrix.tocoo()
+    groups, col_rows = _color_columns(pattern.row, pattern.col, n)
     worst = (0.0, -1, -1)
     for group in groups:
         direction = np.zeros(n)
@@ -481,11 +460,12 @@ def check_derivatives(
     problem, point, fd_step: float = 1e-6, multipliers=None
 ) -> DerivativeReport:
     """Central-difference audit of the gradient, both constraint Jacobians
-    and, when the problem has one, the Lagrangian Hessian.
+    and the Lagrangian Hessian.
 
-    The Hessian is audited at the equality multipliers `multipliers` (all
-    ones when not given) against grouped differences of the Lagrangian's
-    gradient cost_grad(x) + eq_jac(x)' y, coloured by its own pattern.
+    Each matrix is audited on its own stored entries.  The Hessian is
+    audited at the equality multipliers `multipliers` (all ones when not
+    given) against grouped differences of the Lagrangian's gradient
+    cost_grad(x) + eq_jac(x)' y.
     """
     if not fd_step > 0.0:
         raise ValueError("fd_step must be positive")
@@ -503,29 +483,22 @@ def check_derivatives(
         if err > worst[0]:
             worst = (err, "cost_grad", 0, i)
 
-    # (block, function, its analytic Jacobian at x, pattern, rows) per audit
+    y = np.ones(problem.n_eq) if multipliers is None else np.asarray(multipliers, float)
+
+    def lagrangian_grad(z):
+        g_z = problem.cost_grad(z)
+        return g_z + problem.eq_jac(z).T @ y if problem.n_eq else g_z
+
+    # (block, function, its analytic Jacobian at x, rows) per audit
     audits = []
     if problem.n_eq:
-        audits.append(("eq_jac", problem.eq, problem.eq_jac(x), problem.eq_pattern, problem.n_eq))
+        audits.append(("eq_jac", problem.eq, problem.eq_jac(x), problem.n_eq))
     if problem.n_ineq:
-        audits.append(
-            ("ineq_jac", problem.ineq, problem.ineq_jac(x), problem.ineq_pattern, problem.n_ineq)
-        )
-    if problem.lagrangian_hess is not None:
-        y = np.ones(problem.n_eq) if multipliers is None else np.asarray(multipliers, float)
-        hess = problem.lagrangian_hess(x, y, 0.0).tocoo()
-
-        def lagrangian_grad(z):
-            g_z = problem.cost_grad(z)
-            return g_z + problem.eq_jac(z).T @ y if problem.n_eq else g_z
-
-        audits.append(("lagrangian_hess", lagrangian_grad, hess, (hess.row, hess.col), x.size))
+        audits.append(("ineq_jac", problem.ineq, problem.ineq_jac(x), problem.n_ineq))
+    audits.append(("lagrangian_hess", lagrangian_grad, problem.lagrangian_hess(x, y), x.size))
     errors = dict.fromkeys(("eq_jac", "ineq_jac", "lagrangian_hess"), 0.0)
-    for block, fun, jac, pattern, m_rows in audits:
-        if pattern is None:
-            coo = jac.tocoo()
-            pattern = (coo.row, coo.col)
-        err, r, c = _fd_jacobian_check(fun, jac, pattern, x, h, m_rows)
+    for block, fun, jac, m_rows in audits:
+        err, r, c = _fd_jacobian_check(fun, jac, x, h, m_rows)
         errors[block] = err
         if err > worst[0]:
             worst = (err, block, r, c)

@@ -276,13 +276,13 @@ class NlpProblem:
 
     Inequalities are interval constraints lower <= ineq(x) <= upper; equality
     constraints are eq(x) = 0.  Jacobian callbacks return scipy CSR matrices
-    whose sparsity never changes between evaluations; the (row, col) patterns
-    are exposed for structure-aware finite differencing.
+    whose stored entries (explicit zeros included) never change between
+    evaluations, so their patterns can be read off any evaluation.
 
-    `lagrangian_hess(x, y_eq, shift)`, when set, returns the Hessian of
-    cost(x) + y_eq' eq(x) at x, plus shift times the identity, as a CSC
-    matrix whose sparsity pattern never changes (explicit zeros included).
-    Inequalities must be linear: they add no curvature.
+    `lagrangian_hess(x, y_eq)` returns the Hessian of cost(x) + y_eq' eq(x)
+    at x, a sparse matrix whose stored entries never change either; at
+    y_eq = 0 it is the Gauss-Newton Hessian.  It is the only curvature the
+    solver asks for.  Inequalities must be linear: they add no curvature.
 
     `qp_workspace`, when set, is the QpWorkspace of every SQP subproblem:
     its P has lagrangian_hess's pattern, its A the equality Jacobian's rows
@@ -300,18 +300,15 @@ class NlpProblem:
     dimension: int
     cost: Callable[[np.ndarray], float]
     cost_grad: Callable[[np.ndarray], np.ndarray]
-    cost_hess: Callable[[], sp.spmatrix]
+    lagrangian_hess: Callable[[np.ndarray, np.ndarray], sp.spmatrix]
     n_eq: int = 0
     eq: Callable[[np.ndarray], np.ndarray] | None = None
     eq_jac: Callable[[np.ndarray], sp.spmatrix] | None = None
-    eq_pattern: tuple | None = None
     n_ineq: int = 0
     ineq: Callable[[np.ndarray], np.ndarray] | None = None
     ineq_jac: Callable[[np.ndarray], sp.spmatrix] | None = None
-    ineq_pattern: tuple | None = None
     ineq_lower: np.ndarray | None = None
     ineq_upper: np.ndarray | None = None
-    lagrangian_hess: Callable[[np.ndarray, np.ndarray, float], sp.spmatrix] | None = None
     shift_rows: np.ndarray | None = None
     qp_workspace: QpWorkspace | None = None
 
@@ -428,10 +425,9 @@ class _HorizonStructure:
         self._add_qp_workspace(layout)
         for array in (
             self.cost_hess.data, self.cost_hess.indices, self.cost_hess.indptr,
-            self.knot_values, self.eq_rows, self.eq_cols, self.eq_indices, self.eq_indptr,
-            self.eq_slots, self.hess_base, self.hess_indices, self.hess_indptr,
-            self.curvature_slots, self.diag_slots, self.ineq_matrix.data,
-            self.ineq_matrix.indices, self.ineq_matrix.indptr, *self.ineq_pattern,
+            self.knot_values, self.eq_indices, self.eq_indptr, self.eq_slots,
+            self.hess_base, self.hess_indices, self.hess_indptr, self.curvature_slots,
+            self.ineq_matrix.data, self.ineq_matrix.indices, self.ineq_matrix.indptr,
             self.shift_rows, self.ordering,
         ):
             array.flags.writeable = False
@@ -439,14 +435,14 @@ class _HorizonStructure:
     def _add_eq_jacobian(self, layout: DecisionLayout):
         """Entries of the equality-constraint Jacobian and their CSR slots.
 
-        `eq_rows` and `eq_cols` list the entries in build_nlp's order: the
-        knot-0 pin, then per step its constant entries (identity chains, the
-        mass-scaled momentum column, the gated velocity and linear-force
-        columns), then the bilinear entries of the angular-momentum rows for
-        all steps.  `knot_values` holds one step's constant values, with
-        zeros where build_nlp writes the values that depend on the period,
-        the mass and the schedule.  Entry e goes to position `eq_slots[e]` of
-        the CSR structure (`eq_indices`, `eq_indptr`).
+        build_nlp lists the entries in this order: the knot-0 pin, then per
+        step its constant entries (identity chains, the mass-scaled momentum
+        column, the gated velocity and linear-force columns), then the
+        bilinear entries of the angular-momentum rows for all steps.
+        `knot_values` holds one step's constant values, with zeros where
+        build_nlp writes the values that depend on the period, the mass and
+        the schedule.  Entry e goes to position `eq_slots[e]` of the CSR
+        structure (`eq_indices`, `eq_indptr`).
         """
         sd, n_knots = layout.state_dim, layout.n_knots
         ks = np.arange(n_knots)
@@ -506,13 +502,13 @@ class _HorizonStructure:
         var_rows.append((row_base[:, None, None] + grid[0]).ravel())
         var_cols.append((ks[:, None, None] * sd + grid[1]).ravel())
 
-        self.eq_rows = np.concatenate([const_rows] + var_rows)
-        self.eq_cols = np.concatenate([const_cols] + var_cols)
-        self.n_var_entries = self.eq_rows.size - const_rows.size
+        eq_rows = np.concatenate([const_rows] + var_rows)
+        eq_cols = np.concatenate([const_cols] + var_cols)
+        self.n_var_entries = eq_rows.size - const_rows.size
         self.eq_indices, self.eq_indptr, self.eq_slots = _number_pattern(
-            self.eq_rows, self.eq_cols, (sd + n_knots * sd, layout.size)
+            eq_rows, eq_cols, (sd + n_knots * sd, layout.size)
         )
-        if self.eq_indices.size != self.eq_rows.size:
+        if self.eq_indices.size != eq_rows.size:
             raise AssertionError("eq Jacobian entries must be structurally distinct")
 
     def _add_lagrangian_hessian(self, layout: DecisionLayout):
@@ -524,14 +520,12 @@ class _HorizonStructure:
         through -T gamma_ki skew(y_k) and with the CoM r(k) through
         +T gamma_ki skew(y_k), y_k being the multipliers of those rows.  The
         pattern (`hess_indices`, `hess_indptr`) is the union of the cost
-        Hessian's, the whole diagonal and the six off-diagonal entries of
-        every such block and its transpose, for every knot and contact
-        (gated-out ones too).
+        Hessian's and the six off-diagonal entries of every such block and
+        its transpose, for every knot and contact (gated-out ones too).
 
         `curvature_slots` lists the CSC positions of the blocks (f, p),
-        (p, f), (f, r), (r, f), each ordered (contact, knot, corner, entry),
-        and `diag_slots` those of the diagonal.  `hess_base` holds the cost
-        Hessian's values and zeros elsewhere.
+        (p, f), (f, r), (r, f), each ordered (contact, knot, corner, entry).
+        `hess_base` holds the cost Hessian's values and zeros elsewhere.
         """
         n, sd, cd = layout.size, layout.state_dim, layout.control_dim
         ks = np.arange(layout.n_knots)
@@ -548,16 +542,14 @@ class _HorizonStructure:
             coms.append(np.broadcast_to((ks * sd)[:, None, None] + _SKEW_COL, shape).ravel())
         f, p, r = (np.concatenate(a) for a in (forces, positions, coms))
         cost = self.cost_hess.tocoo()
-        diag = np.arange(n)
         self.hess_indices, self.hess_indptr, slots = _number_pattern(
-            np.concatenate([p, f, r, f, cost.col, diag]),
-            np.concatenate([f, p, f, r, cost.row, diag]),
+            np.concatenate([p, f, r, f, cost.col]),
+            np.concatenate([f, p, f, r, cost.row]),
             (n, n),
         )
         self.curvature_slots = slots[: 4 * f.size]
-        self.diag_slots = slots[-n:]
         self.hess_base = np.zeros(self.hess_indices.size)
-        self.hess_base[slots[4 * f.size : -n]] = cost.data
+        self.hess_base[slots[4 * f.size :]] = cost.data
 
     def _add_qp_workspace(self, layout: DecisionLayout):
         """The QpWorkspace `qp_workspace` of every SQP subproblem.
@@ -587,11 +579,11 @@ class _HorizonStructure:
     def _add_inequality_matrix(
         self, layout: DecisionLayout, rotations: np.ndarray, pyramid: FrictionPyramid
     ):
-        """The inequality matrix `ineq_matrix` (CSR) and `ineq_pattern`.
+        """The inequality matrix `ineq_matrix` (CSR).
 
         Rows come in two blocks: six pyramid rows per (step, contact,
         corner), step-major, then three box rows per (knot 1..N, contact),
-        knot-major.  `ineq_pattern` is the (row, col) entries in CSR order.
+        knot-major.
         """
         n_knots, n_c, sd = layout.n_knots, layout.n_contacts, layout.state_dim
         xyz = np.arange(3)
@@ -627,8 +619,6 @@ class _HorizonStructure:
             ),
             shape=(n_rows, layout.size),
         ).tocsr()
-        coo = self.ineq_matrix.tocoo()
-        self.ineq_pattern = (coo.row, coo.col)
 
 
 # The latest (key, result) of _horizon_structure, a pure function of its
@@ -893,7 +883,7 @@ def build_nlp(
 
     gates = [period * gamma[:, i, None, None] for i in range(n_c)]
 
-    def lagrangian_hess(x: np.ndarray, y_eq: np.ndarray, shift: float) -> sp.csc_matrix:
+    def lagrangian_hess(x: np.ndarray, y_eq: np.ndarray) -> sp.csc_matrix:
         y_ang = np.asarray(y_eq, dtype=float)[sd:].reshape(n_knots, sd)[:, 6:9]
         skew = (y_ang[:, _SKEW_SOURCE] * _SKEW_SIGN)[:, None, :]
         curvature = np.concatenate(
@@ -901,7 +891,6 @@ def build_nlp(
              for gate, nv in zip(gates, layout.corner_counts)]
         )
         data = structure.hess_base.copy()
-        data[structure.diag_slots] += shift
         data[structure.curvature_slots] = np.concatenate(
             [-curvature, -curvature, curvature, curvature]
         )
@@ -925,18 +914,15 @@ def build_nlp(
         dimension=layout.size,
         cost=cost,
         cost_grad=cost_grad,
-        cost_hess=lambda: hess,
+        lagrangian_hess=lagrangian_hess,
         n_eq=m_eq,
         eq=eq,
         eq_jac=eq_jac,
-        eq_pattern=(structure.eq_rows, structure.eq_cols),
         n_ineq=ineq_matrix.shape[0],
         ineq=ineq,
         ineq_jac=ineq_jac,
-        ineq_pattern=structure.ineq_pattern,
         ineq_lower=ineq_lower,
         ineq_upper=ineq_upper,
-        lagrangian_hess=lagrangian_hess,
         shift_rows=structure.shift_rows,
         qp_workspace=structure.qp_workspace,
     )

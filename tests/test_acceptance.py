@@ -254,7 +254,10 @@ class TestCriterion4:
         for config in (one_leg_push[0], two_leg_push[0]):
             problem, plan, params, options, schedule, state, measured = _scenario_nlp(config)
             layout = layout_for(plan, options)
-            base = cold_start(plan, state, layout, options, params)
+            samples = nominal_com_trajectory(plan, params).sample(
+                options.period * np.arange(layout.n_knots + 1)
+            )
+            base = cold_start(plan, layout, samples)
             for _ in range(50):
                 point = base + rng.uniform(-0.5, 0.5, size=layout.size)
                 # multipliers of the size seen after a push (100-700)
@@ -387,7 +390,7 @@ class TestCriterion7:
             dimension=3,
             cost=lambda x: float(0.5 * x @ H @ x + g0 @ x),
             cost_grad=lambda x: H @ x + g0,
-            cost_hess=lambda: sp.csr_matrix(H),
+            lagrangian_hess=lambda x, y_eq: sp.csc_matrix(H),
             n_eq=1,
             eq=lambda x: A @ x - b,
             eq_jac=lambda x: sp.csr_matrix(A),
@@ -402,7 +405,7 @@ class TestCriterion7:
             dimension=2,
             cost=lambda x: float(0.5 * x @ x),
             cost_grad=lambda x: x.copy(),
-            cost_hess=lambda: sp.csr_matrix(np.eye(2)),
+            lagrangian_hess=lambda x, y_eq: sp.csc_matrix(np.eye(2)),
             n_ineq=1,
             ineq=lambda x: np.array([x[0]]),
             ineq_jac=lambda x: sp.csr_matrix(np.array([[1.0, 0.0]])),

@@ -246,16 +246,26 @@ def same_csr(a, b):
     )
 
 
+def stored_entries(matrix):
+    """(row, col) of every stored entry, explicit zeros included, row-major."""
+    coo = matrix.tocsr().tocoo()
+    return coo.row, coo.col
+
+
 def assert_matches_reference(plan, schedule, seed=0):
     problem, nominal = make_problem(plan, schedule, seed)
     ref = reference_structure(plan, schedule, nominal)
-    for ours, theirs in zip(problem.eq_pattern, ref["eq_pattern"]):
-        assert np.array_equal(ours, theirs)
     rng = np.random.RandomState(seed + 100)
     for _ in range(2):
         x = rng.randn(problem.dimension)
-        assert same_csr(problem.eq_jac(x), ref["eq_jac"](x))
-        hess = problem.cost_hess()
+        jac = problem.eq_jac(x)
+        assert same_csr(jac, ref["eq_jac"](x))
+        # every declared entry is stored, the gated-out ones as zeros
+        ref_rows, ref_cols = ref["eq_pattern"]
+        order = np.lexsort((ref_cols, ref_rows))
+        for ours, theirs in zip(stored_entries(jac), (ref_rows[order], ref_cols[order])):
+            assert np.array_equal(ours, theirs)
+        hess = problem.lagrangian_hess(x, np.zeros(problem.n_eq))
         expected_cost = float(0.5 * x @ (hess @ x) + ref["c_lin"] @ x + ref["constant"])
         assert bits(problem.cost(x)) == bits(expected_cost)
         assert np.array_equal(bits(problem.cost_grad(x)), bits(hess @ x + ref["c_lin"]))
@@ -264,9 +274,9 @@ def assert_matches_reference(plan, schedule, seed=0):
     assert problem.n_ineq == ref["ineq_matrix"].shape[0]
     assert np.array_equal(bits(problem.ineq_lower), bits(ref["ineq_lower"]))
     assert np.array_equal(bits(problem.ineq_upper), bits(ref["ineq_upper"]))
-    ref_coo = ref["ineq_matrix"].tocoo()
-    assert np.array_equal(problem.ineq_pattern[0], ref_coo.row)
-    assert np.array_equal(problem.ineq_pattern[1], ref_coo.col)
+    for ours, theirs in zip(stored_entries(problem.ineq_jac(x)),
+                            stored_entries(ref["ineq_matrix"])):
+        assert np.array_equal(ours, theirs)
     assert np.array_equal(problem.shift_rows, ref["shift_rows"])
     return problem
 
@@ -314,9 +324,8 @@ class TestLayoutTemplateMemo:
         # the accessor returns the structure build_nlp built, without a rebuild
         assert len(structure_builds) == 1 and structure is structure_builds[0]
         hess = structure.cost_hess
-        shared = [structure.eq_rows, structure.eq_cols, structure.eq_slots,
-                  structure.eq_indices, structure.eq_indptr, structure.knot_values,
-                  *problem.eq_pattern, hess.data, hess.indices, hess.indptr,
+        shared = [structure.eq_slots, structure.eq_indices, structure.eq_indptr,
+                  structure.knot_values, hess.data, hess.indices, hess.indptr,
                   problem.shift_rows, problem.qp_workspace.perm]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
@@ -326,7 +335,7 @@ class TestLayoutTemplateMemo:
         assert all(a.flags.writeable for a in (jac.data, jac.indices, jac.indptr))
         # the inequality matrix is the template's, shared by every schedule
         ineq = problem.ineq_jac(np.zeros(problem.dimension))
-        for array in (ineq.data, ineq.indices, ineq.indptr, *problem.ineq_pattern):
+        for array in (ineq.data, ineq.indices, ineq.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -346,8 +355,6 @@ class TestLayoutTemplateMemo:
             if first is None:
                 first = problem
             assert problem.n_ineq == first.n_ineq == 6 * 5 * n_knots + 3 * 2 * n_knots
-            for ours, theirs in zip(problem.ineq_pattern, first.ineq_pattern):
-                assert np.array_equal(ours, theirs)
             x = np.zeros(problem.dimension)
             assert same_csr(problem.ineq_jac(x), first.ineq_jac(x))
             assert np.array_equal(problem.shift_rows, first.shift_rows)
@@ -381,26 +388,19 @@ class TestLagrangianHessian:
         rng = np.random.RandomState(5)
         x = rng.randn(problem.dimension)
         y = 300.0 * rng.randn(problem.n_eq)
-        hess = problem.lagrangian_hess(x, y, 0.0)
+        hess = problem.lagrangian_hess(x, y)
         dense = dense_lagrangian_hessian(problem, x, y)
         scale = np.maximum(1.0, np.abs(dense))
         assert np.max(np.abs(hess.toarray() - dense) / scale) < 1e-6
-        # the cost part is cost_hess, the shift lands on the diagonal only
-        without_curvature = problem.lagrangian_hess(x, np.zeros(problem.n_eq), 0.0)
-        assert np.array_equal(without_curvature.toarray(), problem.cost_hess().toarray())
-        shifted = problem.lagrangian_hess(x, y, 1e-3).toarray()
-        np.testing.assert_array_equal(shifted - np.diag(np.diag(shifted)),
-                                      hess.toarray() - np.diag(np.diag(hess.toarray())))
-        np.testing.assert_allclose(np.diag(shifted), np.diag(hess.toarray()) + 1e-3,
-                                   rtol=0, atol=1e-15)
 
     def test_curvature_couples_variables_of_one_stage(self):
         # so it stays inside the band of the stage-wise ordering
         problem, _ = make_problem(make_plan([RECT, POINT]), [[ON, ON]] * N_KNOTS)
         layout = DecisionLayout(N_KNOTS, [4, 1])
+        x = np.zeros(problem.dimension)
         curvature = (
-            problem.lagrangian_hess(np.zeros(problem.dimension), np.ones(problem.n_eq), 0.0)
-            - problem.cost_hess()
+            problem.lagrangian_hess(x, np.ones(problem.n_eq))
+            - problem.lagrangian_hess(x, np.zeros(problem.n_eq))
         ).tocoo()
         assert curvature.nnz == 4 * 6 * N_KNOTS * 5  # (f, p), (f, r) and transposes
         position = np.empty(problem.dimension, dtype=int)
@@ -425,7 +425,7 @@ class TestLagrangianHessian:
                 np.array([c.nominal_position for c in plan.contacts]), schedule,
                 np.zeros((n_knots + 1, 3)), Weights(), PYRAMID, BOX, n_knots, PERIOD, PARAMS,
             )
-            hess = problem.lagrangian_hess(x, y, 1e-9)
+            hess = problem.lagrangian_hess(x, y)
             assert hess.format == "csc" and hess.has_sorted_indices
             if first is None:
                 first = hess
@@ -445,19 +445,19 @@ class TestLagrangianHessian:
         first, _ = make_problem(one_leg, [[ON]] * N_KNOTS)
         y = np.random.RandomState(3).randn(first.n_eq)
         x = np.zeros(first.dimension)
-        expected = first.lagrangian_hess(x, y, 0.0)
+        expected = first.lagrangian_hess(x, y)
         other, _ = make_problem(two_legs, [[ON, ON]] * N_KNOTS, seed=1)
-        assert other.lagrangian_hess(np.zeros(other.dimension), np.ones(other.n_eq),
-                                     0.0).shape == (other.dimension, other.dimension)
+        assert other.lagrangian_hess(np.zeros(other.dimension), np.ones(other.n_eq)
+                                     ).shape == (other.dimension, other.dimension)
         again, _ = make_problem(one_leg, [[ON]] * N_KNOTS)
-        assert same_csr(again.lagrangian_hess(x, y, 0.0).tocsr(), expected.tocsr())
+        assert same_csr(again.lagrangian_hess(x, y).tocsr(), expected.tocsr())
         # the memo holds the one-leg structure, so the accessor builds nothing
         structure = transcription._horizon_structure(
             DecisionLayout(N_KNOTS, [1]), Weights(), PERIOD, rotations_of(one_leg), PYRAMID
         )
         assert len(structure_builds) == 3 and structure is structure_builds[-1]
         for array in (structure.hess_indices, structure.hess_indptr, structure.curvature_slots,
-                      structure.hess_base, structure.diag_slots):
+                      structure.hess_base):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -480,10 +480,9 @@ class TestLagrangianHessian:
                 np.array([c.nominal_position for c in plan.contacts]), schedule,
                 np.zeros((N_KNOTS + 1, 3)), weights, PYRAMID, BOX, N_KNOTS, period, PARAMS,
             )
-            cost_hess = problem.cost_hess()
-            assert same_csr(cost_hess, transcription._cost_hessian(layout, weights, period))
-            without_curvature = problem.lagrangian_hess(x, np.zeros(problem.n_eq), 0.0)
-            assert np.array_equal(without_curvature.toarray(), cost_hess.toarray())
+            cost_hess = problem.lagrangian_hess(x, np.zeros(problem.n_eq))
+            expected = transcription._cost_hessian(layout, weights, period)
+            assert np.array_equal(cost_hess.toarray(), expected.toarray())
             hessians.append(cost_hess.toarray().tobytes())
         # every change of key rebuilds, and four keys give four cost Hessians
         assert len(structure_builds) == len(keys)

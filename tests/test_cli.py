@@ -74,10 +74,15 @@ class TestRun:
     def test_missing_file_exit_code(self):
         assert main(["run", "/nonexistent/path.txt"]) == 2
 
-    def test_degraded_completion_exit_code(self, scenario_file, tmp_path, capsys):
-        # one solver iteration cannot converge; the run completes degraded
+    def test_degraded_completion_exit_code(self, tmp_path, capsys):
+        # under a push, one solver iteration cannot converge; the run
+        # completes degraded
+        pushed = tmp_path / "pushed.txt"
+        pushed.write_text(
+            QUICK + "\n[disturbance]\nt_start_s = 0.0\nduration_s = 0.2\nforce_n = 3 1 0\n"
+        )
         code = main([
-            "run", str(scenario_file), "--out", str(tmp_path / "deg"),
+            "run", str(pushed), "--out", str(tmp_path / "deg"),
             "--override", "mpc.max_iterations=1",
             "--override", "mpc.kkt_tolerance=1e-14",
         ])

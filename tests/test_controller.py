@@ -118,9 +118,9 @@ class TestColdStart:
     def test_com_from_spline_everything_else_zero(self):
         plan = hop_plan()
         layout = layout_for(plan, OPTIONS)
-        state = CentroidalState([0.05, 0.02, 0.61], [0.3, 0, 0], [0, 0, 0.1])
-        x = cold_start(plan, state, layout, OPTIONS, PARAMS, t0=0.2)
         spline = nominal_com_trajectory(plan, PARAMS)
+        times = 0.2 + OPTIONS.period * np.arange(layout.n_knots + 1)
+        x = cold_start(plan, layout, spline.sample(times))
         for k in range(layout.n_knots + 1):
             np.testing.assert_allclose(
                 x[layout.com_slice(k)], spline.position(0.2 + 0.1 * k), atol=1e-12

@@ -27,7 +27,7 @@ def quadratic_problem(H, g0, eq=None, ineq=None):
         dimension=n,
         cost=lambda x: float(0.5 * x @ H @ x + g0 @ x),
         cost_grad=lambda x: H @ x + g0,
-        cost_hess=lambda: sp.csr_matrix(H),
+        lagrangian_hess=lambda x, y_eq: sp.csc_matrix(H),
         n_eq=m_eq,
         eq=(lambda x: np.asarray(A_eq) @ x - b_eq) if m_eq else None,
         eq_jac=(lambda x: sp.csr_matrix(A_eq)) if m_eq else None,
@@ -43,7 +43,7 @@ TIGHT = SolverOptions(kkt_tolerance=1e-10, constraint_tolerance=1e-10)
 
 
 class TestAnalyticOracles:
-    def test_equality_qp_two_iterations(self):
+    def test_equality_qp_one_iteration(self):
         rng = np.random.RandomState(5)
         H = np.diag([2.0, 3.0, 4.0])
         g0 = rng.randn(3)
@@ -51,8 +51,9 @@ class TestAnalyticOracles:
         b = np.array([1.0])
         kkt = np.block([[H, A.T], [A, np.zeros((1, 1))]])
         expected = np.linalg.solve(kkt, np.concatenate([-g0, b]))[:3]
+        # the subproblem is the problem itself, so its exact Newton step lands
         sol = solve(quadratic_problem(H, g0, eq=(A, b)), np.zeros(3), TIGHT)
-        assert sol.converged and sol.iterations <= 2
+        assert sol.converged and sol.iterations == 1
         np.testing.assert_allclose(sol.x, expected, atol=1e-8)
 
     def test_stationary_warm_start_returns_immediately(self):
@@ -75,6 +76,8 @@ class TestNonlinearEquality:
     @staticmethod
     def bilinear_problem():
         H = 2 * np.eye(3)
+        swap = np.zeros((3, 3))
+        swap[0, 1] = swap[1, 0] = 1.0
         g0 = np.array([-4.0, -4.0, -2.0])
 
         def eq(v):
@@ -87,7 +90,7 @@ class TestNonlinearEquality:
             dimension=3,
             cost=lambda x: float(x @ x - 4 * x[0] - 4 * x[1] - 2 * x[2] + 9),
             cost_grad=lambda x: 2 * x + g0,
-            cost_hess=lambda: sp.csr_matrix(H),
+            lagrangian_hess=lambda x, y_eq: sp.csc_matrix(H + y_eq[0] * swap),
             n_eq=1,
             eq=eq,
             eq_jac=eq_jac,
@@ -191,23 +194,21 @@ class TestGaussNewtonFallback:
     the Gauss-Newton Hessian, at the same iterate."""
 
     @staticmethod
-    def hyperbola_problem():
-        # min 1/2 |x - (1.5, 1.5)|^2  s.t.  x0 x1 = 1: solution (1, 1) with
-        # multiplier 0.5.  The Lagrangian Hessian I + y [[0, 1], [1, 0]] is
-        # negative along the constraint's tangent when y is large.
-        target = np.array([1.5, 1.5])
+    def hyperbola_problem(t=1.5):
+        # min 1/2 |x - (t, t)|^2  s.t.  x0 x1 = 1: for t = 1.5 the solution
+        # is (1, 1) with multiplier 0.5.  The Lagrangian Hessian
+        # I + y [[0, 1], [1, 0]] is negative along the constraint's tangent
+        # when y is large.
+        target = np.array([t, t])
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         return NlpProblem(
             dimension=2,
             cost=lambda x: float(0.5 * np.sum((x - target) ** 2)),
             cost_grad=lambda x: x - target,
-            cost_hess=lambda: sp.csr_matrix(np.eye(2)),
+            lagrangian_hess=lambda x, y_eq: sp.csc_matrix(np.eye(2) + y_eq[0] * swap),
             n_eq=1,
             eq=lambda x: np.array([x[0] * x[1] - 1.0]),
             eq_jac=lambda x: sp.csr_matrix(np.array([[x[1], x[0]]])),
-            lagrangian_hess=lambda x, y, shift: sp.csc_matrix(
-                (1.0 + shift) * np.eye(2) + y[0] * swap
-            ),
         )
 
     @staticmethod
@@ -232,6 +233,34 @@ class TestGaussNewtonFallback:
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-8)
         assert sol.multipliers[0] == pytest.approx(0.5, abs=1e-8)
 
+    def test_resolve_takes_the_hessian_at_the_iterate_with_zero_multipliers(
+        self, monkeypatch
+    ):
+        # From this start toward (3, 3) the first step brings multipliers
+        # near 1.9, and the exact Hessian of the second subproblem is
+        # indefinite on the constraint's tangent.
+        statuses = self.spy_statuses(monkeypatch)
+        problem = self.hyperbola_problem(t=3.0)
+        exact = problem.lagrangian_hess
+        calls = []
+
+        def spy(x, y_eq):
+            calls.append((x.copy(), np.array(y_eq, dtype=float)))
+            return exact(x, y_eq)
+
+        problem.lagrangian_hess = spy
+        start = np.array([1.2, 0.9])
+        sol = solve(problem, start, TIGHT)
+        assert sol.converged
+        assert len(calls) == len(statuses)  # one Hessian per subproblem
+        retried = [i for i, status in enumerate(statuses) if status == "non_convex"]
+        assert retried and not np.array_equal(calls[retried[0]][0], start)
+        for i in retried:
+            x, y_eq = calls[i]
+            assert y_eq[0] != 0.0 and statuses[i + 1] == "solved"
+            assert np.array_equal(calls[i + 1][0], x)
+            assert np.array_equal(calls[i + 1][1], np.zeros(1))
+
     def test_multipliers_of_another_row_count_raise(self):
         with pytest.raises(ValueError, match="y0"):
             solve(self.hyperbola_problem(), np.array([1.2, 0.9]), TIGHT, y0=[0.5, 0.5])
@@ -240,7 +269,8 @@ class TestGaussNewtonFallback:
         statuses = self.spy_statuses(monkeypatch)
         exact = solve(self.hyperbola_problem(), np.array([1.2, 0.9]), TIGHT, y0=[0.5])
         problem = self.hyperbola_problem()
-        problem.lagrangian_hess = None
+        lagrangian_hess = problem.lagrangian_hess
+        problem.lagrangian_hess = lambda x, y_eq: lagrangian_hess(x, np.zeros_like(y_eq))
         gauss_newton = solve(problem, np.array([1.2, 0.9]), TIGHT, y0=[0.5])
         assert exact.converged and gauss_newton.converged
         assert "non_convex" not in statuses
@@ -251,14 +281,9 @@ class TestGaussNewtonFallback:
         statuses = self.spy_statuses(monkeypatch)
         H = np.diag([1.0, -1.0])
         problem = quadratic_problem(H, np.zeros(2), eq=(np.array([[1.0, 0.0]]), np.array([1.0])))
-        problem.lagrangian_hess = lambda x, y, shift: sp.csc_matrix(H + shift * np.eye(2))
         sol = solve(problem, np.zeros(2))
         assert statuses == ["non_convex", "non_convex"]
         assert sol.status == "numerical_failure"
-        problem.lagrangian_hess = None
-        statuses.clear()
-        assert solve(problem, np.zeros(2)).status == "numerical_failure"
-        assert statuses == ["non_convex"]
 
 
 class TestRejectedStepExit:
@@ -270,7 +295,7 @@ class TestRejectedStepExit:
             dimension=2,
             cost=lambda x: float(np.sum((x - target) ** 2)),
             cost_grad=lambda x: 2.0 * (x - target),
-            cost_hess=lambda: sp.csr_matrix(2.0 * np.eye(2)),
+            lagrangian_hess=lambda x, y_eq: sp.csc_matrix((2.0 + 2.0 * y_eq[0]) * np.eye(2)),
             n_eq=1,
             eq=lambda x: np.array([x @ x - 1.0]),
             eq_jac=lambda x: sp.csr_matrix(2.0 * x[None, :]),
@@ -330,7 +355,9 @@ class TestCheckDerivatives:
             dimension=3,
             cost=lambda x: float(x @ x),
             cost_grad=lambda x: 2 * x,
-            cost_hess=lambda: sp.csr_matrix(2 * np.eye(3)),
+            lagrangian_hess=lambda x, y_eq: sp.csc_matrix(
+                2 * np.eye(3) + y_eq[0] * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+            ),
             n_eq=2,
             eq=eq,
             eq_jac=eq_jac_bad,
@@ -349,8 +376,8 @@ class TestCheckDerivatives:
         good = check_derivatives(problem, x, multipliers=y)
         assert good.hessian_error < 1e-8 and good.max_relative_error < 1e-8
 
-        def corrupted(v, y_eq, shift):
-            hess = exact(v, y_eq, shift).toarray()
+        def corrupted(v, y_eq):
+            hess = exact(v, y_eq).toarray()
             if fault == "value":
                 hess[1, 0] += 0.25
             else:
@@ -369,12 +396,13 @@ class TestCheckDerivatives:
             assert report.hessian_error == pytest.approx(0.7 / 1.7)
 
     @staticmethod
-    def entry_by_entry_scan(fun, jac_matrix, pattern, x, h, m_rows):
+    def entry_by_entry_scan(fun, jac_matrix, x, h, m_rows):
         """Reference for _fd_jacobian_check: one entry at a time, in group,
         column and row order, keeping the first strict maximum."""
         n = x.size
         dense = jac_matrix.toarray()
-        groups, col_rows = _color_columns(pattern[0], pattern[1], n)
+        pattern = jac_matrix.tocoo()
+        groups, col_rows = _color_columns(pattern.row, pattern.col, n)
         worst = (0.0, -1, -1)
         for group in groups:
             direction = np.zeros(n)
@@ -421,8 +449,9 @@ class TestCheckDerivatives:
             jac[mask[:, c], c] = 1e20
         if case == "nan":
             jac[0, 0] = np.nan
-        rows, cols = np.nonzero(mask)
-        args = (fun, sp.csr_matrix(jac), (rows, cols), x, 1e-6, m)
+        jac = sp.csr_matrix(jac)
+        assert np.array_equal(jac.toarray() != 0, mask)  # the stray entry is not stored
+        args = (fun, jac, x, 1e-6, m)
         assert _fd_jacobian_check(*args) == self.entry_by_entry_scan(*args)
 
     def test_coloring_memo_is_keyed_on_content_and_bounded(self):
