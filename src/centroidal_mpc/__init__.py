@@ -30,7 +30,6 @@ from .transcription import (  # noqa: F401
     NlpProblem,
     Weights,
     build_nlp,
-    friction_pyramid,
 )
 from .qp import QpOptions, QpResult, QpWorkspace, qp_solve, solve_qp  # noqa: F401
 from .solver import (  # noqa: F401

@@ -76,7 +76,7 @@ def _cmd_check_derivatives(args) -> int:
 
     state = CentroidalState(spline.position(0.0), np.zeros(3), np.zeros(3))
     problem = build_nlp(
-        plan, state, measured, schedule, samples, options.weights, options.pyramid(),
+        plan, state, measured, schedule, samples, options.weights, options.pyramid,
         options.box, options.horizon_knots, options.period, params,
     )
     base = cold_start(plan, layout, samples)

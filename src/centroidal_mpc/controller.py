@@ -27,7 +27,6 @@ from .transcription import (
     NlpProblem,
     Weights,
     build_nlp,
-    friction_pyramid,
 )
 
 log = logging.getLogger("centroidal_mpc")
@@ -35,14 +34,16 @@ log = logging.getLogger("centroidal_mpc")
 
 @dataclass(frozen=True)
 class MpcOptions:
-    """Horizon length and sampling period plus all weights and constraint bounds."""
+    """Horizon length and sampling period plus all weights and constraint bounds.
+
+    The friction pyramid and the contact box check their own values when
+    they are built, so a bad bound fails before the first MPC step.
+    """
 
     horizon_knots: int = 30
     period: float = 0.1
     weights: Weights = field(default_factory=Weights)
-    friction_mu: float = 0.8
-    normal_force_min: float = 0.0
-    normal_force_max: float = 29.43
+    pyramid: FrictionPyramid = field(default_factory=lambda: FrictionPyramid(0.8, 0.0, 29.43))
     box: ContactBox = field(default_factory=lambda: ContactBox.planar(0.15, 0.15))
     solver: SolverOptions = field(default_factory=SolverOptions)
 
@@ -51,9 +52,6 @@ class MpcOptions:
             raise ValueError("horizon needs at least 2 knots")
         if not self.period > 0.0:
             raise ValueError("period must be positive")
-
-    def pyramid(self) -> FrictionPyramid:
-        return friction_pyramid(self.friction_mu, self.normal_force_min, self.normal_force_max)
 
 
 @dataclass
@@ -118,20 +116,13 @@ def shift_multipliers(multipliers, problem: NlpProblem) -> np.ndarray:
 def _sanitize_forces(forces, schedule, pyramid: FrictionPyramid, rotations):
     """Zero gated-out forces and clamp the rest into the pyramid.
 
-    Componentwise clamping in the contact frame: the normal force first, then
-    each tangential component against the pyramid faces.  Feasible output for
-    any input; solutions within tolerance move by at most their violation.
+    Each contact's forces are rotated into its frame, clamped there by
+    FrictionPyramid.clamp and rotated back.  Feasible output for any input;
+    solutions within tolerance move by at most their violation.
     """
-    mu_eff = -pyramid.A[0, 2]
-    f_min = -pyramid.b[4]
-    f_max = pyramid.b[5]
     cleaned = []
     for i, f_i in enumerate(forces):
-        local = np.einsum("ba,kjb->kja", rotations[i], f_i)
-        local[:, :, 2] = np.clip(local[:, :, 2], f_min, f_max)
-        cap = mu_eff * local[:, :, 2]
-        local[:, :, 0] = np.clip(local[:, :, 0], -cap, cap)
-        local[:, :, 1] = np.clip(local[:, :, 1], -cap, cap)
+        local = pyramid.clamp(np.einsum("ba,kjb->kja", rotations[i], f_i))
         world = np.einsum("ab,kjb->kja", rotations[i], local)
         world *= schedule[:, i, None, None]
         cleaned.append(world)
@@ -173,7 +164,7 @@ def mpc_step(
         schedule,
         nominal_samples,
         options.weights,
-        options.pyramid(),
+        options.pyramid,
         options.box,
         n_knots,
         period,
@@ -201,7 +192,7 @@ def mpc_step(
     corner_offsets = [c.geometry.offsets_matrix() for c in plan.contacts]
     forces_raw, velocities = layout.control_arrays(x_sol)
     gamma = schedule.astype(float)
-    forces = _sanitize_forces(forces_raw, gamma, options.pyramid(), rotations)
+    forces = _sanitize_forces(forces_raw, gamma, options.pyramid, rotations)
 
     p_next, h_next, _ = euler_step_batch(
         current_state.p_com,

@@ -21,7 +21,7 @@ from .controller import MpcOptions
 from .model import ContactGeometry, PhysicalParams
 from .plan import ContactPlan, NominalContact
 from .solver import SolverOptions
-from .transcription import ContactBox, Weights
+from .transcription import ContactBox, FrictionPyramid, Weights
 
 FORMAT_VERSION = 1
 
@@ -358,9 +358,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
             horizon_knots=mpc["horizon_knots"],
             period=mpc["period_s"],
             weights=weights,
-            friction_mu=mpc["friction_mu"],
-            normal_force_min=mpc["normal_force_min_n"],
-            normal_force_max=f_max,
+            pyramid=FrictionPyramid(mpc["friction_mu"], mpc["normal_force_min_n"], f_max),
             box=ContactBox.planar(mpc["box_half_x_m"], mpc["box_half_y_m"]),
             solver=SolverOptions(
                 max_iterations=mpc["max_iterations"],

@@ -243,7 +243,7 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
     return traj, compute_metrics(traj, config)
 
 
-def compute_metrics(traj: TrajectoryLog, config: ScenarioConfig | None = None) -> Metrics:
+def compute_metrics(traj: TrajectoryLog, config: ScenarioConfig) -> Metrics:
     """Summarize a run; adjustment statistics cover only touchdowns that occurred."""
     adjustments = [td.adjustment for td in traj.touchdowns]
     mean_adj = float(np.mean(adjustments)) if adjustments else None
@@ -251,21 +251,18 @@ def compute_metrics(traj: TrajectoryLog, config: ScenarioConfig | None = None) -
     solve = traj.solve_times_ms
     converged = np.array([s == "converged" for s in traj.statuses])
     worst = 0.0
-    if config is not None:
-        pyramid = config.mpc.pyramid()
-        rotations = {c.contact_id: c.orientation for c in config.plan.contacts}
-        for i, cid in enumerate(traj.contact_ids):
-            active = traj.gamma[: traj.n_steps, i]
-            forces = traj.forces[i][: traj.n_steps]
-            for k in np.where(active)[0]:
-                for j in range(forces.shape[1]):
-                    worst = max(worst, pyramid.violation(forces[k, j], rotations[cid]))
-        for td in traj.touchdowns:
-            contact = config.plan.contact(td.contact_id)
-            residual = contact.orientation.T @ (contact.nominal_position - td.committed)
-            gap = np.maximum(config.mpc.box.lower - residual, 0.0)
-            gap = np.maximum(gap, residual - config.mpc.box.upper)
-            worst = max(worst, float(np.max(gap)))
+    pyramid = config.mpc.pyramid
+    rotations = {c.contact_id: c.orientation for c in config.plan.contacts}
+    for i, cid in enumerate(traj.contact_ids):
+        active = traj.gamma[: traj.n_steps, i]
+        forces = traj.forces[i][: traj.n_steps]
+        for k in np.where(active)[0]:
+            for j in range(forces.shape[1]):
+                worst = max(worst, pyramid.violation(forces[k, j], rotations[cid]))
+    for td in traj.touchdowns:
+        contact = config.plan.contact(td.contact_id)
+        gap = config.mpc.box.gap(td.committed, contact.nominal_position, contact.orientation)
+        worst = max(worst, gap)
     return Metrics(
         touchdown_count=len(traj.touchdowns),
         mean_adjustment_m=mean_adj,

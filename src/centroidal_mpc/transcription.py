@@ -5,19 +5,20 @@ one location per contact; per knot k in [0, N-1]: corner forces and one
 sliding velocity per contact.  Equality constraints are the explicit-Euler
 defects between consecutive knots plus a pin of knot 0 to the measured state.
 Inequalities are friction-pyramid rows on every corner force and box rows
-keeping each contact near its nominal location.  All first derivatives and
+keeping each contact near its nominal location; FrictionPyramid and
+ContactBox own their rows, checks and clamps.  All first derivatives and
 the Hessian of the Lagrangian are analytic and sparse.
 
 The structure of a horizon problem (the cost Hessian, every constraint row,
 the sparsity patterns of the Jacobians and of the Lagrangian Hessian, the
 row shift and the variable ordering) is built once per (layout, weights,
-period, contact rotations, pyramid) and shared read-only by every problem
-of that key.  The contact schedule sets only values and bounds.
+period, contact rotations, friction coefficient) and shared read-only by
+every problem of that key.  The contact schedule sets only values and bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ from .model import (
     CentroidalState,
     PhysicalParams,
     _as_vector,
-    check_rotation,
     euler_step_batch,
     skew_batch,
 )
@@ -63,52 +63,65 @@ class Weights:
 
 @dataclass(frozen=True)
 class FrictionPyramid:
-    """Half-space rows A (R^T f) <= b: four tangential faces plus normal bounds."""
+    """Inner pyramid approximation of the friction cone with normal-force bounds.
 
-    A: np.ndarray
-    b: np.ndarray
+    Half-space rows A (R^T f) <= b on the contact-frame force: the faces
+    x - c z, -x - c z, y - c z and -y - c z with the conservative slope
+    c = mu / sqrt(2), then -z <= -f_min and z <= f_max.  A and b are derived
+    once from (mu, f_min, f_max) and are read-only.
+    """
+
+    mu: float
+    f_min: float
+    f_max: float
+    A: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
+
+    # Faces x - c z, y - c z and z: their normals are independent, so holding
+    # all three at zero holds the contact-frame force, and with it the force,
+    # at zero.
+    PIN_FACES = (0, 2, 5)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        if A.shape != (6, 3) or b.shape != (6,):
-            raise ValueError("pyramid must have a 6x3 matrix and a 6-vector of bounds")
+        if not self.mu > 0.0:
+            raise ValueError(f"friction coefficient must be positive, got {self.mu}")
+        if not (0.0 <= self.f_min < self.f_max):
+            raise ValueError(f"need 0 <= f_min < f_max, got [{self.f_min}, {self.f_max}]")
+        c = self.slope
+        A = np.array([[1.0, 0.0, -c], [-1.0, 0.0, -c], [0.0, 1.0, -c], [0.0, -1.0, -c],
+                      [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+        b = np.array([0.0, 0.0, 0.0, 0.0, -self.f_min, self.f_max])
+        A.flags.writeable = False
+        b.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+
+    @property
+    def slope(self) -> float:
+        """Tangential face slope c = mu / sqrt(2)."""
+        return self.mu / np.sqrt(2.0)
 
     def violation(self, force_world, rotation) -> float:
         f_local = np.asarray(rotation, dtype=float).T @ _as_vector(force_world, 3, "force")
         return float(np.max(self.A @ f_local - self.b))
 
+    def clamp(self, local) -> np.ndarray:
+        """Contact-frame forces (..., 3) clamped componentwise into the pyramid.
 
-def friction_pyramid(mu: float, f_min: float, f_max: float) -> FrictionPyramid:
-    """Inner pyramid approximation of the friction cone with normal-force bounds.
-
-    Tangential faces use the conservative mu/sqrt(2) factor; the normal
-    component is confined to [f_min, f_max].
-    """
-    if not mu > 0.0:
-        raise ValueError(f"friction coefficient must be positive, got {mu}")
-    if not (0.0 <= f_min < f_max):
-        raise ValueError(f"need 0 <= f_min < f_max, got [{f_min}, {f_max}]")
-    c = mu / np.sqrt(2.0)
-    A = np.array(
-        [
-            [1.0, 0.0, -c],
-            [-1.0, 0.0, -c],
-            [0.0, 1.0, -c],
-            [0.0, -1.0, -c],
-            [0.0, 0.0, -1.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    b = np.array([0.0, 0.0, 0.0, 0.0, -f_min, f_max])
-    return FrictionPyramid(A, b)
+        The normal component goes into [f_min, f_max] first, then each
+        tangential component against its two faces.  The result is feasible
+        for any input, and a force already inside comes back unchanged.
+        """
+        out = np.array(local, dtype=float)
+        out[..., 2] = np.clip(out[..., 2], self.f_min, self.f_max)
+        cap = self.slope * out[..., 2, None]
+        out[..., :2] = np.clip(out[..., :2], -cap, cap)
+        return out
 
 
 @dataclass(frozen=True)
 class ContactBox:
-    """Rectangular feasibility region around the nominal contact, contact frame."""
+    """Bounds [lower, upper] on a contact's offset R^T (nominal - position)."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -126,22 +139,20 @@ class ContactBox:
         """Symmetric x/y bounds with the z offset pinned to the contact plane."""
         return ContactBox((-half_x, -half_y, 0.0), (half_x, half_y, 0.0))
 
-    def contains(self, residual, tol: float = 0.0) -> bool:
-        r = _as_vector(residual, 3, "residual")
-        return bool(np.all(r >= self.lower - tol) and np.all(r <= self.upper + tol))
+    @staticmethod
+    def _offset(position, nominal, rotation) -> np.ndarray:
+        R = np.asarray(rotation, dtype=float)
+        return R.T @ (_as_vector(nominal, 3, "nominal") - _as_vector(position, 3, "position"))
+
+    def gap(self, position, nominal, rotation) -> float:
+        """Largest bound violation of the offset: positive outside the box."""
+        offset = self._offset(position, nominal, rotation)
+        return float(np.max(np.maximum(self.lower - offset, offset - self.upper)))
 
     def clamp_position(self, position, nominal, rotation) -> np.ndarray:
         """Nearest position (in the contact frame) whose offset lies in the box."""
-        R = np.asarray(rotation, dtype=float)
-        residual = R.T @ (_as_vector(nominal, 3, "nominal") - _as_vector(position, 3, "position"))
-        clipped = np.clip(residual, self.lower, self.upper)
-        return np.asarray(nominal, dtype=float) - R @ clipped
-
-
-def contact_box_violation(position, nominal, rotation, box: ContactBox) -> np.ndarray:
-    """Offset R^T (nominal - position); feasible iff within [box.lower, box.upper]."""
-    R = check_rotation(rotation)
-    return R.T @ (_as_vector(nominal, 3, "nominal") - _as_vector(position, 3, "position"))
+        clipped = np.clip(self._offset(position, nominal, rotation), self.lower, self.upper)
+        return np.asarray(nominal, dtype=float) - np.asarray(rotation, dtype=float) @ clipped
 
 
 def force_regularization_cost(corner_forces, weight) -> float:
@@ -399,9 +410,10 @@ class _HorizonStructure:
     """Everything of a horizon problem that its contact schedule does not set.
 
     Built by _horizon_structure once per (layout, weights, period, contact
-    rotations, pyramid) and shared by every problem of that key, so every
-    array is read-only.  The schedule, the measured state and the references
-    set only values and bounds (build_nlp, _inequality_bounds).  It holds
+    rotations, friction coefficient) and shared by every problem of that
+    key, so every array is read-only.  The schedule, the measured state and
+    the references set only values and bounds (build_nlp,
+    _inequality_bounds).  It holds
     the cost Hessian `cost_hess` (CSR), the fixed patterns of the equality
     Jacobian, the Lagrangian Hessian and the inequality matrix (see the
     _add_* methods), the variable `ordering`, and NlpProblem's `shift_rows`
@@ -623,8 +635,8 @@ class _HorizonStructure:
 
 # The latest (key, result) of _horizon_structure, a pure function of its
 # key.  A run keeps one layout, one set of weights, one period, one set of
-# contact rotations and one pyramid, so one entry serves all of its horizon
-# problems.
+# contact rotations and one friction coefficient (the pyramid's rows depend
+# on mu alone), so one entry serves all of its horizon problems.
 _LAST_STRUCTURE: list = [None, None]
 
 
@@ -640,9 +652,9 @@ def _horizon_structure(
         layout.n_knots,
         layout.corner_counts,
         period,
-        tuple(tuple(getattr(weights, field.name)) for field in fields(weights)),
+        tuple(tuple(getattr(weights, f.name)) for f in fields(weights)),
         rotations.tobytes(),
-        pyramid.A.tobytes(),
+        pyramid.mu,
     )
     if _LAST_STRUCTURE[0] != key:
         _LAST_STRUCTURE[:] = [key, _HorizonStructure(layout, weights, period, rotations, pyramid)]
@@ -676,12 +688,6 @@ def _cost_linear_terms(
     return c, constant
 
 
-# Pyramid faces x - c z, y - c z and z (friction_pyramid's rows 0, 2 and 5):
-# their normals are independent, so holding all three at zero holds the
-# contact-frame force, and with it the force, at zero.
-_PIN_FACES = np.array([0, 2, 5])
-
-
 def _inequality_bounds(
     layout: DecisionLayout,
     schedule: np.ndarray,
@@ -697,19 +703,20 @@ def _inequality_bounds(
     apply gets (-inf, inf), which the QP never activates.  Pyramid rows hold
     the pyramid's bounds at every step of a contact that bears load
     somewhere in the horizon, gated-out steps included; those of any other
-    contact pin its forces to zero.  Box rows hold the box from the first
-    knot the contact can move to.
+    contact hold the pyramid's PIN_FACES at zero, which pins its forces to
+    zero.  Box rows hold the box from the first knot the contact can move to.
     """
     n_knots = layout.n_knots
     # A contact gated out over the entire horizon leaves its forces with no
     # dynamic or cost anchor: a flat optimal manifold whose boundary is the
     # cone apex.  Pin those dead variables to their exact optimum (zero)
-    # with three independent faces held at zero; the other three are free.
+    # with the three independent PIN_FACES held at zero; the other three are
+    # free.
     dead = np.repeat(~schedule.any(axis=0), layout.corner_counts)
     face_lower = np.full((dead.size, 6), -np.inf)
     face_upper = np.where(dead[:, None], np.inf, pyramid.b)
-    face_lower[np.ix_(dead, _PIN_FACES)] = 0.0
-    face_upper[np.ix_(dead, _PIN_FACES)] = 0.0
+    face_lower[np.ix_(dead, pyramid.PIN_FACES)] = 0.0
+    face_upper[np.ix_(dead, pyramid.PIN_FACES)] = 0.0
     # While a contact has been gated on since knot 0, the defect chain pins
     # its whole position trajectory to the measured (already box-checked)
     # value; box rows there would only duplicate equalities, and the
@@ -767,7 +774,7 @@ def build_nlp(
     covers all n_knots + 1 state knots.  The disturbance profile (one wrench
     per step) enters the momentum defects as a known input.  Everything but
     values and bounds is the shared _HorizonStructure of (layout, weights,
-    period, rotations, pyramid); the schedule sets the equality Jacobian's
+    period, rotations, pyramid.mu); the schedule sets the equality Jacobian's
     gated values and the inequality bounds (_inequality_bounds).
     """
     n_c = plan.n_contacts

@@ -92,7 +92,7 @@ def _scenario_nlp(config, t=0.0):
     state = CentroidalState(spline.position(t), np.zeros(3), np.zeros(3))
     measured = np.array([c.nominal_position for c in plan.contacts])
     problem = build_nlp(
-        plan, state, measured, schedule, samples, options.weights, options.pyramid(),
+        plan, state, measured, schedule, samples, options.weights, options.pyramid,
         options.box, options.horizon_knots, options.period, params,
     )
     return problem, plan, params, options, schedule, state, measured
@@ -339,7 +339,7 @@ class TestCriterion6:
         stance_constant = True
         for config, traj in ((one_leg_push[0], one_leg_push[1]),
                              (two_leg_push[0], two_leg_push[1])):
-            pyramid = config.mpc.pyramid()
+            pyramid = config.mpc.pyramid
             for i, contact in enumerate(config.plan.contacts):
                 active = traj.gamma[: traj.n_steps, i]
                 for k in np.where(active)[0]:

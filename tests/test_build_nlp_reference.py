@@ -19,14 +19,14 @@ from centroidal_mpc.sim import simulate
 from centroidal_mpc.transcription import (
     ContactBox,
     DecisionLayout,
+    FrictionPyramid,
     Weights,
     build_nlp,
-    friction_pyramid,
 )
 
 N_KNOTS = 6
 PERIOD = 0.1
-PYRAMID = friction_pyramid(0.8, 0.0, 60.0)
+PYRAMID = FrictionPyramid(0.8, 0.0, 60.0)
 BOX = ContactBox((-0.15, -0.1, -0.02), (0.12, 0.15, 0.03))
 PARAMS = PhysicalParams(mass=2.5, com_height_nominal=0.8)
 

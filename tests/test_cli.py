@@ -71,6 +71,19 @@ class TestRun:
         assert main(["run", str(bad)]) == 2
         assert "error: line 4: key 'mass_kg' expects a number, got ''" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        ["mpc.friction_mu=0", "mpc.normal_force_min_n=50", "mpc.normal_force_max_n=0"],
+    )
+    def test_bad_pyramid_exit_code(self, scenario_file, tmp_path, capsys, override):
+        # the friction pyramid is checked while the scenario is parsed
+        code = main(["run", str(scenario_file), "--out", str(tmp_path / "bad"),
+                     "--override", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_code(self):
         assert main(["run", "/nonexistent/path.txt"]) == 2
 

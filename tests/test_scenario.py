@@ -37,8 +37,8 @@ class TestParsing:
         assert cfg.substeps == 2
         assert cfg.disturbances == ()
         # defaults follow the documented parameter set
-        assert cfg.mpc.friction_mu == 0.8
-        assert cfg.mpc.normal_force_max == pytest.approx(3 * 9.81)
+        assert cfg.mpc.pyramid.mu == 0.8
+        assert cfg.mpc.pyramid.f_max == pytest.approx(3 * 9.81)
         np.testing.assert_allclose(cfg.mpc.box.upper, [0.15, 0.15, 0.0])
 
     def test_bundled_scenarios_parse(self):
@@ -60,6 +60,16 @@ class TestParsing:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(bad)
         assert any("mass_kg" in p for p in err.value.problems)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("friction_mu = 0", "friction coefficient"), ("normal_force_min_n = 50", "f_min")],
+    )
+    def test_bad_pyramid_is_scenario_error(self, line, message):
+        bad = MINIMAL.replace("period_s = 0.1", f"period_s = 0.1\n{line}")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(bad)
+        assert any(message in p for p in err.value.problems)
 
     def test_unknown_key_with_line_number(self):
         bad = MINIMAL.replace("substeps = 2", "substeps = 2\nwarp_factor = 9")

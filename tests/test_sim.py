@@ -184,13 +184,14 @@ class TestExportCsv:
 class TestComputeMetrics:
     def test_single_touchdown_stats(self, standing_run):
         traj, _ = standing_run
+        config = parse_scenario(STANDING, name="standing")
         td = Touchdown(1.0, "left", np.array([0.06, 0.08, 0.0]), np.array([0.0, 0.08, 0.0]))
         assert td.adjustment == pytest.approx(0.06)
         traj_patched = traj
         old = traj_patched.touchdowns
         traj_patched.touchdowns = [td]
         try:
-            metrics = compute_metrics(traj_patched)
+            metrics = compute_metrics(traj_patched, config)
             assert metrics.mean_adjustment_m == pytest.approx(0.06)
             assert metrics.max_adjustment_m == pytest.approx(0.06)
             assert metrics.touchdown_count == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from centroidal_mpc.model import (
     CentroidalState,
@@ -12,15 +14,16 @@ from centroidal_mpc.solver import check_derivatives
 from centroidal_mpc.transcription import (
     ContactBox,
     DecisionLayout,
+    FrictionPyramid,
     Weights,
     build_nlp,
     centroidal_tracking_cost,
-    contact_box_violation,
     contact_regularization_cost,
     force_rate_cost,
     force_regularization_cost,
-    friction_pyramid,
 )
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def yaw(angle):
@@ -76,22 +79,30 @@ class TestCostTerms:
         assert vals[0] == vals[1] == vals[2]
 
 
+def pyramids():
+    """Pyramids with mu in [0.05, 2] and 0 <= f_min < f_max <= 1100."""
+    return st.builds(
+        lambda mu, f_min, width: FrictionPyramid(mu, f_min, f_min + width),
+        st.floats(0.05, 2.0), st.floats(0.0, 100.0), st.floats(0.1, 1000.0),
+    )
+
+
 class TestFrictionPyramid:
     def test_pure_normal_inside(self):
-        pyr = friction_pyramid(1.0, 0.0, 30.0)
+        pyr = FrictionPyramid(1.0, 0.0, 30.0)
         assert pyr.violation([0, 0, 1.0], np.eye(3)) <= 0.0
 
     def test_tangential_violation(self):
-        pyr = friction_pyramid(0.7, 0.0, 30.0)
+        pyr = FrictionPyramid(0.7, 0.0, 30.0)
         # 2 > 0.7/sqrt(2) * 1
         assert pyr.violation([2.0, 0, 1.0], np.eye(3)) > 0.0
 
     def test_pulling_force_forbidden(self):
-        pyr = friction_pyramid(0.7, 0.0, 30.0)
+        pyr = FrictionPyramid(0.7, 0.0, 30.0)
         assert pyr.violation([0, 0, -1.0], np.eye(3)) > 0.0
 
     def test_rotation_invariance(self):
-        pyr = friction_pyramid(0.8, 0.0, 30.0)
+        pyr = FrictionPyramid(0.8, 0.0, 30.0)
         rng = np.random.RandomState(7)
         for _ in range(20):
             angle = rng.uniform(-np.pi, np.pi)
@@ -103,36 +114,64 @@ class TestFrictionPyramid:
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
-            friction_pyramid(0.0, 0.0, 30.0)
+            FrictionPyramid(0.0, 0.0, 30.0)
         with pytest.raises(ValueError):
-            friction_pyramid(0.5, 5.0, 5.0)
+            FrictionPyramid(0.5, 5.0, 5.0)
+
+    def test_rows_derived_once_and_read_only(self):
+        pyr = FrictionPyramid(0.8, 1.0, 30.0)
+        np.testing.assert_array_equal(pyr.b, [0, 0, 0, 0, -1.0, 30.0])
+        assert pyr.A[0, 2] == -0.8 / np.sqrt(2.0)
+        with pytest.raises(ValueError):
+            pyr.A[0, 0] = 2.0
+        assert pyr == FrictionPyramid(0.8, 1.0, 30.0)
+
+    @PROPERTY
+    @given(pyramids(), st.tuples(*[st.floats(-1e6, 1e6)] * 3))
+    def test_clamp_is_feasible_and_idempotent(self, pyr, force):
+        f = np.array(force)
+        out = pyr.clamp(f)
+        assert np.all(pyr.A @ out - pyr.b <= 1e-12 * max(1.0, np.linalg.norm(f)))
+        assert pyr.clamp(out).tobytes() == out.tobytes()
+
+    @PROPERTY
+    @given(pyramids(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_clamp_keeps_a_force_strictly_inside(self, pyr, s, tx, ty):
+        fz = pyr.f_min + s * (pyr.f_max - pyr.f_min)
+        f = np.array([tx * pyr.slope * fz, ty * pyr.slope * fz, fz])
+        assume(np.all(pyr.A @ f < pyr.b))
+        assert pyr.clamp(f).tobytes() == f.tobytes()
+
+
+# A point box's gap is the largest distance, per axis, of the offset from
+# that point.
+def point_box(point):
+    return ContactBox(point, point)
 
 
 class TestContactBox:
     def test_zero_residual_feasible(self):
         box = ContactBox.planar(0.1, 0.1)
-        residual = contact_box_violation([1, 2, 0], [1, 2, 0], np.eye(3), box)
-        np.testing.assert_allclose(residual, np.zeros(3))
-        assert box.contains(residual)
+        assert point_box(np.zeros(3)).gap([1, 2, 0], [1, 2, 0], np.eye(3)) == 0.0
+        assert box.gap([1, 2, 0], [1, 2, 0], np.eye(3)) <= 0.0
 
     def test_x_overflow(self):
         box = ContactBox((-0.1, -0.1, 0), (0.1, 0.1, 0))
-        residual = contact_box_violation([0, 0, 0], [0.15, 0, 0], np.eye(3), box)
-        assert not box.contains(residual)
+        assert box.gap([0, 0, 0], [0.15, 0, 0], np.eye(3)) > 0.0
 
     def test_yaw_maps_axes(self):
         # a 90-degree yaw maps an x offset into the y component of the check
         box = ContactBox((-0.2, -0.01, 0), (0.2, 0.01, 0))
         R = yaw(np.pi / 2)
-        residual = contact_box_violation([0, 0, 0], [0.05, 0, 0], R, box)
-        np.testing.assert_allclose(residual, [0, -0.05, 0], atol=1e-12)
-        assert not box.contains(residual)
+        assert point_box([0, -0.05, 0]).gap([0, 0, 0], [0.05, 0, 0], R) <= 1e-12
+        assert box.gap([0, 0, 0], [0.05, 0, 0], R) > 0.0
 
     def test_clamp_position(self):
         box = ContactBox.planar(0.1, 0.1)
         clamped = box.clamp_position([0.5, 0, 0.2], [0, 0, 0], np.eye(3))
-        residual = contact_box_violation(clamped, [0, 0, 0], np.eye(3), box)
-        assert box.contains(residual, tol=1e-12)
+        assert box.gap(clamped, [0, 0, 0], np.eye(3)) <= 1e-12
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -194,7 +233,7 @@ def two_contact_problem(n_knots=4, period=0.1, disturbance=True, seed=0):
         schedule,
         nominal,
         Weights(),
-        friction_pyramid(0.8, 0.0, 60.0),
+        FrictionPyramid(0.8, 0.0, 60.0),
         ContactBox.planar(0.15, 0.15),
         n_knots,
         period,
@@ -287,7 +326,7 @@ class TestBuildNlp:
         nominal = np.array([[0.0, 0.0, 0.8]])
         problem2 = build_nlp(
             plan, state, measured, schedule, np.tile(nominal, (5, 1)), Weights(),
-            friction_pyramid(0.8, 0, 60.0), ContactBox.planar(0.15, 0.15),
+            FrictionPyramid(0.8, 0, 60.0), ContactBox.planar(0.15, 0.15),
             4, 0.1, params,
         )
         for k in range(5):
@@ -303,13 +342,13 @@ class TestBuildNlp:
         with pytest.raises(ValueError, match="schedule"):
             build_nlp(
                 plan, state, measured, schedule[:2], np.zeros((5, 3)), Weights(),
-                friction_pyramid(0.8, 0, 60.0), ContactBox.planar(0.15, 0.15),
+                FrictionPyramid(0.8, 0, 60.0), ContactBox.planar(0.15, 0.15),
                 4, 0.1, params,
             )
         with pytest.raises(ValueError, match="samples"):
             build_nlp(
                 plan, state, measured, schedule, np.zeros((3, 3)), Weights(),
-                friction_pyramid(0.8, 0, 60.0), ContactBox.planar(0.15, 0.15),
+                FrictionPyramid(0.8, 0, 60.0), ContactBox.planar(0.15, 0.15),
                 4, 0.1, params,
             )
 
