@@ -7,19 +7,14 @@ __version__ = "0.1.0"
 from .model import (  # noqa: F401
     CentroidalState,
     ContactGeometry,
-    ContactInstant,
     ExternalWrench,
     PhysicalParams,
-    com_velocity,
-    contact_position_derivative,
     integrate_step,
-    momentum_derivative,
 )
 from .plan import (  # noqa: F401
     ContactPlan,
     NominalContact,
     QuinticSpline,
-    activation,
     horizon_schedule,
     nominal_com_trajectory,
 )

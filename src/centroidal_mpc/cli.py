@@ -71,7 +71,7 @@ def _cmd_check_derivatives(args) -> int:
     schedule = horizon_schedule(plan, 0.0, options.horizon_knots, options.period)
     spline = nominal_com_trajectory(plan, params)
     samples = spline.sample(options.period * np.arange(options.horizon_knots + 1))
-    measured = np.array([c.nominal_position for c in plan.contacts])
+    measured = plan.nominal_positions
     from .model import CentroidalState
 
     state = CentroidalState(spline.position(0.0), np.zeros(3), np.zeros(3))

@@ -68,9 +68,7 @@ class MpcOutput:
 
 
 def layout_for(plan: ContactPlan, options: MpcOptions) -> DecisionLayout:
-    return DecisionLayout(
-        options.horizon_knots, [c.geometry.n_corners for c in plan.contacts]
-    )
+    return DecisionLayout(options.horizon_knots, plan.corner_counts)
 
 
 def cold_start(
@@ -188,11 +186,9 @@ def mpc_step(
                     solution.status, t)
         x_sol = shift_warm_start(previous, layout)
 
-    rotations = np.array([c.orientation for c in plan.contacts])
-    corner_offsets = [c.geometry.offsets_matrix() for c in plan.contacts]
     forces_raw, velocities = layout.control_arrays(x_sol)
     gamma = schedule.astype(float)
-    forces = _sanitize_forces(forces_raw, gamma, options.pyramid, rotations)
+    forces = _sanitize_forces(forces_raw, gamma, options.pyramid, plan.orientations)
 
     p_next, h_next, _ = euler_step_batch(
         current_state.p_com,
@@ -201,8 +197,8 @@ def mpc_step(
         forces,
         velocities,
         gamma,
-        rotations,
-        corner_offsets,
+        plan.orientations,
+        plan.corner_offsets,
         params.mass,
         params.gravity,
         profile,

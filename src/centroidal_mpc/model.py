@@ -147,29 +147,6 @@ def check_rotation(matrix, name: str = "orientation") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ContactInstant:
-    """Snapshot of one contact: pose, gate, corner forces and sliding velocity."""
-
-    position: np.ndarray
-    orientation: np.ndarray
-    active: bool
-    corner_forces: tuple
-    corner_velocity: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _as_vector(self.position, 3, "position"))
-        object.__setattr__(self, "orientation", check_rotation(self.orientation))
-        forces = tuple(_as_vector(f, 3, "corner force") for f in self.corner_forces)
-        object.__setattr__(self, "corner_forces", forces)
-        object.__setattr__(
-            self, "corner_velocity", _as_vector(self.corner_velocity, 3, "corner_velocity")
-        )
-
-    def forces_matrix(self) -> np.ndarray:
-        return np.array(self.corner_forces)
-
-
-@dataclass(frozen=True)
 class ExternalWrench:
     """Measured disturbance: force plus torque taken about the CoM."""
 
@@ -307,115 +284,47 @@ def euler_step_batch(
     return p_com_next, momentum_next, p_contacts_next
 
 
-def _batch_inputs(
-    state: CentroidalState,
-    contacts: Sequence[ContactInstant],
-    geometries: Sequence[ContactGeometry],
-):
-    """The start state, unbatched, and the contact inputs of one knot."""
-    if len(contacts) != len(geometries):
-        raise ValueError(
-            f"got {len(contacts)} contacts but {len(geometries)} geometries"
-        )
-    forces = []
-    for idx, (contact, geometry) in enumerate(zip(contacts, geometries)):
-        if len(contact.corner_forces) != geometry.n_corners:
-            raise ValueError(
-                f"contact {idx}: {len(contact.corner_forces)} corner forces for "
-                f"{geometry.n_corners} corners"
-            )
-        forces.append(contact.forces_matrix()[None, :, :])
-    n_c = len(contacts)
-    p_contacts = np.array([c.position for c in contacts]).reshape(n_c, 3)
-    velocities = np.array([c.corner_velocity for c in contacts]).reshape(1, n_c, 3)
-    gamma = np.array([[1.0 if c.active else 0.0 for c in contacts]])
-    rotations = np.array([c.orientation for c in contacts]).reshape(n_c, 3, 3)
-    offsets = [g.offsets_matrix() for g in geometries]
-    return state.p_com, state.momentum, p_contacts, forces, velocities, gamma, rotations, offsets
-
-
-def momentum_derivative(
-    state: CentroidalState,
-    contacts: Sequence[ContactInstant],
-    geometries: Sequence[ContactGeometry],
-    params: PhysicalParams,
-    disturbance: ExternalWrench | None = None,
-) -> np.ndarray:
-    """Rate of change of the 6-vector momentum under gated contact forces.
-
-    Forces of inactive contacts have exactly zero effect.  The disturbance
-    wrench is added unchanged (its torque is taken about the CoM).
-    """
-    wrench = (disturbance or ExternalWrench.zero()).stacked()[None, :]
-    p_com, _, p_contacts, forces, _, gamma, rotations, offsets = _batch_inputs(
-        state, contacts, geometries
-    )
-    for idx, f in enumerate(forces):
-        _require_finite(f, f"contact {idx} corner forces")
-    rate = momentum_rate_batch(
-        p_com[None], p_contacts[None], forces, gamma, rotations, offsets,
-        params.mass, params.gravity, wrench,
-    )
-    return rate[0]
-
-
-def com_velocity(h_lin, params: PhysicalParams) -> np.ndarray:
-    """CoM velocity from linear momentum: v = h_lin / m."""
-    return _as_vector(h_lin, 3, "h_lin") / params.mass
-
-
-def contact_position_derivative(active: bool, corner_velocity) -> np.ndarray:
-    """Contact location rate (1 - gate) * v: frozen while the contact is active."""
-    v = _as_vector(corner_velocity, 3, "corner_velocity")
-    return np.zeros(3) if active else v.copy()
-
-
 def integrate_step(
     state: CentroidalState,
-    contacts: Sequence[ContactInstant],
-    geometries: Sequence[ContactGeometry],
+    p_contacts: np.ndarray,
+    forces: Sequence[np.ndarray],
+    gamma: np.ndarray,
+    rotations: np.ndarray,
+    corner_offsets: Sequence[np.ndarray],
     params: PhysicalParams,
-    disturbance: ExternalWrench | np.ndarray | None = None,
-    dt: float = 0.1,
-) -> tuple[CentroidalState, list[np.ndarray]]:
-    """Explicit Euler steps of length dt; returns the new state and contact positions.
+    wrenches: np.ndarray,
+    dt: float,
+) -> CentroidalState:
+    """S explicit Euler steps of length dt, one per row of `wrenches`.
 
-    `disturbance` is one ExternalWrench (None for none), which makes one
-    step, or an (S, 6) array of stacked (force, torque) wrenches, one per
-    step, which makes S steps.  The contacts (gates, forces, velocities) are
-    held over all steps, and the steps are one euler_step_batch rollout, so
-    S steps equal S chained single-wrench calls bit for bit.  The CoM moves
-    with the pre-step linear momentum.  Positions of active contacts are
-    returned bit-exactly unchanged.
+    p_contacts (n_c, 3), forces[i] (n_v_i, 3), gamma (n_c,), rotations
+    (n_c, 3, 3), corner_offsets[i] (n_v_i, 3) and wrenches (S, 6) of stacked
+    (force, torque about the CoM).  The contacts (positions, gates, forces)
+    are held over all steps and do not slide.  The steps are one
+    euler_step_batch rollout, so S rows equal S chained one-row calls bit for
+    bit.  The CoM moves with the pre-step linear momentum.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if disturbance is None or isinstance(disturbance, ExternalWrench):
-        wrench = (disturbance or ExternalWrench.zero()).stacked()[None, :]
-    else:
-        wrench = np.asarray(disturbance, dtype=float)
-        if wrench.ndim != 2 or wrench.shape[0] < 1 or wrench.shape[1] != 6:
-            raise ValueError(f"disturbance must have shape (S, 6), got {wrench.shape}")
-        _require_finite(wrench, "disturbance")
-    steps = wrench.shape[0]
-    p_com, momentum, p_contacts, forces, velocities, gamma, rotations, offsets = _batch_inputs(
-        state, contacts, geometries
-    )
-    p_next, h_next, pc_next = euler_step_batch(
-        p_com,
-        momentum,
+    wrenches = np.asarray(wrenches, dtype=float)
+    if wrenches.ndim != 2 or wrenches.shape[0] < 1 or wrenches.shape[1] != 6:
+        raise ValueError(f"wrenches must have shape (S, 6), got {wrenches.shape}")
+    _require_finite(wrenches, "wrenches")
+    steps, n_c = wrenches.shape[0], len(forces)
+    p_next, h_next, _ = euler_step_batch(
+        state.p_com,
+        state.momentum,
         p_contacts,
-        [np.broadcast_to(f, (steps,) + f.shape[1:]) for f in forces],
-        np.broadcast_to(velocities, (steps,) + velocities.shape[1:]),
-        np.broadcast_to(gamma, (steps,) + gamma.shape[1:]),
+        [np.broadcast_to(f, (steps,) + f.shape) for f in forces],
+        np.zeros((steps, n_c, 3)),
+        np.broadcast_to(gamma, (steps, n_c)),
         rotations,
-        offsets,
+        corner_offsets,
         params.mass,
         params.gravity,
-        wrench,
+        wrenches,
         dt,
     )
     if not (np.all(np.isfinite(p_next)) and np.all(np.isfinite(h_next))):
         raise ValueError("integration produced non-finite state")
-    new_state = CentroidalState(p_next[-1], h_next[-1, 0:3], h_next[-1, 3:6])
-    return new_state, [pc_next[-1, i].copy() for i in range(len(contacts))]
+    return CentroidalState(p_next[-1], h_next[-1, 0:3], h_next[-1, 3:6])

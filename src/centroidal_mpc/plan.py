@@ -9,7 +9,7 @@ zero velocity and acceleration at both ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -52,10 +52,19 @@ class NominalContact:
 
 @dataclass(frozen=True)
 class ContactPlan:
-    """Timed contact sequence over [0, duration]."""
+    """Timed contact sequence over [0, duration].
+
+    The stacked arrays of its contacts, in contact order, are derived once
+    and are read-only: orientations (n_c, 3, 3), corner offsets (one
+    (n_v_i, 3) array each), corner counts and nominal positions (n_c, 3).
+    """
 
     contacts: tuple
     duration: float
+    orientations: np.ndarray = field(init=False, repr=False, compare=False)
+    corner_offsets: tuple = field(init=False, repr=False, compare=False)
+    corner_counts: tuple = field(init=False, repr=False, compare=False)
+    nominal_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         contacts = tuple(self.contacts)
@@ -72,6 +81,15 @@ class ContactPlan:
                         f"outside plan duration {self.duration}"
                     )
         object.__setattr__(self, "contacts", contacts)
+        orientations = np.array([c.orientation for c in contacts])
+        offsets = tuple(c.geometry.offsets_matrix() for c in contacts)
+        nominal = np.array([c.nominal_position for c in contacts])
+        for arr in (orientations, nominal) + offsets:
+            arr.flags.writeable = False
+        object.__setattr__(self, "orientations", orientations)
+        object.__setattr__(self, "corner_offsets", offsets)
+        object.__setattr__(self, "corner_counts", tuple(c.geometry.n_corners for c in contacts))
+        object.__setattr__(self, "nominal_positions", nominal)
 
     @property
     def n_contacts(self) -> int:
@@ -86,11 +104,6 @@ class ContactPlan:
             if c.contact_id == contact_id:
                 return c
         raise KeyError(f"unknown contact id {contact_id!r}")
-
-
-def activation(plan: ContactPlan, contact_id: str, t: float) -> bool:
-    """Gate value at time t: true iff t lies in an activation window [a, b)."""
-    return plan.contact(contact_id).active_at(t)
 
 
 def horizon_schedule(

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import MpcOutput, mpc_step
-from .model import CentroidalState, ContactInstant, ExternalWrench, integrate_step
+from .model import CentroidalState, ExternalWrench, integrate_step
 from .plan import nominal_com_trajectory
 from .scenario import ScenarioConfig
 
@@ -56,7 +56,7 @@ class TrajectoryLog:
     nominal_com: np.ndarray
     nominal_contacts: np.ndarray
     contact_ids: list
-    corner_counts: list
+    corner_counts: tuple
     touchdowns: list
     statuses: list
     iterations: np.ndarray
@@ -113,9 +113,6 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
     events = config.active_events()
     n_c = plan.n_contacts
     ids = plan.contact_ids
-    geometries = [c.geometry for c in plan.contacts]
-    corner_counts = [g.n_corners for g in geometries]
-    nominal_contacts = np.array([c.nominal_position for c in plan.contacts])
 
     times = np.arange(n_steps + 1) * period
     nominal_log = spline.sample(times)
@@ -136,7 +133,7 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
     momentum_log = np.zeros((n_steps + 1, 6))
     position_log = np.zeros((n_steps + 1, n_c, 3))
     gamma_log = np.zeros((n_steps + 1, n_c), dtype=bool)
-    force_log = [np.zeros((n_steps + 1, nv, 3)) for nv in corner_counts]
+    force_log = [np.zeros((n_steps + 1, nv, 3)) for nv in plan.corner_counts]
     touchdowns: list = []
     statuses: list = []
     iterations = np.zeros(n_steps, dtype=int)
@@ -191,18 +188,16 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
         predicted_schedules[k] = out.schedule
         predicted_next[k] = np.concatenate([out.predicted_com[1], out.predicted_momentum[1]])
 
-        contacts_now = [
-            ContactInstant(
-                positions[cid],
-                plan.contacts[i].orientation,
-                bool(gamma_now[i]),
-                tuple(out.forces[cid]),
-                np.zeros(3),
-            )
-            for i, cid in enumerate(ids)
-        ]
-        state, _ = integrate_step(
-            state, contacts_now, geometries, params, plant_wrenches[k], dt_sub
+        state = integrate_step(
+            state,
+            position_log[k],
+            [f[k] for f in force_log],
+            gamma_now.astype(float),
+            plan.orientations,
+            plan.corner_offsets,
+            params,
+            plant_wrenches[k],
+            dt_sub,
         )
         if float(np.max(np.abs(state.p_com))) > 1e3:
             raise SimulationDiverged(
@@ -224,9 +219,9 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
         gamma=gamma_log,
         forces=force_log,
         nominal_com=nominal_log,
-        nominal_contacts=nominal_contacts,
+        nominal_contacts=plan.nominal_positions,
         contact_ids=ids,
-        corner_counts=corner_counts,
+        corner_counts=plan.corner_counts,
         touchdowns=touchdowns,
         statuses=statuses,
         iterations=iterations,

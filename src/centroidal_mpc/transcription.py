@@ -155,41 +155,6 @@ class ContactBox:
         return np.asarray(nominal, dtype=float) - np.asarray(rotation, dtype=float) @ clipped
 
 
-def force_regularization_cost(corner_forces, weight) -> float:
-    """Weighted squared deviation of each corner force from the corner average."""
-    forces = np.asarray(corner_forces, dtype=float).reshape(-1, 3)
-    lam = _as_diag3(weight, "weight")
-    deviation = forces.mean(axis=0) - forces
-    return float(0.5 * np.sum(deviation * deviation * lam))
-
-
-def force_rate_cost(force_k, force_next, period: float, weight) -> float:
-    """Forward-difference force-rate penalty over one sampling period."""
-    if not period > 0.0:
-        raise ValueError(f"period must be positive, got {period}")
-    lam = _as_diag3(weight, "weight")
-    rate = (_as_vector(force_next, 3, "force_next") - _as_vector(force_k, 3, "force_k")) / period
-    return float(0.5 * np.sum(rate * rate * lam))
-
-
-def centroidal_tracking_cost(
-    state: CentroidalState, nominal_ang_momentum, nominal_com, ang_weight, com_weight
-) -> float:
-    """Tracking error of angular momentum and CoM position against the references."""
-    lam_h = _as_diag3(ang_weight, "ang_weight")
-    lam_c = _as_diag3(com_weight, "com_weight")
-    e_h = _as_vector(nominal_ang_momentum, 3, "nominal_ang_momentum") - state.h_ang
-    e_c = _as_vector(nominal_com, 3, "nominal_com") - state.p_com
-    return float(0.5 * np.sum(e_h * e_h * lam_h) + 0.5 * np.sum(e_c * e_c * lam_c))
-
-
-def contact_regularization_cost(position, nominal, weight) -> float:
-    """Weighted squared distance of a contact location from its nominal spot."""
-    lam = _as_diag3(weight, "weight")
-    e = _as_vector(nominal, 3, "nominal") - _as_vector(position, 3, "position")
-    return float(0.5 * np.sum(e * e * lam))
-
-
 class DecisionLayout:
     """Flat index map of the decision vector.
 
@@ -778,7 +743,7 @@ def build_nlp(
     gated values and the inequality bounds (_inequality_bounds).
     """
     n_c = plan.n_contacts
-    layout = DecisionLayout(n_knots, [c.geometry.n_corners for c in plan.contacts])
+    layout = DecisionLayout(n_knots, plan.corner_counts)
     schedule = np.asarray(schedule)
     if schedule.shape != (n_knots, n_c):
         raise ValueError(
@@ -805,9 +770,9 @@ def build_nlp(
             )
 
     gamma = schedule.astype(float)
-    rotations = np.array([c.orientation for c in plan.contacts])
-    corner_offsets = [c.geometry.offsets_matrix() for c in plan.contacts]
-    nominal_contacts = np.array([c.nominal_position for c in plan.contacts])
+    rotations = plan.orientations
+    corner_offsets = plan.corner_offsets
+    nominal_contacts = plan.nominal_positions
     mass, gravity = params.mass, params.gravity
     sd = layout.state_dim
     m_eq = sd + n_knots * sd

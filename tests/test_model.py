@@ -4,46 +4,67 @@ import pytest
 from centroidal_mpc.model import (
     CentroidalState,
     ContactGeometry,
-    ContactInstant,
     ExternalWrench,
     PhysicalParams,
-    com_velocity,
-    contact_position_derivative,
+    euler_step_batch,
     integrate_step,
-    momentum_derivative,
+    momentum_rate_batch,
 )
 
 POINT = ContactGeometry.point()
+NO_WRENCH = np.zeros((1, 6))
 
 
-def contact(position, force, active=True, velocity=(0, 0, 0)):
-    return ContactInstant(position, np.eye(3), active, (np.asarray(force, float),), velocity)
+def rate(state, params, position, force, active=True, wrench=NO_WRENCH):
+    """Momentum rate of one point contact at the identity orientation, one knot."""
+    return momentum_rate_batch(
+        state.p_com[None], np.asarray(position, float).reshape(1, 1, 3),
+        [np.asarray(force, float).reshape(1, 1, 3)], np.array([[float(active)]]),
+        np.eye(3)[None], [np.zeros((1, 3))], params.mass, params.gravity, wrench,
+    )[0]
+
+
+def plant_step(state, params, position, force, active=True, dt=0.1, steps=1):
+    """integrate_step of one point contact held over `steps` unforced substeps."""
+    return integrate_step(
+        state, np.asarray(position, float).reshape(1, 3),
+        [np.asarray(force, float).reshape(1, 3)], np.array([float(active)]),
+        np.eye(3)[None], [np.zeros((1, 3))], params, np.zeros((steps, 6)), dt,
+    )
+
+
+def contact_step(position, velocity, active, dt=0.1):
+    """Position of one contact after one euler_step_batch step of sliding velocity."""
+    _, _, moved = euler_step_batch(
+        np.zeros(3), np.zeros(6), np.asarray(position, float).reshape(1, 3),
+        [np.zeros((1, 1, 3))], np.asarray(velocity, float).reshape(1, 1, 3),
+        np.array([[float(active)]]), np.eye(3)[None], [np.zeros((1, 3))],
+        1.0, np.array([0.0, 0.0, -9.81]), NO_WRENCH, dt,
+    )
+    return moved[0, 0]
 
 
 class TestMomentumDerivative:
     def test_static_equilibrium(self):
         params = PhysicalParams(mass=1.0)
         state = CentroidalState([0, 0, 1.0], [0, 0, 0], [0, 0, 0])
-        rate = momentum_derivative(state, [contact([0, 0, 0], [0, 0, 9.81])], [POINT], params)
-        np.testing.assert_allclose(rate, np.zeros(6), atol=1e-12)
+        np.testing.assert_allclose(
+            rate(state, params, [0, 0, 0], [0, 0, 9.81]), np.zeros(6), atol=1e-12
+        )
 
     def test_offset_com_produces_torque(self):
         # hand cross-product oracle: (-0.1, 0, -1) x (0, 0, 9.81) = (0, 0.981, 0)
         params = PhysicalParams(mass=1.0)
         state = CentroidalState([0.1, 0, 1.0], [0, 0, 0], [0, 0, 0])
-        rate = momentum_derivative(state, [contact([0, 0, 0], [0, 0, 9.81])], [POINT], params)
-        np.testing.assert_allclose(rate[:3], [0, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(rate[3:], [0, 0.981, 0], atol=1e-12)
+        out = rate(state, params, [0, 0, 0], [0, 0, 9.81])
+        np.testing.assert_allclose(out[:3], [0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(out[3:], [0, 0.981, 0], atol=1e-12)
 
     def test_inactive_forces_have_exactly_zero_effect(self):
         params = PhysicalParams(mass=2.5)
         state = CentroidalState([0, 0, 1.0], [1, 2, 3], [0.1, 0, 0])
-        loud = momentum_derivative(
-            state, [contact([3, 1, 0], [55, 3, 14], active=False)], [POINT], params
-        )
-        quiet = momentum_derivative(
-            state, [contact([3, 1, 0], [0, 0, 0], active=False)], [POINT], params
-        )
+        loud = rate(state, params, [3, 1, 0], [55, 3, 14], active=False)
+        quiet = rate(state, params, [3, 1, 0], [0, 0, 0], active=False)
         assert np.array_equal(loud, quiet)
         np.testing.assert_allclose(loud, [0, 0, -9.81 * 2.5, 0, 0, 0], atol=1e-12)
 
@@ -52,83 +73,77 @@ class TestMomentumDerivative:
         state = CentroidalState([0.2, -0.1, 0.9], [0, 0, 0], [0, 0, 0])
         rng = np.random.RandomState(1)
         f1, f2 = rng.randn(3), rng.randn(3)
-        base = momentum_derivative(state, [contact([0, 0, 0], f1)], [POINT], params)
-        plus = momentum_derivative(state, [contact([0, 0, 0], f1 + f2)], [POINT], params)
-        only = momentum_derivative(state, [contact([0, 0, 0], f2)], [POINT], params)
-        grav = momentum_derivative(state, [contact([0, 0, 0], [0, 0, 0])], [POINT], params)
+        base = rate(state, params, [0, 0, 0], f1)
+        plus = rate(state, params, [0, 0, 0], f1 + f2)
+        only = rate(state, params, [0, 0, 0], f2)
+        grav = rate(state, params, [0, 0, 0], [0, 0, 0])
         np.testing.assert_allclose(plus - base, only - grav, atol=1e-12)
 
     def test_disturbance_additivity(self):
         params = PhysicalParams(mass=1.0)
         state = CentroidalState([0, 0, 1.0], [0.5, 0, 0], [0, 0, 0])
         wrench = ExternalWrench([5, -1, 2], [0.3, 0, -0.1])
-        contacts = [contact([0.1, 0, 0], [1, 2, 3])]
-        with_d = momentum_derivative(state, contacts, [POINT], params, wrench)
-        without = momentum_derivative(state, contacts, [POINT], params)
+        with_d = rate(state, params, [0.1, 0, 0], [1, 2, 3], wrench=wrench.stacked()[None])
+        without = rate(state, params, [0.1, 0, 0], [1, 2, 3])
         np.testing.assert_allclose(with_d - without, wrench.stacked(), atol=1e-14)
-
-    def test_corner_count_mismatch_rejected(self):
-        params = PhysicalParams(mass=1.0)
-        state = CentroidalState.zero()
-        rect = ContactGeometry.rectangle(0.2, 0.1)
-        with pytest.raises(ValueError, match="corner"):
-            momentum_derivative(state, [contact([0, 0, 0], [0, 0, 1])], [rect], params)
 
     def test_non_finite_force_rejected(self):
         params = PhysicalParams(mass=1.0)
         state = CentroidalState.zero()
-        with pytest.raises(ValueError):
-            momentum_derivative(state, [contact([0, 0, 0], [np.nan, 0, 0])], [POINT], params)
+        for active in (True, False):
+            with pytest.raises(ValueError, match="non-finite"):
+                plant_step(state, params, [0, 0, 0], [np.nan, 0, 0], active=active)
 
 
 class TestComVelocity:
+    """The CoM moves with velocity h_lin / m over each plant step."""
+
+    def displacement(self, h_lin, mass, dt=0.5):
+        params = PhysicalParams(mass=mass)
+        state = CentroidalState([0.3, -0.2, 1.0], h_lin, [0, 0, 0])
+        nxt = plant_step(state, params, [0, 0, 0], [0, 0, 0], active=False, dt=dt)
+        return (nxt.p_com - state.p_com) / dt
+
     def test_zero(self):
-        assert np.array_equal(com_velocity([0, 0, 0], PhysicalParams(mass=1.0)), np.zeros(3))
+        assert np.array_equal(self.displacement([0, 0, 0], 1.0), np.zeros(3))
 
     def test_unit_mass_identity(self):
-        np.testing.assert_allclose(com_velocity([2, 0, 0], PhysicalParams(mass=1.0)), [2, 0, 0])
+        np.testing.assert_allclose(self.displacement([2, 0, 0], 1.0), [2, 0, 0])
 
     def test_scalar_division(self):
-        np.testing.assert_allclose(
-            com_velocity([3, -1.5, 0.6], PhysicalParams(mass=3.0)), [1, -0.5, 0.2]
-        )
+        np.testing.assert_allclose(self.displacement([3, -1.5, 0.6], 3.0), [1, -0.5, 0.2])
 
 
 class TestContactPositionDerivative:
+    """A contact moves with (1 - gate) * v: frozen while it is active."""
+
     def test_active_contact_frozen(self):
-        assert np.array_equal(contact_position_derivative(True, [1, 2, 3]), np.zeros(3))
+        start = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(contact_step(start, [5, 5, 5], active=True), start)
 
     def test_inactive_moves(self):
-        np.testing.assert_allclose(contact_position_derivative(False, [1, 2, 3]), [1, 2, 3])
+        np.testing.assert_allclose(
+            contact_step([0, 0, 0], [1, 2, 3], active=False, dt=0.5), [0.5, 1.0, 1.5]
+        )
 
     def test_zero_velocity(self):
-        assert np.array_equal(contact_position_derivative(False, [0, 0, 0]), np.zeros(3))
+        start = np.array([1.0, -2.0, 0.5])
+        assert np.array_equal(contact_step(start, [0, 0, 0], active=False), start)
 
 
 class TestIntegrateStep:
     def test_flight_single_step(self):
         params = PhysicalParams(mass=1.0)
         state = CentroidalState([0, 0, 1.0], [0, 0, 0], [0, 0, 0])
-        nxt, _ = integrate_step(state, [contact([0, 0, 0], [9, 9, 9], active=False)],
-                                [POINT], params, None, 0.1)
+        nxt = plant_step(state, params, [0, 0, 0], [9, 9, 9], active=False)
         np.testing.assert_allclose(nxt.h_lin, [0, 0, -0.981], atol=1e-15)
 
     def test_static_fixed_point(self):
         params = PhysicalParams(mass=1.0)
         state = CentroidalState([0, 0, 1.0], [0, 0, 0], [0, 0, 0])
-        nxt, pos = integrate_step(state, [contact([0, 0, 0], [0, 0, 9.81])],
-                                  [POINT], params, None, 0.37)
+        nxt = plant_step(state, params, [0, 0, 0], [0, 0, 9.81], dt=0.37)
         assert np.array_equal(nxt.p_com, state.p_com)
         assert np.array_equal(nxt.momentum, state.momentum)
-
-    def test_active_contact_position_bit_exact(self):
-        params = PhysicalParams(mass=1.0)
-        state = CentroidalState([0, 0, 1.0], [0, 0, 0], [0, 0, 0])
-        start = np.array([1.0, 2.0, 3.0])
-        _, pos = integrate_step(
-            state, [contact(start, [0, 0, 0], velocity=[5, 5, 5])], [POINT], params, None, 0.1
-        )
-        assert np.array_equal(pos[0], start)
 
     def test_ballistic_parabola_and_momentum_conservation(self):
         params = PhysicalParams(mass=2.0)
@@ -136,9 +151,7 @@ class TestIntegrateStep:
         dt, steps = 1e-3, 500
         h_ang0 = state.h_ang.copy()
         for _ in range(steps):
-            state, _ = integrate_step(
-                state, [contact([0, 0, 0], [3, 3, 3], active=False)], [POINT], params, None, dt
-            )
+            state = plant_step(state, params, [0, 0, 0], [3, 3, 3], active=False, dt=dt)
         t = dt * steps
         v0 = np.array([1.0, 0, 0.5])
         expected = np.array([0, 0, 1.0]) + v0 * t + 0.5 * np.array([0, 0, -9.81]) * t * t
@@ -148,7 +161,19 @@ class TestIntegrateStep:
     def test_invalid_dt(self):
         params = PhysicalParams(mass=1.0)
         with pytest.raises(ValueError, match="dt"):
-            integrate_step(CentroidalState.zero(), [], [], params, None, 0.0)
+            plant_step(CentroidalState.zero(), params, [0, 0, 0], [0, 0, 0], dt=0.0)
+
+    def test_wrenches_must_be_finite_rows_of_six(self):
+        params = PhysicalParams(mass=1.0)
+        args = (
+            CentroidalState.zero(), np.zeros((1, 3)), [np.zeros((1, 3))], np.ones(1),
+            np.eye(3)[None], [np.zeros((1, 3))], params,
+        )
+        for bad in (np.zeros(6), np.zeros((0, 6)), np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="shape"):
+                integrate_step(*args, bad, 0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_step(*args, np.full((2, 6), np.inf), 0.1)
 
 
 class TestTypes:
@@ -161,14 +186,6 @@ class TestTypes:
     def test_state_requires_finite(self):
         with pytest.raises(ValueError):
             CentroidalState([np.inf, 0, 0], [0, 0, 0], [0, 0, 0])
-
-    def test_orientation_checked(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            ContactInstant([0, 0, 0], np.eye(3) * 2.0, True, ((0, 0, 0),), (0, 0, 0))
-        # determinant -1 (reflection) rejected
-        flip = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(ValueError, match="determinant"):
-            ContactInstant([0, 0, 0], flip, True, ((0, 0, 0),), (0, 0, 0))
 
     def test_geometry_needs_corner(self):
         with pytest.raises(ValueError):

@@ -16,13 +16,10 @@ from hypothesis.extra.numpy import arrays
 from centroidal_mpc.model import (
     CentroidalState,
     ContactGeometry,
-    ContactInstant,
-    ExternalWrench,
     PhysicalParams,
     cross_rows,
     euler_step_batch,
     integrate_step,
-    momentum_derivative,
     momentum_rate_batch,
 )
 
@@ -242,7 +239,8 @@ def _yaw(angle):
 
 @st.composite
 def plant_inputs(draw):
-    """A state, 1-3 contacts (point or rectangle, stance or swing) and 1-12 substep wrenches."""
+    """A state, 1-3 held contacts (point or rectangle, stance or swing) and
+    1-12 substep wrenches, as integrate_step's arguments."""
     def values(shape):
         return draw(arrays(np.float64, shape, elements=MODERATE))
 
@@ -251,70 +249,59 @@ def plant_inputs(draw):
         draw(st.sampled_from([ContactGeometry.point(), ContactGeometry.rectangle(0.2, 0.1)]))
         for _ in range(n_c)
     ]
-    contacts = [
-        ContactInstant(
-            values((3,)),
-            _yaw(draw(st.floats(min_value=-3.0, max_value=3.0))),
-            draw(st.booleans()),
-            tuple(values((g.n_corners, 3))),
-            values((3,)),
-        )
-        for g in geometries
-    ]
-    state = CentroidalState(values((3,)), values((3,)), values((3,)))
-    params = PhysicalParams(mass=draw(st.floats(min_value=0.1, max_value=100.0)))
-    wrenches = values((draw(st.integers(1, 12)), 6))
-    dt = draw(st.floats(min_value=1e-3, max_value=0.1))
-    return state, contacts, geometries, params, wrenches, dt
-
-
-def _moved(contacts, positions):
-    return [
-        ContactInstant(p, c.orientation, c.active, c.corner_forces, c.corner_velocity)
-        for c, p in zip(contacts, positions)
-    ]
+    return dict(
+        state=CentroidalState(values((3,)), values((3,)), values((3,))),
+        p_contacts=values((n_c, 3)),
+        forces=[values((g.n_corners, 3)) for g in geometries],
+        gamma=draw(arrays(np.float64, (n_c,), elements=st.sampled_from([0.0, 1.0]))),
+        rotations=np.array(
+            [_yaw(draw(st.floats(min_value=-3.0, max_value=3.0))) for _ in range(n_c)]
+        ),
+        corner_offsets=[g.offsets_matrix() for g in geometries],
+        params=PhysicalParams(mass=draw(st.floats(min_value=0.1, max_value=100.0))),
+        wrenches=values((draw(st.integers(1, 12)), 6)),
+        dt=draw(st.floats(min_value=1e-3, max_value=0.1)),
+    )
 
 
 class TestIntegrateStep:
     @PROPERTY
     @given(plant_inputs())
-    def test_substep_wrenches_equal_chained_single_wrench_calls(self, case):
-        state, contacts, geometries, params, wrenches, dt = case
+    def test_substep_wrenches_equal_chained_single_wrench_calls(self, args):
         with np.errstate(all="ignore"):
-            ours, our_positions = integrate_step(state, contacts, geometries, params, wrenches, dt)
-            chained, current = state, contacts
-            for w in wrenches:
-                chained, positions = integrate_step(
-                    chained, current, geometries, params, ExternalWrench(w[:3], w[3:]), dt
-                )
-                current = _moved(contacts, positions)
+            ours = integrate_step(**args)
+            chained = args["state"]
+            for w in args["wrenches"]:
+                chained = integrate_step(**{**args, "state": chained, "wrenches": w[None]})
         assert np.array_equal(bits(ours.p_com), bits(chained.p_com))
         assert np.array_equal(bits(ours.momentum), bits(chained.momentum))
-        assert np.array_equal(bits(np.array(our_positions)), bits(np.array(positions)))
 
     @PROPERTY
     @given(plant_inputs())
     @example(
-        (
-            CentroidalState([0.0, 0.0, 0.6], [-0.0, 0.0, 0.0], [0.0, -0.0, 0.0]),
-            [ContactInstant([-0.0, 0.0, -0.0], np.eye(3), True, ((0.0, 0.0, 9.81),), [1, 1, 1]),
-             ContactInstant([0.0, -0.0, 0.0], np.eye(3), False, ((1.0, 1.0, 1.0),), [0, 0, 0])],
-            [ContactGeometry.point(), ContactGeometry.point()],
-            PhysicalParams(mass=1.0),
-            np.zeros((3, 6)),
-            0.01,
+        dict(
+            state=CentroidalState([0.0, 0.0, 0.6], [-0.0, 0.0, 0.0], [0.0, -0.0, 0.0]),
+            p_contacts=np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]),
+            forces=[np.array([[0.0, 0.0, 9.81]]), np.array([[1.0, 1.0, 1.0]])],
+            gamma=np.array([1.0, 0.0]),
+            rotations=np.array([np.eye(3), np.eye(3)]),
+            corner_offsets=[np.zeros((1, 3)), np.zeros((1, 3))],
+            params=PhysicalParams(mass=1.0),
+            wrenches=np.zeros((3, 6)),
+            dt=0.01,
         )
     )
-    def test_single_wrench_is_one_euler_step(self, case):
-        state, contacts, geometries, params, wrenches, dt = case
-        wrench = ExternalWrench(wrenches[0, :3], wrenches[0, 3:])
+    def test_single_wrench_is_one_euler_step(self, args):
+        state, params, dt = args["state"], args["params"], args["dt"]
+        wrench = args["wrenches"][:1]
         with np.errstate(all="ignore"):
-            ours, positions = integrate_step(state, contacts, geometries, params, wrench, dt)
-            rate = momentum_derivative(state, contacts, geometries, params, wrench)
+            ours = integrate_step(**{**args, "wrenches": wrench})
+            rate = momentum_rate_batch(
+                state.p_com[None], args["p_contacts"][None], [f[None] for f in args["forces"]],
+                args["gamma"][None], args["rotations"], args["corner_offsets"],
+                params.mass, params.gravity, wrench,
+            )[0]
             h_next = state.momentum + dt * rate
             p_next = state.p_com + (dt / params.mass) * state.h_lin
         assert np.array_equal(bits(ours.p_com), bits(p_next))
         assert np.array_equal(bits(ours.momentum), bits(h_next))
-        for c, p in zip(contacts, positions):
-            expected = c.position if c.active else c.position + dt * (1.0 * c.corner_velocity)
-            assert np.array_equal(bits(p), bits(expected))

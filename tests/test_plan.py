@@ -9,7 +9,6 @@ from centroidal_mpc.plan import (
     ContactPlan,
     NominalContact,
     QuinticSpline,
-    activation,
     horizon_schedule,
     nominal_com_trajectory,
     support_phases,
@@ -73,17 +72,17 @@ def simple_plan(windows, duration=3.0, position=(0, 0.1, 0)):
 
 class TestActivation:
     def test_inside_window(self):
-        assert activation(simple_plan([(0, 1)]), "c", 0.5) is True
+        assert simple_plan([(0, 1)]).contact("c").active_at(0.5) is True
 
     def test_half_open_boundary(self):
-        assert activation(simple_plan([(0, 1)]), "c", 1.0) is False
+        assert simple_plan([(0, 1)]).contact("c").active_at(1.0) is False
 
     def test_gap_between_windows(self):
-        assert activation(simple_plan([(0, 1), (2, 3)]), "c", 1.5) is False
+        assert simple_plan([(0, 1), (2, 3)]).contact("c").active_at(1.5) is False
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
-            activation(simple_plan([(0, 1)]), "nope", 0.5)
+            simple_plan([(0, 1)]).contact("nope").active_at(0.5)
 
     def test_time_shift_equivariance(self):
         base = [(0.2, 1.0), (1.5, 2.0)]
@@ -91,7 +90,7 @@ class TestActivation:
         plan_a = simple_plan(base)
         plan_b = simple_plan([(a + shift, b + shift) for a, b in base], duration=3.7)
         for t in np.linspace(0, 2.9, 60):
-            assert activation(plan_a, "c", t) == activation(plan_b, "c", t + shift)
+            assert plan_a.contact("c").active_at(t) == plan_b.contact("c").active_at(t + shift)
 
 
 class TestHorizonSchedule:
@@ -118,7 +117,7 @@ class TestHorizonSchedule:
             1.0,
         )
         sched = horizon_schedule(plan, 0.0, 10, 0.1)
-        expected = [activation(plan, "l", 0.1 * k) for k in range(10)]
+        expected = [plan.contact("l").active_at(0.1 * k) for k in range(10)]
         assert sched[:, 0].tolist() == expected
         aerial_rows = ~sched.any(axis=1)
         assert aerial_rows.any()
@@ -128,7 +127,7 @@ class TestHorizonSchedule:
         plan = simple_plan([(0.25, 1.05), (2.0, 2.5)])
         sched = horizon_schedule(plan, 0.1, 14, 0.2)
         for k in range(14):
-            assert sched[k, 0] == activation(plan, "c", 0.1 + 0.2 * k)
+            assert sched[k, 0] == plan.contact("c").active_at(0.1 + 0.2 * k)
 
     def test_clamp_to_duration(self):
         plan = simple_plan([(2.0, 3.0)])
@@ -297,3 +296,35 @@ class TestPlanValidation:
         c = NominalContact("c", [0, 0, 0], np.eye(3), POINT, ((0.0, 1.0),))
         with pytest.raises(ValueError, match="duplicate"):
             ContactPlan((c, c), 2.0)
+
+    def test_orientation_checked(self):
+        def contact(orientation):
+            return NominalContact("c", [0, 0, 0], orientation, POINT, ((0.0, 1.0),))
+
+        with pytest.raises(ValueError, match="orthonormal"):
+            contact(np.eye(3) * 2.0)
+        # determinant -1 (reflection) rejected
+        with pytest.raises(ValueError, match="determinant"):
+            contact(np.diag([1.0, 1.0, -1.0]))
+
+
+class TestStackedArrays:
+    def test_stacked_in_contact_order_and_read_only(self):
+        yaw = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        rect = ContactGeometry.rectangle(0.2, 0.1)
+        plan = ContactPlan(
+            (
+                NominalContact("l", [0, 0.1, 0], yaw, rect, ((0.0, 1.0),)),
+                NominalContact("r", [0.2, -0.1, 0.05], np.eye(3), POINT, ((0.5, 2.0),)),
+            ),
+            2.0,
+        )
+        assert np.array_equal(plan.orientations, [yaw, np.eye(3)])
+        assert np.array_equal(plan.nominal_positions, [[0, 0.1, 0], [0.2, -0.1, 0.05]])
+        assert plan.corner_counts == (4, 1)
+        assert np.array_equal(plan.corner_offsets[0], rect.offsets_matrix())
+        assert np.array_equal(plan.corner_offsets[1], np.zeros((1, 3)))
+        for arr in (plan.orientations, plan.nominal_positions) + plan.corner_offsets:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            plan.orientations[0, 0, 0] = 2.0

@@ -3,13 +3,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from centroidal_mpc import bundled_scenario, parse_scenario
 from centroidal_mpc.model import (
     CentroidalState,
     ContactGeometry,
     PhysicalParams,
     euler_step_batch,
 )
-from centroidal_mpc.plan import ContactPlan, NominalContact
+from centroidal_mpc.plan import (
+    ContactPlan,
+    NominalContact,
+    horizon_schedule,
+    nominal_com_trajectory,
+)
 from centroidal_mpc.solver import check_derivatives
 from centroidal_mpc.transcription import (
     ContactBox,
@@ -17,10 +23,14 @@ from centroidal_mpc.transcription import (
     FrictionPyramid,
     Weights,
     build_nlp,
+)
+
+from cost_terms import (
     centroidal_tracking_cost,
     contact_regularization_cost,
     force_rate_cost,
     force_regularization_cost,
+    horizon_cost,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -77,6 +87,27 @@ class TestCostTerms:
             for i in range(3)
         ]
         assert vals[0] == vals[1] == vals[2]
+
+    @pytest.mark.parametrize("name", ["one_leg_jump", "two_leg_walk_run"])
+    def test_assembled_cost_is_the_sum_of_the_terms(self, name):
+        config = parse_scenario(bundled_scenario(name), name=name)
+        plan, params, options = config.plan, config.params, config.mpc
+        n, period = options.horizon_knots, options.period
+        spline = nominal_com_trajectory(plan, params)
+        samples = spline.sample(period * np.arange(n + 1))
+        problem = build_nlp(
+            plan, CentroidalState(samples[0], np.zeros(3), np.zeros(3)),
+            plan.nominal_positions, horizon_schedule(plan, 0.0, n, period), samples,
+            options.weights, options.pyramid, options.box, n, period, params,
+        )
+        layout = DecisionLayout(n, plan.corner_counts)
+        rng = np.random.RandomState(7)
+        for _ in range(3):
+            x = rng.uniform(-2.0, 2.0, size=layout.size)
+            expected = horizon_cost(
+                layout, x, options.weights, samples, plan.nominal_positions, period
+            )
+            assert problem.cost(x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def pyramids():
