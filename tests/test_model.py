@@ -145,6 +145,28 @@ class TestIntegrateStep:
         assert np.array_equal(nxt.p_com, state.p_com)
         assert np.array_equal(nxt.momentum, state.momentum)
 
+    def test_active_contact_position_bit_exact(self):
+        # The plant holds its contacts; an active contact given a sliding
+        # velocity in the rollout stays put, so both integrate bit for bit.
+        params = PhysicalParams(mass=1.0)
+        state = CentroidalState([0.2, -0.1, 1.0], [0.3, 0, 0], [0, 0, 0])
+        start = np.array([1.0, 2.0, 3.0])
+        force = [2.0, -1.0, 9.0]
+        steps, dt = 4, 0.1
+        position = start.copy()
+        nxt = plant_step(state, params, position, force, dt=dt, steps=steps)
+        assert np.array_equal(position, start)
+        p_com, momentum, moved = euler_step_batch(
+            state.p_com, state.momentum, start.reshape(1, 3),
+            [np.broadcast_to(np.reshape(force, (1, 1, 3)), (steps, 1, 3))],
+            np.full((steps, 1, 3), 5.0), np.ones((steps, 1)), np.eye(3)[None],
+            [np.zeros((1, 3))], params.mass, params.gravity, np.zeros((steps, 6)), dt,
+        )
+        assert np.array_equal(moved[:, 0], np.broadcast_to(start, (steps, 3)))
+        assert np.array_equal(nxt.p_com, p_com[-1])
+        assert np.array_equal(nxt.momentum, momentum[-1])
+        assert np.any(nxt.h_ang != 0.0)
+
     def test_ballistic_parabola_and_momentum_conservation(self):
         params = PhysicalParams(mass=2.0)
         state = CentroidalState([0, 0, 1.0], [2.0, 0, 1.0], [0.1, -0.2, 0.3])
