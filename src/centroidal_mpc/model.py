@@ -299,10 +299,11 @@ def integrate_step(
 
     p_contacts (n_c, 3), forces[i] (n_v_i, 3), gamma (n_c,), rotations
     (n_c, 3, 3), corner_offsets[i] (n_v_i, 3) and wrenches (S, 6) of stacked
-    (force, torque about the CoM).  The contacts (positions, gates, forces)
-    are held over all steps and do not slide.  The steps are one
-    euler_step_batch rollout, so S rows equal S chained one-row calls bit for
-    bit.  The CoM moves with the pre-step linear momentum.
+    (force, torque about the CoM); forces of another corner count than
+    their contact's offsets raise ValueError.  The contacts (positions,
+    gates, forces) are held over all steps and do not slide.  The steps are
+    one euler_step_batch rollout, so S rows equal S chained one-row calls
+    bit for bit.  The CoM moves with the pre-step linear momentum.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -310,6 +311,13 @@ def integrate_step(
     if wrenches.ndim != 2 or wrenches.shape[0] < 1 or wrenches.shape[1] != 6:
         raise ValueError(f"wrenches must have shape (S, 6), got {wrenches.shape}")
     _require_finite(wrenches, "wrenches")
+    if len(forces) != len(corner_offsets) or any(
+        np.shape(f) != (len(offsets), 3) for f, offsets in zip(forces, corner_offsets)
+    ):
+        raise ValueError(
+            "forces[i] must have shape (len(corner_offsets[i]), 3) for every contact, got "
+            f"{[np.shape(f) for f in forces]} against {[len(o) for o in corner_offsets]} corners"
+        )
     steps, n_c = wrenches.shape[0], len(forces)
     p_next, h_next, _ = euler_step_batch(
         state.p_com,

@@ -44,12 +44,16 @@ _SCALING_ITERATIONS = 10
 # through new sets for long.  The closed-loop QPs of the bundled scenarios
 # and of perfbench's push sweep need at most 12 iterations.
 _PLAIN_ITERATIONS = 20
-# Equality-constrained solve: refinement stops once a pass cuts the KKT
-# residual by less than a tenth, which ends it at rounding level and on an
-# inconsistent or unbounded active set, but not while a nearly dependent
+# Equality-constrained solve: refinement stops once the KKT residual of the
+# active set (original units) is at most min(_POLISH_FORCING * r0,
+# _EPS_ACTIVATE), r0 being the residual it started from: an inexact-Newton
+# forcing term, which tightens by itself as the SQP converges.  It also
+# stops once a pass cuts the residual by less than a tenth, which ends it on
+# an inconsistent or unbounded active set, but not while a nearly dependent
 # set converges slowly.
 _POLISH_REG = 1e-9
 _POLISH_REFINE_STEPS = 25
+_POLISH_FORCING = 1e-6
 # Weight of the active rows in the condensed matrix (scaled units): the
 # inverse of the dual regularization of the saddle system it replaces.
 _POLISH_RHO = 1e6
@@ -551,7 +555,10 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
     refinement with the factor of P + _POLISH_REG I + _POLISH_RHO A_act'
     A_act, the regularized saddle system with its multiplier block
     eliminated.  The refinement starts from (x_est, y_est) and keeps the
-    component of y_est that the active rows leave undetermined.
+    component of y_est that the active rows leave undetermined.  It stops
+    once the active set's KKT residual, in original units as in solve_qp's
+    test, is at most min(_POLISH_FORCING * r0, _EPS_ACTIVATE) with r0 the
+    residual at (x_est, y_est), or once a pass stalls (see the constants).
 
     correction() returns the scaled refinement step (dx, dy) that would
     follow (x, y), computed only when called; after _POLISH_REFINE_STEPS
@@ -577,17 +584,25 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
 
     xh = x_est
     yh = np.where(active, y_est, 0.0)
+    dual_unit = data.c * data.d
     # Iterative refinement in correction form: each pass solves the
     # regularized system for a step (dx, dy) against the exact KKT
     # residuals, so rounding in the steps shrinks with the steps.
     residual = np.inf
+    stop = None
     for _ in range(_POLISH_REFINE_STEPS):
         ax, gradient, r_dua = products(xh, yh)
         r_pri = np.where(active, ax - targets, 0.0)
         last, residual = residual, max(
             float(np.max(np.abs(r_pri), initial=0.0)), float(np.max(np.abs(r_dua)))
         )
-        if residual > 0.9 * last:
+        error = max(
+            float(np.max(np.abs(r_pri) / data.e, initial=0.0)),
+            float(np.max(np.abs(r_dua) / dual_unit)),
+        )
+        if stop is None:
+            stop = min(_POLISH_FORCING * error, _EPS_ACTIVATE)
+        if error <= stop or residual > 0.9 * last:
             correction = functools.partial(step, r_pri, r_dua)
             break
         dx, dy = step(r_pri, r_dua)

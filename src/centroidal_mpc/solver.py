@@ -62,7 +62,9 @@ class Solution:
     - line_search_stall: no step along the QP direction lowered the merit
       function, and the iterate fails that test;
     - max_iterations: the iteration limit was reached;
-    - infeasible: the linearized constraints stayed inconsistent;
+    - infeasible: a subproblem was primal_infeasible, and elastic mode
+      found no step, found one along which the merit function did not
+      fall, or made no feasibility progress twice in a row;
     - numerical_failure: non-finite values, or a subproblem that is unbounded
       or non-convex under the Gauss-Newton Hessian too.
 
@@ -278,14 +280,6 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             status = "numerical_failure"
             break
 
-        step_norm = float(np.max(np.abs(d), initial=0.0))
-        if step_norm <= 1e-14:
-            # A zero step cannot pass the line search.  Seen only from elastic
-            # mode at a point of least violation: iterate, so that the
-            # elastic-stall test ends the solve as infeasible.
-            y = y_new
-            continue
-
         nu = max(nu, 1.5 * float(np.max(np.abs(y_new), initial=0.0)) + 1e-6)
         infeas0 = _l1_infeasibility(c_eq, in_gap)
         merit0 = f + nu * infeas0
@@ -308,12 +302,16 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         merit_history.append((merit0, merit_try if accepted else merit0, nu))
         if not accepted:
             # No merit progress along the QP direction; adopt the multipliers
-            # and let the same KKT test as at the loop head decide.
+            # and let the same KKT test as at the loop head decide.  After an
+            # elastic step the linearized constraints were inconsistent, and
+            # the relaxation can make no more progress on them: infeasible.
             y = y_new
             kkt = _kkt_residual(g, j_eq, j_in, v_in, lo, hi, y)
             iterations = it + 1
             if kkt <= opts.kkt_tolerance and viol <= opts.constraint_tolerance:
                 status = "converged"
+            elif qp_res.status == "primal_infeasible":
+                status = "infeasible"
             else:
                 status = "line_search_stall"
             break

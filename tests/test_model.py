@@ -197,6 +197,21 @@ class TestIntegrateStep:
         with pytest.raises(ValueError, match="non-finite"):
             integrate_step(*args, np.full((2, 6), np.inf), 0.1)
 
+    def test_forces_must_match_corner_counts(self):
+        # One corner force against the four offsets of a rectangle would
+        # broadcast, and the torque would use the first offset alone.
+        params = PhysicalParams(mass=1.0)
+        rectangle = [ContactGeometry.rectangle(0.2, 0.1).offsets_matrix()]
+        one_contact = (CentroidalState.zero(), np.zeros((1, 3)))
+        rest = (np.ones(1), np.eye(3)[None])
+        for forces, offsets in (
+            ([np.ones((1, 3))], rectangle),
+            ([np.ones((4, 2))], rectangle),
+            ([np.ones((4, 3))], rectangle * 2),
+        ):
+            with pytest.raises(ValueError, match="corner"):
+                integrate_step(*one_contact, forces, *rest, offsets, params, NO_WRENCH, 0.1)
+
 
 class TestTypes:
     def test_params_validation(self):

@@ -395,6 +395,35 @@ class TestPolish:
         grad = P @ res.x + q + A.T @ res.y
         assert np.abs(grad).max() < 1e-9
 
+    def test_refinement_stops_at_tolerance(self, monkeypatch):
+        # The QP of test_polish_reaches_machine_accuracy: refinement stops at
+        # the forcing term's accuracy, a few solves per factor, not at
+        # rounding level.
+        rng = np.random.RandomState(9)
+        n, m = 8, 6
+        M = rng.randn(n, n)
+        P = sp.csc_matrix(M @ M.T + np.eye(n))
+        q = rng.randn(n)
+        A = sp.csc_matrix(rng.randn(m, n))
+        lower = -np.abs(rng.randn(m)) - 0.2
+        upper = np.abs(rng.randn(m)) + 0.2
+        calls = {"dpbtrf": 0, "dpbtrs": 0}
+
+        def counting(name, routine):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(qp.lapack, name, counting(name, getattr(qp.lapack, name)))
+        res = solve_qp(P, q, A, lower, upper)
+        assert res.solved
+        assert calls["dpbtrf"] >= 1
+        assert calls["dpbtrs"] <= 3 * calls["dpbtrf"]
+        grad = P @ res.x + q + A.T @ res.y
+        assert np.abs(grad).max() < 1e-9
+
     def test_phantom_multiplier_rejected(self):
         # An equality row fixes x0 strictly inside an interval row's bounds;
         # a multiplier on the interval row would be pure phantom.  Seed the

@@ -160,13 +160,17 @@ class TestRobustness:
         assert a.converged and b.converged
         assert np.abs(a.x - b.x).max() <= 10 * opts.kkt_tolerance
 
-    def test_infeasible_status(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("start", [0.0, 0.3, -2.0, 5.0])
+    def test_infeasible_status(self, start, scale):
+        # x >= 1 and x <= -1: the status must not depend on where the
+        # elastic steps end or on how small the last one is.
         problem = quadratic_problem(
-            np.eye(1), np.zeros(1),
+            scale * np.eye(1), np.zeros(1),
             ineq=(np.array([[1.0], [1.0]]), np.array([1.0, -np.inf]),
                   np.array([np.inf, -1.0])),
         )
-        sol = solve(problem, np.zeros(1))
+        sol = solve(problem, np.array([start]))
         assert sol.status == "infeasible"
 
     def test_nan_cost_reports_numerical_failure(self):
