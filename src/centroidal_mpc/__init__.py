@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .model import (  # noqa: F401
     CentroidalState,
     ContactGeometry,
-    ExternalWrench,
     PhysicalParams,
     integrate_step,
 )

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .controller import cold_start, layout_for
+from .model import CentroidalState
 from .plan import horizon_schedule, nominal_com_trajectory
 from .scenario import ScenarioError, apply_overrides, parse_scenario
 from .sim import SimulationDiverged, export_csv, simulate, write_manifest
@@ -71,12 +72,9 @@ def _cmd_check_derivatives(args) -> int:
     schedule = horizon_schedule(plan, 0.0, options.horizon_knots, options.period)
     spline = nominal_com_trajectory(plan, params)
     samples = spline.sample(options.period * np.arange(options.horizon_knots + 1))
-    measured = plan.nominal_positions
-    from .model import CentroidalState
-
     state = CentroidalState(spline.position(0.0), np.zeros(3), np.zeros(3))
     problem = build_nlp(
-        plan, state, measured, schedule, samples, options.weights, options.pyramid,
+        plan, state, plan.nominal_positions, schedule, samples, options.weights, options.pyramid,
         options.box, options.horizon_knots, options.period, params,
     )
     base = cold_start(plan, layout, samples)

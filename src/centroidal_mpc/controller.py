@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CentroidalState, ExternalWrench, PhysicalParams, euler_step_batch
-from .plan import ContactPlan, horizon_schedule, nominal_com_trajectory
+from .model import CentroidalState, PhysicalParams, euler_step_batch
+from .plan import ContactPlan, QuinticSpline, horizon_schedule
 from .solver import Solution, SolverOptions, solve
 from .transcription import (
     ContactBox,
@@ -56,10 +56,16 @@ class MpcOptions:
 
 @dataclass
 class MpcOutput:
-    """First control and landing adjustments extracted from one solve."""
+    """First control and landing positions extracted from one solve.
 
-    forces: dict
-    adjusted_contacts: dict
+    forces[i] (n_v_i, 3) are contact i's knot-0 corner forces and
+    landings[i] its box-clamped landing at its first touchdown ahead in the
+    horizon, or its nominal position when none lies ahead; both in plan
+    order.
+    """
+
+    forces: tuple
+    landings: np.ndarray
     predicted_com: np.ndarray
     predicted_momentum: np.ndarray
     schedule: np.ndarray
@@ -129,32 +135,30 @@ def _sanitize_forces(forces, schedule, pyramid: FrictionPyramid, rotations):
 
 def mpc_step(
     current_state: CentroidalState,
-    current_contact_positions: dict,
+    contact_positions: np.ndarray,
     plan: ContactPlan,
     t: float,
-    disturbance_estimate: ExternalWrench,
+    wrench: np.ndarray,
     previous: Solution | None,
     options: MpcOptions,
     params: PhysicalParams,
-    nominal_spline=None,
+    nominal_spline: QuinticSpline,
 ) -> MpcOutput:
     """One receding-horizon solve at time t.
 
-    The measured disturbance is held constant over the prediction horizon.
-    Contact positions at knot 0 are pinned to their measured values, so
-    adjustment applies only to touchdowns ahead of the current instant.
+    contact_positions (n_c, 3) are the measured positions in plan order;
+    wrench (6,) is the measured disturbance (force, then torque about the
+    CoM), held constant over the prediction horizon.  Contact positions at
+    knot 0 are pinned to their measured values, so adjustment applies only
+    to touchdowns ahead of the current instant.
     """
     n_knots = options.horizon_knots
     period = options.period
     layout = layout_for(plan, options)
     schedule = horizon_schedule(plan, t, n_knots, period)
-    spline = nominal_spline or nominal_com_trajectory(plan, params)
-    nominal_samples = spline.sample(t + period * np.arange(n_knots + 1))
-    wrench = disturbance_estimate.stacked()
-    profile = np.tile(wrench, (n_knots, 1))
-    measured = np.array(
-        [current_contact_positions[c.contact_id] for c in plan.contacts], dtype=float
-    )
+    nominal_samples = nominal_spline.sample(t + period * np.arange(n_knots + 1))
+    profile = np.tile(np.asarray(wrench, dtype=float), (n_knots, 1))
+    measured = np.asarray(contact_positions, dtype=float)
     problem = build_nlp(
         plan,
         current_state,
@@ -207,23 +211,17 @@ def mpc_step(
     predicted_com = np.concatenate([current_state.p_com[None], p_next])
     predicted_momentum = np.concatenate([current_state.momentum[None], h_next])
 
-    force_out = {
-        c.contact_id: forces[i][0].copy() for i, c in enumerate(plan.contacts)
-    }
-    adjusted = {}
     _, _, contacts_sol = layout.state_arrays(x_sol)
+    landings = plan.nominal_positions.copy()
     for i, contact in enumerate(plan.contacts):
-        onsets = np.where(schedule[1:, i] & ~schedule[:-1, i])[0]
-        if onsets.size == 0:
-            continue
-        k_land = int(onsets[0]) + 1
-        landing = options.box.clamp_position(
-            contacts_sol[k_land, i], contact.nominal_position, contact.orientation
-        )
-        adjusted[contact.contact_id] = landing
+        onsets = np.flatnonzero(schedule[1:, i] & ~schedule[:-1, i])
+        if onsets.size:
+            landings[i] = options.box.clamp_position(
+                contacts_sol[onsets[0] + 1, i], contact.nominal_position, contact.orientation
+            )
     return MpcOutput(
-        forces=force_out,
-        adjusted_contacts=adjusted,
+        forces=tuple(f[0] for f in forces),
+        landings=landings,
         predicted_com=predicted_com,
         predicted_momentum=predicted_momentum,
         schedule=schedule,

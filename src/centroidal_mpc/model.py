@@ -146,29 +146,6 @@ def check_rotation(matrix, name: str = "orientation") -> np.ndarray:
     return R
 
 
-@dataclass(frozen=True)
-class ExternalWrench:
-    """Measured disturbance: force plus torque taken about the CoM."""
-
-    force: np.ndarray = field(default=(0.0, 0.0, 0.0))
-    torque_about_com: np.ndarray = field(default=(0.0, 0.0, 0.0))
-
-    def __post_init__(self):
-        f = _require_finite(_as_vector(self.force, 3, "force"), "force")
-        t = _require_finite(
-            _as_vector(self.torque_about_com, 3, "torque_about_com"), "torque_about_com"
-        )
-        object.__setattr__(self, "force", f)
-        object.__setattr__(self, "torque_about_com", t)
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.force, self.torque_about_com])
-
-    @staticmethod
-    def zero() -> "ExternalWrench":
-        return ExternalWrench(np.zeros(3), np.zeros(3))
-
-
 def _gated_forces(forces: Sequence[np.ndarray], gamma: np.ndarray) -> list:
     return [gamma[:, i, None, None] * force_i for i, force_i in enumerate(forces)]
 

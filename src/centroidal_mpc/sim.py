@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .controller import MpcOutput, mpc_step
-from .model import CentroidalState, ExternalWrench, integrate_step
-from .plan import nominal_com_trajectory
+from .model import CentroidalState, integrate_step
+from .plan import horizon_schedule, nominal_com_trajectory
 from .scenario import ScenarioConfig
 
 log = logging.getLogger("centroidal_mpc")
@@ -92,16 +92,21 @@ class Metrics:
         return asdict(self)
 
 
-def _disturbance_forces(events, times: np.ndarray, estimated: bool) -> np.ndarray:
-    """Summed force of the events active at each of `times`, shape times.shape + (3,)."""
-    total = np.zeros(times.shape + (3,))
+def _disturbance_wrenches(events, times: np.ndarray, estimated: bool) -> np.ndarray:
+    """Summed (force, zero torque) wrench of the events active at each of
+    `times`, shape times.shape + (6,)."""
+    total = np.zeros(times.shape + (6,))
     for event in events:
-        total[event.active(times)] += event.estimated_force if estimated else event.force
+        total[event.active(times), 0:3] += event.estimated_force if estimated else event.force
     return total
 
 
 def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
-    """Run the receding-horizon loop over the whole scenario."""
+    """Run the receding-horizon loop over the whole scenario.
+
+    Per-contact data lives in arrays in plan order; the gates of the run
+    are one horizon_schedule over its control instants.
+    """
     params = config.params
     plan = config.plan
     options = config.mpc
@@ -112,27 +117,29 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
     spline = nominal_com_trajectory(plan, params)
     events = config.active_events()
     n_c = plan.n_contacts
-    ids = plan.contact_ids
 
     times = np.arange(n_steps + 1) * period
     nominal_log = spline.sample(times)
-    estimates = _disturbance_forces(events, times[:n_steps], estimated=True)
-    # the true disturbance per substep, as (force, zero torque) wrenches
-    truth = _disturbance_forces(
+    estimates = _disturbance_wrenches(events, times[:n_steps], estimated=True)
+    # the true disturbance per substep
+    plant_wrenches = _disturbance_wrenches(
         events, times[:n_steps, None] + np.arange(substeps) * dt_sub, estimated=False
     )
-    plant_wrenches = np.concatenate([truth, np.zeros_like(truth)], axis=2)
 
     state = CentroidalState(nominal_log[0], np.zeros(3), np.zeros(3))
-    positions = {c.contact_id: c.nominal_position.copy() for c in plan.contacts}
-    pending: dict = {}
     previous = None
-    prev_gamma = np.array([c.active_at(0.0) for c in plan.contacts])
+    landings = plan.nominal_positions
 
     com_log = np.zeros((n_steps + 1, 3))
     momentum_log = np.zeros((n_steps + 1, 6))
     position_log = np.zeros((n_steps + 1, n_c, 3))
+    position_log[0] = plan.nominal_positions
     gamma_log = np.zeros((n_steps + 1, n_c), dtype=bool)
+    gamma_log[:n_steps] = horizon_schedule(plan, 0.0, n_steps, period)
+    # horizon_schedule clamps t = duration inside the plan; the final row is
+    # the gate at the end itself
+    t_end = float(times[n_steps])
+    gamma_log[n_steps] = [c.active_at(t_end) for c in plan.contacts]
     force_log = [np.zeros((n_steps + 1, nv, 3)) for nv in plan.corner_counts]
     touchdowns: list = []
     statuses: list = []
@@ -147,37 +154,32 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
 
     for k in range(n_steps):
         t = float(times[k])
-        gamma_now = np.array([c.active_at(t) for c in plan.contacts])
         if k > 0:
-            for i, contact in enumerate(plan.contacts):
-                if gamma_now[i] and not prev_gamma[i]:
-                    wanted = pending.get(contact.contact_id, contact.nominal_position)
-                    committed = options.box.clamp_position(
-                        wanted, contact.nominal_position, contact.orientation
-                    )
-                    positions[contact.contact_id] = committed
-                    touchdowns.append(
-                        Touchdown(t, contact.contact_id, committed, contact.nominal_position)
-                    )
-                    log.info(
-                        "t=%.2f touchdown %s at %s (nominal %s)",
-                        t, contact.contact_id, committed, contact.nominal_position,
-                    )
-        prev_gamma = gamma_now
+            position_log[k] = position_log[k - 1]
+            for i in np.flatnonzero(gamma_log[k] & ~gamma_log[k - 1]):
+                contact = plan.contacts[i]
+                committed = options.box.clamp_position(
+                    landings[i], contact.nominal_position, contact.orientation
+                )
+                position_log[k, i] = committed
+                touchdowns.append(
+                    Touchdown(t, contact.contact_id, committed, contact.nominal_position)
+                )
+                log.info(
+                    "t=%.2f touchdown %s at %s (nominal %s)",
+                    t, contact.contact_id, committed, contact.nominal_position,
+                )
 
-        estimate = ExternalWrench(estimates[k], np.zeros(3))
         out: MpcOutput = mpc_step(
-            state, positions, plan, t, estimate, previous, options, params, spline
+            state, position_log[k], plan, t, estimates[k], previous, options, params, spline
         )
         previous = out.solution
-        pending = out.adjusted_contacts
+        landings = out.landings
 
         com_log[k] = state.p_com
         momentum_log[k] = state.momentum
-        for i, cid in enumerate(ids):
-            position_log[k, i] = positions[cid]
-            force_log[i][k] = out.forces[cid]
-        gamma_log[k] = gamma_now
+        for i in range(n_c):
+            force_log[i][k] = out.forces[i]
         statuses.append(out.solution.status)
         iterations[k] = out.solution.iterations
         kkts[k] = out.solution.kkt_residual
@@ -192,7 +194,7 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
             state,
             position_log[k],
             [f[k] for f in force_log],
-            gamma_now.astype(float),
+            gamma_log[k].astype(float),
             plan.orientations,
             plan.corner_offsets,
             params,
@@ -206,10 +208,7 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
 
     com_log[n_steps] = state.p_com
     momentum_log[n_steps] = state.momentum
-    t_end = float(times[n_steps])
-    gamma_log[n_steps] = [c.active_at(t_end) for c in plan.contacts]
-    for i, cid in enumerate(ids):
-        position_log[n_steps, i] = positions[cid]
+    position_log[n_steps] = position_log[n_steps - 1]
 
     traj = TrajectoryLog(
         times=times,
@@ -220,7 +219,7 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
         forces=force_log,
         nominal_com=nominal_log,
         nominal_contacts=plan.nominal_positions,
-        contact_ids=ids,
+        contact_ids=plan.contact_ids,
         corner_counts=plan.corner_counts,
         touchdowns=touchdowns,
         statuses=statuses,
@@ -247,13 +246,12 @@ def compute_metrics(traj: TrajectoryLog, config: ScenarioConfig) -> Metrics:
     converged = np.array([s == "converged" for s in traj.statuses])
     worst = 0.0
     pyramid = config.mpc.pyramid
-    rotations = {c.contact_id: c.orientation for c in config.plan.contacts}
-    for i, cid in enumerate(traj.contact_ids):
+    for i, rotation in enumerate(config.plan.orientations):
         active = traj.gamma[: traj.n_steps, i]
         forces = traj.forces[i][: traj.n_steps]
         for k in np.where(active)[0]:
             for j in range(forces.shape[1]):
-                worst = max(worst, pyramid.violation(forces[k, j], rotations[cid]))
+                worst = max(worst, pyramid.violation(forces[k, j], rotation))
     for td in traj.touchdowns:
         contact = config.plan.contact(td.contact_id)
         gap = config.mpc.box.gap(td.committed, contact.nominal_position, contact.orientation)
@@ -274,6 +272,15 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+def _write_csv(path: Path, columns: list, rows) -> Path:
+    """One header line of `columns`, then one line per row of strings."""
+    with path.open("w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+    return path
+
+
 def export_csv(traj: TrajectoryLog, out_dir) -> list:
     """Write states/contacts/forces/solver CSVs; returns the file paths.
 
@@ -283,83 +290,48 @@ def export_csv(traj: TrajectoryLog, out_dir) -> list:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    ids = traj.contact_ids
+    times = [_fmt(t) for t in traj.times]
+    states = np.concatenate([traj.com, traj.momentum, traj.nominal_com], axis=1)
+    offsets = traj.contact_positions[:, :, :2] - traj.nominal_contacts[:, :2]
+    forces = np.concatenate([f.reshape(f.shape[0], -1) for f in traj.forces], axis=1)
 
-    states = out / "states.csv"
-    with states.open("w", newline="\n") as fh:
-        fh.write(
-            "time_s,com_x_m,com_y_m,com_z_m,h_lin_x,h_lin_y,h_lin_z,"
-            "h_ang_x,h_ang_y,h_ang_z,nominal_com_x_m,nominal_com_y_m,nominal_com_z_m\n"
-        )
-        for r in range(traj.times.size):
-            row = (
-                [traj.times[r]]
-                + list(traj.com[r])
-                + list(traj.momentum[r])
-                + list(traj.nominal_com[r])
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    written.append(states)
+    def contact_cells(r):
+        for i in range(len(ids)):
+            yield from (_fmt(v) for v in traj.contact_positions[r, i])
+            yield "1" if traj.gamma[r, i] else "0"
+            yield from (_fmt(v) for v in offsets[r, i])
 
-    contacts = out / "contacts.csv"
-    with contacts.open("w", newline="\n") as fh:
-        cols = ["time_s"]
-        for cid in traj.contact_ids:
-            cols += [
-                f"{cid}_x_m",
-                f"{cid}_y_m",
-                f"{cid}_z_m",
-                f"{cid}_active",
-                f"{cid}_offset_x_m",
-                f"{cid}_offset_y_m",
-            ]
-        fh.write(",".join(cols) + "\n")
-        for r in range(traj.times.size):
-            row = [_fmt(traj.times[r])]
-            for i in range(len(traj.contact_ids)):
-                pos = traj.contact_positions[r, i]
-                off = pos[:2] - traj.nominal_contacts[i, :2]
-                row += [_fmt(pos[0]), _fmt(pos[1]), _fmt(pos[2])]
-                row.append("1" if traj.gamma[r, i] else "0")
-                row += [_fmt(off[0]), _fmt(off[1])]
-            fh.write(",".join(row) + "\n")
-    written.append(contacts)
-
-    forces = out / "forces.csv"
-    with forces.open("w", newline="\n") as fh:
-        cols = ["time_s"]
-        for i, cid in enumerate(traj.contact_ids):
-            for j in range(traj.corner_counts[i]):
-                cols += [f"{cid}_c{j}_fx_n", f"{cid}_c{j}_fy_n", f"{cid}_c{j}_fz_n"]
-        fh.write(",".join(cols) + "\n")
-        for r in range(traj.times.size):
-            row = [_fmt(traj.times[r])]
-            for i in range(len(traj.contact_ids)):
-                for j in range(traj.corner_counts[i]):
-                    row += [_fmt(v) for v in traj.forces[i][r, j]]
-            fh.write(",".join(row) + "\n")
-    written.append(forces)
-
-    solver = out / "solver.csv"
-    with solver.open("w", newline="\n") as fh:
-        fh.write("step,time_s,status,iterations,kkt_residual,constraint_violation,degraded\n")
-        for k in range(traj.n_steps):
-            fh.write(
-                ",".join(
-                    [
-                        str(k),
-                        _fmt(traj.times[k]),
-                        traj.statuses[k],
-                        str(int(traj.iterations[k])),
-                        _fmt(traj.kkt_residuals[k]),
-                        _fmt(traj.violations[k]),
-                        "1" if traj.degraded[k] else "0",
-                    ]
-                )
-                + "\n"
-            )
-    written.append(solver)
-    return written
+    return [
+        _write_csv(
+            out / "states.csv",
+            "time_s,com_x_m,com_y_m,com_z_m,h_lin_x,h_lin_y,h_lin_z,h_ang_x,h_ang_y,"
+            "h_ang_z,nominal_com_x_m,nominal_com_y_m,nominal_com_z_m".split(","),
+            ([t] + [_fmt(v) for v in row] for t, row in zip(times, states)),
+        ),
+        _write_csv(
+            out / "contacts.csv",
+            ["time_s"] + [f"{cid}_{col}" for cid in ids for col in (
+                "x_m", "y_m", "z_m", "active", "offset_x_m", "offset_y_m")],
+            ([t, *contact_cells(r)] for r, t in enumerate(times)),
+        ),
+        _write_csv(
+            out / "forces.csv",
+            ["time_s"] + [f"{cid}_c{j}_f{axis}_n" for cid, nv in zip(ids, traj.corner_counts)
+                          for j in range(nv) for axis in "xyz"],
+            ([t] + [_fmt(v) for v in row] for t, row in zip(times, forces)),
+        ),
+        _write_csv(
+            out / "solver.csv",
+            "step,time_s,status,iterations,kkt_residual,constraint_violation,degraded".split(","),
+            (
+                [str(k), times[k], traj.statuses[k], str(int(traj.iterations[k])),
+                 _fmt(traj.kkt_residuals[k]), _fmt(traj.violations[k]),
+                 "1" if traj.degraded[k] else "0"]
+                for k in range(traj.n_steps)
+            ),
+        ),
+    ]
 
 
 def write_manifest(traj: TrajectoryLog, metrics: Metrics, out_dir) -> Path:

@@ -25,6 +25,7 @@ from .qp import QpOptions, solve_qp
 
 _ARMIJO_FACTOR = 1e-4
 _BACKTRACK_RATIO = 0.5
+_MAX_BACKTRACKS = 30
 _ELASTIC_WEIGHT = 1e6
 # Every subproblem is solved to full accuracy by the QP's active-set
 # iteration, started from the active set of the current multipliers.  One
@@ -38,7 +39,6 @@ class SolverOptions:
     max_iterations: int = 100
     kkt_tolerance: float = 1e-6
     constraint_tolerance: float = 1e-7
-    max_backtracks: int = 30
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -131,11 +131,8 @@ def _l1_infeasibility(c_eq, in_gap) -> float:
 
 
 def _constraint_values(problem, x):
-    """eq(x) and ineq(x), empty for a problem without such rows."""
-    return (
-        problem.eq(x) if problem.n_eq else np.zeros(0),
-        problem.ineq(x) if problem.n_ineq else np.zeros(0),
-    )
+    """eq(x), empty for a problem without equality rows, and the inequality rows at x."""
+    return problem.eq(x) if problem.n_eq else np.zeros(0), problem.ineq_matrix @ x
 
 
 def _evaluate(problem, x, values=None):
@@ -148,8 +145,7 @@ def _evaluate(problem, x, values=None):
     g = problem.cost_grad(x)
     c_eq, v_in = _constraint_values(problem, x) if values is None else values
     j_eq = problem.eq_jac(x) if problem.n_eq else sp.csr_matrix((0, problem.dimension))
-    j_in = problem.ineq_jac(x) if problem.n_ineq else sp.csr_matrix((0, problem.dimension))
-    return f, g, c_eq, j_eq, v_in, j_in
+    return f, g, c_eq, j_eq, v_in, problem.ineq_matrix
 
 
 def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, n):
@@ -195,8 +191,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         y = np.array(y0, dtype=float).reshape(-1)
         if y.size != m_eq + m_in:
             raise ValueError(f"y0 has {y.size} entries, problem has {m_eq + m_in} rows")
-    lo = problem.ineq_lower if m_in else np.zeros(0)
-    hi = problem.ineq_upper if m_in else np.zeros(0)
+    lo, hi = problem.ineq_lower, problem.ineq_upper
 
     status = "max_iterations"
     iterations = 0
@@ -287,7 +282,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         alpha = 1.0
         accepted = False
         merit_try = merit0
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             x_try = x + alpha * d
             f_try = problem.cost(x_try)
             values = _constraint_values(problem, x_try)
@@ -343,7 +338,6 @@ class DerivativeReport:
     worst_col: int
     gradient_error: float
     eq_error: float
-    ineq_error: float
     hessian_error: float
 
     def __str__(self):
@@ -351,7 +345,7 @@ class DerivativeReport:
             f"max rel error {self.max_relative_error:.3e} in {self.worst_block}"
             f"[{self.worst_row}, {self.worst_col}] "
             f"(grad {self.gradient_error:.2e}, eq {self.eq_error:.2e}, "
-            f"ineq {self.ineq_error:.2e}, hess {self.hessian_error:.2e})"
+            f"hess {self.hessian_error:.2e})"
         )
 
 
@@ -362,9 +356,9 @@ def _rel_err(analytic, estimate):
 
 
 # Colourings of the latest patterns, keyed on their content.  Every
-# derivative check of one problem colours the same two patterns (eq and
-# ineq); the acceptance suite's 200 colourings use 4 distinct patterns, so a
-# few entries let checks of several problems share them.
+# derivative check of one problem colours the same two patterns (the
+# equality Jacobian's and the Lagrangian Hessian's), so a few entries let
+# checks of several problems share them.
 _COLORINGS: OrderedDict = OrderedDict()
 _COLORINGS_KEPT = 8
 
@@ -457,10 +451,11 @@ def _fd_jacobian_check(fun, jac_matrix, x, h, m_rows):
 def check_derivatives(
     problem, point, fd_step: float = 1e-6, multipliers=None
 ) -> DerivativeReport:
-    """Central-difference audit of the gradient, both constraint Jacobians
-    and the Lagrangian Hessian.
+    """Central-difference audit of the gradient, the equality Jacobian and
+    the Lagrangian Hessian.
 
-    Each matrix is audited on its own stored entries.  The Hessian is
+    Each matrix is audited on its own stored entries; the inequality rows
+    are a constant matrix, with nothing to audit.  The Hessian is
     audited at the equality multipliers `multipliers` (all ones when not
     given) against grouped differences of the Lagrangian's gradient
     cost_grad(x) + eq_jac(x)' y.
@@ -491,10 +486,8 @@ def check_derivatives(
     audits = []
     if problem.n_eq:
         audits.append(("eq_jac", problem.eq, problem.eq_jac(x), problem.n_eq))
-    if problem.n_ineq:
-        audits.append(("ineq_jac", problem.ineq, problem.ineq_jac(x), problem.n_ineq))
     audits.append(("lagrangian_hess", lagrangian_grad, problem.lagrangian_hess(x, y), x.size))
-    errors = dict.fromkeys(("eq_jac", "ineq_jac", "lagrangian_hess"), 0.0)
+    errors = dict.fromkeys(("eq_jac", "lagrangian_hess"), 0.0)
     for block, fun, jac, m_rows in audits:
         err, r, c = _fd_jacobian_check(fun, jac, x, h, m_rows)
         errors[block] = err
@@ -508,6 +501,5 @@ def check_derivatives(
         worst_col=worst[3],
         gradient_error=grad_worst,
         eq_error=errors["eq_jac"],
-        ineq_error=errors["ineq_jac"],
         hessian_error=errors["lagrangian_hess"],
     )

@@ -250,19 +250,21 @@ class DecisionLayout:
 class NlpProblem:
     """Callbacks and bounds of one transcribed problem.
 
-    Inequalities are interval constraints lower <= ineq(x) <= upper; equality
-    constraints are eq(x) = 0.  Jacobian callbacks return scipy CSR matrices
+    Equality constraints are eq(x) = 0; eq_jac returns scipy CSR matrices
     whose stored entries (explicit zeros included) never change between
-    evaluations, so their patterns can be read off any evaluation.
+    evaluations, so their pattern can be read off any evaluation.
+    Inequalities are linear interval rows, data rather than callbacks:
+    ineq_lower <= ineq_matrix @ x <= ineq_upper, with ineq_matrix CSR.  A
+    problem without them reads as a (0, dimension) matrix and empty bounds.
 
     `lagrangian_hess(x, y_eq)` returns the Hessian of cost(x) + y_eq' eq(x)
     at x, a sparse matrix whose stored entries never change either; at
     y_eq = 0 it is the Gauss-Newton Hessian.  It is the only curvature the
-    solver asks for.  Inequalities must be linear: they add no curvature.
+    solver asks for; the linear inequalities add none.
 
     `qp_workspace`, when set, is the QpWorkspace of every SQP subproblem:
     its P has lagrangian_hess's pattern, its A the equality Jacobian's rows
-    over the inequality Jacobian's, and the subproblems bring values only.
+    over the inequality matrix's, and the subproblems bring values only.
     They factor in its variable ordering, under which the Hessian plus the
     constraint Jacobians' Gram matrix is narrow-banded.
 
@@ -280,13 +282,20 @@ class NlpProblem:
     n_eq: int = 0
     eq: Callable[[np.ndarray], np.ndarray] | None = None
     eq_jac: Callable[[np.ndarray], sp.spmatrix] | None = None
-    n_ineq: int = 0
-    ineq: Callable[[np.ndarray], np.ndarray] | None = None
-    ineq_jac: Callable[[np.ndarray], sp.spmatrix] | None = None
+    ineq_matrix: sp.csr_matrix | None = None
     ineq_lower: np.ndarray | None = None
     ineq_upper: np.ndarray | None = None
     shift_rows: np.ndarray | None = None
     qp_workspace: QpWorkspace | None = None
+
+    def __post_init__(self):
+        if self.ineq_matrix is None:
+            self.ineq_matrix = sp.csr_matrix((0, self.dimension))
+            self.ineq_lower = self.ineq_upper = np.zeros(0)
+
+    @property
+    def n_ineq(self) -> int:
+        return self.ineq_matrix.shape[0]
 
 
 def _cost_hessian(layout: DecisionLayout, weights: Weights, period: float) -> sp.csr_matrix:
@@ -768,6 +777,8 @@ def build_nlp(
             raise ValueError(
                 f"disturbance profile shape {wrench_profile.shape} != ({n_knots}, 6)"
             )
+        if not np.all(np.isfinite(wrench_profile)):
+            raise ValueError("disturbance profile contains non-finite values")
 
     gamma = schedule.astype(float)
     rotations = plan.orientations
@@ -874,14 +885,6 @@ def build_nlp(
     ineq_lower, ineq_upper = _inequality_bounds(
         layout, schedule, rotations, nominal_contacts, pyramid, box
     )
-    ineq_matrix = structure.ineq_matrix
-
-    def ineq(x: np.ndarray) -> np.ndarray:
-        return ineq_matrix @ x
-
-    def ineq_jac(x: np.ndarray) -> sp.spmatrix:
-        return ineq_matrix
-
     return NlpProblem(
         dimension=layout.size,
         cost=cost,
@@ -890,9 +893,7 @@ def build_nlp(
         n_eq=m_eq,
         eq=eq,
         eq_jac=eq_jac,
-        n_ineq=ineq_matrix.shape[0],
-        ineq=ineq,
-        ineq_jac=ineq_jac,
+        ineq_matrix=structure.ineq_matrix,
         ineq_lower=ineq_lower,
         ineq_upper=ineq_upper,
         shift_rows=structure.shift_rows,

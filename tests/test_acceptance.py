@@ -406,9 +406,7 @@ class TestCriterion7:
             cost=lambda x: float(0.5 * x @ x),
             cost_grad=lambda x: x.copy(),
             lagrangian_hess=lambda x, y_eq: sp.csc_matrix(np.eye(2)),
-            n_ineq=1,
-            ineq=lambda x: np.array([x[0]]),
-            ineq_jac=lambda x: sp.csr_matrix(np.array([[1.0, 0.0]])),
+            ineq_matrix=sp.csr_matrix(np.array([[1.0, 0.0]])),
             ineq_lower=np.array([1.0]),
             ineq_upper=np.array([np.inf]),
         )

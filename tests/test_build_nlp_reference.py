@@ -269,12 +269,11 @@ def assert_matches_reference(plan, schedule, seed=0):
         expected_cost = float(0.5 * x @ (hess @ x) + ref["c_lin"] @ x + ref["constant"])
         assert bits(problem.cost(x)) == bits(expected_cost)
         assert np.array_equal(bits(problem.cost_grad(x)), bits(hess @ x + ref["c_lin"]))
-    x = rng.randn(problem.dimension)
-    assert same_csr(problem.ineq_jac(x), ref["ineq_matrix"])
+    assert same_csr(problem.ineq_matrix, ref["ineq_matrix"])
     assert problem.n_ineq == ref["ineq_matrix"].shape[0]
     assert np.array_equal(bits(problem.ineq_lower), bits(ref["ineq_lower"]))
     assert np.array_equal(bits(problem.ineq_upper), bits(ref["ineq_upper"]))
-    for ours, theirs in zip(stored_entries(problem.ineq_jac(x)),
+    for ours, theirs in zip(stored_entries(problem.ineq_matrix),
                             stored_entries(ref["ineq_matrix"])):
         assert np.array_equal(ours, theirs)
     assert np.array_equal(problem.shift_rows, ref["shift_rows"])
@@ -334,7 +333,7 @@ class TestLayoutTemplateMemo:
         jac = problem.eq_jac(np.zeros(problem.dimension))
         assert all(a.flags.writeable for a in (jac.data, jac.indices, jac.indptr))
         # the inequality matrix is the template's, shared by every schedule
-        ineq = problem.ineq_jac(np.zeros(problem.dimension))
+        ineq = problem.ineq_matrix
         for array in (ineq.data, ineq.indices, ineq.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -355,8 +354,7 @@ class TestLayoutTemplateMemo:
             if first is None:
                 first = problem
             assert problem.n_ineq == first.n_ineq == 6 * 5 * n_knots + 3 * 2 * n_knots
-            x = np.zeros(problem.dimension)
-            assert same_csr(problem.ineq_jac(x), first.ineq_jac(x))
+            assert same_csr(problem.ineq_matrix, first.ineq_matrix)
             assert np.array_equal(problem.shift_rows, first.shift_rows)
             bounds.add((bits(problem.ineq_lower).tobytes(), bits(problem.ineq_upper).tobytes()))
         # five bound sets per contact: dead, or bearing load with the box

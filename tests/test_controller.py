@@ -11,7 +11,7 @@ from centroidal_mpc.controller import (
     shift_multipliers,
     shift_warm_start,
 )
-from centroidal_mpc.model import CentroidalState, ContactGeometry, ExternalWrench, PhysicalParams
+from centroidal_mpc.model import CentroidalState, ContactGeometry, PhysicalParams
 from centroidal_mpc.plan import (
     ContactPlan,
     NominalContact,
@@ -42,8 +42,19 @@ def hop_plan(duration=3.0):
     )
 
 
+def yaw_matrix(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 PARAMS = PhysicalParams(mass=1.0, com_height_nominal=0.6)
 OPTIONS = MpcOptions(horizon_knots=12, period=0.1)
+NO_WRENCH = np.zeros(6)
+
+
+def push(fx):
+    """A wrench of force (fx, 0, 0) and no torque."""
+    return np.array([fx, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 class TestShiftWarmStart:
@@ -138,14 +149,13 @@ class TestMpcStep:
         plan = standing_plan()
         spline = nominal_com_trajectory(plan, PARAMS)
         state = CentroidalState(spline.position(0.0), np.zeros(3), np.zeros(3))
-        positions = {c.contact_id: c.nominal_position.copy() for c in plan.contacts}
-        out = mpc_step(state, positions, plan, 0.0, ExternalWrench.zero(), None,
+        out = mpc_step(state, plan.nominal_positions, plan, 0.0, NO_WRENCH, None,
                        OPTIONS, PARAMS, spline)
         assert out.solution.converged
-        total = sum(out.forces[cid].sum(axis=0) for cid in ("l", "r"))
+        total = sum(f.sum(axis=0) for f in out.forces)
         np.testing.assert_allclose(total, [0, 0, 9.81], atol=1e-3)
-        # no upcoming touchdown in a standing plan
-        assert out.adjusted_contacts == {}
+        # no upcoming touchdown in a standing plan: every landing is nominal
+        assert np.array_equal(out.landings, plan.nominal_positions)
         # prediction stays near nominal
         assert np.abs(out.predicted_com - spline.position(0.0)).max() < 1e-2
 
@@ -154,8 +164,7 @@ class TestMpcStep:
         spline = nominal_com_trajectory(plan, PARAMS)
         options = MpcOptions(horizon_knots=12, period=0.1)
         state = CentroidalState(spline.position(0.9), [0, 0, 0.5], [0, 0.01, 0])
-        positions = {"foot": np.zeros(3)}
-        out = mpc_step(state, positions, plan, 0.9, ExternalWrench.zero(), None,
+        out = mpc_step(state, np.zeros((1, 3)), plan, 0.9, NO_WRENCH, None,
                        options, PARAMS, spline)
         aerial = ~out.schedule.any(axis=1)
         assert aerial.any()
@@ -167,21 +176,20 @@ class TestMpcStep:
         plan = hop_plan()
         spline = nominal_com_trajectory(plan, PARAMS)
         state = CentroidalState(spline.position(1.3), [0, 0, 0.8], [0, 0, 0])
-        out = mpc_step(state, {"foot": np.zeros(3)}, plan, 1.3, ExternalWrench.zero(),
+        out = mpc_step(state, np.zeros((1, 3)), plan, 1.3, NO_WRENCH,
                        None, MpcOptions(horizon_knots=10, period=0.1), PARAMS, spline)
         assert not out.schedule[0, 0]
-        assert np.array_equal(out.forces["foot"], np.zeros((1, 3)))
+        assert np.array_equal(out.forces[0], np.zeros((1, 3)))
 
     def test_push_shifts_upcoming_touchdown(self):
         plan = hop_plan()
         spline = nominal_com_trajectory(plan, PARAMS)
         options = MpcOptions(horizon_knots=15, period=0.1)
         state = CentroidalState(spline.position(1.0), np.zeros(3), np.zeros(3))
-        push = ExternalWrench([5.0, 0, 0], [0, 0, 0])
-        out = mpc_step(state, {"foot": np.zeros(3)}, plan, 1.0, push, None,
+        out = mpc_step(state, np.zeros((1, 3)), plan, 1.0, push(5.0), None,
                        options, PARAMS, spline)
-        assert "foot" in out.adjusted_contacts
-        landing = out.adjusted_contacts["foot"]
+        assert out.landings.shape == (1, 3)
+        landing = out.landings[0]
         assert landing[0] > 0.01  # shifted along the push
         contact = plan.contacts[0]
         assert options.box.gap(landing, contact.nominal_position, contact.orientation) <= 1e-9
@@ -194,19 +202,18 @@ class TestMpcStep:
             solver=SolverOptions(max_iterations=1, kkt_tolerance=1e-12),
         )
         state = CentroidalState(spline.position(1.0), [2.0, 0, 0], [0, 0, 0])
-        out = mpc_step(state, {"foot": np.zeros(3)}, plan, 1.0,
-                       ExternalWrench([5, 0, 0]), None, tight, PARAMS, spline)
+        out = mpc_step(state, np.zeros((1, 3)), plan, 1.0,
+                       push(5.0), None, tight, PARAMS, spline)
         assert out.degraded
-        for cid, landing in out.adjusted_contacts.items():
-            contact = plan.contact(cid)
+        for contact, landing in zip(plan.contacts, out.landings):
             assert tight.box.gap(landing, contact.nominal_position, contact.orientation) <= 1e-9
 
     def test_hard_failure_reuses_shifted_previous_solution(self, monkeypatch):
         plan = standing_plan()
         spline = nominal_com_trajectory(plan, PARAMS)
         state = CentroidalState(spline.position(0.0), [0.3, 0, 0], np.zeros(3))
-        positions = {c.contact_id: c.nominal_position.copy() for c in plan.contacts}
-        previous = mpc_step(state, positions, plan, 0.0, ExternalWrench([2, 0, 0]), None,
+        positions = plan.nominal_positions
+        previous = mpc_step(state, positions, plan, 0.0, push(2.0), None,
                             OPTIONS, PARAMS, spline).solution
         assert previous.converged
 
@@ -219,7 +226,7 @@ class TestMpcStep:
             )
 
         monkeypatch.setattr(controller, "solve", failed_solve)
-        out = mpc_step(state, positions, plan, 0.1, ExternalWrench.zero(), previous,
+        out = mpc_step(state, positions, plan, 0.1, NO_WRENCH, previous,
                        OPTIONS, PARAMS, spline)
         assert out.degraded
         layout = layout_for(plan, OPTIONS)
@@ -227,21 +234,56 @@ class TestMpcStep:
         rotations = np.array([c.orientation for c in plan.contacts])
         expected = _sanitize_forces(shifted, out.schedule.astype(float), OPTIONS.pyramid,
                                     rotations)
-        for i, cid in enumerate(("l", "r")):
-            assert np.all(np.isfinite(out.forces[cid]))
-            assert np.array_equal(out.forces[cid], expected[i][0])
+        for i in range(plan.n_contacts):
+            assert np.all(np.isfinite(out.forces[i]))
+            assert np.array_equal(out.forces[i], expected[i][0])
 
     def test_forces_satisfy_pyramid_after_sanitize(self):
         plan = standing_plan()
         spline = nominal_com_trajectory(plan, PARAMS)
         state = CentroidalState(spline.position(0.0) + np.array([0.05, 0, -0.02]),
                                 [0.5, 0.2, 0], [0, 0.05, 0])
-        out = mpc_step(state, {c.contact_id: c.nominal_position.copy() for c in plan.contacts},
-                       plan, 0.0, ExternalWrench([3, 0, 0]), None, OPTIONS, PARAMS, spline)
+        out = mpc_step(state, plan.nominal_positions, plan, 0.0, push(3.0), None,
+                       OPTIONS, PARAMS, spline)
         pyramid = OPTIONS.pyramid
-        for i, cid in enumerate(("l", "r")):
-            for f in out.forces[cid]:
+        for i in range(plan.n_contacts):
+            for f in out.forces[i]:
                 assert pyramid.violation(f, plan.contacts[i].orientation) <= 1e-9
+
+    def test_forces_and_landings_in_plan_order(self):
+        # a rectangle foot in stance and a point foot that lands at t = 0.8
+        plan = ContactPlan(
+            (
+                NominalContact("stance", [0, 0.1, 0], np.eye(3), RECT, ((0.0, 3.0),)),
+                NominalContact("swing", [0.1, -0.1, 0], yaw_matrix(0.3), POINT,
+                               ((0.0, 0.4), (0.8, 3.0))),
+            ),
+            3.0,
+        )
+        spline = nominal_com_trajectory(plan, PARAMS)
+        state = CentroidalState(spline.position(0.5), [0.3, 0, 0], np.zeros(3))
+        out = mpc_step(state, plan.nominal_positions, plan, 0.5, push(2.0), None,
+                       OPTIONS, PARAMS, spline)
+        assert out.solution.converged
+        layout = layout_for(plan, OPTIONS)
+        raw, _ = layout.control_arrays(out.solution.x)
+        expected = _sanitize_forces(raw, out.schedule.astype(float), OPTIONS.pyramid,
+                                    plan.orientations)
+        assert [f.shape for f in out.forces] == [(4, 3), (1, 3)]
+        for force, knots in zip(out.forces, expected):
+            assert np.array_equal(force, knots[0])
+        assert out.landings.shape == (2, 3)
+        # the stance foot has no touchdown ahead: its nominal position
+        assert np.array_equal(out.landings[0], plan.nominal_positions[0])
+        # the swing foot lands at its first onset knot, clamped into its box
+        k_land = 1 + int(np.flatnonzero(out.schedule[1:, 1] & ~out.schedule[:-1, 1])[0])
+        _, _, contacts = layout.state_arrays(out.solution.x)
+        swing = plan.contacts[1]
+        assert np.array_equal(
+            out.landings[1],
+            OPTIONS.box.clamp_position(contacts[k_land, 1], swing.nominal_position,
+                                       swing.orientation),
+        )
 
 
 class TestWarmStartRegression:
@@ -249,15 +291,15 @@ class TestWarmStartRegression:
         plan = standing_plan()
         spline = nominal_com_trajectory(plan, PARAMS)
         state = CentroidalState(spline.position(0.0), np.zeros(3), np.zeros(3))
-        positions = {c.contact_id: c.nominal_position.copy() for c in plan.contacts}
+        positions = plan.nominal_positions
         cold_iters = []
         warm_iters = []
         previous = None
         for k in range(6):
             t = 0.1 * k
-            out_cold = mpc_step(state, positions, plan, t, ExternalWrench.zero(), None,
+            out_cold = mpc_step(state, positions, plan, t, NO_WRENCH, None,
                                 OPTIONS, PARAMS, spline)
-            out_warm = mpc_step(state, positions, plan, t, ExternalWrench.zero(), previous,
+            out_warm = mpc_step(state, positions, plan, t, NO_WRENCH, previous,
                                 OPTIONS, PARAMS, spline)
             cold_iters.append(out_cold.solution.iterations)
             warm_iters.append(out_warm.solution.iterations)

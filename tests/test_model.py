@@ -4,7 +4,6 @@ import pytest
 from centroidal_mpc.model import (
     CentroidalState,
     ContactGeometry,
-    ExternalWrench,
     PhysicalParams,
     euler_step_batch,
     integrate_step,
@@ -82,10 +81,10 @@ class TestMomentumDerivative:
     def test_disturbance_additivity(self):
         params = PhysicalParams(mass=1.0)
         state = CentroidalState([0, 0, 1.0], [0.5, 0, 0], [0, 0, 0])
-        wrench = ExternalWrench([5, -1, 2], [0.3, 0, -0.1])
-        with_d = rate(state, params, [0.1, 0, 0], [1, 2, 3], wrench=wrench.stacked()[None])
+        wrench = np.array([5, -1, 2, 0.3, 0, -0.1])
+        with_d = rate(state, params, [0.1, 0, 0], [1, 2, 3], wrench=wrench[None])
         without = rate(state, params, [0.1, 0, 0], [1, 2, 3])
-        np.testing.assert_allclose(with_d - without, wrench.stacked(), atol=1e-14)
+        np.testing.assert_allclose(with_d - without, wrench, atol=1e-14)
 
     def test_non_finite_force_rejected(self):
         params = PhysicalParams(mass=1.0)

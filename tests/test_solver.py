@@ -31,9 +31,7 @@ def quadratic_problem(H, g0, eq=None, ineq=None):
         n_eq=m_eq,
         eq=(lambda x: np.asarray(A_eq) @ x - b_eq) if m_eq else None,
         eq_jac=(lambda x: sp.csr_matrix(A_eq)) if m_eq else None,
-        n_ineq=m_in,
-        ineq=(lambda x: np.asarray(A_in) @ x) if m_in else None,
-        ineq_jac=(lambda x: sp.csr_matrix(A_in)) if m_in else None,
+        ineq_matrix=sp.csr_matrix(A_in) if m_in else None,
         ineq_lower=None if lo is None else np.asarray(lo, float),
         ineq_upper=None if hi is None else np.asarray(hi, float),
     )
@@ -303,9 +301,7 @@ class TestRejectedStepExit:
             n_eq=1,
             eq=lambda x: np.array([x @ x - 1.0]),
             eq_jac=lambda x: sp.csr_matrix(2.0 * x[None, :]),
-            n_ineq=1,
-            ineq=lambda x: x[:1].copy(),
-            ineq_jac=lambda x: sp.csr_matrix(np.array([[1.0, 0.0]])),
+            ineq_matrix=sp.csr_matrix(np.array([[1.0, 0.0]])),
             ineq_lower=np.array([-np.inf]),
             ineq_upper=np.array([1.5]),
         )
@@ -314,20 +310,21 @@ class TestRejectedStepExit:
     def loop_head_kkt(problem, x, y):
         """Stationarity and complementarity, scaled as Solution documents."""
         y_eq, y_in = y[: problem.n_eq], y[problem.n_eq :]
-        grad = problem.cost_grad(x) + problem.eq_jac(x).T @ y_eq + problem.ineq_jac(x).T @ y_in
-        v = problem.ineq(x)
+        grad = problem.cost_grad(x) + problem.eq_jac(x).T @ y_eq + problem.ineq_matrix.T @ y_in
+        v = problem.ineq_matrix @ x
         slack = np.where(y_in > 0, problem.ineq_upper - v,
                          np.where(y_in < 0, v - problem.ineq_lower, 0.0))
         comp = np.max(np.minimum(np.abs(y_in), np.maximum(slack, 0.0)))
         return max(np.max(np.abs(grad)), comp) / max(1.0, np.max(np.abs(y)) / 100.0)
 
     @pytest.mark.parametrize("start", [[0.05, 0.3], [-1.5, 0.5]])
-    def test_status_and_residual_from_loop_head_test(self, start):
+    def test_status_and_residual_from_loop_head_test(self, start, monkeypatch):
         # One trial step per line search: the full Gauss-Newton step on the
         # curved equality raises the merit, so the solve ends in the
         # rejected-step exit instead of running to max_iterations.
+        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 1)
         problem = self.circle_problem()
-        opts = SolverOptions(max_backtracks=1)
+        opts = SolverOptions()
         sol = solve(problem, np.array(start), opts)
         assert sol.status == "line_search_stall"
         assert sol.iterations < opts.max_iterations

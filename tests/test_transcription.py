@@ -383,6 +383,18 @@ class TestBuildNlp:
                 4, 0.1, params,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_disturbance_profile_rejected(self, bad):
+        problem, plan, params, schedule, state, measured, profile = two_contact_problem()
+        profile = profile.copy()
+        profile[2, 4] = bad
+        with pytest.raises(ValueError, match="disturbance profile"):
+            build_nlp(
+                plan, state, measured, schedule, np.zeros((5, 3)), Weights(),
+                FrictionPyramid(0.8, 0, 60.0), ContactBox.planar(0.15, 0.15),
+                4, 0.1, params, profile,
+            )
+
 
 class TestWeights:
     def test_scalar_expansion(self):
