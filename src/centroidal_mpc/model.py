@@ -146,7 +146,23 @@ def check_rotation(matrix, name: str = "orientation") -> np.ndarray:
     return R
 
 
-def _gated_forces(forces: Sequence[np.ndarray], gamma: np.ndarray) -> list:
+def _gated_forces(
+    forces: Sequence[np.ndarray], gamma: np.ndarray, corner_offsets: Sequence[np.ndarray]
+) -> list:
+    """Each forces[i] (K, n_v_i, 3) times its contact's gate.
+
+    Raises ValueError unless n_v_i is the corner count of corner_offsets[i]:
+    one corner force would broadcast against four offsets in the torques,
+    and four forces against one offset.  Every rate and rollout gates its
+    forces here before it sums them.
+    """
+    if len(forces) != len(corner_offsets) or any(
+        np.shape(f)[1:] != (len(offsets), 3) for f, offsets in zip(forces, corner_offsets)
+    ):
+        raise ValueError(
+            "forces[i] must have shape (K, len(corner_offsets[i]), 3) for every contact, got "
+            f"{[np.shape(f) for f in forces]} against {[len(o) for o in corner_offsets]} corners"
+        )
     return [gamma[:, i, None, None] * force_i for i, force_i in enumerate(forces)]
 
 
@@ -186,7 +202,8 @@ def momentum_rate_batch(
 
     p_com (K, 3), p_contacts (K, n_c, 3), forces[i] (K, n_v_i, 3),
     gamma (K, n_c), rotations (n_c, 3, 3), corner_offsets[i] (n_v_i, 3),
-    wrench (K, 6).  Returns (K, 6) stacked (linear, angular) rates.
+    wrench (K, 6).  Returns (K, 6) stacked (linear, angular) rates.  Forces
+    of another corner count than their contact's offsets raise ValueError.
 
     The gated forces, lever arms and torques of all corners of a contact are
     computed at once (torques by `cross_rows`, the float operations of
@@ -195,7 +212,7 @@ def momentum_rate_batch(
     identical for any K.  This keeps single-step rollouts bit-identical to
     batched evaluations of the same quantities.
     """
-    gated = _gated_forces(forces, gamma)
+    gated = _gated_forces(forces, gamma, corner_offsets)
     return np.concatenate(
         [
             _force_rate(gated, mass, gravity, wrench),
@@ -242,7 +259,7 @@ def euler_step_batch(
     step's torque, and one more accumulate chains the angular momentum.
     Each row equals K chained single-step calls bit for bit.
     """
-    gated = _gated_forces(forces, gamma)
+    gated = _gated_forces(forces, gamma, corner_offsets)
     force_rate = _force_rate(gated, mass, gravity, wrench)
     held = (gamma > 0.5)[..., None]
     slide = dt * ((1.0 - gamma)[..., None] * contact_velocities)
@@ -288,13 +305,6 @@ def integrate_step(
     if wrenches.ndim != 2 or wrenches.shape[0] < 1 or wrenches.shape[1] != 6:
         raise ValueError(f"wrenches must have shape (S, 6), got {wrenches.shape}")
     _require_finite(wrenches, "wrenches")
-    if len(forces) != len(corner_offsets) or any(
-        np.shape(f) != (len(offsets), 3) for f, offsets in zip(forces, corner_offsets)
-    ):
-        raise ValueError(
-            "forces[i] must have shape (len(corner_offsets[i]), 3) for every contact, got "
-            f"{[np.shape(f) for f in forces]} against {[len(o) for o in corner_offsets]} corners"
-        )
     steps, n_c = wrenches.shape[0], len(forces)
     p_next, h_next, _ = euler_step_batch(
         state.p_com,

@@ -237,8 +237,11 @@ class QpWorkspace:
         self.width = w = int(max(np.max(hi - lo, initial=0), np.max(qj - qi, initial=0)))
         self.pair_left, self.pair_right = left, right
         self.pair_ptr = np.concatenate([[0], np.cumsum(lens * (lens + 1) // 2)])
-        self.pair_slot = (w + lo - hi) * n + hi
-        self.band_slot = np.concatenate([(w + qi - qj) * n + qj, self.pair_slot])
+        # LAPACK's upper band storage is column-major: entry (i, j), i <= j,
+        # at [w + i - j, j] of a (w + 1, n) array, so at j (w + 1) + w + i - j
+        # of its transpose in C order.
+        self.pair_slot = hi * (w + 1) + (w + lo - hi)
+        self.band_slot = np.concatenate([qj * (w + 1) + (w + qi - qj), self.pair_slot])
 
     def scaled_values(self, P, A):
         """The equilibrated data of P and of A's blocks, stacked.
@@ -257,13 +260,15 @@ class QpWorkspace:
 class _CondensedSystem:
     """P + reg I + rho A_act' A_act of one QP, for any active set, banded.
 
-    Under a stage-wise ordering of the variables these matrices are narrow
-    band matrices: bandwidth 26 for the 552 variables of the one-leg
-    horizon, 53 for the 1365 of the two-leg one (reverse Cuthill-McKee: 55
-    and 65-69).  The equality rows are active in every set, so their share,
-    with P and reg I, is summed once per QP (`base`, one weighted bincount
-    over the workspace's band slots); the band of an active set adds to it
-    only the pair products of its active inequality rows, which are few.
+    Under the horizon's stage order (DecisionLayout.stage_order) these
+    matrices are narrow band matrices: bandwidth 18 for the 552 variables
+    of the one-leg horizon, 45 for the 1365 of the two-leg one (reverse
+    Cuthill-McKee: 55 and 65).  The equality rows are active in every set,
+    so their share, with P and reg I, is summed once per QP (`base`, one
+    weighted bincount over the workspace's band slots, an (n, w + 1) array
+    in C order that is LAPACK's band transposed); the band of an active set
+    adds to it only the pair products of its active inequality rows, which
+    are few.
     """
 
     def __init__(self, workspace: QpWorkspace, p_data, a_data, eq):
@@ -277,14 +282,18 @@ class _CondensedSystem:
         np.take(p_data, ws.p_entries, out=weights[:n_p])
         np.take(a_eq, ws.pair_left, out=weights[n_p:])
         weights[n_p:] *= a_eq[ws.pair_right]
-        shape = (ws.width + 1, ws.shape[1])
+        shape = (ws.shape[1], ws.width + 1)
         self.base = np.bincount(
             ws.band_slot, weights=weights, minlength=shape[0] * shape[1]
         ).reshape(shape).astype(float, copy=False)
-        self.base[-1] += _POLISH_REG
+        self.base[:, -1] += _POLISH_REG
 
     def band(self, rows: np.ndarray) -> np.ndarray:
-        """Upper band storage, permuted, with the inequality `rows` active."""
+        """Upper band storage, permuted, with the inequality `rows` active.
+
+        A fresh (w + 1, n) array in LAPACK's column-major layout, which
+        dpbtrf can overwrite with the factor without a copy.
+        """
         ws = self.workspace
         start = ws.pair_ptr[rows]
         count = ws.pair_ptr[rows + 1] - start
@@ -292,7 +301,7 @@ class _CondensedSystem:
         values = self.a_data[ws.pair_left[pairs]] * self.a_data[ws.pair_right[pairs]]
         band = self.base.copy()
         np.add.at(band.reshape(-1), ws.pair_slot[pairs], values * _POLISH_RHO)
-        return band
+        return band.T
 
 
 class _NotPositiveDefinite(Exception):
@@ -310,7 +319,7 @@ def _factor_kkt(system: _CondensedSystem, rows: np.ndarray):
     test of the active set: it raises _NotPositiveDefinite.  Returns the
     solve with the factor, in the original order of the variables.
     """
-    factor, info = lapack.dpbtrf(system.band(rows))
+    factor, info = lapack.dpbtrf(system.band(rows), overwrite_ab=True)
     if info > 0:
         raise _NotPositiveDefinite
     perm = system.workspace.perm

@@ -207,17 +207,30 @@ class DecisionLayout:
         return slice(base, base + 3)
 
     def stage_order(self) -> np.ndarray:
-        """Permutation listing state k, then control k, for k = 0..N.
+        """Permutation listing the stages from the last knot to the first.
 
-        Dynamics couple only neighbouring stages, so under this ordering the
-        condensed QP matrices are banded with a width of about two stages.
+        It is the reverse of the list [h_ang_k, com_k, h_lin_k, p_k, f_k,
+        v_k] for k = 0..N-1, then [h_ang_N, com_N, h_lin_N, p_N].  In that
+        list every coupling between stages goes from a slot of stage k to
+        the same or a later slot of stage k + 1: the CoM row couples com_k+1
+        with h_lin_k, the linear-momentum row h_lin_k+1 with f_k, the
+        angular-momentum row h_ang_k+1 with h_ang_k, com_k, p_k and f_k, the
+        contact-position row p_k+1 with v_k, and the force-rate cost f_k
+        with f_k+1.  So the condensed QP matrices are banded with a width of
+        one stage, state_dim + control_dim.  Reversed, their Cholesky factor
+        eliminates the horizon from the terminal stage, as a Riccati
+        recursion does; factored forwards, the same band fills with values
+        that underflow to subnormals, which cost far more time per
+        operation.
         """
-        states = np.arange(self.n_state_vars).reshape(self.n_knots + 1, self.state_dim)
+        sd = self.state_dim
+        slots = np.r_[6:9, 0:3, 3:6, 9:sd]  # h_ang, com, h_lin, contact positions
+        states = np.arange(self.n_state_vars).reshape(self.n_knots + 1, sd)[:, slots]
         controls = np.arange(self.n_state_vars, self.size).reshape(
             self.n_knots, self.control_dim
         )
         stages = [np.concatenate([states[k], controls[k]]) for k in range(self.n_knots)]
-        return np.concatenate(stages + [states[self.n_knots]])
+        return np.concatenate(stages + [states[self.n_knots]])[::-1].copy()
 
     def state_arrays(self, x: np.ndarray):
         """(com (N+1,3), momentum (N+1,6), contact positions (N+1,n_c,3))."""

@@ -36,12 +36,15 @@ class SolveRecord:
 
     calls: list = field(default_factory=list)  # (problem, y0, solution) per MPC step
     factorizations: int = 0
+    # smallest magnitude of a nonzero entry, per successful band factor
+    factor_floors: list = field(default_factory=list)
 
 
 def _recorded_simulation(config):
     """simulate(config), recording every solve call and counting KKT factorizations."""
     record = SolveRecord()
     real_solve, real_factor = controller.solve, qp._factor_kkt
+    real_dpbtrf = qp.lapack.dpbtrf
 
     def recording_solve(problem, warm_start, options=None, y0=None):
         solution = real_solve(problem, warm_start, options, y0=y0)
@@ -52,9 +55,16 @@ def _recorded_simulation(config):
         record.factorizations += 1
         return real_factor(*args)
 
+    def recording_dpbtrf(*args, **kwargs):
+        factor, info = real_dpbtrf(*args, **kwargs)
+        if info == 0:
+            record.factor_floors.append(float(np.min(np.abs(factor[factor != 0.0]))))
+        return factor, info
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(controller, "solve", recording_solve)
         patch.setattr(qp, "_factor_kkt", counting_factor)
+        patch.setattr(qp.lapack, "dpbtrf", recording_dpbtrf)
         traj, metrics = simulate(config)
     return traj, metrics, record
 
@@ -217,7 +227,7 @@ class TestSqpIterationCount:
 
 class TestFactorizationCount:
     """Warm-started from the shifted primal-dual solution, the bundled runs
-    factor the QP's condensed KKT matrix 71 times (one leg) and 97 times
+    factor the QP's condensed KKT matrix 71 times (one leg) and 99 times
     (two legs); with the multipliers mostly dropped they took 89 and 110."""
 
     def test_factorizations_per_run(self, one_leg_push, two_leg_push):
@@ -227,6 +237,15 @@ class TestFactorizationCount:
         }
         assert counts["one_leg_jump"] <= 75, counts
         assert counts["two_leg_walk_run"] <= 100, counts
+
+    def test_band_factors_hold_no_underflowing_fill(self, two_leg_push):
+        # Factored from the terminal stage, no fill entry of the band
+        # factor decays towards the subnormal range, where every operation
+        # on it costs many times more; entries of at least 1e-150 keep every
+        # product of two of them out of that range.
+        floors = two_leg_push[3].factor_floors
+        assert floors
+        assert min(floors) >= 1e-150, sum(f < 1e-150 for f in floors)
 
 
 class TestDualWarmStart:

@@ -401,10 +401,24 @@ class TestLagrangianHessian:
             - problem.lagrangian_hess(x, np.zeros(problem.n_eq))
         ).tocoo()
         assert curvature.nnz == 4 * 6 * N_KNOTS * 5  # (f, p), (f, r) and transposes
+        knot = np.concatenate([
+            np.repeat(np.arange(N_KNOTS + 1), layout.state_dim),
+            np.repeat(np.arange(N_KNOTS), layout.control_dim),
+        ])
+        assert np.array_equal(knot[curvature.row], knot[curvature.col])
         position = np.empty(problem.dimension, dtype=int)
         position[problem.qp_workspace.perm] = np.arange(problem.dimension)
-        stage = position // (layout.state_dim + layout.control_dim)
-        assert np.array_equal(stage[curvature.row], stage[curvature.col])
+        spread = np.abs(position[curvature.row] - position[curvature.col])
+        assert spread.max() <= problem.qp_workspace.width
+
+    @pytest.mark.parametrize("geometries, width", [
+        ([POINT], 18), ([RECT, POINT], 36), ([RECT, RECT], 45),
+    ])
+    def test_band_is_one_stage_wide(self, geometries, width):
+        # every coupling between knots reaches at most one stage ahead
+        problem, _ = make_problem(make_plan(geometries), [[ON] * len(geometries)] * N_KNOTS)
+        layout = DecisionLayout(N_KNOTS, [g.n_corners for g in geometries])
+        assert problem.qp_workspace.width == layout.state_dim + layout.control_dim == width
 
     def test_pattern_is_identical_for_every_schedule_of_a_layout(self):
         # every schedule of two contacts over three knots, dead contacts

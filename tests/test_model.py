@@ -211,6 +211,20 @@ class TestIntegrateStep:
             with pytest.raises(ValueError, match="corner"):
                 integrate_step(*one_contact, forces, *rest, offsets, params, NO_WRENCH, 0.1)
 
+    def test_rates_reject_forces_of_another_corner_count(self):
+        # One force against a rectangle's four offsets would take the torque
+        # of the first offset alone; four forces against one offset would
+        # all act at that offset.
+        params = PhysicalParams(mass=1.0)
+        rectangle = ContactGeometry.rectangle(0.2, 0.1).offsets_matrix()
+        for n_forces, offsets in ((1, rectangle), (4, rectangle[:1])):
+            with pytest.raises(ValueError, match="corner"):
+                momentum_rate_batch(
+                    np.zeros((1, 3)), np.zeros((1, 1, 3)), [np.ones((1, n_forces, 3))],
+                    np.ones((1, 1)), np.eye(3)[None], [offsets], params.mass,
+                    params.gravity, NO_WRENCH,
+                )
+
 
 class TestTypes:
     def test_params_validation(self):
