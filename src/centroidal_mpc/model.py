@@ -45,19 +45,6 @@ def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., _NEXT] * b[..., _AFTER_NEXT] - a[..., _AFTER_NEXT] * b[..., _NEXT]
 
 
-def skew_batch(v: np.ndarray) -> np.ndarray:
-    """Skew matrices for a (K, 3) stack of vectors, returned as (K, 3, 3)."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
-
-
 @dataclass(frozen=True)
 class PhysicalParams:
     """Plant constants: total mass, gravity vector, nominal CoM height."""

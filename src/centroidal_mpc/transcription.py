@@ -29,7 +29,6 @@ from .model import (
     PhysicalParams,
     _as_vector,
     euler_step_batch,
-    skew_batch,
 )
 from .plan import ContactPlan
 from .qp import QpWorkspace
@@ -385,26 +384,19 @@ def _number_pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple):
     return indices, indptr, np.searchsorted(unique, keys)
 
 
-# Entry e of the off-diagonal part of skew(y) is _SKEW_SIGN[e] *
-# y[_SKEW_SOURCE[e]], at row _SKEW_ROW[e] and column _SKEW_COL[e].
-_SKEW_ROW = np.array([0, 0, 1, 1, 2, 2])
-_SKEW_COL = np.array([1, 2, 0, 2, 0, 1])
-_SKEW_SOURCE = np.array([2, 1, 2, 0, 1, 0])
-_SKEW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-
-
 class _HorizonStructure:
     """Everything of a horizon problem that its contact schedule does not set.
 
     Built by _horizon_structure once per (layout, weights, period, contact
-    rotations, friction coefficient) and shared by every problem of that
-    key, so every array is read-only.  The schedule, the measured state and
-    the references set only values and bounds (build_nlp,
-    _inequality_bounds).  It holds
-    the cost Hessian `cost_hess` (CSR), the fixed patterns of the equality
-    Jacobian, the Lagrangian Hessian and the inequality matrix (see the
-    _add_* methods), the variable `ordering`, and NlpProblem's `shift_rows`
-    and `qp_workspace`.
+    rotations, corner offsets, friction coefficient) and shared by every
+    problem of that key, so every array is read-only.  The schedule, the
+    measured state and the references set only values and bounds
+    (build_nlp, _inequality_bounds).  It holds the cost Hessian `cost_hess`
+    (CSR), the table of the defects' bilinear terms, which both of their
+    derivatives read, the fixed patterns of the equality Jacobian, the
+    Lagrangian Hessian and the inequality matrix (see the _add_* methods),
+    the variable `ordering`, and NlpProblem's `shift_rows` and
+    `qp_workspace`.
     """
 
     def __init__(
@@ -413,9 +405,11 @@ class _HorizonStructure:
         weights: Weights,
         period: float,
         rotations: np.ndarray,
+        corner_offsets: Sequence[np.ndarray],
         pyramid: FrictionPyramid,
     ):
         self.cost_hess = _cost_hessian(layout, weights, period)
+        self._add_bilinear_table(layout, rotations, corner_offsets)
         self._add_eq_jacobian(layout)
         self._add_lagrangian_hessian(layout)
         self._add_inequality_matrix(layout, rotations, pyramid)
@@ -424,6 +418,8 @@ class _HorizonStructure:
         self._add_qp_workspace(layout)
         for array in (
             self.cost_hess.data, self.cost_hess.indices, self.cost_hess.indptr,
+            self.bilinear_rows, self.bilinear_arms, self.bilinear_forces,
+            self.bilinear_signs, self.bilinear_gates, self.bilinear_offsets,
             self.knot_values, self.eq_indices, self.eq_indptr, self.eq_slots,
             self.hess_base, self.hess_indices, self.hess_indptr, self.curvature_slots,
             self.ineq_matrix.data, self.ineq_matrix.indices, self.ineq_matrix.indptr,
@@ -431,17 +427,61 @@ class _HorizonStructure:
         ):
             array.flags.writeable = False
 
+    def _add_bilinear_table(
+        self, layout: DecisionLayout, rotations: np.ndarray, corner_offsets: Sequence[np.ndarray]
+    ):
+        """The table of the angular-momentum defects' bilinear terms, one per entry.
+
+        With the arm a = p_i + R_i c_j - r, defect k holds -T gamma_ki a x f_ij
+        in its angular rows, and component c of a x f is a[c+1] f[c+2] -
+        a[c+2] f[c+1] (indices mod 3).  Term t is sign_t (x[arm_t] +
+        offset_t) x[force_t] in equality row `bilinear_rows[t]`, scaled by
+        -T gamma of the gate `bilinear_gates[t]` (k n_c + i).  Each product
+        of a x f gives a contact-position term (arm a component of p_i,
+        offset that component of R_i c_j) and a CoM term (arm a component of
+        r, offset 0, sign negated): 12 terms per corner and step, ordered
+        (step, contact, corner, [contact-position terms, CoM terms], product).
+        """
+        sd, n_c = layout.state_dim, layout.n_contacts
+        # The six products of a x f: row component, arm and force components, sign.
+        xyz = np.arange(3)
+        row, arm, force = np.tile(xyz, 2), np.r_[xyz + 1, xyz + 2] % 3, np.r_[xyz + 2, xyz + 1] % 3
+        sign = np.repeat([1.0, -1.0], 3)
+        # Axes (step, corner, [contact position, CoM], product), corners
+        # numbered across contacts in the order of their force columns.
+        contact_of = np.repeat(np.arange(n_c), layout.corner_counts)
+        offsets = np.concatenate([c @ R.T for c, R in zip(corner_offsets, rotations)])[:, arm]
+        ks = np.arange(layout.n_knots)[:, None, None, None]
+        corners = np.arange(contact_of.size)[:, None, None]
+        arm_base = np.stack([9 + 3 * contact_of, np.zeros_like(contact_of)], axis=1)[..., None]
+        shape = (layout.n_knots, contact_of.size, 2, 6)
+
+        def terms(values):
+            return np.broadcast_to(values, shape).ravel()
+
+        self.bilinear_rows = terms(sd * (ks + 1) + 6 + row)
+        self.bilinear_arms = terms(sd * ks + arm_base + arm)
+        self.bilinear_forces = terms(
+            layout.control_base(0) + layout.control_dim * ks + 3 * corners + force
+        )
+        self.bilinear_signs = terms(np.stack([sign, -sign]))
+        self.bilinear_gates = terms(n_c * ks + contact_of[:, None, None])
+        self.bilinear_offsets = terms(np.stack([offsets, np.zeros_like(offsets)], axis=1))
+
     def _add_eq_jacobian(self, layout: DecisionLayout):
         """Entries of the equality-constraint Jacobian and their CSR slots.
 
         build_nlp lists the entries in this order: the knot-0 pin, then per
         step its constant entries (identity chains, the mass-scaled momentum
-        column, the gated velocity and linear-force columns), then the
-        bilinear entries of the angular-momentum rows for all steps.
-        `knot_values` holds one step's constant values, with zeros where
-        build_nlp writes the values that depend on the period, the mass and
-        the schedule.  Entry e goes to position `eq_slots[e]` of the CSR
-        structure (`eq_indices`, `eq_indptr`).
+        column, the gated velocity and linear-force columns), then every
+        bilinear term's derivative by its arm, at (row, arm), then by its
+        force, at (row, force).  `knot_values` holds one step's constant
+        values, with zeros where build_nlp writes the values that depend on
+        the period, the mass and the schedule.  Entry e goes to position
+        `eq_slots[e]` of the CSR structure (`eq_indices`, `eq_indptr`);
+        entries of one position add up, in the order listed.  So of each
+        cross product's 3x3 blocks only the six off-diagonal entries are
+        stored, gated-out ones as zeros.
         """
         sd, n_knots = layout.state_dim, layout.n_knots
         ks = np.arange(n_knots)
@@ -475,80 +515,41 @@ class _HorizonStructure:
             self.gated_entries.append((velocity, slice(first.start, first.start + 3 * nv)))
         row_off, col_off, col_step = (np.concatenate(a) for a in (row_off, col_off, col_step))
         self.knot_values = np.concatenate(values)
-        const_rows = np.concatenate(
-            [np.arange(sd), (sd + sd * ks[:, None] + row_off).ravel()]
-        )
-        const_cols = np.concatenate(
-            [np.arange(sd), (col_off + ks[:, None] * col_step).ravel()]
-        )
-
-        var_rows, var_cols = [], []
-        grid = np.indices((3, 3))
-        row_base = sd + ks * sd + 6
-        for i, nv in enumerate(layout.corner_counts):
-            # d(ang defect)/d f_{i,j}: 9 entries per (k, j), C-ordered (k, j, a, b).
-            col_base = layout.n_state_vars + ks * cd + int(layout._force_offsets[i])
-            r = row_base[:, None, None, None] + np.zeros((1, nv, 1, 1), dtype=int) + grid[0]
-            cmat = col_base[:, None, None, None] + 3 * np.arange(nv)[None, :, None, None] + grid[1]
-            var_rows.append(r.ravel())
-            var_cols.append(cmat.ravel())
-        for i in range(layout.n_contacts):
-            # d(ang defect)/d p_{C_i}: 9 entries per k.
-            col_base = ks * sd + 9 + 3 * i
-            var_rows.append((row_base[:, None, None] + grid[0]).ravel())
-            var_cols.append((col_base[:, None, None] + grid[1]).ravel())
-        # d(ang defect)/d p_com: 9 entries per k.
-        var_rows.append((row_base[:, None, None] + grid[0]).ravel())
-        var_cols.append((ks[:, None, None] * sd + grid[1]).ravel())
-
-        eq_rows = np.concatenate([const_rows] + var_rows)
-        eq_cols = np.concatenate([const_cols] + var_cols)
-        self.n_var_entries = eq_rows.size - const_rows.size
+        rows = self.bilinear_rows
         self.eq_indices, self.eq_indptr, self.eq_slots = _number_pattern(
-            eq_rows, eq_cols, (sd + n_knots * sd, layout.size)
+            np.concatenate([np.arange(sd), (sd + sd * ks[:, None] + row_off).ravel(), rows, rows]),
+            np.concatenate([
+                np.arange(sd),
+                (col_off + ks[:, None] * col_step).ravel(),
+                self.bilinear_arms,
+                self.bilinear_forces,
+            ]),
+            (sd + n_knots * sd, layout.size),
         )
-        if self.eq_indices.size != eq_rows.size:
-            raise AssertionError("eq Jacobian entries must be structurally distinct")
 
     def _add_lagrangian_hessian(self, layout: DecisionLayout):
         """CSC structure of the Lagrangian Hessian and its cost part.
 
-        y_eq' eq(x) is bilinear: with the arm a = p_i + R_i c_j - r, the
-        angular rows of defect k hold -T gamma_ki a x f_ij, so its Hessian
-        couples the corner force f_ij(k) with the contact position p_i(k)
-        through -T gamma_ki skew(y_k) and with the CoM r(k) through
-        +T gamma_ki skew(y_k), y_k being the multipliers of those rows.  The
-        pattern (`hess_indices`, `hess_indptr`) is the union of the cost
-        Hessian's and the six off-diagonal entries of every such block and
-        its transpose, for every knot and contact (gated-out ones too).
+        y_eq' eq(x) is bilinear: term t of the table adds its scaled sign
+        times y_eq[bilinear_rows[t]] at (force_t, arm_t) and (arm_t,
+        force_t), and no two terms share such a pair.  The pattern
+        (`hess_indices`, `hess_indptr`) is the union of the cost Hessian's
+        and those pairs, for every knot and contact (gated-out ones too).
 
-        `curvature_slots` lists the CSC positions of the blocks (f, p),
-        (p, f), (f, r), (r, f), each ordered (contact, knot, corner, entry).
-        `hess_base` holds the cost Hessian's values and zeros elsewhere.
+        `curvature_slots` lists the CSC positions of (force_t, arm_t) for
+        every term, then those of (arm_t, force_t).  `hess_base` holds the
+        cost Hessian's values and zeros elsewhere.
         """
-        n, sd, cd = layout.size, layout.state_dim, layout.control_dim
-        ks = np.arange(layout.n_knots)
-        forces, positions, coms = [], [], []
-        for i, nv in enumerate(layout.corner_counts):
-            shape = (layout.n_knots, nv, 6)
-            f_base = layout.n_state_vars + ks * cd + int(layout._force_offsets[i])
-            forces.append(
-                (f_base[:, None, None] + 3 * np.arange(nv)[:, None] + _SKEW_ROW).ravel()
-            )
-            positions.append(
-                np.broadcast_to((ks * sd + 9 + 3 * i)[:, None, None] + _SKEW_COL, shape).ravel()
-            )
-            coms.append(np.broadcast_to((ks * sd)[:, None, None] + _SKEW_COL, shape).ravel())
-        f, p, r = (np.concatenate(a) for a in (forces, positions, coms))
+        arms, forces, n = self.bilinear_arms, self.bilinear_forces, layout.size
         cost = self.cost_hess.tocoo()
         self.hess_indices, self.hess_indptr, slots = _number_pattern(
-            np.concatenate([p, f, r, f, cost.col]),
-            np.concatenate([f, p, f, r, cost.row]),
+            np.concatenate([arms, forces, cost.col]),
+            np.concatenate([forces, arms, cost.row]),
             (n, n),
         )
-        self.curvature_slots = slots[: 4 * f.size]
+        self.curvature_slots = slots[: 2 * arms.size]
         self.hess_base = np.zeros(self.hess_indices.size)
-        self.hess_base[slots[4 * f.size :]] = cost.data
+        self.hess_base[slots[2 * arms.size :]] = cost.data
 
     def _add_qp_workspace(self, layout: DecisionLayout):
         """The QpWorkspace `qp_workspace` of every SQP subproblem.
@@ -560,9 +561,9 @@ class _HorizonStructure:
         the gradient that sets its size changes with every subproblem.
         """
         n, sd, n_knots = layout.size, layout.state_dim, layout.n_knots
-        eq_values = np.empty(self.eq_slots.size)
-        eq_values[self.eq_slots] = np.concatenate(
-            [np.ones(sd), np.tile(self.knot_values, n_knots), np.zeros(self.n_var_entries)]
+        unit_values = [np.ones(sd), np.tile(self.knot_values, n_knots)]
+        eq_values = np.bincount(
+            self.eq_slots, np.concatenate(unit_values + [np.zeros(2 * self.bilinear_rows.size)])
         )
         self.qp_workspace = QpWorkspace(
             sp.csc_matrix((self.hess_base, self.hess_indices, self.hess_indptr), shape=(n, n)),
@@ -622,8 +623,9 @@ class _HorizonStructure:
 
 # The latest (key, result) of _horizon_structure, a pure function of its
 # key.  A run keeps one layout, one set of weights, one period, one set of
-# contact rotations and one friction coefficient (the pyramid's rows depend
-# on mu alone), so one entry serves all of its horizon problems.
+# contact rotations and corner offsets and one friction coefficient (the
+# pyramid's rows depend on mu alone), so one entry serves all of its horizon
+# problems.
 _LAST_STRUCTURE: list = [None, None]
 
 
@@ -632,6 +634,7 @@ def _horizon_structure(
     weights: Weights,
     period: float,
     rotations: np.ndarray,
+    corner_offsets: Sequence[np.ndarray],
     pyramid: FrictionPyramid,
 ) -> _HorizonStructure:
     """The _HorizonStructure of its key, rebuilt only when the key changes."""
@@ -641,10 +644,13 @@ def _horizon_structure(
         period,
         tuple(tuple(getattr(weights, f.name)) for f in fields(weights)),
         rotations.tobytes(),
+        tuple(offsets.tobytes() for offsets in corner_offsets),
         pyramid.mu,
     )
     if _LAST_STRUCTURE[0] != key:
-        _LAST_STRUCTURE[:] = [key, _HorizonStructure(layout, weights, period, rotations, pyramid)]
+        _LAST_STRUCTURE[:] = [
+            key, _HorizonStructure(layout, weights, period, rotations, corner_offsets, pyramid)
+        ]
     return _LAST_STRUCTURE[1]
 
 
@@ -761,8 +767,9 @@ def build_nlp(
     covers all n_knots + 1 state knots.  The disturbance profile (one wrench
     per step) enters the momentum defects as a known input.  Everything but
     values and bounds is the shared _HorizonStructure of (layout, weights,
-    period, rotations, pyramid.mu); the schedule sets the equality Jacobian's
-    gated values and the inequality bounds (_inequality_bounds).
+    period, rotations, corner offsets, pyramid.mu); the schedule sets the
+    equality Jacobian's gated values, the scale of the bilinear terms and
+    the inequality bounds (_inequality_bounds).
     """
     n_c = plan.n_contacts
     layout = DecisionLayout(n_knots, plan.corner_counts)
@@ -804,7 +811,7 @@ def build_nlp(
         [initial_state.p_com, initial_state.momentum, initial_contacts.ravel()]
     )
 
-    structure = _horizon_structure(layout, weights, period, rotations, pyramid)
+    structure = _horizon_structure(layout, weights, period, rotations, corner_offsets, pyramid)
     hess = structure.cost_hess
     c_lin, c0 = _cost_linear_terms(layout, weights, nominal_com_samples, nominal_contacts)
 
@@ -840,56 +847,29 @@ def build_nlp(
         out[sd:] = (states[1:] - stepped).ravel()
         return out
 
-    # Constant Jacobian values per step; the bilinear entries of the
-    # angular-momentum rows follow them and are refreshed on every call.
+    # Constant Jacobian values per step; the derivatives of the bilinear
+    # terms follow them and are refreshed on every call.
     knot_values = np.tile(structure.knot_values, (n_knots, 1))
     knot_values[:, structure.momentum_entries] = -period / mass
     for i, (velocity, force) in enumerate(structure.gated_entries):
         knot_values[:, velocity] = (-period * (1.0 - gamma[:, i]))[:, None]
         knot_values[:, force] = (-period * gamma[:, i])[:, None]
     const_data = np.concatenate([np.ones(sd), knot_values.ravel()])
+    scaled = structure.bilinear_signs * (-period * gamma.ravel())[structure.bilinear_gates]
 
     def eq_jac(x: np.ndarray) -> sp.spmatrix:
-        com, _, contacts = layout.state_arrays(x)
-        forces, _ = layout.control_arrays(x)
-        segments = []
-        total = np.zeros((n_knots, 3))
-        for i in range(n_c):
-            arms = (
-                contacts[:n_knots, i, None, :]
-                + (corner_offsets[i] @ rotations[i].T)[None, :, :]
-                - com[:n_knots, None, :]
-            )
-            scale = (-period * gamma[:, i])[:, None, None, None]
-            segments.append((scale * skew_batch(arms)).ravel())
-        for i in range(n_c):
-            fsum = forces[i].sum(axis=1)
-            total += gamma[:, i : i + 1] * fsum
-            scale = (period * gamma[:, i])[:, None, None]
-            segments.append((scale * skew_batch(fsum)).ravel())
-        segments.append((-period * skew_batch(total)).ravel())
-        var_data = np.concatenate(segments)
-        assert var_data.size == structure.n_var_entries
-        data = np.empty(structure.eq_slots.size)
-        data[structure.eq_slots] = np.concatenate([const_data, var_data])
+        by_arm = scaled * x[structure.bilinear_forces]
+        by_force = scaled * (x[structure.bilinear_arms] + structure.bilinear_offsets)
+        data = np.bincount(structure.eq_slots, np.concatenate([const_data, by_arm, by_force]))
         return sp.csr_matrix(
             (data, structure.eq_indices.copy(), structure.eq_indptr.copy()),
             shape=(m_eq, layout.size),
         )
 
-    gates = [period * gamma[:, i, None, None] for i in range(n_c)]
-
     def lagrangian_hess(x: np.ndarray, y_eq: np.ndarray) -> sp.csc_matrix:
-        y_ang = np.asarray(y_eq, dtype=float)[sd:].reshape(n_knots, sd)[:, 6:9]
-        skew = (y_ang[:, _SKEW_SOURCE] * _SKEW_SIGN)[:, None, :]
-        curvature = np.concatenate(
-            [np.broadcast_to(gate * skew, (n_knots, nv, 6)).ravel()
-             for gate, nv in zip(gates, layout.corner_counts)]
-        )
+        curvature = scaled * np.asarray(y_eq, dtype=float)[structure.bilinear_rows]
         data = structure.hess_base.copy()
-        data[structure.curvature_slots] = np.concatenate(
-            [-curvature, -curvature, curvature, curvature]
-        )
+        data[structure.curvature_slots] = np.concatenate([curvature, curvature])
         return sp.csc_matrix(
             (data, structure.hess_indices.copy(), structure.hess_indptr.copy()),
             shape=(layout.size, layout.size),

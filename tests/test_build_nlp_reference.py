@@ -3,8 +3,8 @@
 `reference_structure` is the per-knot loop form of the equality Jacobian,
 the inequality rows, the cost's linear term and the row shift.  build_nlp
 builds the parts the schedule does not set once per (layout, weights,
-period, rotations, pyramid) and fills the rest vectorized over knots; both
-must give the same entries in the same order, bit for bit.
+period, rotations, corner offsets, pyramid) and fills the rest vectorized
+over knots; both must give the same entries in the same order, bit for bit.
 """
 
 import numpy as np
@@ -12,8 +12,13 @@ import pytest
 import scipy.sparse as sp
 
 from centroidal_mpc import bundled_scenario, transcription
-from centroidal_mpc.model import CentroidalState, ContactGeometry, PhysicalParams, skew_batch
-from centroidal_mpc.plan import ContactPlan, NominalContact
+from centroidal_mpc.model import CentroidalState, ContactGeometry, PhysicalParams
+from centroidal_mpc.plan import (
+    ContactPlan,
+    NominalContact,
+    horizon_schedule,
+    nominal_com_trajectory,
+)
 from centroidal_mpc.scenario import parse_scenario
 from centroidal_mpc.sim import simulate
 from centroidal_mpc.transcription import (
@@ -56,10 +61,6 @@ def make_problem(plan, schedule, seed=0):
         plan, state, measured, np.asarray(schedule, dtype=bool), nominal, Weights(),
         PYRAMID, BOX, N_KNOTS, PERIOD, PARAMS, profile,
     ), nominal
-
-
-def rotations_of(plan):
-    return np.array([c.orientation for c in plan.contacts])
 
 
 @pytest.fixture
@@ -109,7 +110,6 @@ def reference_structure(plan, schedule, nominal_com_samples):
         const_vals.append(np.full(count, value) if np.isscalar(value) else value)
 
     put_diag(0, 0, sd, 1.0)
-    ks = np.arange(n_knots)
     for k in range(n_knots):
         rb = sd + k * sd
         put_diag(rb, layout.com_slice(k + 1).start, 3, 1.0)
@@ -126,46 +126,45 @@ def reference_structure(plan, schedule, nominal_com_samples):
             for j in range(layout.corner_counts[i]):
                 put_diag(rb + 3, layout.force_slice(k, i, j).start, 3, -period * gamma[k, i])
 
-    var_rows, var_cols = [], []
-    grid = np.indices((3, 3))
-    row_base = sd + ks * sd + 6
-    for i in range(n_c):
-        nv = layout.corner_counts[i]
-        for_knot = layout.n_state_vars + ks * layout.control_dim + int(layout._force_offsets[i])
-        r = row_base[:, None, None, None] + np.zeros((1, nv, 1, 1), dtype=int) + grid[0]
-        cmat = for_knot[:, None, None, None] + 3 * np.arange(nv)[None, :, None, None] + grid[1]
-        var_rows.append(r.ravel())
-        var_cols.append(cmat.ravel())
-    for i in range(n_c):
-        var_rows.append((row_base[:, None, None] + grid[0]).ravel())
-        var_cols.append(((ks * sd + 9 + 3 * i)[:, None, None] + grid[1]).ravel())
-    var_rows.append((row_base[:, None, None] + grid[0]).ravel())
-    var_cols.append(((ks * sd)[:, None, None] + grid[1]).ravel())
-    jac_rows = np.concatenate(const_rows + var_rows)
-    jac_cols = np.concatenate(const_cols + var_cols)
-    const_data = np.concatenate(const_vals)
+    const_entries = list(zip(*(np.concatenate(a) for a in (const_rows, const_cols, const_vals))))
+
+    # The angular rows of step k hold -T gamma_ki (p_i + R_i c_j - r) x f_ij,
+    # and component c of a x f is a[c+1] f[c+2] - a[c+2] f[c+1]: six
+    # products (c, a, b, sign) of an arm component a and a force component
+    # b.  Each is listed for the contact position, offset by R_i c_j, and
+    # then, sign negated, for the CoM, corner by corner.
+    products = [(c, (c + 1) % 3, (c + 2) % 3, 1.0) for c in range(3)]
+    products += [(c, (c + 2) % 3, (c + 1) % 3, -1.0) for c in range(3)]
+    bilinear = []  # (row, arm column, force column, scale, arm offset)
+    for k in range(n_knots):
+        for i in range(n_c):
+            world = corner_offsets[i] @ rotations[i].T
+            p_col = layout.contact_position_slice(k, i).start
+            for j in range(layout.corner_counts[i]):
+                f_col = layout.force_slice(k, i, j).start
+                for c, a, b, sign in products:
+                    row, scale = sd + k * sd + 6 + c, sign * (-period * gamma[k, i])
+                    bilinear.append((row, p_col + a, f_col + b, scale, world[j, a]))
+                for c, a, b, sign in products:
+                    row, scale = sd + k * sd + 6 + c, -sign * (-period * gamma[k, i])
+                    bilinear.append((row, layout.com_slice(k).start + a, f_col + b, scale, 0.0))
+    # of each cross product's 3x3 blocks, the six off-diagonal entries
+    positions = {(row, col) for row, col, _ in const_entries}
+    positions |= {(row, col) for row, arm, force, *_ in bilinear for col in (arm, force)}
 
     def eq_jac(x):
-        com, _, contacts = layout.state_arrays(x)
-        forces, _ = layout.control_arrays(x)
-        segments = []
-        total = np.zeros((n_knots, 3))
-        for i in range(n_c):
-            arms = (
-                contacts[:n_knots, i, None, :]
-                + (corner_offsets[i] @ rotations[i].T)[None, :, :]
-                - com[:n_knots, None, :]
-            )
-            segments.append(((-period * gamma[:, i])[:, None, None, None]
-                             * skew_batch(arms)).ravel())
-        for i in range(n_c):
-            fsum = forces[i].sum(axis=1)
-            total += gamma[:, i : i + 1] * fsum
-            segments.append(((period * gamma[:, i])[:, None, None] * skew_batch(fsum)).ravel())
-        segments.append((-period * skew_batch(total)).ravel())
-        data = np.concatenate([const_data] + segments)
+        # Entries of one position add up from 0.0 in the order listed: the
+        # constant entries, then per term its derivatives by the arm and by
+        # the force.
+        sums = {}
+        for row, col, value in const_entries:
+            sums[row, col] = sums.get((row, col), 0.0) + value
+        for row, arm, force, scale, offset in bilinear:
+            sums[row, arm] = sums.get((row, arm), 0.0) + scale * x[force]
+            sums[row, force] = sums.get((row, force), 0.0) + scale * (x[arm] + offset)
+        rows, cols = np.array(list(sums)).T
         return sp.coo_matrix(
-            (data, (jac_rows, jac_cols)), shape=(sd + n_knots * sd, layout.size)
+            (list(sums.values()), (rows, cols)), shape=(sd + n_knots * sd, layout.size)
         ).tocsr()
 
     # Every pyramid and box row exists for every schedule; the schedule sets
@@ -222,7 +221,7 @@ def reference_structure(plan, schedule, nominal_com_samples):
         shape=(row, layout.size),
     ).tocsr()
     return dict(
-        eq_pattern=(jac_rows, jac_cols),
+        eq_pattern=np.array(sorted(positions)).T,
         eq_jac=eq_jac,
         ineq_matrix=ineq_matrix,
         ineq_lower=np.concatenate(lower),
@@ -261,9 +260,7 @@ def assert_matches_reference(plan, schedule, seed=0):
         jac = problem.eq_jac(x)
         assert same_csr(jac, ref["eq_jac"](x))
         # every declared entry is stored, the gated-out ones as zeros
-        ref_rows, ref_cols = ref["eq_pattern"]
-        order = np.lexsort((ref_cols, ref_rows))
-        for ours, theirs in zip(stored_entries(jac), (ref_rows[order], ref_cols[order])):
+        for ours, theirs in zip(stored_entries(jac), ref["eq_pattern"]):
             assert np.array_equal(ours, theirs)
         hess = problem.lagrangian_hess(x, np.zeros(problem.n_eq))
         expected_cost = float(0.5 * x @ (hess @ x) + ref["c_lin"] @ x + ref["constant"])
@@ -318,13 +315,16 @@ class TestLayoutTemplateMemo:
         plan = make_plan([RECT, POINT])
         problem, _ = make_problem(plan, [[ON, OFF]] * N_KNOTS)
         structure = transcription._horizon_structure(
-            DecisionLayout(N_KNOTS, [4, 1]), Weights(), PERIOD, rotations_of(plan), PYRAMID
+            DecisionLayout(N_KNOTS, [4, 1]), Weights(), PERIOD, plan.orientations,
+            plan.corner_offsets, PYRAMID,
         )
         # the accessor returns the structure build_nlp built, without a rebuild
         assert len(structure_builds) == 1 and structure is structure_builds[0]
         hess = structure.cost_hess
         shared = [structure.eq_slots, structure.eq_indices, structure.eq_indptr,
                   structure.knot_values, hess.data, hess.indices, hess.indptr,
+                  structure.bilinear_rows, structure.bilinear_arms, structure.bilinear_forces,
+                  structure.bilinear_signs, structure.bilinear_gates, structure.bilinear_offsets,
                   problem.shift_rows, problem.qp_workspace.perm]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
@@ -465,7 +465,8 @@ class TestLagrangianHessian:
         assert same_csr(again.lagrangian_hess(x, y).tocsr(), expected.tocsr())
         # the memo holds the one-leg structure, so the accessor builds nothing
         structure = transcription._horizon_structure(
-            DecisionLayout(N_KNOTS, [1]), Weights(), PERIOD, rotations_of(one_leg), PYRAMID
+            DecisionLayout(N_KNOTS, [1]), Weights(), PERIOD, one_leg.orientations,
+            one_leg.corner_offsets, PYRAMID,
         )
         assert len(structure_builds) == 3 and structure is structure_builds[-1]
         for array in (structure.hess_indices, structure.hess_indptr, structure.curvature_slots,
@@ -510,3 +511,66 @@ class TestHorizonStructureTraffic:
         assert len(structure_builds) == 1
         simulate(config)
         assert len(structure_builds) == 1
+
+
+def bundled_problem(name):
+    """The horizon problem of a bundled scenario at t = 0, as check-derivatives builds it."""
+    config = parse_scenario(bundled_scenario(name), name=name)
+    plan, params, options = config.plan, config.params, config.mpc
+    n, period = options.horizon_knots, options.period
+    samples = nominal_com_trajectory(plan, params).sample(period * np.arange(n + 1))
+    return build_nlp(
+        plan, CentroidalState(samples[0], np.zeros(3), np.zeros(3)), plan.nominal_positions,
+        horizon_schedule(plan, 0.0, n, period), samples, options.weights, options.pyramid,
+        options.box, n, period, params,
+    )
+
+
+def dense_eq_jacobian(problem, x, h=1e-6):
+    """Column by column central differences of eq."""
+    out = np.empty((problem.n_eq, problem.dimension))
+    for c in range(problem.dimension):
+        e = np.zeros(problem.dimension)
+        e[c] = h
+        out[:, c] = (problem.eq(x + e) - problem.eq(x - e)) / (2.0 * h)
+    return out
+
+
+class TestBilinearDefects:
+    @pytest.mark.parametrize("name", ["liftoff_touchdown", "one_leg_jump", "two_leg_walk_run"])
+    def test_second_order_remainder_is_the_curvature(self, name):
+        # The defects are affine plus bilinear, so y'(eq(x + d) - eq(x) -
+        # J(x) d) equals d'(H(x, y) - H(x, 0)) d / 2 up to rounding.  A
+        # missing, misplaced or mis-signed bilinear term breaks the equality;
+        # finite-difference checks would let it pass at their 1e-5.
+        if name == "liftoff_touchdown":
+            schedule = [[ON, OFF], [ON, OFF], [ON, ON], [OFF, ON], [OFF, ON], [ON, ON]]
+            problem, _ = make_problem(make_plan([RECT, POINT]), schedule)
+        else:
+            problem = bundled_problem(name)
+        rng = np.random.RandomState(6)
+        no_multipliers = np.zeros(problem.n_eq)
+        for _ in range(3):
+            x, d = rng.randn(2, problem.dimension)
+            y = 300.0 * rng.randn(problem.n_eq)
+            jac = problem.eq_jac(x)
+            eq_x, eq_moved = problem.eq(x), problem.eq(x + d)
+            remainder = y @ (eq_moved - eq_x - jac @ d)
+            curvature = problem.lagrangian_hess(x, y) - problem.lagrangian_hess(x, no_multipliers)
+            expected = 0.5 * d @ (curvature @ d)
+            scale = np.abs(y) @ (np.abs(eq_moved) + np.abs(eq_x) + abs(jac) @ np.abs(d))
+            assert abs(expected) > 1e-5 * scale
+            assert abs(remainder - expected) <= 1e-13 * scale
+
+    def test_corner_offsets_set_their_own_jacobian(self, structure_builds):
+        # same layout and rotations, other corners: the table holds each
+        # corner's R_i c_j, so one plan must not get the other's structure
+        wide = make_plan([RECT, POINT])
+        long = make_plan([ContactGeometry.rectangle(0.3, 0.06), POINT])
+        rng = np.random.RandomState(12)
+        for plan in (wide, long, wide):
+            problem, _ = make_problem(plan, [[ON, ON]] * N_KNOTS)
+            x = rng.randn(problem.dimension)
+            jac = problem.eq_jac(x).toarray()
+            assert np.abs(jac - dense_eq_jacobian(problem, x)).max() < 1e-6
+        assert len(structure_builds) == 3
