@@ -25,7 +25,7 @@ from .transcription import (  # noqa: F401
     Weights,
     build_nlp,
 )
-from .qp import QpOptions, QpResult, QpWorkspace, qp_solve, solve_qp  # noqa: F401
+from .qp import QpOptions, QpResult, QpWorkspace, solve_qp  # noqa: F401
 from .solver import (  # noqa: F401
     DerivativeReport,
     Solution,

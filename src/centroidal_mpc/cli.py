@@ -79,15 +79,30 @@ def _cmd_check_derivatives(args) -> int:
     )
     base = cold_start(plan, layout, samples)
     rng = np.random.RandomState(args.seed)
-    worst = None
-    for _ in range(args.points):
-        point = base + rng.uniform(-0.5, 0.5, size=layout.size)
-        multipliers = rng.uniform(-700.0, 700.0, size=problem.n_eq)
-        report = check_derivatives(problem, point, fd_step=1e-6, multipliers=multipliers)
-        if worst is None or report.max_relative_error > worst.max_relative_error:
-            worst = report
-    print(f"checked {args.points} random points: {worst}")
-    return 0 if worst.max_relative_error < 1e-5 else 1
+    draws = [
+        (base + rng.uniform(-0.5, 0.5, size=layout.size),
+         rng.uniform(-700.0, 700.0, size=problem.n_eq))
+        for _ in range(args.points)
+    ]
+    points, multipliers = map(np.array, zip(*draws))
+    report = check_derivatives(problem, points, fd_step=1e-6, multipliers=multipliers)
+    print(f"checked {args.points} random points: {report}")
+    return 0 if report.max_relative_error < 1e-5 else 1
+
+
+def _int_in(low: int, high: float):
+    """An argparse type: an integer in [low, high)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value < high:
+            raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}), got {text!r}")
+        return value
+
+    return parse
 
 
 def _cmd_metrics(args) -> int:
@@ -117,8 +132,8 @@ def main(argv=None) -> int:
     p_chk = sub.add_parser("check-derivatives",
                            help="finite-difference audit of the scenario NLP")
     p_chk.add_argument("scenario")
-    p_chk.add_argument("--points", type=int, default=10)
-    p_chk.add_argument("--seed", type=int, default=0)
+    p_chk.add_argument("--points", type=_int_in(1, float("inf")), default=10)
+    p_chk.add_argument("--seed", type=_int_in(0, 2**32), default=0)
     p_chk.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE")
     p_chk.set_defaults(func=_cmd_check_derivatives)

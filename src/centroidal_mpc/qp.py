@@ -9,7 +9,7 @@ then updates the set from the solution's violated rows and wrong-sign
 multipliers.  Equality rows are expressed as lower == upper.
 
 Everything that depends only on the sparsity patterns of P and A is set up
-once, in a QpWorkspace: the patterns of A and A', the band slot of every
+once, in a QpWorkspace: the patterns of P and A, the band slot of every
 entry of the condensed system, and one Ruiz equilibration.  The QPs on
 those patterns then bring values only, as in the setup/update split of
 OSQP; solve_qp sets up a one-off workspace when it is given none.
@@ -72,8 +72,6 @@ class QpResult:
     y: np.ndarray
     status: str
     iterations: int
-    primal_residual: float
-    dual_residual: float
     polished: bool = False
 
     @property
@@ -165,31 +163,25 @@ class QpWorkspace:
 
     P is read as CSC; A is one matrix or a tuple of row blocks stacked in
     order, each read as CSR.  The workspace holds the patterns of P and A,
-    the pattern of A' with the position in it of each of A's entries, the
-    band slot of every entry of P + A' diag(w) A under `ordering` (reverse
-    Cuthill-McKee when not given) and the pairs of A's entries behind it,
-    and one equilibration (d, e, c) by _ruiz_scale of the values of P and A
-    given here, `free` and `q` as there.  Every array is read-only, so one
-    workspace serves any number of QPs whose P and A blocks have its
-    patterns (`scaled_values`).
+    the band slot of every entry of P + A' diag(w) A under `ordering`
+    (reverse Cuthill-McKee when not given) and the pairs of A's entries
+    behind it, and one equilibration (d, e, c) by _ruiz_scale of the values
+    of P and A given here, `free` and `q` as there.  A' needs nothing of its
+    own: a solve reads it as the CSC transpose of its A, on A's arrays.
+    Every array is read-only, so one workspace serves any number of QPs
+    whose P and A blocks have its patterns (`scaled_values`).
     """
 
     def __init__(self, P, A, ordering=None, q=None, free=None):
         P = _sparse(P, "csc")
         blocks = _row_blocks(A)
-        # A's entries numbered in stacking order; A' in CSR lists them
-        # column by column, each column in row order.
-        numbered = sp.vstack(blocks, format="csr")
-        numbered.data = np.arange(numbered.nnz, dtype=float)
-        m, n = self.shape = numbered.shape
+        stacked = sp.vstack(blocks, format="csr")
+        m, n = self.shape = stacked.shape
         if P.shape != (n, n):
             raise ValueError(f"P of shape {P.shape} does not fit A's {n} columns")
         self.p_pattern, self.blocks = _pattern(P), tuple(map(_pattern, blocks))
         _, self.p_indptr, self.p_indices = self.p_pattern
-        transposed = numbered.T.tocsr()
-        self.indptr, self.indices = numbered.indptr, numbered.indices
-        self.at_indptr, self.at_indices = transposed.indptr, transposed.indices
-        self.at_order = transposed.data.astype(np.intp)
+        self.indptr, self.indices = stacked.indptr, stacked.indices
         lens = np.diff(self.indptr)
         self.a_row, self.a_col = np.repeat(np.arange(m), lens), self.indices
         self.p_row, self.p_col = self.p_indices, np.repeat(np.arange(n), np.diff(self.p_indptr))
@@ -339,7 +331,7 @@ class _ScaledQp:
     P: sp.csc_matrix
     q: np.ndarray
     A: sp.csr_matrix
-    AT: sp.csr_matrix
+    AT: sp.csc_matrix
     lower: np.ndarray
     upper: np.ndarray
     eq: np.ndarray
@@ -440,12 +432,10 @@ def solve_qp(
     d, e, c = ws.d, ws.e, ws.c
     ls, us = e * lower, e * upper
     eq = np.isfinite(lower) & (lower == upper)
+    A = sp.csr_matrix((as_, ws.indices, ws.indptr), shape=(m, n))
     data = _ScaledQp(
         sp.csc_matrix((ps, ws.p_indices, ws.p_indptr), shape=(n, n)),
-        c * d * q,
-        sp.csr_matrix((as_, ws.indices, ws.indptr), shape=(m, n)),
-        sp.csr_matrix((as_[ws.at_order], ws.at_indices, ws.at_indptr), shape=(n, m)),
-        ls, us, eq, d, e, c, _CondensedSystem(ws, ps, as_, eq),
+        c * d * q, A, A.T, ls, us, eq, d, e, c, _CondensedSystem(ws, ps, as_, eq),
     )
 
     # Primal-dual active-set iteration: solve the equality-constrained QP on
@@ -468,7 +458,7 @@ def solve_qp(
     seen = set()
     one_row = False
     status = "max_iterations"
-    best = (np.inf, x, y, np.inf, np.inf)
+    best = (np.inf, x, y)
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
         seen.add(np.concatenate([low, upp]).tobytes())
@@ -504,7 +494,7 @@ def solve_qp(
         dua = float(np.max(np.abs(gradient + data.AT @ signed) / (c * d)))
         done = max(pri, dua) <= _EPS_ABS and not np.any(wrong | under | over)
         if done or max(pri, dua) < best[0]:
-            best = (max(pri, dua), x_new, signed, pri, dua)
+            best = (max(pri, dua), x_new, signed)
         if done:
             status = "solved"
             break
@@ -543,13 +533,10 @@ def solve_qp(
         else:
             break
 
-    kkt, xs, ys, pri, dua = best
+    kkt, xs, ys = best
     if status == "max_iterations" and kkt <= _EPS_ABS:
         status = "solved"
-    return QpResult(
-        d * xs, (e * ys) / c, status, iterations, pri, dua,
-        polished=bool(np.isfinite(kkt)),
-    )
+    return QpResult(d * xs, (e * ys) / c, status, iterations, polished=bool(np.isfinite(kkt)))
 
 
 def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
@@ -626,49 +613,3 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
     if not (np.all(np.isfinite(xh)) and np.all(np.isfinite(yh))):
         return None
     return xh, yh, ax, gradient, r_dua, correction
-
-
-def qp_solve(
-    hessian,
-    gradient,
-    eq_matrix=None,
-    eq_rhs=None,
-    ineq_matrix=None,
-    ineq_lower=None,
-    ineq_upper=None,
-    x_lower=None,
-    x_upper=None,
-    options: QpOptions | None = None,
-):
-    """Convenience front end with equality rows, interval rows and variable bounds.
-
-    Returns (x, eq_multipliers, ineq_multipliers, QpResult); bound multipliers
-    are folded into the result's trailing rows.
-    """
-    gradient = np.asarray(gradient, dtype=float).reshape(-1)
-    n = gradient.size
-
-    def bound(value, default, size):
-        return np.full(size, default) if value is None else np.asarray(value, dtype=float)
-
-    rows = []  # (block, lower, upper) per row block
-    m_eq = m_in = 0
-    if eq_matrix is not None:
-        rhs = np.asarray(eq_rhs, dtype=float).reshape(-1)
-        rows.append((eq_matrix, rhs, rhs))
-        m_eq = rhs.size
-    if ineq_matrix is not None:
-        m_in = _sparse(ineq_matrix, "csr").shape[0]
-        lo, hi = bound(ineq_lower, -np.inf, m_in), bound(ineq_upper, np.inf, m_in)
-        rows.append((ineq_matrix, lo, hi))
-    if x_lower is not None or x_upper is not None:
-        lo, hi = bound(x_lower, -np.inf, n), bound(x_upper, np.inf, n)
-        idx = np.flatnonzero(np.isfinite(lo) | np.isfinite(hi))
-        if idx.size:
-            rows.append((sp.eye(n, format="csr")[idx], lo[idx], hi[idx]))
-    A = lower = upper = None
-    if rows:
-        A, lows, highs = zip(*rows)
-        lower, upper = np.concatenate(lows), np.concatenate(highs)
-    result = solve_qp(hessian, gradient, A, lower, upper, options=options)
-    return result.x, result.y[:m_eq], result.y[m_eq : m_eq + m_in], result

@@ -164,7 +164,6 @@ _KEYS = {
         "duration_s": (_number, _REQUIRED),
         "force_n": (_VECTOR, _REQUIRED),
         "estimated_force_n": (_VECTOR, None),  # the true force when absent
-        "application": (_text, "com"),
     },
 }
 
@@ -327,10 +326,6 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
         if estimate is None:
             estimate = force
         events.append(DisturbanceEvent(values["t_start_s"], values["duration_s"], force, estimate))
-        if values["application"] not in (None, "com"):
-            problems.append(
-                f"section [disturbance] at line {sec.line}: only application = com is supported"
-            )
         if values["duration_s"] is not None and values["duration_s"] <= 0:
             problems.append(f"section [disturbance] at line {sec.line}: duration_s must be > 0")
 

@@ -15,7 +15,6 @@ QP workspace of the problem's horizon structure.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,17 +89,6 @@ def _kkt_scale(y: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(y), initial=0.0)) / 100.0)
 
 
-def _transpose_matvec(J, v: np.ndarray) -> np.ndarray:
-    """J' v without forming J'.
-
-    Summed over J's CSR entries in order, as scipy's product with the
-    transpose sums them, so the result is the same bit for bit.
-    """
-    J = J if sp.issparse(J) and J.format == "csr" else sp.csr_matrix(J, dtype=float)
-    weights = J.data * np.repeat(v, np.diff(J.indptr))
-    return np.bincount(J.indices, weights=weights, minlength=J.shape[1])
-
-
 def _kkt_residual(g, j_eq, j_in, v_in, lo, hi, y) -> float:
     """Scaled max of stationarity and complementarity at one iterate.
 
@@ -110,7 +98,7 @@ def _kkt_residual(g, j_eq, j_in, v_in, lo, hi, y) -> float:
     in full.
     """
     m_eq = j_eq.shape[0]
-    grad_lagrangian = g + _transpose_matvec(j_eq, y[:m_eq]) + _transpose_matvec(j_in, y[m_eq:])
+    grad_lagrangian = g + j_eq.T @ y[:m_eq] + j_in.T @ y[m_eq:]
     stationarity = float(np.max(np.abs(grad_lagrangian), initial=0.0))
     comp = 0.0
     if v_in.size:
@@ -355,37 +343,14 @@ def _rel_err(analytic, estimate):
     return np.abs(analytic - estimate) / scale
 
 
-# Colourings of the latest patterns, keyed on their content.  Every
-# derivative check of one problem colours the same two patterns (the
-# equality Jacobian's and the Lagrangian Hessian's), so a few entries let
-# checks of several problems share them.
-_COLORINGS: OrderedDict = OrderedDict()
-_COLORINGS_KEPT = 8
-
-
-def _color_columns(pattern_rows, pattern_cols, n_cols):
-    """_color_groups of a pattern, recomputed only for a pattern not seen lately."""
-    key = (n_cols, pattern_rows.dtype.str, pattern_rows.tobytes(),
-           pattern_cols.dtype.str, pattern_cols.tobytes())
-    if key in _COLORINGS:
-        _COLORINGS.move_to_end(key)
-    else:
-        _COLORINGS[key] = _color_groups(pattern_rows, pattern_cols, n_cols)
-        if len(_COLORINGS) > _COLORINGS_KEPT:
-            _COLORINGS.popitem(last=False)
-    return _COLORINGS[key]
-
-
 def _color_groups(pattern_rows, pattern_cols, n_cols):
     """Greedy column grouping: columns in one group share no constraint row.
 
-    Returns the groups (arrays of columns) and each column's rows, all
-    read-only, since _color_columns shares them between calls.
+    Returns the groups (arrays of columns) and each column's rows.
     """
     order = np.argsort(pattern_cols, kind="stable")
     sorted_cols = pattern_cols[order]
     sorted_rows = pattern_rows[order]
-    sorted_rows.flags.writeable = False
     boundaries = np.searchsorted(sorted_cols, np.arange(n_cols + 1))
     col_rows = [sorted_rows[boundaries[c] : boundaries[c + 1]] for c in range(n_cols)]
     groups = []
@@ -405,24 +370,20 @@ def _color_groups(pattern_rows, pattern_cols, n_cols):
             mask[rows] = True
             groups.append([c])
             group_masks.append(mask)
-    groups = tuple(np.array(group) for group in groups)
-    for group in groups:
-        group.flags.writeable = False
-    return groups, tuple(col_rows)
+    return tuple(np.array(group) for group in groups), tuple(col_rows)
 
 
-def _fd_jacobian_check(fun, jac_matrix, x, h, m_rows):
+def _fd_jacobian_check(fun, jac_matrix, x, h, m_rows, coloring):
     """Compare an analytic sparse Jacobian against grouped central differences.
 
-    The columns are grouped by the matrix's own stored entries (explicit
+    `coloring` is _color_groups of the matrix's own stored entries (explicit
     zeros included).  Within each probe, rows claimed by exactly one
     perturbed column estimate that column's entries; rows claimed by no
     column must stay zero, which catches entries missing from the sparsity.
     """
     n = x.size
     jac = jac_matrix.tocsc()
-    pattern = jac_matrix.tocoo()
-    groups, col_rows = _color_columns(pattern.row, pattern.col, n)
+    groups, col_rows = coloring
     worst = (0.0, -1, -1)
     for group in groups:
         direction = np.zeros(n)
@@ -449,57 +410,75 @@ def _fd_jacobian_check(fun, jac_matrix, x, h, m_rows):
 
 
 def check_derivatives(
-    problem, point, fd_step: float = 1e-6, multipliers=None
+    problem, points, fd_step: float = 1e-6, multipliers=None
 ) -> DerivativeReport:
     """Central-difference audit of the gradient, the equality Jacobian and
-    the Lagrangian Hessian.
+    the Lagrangian Hessian at every row of `points`, of shape (P, n), P >= 1.
 
     Each matrix is audited on its own stored entries; the inequality rows
-    are a constant matrix, with nothing to audit.  The Hessian is
-    audited at the equality multipliers `multipliers` (all ones when not
-    given) against grouped differences of the Lagrangian's gradient
-    cost_grad(x) + eq_jac(x)' y.
+    are a constant matrix, with nothing to audit.  The Hessian at a point
+    is audited at that point's row of `multipliers`, shape (P, n_eq), all
+    ones when not given, against grouped differences of the Lagrangian's
+    gradient cost_grad(x) + eq_jac(x)' y.  The columns of both matrices are
+    grouped once, on their patterns at the first point; a later point whose
+    matrix stores other entries raises ValueError, since NlpProblem fixes
+    those patterns.  Each block's error is its maximum over the points, and
+    the worst entry is the first strict maximum in point order.
     """
     if not fd_step > 0.0:
         raise ValueError("fd_step must be positive")
-    x = np.array(point, dtype=float).reshape(-1)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] != problem.dimension:
+        raise ValueError(
+            f"points has shape {points.shape}, not (P, {problem.dimension}) with P >= 1"
+        )
+    shape = (points.shape[0], problem.n_eq)
+    ys = np.ones(shape) if multipliers is None else np.asarray(multipliers, dtype=float)
+    if ys.shape != shape:
+        raise ValueError(f"multipliers has shape {ys.shape}, not {shape}")
     h = fd_step
-    g = problem.cost_grad(x)
     worst = (0.0, "cost_grad", -1, -1)
-    grad_worst = 0.0
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = 1.0
-        fd = (problem.cost(x + h * e) - problem.cost(x - h * e)) / (2.0 * h)
-        err = _rel_err(g[i], fd)
-        grad_worst = max(grad_worst, err)
-        if err > worst[0]:
-            worst = (err, "cost_grad", 0, i)
+    errors = dict.fromkeys(("cost_grad", "eq_jac", "lagrangian_hess"), 0.0)
+    patterns = {}  # block: (rows, cols, coloring) at the first point
+    for x, y in zip(points, ys):
+        g = problem.cost_grad(x)
+        for i in range(x.size):
+            e = np.zeros(x.size)
+            e[i] = 1.0
+            fd = (problem.cost(x + h * e) - problem.cost(x - h * e)) / (2.0 * h)
+            err = _rel_err(g[i], fd)
+            errors["cost_grad"] = max(errors["cost_grad"], err)
+            if err > worst[0]:
+                worst = (err, "cost_grad", 0, i)
 
-    y = np.ones(problem.n_eq) if multipliers is None else np.asarray(multipliers, float)
+        def lagrangian_grad(z):
+            g_z = problem.cost_grad(z)
+            return g_z + problem.eq_jac(z).T @ y if problem.n_eq else g_z
 
-    def lagrangian_grad(z):
-        g_z = problem.cost_grad(z)
-        return g_z + problem.eq_jac(z).T @ y if problem.n_eq else g_z
-
-    # (block, function, its analytic Jacobian at x, rows) per audit
-    audits = []
-    if problem.n_eq:
-        audits.append(("eq_jac", problem.eq, problem.eq_jac(x), problem.n_eq))
-    audits.append(("lagrangian_hess", lagrangian_grad, problem.lagrangian_hess(x, y), x.size))
-    errors = dict.fromkeys(("eq_jac", "lagrangian_hess"), 0.0)
-    for block, fun, jac, m_rows in audits:
-        err, r, c = _fd_jacobian_check(fun, jac, x, h, m_rows)
-        errors[block] = err
-        if err > worst[0]:
-            worst = (err, block, r, c)
+        # (block, function, its analytic Jacobian at x, rows) per audit
+        audits = []
+        if problem.n_eq:
+            audits.append(("eq_jac", problem.eq, problem.eq_jac(x), problem.n_eq))
+        audits.append(("lagrangian_hess", lagrangian_grad, problem.lagrangian_hess(x, y), x.size))
+        for block, fun, jac, m_rows in audits:
+            pattern = jac.tocoo()
+            if block not in patterns:
+                coloring = _color_groups(pattern.row, pattern.col, x.size)
+                patterns[block] = (pattern.row, pattern.col, coloring)
+            rows, cols, coloring = patterns[block]
+            if not (np.array_equal(pattern.row, rows) and np.array_equal(pattern.col, cols)):
+                raise ValueError(f"{block} stores other entries than at the first point")
+            err, r, c = _fd_jacobian_check(fun, jac, x, h, m_rows, coloring)
+            errors[block] = max(errors[block], err)
+            if err > worst[0]:
+                worst = (err, block, r, c)
 
     return DerivativeReport(
         max_relative_error=worst[0],
         worst_block=worst[1],
         worst_row=worst[2],
         worst_col=worst[3],
-        gradient_error=grad_worst,
+        gradient_error=errors["cost_grad"],
         eq_error=errors["eq_jac"],
         hessian_error=errors["lagrangian_hess"],
     )

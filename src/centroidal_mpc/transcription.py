@@ -264,7 +264,8 @@ class NlpProblem:
 
     Equality constraints are eq(x) = 0; eq_jac returns scipy CSR matrices
     whose stored entries (explicit zeros included) never change between
-    evaluations, so their pattern can be read off any evaluation.
+    evaluations, so their pattern can be read off any evaluation (the QP
+    workspace relies on it, and solver.check_derivatives enforces it).
     Inequalities are linear interval rows, data rather than callbacks:
     ineq_lower <= ineq_matrix @ x <= ineq_upper, with ineq_matrix CSR.  A
     problem without them reads as a (0, dimension) matrix and empty bounds.
@@ -338,8 +339,6 @@ def _cost_hessian(layout: DecisionLayout, weights: Weights, period: float) -> sp
             base = layout.force_slice(k, i, 0).start
             for j in range(nv):
                 for w in range(nv):
-                    if centering[j, w] == 0.0:
-                        continue
                     idx_r = base + 3 * j + np.arange(3)
                     idx_c = base + 3 * w + np.arange(3)
                     rows.append(idx_r)

@@ -16,7 +16,7 @@ from centroidal_mpc import bundled_scenario, controller, qp
 from centroidal_mpc.controller import cold_start, layout_for
 from centroidal_mpc.model import CentroidalState, euler_step_batch
 from centroidal_mpc.plan import horizon_schedule, nominal_com_trajectory
-from centroidal_mpc.qp import qp_solve
+from centroidal_mpc.qp import solve_qp
 from centroidal_mpc.scenario import apply_overrides, parse_scenario
 from centroidal_mpc.sim import export_csv, simulate
 from centroidal_mpc.solver import SolverOptions, check_derivatives, solve
@@ -277,14 +277,13 @@ class TestCriterion4:
                 options.period * np.arange(layout.n_knots + 1)
             )
             base = cold_start(plan, layout, samples)
-            for _ in range(50):
-                point = base + rng.uniform(-0.5, 0.5, size=layout.size)
-                # multipliers of the size seen after a push (100-700)
-                y = multiplier_rng.uniform(-700.0, 700.0, size=problem.n_eq)
-                report = check_derivatives(problem, point, fd_step=1e-6, multipliers=y)
-                worst = max(worst, report.max_relative_error)
-                worst_hess = max(worst_hess, report.hessian_error)
-                points_total += 1
+            points = base + rng.uniform(-0.5, 0.5, size=(50, layout.size))
+            # multipliers of the size seen after a push (100-700)
+            y = multiplier_rng.uniform(-700.0, 700.0, size=(50, problem.n_eq))
+            report = check_derivatives(problem, points, fd_step=1e-6, multipliers=y)
+            worst = max(worst, report.max_relative_error)
+            worst_hess = max(worst_hess, report.hessian_error)
+            points_total += len(points)
         ok = worst < 1e-5
         _report(
             "4 (derivative correctness)",
@@ -434,14 +433,13 @@ class TestCriterion7:
             failures.append(f"projection error {np.abs(sol2.x - [1.0, 0.0]).max():.1e}")
 
         # direct QP oracles
-        x, _, _, res = qp_solve(np.eye(2), [-1.0, -1.0])
+        x = solve_qp(np.eye(2), [-1.0, -1.0]).x
         if np.abs(x - 1.0).max() > 1e-8:
             failures.append("unconstrained QP")
-        x, _, _, res = qp_solve(np.eye(2), [0, 0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0])
+        x = solve_qp(np.eye(2), [0, 0], [[1.0, 1.0]], [1.0], [1.0]).x
         if np.abs(x - 0.5).max() > 1e-8:
             failures.append("minimum-norm line QP")
-        x, _, _, res = qp_solve(np.eye(2), [0, 0], ineq_matrix=[[1.0, 0.0]],
-                                ineq_lower=[1.0])
+        x = solve_qp(np.eye(2), [0, 0], [[1.0, 0.0]], [1.0], [np.inf]).x
         if np.abs(x - [1.0, 0.0]).max() > 1e-8:
             failures.append("half-space QP")
 

@@ -133,3 +133,21 @@ class TestCheckDerivatives:
         assert code == 0
         out = capsys.readouterr().out
         assert "max rel error" in out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--points", "0"), ("--points", "-3"), ("--points", "two"),
+         ("--seed", "-1"), ("--seed", str(2**32))],
+    )
+    def test_bad_point_count_or_seed_exit_code(self, scenario_file, capsys, flag, value):
+        # rejected while the arguments are parsed, before any NLP is built
+        with pytest.raises(SystemExit) as exc:
+            main(["check-derivatives", str(scenario_file), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "Traceback" not in err
+
+    def test_largest_seed_accepted(self, scenario_file, capsys):
+        assert main(["check-derivatives", str(scenario_file), "--points", "1",
+                     "--seed", str(2**32 - 1)]) == 0
+        assert "checked 1 random points" in capsys.readouterr().out

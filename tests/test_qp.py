@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centroidal_mpc import qp
-from centroidal_mpc.qp import QpWorkspace, qp_solve, solve_qp
+from centroidal_mpc.qp import QpWorkspace, solve_qp
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -72,41 +72,35 @@ def random_qp(seed, n=5, m=4):
 
 class TestAnalyticProblems:
     def test_unconstrained_minimum(self):
-        x, y_eq, y_in, res = qp_solve(np.eye(2), [-1.0, -1.0])
+        res = solve_qp(np.eye(2), [-1.0, -1.0])
         assert res.solved
-        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-9)
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-9)
 
     def test_minimum_norm_on_line(self):
-        x, y_eq, _, res = qp_solve(np.eye(2), [0, 0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0])
+        res = solve_qp(np.eye(2), [0, 0], [[1.0, 1.0]], [1.0], [1.0])
         assert res.solved
-        np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-9)
+        np.testing.assert_allclose(res.x, [0.5, 0.5], atol=1e-9)
         # stationarity: x + A' y = 0
-        np.testing.assert_allclose(x + np.array([1.0, 1.0]) * y_eq[0], 0.0, atol=1e-8)
+        np.testing.assert_allclose(res.x + np.array([1.0, 1.0]) * res.y[0], 0.0, atol=1e-8)
 
     def test_halfspace_projection(self):
-        x, _, y_in, res = qp_solve(
-            np.eye(2), [0, 0], ineq_matrix=[[1.0, 0.0]], ineq_lower=[1.0]
-        )
+        res = solve_qp(np.eye(2), [0, 0], [[1.0, 0.0]], [1.0], [np.inf])
         assert res.solved
-        np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-9)
-        assert y_in[0] == pytest.approx(-1.0, abs=1e-7)
+        np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-9)
+        assert res.y[0] == pytest.approx(-1.0, abs=1e-7)
 
     def test_variable_bounds(self):
-        x, _, _, res = qp_solve(
-            np.eye(3), [-10.0, 0.0, 2.0], x_lower=[0, 0, 0], x_upper=[1, 1, 1]
-        )
+        res = solve_qp(np.eye(3), [-10.0, 0.0, 2.0], np.eye(3), [0, 0, 0], [1, 1, 1])
         assert res.solved
-        np.testing.assert_allclose(x, [1.0, 0.0, 0.0], atol=1e-8)
+        np.testing.assert_allclose(res.x, [1.0, 0.0, 0.0], atol=1e-8)
 
     def test_degenerate_equality_interval(self):
         # l == u rows are equalities in disguise
-        x, _, y_in, res = qp_solve(
-            np.eye(3), [0, 0, -1.0],
-            ineq_matrix=[[1, 1, 0], [0, 0, 1]],
-            ineq_lower=[1.0, 0.0], ineq_upper=[1.0, 0.0],
+        res = solve_qp(
+            np.eye(3), [0, 0, -1.0], [[1, 1, 0], [0, 0, 1]], [1.0, 0.0], [1.0, 0.0]
         )
         assert res.solved
-        np.testing.assert_allclose(x, [0.5, 0.5, 0.0], atol=1e-8)
+        np.testing.assert_allclose(res.x, [0.5, 0.5, 0.0], atol=1e-8)
 
 
     def test_nearly_dependent_equality_rows(self):
@@ -684,6 +678,6 @@ class TestWorkspace:
         P, q, A, lower, upper = random_qp(2)
         workspace = QpWorkspace(sp.csc_matrix(P), sp.csc_matrix(A), q=q)
         for array in (workspace.d, workspace.e, workspace.perm, workspace.band_slot,
-                      workspace.indices, workspace.at_order, *workspace.p_pattern[1:]):
+                      workspace.indices, *workspace.p_pattern[1:]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0

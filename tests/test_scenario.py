@@ -77,6 +77,12 @@ class TestParsing:
             parse_scenario(bad)
         assert any("warp_factor" in p and "line" in p for p in err.value.problems)
 
+    def test_disturbance_application_is_unknown_key(self):
+        # Every push acts on the centre of mass; no key chooses where.
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(MINIMAL + PUSH + "application = com\n")
+        assert any("application" in p and "line" in p for p in err.value.problems)
+
     def test_unknown_section(self):
         with pytest.raises(ScenarioError) as err:
             parse_scenario(MINIMAL + "\n[telemetry]\nrate = 1\n")

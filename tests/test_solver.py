@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from centroidal_mpc import solver
 from centroidal_mpc.solver import (
     SolverOptions,
-    _color_columns,
     _color_groups,
     _fd_jacobian_check,
     check_derivatives,
@@ -340,19 +339,19 @@ class TestRejectedStepExit:
 class TestCheckDerivatives:
     def test_quadratic_gradient_at_noise_level(self):
         problem = quadratic_problem(np.diag([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 2.0]))
-        report = check_derivatives(problem, np.array([0.3, -0.7, 1.1]))
+        report = check_derivatives(problem, np.array([[0.3, -0.7, 1.1]]))
         assert report.gradient_error < 1e-8
 
-    def test_corrupted_jacobian_flagged_at_exact_index(self):
-        def eq(v):
-            return np.array([v[0] * v[1] - 1.0, v[2] - 2.0])
+    @staticmethod
+    def product_problem(fault):
+        """x'x s.t. x0 x1 = 1, x2 = 2, whose Jacobian stores `fault(x)` at
+        (0, 2), where the true derivative is zero."""
 
-        def eq_jac_bad(v):
-            m = np.array([[v[1], v[0], 0.0], [0.0, 0.0, 1.0]])
-            m[0, 2] = 0.5  # injected fault
-            return sp.csr_matrix(m)
+        def eq_jac(v):
+            data = [v[1], v[0], fault(v), 1.0]
+            return sp.csr_matrix((data, [0, 1, 2, 2], [0, 3, 4]), shape=(2, 3))
 
-        problem = NlpProblem(
+        return NlpProblem(
             dimension=3,
             cost=lambda x: float(x @ x),
             cost_grad=lambda x: 2 * x,
@@ -360,13 +359,49 @@ class TestCheckDerivatives:
                 2 * np.eye(3) + y_eq[0] * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
             ),
             n_eq=2,
-            eq=eq,
-            eq_jac=eq_jac_bad,
+            eq=lambda v: np.array([v[0] * v[1] - 1.0, v[2] - 2.0]),
+            eq_jac=eq_jac,
         )
-        report = check_derivatives(problem, np.array([0.3, 0.7, 0.2]))
+
+    def test_corrupted_jacobian_flagged_at_exact_index(self):
+        problem = self.product_problem(lambda v: 0.5)
+        report = check_derivatives(problem, np.array([[0.3, 0.7, 0.2]]))
         assert report.worst_block == "eq_jac"
         assert (report.worst_row, report.worst_col) == (0, 2)
         assert report.max_relative_error > 0.1
+
+    def test_points_report_the_maximum_of_each_block(self):
+        # The fault shows only where x2 > 1: at the second point.
+        problem = self.product_problem(lambda v: 0.5 if v[2] > 1.0 else 0.0)
+        points = np.array([[0.3, 0.7, 0.2], [0.4, -0.6, 1.3]])
+        y = np.array([[0.5, -1.0], [2.0, 0.3]])
+        both = check_derivatives(problem, points, multipliers=y)
+        first, second = (
+            check_derivatives(problem, points[[k]], multipliers=y[[k]]) for k in range(2)
+        )
+        assert first.eq_error < 1e-8 < 0.1 < second.eq_error
+        for block in ("gradient_error", "eq_error", "hessian_error"):
+            assert getattr(both, block) == max(getattr(first, block), getattr(second, block))
+        worst = ("max_relative_error", "worst_block", "worst_row", "worst_col")
+        assert [getattr(both, f) for f in worst] == [getattr(second, f) for f in worst]
+        assert (both.worst_block, both.worst_row, both.worst_col) == ("eq_jac", 0, 2)
+
+    def test_pattern_that_changes_between_points_raises(self):
+        # csr_matrix of the dense Jacobian (x1, x0) drops the entry x0 = 0.
+        problem = TestGaussNewtonFallback.hyperbola_problem()
+        check_derivatives(problem, [[0.3, -1.1]])
+        with pytest.raises(ValueError, match="eq_jac"):
+            check_derivatives(problem, [[0.3, -1.1], [0.0, -1.1]])
+
+    @pytest.mark.parametrize(
+        "points, multipliers",
+        [(np.zeros(3), None), (np.zeros((0, 3)), None), (np.zeros((1, 2)), None),
+         (np.zeros((2, 3)), np.zeros((1, 2))), (np.zeros((1, 3)), np.zeros(2))],
+    )
+    def test_shape_validation(self, points, multipliers):
+        problem = self.product_problem(lambda v: 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            check_derivatives(problem, points, multipliers=multipliers)
 
     @pytest.mark.parametrize("fault", ["value", "missing"])
     def test_corrupted_hessian_flagged_at_exact_index(self, fault):
@@ -374,7 +409,7 @@ class TestCheckDerivatives:
         exact = problem.lagrangian_hess
         y = np.array([0.7])
         x = np.array([0.3, -1.1])
-        good = check_derivatives(problem, x, multipliers=y)
+        good = check_derivatives(problem, [x], multipliers=[y])
         assert good.hessian_error < 1e-8 and good.max_relative_error < 1e-8
 
         def corrupted(v, y_eq):
@@ -386,7 +421,7 @@ class TestCheckDerivatives:
             return sp.csc_matrix(hess)
 
         problem.lagrangian_hess = corrupted
-        report = check_derivatives(problem, x, multipliers=y)
+        report = check_derivatives(problem, [x], multipliers=[y])
         assert report.worst_block == "lagrangian_hess"
         if fault == "value":
             assert (report.worst_row, report.worst_col) == (1, 0)
@@ -397,13 +432,12 @@ class TestCheckDerivatives:
             assert report.hessian_error == pytest.approx(0.7 / 1.7)
 
     @staticmethod
-    def entry_by_entry_scan(fun, jac_matrix, x, h, m_rows):
+    def entry_by_entry_scan(fun, jac_matrix, x, h, m_rows, coloring):
         """Reference for _fd_jacobian_check: one entry at a time, in group,
         column and row order, keeping the first strict maximum."""
         n = x.size
         dense = jac_matrix.toarray()
-        pattern = jac_matrix.tocoo()
-        groups, col_rows = _color_columns(pattern.row, pattern.col, n)
+        groups, col_rows = coloring
         worst = (0.0, -1, -1)
         for group in groups:
             direction = np.zeros(n)
@@ -452,33 +486,11 @@ class TestCheckDerivatives:
             jac[0, 0] = np.nan
         jac = sp.csr_matrix(jac)
         assert np.array_equal(jac.toarray() != 0, mask)  # the stray entry is not stored
-        args = (fun, jac, x, 1e-6, m)
+        pattern = jac.tocoo()
+        args = (fun, jac, x, 1e-6, m, _color_groups(pattern.row, pattern.col, n))
         assert _fd_jacobian_check(*args) == self.entry_by_entry_scan(*args)
-
-    def test_coloring_memo_is_keyed_on_content_and_bounded(self):
-        rng = np.random.RandomState(3)
-        rows, cols = np.nonzero(rng.rand(12, 20) < 0.3)
-        first = _color_columns(rows, cols, 20)
-        # equal content in new arrays finds the same entry
-        assert _color_columns(rows.copy(), cols.copy(), 20) is first
-        fresh = _color_groups(rows, cols, 20)
-        assert [g.tolist() for g in first[0]] == [g.tolist() for g in fresh[0]]
-        assert [r.tolist() for r in first[1]] == [r.tolist() for r in fresh[1]]
-        with pytest.raises(ValueError, match="read-only"):
-            first[0][0][0] = 5
-        with pytest.raises(ValueError, match="read-only"):
-            first[1][0][...] = 0
-        # one more column is another pattern
-        wider = _color_columns(rows, cols, 21)
-        assert wider is not first and len(wider[1]) == 21
-        for extra in range(2 * solver._COLORINGS_KEPT):
-            _color_columns(rows, (cols + extra) % 20, 20)
-            assert len(solver._COLORINGS) <= solver._COLORINGS_KEPT
-        again = _color_columns(rows, cols, 20)
-        assert again is not first  # evicted, then coloured anew
-        assert [g.tolist() for g in again[0]] == [g.tolist() for g in fresh[0]]
 
     def test_fd_step_validation(self):
         problem = quadratic_problem(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
-            check_derivatives(problem, np.zeros(2), fd_step=0.0)
+            check_derivatives(problem, np.zeros((1, 2)), fd_step=0.0)
