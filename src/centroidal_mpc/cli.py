@@ -5,9 +5,9 @@ Subcommands:
   check-derivatives SCENARIO [--points N] [--seed S]
   metrics LOG_DIR
 
-Exit codes: 0 success, 1 runtime failure, 2 validation error, 3 completed
-with degraded solver steps.  CENTROIDAL_MPC_LOG=error|info|debug controls
-verbosity.
+Exit codes: 0 success, 1 runtime failure, 2 validation error (an unreadable
+scenario or manifest included), 3 completed with degraded solver steps.
+CENTROIDAL_MPC_LOG=error|info|debug controls verbosity.
 """
 
 from __future__ import annotations
@@ -45,7 +45,10 @@ def _setup_logging():
 
 
 def _load_config(path: str, overrides):
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     if overrides:
         text = apply_overrides(text, overrides)
     return parse_scenario(text, name=Path(path).stem)
@@ -85,7 +88,7 @@ def _cmd_check_derivatives(args) -> int:
         for _ in range(args.points)
     ]
     points, multipliers = map(np.array, zip(*draws))
-    report = check_derivatives(problem, points, fd_step=1e-6, multipliers=multipliers)
+    report = check_derivatives(problem, points, multipliers=multipliers)
     print(f"checked {args.points} random points: {report}")
     return 0 if report.max_relative_error < 1e-5 else 1
 
@@ -107,10 +110,14 @@ def _int_in(low: int, high: float):
 
 def _cmd_metrics(args) -> int:
     manifest = Path(args.log_dir) / "run_manifest.json"
-    if not manifest.exists():
-        print(f"no run_manifest.json under {args.log_dir}", file=sys.stderr)
+    try:
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        print(f"error: cannot read {manifest}: {exc}", file=sys.stderr)
         return 2
-    payload = json.loads(manifest.read_text())
+    if not isinstance(payload, dict) or "metrics" not in payload:
+        print(f"error: {manifest} holds no metrics", file=sys.stderr)
+        return 2
     print(json.dumps(payload["metrics"], indent=2, sort_keys=True))
     return 0
 
@@ -148,9 +155,6 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationDiverged as exc:
         print(f"error: simulation diverged: {exc}", file=sys.stderr)

@@ -84,27 +84,17 @@ def cold_start(
     knot) for the CoM knots, nominal positions for the contacts, zeros for
     momenta, forces and velocities."""
     x = np.zeros(layout.size)
-    for k in range(layout.n_knots + 1):
-        x[layout.com_slice(k)] = nominal_samples[k]
-        for i, contact in enumerate(plan.contacts):
-            x[layout.contact_position_slice(k, i)] = contact.nominal_position
+    x[layout.com] = nominal_samples
+    x[layout.contacts] = plan.nominal_positions
     return x
 
 
-def shift_warm_start(previous, layout: DecisionLayout) -> np.ndarray:
-    """Advance a solution by one knot; the final knot duplicates its predecessor."""
-    x_prev = previous.x if isinstance(previous, Solution) else np.asarray(previous, dtype=float)
-    if x_prev.size != layout.size:
-        raise ValueError(
-            f"warm start has {x_prev.size} entries, layout expects {layout.size}"
-        )
-    out = x_prev.copy()
-    n_states = layout.n_state_vars
-    states = out[:n_states].reshape(layout.n_knots + 1, layout.state_dim)
-    states[:-1] = states[1:]
-    controls = out[n_states:].reshape(layout.n_knots, layout.control_dim)
-    controls[:-1] = controls[1:]
-    return out
+def shift_warm_start(x, layout: DecisionLayout) -> np.ndarray:
+    """Advance a decision vector by one knot; the final knot duplicates its predecessor."""
+    x = np.asarray(x, dtype=float)
+    if x.size != layout.size:
+        raise ValueError(f"warm start has {x.size} entries, layout expects {layout.size}")
+    return x[layout.shift]
 
 
 def shift_multipliers(multipliers, problem: NlpProblem) -> np.ndarray:
@@ -174,7 +164,7 @@ def mpc_step(
         profile,
     )
     if previous is not None and previous.x.size == layout.size:
-        warm = shift_warm_start(previous, layout)
+        warm = shift_warm_start(previous.x, layout)
         # duals from a solve that never converged mislead more than they help
         y0 = shift_multipliers(previous.multipliers, problem) if previous.converged else None
     else:
@@ -188,7 +178,7 @@ def mpc_step(
         # Hard failure: fall back to the previous solution advanced one knot.
         log.warning("solver returned %s at t=%.3f; reusing shifted solution",
                     solution.status, t)
-        x_sol = shift_warm_start(previous, layout)
+        x_sol = shift_warm_start(previous.x, layout)
 
     forces_raw, velocities = layout.control_arrays(x_sol)
     gamma = schedule.astype(float)

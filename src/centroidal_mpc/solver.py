@@ -31,6 +31,8 @@ _ELASTIC_WEIGHT = 1e6
 # subproblem never deserves a long search: a capped, slightly inexact step
 # still makes progress under the merit test.
 _SUBPROBLEM_OPTIONS = QpOptions(max_iterations=500)
+# The step of check_derivatives' central differences.
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -89,16 +91,16 @@ def _kkt_scale(y: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(y), initial=0.0)) / 100.0)
 
 
-def _kkt_residual(g, j_eq, j_in, v_in, lo, hi, y) -> float:
+def _kkt_residual(g, j_eq, j_in_t, v_in, lo, hi, y) -> float:
     """Scaled max of stationarity and complementarity at one iterate.
 
-    A multiplier counts toward complementarity by its distance to the bound
-    its sign selects: y > 0 pairs with the upper bound, y < 0 with the lower
-    one, and a wrong-sign multiplier on a row without that bound is counted
-    in full.
+    j_in_t is the transposed inequality matrix.  A multiplier counts toward
+    complementarity by its distance to the bound its sign selects: y > 0
+    pairs with the upper bound, y < 0 with the lower one, and a wrong-sign
+    multiplier on a row without that bound is counted in full.
     """
     m_eq = j_eq.shape[0]
-    grad_lagrangian = g + j_eq.T @ y[:m_eq] + j_in.T @ y[m_eq:]
+    grad_lagrangian = g + j_eq.T @ y[:m_eq] + j_in_t @ y[m_eq:]
     stationarity = float(np.max(np.abs(grad_lagrangian), initial=0.0))
     comp = 0.0
     if v_in.size:
@@ -124,7 +126,7 @@ def _constraint_values(problem, x):
 
 
 def _evaluate(problem, x, values=None):
-    """Cost, gradient, constraint values and Jacobians at x.
+    """Cost, gradient, constraint values and equality Jacobian at x.
 
     `values` are _constraint_values at x when the caller has them already
     (the accepted line-search trial); they are not evaluated again.
@@ -133,7 +135,7 @@ def _evaluate(problem, x, values=None):
     g = problem.cost_grad(x)
     c_eq, v_in = _constraint_values(problem, x) if values is None else values
     j_eq = problem.eq_jac(x) if problem.n_eq else sp.csr_matrix((0, problem.dimension))
-    return f, g, c_eq, j_eq, v_in, problem.ineq_matrix
+    return f, g, c_eq, j_eq, v_in
 
 
 def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, n):
@@ -180,6 +182,9 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         if y.size != m_eq + m_in:
             raise ValueError(f"y0 has {y.size} entries, problem has {m_eq + m_in} rows")
     lo, hi = problem.ineq_lower, problem.ineq_upper
+    # The inequality rows are constant: one matrix and one transposed view per solve.
+    j_in = problem.ineq_matrix
+    j_in_t = j_in.T
 
     status = "max_iterations"
     iterations = 0
@@ -194,7 +199,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
     viol_at_elastic = None
 
     for it in range(opts.max_iterations + 1):
-        f, g, c_eq, j_eq, v_in, j_in = _evaluate(problem, x, values)
+        f, g, c_eq, j_eq, v_in = _evaluate(problem, x, values)
         finite = (
             np.isfinite(f)
             and np.all(np.isfinite(g))
@@ -208,7 +213,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         in_gap = _interval_violation(v_in, lo, hi)
         viol = max(viol_eq, float(np.max(in_gap, initial=0.0)))
         cost_value = f
-        kkt = _kkt_residual(g, j_eq, j_in, v_in, lo, hi, y)
+        kkt = _kkt_residual(g, j_eq, j_in_t, v_in, lo, hi, y)
         iterations = it
 
         phase = 0 if viol <= opts.constraint_tolerance else 1
@@ -289,7 +294,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             # elastic step the linearized constraints were inconsistent, and
             # the relaxation can make no more progress on them: infeasible.
             y = y_new
-            kkt = _kkt_residual(g, j_eq, j_in, v_in, lo, hi, y)
+            kkt = _kkt_residual(g, j_eq, j_in_t, v_in, lo, hi, y)
             iterations = it + 1
             if kkt <= opts.kkt_tolerance and viol <= opts.constraint_tolerance:
                 status = "converged"
@@ -409,9 +414,7 @@ def _fd_jacobian_check(fun, jac_matrix, x, h, m_rows, coloring):
     return worst
 
 
-def check_derivatives(
-    problem, points, fd_step: float = 1e-6, multipliers=None
-) -> DerivativeReport:
+def check_derivatives(problem, points, multipliers=None) -> DerivativeReport:
     """Central-difference audit of the gradient, the equality Jacobian and
     the Lagrangian Hessian at every row of `points`, of shape (P, n), P >= 1.
 
@@ -423,10 +426,9 @@ def check_derivatives(
     grouped once, on their patterns at the first point; a later point whose
     matrix stores other entries raises ValueError, since NlpProblem fixes
     those patterns.  Each block's error is its maximum over the points, and
-    the worst entry is the first strict maximum in point order.
+    the worst entry is the first strict maximum in point order.  Every
+    difference steps _FD_STEP.
     """
-    if not fd_step > 0.0:
-        raise ValueError("fd_step must be positive")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] != problem.dimension:
         raise ValueError(
@@ -436,7 +438,7 @@ def check_derivatives(
     ys = np.ones(shape) if multipliers is None else np.asarray(multipliers, dtype=float)
     if ys.shape != shape:
         raise ValueError(f"multipliers has shape {ys.shape}, not {shape}")
-    h = fd_step
+    h = _FD_STEP
     worst = (0.0, "cost_grad", -1, -1)
     errors = dict.fromkeys(("cost_grad", "eq_jac", "lagrangian_hess"), 0.0)
     patterns = {}  # block: (rows, cols, coloring) at the first point

@@ -155,11 +155,19 @@ class ContactBox:
 
 
 class DecisionLayout:
-    """Flat index map of the decision vector.
+    """Index map of the decision vector, the only place that knows its order.
 
     States knot-major first ([com, momentum, contact positions] per knot),
     then controls knot-major ([corner forces per contact, contact
-    velocities] per knot).
+    velocities] per knot).  Each read-only block holds the position in the
+    vector of every entry of one quantity: `com` (N+1, 3), `momentum`
+    (N+1, 6), `contacts` (N+1, n_c, 3), `forces` (N, corners, 3), with the
+    corners of all contacts numbered in the order of their columns, and
+    `velocities` (N, n_c, 3).  x[block] reads a quantity and x[block] = v
+    writes it.  The equality rows of the transcription are numbered like
+    the states they define, so the state blocks number those rows too.
+    `shift` advances a vector by one knot, x[shift], with the last knot of
+    the states and of the controls repeated.
     """
 
     def __init__(self, n_knots: int, corner_counts: Sequence[int]):
@@ -172,38 +180,25 @@ class DecisionLayout:
         if any(c < 1 for c in self.corner_counts):
             raise ValueError(f"corner counts must be >= 1, got {self.corner_counts}")
         self.n_contacts = len(self.corner_counts)
-        self.state_dim = 9 + 3 * self.n_contacts
-        self.control_dim = 3 * sum(self.corner_counts) + 3 * self.n_contacts
-        self.n_state_vars = (self.n_knots + 1) * self.state_dim
-        self.size = self.n_state_vars + self.n_knots * self.control_dim
-        self._force_offsets = np.concatenate([[0], 3 * np.cumsum(self.corner_counts)])
-        self._vel_offset = int(self._force_offsets[-1])
-
-    def state_base(self, k: int) -> int:
-        return k * self.state_dim
-
-    def control_base(self, k: int) -> int:
-        return self.n_state_vars + k * self.control_dim
-
-    def com_slice(self, k: int) -> slice:
-        base = self.state_base(k)
-        return slice(base, base + 3)
-
-    def momentum_slice(self, k: int) -> slice:
-        base = self.state_base(k) + 3
-        return slice(base, base + 6)
-
-    def contact_position_slice(self, k: int, i: int) -> slice:
-        base = self.state_base(k) + 9 + 3 * i
-        return slice(base, base + 3)
-
-    def force_slice(self, k: int, i: int, j: int) -> slice:
-        base = self.control_base(k) + int(self._force_offsets[i]) + 3 * j
-        return slice(base, base + 3)
-
-    def contact_velocity_slice(self, k: int, i: int) -> slice:
-        base = self.control_base(k) + self._vel_offset + 3 * i
-        return slice(base, base + 3)
+        n, n_c, n_v = self.n_knots, self.n_contacts, sum(self.corner_counts)
+        self.state_dim = 9 + 3 * n_c
+        self.control_dim = 3 * n_v + 3 * n_c
+        self.n_state_vars = (n + 1) * self.state_dim
+        self.size = self.n_state_vars + n * self.control_dim
+        index = np.arange(self.size)
+        states = index[: self.n_state_vars].reshape(n + 1, self.state_dim)
+        controls = index[self.n_state_vars :].reshape(n, self.control_dim)
+        self.com = states[:, 0:3]
+        self.momentum = states[:, 3:9]
+        self.contacts = states[:, 9:].reshape(n + 1, n_c, 3)
+        self.forces = controls[:, : 3 * n_v].reshape(n, n_v, 3)
+        self.velocities = controls[:, 3 * n_v :].reshape(n, n_c, 3)
+        self.shift = np.concatenate([
+            np.concatenate([block[1:], block[-1:]]).ravel() for block in (states, controls)
+        ])
+        for block in (self.com, self.momentum, self.contacts, self.forces, self.velocities,
+                      self.shift):
+            block.flags.writeable = False
 
     def stage_order(self) -> np.ndarray:
         """Permutation listing the stages from the last knot to the first.
@@ -222,40 +217,27 @@ class DecisionLayout:
         that underflow to subnormals, which cost far more time per
         operation.
         """
-        sd = self.state_dim
-        slots = np.r_[6:9, 0:3, 3:6, 9:sd]  # h_ang, com, h_lin, contact positions
-        states = np.arange(self.n_state_vars).reshape(self.n_knots + 1, sd)[:, slots]
-        controls = np.arange(self.n_state_vars, self.size).reshape(
-            self.n_knots, self.control_dim
+        n = self.n_knots
+        contacts = self.contacts.reshape(n + 1, -1)
+        states = np.concatenate(
+            [self.momentum[:, 3:], self.com, self.momentum[:, :3], contacts], axis=1
         )
-        stages = [np.concatenate([states[k], controls[k]]) for k in range(self.n_knots)]
-        return np.concatenate(stages + [states[self.n_knots]])[::-1].copy()
+        controls = np.concatenate(
+            [self.forces.reshape(n, -1), self.velocities.reshape(n, -1)], axis=1
+        )
+        stages = np.concatenate([states[:-1], controls], axis=1)
+        return np.concatenate([stages.ravel(), states[-1]])[::-1].copy()
 
     def state_arrays(self, x: np.ndarray):
         """(com (N+1,3), momentum (N+1,6), contact positions (N+1,n_c,3))."""
-        states = x[: self.n_state_vars].reshape(self.n_knots + 1, self.state_dim)
-        com = states[:, 0:3]
-        momentum = states[:, 3:9]
-        contacts = np.ascontiguousarray(states[:, 9:]).reshape(
-            self.n_knots + 1, self.n_contacts, 3
-        )
-        return com, momentum, contacts
+        return x[self.com], x[self.momentum], x[self.contacts]
 
     def control_arrays(self, x: np.ndarray):
         """(forces: list of (N, n_v_i, 3), velocities (N, n_c, 3))."""
-        controls = x[self.n_state_vars :].reshape(self.n_knots, self.control_dim)
-        forces = []
-        for i in range(self.n_contacts):
-            lo, hi = int(self._force_offsets[i]), int(self._force_offsets[i + 1])
-            forces.append(
-                np.ascontiguousarray(controls[:, lo:hi]).reshape(
-                    self.n_knots, self.corner_counts[i], 3
-                )
-            )
-        velocities = np.ascontiguousarray(controls[:, self._vel_offset :]).reshape(
-            self.n_knots, self.n_contacts, 3
-        )
-        return forces, velocities
+        ends = np.cumsum(self.corner_counts)
+        forces = [x[self.forces[:, end - count : end]]
+                  for count, end in zip(self.corner_counts, ends)]
+        return forces, x[self.velocities]
 
 
 @dataclass
@@ -311,60 +293,56 @@ class NlpProblem:
         return self.ineq_matrix.shape[0]
 
 
+def _flat_entries(terms) -> list:
+    """Sparse entries listed term by term, as one flat array per tuple position.
+
+    A term is a tuple of arrays, such as (rows, cols, values), broadcast
+    against each other: it lists one entry per element of the broadcast.
+    """
+    columns = zip(*(np.broadcast_arrays(*term) for term in terms))
+    return [np.concatenate([a.ravel() for a in column]) for column in columns]
+
+
 def _cost_hessian(layout: DecisionLayout, weights: Weights, period: float) -> sp.csr_matrix:
-    """Sparse Hessian of the summed quadratic costs."""
-    rows, cols, vals = [], [], []
-    n = layout.size
-    n_knots = layout.n_knots
+    """Sparse Hessian of the summed quadratic costs, one (rows, cols, values) put per term.
 
-    def add_diag(sl: slice, diag: np.ndarray):
-        idx = np.arange(sl.start, sl.stop)
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(diag)
-
-    for k in range(n_knots + 1):
-        add_diag(layout.com_slice(k), weights.com_tracking)
-        mom = layout.momentum_slice(k)
-        add_diag(slice(mom.start + 3, mom.stop), weights.ang_momentum)
-        for i in range(layout.n_contacts):
-            add_diag(layout.contact_position_slice(k, i), weights.contact_reg)
-
+    Where terms share an entry (the force diagonal: centering, then the
+    rates to the next and to the previous step) the CSR conversion adds
+    them in the order listed here.
+    """
+    ang_momentum = layout.momentum[:, 3:]
+    terms = [
+        (layout.com, layout.com, weights.com_tracking),
+        (ang_momentum, ang_momentum, weights.ang_momentum),
+        (layout.contacts, layout.contacts, weights.contact_reg),
+    ]
     # Corner-force deviation from the per-contact average: (I - 1/nv 11^T) x Lambda.
-    for i, nv in enumerate(layout.corner_counts):
-        if nv < 2:
-            continue
-        centering = np.eye(nv) - np.full((nv, nv), 1.0 / nv)
-        for k in range(n_knots):
-            base = layout.force_slice(k, i, 0).start
-            for j in range(nv):
-                for w in range(nv):
-                    idx_r = base + 3 * j + np.arange(3)
-                    idx_c = base + 3 * w + np.arange(3)
-                    rows.append(idx_r)
-                    cols.append(idx_c)
-                    vals.append(centering[j, w] * weights.force_reg)
-
+    # Read off the vector 0, 1, 2, ..., each contact's forces are their positions.
+    forces_by_contact, _ = layout.control_arrays(np.arange(layout.size))
+    for forces in forces_by_contact:
+        nv = forces.shape[1]
+        if nv > 1:
+            centering = np.eye(nv) - np.full((nv, nv), 1.0 / nv)
+            terms.append((forces[:, :, None], forces[:, None, :],
+                          centering[:, :, None] * weights.force_reg))
     rate = weights.force_rate / period**2
-    for i, nv in enumerate(layout.corner_counts):
-        for j in range(nv):
-            for k in range(n_knots - 1):
-                a = layout.force_slice(k, i, j)
-                b = layout.force_slice(k + 1, i, j)
-                ia = np.arange(a.start, a.stop)
-                ib = np.arange(b.start, b.stop)
-                add_diag(a, rate)
-                add_diag(b, rate)
-                rows.append(ia)
-                cols.append(ib)
-                vals.append(-rate)
-                rows.append(ib)
-                cols.append(ia)
-                vals.append(-rate)
+    now, later = layout.forces[:-1], layout.forces[1:]
+    terms += [(now, now, rate), (later, later, rate), (now, later, -rate), (later, now, -rate)]
+    rows, cols, vals = _flat_entries(terms)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(layout.size, layout.size)).tocsr()
 
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
+
+def _linear_values(period: float, mass: float, gamma: np.ndarray) -> np.ndarray:
+    """Values of the equality Jacobian's linear entries, by _HorizonStructure.linear_sources.
+
+    1 and -1 (the identity chains), -T/m (the momentum in the CoM rows),
+    then -T gamma and -T (1 - gamma) per (step, contact): the gated corner
+    forces in the linear momentum rows and the gated velocities in the
+    contact rows.
+    """
+    return np.concatenate(
+        [[1.0, -1.0, -period / mass], (-period * gamma).ravel(), (-period * (1.0 - gamma)).ravel()]
+    )
 
 
 def _number_pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple):
@@ -419,7 +397,7 @@ class _HorizonStructure:
             self.cost_hess.data, self.cost_hess.indices, self.cost_hess.indptr,
             self.bilinear_rows, self.bilinear_arms, self.bilinear_forces,
             self.bilinear_signs, self.bilinear_gates, self.bilinear_offsets,
-            self.knot_values, self.eq_indices, self.eq_indptr, self.eq_slots,
+            self.linear_sources, self.eq_indices, self.eq_indptr, self.eq_slots,
             self.hess_base, self.hess_indices, self.hess_indptr, self.curvature_slots,
             self.ineq_matrix.data, self.ineq_matrix.indices, self.ineq_matrix.indptr,
             self.shift_rows, self.ordering,
@@ -441,89 +419,60 @@ class _HorizonStructure:
         r, offset 0, sign negated): 12 terms per corner and step, ordered
         (step, contact, corner, [contact-position terms, CoM terms], product).
         """
-        sd, n_c = layout.state_dim, layout.n_contacts
+        n_knots, n_c = layout.n_knots, layout.n_contacts
         # The six products of a x f: row component, arm and force components, sign.
         xyz = np.arange(3)
         row, arm, force = np.tile(xyz, 2), np.r_[xyz + 1, xyz + 2] % 3, np.r_[xyz + 2, xyz + 1] % 3
         sign = np.repeat([1.0, -1.0], 3)
-        # Axes (step, corner, [contact position, CoM], product), corners
-        # numbered across contacts in the order of their force columns.
+        # Axes (step, corner, [contact position, CoM], product).
         contact_of = np.repeat(np.arange(n_c), layout.corner_counts)
         offsets = np.concatenate([c @ R.T for c, R in zip(corner_offsets, rotations)])[:, arm]
-        ks = np.arange(layout.n_knots)[:, None, None, None]
-        corners = np.arange(contact_of.size)[:, None, None]
-        arm_base = np.stack([9 + 3 * contact_of, np.zeros_like(contact_of)], axis=1)[..., None]
-        shape = (layout.n_knots, contact_of.size, 2, 6)
+        com = np.broadcast_to(layout.com[:-1, None, arm], (n_knots, contact_of.size, 6))
+        shape = (n_knots, contact_of.size, 2, 6)
 
         def terms(values):
             return np.broadcast_to(values, shape).ravel()
 
-        self.bilinear_rows = terms(sd * (ks + 1) + 6 + row)
-        self.bilinear_arms = terms(sd * ks + arm_base + arm)
-        self.bilinear_forces = terms(
-            layout.control_base(0) + layout.control_dim * ks + 3 * corners + force
-        )
+        # Defect k's rows are numbered like the knot k + 1 states they define.
+        ang_rows = layout.momentum[1:, 3:]
+        self.bilinear_rows = terms(ang_rows[:, None, None, row])
+        self.bilinear_arms = terms(np.stack([layout.contacts[:-1, contact_of][..., arm], com], 2))
+        self.bilinear_forces = terms(layout.forces[:, :, None, force])
         self.bilinear_signs = terms(np.stack([sign, -sign]))
-        self.bilinear_gates = terms(n_c * ks + contact_of[:, None, None])
+        self.bilinear_gates = terms(n_c * np.arange(n_knots)[:, None, None, None]
+                                    + contact_of[:, None, None])
         self.bilinear_offsets = terms(np.stack([offsets, np.zeros_like(offsets)], axis=1))
 
     def _add_eq_jacobian(self, layout: DecisionLayout):
         """Entries of the equality-constraint Jacobian and their CSR slots.
 
-        build_nlp lists the entries in this order: the knot-0 pin, then per
-        step its constant entries (identity chains, the mass-scaled momentum
-        column, the gated velocity and linear-force columns), then every
-        bilinear term's derivative by its arm, at (row, arm), then by its
-        force, at (row, force).  `knot_values` holds one step's constant
-        values, with zeros where build_nlp writes the values that depend on
-        the period, the mass and the schedule.  Entry e goes to position
-        `eq_slots[e]` of the CSR structure (`eq_indices`, `eq_indptr`);
-        entries of one position add up, in the order listed.  So of each
-        cross product's 3x3 blocks only the six off-diagonal entries are
-        stored, gated-out ones as zeros.
+        build_nlp lists the entries in this order: the linear ones, whose
+        values do not depend on x, then every bilinear term's derivative by
+        its arm, at (row, arm), then by its force, at (row, force).  The
+        linear entries are the unit diagonal of every state row (the knot-0
+        pin and each defect's next state), then per defect its previous
+        state, the momentum in the CoM rows, and the gated corner forces and
+        velocities; linear entry e takes value `linear_sources[e]` of
+        _linear_values.  Entry e goes to position `eq_slots[e]` of the CSR
+        structure (`eq_indices`, `eq_indptr`); entries of one position add
+        up, in the order listed.  So of each cross product's 3x3 blocks only
+        the six off-diagonal entries are stored, gated-out ones as zeros.
         """
-        sd, n_knots = layout.state_dim, layout.n_knots
-        ks = np.arange(n_knots)
-        row_off, col_off, col_step, values = [], [], [], []
-
-        def put_diag(row: int, col: int, count: int, step: int, value: float) -> slice:
-            start = sum(seg.size for seg in row_off)
-            row_off.append(row + np.arange(count))
-            col_off.append(col + np.arange(count))
-            col_step.append(np.full(count, step))
-            values.append(np.full(count, value))
-            return slice(start, start + count)
-
-        # One step k, with columns given at k = 0: state columns move by sd
-        # per step and control columns by control_dim.
-        cd = layout.control_dim
-        put_diag(0, layout.com_slice(1).start, 3, sd, 1.0)
-        put_diag(0, layout.com_slice(0).start, 3, sd, -1.0)
-        self.momentum_entries = put_diag(0, layout.momentum_slice(0).start, 3, sd, 0.0)
-        put_diag(3, layout.momentum_slice(1).start, 6, sd, 1.0)
-        put_diag(3, layout.momentum_slice(0).start, 6, sd, -1.0)
-        self.gated_entries = []
-        for i, nv in enumerate(layout.corner_counts):
-            row = 9 + 3 * i
-            put_diag(row, layout.contact_position_slice(1, i).start, 3, sd, 1.0)
-            put_diag(row, layout.contact_position_slice(0, i).start, 3, sd, -1.0)
-            velocity = put_diag(row, layout.contact_velocity_slice(0, i).start, 3, cd, 0.0)
-            first = put_diag(3, layout.force_slice(0, i, 0).start, 3, cd, 0.0)
-            for j in range(1, nv):
-                put_diag(3, layout.force_slice(0, i, j).start, 3, cd, 0.0)
-            self.gated_entries.append((velocity, slice(first.start, first.start + 3 * nv)))
-        row_off, col_off, col_step = (np.concatenate(a) for a in (row_off, col_off, col_step))
-        self.knot_values = np.concatenate(values)
-        rows = self.bilinear_rows
+        com, momentum, contacts = layout.com, layout.momentum, layout.contacts
+        states = np.concatenate([com, momentum, contacts.reshape(layout.n_knots + 1, -1)], axis=1)
+        gates = np.arange(layout.n_knots * layout.n_contacts).reshape(layout.n_knots, -1)
+        contact_of = np.repeat(np.arange(layout.n_contacts), layout.corner_counts)
+        rows, cols, self.linear_sources = _flat_entries([
+            (states, states, 0),
+            (states[1:], states[:-1], 1),
+            (com[1:], momentum[:-1, :3], 2),
+            (momentum[1:, None, :3], layout.forces, 3 + gates[:, contact_of, None]),
+            (contacts[1:], layout.velocities, 3 + gates.size + gates[:, :, None]),
+        ])
         self.eq_indices, self.eq_indptr, self.eq_slots = _number_pattern(
-            np.concatenate([np.arange(sd), (sd + sd * ks[:, None] + row_off).ravel(), rows, rows]),
-            np.concatenate([
-                np.arange(sd),
-                (col_off + ks[:, None] * col_step).ravel(),
-                self.bilinear_arms,
-                self.bilinear_forces,
-            ]),
-            (sd + n_knots * sd, layout.size),
+            np.concatenate([rows, self.bilinear_rows, self.bilinear_rows]),
+            np.concatenate([cols, self.bilinear_arms, self.bilinear_forces]),
+            (layout.n_state_vars, layout.size),
         )
 
     def _add_lagrangian_hessian(self, layout: DecisionLayout):
@@ -559,16 +508,18 @@ class _HorizonStructure:
         zero) and the inequality matrix.  The cost is left unscaled, since
         the gradient that sets its size changes with every subproblem.
         """
-        n, sd, n_knots = layout.size, layout.state_dim, layout.n_knots
-        unit_values = [np.ones(sd), np.tile(self.knot_values, n_knots)]
+        n = layout.size
+        # At period 0 the values set by the period, the mass and the schedule are zeros.
+        units = _linear_values(0.0, 1.0, np.zeros((layout.n_knots, layout.n_contacts)))
         eq_values = np.bincount(
-            self.eq_slots, np.concatenate(unit_values + [np.zeros(2 * self.bilinear_rows.size)])
+            self.eq_slots,
+            np.concatenate([units[self.linear_sources], np.zeros(2 * self.bilinear_rows.size)]),
         )
         self.qp_workspace = QpWorkspace(
             sp.csc_matrix((self.hess_base, self.hess_indices, self.hess_indptr), shape=(n, n)),
             (
                 sp.csr_matrix(
-                    (eq_values, self.eq_indices, self.eq_indptr), shape=(sd + n_knots * sd, n)
+                    (eq_values, self.eq_indices, self.eq_indptr), shape=(layout.n_state_vars, n)
                 ),
                 self.ineq_matrix,
             ),
@@ -584,39 +535,16 @@ class _HorizonStructure:
         corner), step-major, then three box rows per (knot 1..N, contact),
         knot-major.
         """
-        n_knots, n_c, sd = layout.n_knots, layout.n_contacts, layout.state_dim
-        xyz = np.arange(3)
-        contact_of = np.repeat(np.arange(n_c), layout.corner_counts)
-        force_starts = layout.force_slice(0, 0, 0).start + 3 * np.arange(contact_of.size)
-        friction_cols = (
-            layout.control_dim * np.arange(n_knots)[:, None, None, None]
-            + force_starts[:, None, None]
-            + xyz
-        )
-        friction_shape = (n_knots, contact_of.size, 6, 3)
-        pyr_local = np.array([pyramid.A @ rotations[i].T for i in range(n_c)])
-        friction_vals = np.broadcast_to(pyr_local[contact_of], friction_shape)
-        position_starts = 9 + 3 * np.arange(n_c)
-        box_cols = (
-            sd * np.arange(1, n_knots + 1)[:, None, None, None]
-            + position_starts[:, None, None]
-            + xyz
-        )
-        box_shape = (n_knots, n_c, 3, 3)
-        box_vals = np.broadcast_to(rotations.transpose(0, 2, 1), box_shape)
-        n_rows = friction_vals.size // 3 + box_vals.size // 3
+        contact_of = np.repeat(np.arange(layout.n_contacts), layout.corner_counts)
+        pyr_local = np.array([pyramid.A @ R.T for R in rotations])
+        # Axes (step or knot, corner or contact, row, column of the row).
+        cols, vals = _flat_entries([
+            (layout.forces[:, :, None, :], pyr_local[contact_of]),
+            (layout.contacts[1:, :, None, :], rotations.transpose(0, 2, 1)),
+        ])
+        n_rows = vals.size // 3
         self.ineq_matrix = sp.coo_matrix(
-            (
-                np.concatenate([friction_vals.ravel(), box_vals.ravel()]),
-                (
-                    np.repeat(np.arange(n_rows), 3),
-                    np.concatenate([
-                        np.broadcast_to(friction_cols, friction_shape).ravel(),
-                        np.broadcast_to(box_cols, box_shape).ravel(),
-                    ]),
-                ),
-            ),
-            shape=(n_rows, layout.size),
+            (vals, (np.repeat(np.arange(n_rows), 3), cols)), shape=(n_rows, layout.size)
         ).tocsr()
 
 
@@ -665,9 +593,8 @@ def _cost_linear_terms(
     linear term or the constant.
     """
     c = np.zeros(layout.size)
-    states = c[: layout.n_state_vars].reshape(layout.n_knots + 1, layout.state_dim)
-    states[:, 0:3] -= weights.com_tracking * nominal_com_samples
-    states[:, 9:] -= (weights.contact_reg * nominal_contacts).ravel()
+    c[layout.com] -= weights.com_tracking * nominal_com_samples
+    c[layout.contacts] -= weights.contact_reg * nominal_contacts
     # The constant is summed term by term in (knot, CoM then contacts) order.
     contact_terms = [
         0.5 * float(np.sum(weights.contact_reg * p**2)) for p in nominal_contacts
@@ -804,11 +731,8 @@ def build_nlp(
     corner_offsets = plan.corner_offsets
     nominal_contacts = plan.nominal_positions
     mass, gravity = params.mass, params.gravity
-    sd = layout.state_dim
-    m_eq = sd + n_knots * sd
-    pin_target = np.concatenate(
-        [initial_state.p_com, initial_state.momentum, initial_contacts.ravel()]
-    )
+    m_eq = layout.n_state_vars
+    pin_momentum = initial_state.momentum
 
     structure = _horizon_structure(layout, weights, period, rotations, corner_offsets, pyramid)
     hess = structure.cost_hess
@@ -824,9 +748,9 @@ def build_nlp(
         com, momentum, contacts = layout.state_arrays(x)
         forces, velocities = layout.control_arrays(x)
         p_next, h_next, pc_next = euler_step_batch(
-            com[:n_knots],
-            momentum[:n_knots],
-            contacts[:n_knots],
+            com[:-1],
+            momentum[:-1],
+            contacts[:-1],
             forces,
             velocities,
             gamma,
@@ -837,29 +761,23 @@ def build_nlp(
             wrench_profile,
             period,
         )
-        stepped = np.concatenate(
-            [p_next, h_next, pc_next.reshape(n_knots, 3 * n_c)], axis=1
-        )
-        states = x[: layout.n_state_vars].reshape(n_knots + 1, sd)
+        # The pin's rows are numbered like knot 0's states, defect k's like
+        # those of knot k + 1.
         out = np.empty(m_eq)
-        out[:sd] = states[0] - pin_target
-        out[sd:] = (states[1:] - stepped).ravel()
+        out[layout.com] = com - np.concatenate([initial_state.p_com[None], p_next])
+        out[layout.momentum] = momentum - np.concatenate([pin_momentum[None], h_next])
+        out[layout.contacts] = contacts - np.concatenate([initial_contacts[None], pc_next])
         return out
 
-    # Constant Jacobian values per step; the derivatives of the bilinear
-    # terms follow them and are refreshed on every call.
-    knot_values = np.tile(structure.knot_values, (n_knots, 1))
-    knot_values[:, structure.momentum_entries] = -period / mass
-    for i, (velocity, force) in enumerate(structure.gated_entries):
-        knot_values[:, velocity] = (-period * (1.0 - gamma[:, i]))[:, None]
-        knot_values[:, force] = (-period * gamma[:, i])[:, None]
-    const_data = np.concatenate([np.ones(sd), knot_values.ravel()])
+    # The linear Jacobian values; the derivatives of the bilinear terms
+    # follow them and are refreshed on every call.
+    linear_values = _linear_values(period, mass, gamma)[structure.linear_sources]
     scaled = structure.bilinear_signs * (-period * gamma.ravel())[structure.bilinear_gates]
 
     def eq_jac(x: np.ndarray) -> sp.spmatrix:
         by_arm = scaled * x[structure.bilinear_forces]
         by_force = scaled * (x[structure.bilinear_arms] + structure.bilinear_offsets)
-        data = np.bincount(structure.eq_slots, np.concatenate([const_data, by_arm, by_force]))
+        data = np.bincount(structure.eq_slots, np.concatenate([linear_values, by_arm, by_force]))
         return sp.csr_matrix(
             (data, structure.eq_indices.copy(), structure.eq_indptr.copy()),
             shape=(m_eq, layout.size),

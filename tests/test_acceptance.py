@@ -280,7 +280,7 @@ class TestCriterion4:
             points = base + rng.uniform(-0.5, 0.5, size=(50, layout.size))
             # multipliers of the size seen after a push (100-700)
             y = multiplier_rng.uniform(-700.0, 700.0, size=(50, problem.n_eq))
-            report = check_derivatives(problem, points, fd_step=1e-6, multipliers=y)
+            report = check_derivatives(problem, points, multipliers=y)
             worst = max(worst, report.max_relative_error)
             worst_hess = max(worst_hess, report.hessian_error)
             points_total += len(points)

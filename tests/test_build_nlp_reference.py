@@ -1,10 +1,12 @@
 """build_nlp against a reference builder that assembles every row knot by knot.
 
 `reference_structure` is the per-knot loop form of the equality Jacobian,
-the inequality rows, the cost's linear term and the row shift.  build_nlp
-builds the parts the schedule does not set once per (layout, weights,
-period, rotations, corner offsets, pyramid) and fills the rest vectorized
-over knots; both must give the same entries in the same order, bit for bit.
+the inequality rows, the cost Hessian, the cost's linear term and the row
+shift; it reads only the positions of single knots' quantities from the
+layout's index blocks.  build_nlp builds the parts the schedule does not set
+once per (layout, weights, period, rotations, corner offsets, pyramid) and
+fills the rest vectorized over knots; both must give the same entries in the
+same order, bit for bit.
 """
 
 import numpy as np
@@ -90,17 +92,56 @@ def reference_structure(plan, schedule, nominal_com_samples):
     nominal_contacts = np.array([c.nominal_position for c in plan.contacts])
     weights = Weights()
     sd = layout.state_dim
+    first_corner = np.cumsum((0,) + layout.corner_counts)
+
+    def force(k, i, j):
+        return layout.forces[k, first_corner[i] + j]
 
     c_lin = np.zeros(layout.size)
     constant = 0.0
     for k in range(n_knots + 1):
-        sl = layout.com_slice(k)
-        c_lin[sl] -= weights.com_tracking * nominal_com_samples[k]
+        c_lin[layout.com[k]] -= weights.com_tracking * nominal_com_samples[k]
         constant += 0.5 * float(np.sum(weights.com_tracking * nominal_com_samples[k] ** 2))
         for i in range(n_c):
-            sl = layout.contact_position_slice(k, i)
-            c_lin[sl] -= weights.contact_reg * nominal_contacts[i]
+            c_lin[layout.contacts[k, i]] -= weights.contact_reg * nominal_contacts[i]
             constant += 0.5 * float(np.sum(weights.contact_reg * nominal_contacts[i] ** 2))
+
+    # The cost Hessian entry block by entry block; the CSR conversion adds
+    # the blocks that share an entry in the order listed.
+    hess_rows, hess_cols, hess_vals = [], [], []
+
+    def put(rows, cols, values):
+        hess_rows.append(rows)
+        hess_cols.append(cols)
+        hess_vals.append(values)
+
+    for k in range(n_knots + 1):
+        put(layout.com[k], layout.com[k], weights.com_tracking)
+        put(layout.momentum[k, 3:], layout.momentum[k, 3:], weights.ang_momentum)
+        for i in range(n_c):
+            put(layout.contacts[k, i], layout.contacts[k, i], weights.contact_reg)
+    # corner-force deviation from the contact's average: (I - 1/nv 11^T) x force_reg
+    for i, nv in enumerate(layout.corner_counts):
+        if nv < 2:
+            continue
+        centering = np.eye(nv) - np.full((nv, nv), 1.0 / nv)
+        for k in range(n_knots):
+            for j in range(nv):
+                for w in range(nv):
+                    put(force(k, i, j), force(k, i, w), centering[j, w] * weights.force_reg)
+    rate = weights.force_rate / period**2
+    for i, nv in enumerate(layout.corner_counts):
+        for j in range(nv):
+            for k in range(n_knots - 1):
+                now, later = force(k, i, j), force(k + 1, i, j)
+                put(now, now, rate)
+                put(later, later, rate)
+                put(now, later, -rate)
+                put(later, now, -rate)
+    cost_hess = sp.coo_matrix(
+        (np.concatenate(hess_vals), (np.concatenate(hess_rows), np.concatenate(hess_cols))),
+        shape=(layout.size, layout.size),
+    ).tocsr()
 
     const_rows, const_cols, const_vals = [], [], []
 
@@ -112,19 +153,18 @@ def reference_structure(plan, schedule, nominal_com_samples):
     put_diag(0, 0, sd, 1.0)
     for k in range(n_knots):
         rb = sd + k * sd
-        put_diag(rb, layout.com_slice(k + 1).start, 3, 1.0)
-        put_diag(rb, layout.com_slice(k).start, 3, -1.0)
-        put_diag(rb, layout.momentum_slice(k).start, 3, -period / mass)
-        put_diag(rb + 3, layout.momentum_slice(k + 1).start, 6, 1.0)
-        put_diag(rb + 3, layout.momentum_slice(k).start, 6, -1.0)
+        put_diag(rb, layout.com[k + 1, 0], 3, 1.0)
+        put_diag(rb, layout.com[k, 0], 3, -1.0)
+        put_diag(rb, layout.momentum[k, 0], 3, -period / mass)
+        put_diag(rb + 3, layout.momentum[k + 1, 0], 6, 1.0)
+        put_diag(rb + 3, layout.momentum[k, 0], 6, -1.0)
         for i in range(n_c):
             row = rb + 9 + 3 * i
-            put_diag(row, layout.contact_position_slice(k + 1, i).start, 3, 1.0)
-            put_diag(row, layout.contact_position_slice(k, i).start, 3, -1.0)
-            put_diag(row, layout.contact_velocity_slice(k, i).start, 3,
-                     -period * (1.0 - gamma[k, i]))
+            put_diag(row, layout.contacts[k + 1, i, 0], 3, 1.0)
+            put_diag(row, layout.contacts[k, i, 0], 3, -1.0)
+            put_diag(row, layout.velocities[k, i, 0], 3, -period * (1.0 - gamma[k, i]))
             for j in range(layout.corner_counts[i]):
-                put_diag(rb + 3, layout.force_slice(k, i, j).start, 3, -period * gamma[k, i])
+                put_diag(rb + 3, force(k, i, j)[0], 3, -period * gamma[k, i])
 
     const_entries = list(zip(*(np.concatenate(a) for a in (const_rows, const_cols, const_vals))))
 
@@ -139,15 +179,15 @@ def reference_structure(plan, schedule, nominal_com_samples):
     for k in range(n_knots):
         for i in range(n_c):
             world = corner_offsets[i] @ rotations[i].T
-            p_col = layout.contact_position_slice(k, i).start
+            p_col = layout.contacts[k, i, 0]
             for j in range(layout.corner_counts[i]):
-                f_col = layout.force_slice(k, i, j).start
+                f_col = force(k, i, j)[0]
                 for c, a, b, sign in products:
                     row, scale = sd + k * sd + 6 + c, sign * (-period * gamma[k, i])
                     bilinear.append((row, p_col + a, f_col + b, scale, world[j, a]))
                 for c, a, b, sign in products:
                     row, scale = sd + k * sd + 6 + c, -sign * (-period * gamma[k, i])
-                    bilinear.append((row, layout.com_slice(k).start + a, f_col + b, scale, 0.0))
+                    bilinear.append((row, layout.com[k, a], f_col + b, scale, 0.0))
     # of each cross product's 3x3 blocks, the six off-diagonal entries
     positions = {(row, col) for row, col, _ in const_entries}
     positions |= {(row, col) for row, arm, force, *_ in bilinear for col in (arm, force)}
@@ -181,9 +221,8 @@ def reference_structure(plan, schedule, nominal_com_samples):
         position = 0
         for i in range(n_c):
             for j in range(layout.corner_counts[i]):
-                base = layout.force_slice(k, i, j).start
                 in_rows.append(row + np.repeat(np.arange(6), 3))
-                in_cols.append(base + np.tile(np.arange(3), 6))
+                in_cols.append(np.tile(force(k, i, j), 6))
                 in_vals.append(pyr_local[i].ravel())
                 if dead_contact[i]:
                     # faces x - c z, y - c z and z held at zero pin the force
@@ -199,9 +238,8 @@ def reference_structure(plan, schedule, nominal_com_samples):
     for k in range(1, n_knots + 1):
         movable = movable | ~schedule[k - 1]
         for i in range(n_c):
-            base = layout.contact_position_slice(k, i).start
             in_rows.append(row + np.repeat(np.arange(3), 3))
-            in_cols.append(base + np.tile(np.arange(3), 3))
+            in_cols.append(np.tile(layout.contacts[k, i], 3))
             in_vals.append(rotations[i].T.ravel())
             anchor = rotations[i].T @ nominal_contacts[i]
             if movable[i]:
@@ -226,6 +264,7 @@ def reference_structure(plan, schedule, nominal_com_samples):
         ineq_matrix=ineq_matrix,
         ineq_lower=np.concatenate(lower),
         ineq_upper=np.concatenate(upper),
+        cost_hess=cost_hess,
         c_lin=c_lin,
         constant=constant,
         shift_rows=shift_rows,
@@ -263,6 +302,9 @@ def assert_matches_reference(plan, schedule, seed=0):
         for ours, theirs in zip(stored_entries(jac), ref["eq_pattern"]):
             assert np.array_equal(ours, theirs)
         hess = problem.lagrangian_hess(x, np.zeros(problem.n_eq))
+        # at zero multipliers, the cost Hessian plus the curvature entries
+        # as zeros, some of them -0.0, which adding 0.0 makes +0.0
+        assert np.array_equal(bits(hess.toarray() + 0.0), bits(ref["cost_hess"].toarray()))
         expected_cost = float(0.5 * x @ (hess @ x) + ref["c_lin"] @ x + ref["constant"])
         assert bits(problem.cost(x)) == bits(expected_cost)
         assert np.array_equal(bits(problem.cost_grad(x)), bits(hess @ x + ref["c_lin"]))
@@ -322,7 +364,7 @@ class TestLayoutTemplateMemo:
         assert len(structure_builds) == 1 and structure is structure_builds[0]
         hess = structure.cost_hess
         shared = [structure.eq_slots, structure.eq_indices, structure.eq_indptr,
-                  structure.knot_values, hess.data, hess.indices, hess.indptr,
+                  structure.linear_sources, hess.data, hess.indices, hess.indptr,
                   structure.bilinear_rows, structure.bilinear_arms, structure.bilinear_forces,
                   structure.bilinear_signs, structure.bilinear_gates, structure.bilinear_offsets,
                   problem.shift_rows, problem.qp_workspace.perm]
@@ -446,9 +488,8 @@ class TestLagrangianHessian:
             # a contact gated out at knot k adds no curvature there
             for k, i in zip(*np.nonzero(~schedule)):
                 for j in range(layout.corner_counts[i]):
-                    rows = np.arange(layout.force_slice(k, i, j).start,
-                                     layout.force_slice(k, i, j).stop)
-                    block = hess[rows][:, layout.contact_position_slice(k, i)]
+                    corner = sum(layout.corner_counts[:i]) + j
+                    block = hess[layout.forces[k, corner]][:, layout.contacts[k, i]]
                     assert block.nnz == 6 and not np.any(block.data)
 
     def test_alternating_layouts_each_get_their_own_hessian(self, structure_builds):

@@ -31,6 +31,11 @@ active_s = 0.0 0.3
 """
 
 
+def assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "quick.txt"
@@ -87,6 +92,17 @@ class TestRun:
     def test_missing_file_exit_code(self):
         assert main(["run", "/nonexistent/path.txt"]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "check-derivatives"])
+    def test_directory_as_scenario_exit_code(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_scenario_not_utf8_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(QUICK.replace("[physical]", "# caf\xe9\n[physical]").encode("latin-1"))
+        assert main(["run", str(bad)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+
     def test_degraded_completion_exit_code(self, tmp_path, capsys):
         # under a push, one solver iteration cannot converge; the run
         # completes degraded
@@ -125,6 +141,13 @@ class TestMetricsCommand:
 
     def test_missing_manifest(self, tmp_path):
         assert main(["metrics", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text", ["{not json", '{"steps": 3}', "[1, 2]"])
+    def test_unreadable_manifest_exit_code(self, tmp_path, capsys, text):
+        # not JSON, no metrics key, not an object
+        (tmp_path / "run_manifest.json").write_text(text)
+        assert main(["metrics", str(tmp_path)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
 
 
 class TestCheckDerivatives:

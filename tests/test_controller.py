@@ -70,10 +70,8 @@ class TestShiftWarmStart:
     def test_ramp_shifts_by_one(self):
         layout = layout_for(standing_plan(), OPTIONS)
         x = np.zeros(layout.size)
-        for k in range(layout.n_knots + 1):
-            x[layout.state_base(k) : layout.state_base(k) + layout.state_dim] = k
-        for k in range(layout.n_knots):
-            x[layout.control_base(k) : layout.control_base(k) + layout.control_dim] = k
+        x[: layout.n_state_vars] = np.repeat(np.arange(layout.n_knots + 1), layout.state_dim)
+        x[layout.n_state_vars :] = np.repeat(np.arange(layout.n_knots), layout.control_dim)
         shifted = shift_warm_start(x, layout)
         states = shifted[: layout.n_state_vars].reshape(-1, layout.state_dim)
         expected = list(range(1, layout.n_knots + 1)) + [layout.n_knots]
@@ -134,12 +132,10 @@ class TestColdStart:
         x = cold_start(plan, layout, spline.sample(times))
         for k in range(layout.n_knots + 1):
             np.testing.assert_allclose(
-                x[layout.com_slice(k)], spline.position(0.2 + 0.1 * k), atol=1e-12
+                x[layout.com[k]], spline.position(0.2 + 0.1 * k), atol=1e-12
             )
-            assert np.array_equal(x[layout.momentum_slice(k)], np.zeros(6))
-            np.testing.assert_allclose(
-                x[layout.contact_position_slice(k, 0)], [0, 0, 0], atol=1e-12
-            )
+            assert np.array_equal(x[layout.momentum[k]], np.zeros(6))
+            np.testing.assert_allclose(x[layout.contacts[k, 0]], [0, 0, 0], atol=1e-12)
         assert np.array_equal(x[layout.n_state_vars :],
                               np.zeros(layout.n_knots * layout.control_dim))
 
@@ -230,7 +226,7 @@ class TestMpcStep:
                        OPTIONS, PARAMS, spline)
         assert out.degraded
         layout = layout_for(plan, OPTIONS)
-        shifted, _ = layout.control_arrays(shift_warm_start(previous, layout))
+        shifted, _ = layout.control_arrays(shift_warm_start(previous.x, layout))
         rotations = np.array([c.orientation for c in plan.contacts])
         expected = _sanitize_forces(shifted, out.schedule.astype(float), OPTIONS.pyramid,
                                     rotations)

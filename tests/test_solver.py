@@ -490,7 +490,3 @@ class TestCheckDerivatives:
         args = (fun, jac, x, 1e-6, m, _color_groups(pattern.row, pattern.col, n))
         assert _fd_jacobian_check(*args) == self.entry_by_entry_scan(*args)
 
-    def test_fd_step_validation(self):
-        problem = quadratic_problem(np.eye(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            check_derivatives(problem, np.zeros((1, 2)), fd_step=0.0)

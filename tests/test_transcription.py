@@ -216,18 +216,14 @@ class TestDecisionLayout:
 
     def test_index_map_is_bijection(self):
         layout = DecisionLayout(3, [4, 1])
-        seen = np.zeros(layout.size, dtype=int)
-        for k in range(layout.n_knots + 1):
-            seen[layout.com_slice(k)] += 1
-            seen[layout.momentum_slice(k)] += 1
-            for i in range(layout.n_contacts):
-                seen[layout.contact_position_slice(k, i)] += 1
-        for k in range(layout.n_knots):
-            for i, nv in enumerate(layout.corner_counts):
-                for j in range(nv):
-                    seen[layout.force_slice(k, i, j)] += 1
-                seen[layout.contact_velocity_slice(k, i)] += 1
-        assert np.all(seen == 1)
+        blocks = [layout.com, layout.momentum, layout.contacts, layout.forces, layout.velocities]
+        assert [b.shape for b in blocks] == [(4, 3), (4, 6), (4, 2, 3), (3, 5, 3), (3, 2, 3)]
+        # together the blocks list every index of the vector exactly once
+        assert np.array_equal(np.sort(np.concatenate([b.ravel() for b in blocks])),
+                              np.arange(layout.size))
+        for block in blocks + [layout.shift]:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 0
 
     def test_views_round_trip(self):
         layout = DecisionLayout(2, [2])
@@ -235,11 +231,13 @@ class TestDecisionLayout:
         x = rng.randn(layout.size)
         com, momentum, contacts = layout.state_arrays(x)
         forces, velocities = layout.control_arrays(x)
-        np.testing.assert_array_equal(com[1], x[layout.com_slice(1)])
-        np.testing.assert_array_equal(momentum[2], x[layout.momentum_slice(2)])
-        np.testing.assert_array_equal(contacts[0, 0], x[layout.contact_position_slice(0, 0)])
-        np.testing.assert_array_equal(forces[0][1, 1], x[layout.force_slice(1, 0, 1)])
-        np.testing.assert_array_equal(velocities[1, 0], x[layout.contact_velocity_slice(1, 0)])
+        # three knots of 12 states (CoM, momentum, one contact), then two
+        # steps of 9 controls (two corner forces, one velocity)
+        np.testing.assert_array_equal(com[1], x[12:15])
+        np.testing.assert_array_equal(momentum[2], x[27:33])
+        np.testing.assert_array_equal(contacts[0, 0], x[9:12])
+        np.testing.assert_array_equal(forces[0][1, 1], x[48:51])
+        np.testing.assert_array_equal(velocities[1, 0], x[51:54])
 
 
 def two_contact_problem(n_knots=4, period=0.1, disturbance=True, seed=0):
@@ -319,13 +317,13 @@ class TestBuildNlp:
         base = problem.eq(x)
         # contact r is inactive at step 0: its force there is dynamics-irrelevant
         x2 = x.copy()
-        x2[layout.force_slice(0, 1, 0)] += 37.0
+        x2[layout.forces[0, 4]] += 37.0  # corner 4 is contact r's only one
         assert np.array_equal(problem.eq(x2), base)
 
     def test_derivatives_match_finite_differences(self):
         problem, *_ = two_contact_problem()
         rng = np.random.RandomState(11)
-        report = check_derivatives(problem, rng.randn(3, problem.dimension), fd_step=1e-6)
+        report = check_derivatives(problem, rng.randn(3, problem.dimension))
         assert report.max_relative_error < 1e-5
 
     def test_dense_fd_validates_declared_sparsity(self):
@@ -356,12 +354,10 @@ class TestBuildNlp:
             FrictionPyramid(0.8, 0, 60.0), ContactBox.planar(0.15, 0.15),
             4, 0.1, params,
         )
-        for k in range(5):
-            x[layout.com_slice(k)] = nominal[0]
-            x[layout.contact_position_slice(k, 0)] = [0, 0.1, 0]
-            x[layout.contact_position_slice(k, 1)] = [0, -0.1, 0]
+        x[layout.com] = nominal[0]
+        x[layout.contacts] = [[0, 0.1, 0], [0, -0.1, 0]]
         assert problem2.cost(x) == pytest.approx(0.0, abs=1e-10)
-        x[layout.momentum_slice(2)] = [0, 0, 0, 0.1, 0, 0]
+        x[layout.momentum[2]] = [0, 0, 0, 0.1, 0, 0]
         assert problem2.cost(x) > 1e-3
 
     def test_structural_errors(self):
