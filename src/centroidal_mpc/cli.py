@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .controller import cold_start, layout_for
+from .controller import cold_start
 from .model import CentroidalState
 from .plan import horizon_schedule, nominal_com_trajectory
 from .scenario import ScenarioError, apply_overrides, parse_scenario
@@ -71,7 +71,6 @@ def _cmd_run(args) -> int:
 def _cmd_check_derivatives(args) -> int:
     config = _load_config(args.scenario, args.override)
     plan, params, options = config.plan, config.params, config.mpc
-    layout = layout_for(plan, options)
     schedule = horizon_schedule(plan, 0.0, options.horizon_knots, options.period)
     spline = nominal_com_trajectory(plan, params)
     samples = spline.sample(options.period * np.arange(options.horizon_knots + 1))
@@ -80,10 +79,10 @@ def _cmd_check_derivatives(args) -> int:
         plan, state, plan.nominal_positions, schedule, samples, options.weights, options.pyramid,
         options.box, options.horizon_knots, options.period, params,
     )
-    base = cold_start(plan, layout, samples)
+    base = cold_start(plan, problem.layout, samples)
     rng = np.random.RandomState(args.seed)
     draws = [
-        (base + rng.uniform(-0.5, 0.5, size=layout.size),
+        (base + rng.uniform(-0.5, 0.5, size=problem.dimension),
          rng.uniform(-700.0, 700.0, size=problem.n_eq))
         for _ in range(args.points)
     ]

@@ -58,23 +58,19 @@ class MpcOptions:
 class MpcOutput:
     """First control and landing positions extracted from one solve.
 
-    forces[i] (n_v_i, 3) are contact i's knot-0 corner forces and
-    landings[i] its box-clamped landing at its first touchdown ahead in the
-    horizon, or its nominal position when none lies ahead; both in plan
-    order.
+    forces (V, 3) are the knot-0 forces of the plan's corners, in column
+    order, and landings[i] is contact i's box-clamped landing at its first
+    touchdown ahead in the horizon, or its nominal position when none lies
+    ahead.
     """
 
-    forces: tuple
+    forces: np.ndarray
     landings: np.ndarray
     predicted_com: np.ndarray
     predicted_momentum: np.ndarray
     schedule: np.ndarray
     solution: Solution
     degraded: bool
-
-
-def layout_for(plan: ContactPlan, options: MpcOptions) -> DecisionLayout:
-    return DecisionLayout(options.horizon_knots, plan.corner_counts)
 
 
 def cold_start(
@@ -107,20 +103,17 @@ def shift_multipliers(multipliers, problem: NlpProblem) -> np.ndarray:
     return y_prev[problem.shift_rows]
 
 
-def _sanitize_forces(forces, schedule, pyramid: FrictionPyramid, rotations):
+def _sanitize_forces(forces, gamma, pyramid: FrictionPyramid, plan: ContactPlan):
     """Zero gated-out forces and clamp the rest into the pyramid.
 
-    Each contact's forces are rotated into its frame, clamped there by
+    forces (K, V, 3) of the plan's corners, gamma (K, n_c).  Every corner's
+    forces are rotated into its contact's frame, clamped there by
     FrictionPyramid.clamp and rotated back.  Feasible output for any input;
     solutions within tolerance move by at most their violation.
     """
-    cleaned = []
-    for i, f_i in enumerate(forces):
-        local = pyramid.clamp(np.einsum("ba,kjb->kja", rotations[i], f_i))
-        world = np.einsum("ab,kjb->kja", rotations[i], local)
-        world *= schedule[:, i, None, None]
-        cleaned.append(world)
-    return cleaned
+    rotations = plan.orientations[plan.corner_contact]
+    local = pyramid.clamp(np.einsum("jba,kjb->kja", rotations, forces))
+    return np.einsum("jab,kjb->kja", rotations, local) * gamma[:, plan.corner_contact, None]
 
 
 def mpc_step(
@@ -144,7 +137,6 @@ def mpc_step(
     """
     n_knots = options.horizon_knots
     period = options.period
-    layout = layout_for(plan, options)
     schedule = horizon_schedule(plan, t, n_knots, period)
     nominal_samples = nominal_spline.sample(t + period * np.arange(n_knots + 1))
     profile = np.tile(np.asarray(wrench, dtype=float), (n_knots, 1))
@@ -163,6 +155,7 @@ def mpc_step(
         params,
         profile,
     )
+    layout = problem.layout
     if previous is not None and previous.x.size == layout.size:
         warm = shift_warm_start(previous.x, layout)
         # duals from a solve that never converged mislead more than they help
@@ -180,19 +173,18 @@ def mpc_step(
                     solution.status, t)
         x_sol = shift_warm_start(previous.x, layout)
 
-    forces_raw, velocities = layout.control_arrays(x_sol)
     gamma = schedule.astype(float)
-    forces = _sanitize_forces(forces_raw, gamma, options.pyramid, plan.orientations)
+    forces = _sanitize_forces(x_sol[layout.forces], gamma, options.pyramid, plan)
 
     p_next, h_next, _ = euler_step_batch(
         current_state.p_com,
         current_state.momentum,
         measured,
         forces,
-        velocities,
+        x_sol[layout.velocities],
         gamma,
-        plan.orientations,
-        plan.corner_offsets,
+        plan.corner_arms,
+        plan.corner_contact,
         params.mass,
         params.gravity,
         profile,
@@ -210,7 +202,7 @@ def mpc_step(
                 contacts_sol[onsets[0] + 1, i], contact.nominal_position, contact.orientation
             )
     return MpcOutput(
-        forces=tuple(f[0] for f in forces),
+        forces=forces[0],
         landings=landings,
         predicted_com=predicted_com,
         predicted_momentum=predicted_momentum,

@@ -10,7 +10,6 @@ the contact location while the contact bears load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -133,77 +132,72 @@ def check_rotation(matrix, name: str = "orientation") -> np.ndarray:
     return R
 
 
-def _gated_forces(
-    forces: Sequence[np.ndarray], gamma: np.ndarray, corner_offsets: Sequence[np.ndarray]
-) -> list:
-    """Each forces[i] (K, n_v_i, 3) times its contact's gate.
+def _gated_forces(forces, gamma: np.ndarray, corner_contact: np.ndarray) -> np.ndarray:
+    """forces (K, V, 3), each corner's times its contact's gate.
 
-    Raises ValueError unless n_v_i is the corner count of corner_offsets[i]:
-    one corner force would broadcast against four offsets in the torques,
-    and four forces against one offset.  Every rate and rollout gates its
-    forces here before it sums them.
+    Raises ValueError unless V is len(corner_contact): one corner force
+    would broadcast against four arms in the torques, and four forces
+    against one arm.  Every rate and rollout gates its forces here before
+    it sums them.
     """
-    if len(forces) != len(corner_offsets) or any(
-        np.shape(f)[1:] != (len(offsets), 3) for f, offsets in zip(forces, corner_offsets)
-    ):
+    if np.shape(forces)[1:] != (len(corner_contact), 3):
         raise ValueError(
-            "forces[i] must have shape (K, len(corner_offsets[i]), 3) for every contact, got "
-            f"{[np.shape(f) for f in forces]} against {[len(o) for o in corner_offsets]} corners"
+            f"forces must have shape (K, {len(corner_contact)}, 3), one row per corner, "
+            f"got {np.shape(forces)}"
         )
-    return [gamma[:, i, None, None] * force_i for i, force_i in enumerate(forces)]
+    return gamma[:, corner_contact, None] * forces
 
 
-def _force_rate(gated: list, mass: float, gravity: np.ndarray, wrench: np.ndarray) -> np.ndarray:
+def _force_rate(gated, mass: float, gravity: np.ndarray, wrench: np.ndarray) -> np.ndarray:
     """Linear momentum rate (K, 3): weight, disturbance force, gated corner forces."""
     rate = mass * gravity + wrench[:, 0:3]
-    for f in gated:
-        for j in range(f.shape[1]):
-            rate += f[:, j]
+    for j in range(gated.shape[1]):
+        rate += gated[:, j]
     return rate
 
 
-def _torque_rate(p_com, p_contacts, gated, rotations, corner_offsets, wrench) -> np.ndarray:
+def _torque_rate(p_com, p_contacts, gated, corner_arms, corner_contact, wrench) -> np.ndarray:
     """Angular momentum rate (K, 3) about the CoM: disturbance torque plus corner torques."""
     rate = wrench[:, 3:6].copy()
-    for i, f in enumerate(gated):
-        offsets_world = corner_offsets[i] @ rotations[i].T
-        arms = p_contacts[:, i, None, :] + offsets_world - p_com[:, None, :]
-        torques = cross_rows(arms, f)
-        for j in range(f.shape[1]):
-            rate += torques[:, j]
+    arms = p_contacts[:, corner_contact] + corner_arms - p_com[:, None, :]
+    torques = cross_rows(arms, gated)
+    for j in range(gated.shape[1]):
+        rate += torques[:, j]
     return rate
 
 
 def momentum_rate_batch(
     p_com: np.ndarray,
     p_contacts: np.ndarray,
-    forces: Sequence[np.ndarray],
+    forces: np.ndarray,
     gamma: np.ndarray,
-    rotations: np.ndarray,
-    corner_offsets: Sequence[np.ndarray],
+    corner_arms: np.ndarray,
+    corner_contact: np.ndarray,
     mass: float,
     gravity: np.ndarray,
     wrench: np.ndarray,
 ) -> np.ndarray:
     """Gated momentum rate, batched over a leading knot axis.
 
-    p_com (K, 3), p_contacts (K, n_c, 3), forces[i] (K, n_v_i, 3),
-    gamma (K, n_c), rotations (n_c, 3, 3), corner_offsets[i] (n_v_i, 3),
-    wrench (K, 6).  Returns (K, 6) stacked (linear, angular) rates.  Forces
-    of another corner count than their contact's offsets raise ValueError.
+    p_com (K, 3), p_contacts (K, n_c, 3), forces (K, V, 3) of the V
+    corners, gamma (K, n_c), corner_arms (V, 3) of each corner's offset
+    from its contact in the world frame, corner_contact (V,) of each
+    corner's contact, wrench (K, 6).  Returns (K, 6) stacked (linear,
+    angular) rates.  Forces of another corner count than corner_contact
+    raise ValueError.
 
-    The gated forces, lever arms and torques of all corners of a contact are
-    computed at once (torques by `cross_rows`, the float operations of
-    np.cross); each corner's force and torque are then added to the rates in
-    an explicit loop over contacts and corners, so the summation order is
-    identical for any K.  This keeps single-step rollouts bit-identical to
-    batched evaluations of the same quantities.
+    The gated forces, lever arms and torques of all corners are computed at
+    once (torques by `cross_rows`, the float operations of np.cross); each
+    corner's force and torque are then added to the rates in an explicit
+    loop over the corners, so the summation order is identical for any K.
+    This keeps single-step rollouts bit-identical to batched evaluations of
+    the same quantities.
     """
-    gated = _gated_forces(forces, gamma, corner_offsets)
+    gated = _gated_forces(forces, gamma, corner_contact)
     return np.concatenate(
         [
             _force_rate(gated, mass, gravity, wrench),
-            _torque_rate(p_com, p_contacts, gated, rotations, corner_offsets, wrench),
+            _torque_rate(p_com, p_contacts, gated, corner_arms, corner_contact, wrench),
         ],
         axis=1,
     )
@@ -218,11 +212,11 @@ def euler_step_batch(
     p_com: np.ndarray,
     momentum: np.ndarray,
     p_contacts: np.ndarray,
-    forces: Sequence[np.ndarray],
+    forces: np.ndarray,
     contact_velocities: np.ndarray,
     gamma: np.ndarray,
-    rotations: np.ndarray,
-    corner_offsets: Sequence[np.ndarray],
+    corner_arms: np.ndarray,
+    corner_contact: np.ndarray,
     mass: float,
     gravity: np.ndarray,
     wrench: np.ndarray,
@@ -230,8 +224,9 @@ def euler_step_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K explicit Euler steps of the gated dynamics, batched over knots.
 
-    forces[i] (K, n_v_i, 3), contact_velocities (K, n_c, 3), gamma (K, n_c)
-    and wrench (K, 6) drive the K steps.  With states per knot, p_com (K, 3),
+    forces (K, V, 3), contact_velocities (K, n_c, 3), gamma (K, n_c) and
+    wrench (K, 6) drive the K steps, with the corners' arms and contacts as
+    in momentum_rate_batch.  With states per knot, p_com (K, 3),
     momentum (K, 6) and p_contacts (K, n_c, 3), step k starts from row k
     (the steps are independent, as in the transcription's defects).  With one
     start state, p_com (3,), momentum (6,) and p_contacts (n_c, 3), the steps
@@ -246,7 +241,7 @@ def euler_step_batch(
     step's torque, and one more accumulate chains the angular momentum.
     Each row equals K chained single-step calls bit for bit.
     """
-    gated = _gated_forces(forces, gamma, corner_offsets)
+    gated = _gated_forces(forces, gamma, corner_contact)
     force_rate = _force_rate(gated, mass, gravity, wrench)
     held = (gamma > 0.5)[..., None]
     slide = dt * ((1.0 - gamma)[..., None] * contact_velocities)
@@ -255,10 +250,10 @@ def euler_step_batch(
         com = _chain(p_com, (dt / mass) * h_lin[:-1])
         # adding -0.0 leaves every float as it is, the sign of a zero too
         contacts = _chain(p_contacts, np.where(held, -0.0, slide))
-        torque = _torque_rate(com[:-1], contacts[:-1], gated, rotations, corner_offsets, wrench)
+        torque = _torque_rate(com[:-1], contacts[:-1], gated, corner_arms, corner_contact, wrench)
         h_ang = _chain(momentum[3:6], dt * torque)
         return com[1:], np.concatenate([h_lin[1:], h_ang[1:]], axis=1), contacts[1:]
-    torque = _torque_rate(p_com, p_contacts, gated, rotations, corner_offsets, wrench)
+    torque = _torque_rate(p_com, p_contacts, gated, corner_arms, corner_contact, wrench)
     momentum_next = momentum + dt * np.concatenate([force_rate, torque], axis=1)
     p_com_next = p_com + (dt / mass) * momentum[:, 0:3]
     p_contacts_next = np.where(held, p_contacts, p_contacts + slide)
@@ -268,20 +263,20 @@ def euler_step_batch(
 def integrate_step(
     state: CentroidalState,
     p_contacts: np.ndarray,
-    forces: Sequence[np.ndarray],
+    forces: np.ndarray,
     gamma: np.ndarray,
-    rotations: np.ndarray,
-    corner_offsets: Sequence[np.ndarray],
+    corner_arms: np.ndarray,
+    corner_contact: np.ndarray,
     params: PhysicalParams,
     wrenches: np.ndarray,
     dt: float,
 ) -> CentroidalState:
     """S explicit Euler steps of length dt, one per row of `wrenches`.
 
-    p_contacts (n_c, 3), forces[i] (n_v_i, 3), gamma (n_c,), rotations
-    (n_c, 3, 3), corner_offsets[i] (n_v_i, 3) and wrenches (S, 6) of stacked
-    (force, torque about the CoM); forces of another corner count than
-    their contact's offsets raise ValueError.  The contacts (positions,
+    p_contacts (n_c, 3), forces (V, 3), gamma (n_c,), corner_arms (V, 3),
+    corner_contact (V,) as in momentum_rate_batch, and wrenches (S, 6) of
+    stacked (force, torque about the CoM); forces of another corner count
+    than corner_contact raise ValueError.  The contacts (positions,
     gates, forces) are held over all steps and do not slide.  The steps are
     one euler_step_batch rollout, so S rows equal S chained one-row calls
     bit for bit.  The CoM moves with the pre-step linear momentum.
@@ -292,16 +287,16 @@ def integrate_step(
     if wrenches.ndim != 2 or wrenches.shape[0] < 1 or wrenches.shape[1] != 6:
         raise ValueError(f"wrenches must have shape (S, 6), got {wrenches.shape}")
     _require_finite(wrenches, "wrenches")
-    steps, n_c = wrenches.shape[0], len(forces)
+    steps, n_c = wrenches.shape[0], len(gamma)
     p_next, h_next, _ = euler_step_batch(
         state.p_com,
         state.momentum,
         p_contacts,
-        [np.broadcast_to(f, (steps,) + f.shape) for f in forces],
+        np.broadcast_to(forces, (steps,) + np.shape(forces)),
         np.zeros((steps, n_c, 3)),
         np.broadcast_to(gamma, (steps, n_c)),
-        rotations,
-        corner_offsets,
+        corner_arms,
+        corner_contact,
         params.mass,
         params.gravity,
         wrenches,

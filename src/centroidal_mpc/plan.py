@@ -54,16 +54,20 @@ class NominalContact:
 class ContactPlan:
     """Timed contact sequence over [0, duration].
 
-    The stacked arrays of its contacts, in contact order, are derived once
-    and are read-only: orientations (n_c, 3, 3), corner offsets (one
-    (n_v_i, 3) array each), corner counts and nominal positions (n_c, 3).
+    The stacked arrays of its contacts are derived once and are read-only:
+    orientations (n_c, 3, 3) and nominal positions (n_c, 3) in contact
+    order, and the corner counts.  The V corners of all contacts are
+    numbered in contact order, as the columns of the corner forces:
+    `corner_contact` (V,) holds each corner's contact and `corner_arms`
+    (V, 3) its offset from the contact in the world frame, R c.
     """
 
     contacts: tuple
     duration: float
     orientations: np.ndarray = field(init=False, repr=False, compare=False)
-    corner_offsets: tuple = field(init=False, repr=False, compare=False)
     corner_counts: tuple = field(init=False, repr=False, compare=False)
+    corner_contact: np.ndarray = field(init=False, repr=False, compare=False)
+    corner_arms: np.ndarray = field(init=False, repr=False, compare=False)
     nominal_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,15 +85,20 @@ class ContactPlan:
                         f"outside plan duration {self.duration}"
                     )
         object.__setattr__(self, "contacts", contacts)
+        counts = tuple(c.geometry.n_corners for c in contacts)
         orientations = np.array([c.orientation for c in contacts])
-        offsets = tuple(c.geometry.offsets_matrix() for c in contacts)
-        nominal = np.array([c.nominal_position for c in contacts])
-        for arr in (orientations, nominal) + offsets:
+        derived = {
+            "orientations": orientations,
+            "corner_contact": np.repeat(np.arange(len(contacts)), counts),
+            "corner_arms": np.concatenate(
+                [c.geometry.offsets_matrix() @ R.T for c, R in zip(contacts, orientations)]
+            ),
+            "nominal_positions": np.array([c.nominal_position for c in contacts]),
+        }
+        for name, arr in derived.items():
             arr.flags.writeable = False
-        object.__setattr__(self, "orientations", orientations)
-        object.__setattr__(self, "corner_offsets", offsets)
-        object.__setattr__(self, "corner_counts", tuple(c.geometry.n_corners for c in contacts))
-        object.__setattr__(self, "nominal_positions", nominal)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "corner_counts", counts)
 
     @property
     def n_contacts(self) -> int:

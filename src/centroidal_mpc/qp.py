@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 _DIV_GUARD = 1e-30
 _EPS_ABS = 1e-6
@@ -164,7 +163,7 @@ class QpWorkspace:
     P is read as CSC; A is one matrix or a tuple of row blocks stacked in
     order, each read as CSR.  The workspace holds the patterns of P and A,
     the band slot of every entry of P + A' diag(w) A under `ordering`
-    (reverse Cuthill-McKee when not given) and the pairs of A's entries
+    (the natural order when not given) and the pairs of A's entries
     behind it, and one equilibration (d, e, c) by _ruiz_scale of the values
     of P and A given here, `free` and `q` as there.  A' needs nothing of its
     own: a solve reads it as the CSC transpose of its A, on A's arrays.
@@ -206,12 +205,7 @@ class QpWorkspace:
         after = self.indptr[1:][self.a_row] - entries
         left = np.repeat(entries, after)
         right = left + (np.arange(left.size) - np.repeat(np.cumsum(after) - after, after))
-        if ordering is None:
-            rows = np.concatenate([self.indices[left], self.p_row])
-            cols = np.concatenate([self.indices[right], self.p_col])
-            graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-            ordering = reverse_cuthill_mckee(graph + graph.T, symmetric_mode=True)
-        ordering = np.asarray(ordering)
+        ordering = np.arange(n) if ordering is None else np.asarray(ordering)
         if (
             ordering.shape != (n,)
             or ordering.dtype.kind not in "iu"
@@ -254,13 +248,12 @@ class _CondensedSystem:
 
     Under the horizon's stage order (DecisionLayout.stage_order) these
     matrices are narrow band matrices: bandwidth 18 for the 552 variables
-    of the one-leg horizon, 45 for the 1365 of the two-leg one (reverse
-    Cuthill-McKee: 55 and 65).  The equality rows are active in every set,
-    so their share, with P and reg I, is summed once per QP (`base`, one
-    weighted bincount over the workspace's band slots, an (n, w + 1) array
-    in C order that is LAPACK's band transposed); the band of an active set
-    adds to it only the pair products of its active inequality rows, which
-    are few.
+    of the one-leg horizon, 45 for the 1365 of the two-leg one.  The
+    equality rows are active in every set, so their share, with P and reg
+    I, is summed once per QP (`base`, one weighted bincount over the
+    workspace's band slots, an (n, w + 1) array in C order that is LAPACK's
+    band transposed); the band of an active set adds to it only the pair
+    products of its active inequality rows, which are few.
     """
 
     def __init__(self, workspace: QpWorkspace, p_data, a_data, eq):
@@ -449,7 +442,7 @@ def solve_qp(
     # violated row.
     x = np.zeros(n)
     if y0 is not None:
-        y = c * np.asarray(y0, dtype=float).reshape(-1) / np.where(e > 0, e, 1.0)
+        y = c * np.asarray(y0, dtype=float).reshape(-1) / e
     else:
         y = np.zeros(m)
     low = ~eq & (y < 0.0) & np.isfinite(lower)
@@ -534,8 +527,6 @@ def solve_qp(
             break
 
     kkt, xs, ys = best
-    if status == "max_iterations" and kkt <= _EPS_ABS:
-        status = "solved"
     return QpResult(d * xs, (e * ys) / c, status, iterations, polished=bool(np.isfinite(kkt)))
 
 

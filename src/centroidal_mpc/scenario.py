@@ -245,7 +245,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
             if sec.name in by_name:
                 problems.append(f"line {sec.line}: duplicate section [{sec.name}]")
             by_name[sec.name] = sec
-        elif sec.name.startswith("contact"):
+        elif sec.name.split(None, 1)[:1] == ["contact"]:
             label = sec.name[len("contact") :].strip()
             if not label:
                 problems.append(f"line {sec.line}: contact section needs a name")

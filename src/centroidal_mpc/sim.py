@@ -45,14 +45,18 @@ class Touchdown:
 
 @dataclass
 class TrajectoryLog:
-    """Uniformly timestamped run record: one row per control step plus one."""
+    """Uniformly timestamped run record: one row per control step plus one.
+
+    forces (steps + 1, V, 3) holds the applied forces of the plan's corners
+    in column order; corner_counts splits the corners by contact.
+    """
 
     times: np.ndarray
     com: np.ndarray
     momentum: np.ndarray
     contact_positions: np.ndarray
     gamma: np.ndarray
-    forces: list
+    forces: np.ndarray
     nominal_com: np.ndarray
     nominal_contacts: np.ndarray
     contact_ids: list
@@ -140,7 +144,7 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
     # the gate at the end itself
     t_end = float(times[n_steps])
     gamma_log[n_steps] = [c.active_at(t_end) for c in plan.contacts]
-    force_log = [np.zeros((n_steps + 1, nv, 3)) for nv in plan.corner_counts]
+    force_log = np.zeros((n_steps + 1, plan.corner_contact.size, 3))
     touchdowns: list = []
     statuses: list = []
     iterations = np.zeros(n_steps, dtype=int)
@@ -178,8 +182,7 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
 
         com_log[k] = state.p_com
         momentum_log[k] = state.momentum
-        for i in range(n_c):
-            force_log[i][k] = out.forces[i]
+        force_log[k] = out.forces
         statuses.append(out.solution.status)
         iterations[k] = out.solution.iterations
         kkts[k] = out.solution.kkt_residual
@@ -193,10 +196,10 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
         state = integrate_step(
             state,
             position_log[k],
-            [f[k] for f in force_log],
+            force_log[k],
             gamma_log[k].astype(float),
-            plan.orientations,
-            plan.corner_offsets,
+            plan.corner_arms,
+            plan.corner_contact,
             params,
             plant_wrenches[k],
             dt_sub,
@@ -246,14 +249,12 @@ def compute_metrics(traj: TrajectoryLog, config: ScenarioConfig) -> Metrics:
     converged = np.array([s == "converged" for s in traj.statuses])
     worst = 0.0
     pyramid = config.mpc.pyramid
-    for i, rotation in enumerate(config.plan.orientations):
-        active = traj.gamma[: traj.n_steps, i]
-        forces = traj.forces[i][: traj.n_steps]
-        for k in np.where(active)[0]:
-            for j in range(forces.shape[1]):
-                worst = max(worst, pyramid.violation(forces[k, j], rotation))
+    plan = config.plan
+    for corner, i in enumerate(plan.corner_contact):
+        for k in np.flatnonzero(traj.gamma[: traj.n_steps, i]):
+            worst = max(worst, pyramid.violation(traj.forces[k, corner], plan.orientations[i]))
     for td in traj.touchdowns:
-        contact = config.plan.contact(td.contact_id)
+        contact = plan.contact(td.contact_id)
         gap = config.mpc.box.gap(td.committed, contact.nominal_position, contact.orientation)
         worst = max(worst, gap)
     return Metrics(
@@ -294,7 +295,7 @@ def export_csv(traj: TrajectoryLog, out_dir) -> list:
     times = [_fmt(t) for t in traj.times]
     states = np.concatenate([traj.com, traj.momentum, traj.nominal_com], axis=1)
     offsets = traj.contact_positions[:, :, :2] - traj.nominal_contacts[:, :2]
-    forces = np.concatenate([f.reshape(f.shape[0], -1) for f in traj.forces], axis=1)
+    forces = traj.forces.reshape(traj.forces.shape[0], -1)
 
     def contact_cells(r):
         for i in range(len(ids)):

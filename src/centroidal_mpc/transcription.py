@@ -12,8 +12,9 @@ the Hessian of the Lagrangian are analytic and sparse.
 The structure of a horizon problem (the cost Hessian, every constraint row,
 the sparsity patterns of the Jacobians and of the Lagrangian Hessian, the
 row shift and the variable ordering) is built once per (layout, weights,
-period, contact rotations, friction coefficient) and shared read-only by
-every problem of that key.  The contact schedule sets only values and bounds.
+period, contact rotations and corner arms, friction coefficient) and shared
+read-only by every problem of that key.  The contact schedule sets only
+values and bounds.
 """
 
 from __future__ import annotations
@@ -232,13 +233,6 @@ class DecisionLayout:
         """(com (N+1,3), momentum (N+1,6), contact positions (N+1,n_c,3))."""
         return x[self.com], x[self.momentum], x[self.contacts]
 
-    def control_arrays(self, x: np.ndarray):
-        """(forces: list of (N, n_v_i, 3), velocities (N, n_c, 3))."""
-        ends = np.cumsum(self.corner_counts)
-        forces = [x[self.forces[:, end - count : end]]
-                  for count, end in zip(self.corner_counts, ends)]
-        return forces, x[self.velocities]
-
 
 @dataclass
 class NlpProblem:
@@ -268,6 +262,8 @@ class NlpProblem:
     rows of the last knot list themselves.  Multipliers y of one control
     instant, read as y[shift_rows], seed those of the next, as
     controller.shift_warm_start seeds x.
+
+    `layout`, when set, is the DecisionLayout that numbers x.
     """
 
     dimension: int
@@ -282,6 +278,7 @@ class NlpProblem:
     ineq_upper: np.ndarray | None = None
     shift_rows: np.ndarray | None = None
     qp_workspace: QpWorkspace | None = None
+    layout: DecisionLayout | None = None
 
     def __post_init__(self):
         if self.ineq_matrix is None:
@@ -303,7 +300,9 @@ def _flat_entries(terms) -> list:
     return [np.concatenate([a.ravel() for a in column]) for column in columns]
 
 
-def _cost_hessian(layout: DecisionLayout, weights: Weights, period: float) -> sp.csr_matrix:
+def _cost_hessian(
+    layout: DecisionLayout, weights: Weights, period: float, corner_contact: np.ndarray
+) -> sp.csr_matrix:
     """Sparse Hessian of the summed quadratic costs, one (rows, cols, values) put per term.
 
     Where terms share an entry (the force diagonal: centering, then the
@@ -317,9 +316,8 @@ def _cost_hessian(layout: DecisionLayout, weights: Weights, period: float) -> sp
         (layout.contacts, layout.contacts, weights.contact_reg),
     ]
     # Corner-force deviation from the per-contact average: (I - 1/nv 11^T) x Lambda.
-    # Read off the vector 0, 1, 2, ..., each contact's forces are their positions.
-    forces_by_contact, _ = layout.control_arrays(np.arange(layout.size))
-    for forces in forces_by_contact:
+    for i in range(layout.n_contacts):
+        forces = layout.forces[:, corner_contact == i]
         nv = forces.shape[1]
         if nv > 1:
             centering = np.eye(nv) - np.full((nv, nv), 1.0 / nv)
@@ -364,11 +362,11 @@ def _number_pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple):
 class _HorizonStructure:
     """Everything of a horizon problem that its contact schedule does not set.
 
-    Built by _horizon_structure once per (layout, weights, period, contact
-    rotations, corner offsets, friction coefficient) and shared by every
-    problem of that key, so every array is read-only.  The schedule, the
-    measured state and the references set only values and bounds
-    (build_nlp, _inequality_bounds).  It holds the cost Hessian `cost_hess`
+    Built by _horizon_structure once per (layout, weights, period, the
+    plan's contact rotations and corner arms, friction coefficient) and
+    shared by every problem of that key, so every array is read-only.  The
+    schedule, the measured state and the references set only values and
+    bounds (build_nlp, _inequality_bounds).  It holds the cost Hessian `cost_hess`
     (CSR), the table of the defects' bilinear terms, which both of their
     derivatives read, the fixed patterns of the equality Jacobian, the
     Lagrangian Hessian and the inequality matrix (see the _add_* methods),
@@ -381,15 +379,14 @@ class _HorizonStructure:
         layout: DecisionLayout,
         weights: Weights,
         period: float,
-        rotations: np.ndarray,
-        corner_offsets: Sequence[np.ndarray],
+        plan: ContactPlan,
         pyramid: FrictionPyramid,
     ):
-        self.cost_hess = _cost_hessian(layout, weights, period)
-        self._add_bilinear_table(layout, rotations, corner_offsets)
-        self._add_eq_jacobian(layout)
+        self.cost_hess = _cost_hessian(layout, weights, period, plan.corner_contact)
+        self._add_bilinear_table(layout, plan)
+        self._add_eq_jacobian(layout, plan.corner_contact)
         self._add_lagrangian_hessian(layout)
-        self._add_inequality_matrix(layout, rotations, pyramid)
+        self._add_inequality_matrix(layout, plan, pyramid)
         self.shift_rows = _shift_rows(layout)
         self.ordering = layout.stage_order()
         self._add_qp_workspace(layout)
@@ -404,20 +401,19 @@ class _HorizonStructure:
         ):
             array.flags.writeable = False
 
-    def _add_bilinear_table(
-        self, layout: DecisionLayout, rotations: np.ndarray, corner_offsets: Sequence[np.ndarray]
-    ):
+    def _add_bilinear_table(self, layout: DecisionLayout, plan: ContactPlan):
         """The table of the angular-momentum defects' bilinear terms, one per entry.
 
-        With the arm a = p_i + R_i c_j - r, defect k holds -T gamma_ki a x f_ij
-        in its angular rows, and component c of a x f is a[c+1] f[c+2] -
-        a[c+2] f[c+1] (indices mod 3).  Term t is sign_t (x[arm_t] +
-        offset_t) x[force_t] in equality row `bilinear_rows[t]`, scaled by
-        -T gamma of the gate `bilinear_gates[t]` (k n_c + i).  Each product
-        of a x f gives a contact-position term (arm a component of p_i,
-        offset that component of R_i c_j) and a CoM term (arm a component of
-        r, offset 0, sign negated): 12 terms per corner and step, ordered
-        (step, contact, corner, [contact-position terms, CoM terms], product).
+        With the arm a = p_i + R_i c_j - r, R_i c_j being the plan's corner
+        arm, defect k holds -T gamma_ki a x f_ij in its angular rows, and
+        component c of a x f is a[c+1] f[c+2] - a[c+2] f[c+1] (indices mod
+        3).  Term t is sign_t (x[arm_t] + offset_t) x[force_t] in equality
+        row `bilinear_rows[t]`, scaled by -T gamma of the gate
+        `bilinear_gates[t]` (k n_c + i).  Each product of a x f gives a
+        contact-position term (arm a component of p_i, offset that component
+        of R_i c_j) and a CoM term (arm a component of r, offset 0, sign
+        negated): 12 terms per corner and step, ordered (step, contact,
+        corner, [contact-position terms, CoM terms], product).
         """
         n_knots, n_c = layout.n_knots, layout.n_contacts
         # The six products of a x f: row component, arm and force components, sign.
@@ -425,8 +421,8 @@ class _HorizonStructure:
         row, arm, force = np.tile(xyz, 2), np.r_[xyz + 1, xyz + 2] % 3, np.r_[xyz + 2, xyz + 1] % 3
         sign = np.repeat([1.0, -1.0], 3)
         # Axes (step, corner, [contact position, CoM], product).
-        contact_of = np.repeat(np.arange(n_c), layout.corner_counts)
-        offsets = np.concatenate([c @ R.T for c, R in zip(corner_offsets, rotations)])[:, arm]
+        contact_of = plan.corner_contact
+        offsets = plan.corner_arms[:, arm]
         com = np.broadcast_to(layout.com[:-1, None, arm], (n_knots, contact_of.size, 6))
         shape = (n_knots, contact_of.size, 2, 6)
 
@@ -443,7 +439,7 @@ class _HorizonStructure:
                                     + contact_of[:, None, None])
         self.bilinear_offsets = terms(np.stack([offsets, np.zeros_like(offsets)], axis=1))
 
-    def _add_eq_jacobian(self, layout: DecisionLayout):
+    def _add_eq_jacobian(self, layout: DecisionLayout, corner_contact: np.ndarray):
         """Entries of the equality-constraint Jacobian and their CSR slots.
 
         build_nlp lists the entries in this order: the linear ones, whose
@@ -461,12 +457,11 @@ class _HorizonStructure:
         com, momentum, contacts = layout.com, layout.momentum, layout.contacts
         states = np.concatenate([com, momentum, contacts.reshape(layout.n_knots + 1, -1)], axis=1)
         gates = np.arange(layout.n_knots * layout.n_contacts).reshape(layout.n_knots, -1)
-        contact_of = np.repeat(np.arange(layout.n_contacts), layout.corner_counts)
         rows, cols, self.linear_sources = _flat_entries([
             (states, states, 0),
             (states[1:], states[:-1], 1),
             (com[1:], momentum[:-1, :3], 2),
-            (momentum[1:, None, :3], layout.forces, 3 + gates[:, contact_of, None]),
+            (momentum[1:, None, :3], layout.forces, 3 + gates[:, corner_contact, None]),
             (contacts[1:], layout.velocities, 3 + gates.size + gates[:, :, None]),
         ])
         self.eq_indices, self.eq_indptr, self.eq_slots = _number_pattern(
@@ -527,7 +522,7 @@ class _HorizonStructure:
         )
 
     def _add_inequality_matrix(
-        self, layout: DecisionLayout, rotations: np.ndarray, pyramid: FrictionPyramid
+        self, layout: DecisionLayout, plan: ContactPlan, pyramid: FrictionPyramid
     ):
         """The inequality matrix `ineq_matrix` (CSR).
 
@@ -535,11 +530,11 @@ class _HorizonStructure:
         corner), step-major, then three box rows per (knot 1..N, contact),
         knot-major.
         """
-        contact_of = np.repeat(np.arange(layout.n_contacts), layout.corner_counts)
+        rotations = plan.orientations
         pyr_local = np.array([pyramid.A @ R.T for R in rotations])
         # Axes (step or knot, corner or contact, row, column of the row).
         cols, vals = _flat_entries([
-            (layout.forces[:, :, None, :], pyr_local[contact_of]),
+            (layout.forces[:, :, None, :], pyr_local[plan.corner_contact]),
             (layout.contacts[1:, :, None, :], rotations.transpose(0, 2, 1)),
         ])
         n_rows = vals.size // 3
@@ -550,7 +545,7 @@ class _HorizonStructure:
 
 # The latest (key, result) of _horizon_structure, a pure function of its
 # key.  A run keeps one layout, one set of weights, one period, one set of
-# contact rotations and corner offsets and one friction coefficient (the
+# contact rotations and corner arms and one friction coefficient (the
 # pyramid's rows depend on mu alone), so one entry serves all of its horizon
 # problems.
 _LAST_STRUCTURE: list = [None, None]
@@ -560,8 +555,7 @@ def _horizon_structure(
     layout: DecisionLayout,
     weights: Weights,
     period: float,
-    rotations: np.ndarray,
-    corner_offsets: Sequence[np.ndarray],
+    plan: ContactPlan,
     pyramid: FrictionPyramid,
 ) -> _HorizonStructure:
     """The _HorizonStructure of its key, rebuilt only when the key changes."""
@@ -570,14 +564,12 @@ def _horizon_structure(
         layout.corner_counts,
         period,
         tuple(tuple(getattr(weights, f.name)) for f in fields(weights)),
-        rotations.tobytes(),
-        tuple(offsets.tobytes() for offsets in corner_offsets),
+        plan.orientations.tobytes(),
+        plan.corner_arms.tobytes(),
         pyramid.mu,
     )
     if _LAST_STRUCTURE[0] != key:
-        _LAST_STRUCTURE[:] = [
-            key, _HorizonStructure(layout, weights, period, rotations, corner_offsets, pyramid)
-        ]
+        _LAST_STRUCTURE[:] = [key, _HorizonStructure(layout, weights, period, plan, pyramid)]
     return _LAST_STRUCTURE[1]
 
 
@@ -595,23 +587,20 @@ def _cost_linear_terms(
     c = np.zeros(layout.size)
     c[layout.com] -= weights.com_tracking * nominal_com_samples
     c[layout.contacts] -= weights.contact_reg * nominal_contacts
-    # The constant is summed term by term in (knot, CoM then contacts) order.
-    contact_terms = [
-        0.5 * float(np.sum(weights.contact_reg * p**2)) for p in nominal_contacts
-    ]
-    constant = 0.0
-    for com_sq in weights.com_tracking * nominal_com_samples**2:
-        constant += 0.5 * float(com_sq.sum())
-        for term in contact_terms:
-            constant += term
-    return c, constant
+    # The constant is summed term by term in (knot, CoM then contacts) order;
+    # np.add.accumulate adds in sequence.
+    com_terms = 0.5 * np.sum(weights.com_tracking * nominal_com_samples**2, axis=1)
+    contact_terms = 0.5 * np.sum(weights.contact_reg * nominal_contacts**2, axis=1)
+    terms = np.column_stack(
+        [com_terms, np.broadcast_to(contact_terms, (com_terms.size, contact_terms.size))]
+    )
+    return c, float(np.add.accumulate(terms.ravel())[-1])
 
 
 def _inequality_bounds(
     layout: DecisionLayout,
     schedule: np.ndarray,
-    rotations: np.ndarray,
-    nominal_contacts: np.ndarray,
+    plan: ContactPlan,
     pyramid: FrictionPyramid,
     box: ContactBox,
 ):
@@ -631,7 +620,7 @@ def _inequality_bounds(
     # cone apex.  Pin those dead variables to their exact optimum (zero)
     # with the three independent PIN_FACES held at zero; the other three are
     # free.
-    dead = np.repeat(~schedule.any(axis=0), layout.corner_counts)
+    dead = ~schedule.any(axis=0)[plan.corner_contact]
     face_lower = np.full((dead.size, 6), -np.inf)
     face_upper = np.where(dead[:, None], np.inf, pyramid.b)
     face_lower[np.ix_(dead, pyramid.PIN_FACES)] = 0.0
@@ -643,7 +632,7 @@ def _inequality_bounds(
     # methods never shake off.  Impose the box only from the first knot the
     # position can actually move to (row k - 1 of `movable` is knot k).
     movable = np.logical_or.accumulate(~schedule, axis=0)[:, :, None]
-    anchors = np.array([rotations[i].T @ nominal_contacts[i] for i in range(layout.n_contacts)])
+    anchors = np.array([R.T @ p for R, p in zip(plan.orientations, plan.nominal_positions)])
     box_lower = np.where(movable, anchors - box.upper, -np.inf)
     box_upper = np.where(movable, anchors - box.lower, np.inf)
     lower = np.concatenate([np.tile(face_lower.ravel(), n_knots), box_lower.ravel()])
@@ -693,9 +682,10 @@ def build_nlp(
     covers all n_knots + 1 state knots.  The disturbance profile (one wrench
     per step) enters the momentum defects as a known input.  Everything but
     values and bounds is the shared _HorizonStructure of (layout, weights,
-    period, rotations, corner offsets, pyramid.mu); the schedule sets the
-    equality Jacobian's gated values, the scale of the bilinear terms and
-    the inequality bounds (_inequality_bounds).
+    period, the plan's rotations and corner arms, pyramid.mu); the schedule
+    sets the equality Jacobian's gated values, the scale of the bilinear
+    terms and the inequality bounds (_inequality_bounds).  The problem's
+    `layout` numbers its decision vector.
     """
     n_c = plan.n_contacts
     layout = DecisionLayout(n_knots, plan.corner_counts)
@@ -727,16 +717,13 @@ def build_nlp(
             raise ValueError("disturbance profile contains non-finite values")
 
     gamma = schedule.astype(float)
-    rotations = plan.orientations
-    corner_offsets = plan.corner_offsets
-    nominal_contacts = plan.nominal_positions
     mass, gravity = params.mass, params.gravity
     m_eq = layout.n_state_vars
     pin_momentum = initial_state.momentum
 
-    structure = _horizon_structure(layout, weights, period, rotations, corner_offsets, pyramid)
+    structure = _horizon_structure(layout, weights, period, plan, pyramid)
     hess = structure.cost_hess
-    c_lin, c0 = _cost_linear_terms(layout, weights, nominal_com_samples, nominal_contacts)
+    c_lin, c0 = _cost_linear_terms(layout, weights, nominal_com_samples, plan.nominal_positions)
 
     def cost(x: np.ndarray) -> float:
         return float(0.5 * x @ (hess @ x) + c_lin @ x + c0)
@@ -746,16 +733,15 @@ def build_nlp(
 
     def eq(x: np.ndarray) -> np.ndarray:
         com, momentum, contacts = layout.state_arrays(x)
-        forces, velocities = layout.control_arrays(x)
         p_next, h_next, pc_next = euler_step_batch(
             com[:-1],
             momentum[:-1],
             contacts[:-1],
-            forces,
-            velocities,
+            x[layout.forces],
+            x[layout.velocities],
             gamma,
-            rotations,
-            corner_offsets,
+            plan.corner_arms,
+            plan.corner_contact,
             mass,
             gravity,
             wrench_profile,
@@ -792,9 +778,7 @@ def build_nlp(
             shape=(layout.size, layout.size),
         )
 
-    ineq_lower, ineq_upper = _inequality_bounds(
-        layout, schedule, rotations, nominal_contacts, pyramid, box
-    )
+    ineq_lower, ineq_upper = _inequality_bounds(layout, schedule, plan, pyramid, box)
     return NlpProblem(
         dimension=layout.size,
         cost=cost,
@@ -808,4 +792,5 @@ def build_nlp(
         ineq_upper=ineq_upper,
         shift_rows=structure.shift_rows,
         qp_workspace=structure.qp_workspace,
+        layout=layout,
     )

@@ -54,7 +54,8 @@ def horizon_cost(layout, x, weights, nominal_com_samples, nominal_contacts, peri
     corner force's rate.  Contact velocities carry no cost.
     """
     com, momentum, contacts = layout.state_arrays(x)
-    forces, _ = layout.control_arrays(x)
+    # each contact's corner forces, (N, n_v_i, 3), its corners numbered in order
+    forces = np.split(x[layout.forces], np.cumsum(layout.corner_counts)[:-1], axis=1)
     total = 0.0
     for k in range(layout.n_knots + 1):
         state = CentroidalState(com[k], momentum[k, 0:3], momentum[k, 3:6])

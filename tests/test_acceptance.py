@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from centroidal_mpc import bundled_scenario, controller, qp
-from centroidal_mpc.controller import cold_start, layout_for
+from centroidal_mpc.controller import cold_start
 from centroidal_mpc.model import CentroidalState, euler_step_batch
 from centroidal_mpc.plan import horizon_schedule, nominal_com_trajectory
 from centroidal_mpc.qp import solve_qp
@@ -272,7 +272,7 @@ class TestCriterion4:
         points_total = 0
         for config in (one_leg_push[0], two_leg_push[0]):
             problem, plan, params, options, schedule, state, measured = _scenario_nlp(config)
-            layout = layout_for(plan, options)
+            layout = problem.layout
             samples = nominal_com_trajectory(plan, params).sample(
                 options.period * np.arange(layout.n_knots + 1)
             )
@@ -298,13 +298,11 @@ class TestCriterion5:
     def test_defects_on_rollout(self, two_leg_push):
         config = two_leg_push[0]
         problem, plan, params, options, schedule, state, measured = _scenario_nlp(config)
-        layout = layout_for(plan, options)
+        layout = problem.layout
         rng = np.random.RandomState(7)
         x = np.zeros(layout.size)
         x[layout.n_state_vars:] = 3.0 * rng.randn(layout.n_knots * layout.control_dim)
-        forces, velocities = layout.control_arrays(x)
-        rotations = np.array([c.orientation for c in plan.contacts])
-        offsets = [c.geometry.offsets_matrix() for c in plan.contacts]
+        forces, velocities = x[layout.forces], x[layout.velocities]
         p = state.p_com[None]
         h = state.momentum[None]
         pc = measured[None]
@@ -314,8 +312,8 @@ class TestCriterion5:
         wrench = np.zeros((layout.n_knots, 6))
         for k in range(layout.n_knots):
             p, h, pc = euler_step_batch(
-                p, h, pc, [f[k : k + 1] for f in forces], velocities[k : k + 1],
-                gamma[k : k + 1], rotations, offsets, params.mass, params.gravity,
+                p, h, pc, forces[k : k + 1], velocities[k : k + 1], gamma[k : k + 1],
+                plan.corner_arms, plan.corner_contact, params.mass, params.gravity,
                 wrench[k : k + 1], options.period,
             )
             states[k + 1] = np.concatenate([p[0], h[0], pc[0].ravel()])
@@ -358,13 +356,14 @@ class TestCriterion6:
         for config, traj in ((one_leg_push[0], one_leg_push[1]),
                              (two_leg_push[0], two_leg_push[1])):
             pyramid = config.mpc.pyramid
+            corner_contact = config.plan.corner_contact
             for i, contact in enumerate(config.plan.contacts):
                 active = traj.gamma[: traj.n_steps, i]
                 for k in np.where(active)[0]:
-                    for j in range(traj.corner_counts[i]):
+                    for j in np.flatnonzero(corner_contact == i):
                         worst_pyramid = max(
                             worst_pyramid,
-                            pyramid.violation(traj.forces[i][k, j], contact.orientation),
+                            pyramid.violation(traj.forces[k, j], contact.orientation),
                         )
                 # bit-constant positions across each maximal stance interval
                 runs = np.where(np.diff(active.astype(int)) != 0)[0] + 1

@@ -357,8 +357,7 @@ class TestLayoutTemplateMemo:
         plan = make_plan([RECT, POINT])
         problem, _ = make_problem(plan, [[ON, OFF]] * N_KNOTS)
         structure = transcription._horizon_structure(
-            DecisionLayout(N_KNOTS, [4, 1]), Weights(), PERIOD, plan.orientations,
-            plan.corner_offsets, PYRAMID,
+            DecisionLayout(N_KNOTS, [4, 1]), Weights(), PERIOD, plan, PYRAMID
         )
         # the accessor returns the structure build_nlp built, without a rebuild
         assert len(structure_builds) == 1 and structure is structure_builds[0]
@@ -506,8 +505,7 @@ class TestLagrangianHessian:
         assert same_csr(again.lagrangian_hess(x, y).tocsr(), expected.tocsr())
         # the memo holds the one-leg structure, so the accessor builds nothing
         structure = transcription._horizon_structure(
-            DecisionLayout(N_KNOTS, [1]), Weights(), PERIOD, one_leg.orientations,
-            one_leg.corner_offsets, PYRAMID,
+            DecisionLayout(N_KNOTS, [1]), Weights(), PERIOD, one_leg, PYRAMID
         )
         assert len(structure_builds) == 3 and structure is structure_builds[-1]
         for array in (structure.hess_indices, structure.hess_indptr, structure.curvature_slots,
@@ -535,7 +533,7 @@ class TestLagrangianHessian:
                 np.zeros((N_KNOTS + 1, 3)), weights, PYRAMID, BOX, N_KNOTS, period, PARAMS,
             )
             cost_hess = problem.lagrangian_hess(x, np.zeros(problem.n_eq))
-            expected = transcription._cost_hessian(layout, weights, period)
+            expected = transcription._cost_hessian(layout, weights, period, plan.corner_contact)
             assert np.array_equal(cost_hess.toarray(), expected.toarray())
             hessians.append(cost_hess.toarray().tobytes())
         # every change of key rebuilds, and four keys give four cost Hessians

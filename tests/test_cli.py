@@ -70,6 +70,12 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    def test_misspelled_contact_section_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "typo.txt"
+        bad.write_text(QUICK.replace("[contact right]", "[contactsfoot]"))
+        assert main(["run", str(bad)]) == 2
+        assert "unknown section [contactsfoot]" in capsys.readouterr().err
+
     def test_empty_value_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "empty.txt"
         bad.write_text(QUICK.replace("mass_kg = 1.0", "mass_kg ="))

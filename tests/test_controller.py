@@ -6,7 +6,6 @@ from centroidal_mpc.controller import (
     MpcOptions,
     _sanitize_forces,
     cold_start,
-    layout_for,
     mpc_step,
     shift_multipliers,
     shift_warm_start,
@@ -19,7 +18,7 @@ from centroidal_mpc.plan import (
     nominal_com_trajectory,
 )
 from centroidal_mpc.solver import Solution, SolverOptions
-from centroidal_mpc.transcription import build_nlp
+from centroidal_mpc.transcription import DecisionLayout, build_nlp
 
 POINT = ContactGeometry.point()
 RECT = ContactGeometry.rectangle(0.2, 0.1)
@@ -52,6 +51,11 @@ OPTIONS = MpcOptions(horizon_knots=12, period=0.1)
 NO_WRENCH = np.zeros(6)
 
 
+def layout_of(plan):
+    """The decision layout of `plan`'s horizon problems under OPTIONS."""
+    return DecisionLayout(OPTIONS.horizon_knots, plan.corner_counts)
+
+
 def push(fx):
     """A wrench of force (fx, 0, 0) and no torque."""
     return np.array([fx, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -59,7 +63,7 @@ def push(fx):
 
 class TestShiftWarmStart:
     def test_constant_trajectory_identity(self):
-        layout = layout_for(standing_plan(), OPTIONS)
+        layout = layout_of(standing_plan())
         x = np.tile(np.arange(layout.state_dim, dtype=float), layout.n_knots + 1)
         x = np.concatenate(
             [x, np.tile(np.arange(layout.control_dim, dtype=float), layout.n_knots)]
@@ -68,7 +72,7 @@ class TestShiftWarmStart:
         assert np.array_equal(shifted, x)
 
     def test_ramp_shifts_by_one(self):
-        layout = layout_for(standing_plan(), OPTIONS)
+        layout = layout_of(standing_plan())
         x = np.zeros(layout.size)
         x[: layout.n_state_vars] = np.repeat(np.arange(layout.n_knots + 1), layout.state_dim)
         x[layout.n_state_vars :] = np.repeat(np.arange(layout.n_knots), layout.control_dim)
@@ -80,7 +84,7 @@ class TestShiftWarmStart:
         assert controls[:, 0].tolist() == list(range(1, layout.n_knots)) + [layout.n_knots - 1]
 
     def test_dimension_preserved_and_checked(self):
-        layout = layout_for(standing_plan(), OPTIONS)
+        layout = layout_of(standing_plan())
         x = np.random.RandomState(0).randn(layout.size)
         assert shift_warm_start(x, layout).size == x.size
         with pytest.raises(ValueError):
@@ -90,7 +94,6 @@ class TestShiftWarmStart:
 class TestShiftMultipliers:
     @staticmethod
     def problem(plan, t):
-        layout = layout_for(plan, OPTIONS)
         n = OPTIONS.horizon_knots
         samples = nominal_com_trajectory(plan, PARAMS).sample(t + 0.1 * np.arange(n + 1))
         problem = build_nlp(
@@ -99,7 +102,7 @@ class TestShiftMultipliers:
             horizon_schedule(plan, t, n, OPTIONS.period), samples, OPTIONS.weights,
             OPTIONS.pyramid, OPTIONS.box, n, OPTIONS.period, PARAMS,
         )
-        return layout, problem
+        return problem.layout, problem
 
     def test_block_k_takes_block_k_plus_1_and_the_last_is_duplicated(self):
         for plan in (standing_plan(), hop_plan()):
@@ -126,7 +129,7 @@ class TestShiftMultipliers:
 class TestColdStart:
     def test_com_from_spline_everything_else_zero(self):
         plan = hop_plan()
-        layout = layout_for(plan, OPTIONS)
+        layout = layout_of(plan)
         spline = nominal_com_trajectory(plan, PARAMS)
         times = 0.2 + OPTIONS.period * np.arange(layout.n_knots + 1)
         x = cold_start(plan, layout, spline.sample(times))
@@ -148,7 +151,7 @@ class TestMpcStep:
         out = mpc_step(state, plan.nominal_positions, plan, 0.0, NO_WRENCH, None,
                        OPTIONS, PARAMS, spline)
         assert out.solution.converged
-        total = sum(f.sum(axis=0) for f in out.forces)
+        total = out.forces.sum(axis=0)
         np.testing.assert_allclose(total, [0, 0, 9.81], atol=1e-3)
         # no upcoming touchdown in a standing plan: every landing is nominal
         assert np.array_equal(out.landings, plan.nominal_positions)
@@ -175,7 +178,7 @@ class TestMpcStep:
         out = mpc_step(state, np.zeros((1, 3)), plan, 1.3, NO_WRENCH,
                        None, MpcOptions(horizon_knots=10, period=0.1), PARAMS, spline)
         assert not out.schedule[0, 0]
-        assert np.array_equal(out.forces[0], np.zeros((1, 3)))
+        assert np.array_equal(out.forces, np.zeros((1, 3)))
 
     def test_push_shifts_upcoming_touchdown(self):
         plan = hop_plan()
@@ -225,14 +228,11 @@ class TestMpcStep:
         out = mpc_step(state, positions, plan, 0.1, NO_WRENCH, previous,
                        OPTIONS, PARAMS, spline)
         assert out.degraded
-        layout = layout_for(plan, OPTIONS)
-        shifted, _ = layout.control_arrays(shift_warm_start(previous.x, layout))
-        rotations = np.array([c.orientation for c in plan.contacts])
-        expected = _sanitize_forces(shifted, out.schedule.astype(float), OPTIONS.pyramid,
-                                    rotations)
-        for i in range(plan.n_contacts):
-            assert np.all(np.isfinite(out.forces[i]))
-            assert np.array_equal(out.forces[i], expected[i][0])
+        layout = layout_of(plan)
+        shifted = shift_warm_start(previous.x, layout)[layout.forces]
+        expected = _sanitize_forces(shifted, out.schedule.astype(float), OPTIONS.pyramid, plan)
+        assert np.all(np.isfinite(out.forces))
+        assert np.array_equal(out.forces, expected[0])
 
     def test_forces_satisfy_pyramid_after_sanitize(self):
         plan = standing_plan()
@@ -242,9 +242,8 @@ class TestMpcStep:
         out = mpc_step(state, plan.nominal_positions, plan, 0.0, push(3.0), None,
                        OPTIONS, PARAMS, spline)
         pyramid = OPTIONS.pyramid
-        for i in range(plan.n_contacts):
-            for f in out.forces[i]:
-                assert pyramid.violation(f, plan.contacts[i].orientation) <= 1e-9
+        for f, i in zip(out.forces, plan.corner_contact):
+            assert pyramid.violation(f, plan.contacts[i].orientation) <= 1e-9
 
     def test_forces_and_landings_in_plan_order(self):
         # a rectangle foot in stance and a point foot that lands at t = 0.8
@@ -261,13 +260,13 @@ class TestMpcStep:
         out = mpc_step(state, plan.nominal_positions, plan, 0.5, push(2.0), None,
                        OPTIONS, PARAMS, spline)
         assert out.solution.converged
-        layout = layout_for(plan, OPTIONS)
-        raw, _ = layout.control_arrays(out.solution.x)
-        expected = _sanitize_forces(raw, out.schedule.astype(float), OPTIONS.pyramid,
-                                    plan.orientations)
-        assert [f.shape for f in out.forces] == [(4, 3), (1, 3)]
-        for force, knots in zip(out.forces, expected):
-            assert np.array_equal(force, knots[0])
+        layout = layout_of(plan)
+        raw = out.solution.x[layout.forces]
+        expected = _sanitize_forces(raw, out.schedule.astype(float), OPTIONS.pyramid, plan)
+        # the stance foot's four corners, then the swing foot's one
+        assert out.forces.shape == (5, 3)
+        assert np.array_equal(plan.corner_contact, [0, 0, 0, 0, 1])
+        assert np.array_equal(out.forces, expected[0])
         assert out.landings.shape == (2, 3)
         # the stance foot has no touchdown ahead: its nominal position
         assert np.array_equal(out.landings[0], plan.nominal_positions[0])

@@ -12,14 +12,16 @@ from centroidal_mpc.model import (
 
 POINT = ContactGeometry.point()
 NO_WRENCH = np.zeros((1, 6))
+# One point contact: its corner sits at the contact, the corner of contact 0.
+POINT_ARMS, POINT_CONTACT = np.zeros((1, 3)), np.zeros(1, dtype=int)
 
 
 def rate(state, params, position, force, active=True, wrench=NO_WRENCH):
     """Momentum rate of one point contact at the identity orientation, one knot."""
     return momentum_rate_batch(
         state.p_com[None], np.asarray(position, float).reshape(1, 1, 3),
-        [np.asarray(force, float).reshape(1, 1, 3)], np.array([[float(active)]]),
-        np.eye(3)[None], [np.zeros((1, 3))], params.mass, params.gravity, wrench,
+        np.asarray(force, float).reshape(1, 1, 3), np.array([[float(active)]]),
+        POINT_ARMS, POINT_CONTACT, params.mass, params.gravity, wrench,
     )[0]
 
 
@@ -27,8 +29,8 @@ def plant_step(state, params, position, force, active=True, dt=0.1, steps=1):
     """integrate_step of one point contact held over `steps` unforced substeps."""
     return integrate_step(
         state, np.asarray(position, float).reshape(1, 3),
-        [np.asarray(force, float).reshape(1, 3)], np.array([float(active)]),
-        np.eye(3)[None], [np.zeros((1, 3))], params, np.zeros((steps, 6)), dt,
+        np.asarray(force, float).reshape(1, 3), np.array([float(active)]),
+        POINT_ARMS, POINT_CONTACT, params, np.zeros((steps, 6)), dt,
     )
 
 
@@ -36,8 +38,8 @@ def contact_step(position, velocity, active, dt=0.1):
     """Position of one contact after one euler_step_batch step of sliding velocity."""
     _, _, moved = euler_step_batch(
         np.zeros(3), np.zeros(6), np.asarray(position, float).reshape(1, 3),
-        [np.zeros((1, 1, 3))], np.asarray(velocity, float).reshape(1, 1, 3),
-        np.array([[float(active)]]), np.eye(3)[None], [np.zeros((1, 3))],
+        np.zeros((1, 1, 3)), np.asarray(velocity, float).reshape(1, 1, 3),
+        np.array([[float(active)]]), POINT_ARMS, POINT_CONTACT,
         1.0, np.array([0.0, 0.0, -9.81]), NO_WRENCH, dt,
     )
     return moved[0, 0]
@@ -157,9 +159,9 @@ class TestIntegrateStep:
         assert np.array_equal(position, start)
         p_com, momentum, moved = euler_step_batch(
             state.p_com, state.momentum, start.reshape(1, 3),
-            [np.broadcast_to(np.reshape(force, (1, 1, 3)), (steps, 1, 3))],
-            np.full((steps, 1, 3), 5.0), np.ones((steps, 1)), np.eye(3)[None],
-            [np.zeros((1, 3))], params.mass, params.gravity, np.zeros((steps, 6)), dt,
+            np.broadcast_to(np.reshape(force, (1, 1, 3)), (steps, 1, 3)),
+            np.full((steps, 1, 3), 5.0), np.ones((steps, 1)), POINT_ARMS,
+            POINT_CONTACT, params.mass, params.gravity, np.zeros((steps, 6)), dt,
         )
         assert np.array_equal(moved[:, 0], np.broadcast_to(start, (steps, 3)))
         assert np.array_equal(nxt.p_com, p_com[-1])
@@ -187,8 +189,8 @@ class TestIntegrateStep:
     def test_wrenches_must_be_finite_rows_of_six(self):
         params = PhysicalParams(mass=1.0)
         args = (
-            CentroidalState.zero(), np.zeros((1, 3)), [np.zeros((1, 3))], np.ones(1),
-            np.eye(3)[None], [np.zeros((1, 3))], params,
+            CentroidalState.zero(), np.zeros((1, 3)), np.zeros((1, 3)), np.ones(1),
+            POINT_ARMS, POINT_CONTACT, params,
         )
         for bad in (np.zeros(6), np.zeros((0, 6)), np.zeros((2, 3))):
             with pytest.raises(ValueError, match="shape"):
@@ -197,31 +199,32 @@ class TestIntegrateStep:
             integrate_step(*args, np.full((2, 6), np.inf), 0.1)
 
     def test_forces_must_match_corner_counts(self):
-        # One corner force against the four offsets of a rectangle would
-        # broadcast, and the torque would use the first offset alone.
-        params = PhysicalParams(mass=1.0)
-        rectangle = [ContactGeometry.rectangle(0.2, 0.1).offsets_matrix()]
-        one_contact = (CentroidalState.zero(), np.zeros((1, 3)))
-        rest = (np.ones(1), np.eye(3)[None])
-        for forces, offsets in (
-            ([np.ones((1, 3))], rectangle),
-            ([np.ones((4, 2))], rectangle),
-            ([np.ones((4, 3))], rectangle * 2),
-        ):
-            with pytest.raises(ValueError, match="corner"):
-                integrate_step(*one_contact, forces, *rest, offsets, params, NO_WRENCH, 0.1)
-
-    def test_rates_reject_forces_of_another_corner_count(self):
-        # One force against a rectangle's four offsets would take the torque
-        # of the first offset alone; four forces against one offset would
-        # all act at that offset.
+        # One corner force against the four arms of a rectangle would
+        # broadcast, and the torque would use the first arm alone.
         params = PhysicalParams(mass=1.0)
         rectangle = ContactGeometry.rectangle(0.2, 0.1).offsets_matrix()
-        for n_forces, offsets in ((1, rectangle), (4, rectangle[:1])):
+        one_contact = (CentroidalState.zero(), np.zeros((1, 3)))
+        for forces, arms, contact in (
+            (np.ones((1, 3)), rectangle, np.zeros(4, dtype=int)),
+            (np.ones((4, 2)), rectangle, np.zeros(4, dtype=int)),
+            (np.ones((4, 3)), np.tile(rectangle, (2, 1)), np.zeros(8, dtype=int)),
+        ):
+            with pytest.raises(ValueError, match="corner"):
+                integrate_step(
+                    *one_contact, forces, np.ones(1), arms, contact, params, NO_WRENCH, 0.1
+                )
+
+    def test_rates_reject_forces_of_another_corner_count(self):
+        # One force against a rectangle's four arms would take the torque
+        # of the first arm alone; four forces against one arm would all act
+        # at that arm.
+        params = PhysicalParams(mass=1.0)
+        rectangle = ContactGeometry.rectangle(0.2, 0.1).offsets_matrix()
+        for n_forces, arms in ((1, rectangle), (4, rectangle[:1])):
             with pytest.raises(ValueError, match="corner"):
                 momentum_rate_batch(
-                    np.zeros((1, 3)), np.zeros((1, 1, 3)), [np.ones((1, n_forces, 3))],
-                    np.ones((1, 1)), np.eye(3)[None], [offsets], params.mass,
+                    np.zeros((1, 3)), np.zeros((1, 1, 3)), np.ones((1, n_forces, 3)),
+                    np.ones((1, 1)), arms, np.zeros(len(arms), dtype=int), params.mass,
                     params.gravity, NO_WRENCH,
                 )
 

@@ -37,22 +37,24 @@ def bits(a: np.ndarray) -> np.ndarray:
 
 
 def per_corner_oracle(
-    p_com, p_contacts, forces, gamma, rotations, corner_offsets, mass, gravity, wrench
+    p_com, p_contacts, forces, gamma, corner_arms, corner_contact, mass, gravity, wrench
 ):
     """The momentum-rate kernel as it was written before: one np.cross per corner."""
     k = p_com.shape[0]
     rate_lin = np.broadcast_to(mass * gravity, (k, 3)) + wrench[:, 0:3]
     rate_lin = np.ascontiguousarray(rate_lin)
     rate_ang = wrench[:, 3:6].copy()
-    for i, force_i in enumerate(forces):
-        offsets_world = corner_offsets[i] @ rotations[i].T
-        gate = gamma[:, i : i + 1]
-        for j in range(force_i.shape[1]):
-            f = gate * force_i[:, j, :]
-            arm = p_contacts[:, i, :] + offsets_world[j] - p_com
-            rate_lin += f
-            rate_ang += np.cross(arm, f)
+    for v, i in enumerate(corner_contact):
+        f = gamma[:, i : i + 1] * forces[:, v, :]
+        arm = p_contacts[:, i, :] + corner_arms[v] - p_com
+        rate_lin += f
+        rate_ang += np.cross(arm, f)
     return np.concatenate([rate_lin, rate_ang], axis=1)
+
+
+def corner_contact_of(counts):
+    """Each corner's contact, for contacts of `counts` corners numbered in order."""
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 @st.composite
@@ -69,7 +71,7 @@ def kernel_inputs(draw):
     """Arguments of momentum_rate_batch: 1-4 knots, 1-3 contacts of 1 or 4 corners."""
     k = draw(st.integers(1, 4))
     counts = draw(st.lists(st.sampled_from([1, 4]), min_size=1, max_size=3))
-    n_c = len(counts)
+    n_c, n_v = len(counts), sum(counts)
 
     def values(shape):
         return draw(arrays(np.float64, shape, elements=MODERATE))
@@ -77,10 +79,10 @@ def kernel_inputs(draw):
     return dict(
         p_com=values((k, 3)),
         p_contacts=values((k, n_c, 3)),
-        forces=[values((k, c, 3)) for c in counts],
+        forces=values((k, n_v, 3)),
         gamma=draw(arrays(np.float64, (k, n_c), elements=st.sampled_from([0.0, 1.0]))),
-        rotations=values((n_c, 3, 3)),
-        corner_offsets=[values((c, 3)) for c in counts],
+        corner_arms=values((n_v, 3)),
+        corner_contact=corner_contact_of(counts),
         mass=draw(st.floats(min_value=0.1, max_value=100.0)),
         gravity=values((3,)),
         wrench=values((k, 6)),
@@ -112,16 +114,12 @@ class TestMomentumRateBatch:
     @PROPERTY
     @given(kernel_inputs())
     def test_batch_equals_stacked_single_knot_calls(self, args):
-        per_knot = ("p_com", "p_contacts", "gamma", "wrench")
+        per_knot = ("p_com", "p_contacts", "forces", "gamma", "wrench")
         with np.errstate(all="ignore"):
             batched = momentum_rate_batch(**args)
             single = [
                 momentum_rate_batch(
-                    **{
-                        **args,
-                        **{name: args[name][k : k + 1] for name in per_knot},
-                        "forces": [f[k : k + 1] for f in args["forces"]],
-                    }
+                    **{**args, **{name: args[name][k : k + 1] for name in per_knot}}
                 )
                 for k in range(args["p_com"].shape[0])
             ]
@@ -134,7 +132,7 @@ def rollout_inputs(draw):
     or 4 corners, each in stance or swing at every step, a wrench per step."""
     k = draw(st.integers(1, 30))
     counts = draw(st.lists(st.sampled_from([1, 4]), min_size=1, max_size=3))
-    n_c = len(counts)
+    n_c, n_v = len(counts), sum(counts)
 
     def values(shape):
         return draw(arrays(np.float64, shape, elements=MODERATE))
@@ -143,11 +141,11 @@ def rollout_inputs(draw):
         p_com=values((3,)),
         momentum=values((6,)),
         p_contacts=values((n_c, 3)),
-        forces=[values((k, c, 3)) for c in counts],
+        forces=values((k, n_v, 3)),
         contact_velocities=values((k, n_c, 3)),
         gamma=draw(arrays(np.float64, (k, n_c), elements=st.sampled_from([0.0, 1.0]))),
-        rotations=values((n_c, 3, 3)),
-        corner_offsets=[values((c, 3)) for c in counts],
+        corner_arms=values((n_v, 3)),
+        corner_contact=corner_contact_of(counts),
         mass=draw(st.floats(min_value=0.1, max_value=100.0)),
         gravity=values((3,)),
         wrench=values((k, 6)),
@@ -160,13 +158,14 @@ STATE = ("p_com", "momentum", "p_contacts")
 
 def chained_steps(args):
     """The rollout as K one-knot euler_step_batch calls, each from the last one's end."""
-    fixed = {name: args[name] for name in ("rotations", "corner_offsets", "mass", "gravity", "dt")}
+    fixed_names = ("corner_arms", "corner_contact", "mass", "gravity", "dt")
+    fixed = {name: args[name] for name in fixed_names}
     p, h, pc = (args[name][None] for name in STATE)
     rows = []
     for k in range(args["gamma"].shape[0]):
         p, h, pc = euler_step_batch(
             p, h, pc,
-            forces=[f[k : k + 1] for f in args["forces"]],
+            forces=args["forces"][k : k + 1],
             contact_velocities=args["contact_velocities"][k : k + 1],
             gamma=args["gamma"][k : k + 1],
             wrench=args["wrench"][k : k + 1],
@@ -181,11 +180,11 @@ SIGNED_ZERO_STANCE = dict(
     p_com=np.array([0.1, -0.2, 0.9]),
     momentum=np.array([-0.0, 0.0, 1.0, -0.0, 0.0, -0.0]),
     p_contacts=np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]),
-    forces=[np.full((3, 1, 3), -0.0), np.ones((3, 4, 3))],
+    forces=np.concatenate([np.full((3, 1, 3), -0.0), np.ones((3, 4, 3))], axis=1),
     contact_velocities=np.array([[[1.0, -1.0, 0.5]] * 2] * 3),
     gamma=np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-    rotations=np.array([np.eye(3), np.eye(3)]),
-    corner_offsets=[np.zeros((1, 3)), -np.ones((4, 3))],
+    corner_arms=np.concatenate([np.zeros((1, 3)), -np.ones((4, 3))]),
+    corner_contact=corner_contact_of([1, 4]),
     mass=2.0,
     gravity=np.array([0.0, 0.0, -9.81]),
     wrench=np.zeros((3, 6)),
@@ -218,8 +217,8 @@ class TestRollout:
         with np.errstate(all="ignore"):
             ours = euler_step_batch(p, h, pc, **inputs)
             rate = momentum_rate_batch(
-                p, pc, args["forces"], args["gamma"], args["rotations"],
-                args["corner_offsets"], args["mass"], args["gravity"], args["wrench"],
+                p, pc, args["forces"], args["gamma"], args["corner_arms"],
+                args["corner_contact"], args["mass"], args["gravity"], args["wrench"],
             )
             dt, gamma = args["dt"], args["gamma"]
             moved = pc + dt * ((1.0 - gamma)[..., None] * args["contact_velocities"])
@@ -249,15 +248,17 @@ def plant_inputs(draw):
         draw(st.sampled_from([ContactGeometry.point(), ContactGeometry.rectangle(0.2, 0.1)]))
         for _ in range(n_c)
     ]
+    rotations = [_yaw(draw(st.floats(min_value=-3.0, max_value=3.0))) for _ in range(n_c)]
+    counts = [g.n_corners for g in geometries]
     return dict(
         state=CentroidalState(values((3,)), values((3,)), values((3,))),
         p_contacts=values((n_c, 3)),
-        forces=[values((g.n_corners, 3)) for g in geometries],
+        forces=values((sum(counts), 3)),
         gamma=draw(arrays(np.float64, (n_c,), elements=st.sampled_from([0.0, 1.0]))),
-        rotations=np.array(
-            [_yaw(draw(st.floats(min_value=-3.0, max_value=3.0))) for _ in range(n_c)]
+        corner_arms=np.concatenate(
+            [g.offsets_matrix() @ R.T for g, R in zip(geometries, rotations)]
         ),
-        corner_offsets=[g.offsets_matrix() for g in geometries],
+        corner_contact=corner_contact_of(counts),
         params=PhysicalParams(mass=draw(st.floats(min_value=0.1, max_value=100.0))),
         wrenches=values((draw(st.integers(1, 12)), 6)),
         dt=draw(st.floats(min_value=1e-3, max_value=0.1)),
@@ -282,10 +283,10 @@ class TestIntegrateStep:
         dict(
             state=CentroidalState([0.0, 0.0, 0.6], [-0.0, 0.0, 0.0], [0.0, -0.0, 0.0]),
             p_contacts=np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]),
-            forces=[np.array([[0.0, 0.0, 9.81]]), np.array([[1.0, 1.0, 1.0]])],
+            forces=np.array([[0.0, 0.0, 9.81], [1.0, 1.0, 1.0]]),
             gamma=np.array([1.0, 0.0]),
-            rotations=np.array([np.eye(3), np.eye(3)]),
-            corner_offsets=[np.zeros((1, 3)), np.zeros((1, 3))],
+            corner_arms=np.zeros((2, 3)),
+            corner_contact=corner_contact_of([1, 1]),
             params=PhysicalParams(mass=1.0),
             wrenches=np.zeros((3, 6)),
             dt=0.01,
@@ -297,8 +298,8 @@ class TestIntegrateStep:
         with np.errstate(all="ignore"):
             ours = integrate_step(**{**args, "wrenches": wrench})
             rate = momentum_rate_batch(
-                state.p_com[None], args["p_contacts"][None], [f[None] for f in args["forces"]],
-                args["gamma"][None], args["rotations"], args["corner_offsets"],
+                state.p_com[None], args["p_contacts"][None], args["forces"][None],
+                args["gamma"][None], args["corner_arms"], args["corner_contact"],
                 params.mass, params.gravity, wrench,
             )[0]
             h_next = state.momentum + dt * rate

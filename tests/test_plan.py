@@ -322,9 +322,42 @@ class TestStackedArrays:
         assert np.array_equal(plan.orientations, [yaw, np.eye(3)])
         assert np.array_equal(plan.nominal_positions, [[0, 0.1, 0], [0.2, -0.1, 0.05]])
         assert plan.corner_counts == (4, 1)
-        assert np.array_equal(plan.corner_offsets[0], rect.offsets_matrix())
-        assert np.array_equal(plan.corner_offsets[1], np.zeros((1, 3)))
-        for arr in (plan.orientations, plan.nominal_positions) + plan.corner_offsets:
+        assert np.array_equal(plan.corner_contact, [0, 0, 0, 0, 1])
+        assert np.array_equal(plan.corner_arms[4], np.zeros(3))
+        for arr in (plan.orientations, plan.nominal_positions):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             plan.orientations[0, 0, 0] = 2.0
+
+    def test_corner_arms_are_each_contacts_rotated_offsets(self):
+        c, s = np.cos(0.3), np.sin(0.3)
+        yaw = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        geometries = (
+            ContactGeometry.rectangle(0.2, 0.1), POINT, ContactGeometry.rectangle(0.3, 0.06)
+        )
+        plan = ContactPlan(
+            tuple(
+                NominalContact(name, [0.1 * i, 0, 0], R, geometry, ((0.0, 1.0),))
+                for i, (name, R, geometry) in enumerate(
+                    zip("abc", (yaw, np.eye(3), yaw.T), geometries)
+                )
+            ),
+            1.0,
+        )
+        expected = np.concatenate(
+            [g.offsets_matrix() @ R.T for g, R in zip(geometries, plan.orientations)]
+        )
+        assert plan.corner_arms.shape == (9, 3)
+        assert np.array_equal(plan.corner_arms.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(plan.corner_contact, np.repeat([0, 1, 2], [4, 1, 4]))
+
+    def test_corner_arrays_are_read_only(self):
+        plan = ContactPlan(
+            (NominalContact("c", [0, 0, 0], np.eye(3), ContactGeometry.rectangle(0.2, 0.1),
+                            ((0.0, 1.0),)),),
+            1.0,
+        )
+        for arr in (plan.corner_contact, plan.corner_arms):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1

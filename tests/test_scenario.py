@@ -88,6 +88,15 @@ class TestParsing:
             parse_scenario(MINIMAL + "\n[telemetry]\nrate = 1\n")
         assert any("telemetry" in p for p in err.value.problems)
 
+    @pytest.mark.parametrize("header", ["contactfoot", "contacts foot"])
+    def test_misspelled_contact_section_rejected_at_its_line(self, header):
+        # only "contact", whitespace and a name opens a contact section
+        text = MINIMAL.replace("[contact foot]", f"[{header}]")
+        line = text.splitlines().index(f"[{header}]") + 1
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert f"line {line}: unknown section [{header}]" in err.value.problems
+
     def test_missing_format_version(self):
         with pytest.raises(ScenarioError) as err:
             parse_scenario(MINIMAL.replace("format_version = 1\n", ""))

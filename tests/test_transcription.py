@@ -230,13 +230,13 @@ class TestDecisionLayout:
         rng = np.random.RandomState(0)
         x = rng.randn(layout.size)
         com, momentum, contacts = layout.state_arrays(x)
-        forces, velocities = layout.control_arrays(x)
+        forces, velocities = x[layout.forces], x[layout.velocities]
         # three knots of 12 states (CoM, momentum, one contact), then two
         # steps of 9 controls (two corner forces, one velocity)
         np.testing.assert_array_equal(com[1], x[12:15])
         np.testing.assert_array_equal(momentum[2], x[27:33])
         np.testing.assert_array_equal(contacts[0, 0], x[9:12])
-        np.testing.assert_array_equal(forces[0][1, 1], x[48:51])
+        np.testing.assert_array_equal(forces[1, 1], x[48:51])
         np.testing.assert_array_equal(velocities[1, 0], x[51:54])
 
 
@@ -290,9 +290,7 @@ class TestBuildNlp:
         rng = np.random.RandomState(5)
         x = np.zeros(layout.size)
         x[layout.n_state_vars:] = 2.0 * rng.randn(layout.n_knots * layout.control_dim)
-        forces, velocities = layout.control_arrays(x)
-        rotations = np.array([c.orientation for c in plan.contacts])
-        offsets = [c.geometry.offsets_matrix() for c in plan.contacts]
+        forces, velocities = x[layout.forces], x[layout.velocities]
         p = state.p_com[None]
         h = state.momentum[None]
         pc = measured[None]
@@ -301,8 +299,9 @@ class TestBuildNlp:
         gamma = schedule.astype(float)
         for k in range(4):
             p, h, pc = euler_step_batch(
-                p, h, pc, [f[k : k + 1] for f in forces], velocities[k : k + 1],
-                gamma[k : k + 1], rotations, offsets, params.mass, params.gravity,
+                p, h, pc, forces[k : k + 1], velocities[k : k + 1],
+                gamma[k : k + 1], plan.corner_arms, plan.corner_contact, params.mass,
+                params.gravity,
                 profile[k : k + 1], 0.1,
             )
             states[k + 1] = np.concatenate([p[0], h[0], pc[0].ravel()])
