@@ -1,17 +1,20 @@
 """Scenario files: a strict key-value format describing one closed-loop run.
 
-Sections: [physical], [mpc], [simulation], one [contact NAME] per planned
-contact and any number of [disturbance] sections.  Keys carry their unit in
-the name.  Every key is read through one table, `_KEYS`.  Unknown sections
-and keys, missing required keys and bad values (empty, malformed or not
-finite) are rejected with their line number; all semantic complaints are
-reported together.
+The lines before the first section header hold format_version; then come
+[physical], [mpc], [simulation], one [contact NAME] per planned contact and
+any number of [disturbance] sections.  Keys carry their unit in the name.
+One tokenizer, `_sections`, splits the text for both `parse_scenario` and
+`apply_overrides`, and every key is read through one table, `_KEYS`.
+Unknown sections and keys, missing required keys and bad values (empty,
+malformed, not finite or out of range) are rejected with their line number;
+all semantic complaints are reported together.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 
@@ -76,9 +79,30 @@ def _yaw_matrix(yaw: float) -> np.ndarray:
 
 @dataclass
 class _Section:
-    name: str
+    name: str  # "" for the lines before the first header
     line: int
     entries: list  # (key, value, line)
+
+    @property
+    def title(self) -> str:
+        return f"section [{self.name}]" if self.name else "the top level"
+
+
+def _sections(text: str) -> list:
+    """Every section of `text` in file order, the root section "" first."""
+    sections = [_Section("", 0, [])]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            sections.append(_Section(line[1:-1].strip(), lineno, []))
+        elif "=" in line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            sections[-1].entries.append((key, value, lineno))
+        else:
+            raise ScenarioError([f"line {lineno}: expected 'key = value', got {raw.strip()!r}"])
+    return sections
 
 
 def _number(value: str, count: int = 0):
@@ -95,11 +119,31 @@ def _number(value: str, count: int = 0):
     return np.array(numbers) if count else numbers[0]
 
 
+def _positive(value: str, count: int = 0):
+    numbers = _number(value, count)
+    if np.any(numbers <= 0):
+        raise ValueError("must be positive")
+    return numbers
+
+
 def _integer(value: str) -> int:
     try:
         return int(value)
     except ValueError:
         raise ValueError("expects an integer") from None
+
+
+def _count(value: str) -> int:
+    number = _integer(value)
+    if number < 1:
+        raise ValueError("must be at least 1")
+    return number
+
+
+def _version(value: str) -> int:
+    if _integer(value) != FORMAT_VERSION:
+        raise ValueError(f"must be {FORMAT_VERSION}")
+    return FORMAT_VERSION
 
 
 def _boolean(value: str) -> bool:
@@ -115,8 +159,15 @@ def _text(value: str) -> str:
     return value
 
 
-_PAIR = partial(_number, count=2)
+def _window(value: str) -> tuple:
+    start, end = _number(value, count=2)
+    if start >= end:
+        raise ValueError("must start before it ends")
+    return float(start), float(end)
+
+
 _VECTOR = partial(_number, count=3)
+_CONTACT_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 _REQUIRED = object()
 _REPEATED = object()
 
@@ -124,8 +175,9 @@ _REPEATED = object()
 # like a value from the file; None leaves an absent key as None.  Repeated
 # keys read as a list of (value, line) pairs.
 _KEYS = {
+    "": {"format_version": (_version, _REQUIRED)},
     "physical": {
-        "mass_kg": (_number, _REQUIRED),
+        "mass_kg": (_positive, _REQUIRED),
         "gravity_mps2": (_VECTOR, "0 0 -9.81"),
         "com_height_nominal_m": (_number, _REQUIRED),
     },
@@ -147,21 +199,21 @@ _KEYS = {
         "constraint_tolerance": (_number, "1e-7"),
     },
     "simulation": {
-        "duration_s": (_number, _REQUIRED),
-        "substeps": (_integer, "10"),
+        "duration_s": (_positive, _REQUIRED),
+        "substeps": (_count, "10"),
         "output_dir": (_text, None),
         "disturbances_enabled": (_boolean, "true"),
     },
     "contact": {
         "position_m": (_VECTOR, _REQUIRED),
         "yaw_rad": (_number, "0"),
-        "surface_m": (_PAIR, None),
+        "surface_m": (partial(_positive, count=2), None),
         "corner_m": (_VECTOR, _REPEATED),
-        "active_s": (_PAIR, _REPEATED),
+        "active_s": (_window, _REPEATED),
     },
     "disturbance": {
         "t_start_s": (_number, _REQUIRED),
-        "duration_s": (_number, _REQUIRED),
+        "duration_s": (_positive, _REQUIRED),
         "force_n": (_VECTOR, _REQUIRED),
         "estimated_force_n": (_VECTOR, None),  # the true force when absent
     },
@@ -186,20 +238,20 @@ def _read(table: dict, section: _Section, problems: list) -> dict:
     values = {key: [] for key, (_, default) in table.items() if default is _REPEATED}
     for key, value, line in section.entries:
         if key not in table:
-            problems.append(f"line {line}: unknown key {key!r} in section [{section.name}]")
+            problems.append(f"line {line}: unknown key {key!r} in {section.title}")
         elif table[key][1] is _REPEATED:
             parsed = _parse(table[key][0], key, value, line, problems)
             if parsed is not None:
                 values[key].append((parsed, line))
         elif key in values:
-            problems.append(f"line {line}: duplicate key {key!r} in section [{section.name}]")
+            problems.append(f"line {line}: duplicate key {key!r} in {section.title}")
         else:
             values[key] = _parse(table[key][0], key, value, line, problems)
     for key, (parser, default) in table.items():
         if key in values:
             continue
         if default is _REQUIRED:
-            problems.append(f"section [{section.name}]: missing required key {key!r}")
+            problems.append(f"{section.title}: missing required key {key!r}")
         absent = default in (None, _REQUIRED)
         values[key] = None if absent else _parse(parser, key, default, section.line, problems)
     return values
@@ -208,34 +260,8 @@ def _read(table: dict, section: _Section, problems: list) -> dict:
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
     """Parse and validate scenario text; raises ScenarioError with line numbers."""
     problems: list = []
-    sections: list = []
-    version_seen = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            sections.append(_Section(line[1:-1].strip(), lineno, []))
-            continue
-        if "=" not in line:
-            raise ScenarioError([f"line {lineno}: expected 'key = value', got {raw.strip()!r}"])
-        key, value = (part.strip() for part in line.split("=", 1))
-        if sections:
-            sections[-1].entries.append((key, value, lineno))
-        elif key == "format_version":
-            version_seen = (_parse(_integer, key, value, lineno, problems), lineno)
-        else:
-            problems.append(
-                f"line {lineno}: key {key!r} before any section (only format_version allowed)"
-            )
-
-    if version_seen is None:
-        problems.append("missing required top-level key 'format_version'")
-    elif version_seen[0] is not None and version_seen[0] != FORMAT_VERSION:
-        problems.append(
-            f"line {version_seen[1]}: unsupported format_version {version_seen[0]} "
-            f"(expected {FORMAT_VERSION})"
-        )
+    root, *sections = _sections(text)
+    _read(_KEYS[""], root, problems)
 
     by_name: dict = {}
     contacts_s: list = []
@@ -247,8 +273,11 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
             by_name[sec.name] = sec
         elif sec.name.split(None, 1)[:1] == ["contact"]:
             label = sec.name[len("contact") :].strip()
-            if not label:
-                problems.append(f"line {sec.line}: contact section needs a name")
+            if not _CONTACT_NAME.fullmatch(label):
+                problems.append(
+                    f"line {sec.line}: contact name {label!r} must be one or more of "
+                    "A-Z a-z 0-9 _ . -"
+                )
             contacts_s.append((label, sec))
         elif sec.name == "disturbance":
             disturbances_s.append(sec)
@@ -266,14 +295,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
     phys, mpc, sim = (
         _read(_KEYS[s], by_name[s], problems) for s in ("physical", "mpc", "simulation")
     )
-    mass = phys["mass_kg"]
-    if mass is not None and mass <= 0.0:
-        problems.append(f"section [physical]: mass_kg must be positive, got {mass}")
-    duration = sim["duration_s"]
-    if sim["substeps"] is not None and sim["substeps"] < 1:
-        problems.append(f"section [simulation]: substeps must be >= 1, got {sim['substeps']}")
-    if duration is not None and duration <= 0.0:
-        problems.append(f"section [simulation]: duration_s must be positive, got {duration}")
+    mass, duration = phys["mass_kg"], sim["duration_s"]
 
     contacts: list = []
     seen_labels: set = set()
@@ -290,31 +312,21 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
             )
         geometry = None
         if dims is not None:
-            if np.any(dims <= 0):
-                problems.append(
-                    f"section [contact {label}]: surface_m dimensions must be positive"
-                )
-            else:
-                geometry = ContactGeometry.rectangle(dims[0], dims[1])
+            geometry = ContactGeometry.rectangle(dims[0], dims[1])
         elif corners:
             geometry = ContactGeometry(corners)
         else:
             problems.append(
                 f"section [contact {label}]: needs surface_m or at least one corner_m"
             )
-        windows = []
-        for pair, ln in values["active_s"]:
-            if pair[0] >= pair[1]:
-                problems.append(f"line {ln}: active_s window [{pair[0]}, {pair[1]}) is empty")
-            else:
-                windows.append((float(pair[0]), float(pair[1])))
+        windows = tuple(window for window, _ in values["active_s"])
         if not windows:
             problems.append(f"section [contact {label}]: needs at least one active_s window")
         pos, yaw = values["position_m"], values["yaw_rad"]
         if pos is not None and yaw is not None and geometry is not None and windows:
             try:
                 contacts.append(
-                    NominalContact(label, pos, _yaw_matrix(yaw), geometry, tuple(windows))
+                    NominalContact(label, pos, _yaw_matrix(yaw), geometry, windows)
                 )
             except ValueError as exc:
                 problems.append(f"section [contact {label}]: {exc}")
@@ -326,8 +338,6 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
         if estimate is None:
             estimate = force
         events.append(DisturbanceEvent(values["t_start_s"], values["duration_s"], force, estimate))
-        if values["duration_s"] is not None and values["duration_s"] <= 0:
-            problems.append(f"section [disturbance] at line {sec.line}: duration_s must be > 0")
 
     if problems:
         raise ScenarioError(problems)
@@ -374,7 +384,8 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
                 ]
             )
     n_steps = duration / period
-    if abs(n_steps - round(n_steps)) > 1e-9:
+    # a ratio that overflows to inf is no integer either
+    if not math.isfinite(n_steps) or abs(n_steps - round(n_steps)) > 1e-9:
         raise ScenarioError(
             [f"duration_s {duration} must be an integer multiple of period_s {period}"]
         )
@@ -395,17 +406,18 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
 
 
 def apply_overrides(text: str, overrides) -> str:
-    """Rewrite scenario text with 'section.key=value' overrides.
+    """Rewrite scenario text with 'section.key=value' overrides, in order.
 
     Works on [physical], [mpc] and [simulation] only, and the key must be one
     the section accepts, with a value its parser accepts.  The value replaces
-    the key's line in the section, or is appended to the section when the key
-    is absent.
+    the key's line in the section, or is inserted after the section's last
+    entry when the key is absent.
     """
-    parsed = []
+    lines = text.splitlines()
     for item in overrides:
         path, eq, value = item.partition("=")
         section, dot, key = (part.strip() for part in path.partition("."))
+        value = value.strip()
         if not (eq and dot):
             raise ScenarioError([f"override {item!r} must look like section.key=value"])
         if section not in ("physical", "mpc", "simulation"):
@@ -415,41 +427,16 @@ def apply_overrides(text: str, overrides) -> str:
         if key not in _KEYS[section]:
             raise ScenarioError([f"override {item!r}: unknown key {key!r} in section [{section}]"])
         try:
-            _KEYS[section][key][0](value.strip())
+            _KEYS[section][key][0](value)
         except ValueError as exc:
             raise ScenarioError([f"override {item!r}: key {key!r} {exc}"]) from None
-        parsed.append((section, key, value.strip()))
-
-    lines = text.splitlines()
-    for section, key, value in parsed:
-        lines = _apply_one_override(lines, section, key, value)
-    return "\n".join(lines) + "\n"
-
-
-def _apply_one_override(lines, section, key, value):
-    out = []
-    current = None
-    done = False
-    insert_at = None
-    for line in lines:
-        stripped = line.split("#", 1)[0].strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip()
-            out.append(line)
-            if current == section:
-                insert_at = len(out)
-            continue
-        if current == section and not done and "=" in stripped:
-            if stripped.split("=", 1)[0].strip() == key:
-                out.append(f"{key} = {value}")
-                done = True
-                insert_at = len(out)
-                continue
-        out.append(line)
-        if current == section and stripped:
-            insert_at = len(out)
-    if not done:
-        if insert_at is None:
+        target = next((s for s in _sections("\n".join(lines)) if s.name == section), None)
+        if target is None:
             raise ScenarioError([f"override {section}.{key}: section [{section}] not present"])
-        out.insert(insert_at, f"{key} = {value}")
-    return out
+        hits = [line for name, _, line in target.entries if name == key]
+        if hits:
+            lines[hits[0] - 1] = f"{key} = {value}"
+        else:
+            lines.insert(target.entries[-1][2] if target.entries else target.line,
+                         f"{key} = {value}")
+    return "\n".join(lines) + "\n"

@@ -269,68 +269,55 @@ def compute_metrics(traj: TrajectoryLog, config: ScenarioConfig) -> Metrics:
     )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
-def _write_csv(path: Path, columns: list, rows) -> Path:
-    """One header line of `columns`, then one line per row of strings."""
-    with path.open("w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _write_csv(path: Path, columns: list, table, fmt) -> Path:
+    """One header line of `columns`, then one line per row of `table`."""
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=",".join(columns), comments="")
     return path
 
 
 def export_csv(traj: TrajectoryLog, out_dir) -> list:
     """Write states/contacts/forces/solver CSVs; returns the file paths.
 
-    Values carry 9 significant digits; re-exporting the same log yields
-    byte-identical files.  Wall-clock times stay out of the CSVs so repeated
-    runs of one scenario compare equal.
+    Values carry 9 significant digits (`%.9g`); re-exporting the same log
+    yields byte-identical files.  Wall-clock times stay out of the CSVs so
+    repeated runs of one scenario compare equal.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ids = traj.contact_ids
-    times = [_fmt(t) for t in traj.times]
-    states = np.concatenate([traj.com, traj.momentum, traj.nominal_com], axis=1)
+    n_rows = traj.times.size
     offsets = traj.contact_positions[:, :, :2] - traj.nominal_contacts[:, :2]
-    forces = traj.forces.reshape(traj.forces.shape[0], -1)
-
-    def contact_cells(r):
-        for i in range(len(ids)):
-            yield from (_fmt(v) for v in traj.contact_positions[r, i])
-            yield "1" if traj.gamma[r, i] else "0"
-            yield from (_fmt(v) for v in offsets[r, i])
-
+    contacts = np.concatenate([traj.contact_positions, traj.gamma[:, :, None], offsets], axis=2)
     return [
         _write_csv(
             out / "states.csv",
             "time_s,com_x_m,com_y_m,com_z_m,h_lin_x,h_lin_y,h_lin_z,h_ang_x,h_ang_y,"
             "h_ang_z,nominal_com_x_m,nominal_com_y_m,nominal_com_z_m".split(","),
-            ([t] + [_fmt(v) for v in row] for t, row in zip(times, states)),
+            np.column_stack([traj.times, traj.com, traj.momentum, traj.nominal_com]),
+            "%.9g",
         ),
         _write_csv(
             out / "contacts.csv",
             ["time_s"] + [f"{cid}_{col}" for cid in ids for col in (
                 "x_m", "y_m", "z_m", "active", "offset_x_m", "offset_y_m")],
-            ([t, *contact_cells(r)] for r, t in enumerate(times)),
+            np.column_stack([traj.times, contacts.reshape(n_rows, -1)]),
+            ["%.9g"] + ["%.9g", "%.9g", "%.9g", "%d", "%.9g", "%.9g"] * len(ids),
         ),
         _write_csv(
             out / "forces.csv",
             ["time_s"] + [f"{cid}_c{j}_f{axis}_n" for cid, nv in zip(ids, traj.corner_counts)
                           for j in range(nv) for axis in "xyz"],
-            ([t] + [_fmt(v) for v in row] for t, row in zip(times, forces)),
+            np.column_stack([traj.times, traj.forces.reshape(n_rows, -1)]),
+            "%.9g",
         ),
         _write_csv(
             out / "solver.csv",
             "step,time_s,status,iterations,kkt_residual,constraint_violation,degraded".split(","),
-            (
-                [str(k), times[k], traj.statuses[k], str(int(traj.iterations[k])),
-                 _fmt(traj.kkt_residuals[k]), _fmt(traj.violations[k]),
-                 "1" if traj.degraded[k] else "0"]
-                for k in range(traj.n_steps)
-            ),
+            np.rec.fromarrays([
+                np.arange(traj.n_steps), traj.times[: traj.n_steps], traj.statuses,
+                traj.iterations, traj.kkt_residuals, traj.violations, traj.degraded,
+            ]),
+            ["%d", "%.9g", "%s", "%d", "%.9g", "%.9g", "%d"],
         ),
     ]
 

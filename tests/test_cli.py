@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from centroidal_mpc import cli
 from centroidal_mpc.cli import main
 
 QUICK = """\
@@ -94,6 +95,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    def test_contact_name_with_comma_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "comma.txt"
+        bad.write_text(QUICK.replace("[contact right]", "[contact ri,ght]"))
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "contact name 'ri,ght'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", ["mpc.period_s=1e-320", "simulation.duration_s=1e308"])
+    def test_step_count_overflow_exit_code(self, scenario_file, capsys, monkeypatch, override):
+        # rejected while the scenario is parsed, before anything is simulated
+        monkeypatch.setattr(cli, "simulate", None)
+        assert main(["run", str(scenario_file), "--override", override]) == 2
+        err = capsys.readouterr().err
+        assert "integer multiple" in err and "Traceback" not in err
 
     def test_missing_file_exit_code(self):
         assert main(["run", "/nonexistent/path.txt"]) == 2

@@ -156,6 +156,13 @@ class TestParsing:
             ("duration_s = 1.0", "duration_s = inf"),
             ("duration_s = 0.3", "duration_s = nan"),
             ("mass_kg = 1.0", "mass_kg = abc"),
+            # out of range
+            ("mass_kg = 1.0", "mass_kg = 0"),
+            ("substeps = 2", "substeps = 0"),
+            ("duration_s = 1.0", "duration_s = 0"),
+            ("duration_s = 0.3", "duration_s = -0.1"),
+            ("corner_m = 0.0 0.0 0.0", "surface_m = 0.2 0"),
+            ("active_s = 0.0 1.0", "active_s = 0.5 0.5"),
         ],
     )
     def test_bad_value_reported_at_its_line(self, line, bad):
@@ -165,6 +172,36 @@ class TestParsing:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(text)
         assert any(p.startswith(f"line {lineno}: key {key!r} ") for p in err.value.problems)
+
+    def test_second_format_version_is_a_duplicate_key(self):
+        text = MINIMAL.replace("format_version = 1\n", "format_version = 2\nformat_version = 1\n")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert "line 2: duplicate key 'format_version' in the top level" in err.value.problems
+
+    @pytest.mark.parametrize("label", ["fo,ot", 'fo"ot', "fo ot"])
+    def test_contact_name_outside_its_characters_rejected_at_its_line(self, label):
+        # names head CSV columns, so a comma, a quote or a space would break them
+        text = MINIMAL.replace("[contact foot]", f"[contact {label}]")
+        line = text.splitlines().index(f"[contact {label}]") + 1
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        prefix = f"line {line}: contact name {label!r}"
+        assert any(p.startswith(prefix) for p in err.value.problems)
+
+    def test_contact_name_characters_accepted(self):
+        text = MINIMAL.replace("[contact foot]", "[contact Foot-2.left_x]")
+        assert parse_scenario(text).plan.contact_ids == ["Foot-2.left_x"]
+
+    @pytest.mark.parametrize(
+        "line, huge",
+        [("period_s = 0.1", "period_s = 1e-320"), ("duration_s = 1.0", "duration_s = 1e308")],
+    )
+    def test_step_count_overflow_is_not_an_integer_multiple(self, line, huge):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(MINIMAL.replace(line, huge))
+        (problem,) = err.value.problems
+        assert "must be an integer multiple of period_s" in problem
 
     def test_config_hash_tracks_text(self):
         a = parse_scenario(MINIMAL)
@@ -199,6 +236,9 @@ class TestOverrides:
             ("physical.gravity_mps2=0 -9.81", "expects 3 numbers"),
             ("simulation.disturbances_enabled=maybe", "expects true/false"),
             ("simulation.output_dir=", "expects a value"),
+            ("physical.mass_kg=0", "must be positive"),
+            ("simulation.substeps=0", "must be at least 1"),
+            ("simulation.duration_s=-1", "must be positive"),
         ],
     )
     def test_bad_value_names_the_override(self, item, message):
@@ -215,3 +255,35 @@ class TestOverrides:
         cfg = parse_scenario(text)
         assert cfg.params.mass == 2.5
         assert cfg.mpc.period == 0.2
+
+    def test_replaced_key_drops_its_comment(self):
+        text = "format_version = 1\n[mpc]\nperiod_s = 0.1  # control period\nfriction_mu = 0.8\n"
+        assert apply_overrides(text, ["mpc.period_s=0.2"]) == (
+            "format_version = 1\n[mpc]\nperiod_s = 0.2\nfriction_mu = 0.8\n"
+        )
+
+    def test_inserted_key_follows_the_last_entry(self):
+        text = (
+            "format_version = 1\n\n[mpc]\n# solver\nperiod_s = 0.1\n\n# next\n"
+            "[simulation]\nduration_s = 1.0\n"
+        )
+        assert apply_overrides(text, [" mpc . friction_mu = 0.5 "]) == (
+            "format_version = 1\n\n[mpc]\n# solver\nperiod_s = 0.1\nfriction_mu = 0.5\n\n# next\n"
+            "[simulation]\nduration_s = 1.0\n"
+        )
+
+    def test_inserted_key_follows_an_empty_sections_header(self):
+        text = "format_version = 1\n[physical]\n\n[mpc]\n"
+        assert apply_overrides(text, ["physical.mass_kg=2"]) == (
+            "format_version = 1\n[physical]\nmass_kg = 2\n\n[mpc]\n"
+        )
+
+    def test_overrides_apply_in_order(self):
+        text = "[simulation]\nduration_s = 1.0\n\n[mpc]\n"
+        assert apply_overrides(
+            text, ["simulation.substeps=5", "simulation.substeps=1", "simulation.duration_s=2"]
+        ) == "[simulation]\nduration_s = 2\nsubsteps = 1\n\n[mpc]\n"
+
+    def test_missing_section_rejected(self):
+        with pytest.raises(ScenarioError, match=r"section \[mpc\] not present"):
+            apply_overrides("format_version = 1\n[physical]\n", ["mpc.period_s=0.2"])

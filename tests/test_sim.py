@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import os
 import subprocess
@@ -170,6 +171,14 @@ class TestExportCsv:
         export_csv(traj, tmp_path / "b")
         for name in ("states.csv", "contacts.csv", "forces.csv", "solver.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["one_leg_jump", "two_leg_walk_run"])
+    def test_every_row_has_its_headers_column_count(self, name, tmp_path):
+        traj, _ = simulate(parse_scenario(bundled_scenario(name), name=name))
+        for path in export_csv(traj, tmp_path):
+            with path.open(newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and {len(row) for row in rows} == {len(header)}, path.name
 
     def test_manifest(self, standing_run, tmp_path):
         traj, metrics = standing_run
