@@ -126,70 +126,37 @@ def _ruiz_scale(workspace, p_data: np.ndarray, a_data: np.ndarray, q, free):
     return d, e, c
 
 
-def _sparse(M, fmt: str):
-    """M as a float sparse matrix in format fmt ("csc" or "csr"), converted if need be."""
-    if sp.issparse(M) and M.format == fmt and M.dtype == np.float64:
-        return M
-    return (sp.csc_matrix if fmt == "csc" else sp.csr_matrix)(M, dtype=float)
-
-
-def _row_blocks(A) -> tuple:
-    """A, one matrix or a tuple of row blocks, as canonical float CSR blocks."""
-    blocks = []
-    for block in A if isinstance(A, tuple) else (A,):
-        block = _sparse(block, "csr")
-        if not block.has_canonical_format:
-            block = block.copy()
-            block.sum_duplicates()
-        blocks.append(block)
-    return tuple(blocks)
-
-
-def _pattern(M) -> tuple:
-    """Shape and read-only copies of the index arrays of a CSR or CSC matrix."""
-    indptr, indices = M.indptr.copy(), M.indices.copy()
-    indptr.flags.writeable = indices.flags.writeable = False
-    return M.shape, indptr, indices
-
-
-def _fits(M, pattern: tuple) -> bool:
-    shape, indptr, indices = pattern
-    return M.shape == shape and all(map(np.array_equal, (M.indptr, M.indices), (indptr, indices)))
-
-
 class QpWorkspace:
     """What every QP on one pair of sparsity patterns shares, set up once.
 
-    P is read as CSC; A is one matrix or a tuple of row blocks stacked in
-    order, each read as CSR.  The workspace holds the patterns of P and A,
-    the band slot of every entry of P + A' diag(w) A under `ordering`
-    (the natural order when not given) and the pairs of A's entries
-    behind it, and one equilibration (d, e, c) by _ruiz_scale of the values
-    of P and A given here, `free` and `q` as there.  A' needs nothing of its
-    own: a solve reads it as the CSC transpose of its A, on A's arrays.
-    Every array is read-only, so one workspace serves any number of QPs
-    whose P and A blocks have its patterns (`scaled_values`).
+    `P` and `A` are the patterns: P read as CSC and A as CSR, each with its
+    duplicates summed, holding the values given here.  A QP on the
+    workspace brings the value vectors of both, in the order of their
+    stored entries (P.data, A.data).  The workspace also holds the band
+    slot of every entry of P + A' diag(w) A under `ordering` (the natural
+    order when not given) and the pairs of A's entries behind it, and one
+    equilibration (d, e, c) by _ruiz_scale of the values of P and A given
+    here, `free` and `q` as there.  A' needs nothing of its own: a solve
+    reads it as the CSC transpose of its A, on A's arrays.  Every array is
+    read-only, so one workspace serves any number of QPs.
     """
 
     def __init__(self, P, A, ordering=None, q=None, free=None):
-        P = _sparse(P, "csc")
-        blocks = _row_blocks(A)
-        stacked = sp.vstack(blocks, format="csr")
-        m, n = self.shape = stacked.shape
+        self.P = P = sp.csc_matrix(P, dtype=float, copy=True)
+        self.A = A = sp.csr_matrix(A, dtype=float, copy=True)
+        P.sum_duplicates()
+        A.sum_duplicates()
+        m, n = self.shape = A.shape
         if P.shape != (n, n):
             raise ValueError(f"P of shape {P.shape} does not fit A's {n} columns")
-        self.p_pattern, self.blocks = _pattern(P), tuple(map(_pattern, blocks))
-        _, self.p_indptr, self.p_indices = self.p_pattern
-        self.indptr, self.indices = stacked.indptr, stacked.indices
-        lens = np.diff(self.indptr)
-        self.a_row, self.a_col = np.repeat(np.arange(m), lens), self.indices
-        self.p_row, self.p_col = self.p_indices, np.repeat(np.arange(n), np.diff(self.p_indptr))
+        lens = np.diff(A.indptr)
+        self.a_row, self.a_col = np.repeat(np.arange(m), lens), A.indices
+        self.p_row, self.p_col = P.indices, np.repeat(np.arange(n), np.diff(P.indptr))
         self._add_band(ordering, lens)
-        a_data = np.concatenate([block.data for block in blocks])
-        self.d, self.e, self.c = _ruiz_scale(self, P.data, a_data, q, free)
+        self.d, self.e, self.c = _ruiz_scale(self, P.data, A.data, q, free)
         self.p_scale = self.c * self.d[self.p_row] * self.d[self.p_col]
         self.a_scale = self.e[self.a_row] * self.d[self.a_col]
-        for value in vars(self).values():
+        for value in (*vars(self).values(), P.data, P.indptr, A.data, A.indptr):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
@@ -201,8 +168,9 @@ class QpWorkspace:
         pair_ptr[r]:pair_ptr[r + 1].
         """
         n = self.shape[1]
-        entries = np.arange(self.indices.size)
-        after = self.indptr[1:][self.a_row] - entries
+        indices = self.A.indices
+        entries = np.arange(indices.size)
+        after = self.A.indptr[1:][self.a_row] - entries
         left = np.repeat(entries, after)
         right = left + (np.arange(left.size) - np.repeat(np.cumsum(after) - after, after))
         ordering = np.arange(n) if ordering is None else np.asarray(ordering)
@@ -215,7 +183,7 @@ class QpWorkspace:
         self.perm = ordering.copy()
         position = np.empty(n, dtype=np.int64)
         position[self.perm] = np.arange(n)
-        pi, pj = position[self.indices[left]], position[self.indices[right]]
+        pi, pj = position[indices[left]], position[indices[right]]
         lo, hi = np.minimum(pi, pj), np.maximum(pi, pj)
         qi, qj = position[self.p_row], position[self.p_col]
         self.p_entries = np.flatnonzero(qi <= qj)
@@ -229,45 +197,44 @@ class QpWorkspace:
         self.pair_slot = hi * (w + 1) + (w + lo - hi)
         self.band_slot = np.concatenate([qj * (w + 1) + (w + qi - qj), self.pair_slot])
 
-    def scaled_values(self, P, A):
-        """The equilibrated data of P and of A's blocks, stacked.
 
-        Raises ValueError unless P and the blocks have the set-up patterns.
-        """
-        P, blocks = _sparse(P, "csc"), _row_blocks(A)
-        if not _fits(P, self.p_pattern):
-            raise ValueError("P does not have the workspace's pattern")
-        if len(blocks) != len(self.blocks) or not all(map(_fits, blocks, self.blocks)):
-            raise ValueError("A's blocks do not have the workspace's patterns")
-        a_data = np.concatenate([block.data for block in blocks])
-        return P.data * self.p_scale, a_data * self.a_scale
+class _ScaledQp:
+    """One QP on a workspace, equilibrated, and its condensed systems.
 
-
-class _CondensedSystem:
-    """P + reg I + rho A_act' A_act of one QP, for any active set, banded.
-
-    Under the horizon's stage order (DecisionLayout.stage_order) these
-    matrices are narrow band matrices: bandwidth 18 for the 552 variables
-    of the one-leg horizon, 45 for the 1365 of the two-leg one.  The
-    equality rows are active in every set, so their share, with P and reg
-    I, is summed once per QP (`base`, one weighted bincount over the
-    workspace's band slots, an (n, w + 1) array in C order that is LAPACK's
-    band transposed); the band of an active set adds to it only the pair
-    products of its active inequality rows, which are few.
+    P = c D P0 D, q = c D q0 and A = E A0 D, on the workspace's patterns
+    (AT the CSC view of A), with bounds E l0 and E u0 and the equality rows
+    `eq`.  band(rows) is the condensed system P + reg I + rho A_act' A_act
+    of any active set, banded.  Under the horizon's stage order
+    (DecisionLayout.stage_order) these matrices are narrow band matrices:
+    bandwidth 18 for the 552 variables of the one-leg horizon, 45 for the
+    1365 of the two-leg one.  The equality rows are active in every set, so
+    their share, with P and reg I, is summed once per QP (`base`, one
+    weighted bincount over the workspace's band slots, an (n, w + 1) array
+    in C order that is LAPACK's band transposed); the band of an active set
+    adds to it only the pair products of its active inequality rows, which
+    are few.
     """
 
-    def __init__(self, workspace: QpWorkspace, p_data, a_data, eq):
+    def __init__(self, workspace: QpWorkspace, p_values, a_values, q, lower, upper):
         self.workspace = ws = workspace
-        self.a_data = a_data
+        self.d, self.e, self.c = ws.d, ws.e, ws.c
+        p_data, self.a_data = p_values * ws.p_scale, a_values * ws.a_scale
+        n = ws.shape[1]
+        self.P = sp.csc_matrix((p_data, ws.P.indices, ws.P.indptr), shape=(n, n))
+        self.A = sp.csr_matrix((self.a_data, ws.A.indices, ws.A.indptr), shape=ws.shape)
+        self.AT = self.A.T
+        self.q = self.c * self.d * q
+        self.lower, self.upper = self.e * lower, self.e * upper
+        self.eq = eq = np.isfinite(lower) & (lower == upper)
         # With the equality rows scaled by sqrt(rho) and the others by zero,
         # a pair's product is its weighted share of the base or else zero.
-        a_eq = np.where(eq[ws.a_row], a_data * np.sqrt(_POLISH_RHO), 0.0)
+        a_eq = np.where(eq[ws.a_row], self.a_data * np.sqrt(_POLISH_RHO), 0.0)
         weights = np.empty(ws.band_slot.size)
         n_p = ws.p_entries.size
         np.take(p_data, ws.p_entries, out=weights[:n_p])
         np.take(a_eq, ws.pair_left, out=weights[n_p:])
         weights[n_p:] *= a_eq[ws.pair_right]
-        shape = (ws.shape[1], ws.width + 1)
+        shape = (n, ws.width + 1)
         self.base = np.bincount(
             ws.band_slot, weights=weights, minlength=shape[0] * shape[1]
         ).reshape(shape).astype(float, copy=False)
@@ -293,7 +260,7 @@ class _NotPositiveDefinite(Exception):
     """The condensed system of an active set has no Cholesky factor."""
 
 
-def _factor_kkt(system: _CondensedSystem, rows: np.ndarray):
+def _factor_kkt(data: _ScaledQp, rows: np.ndarray):
     """Banded Cholesky factor of P + reg I + rho A_act' A_act.
 
     The active rows are the equality rows and the inequality `rows`.  Much
@@ -304,10 +271,10 @@ def _factor_kkt(system: _CondensedSystem, rows: np.ndarray):
     test of the active set: it raises _NotPositiveDefinite.  Returns the
     solve with the factor, in the original order of the variables.
     """
-    factor, info = lapack.dpbtrf(system.band(rows), overwrite_ab=True)
+    factor, info = lapack.dpbtrf(data.band(rows), overwrite_ab=True)
     if info > 0:
         raise _NotPositiveDefinite
-    perm = system.workspace.perm
+    perm = data.workspace.perm
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         out = np.empty_like(rhs)
@@ -315,23 +282,6 @@ def _factor_kkt(system: _CondensedSystem, rows: np.ndarray):
         return out
 
     return solve
-
-
-@dataclass
-class _ScaledQp:
-    """Equilibrated data: P = c D P0 D, q = c D q0, A = E A0 D, bounds E l0, E u0."""
-
-    P: sp.csc_matrix
-    q: np.ndarray
-    A: sp.csr_matrix
-    AT: sp.csc_matrix
-    lower: np.ndarray
-    upper: np.ndarray
-    eq: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-    c: float
-    system: _CondensedSystem
 
 
 def _certificate(data: _ScaledQp, lower, upper, dx, dy):
@@ -390,46 +340,45 @@ def solve_qp(
 
     The status is solved, max_iterations (returning the best point seen),
     primal_infeasible, dual_infeasible (unbounded objective) or non_convex
-    (P not positive definite on the null space of an active set).  A is a
-    matrix or a tuple of row blocks, stacked in order.  `workspace` is a
-    QpWorkspace set up for P's pattern and A's blocks, whose variable
-    ordering and equilibration the solve takes; values that do not fit it
-    raise ValueError.  Without one, solve_qp sets one up for this QP alone,
-    equilibrated on its P, q and A.  A `y0` of other than m entries raises
-    ValueError.  The first active set is the sign pattern of
-    `y0` (no inequality row without it), so a warm start that carries the
-    right active set costs one iteration.  A row whose bounds are both
-    infinite never becomes active and changes neither the scaling nor the
-    solution; its multiplier is zero.
+    (P not positive definite on the null space of an active set).  With a
+    `workspace`, P and A are value vectors in the order of the stored
+    entries of its patterns (QpWorkspace.P.data, .A.data), and the solve
+    takes its variable ordering and equilibration; values of another size
+    raise ValueError.  Without one, P and A are matrices (A None for a QP
+    without rows): solve_qp sets up a workspace for this QP alone,
+    equilibrated on its P, q and A, and solves on its values.  A `y0` of
+    other than m entries raises ValueError.  The first active set is the
+    sign pattern of `y0` (no inequality row without it), so a warm start
+    that carries the right active set costs one iteration.  A row whose
+    bounds are both infinite never becomes active and changes neither the
+    scaling nor the solution; its multiplier is zero.
     """
     opts = options or QpOptions()
     q = np.asarray(q, dtype=float).reshape(-1)
-    n = q.size
-    P = _sparse(P, "csc")
-    if A is None:
-        A, lower, upper = sp.csr_matrix((0, n)), np.zeros(0), np.zeros(0)
-    A = _row_blocks(A)
+    if A is None and workspace is None:
+        A, lower, upper = sp.csr_matrix((0, q.size)), np.zeros(0), np.zeros(0)
     lower = np.asarray(lower, dtype=float).reshape(-1)
     upper = np.asarray(upper, dtype=float).reshape(-1)
-    m = sum(block.shape[0] for block in A)
+    if workspace is None:
+        workspace = QpWorkspace(P, A, q=q, free=~(np.isfinite(lower) | np.isfinite(upper)))
+        P, A = workspace.P.data, workspace.A.data
+    ws = workspace
+    m, n = ws.shape
+    P, A = np.asarray(P, dtype=float), np.asarray(A, dtype=float)
+    if P.shape != ws.P.data.shape or A.shape != ws.A.data.shape or q.size != n:
+        raise ValueError(
+            f"P, A and q hold {P.size}, {A.size} and {q.size} values; the workspace's"
+            f" patterns store {ws.P.nnz} and {ws.A.nnz} over {n} variables"
+        )
     if lower.size != m or upper.size != m:
         raise ValueError("constraint bounds do not match the number of rows")
     if np.any(lower > upper):
         raise ValueError("lower bound exceeds upper bound on some row")
     if y0 is not None and np.asarray(y0).size != m:
         raise ValueError(f"y0 has {np.asarray(y0).size} entries, the QP has {m} rows")
-    if workspace is None:
-        workspace = QpWorkspace(P, A, q=q, free=~(np.isfinite(lower) | np.isfinite(upper)))
-    ws = workspace
-    ps, as_ = ws.scaled_values(P, A)
+    data = _ScaledQp(ws, P, A, q, lower, upper)
     d, e, c = ws.d, ws.e, ws.c
-    ls, us = e * lower, e * upper
-    eq = np.isfinite(lower) & (lower == upper)
-    A = sp.csr_matrix((as_, ws.indices, ws.indptr), shape=(m, n))
-    data = _ScaledQp(
-        sp.csc_matrix((ps, ws.p_indices, ws.p_indptr), shape=(n, n)),
-        c * d * q, A, A.T, ls, us, eq, d, e, c, _CondensedSystem(ws, ps, as_, eq),
-    )
+    ls, us, eq = data.lower, data.upper, data.eq
 
     # Primal-dual active-set iteration: solve the equality-constrained QP on
     # the active set, then activate the inactive rows its solution violates
@@ -557,7 +506,7 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
     active = data.eq | low | upp
     targets = np.where(data.eq | upp, data.upper, np.where(low, data.lower, 0.0))
     weight = np.where(active, _POLISH_RHO, 0.0)
-    solve = _factor_kkt(data.system, np.flatnonzero(low | upp))
+    solve = _factor_kkt(data, np.flatnonzero(low | upp))
 
     def products(xh, yh):
         """A x, P x + q and P x + q + A' y at (xh, yh)."""

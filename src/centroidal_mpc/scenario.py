@@ -304,6 +304,8 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
         if label in seen_labels:
             problems.append(f"line {sec.line}: duplicate contact name {label!r}")
         seen_labels.add(label)
+        # A key given with a bad value is already reported at its line.
+        given = {key for key, _, _ in sec.entries}
         dims = values["surface_m"]
         corners = tuple(corner for corner, _ in values["corner_m"])
         if dims is not None and corners:
@@ -315,12 +317,12 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
             geometry = ContactGeometry.rectangle(dims[0], dims[1])
         elif corners:
             geometry = ContactGeometry(corners)
-        else:
+        elif not given & {"surface_m", "corner_m"}:
             problems.append(
                 f"section [contact {label}]: needs surface_m or at least one corner_m"
             )
         windows = tuple(window for window, _ in values["active_s"])
-        if not windows:
+        if "active_s" not in given:
             problems.append(f"section [contact {label}]: needs at least one active_s window")
         pos, yaw = values["position_m"], values["yaw_rad"]
         if pos is not None and yaw is not None and geometry is not None and windows:
@@ -389,6 +391,8 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
         raise ScenarioError(
             [f"duration_s {duration} must be an integer multiple of period_s {period}"]
         )
+    if round(n_steps) < 1:
+        raise ScenarioError([f"duration_s {duration} is shorter than one period_s {period}"])
 
     digest = hashlib.sha256(text.encode()).hexdigest()
     return ScenarioConfig(
@@ -420,6 +424,9 @@ def apply_overrides(text: str, overrides) -> str:
         value = value.strip()
         if not (eq and dot):
             raise ScenarioError([f"override {item!r} must look like section.key=value"])
+        if len(value.splitlines()) > 1:
+            # it would write lines of its own into the text
+            raise ScenarioError([f"override {item!r}: the value holds a line break"])
         if section not in ("physical", "mpc", "simulation"):
             raise ScenarioError(
                 [f"override {item!r}: only physical/mpc/simulation keys can be overridden"]

@@ -9,7 +9,7 @@ active set, that it is positive definite on the constraints' null space.
 When that test fails the same iteration is solved again with the
 Gauss-Newton Hessian, the Lagrangian Hessian at the same iterate with zero
 multipliers, the only safeguard.  The subproblems bring values only to the
-QP workspace of the problem's horizon structure.
+problem's QP workspace, in the order of its declared patterns.
 """
 
 from __future__ import annotations
@@ -112,6 +112,20 @@ def _kkt_residual(g, j_eq, j_in_t, v_in, lo, hi, y) -> float:
     return max(stationarity, comp) / _kkt_scale(y)
 
 
+def _stored(pattern, values, block: str):
+    """The matrix of `pattern`'s format and entries that stores `values`.
+
+    `values` are what the callback `block` returned, one per stored entry
+    of the pattern, in their order; another count raises ValueError.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != pattern.data.shape:
+        raise ValueError(
+            f"{block} returned {values.size} values; its pattern stores {pattern.data.size}"
+        )
+    return type(pattern)((values, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
 def _interval_violation(values, lower, upper) -> np.ndarray:
     return np.maximum(lower - values, 0.0) + np.maximum(values - upper, 0.0)
 
@@ -134,7 +148,7 @@ def _evaluate(problem, x, values=None):
     f = problem.cost(x)
     g = problem.cost_grad(x)
     c_eq, v_in = _constraint_values(problem, x) if values is None else values
-    j_eq = problem.eq_jac(x) if problem.n_eq else sp.csr_matrix((0, problem.dimension))
+    j_eq = _stored(problem.eq_jac_pattern, problem.eq_jac(x) if problem.n_eq else [], "eq_jac")
     return f, g, c_eq, j_eq, v_in
 
 
@@ -229,12 +243,13 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
 
         lower = np.concatenate([-c_eq, lo - v_in])
         upper = np.concatenate([-c_eq, hi - v_in])
+        a_values = np.concatenate([j_eq.data, j_in.data])
         # The exact Hessian first; the Gauss-Newton one (zero multipliers)
         # only for a subproblem that the exact one makes non-convex.
         for y_hess in (y[:m_eq], np.zeros(m_eq)):
-            P = problem.lagrangian_hess(x, y_hess)
+            hess = problem.lagrangian_hess(x, y_hess)
             qp_res = solve_qp(
-                P, g, (j_eq, j_in), lower, upper,
+                hess, g, a_values, lower, upper,
                 options=_SUBPROBLEM_OPTIONS,
                 y0=y, workspace=problem.qp_workspace,
             )
@@ -242,7 +257,8 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
                 break
         if qp_res.status == "primal_infeasible":
             elastic = _elastic_qp(
-                P, g, j_eq, c_eq, j_in, lo - v_in, hi - v_in, problem.dimension
+                _stored(problem.hess_pattern, hess, "lagrangian_hess"),
+                g, j_eq, c_eq, j_in, lo - v_in, hi - v_in, problem.dimension,
             )
             if elastic is None:
                 status = "infeasible"
@@ -418,14 +434,14 @@ def check_derivatives(problem, points, multipliers=None) -> DerivativeReport:
     """Central-difference audit of the gradient, the equality Jacobian and
     the Lagrangian Hessian at every row of `points`, of shape (P, n), P >= 1.
 
-    Each matrix is audited on its own stored entries; the inequality rows
-    are a constant matrix, with nothing to audit.  The Hessian at a point
-    is audited at that point's row of `multipliers`, shape (P, n_eq), all
-    ones when not given, against grouped differences of the Lagrangian's
-    gradient cost_grad(x) + eq_jac(x)' y.  The columns of both matrices are
-    grouped once, on their patterns at the first point; a later point whose
-    matrix stores other entries raises ValueError, since NlpProblem fixes
-    those patterns.  Each block's error is its maximum over the points, and
+    Each matrix is audited on the stored entries of its declared pattern
+    (NlpProblem.eq_jac_pattern, hess_pattern), whose columns are grouped
+    once; a callback that returns another number of values raises
+    ValueError naming it.  The inequality rows are a constant matrix, with
+    nothing to audit.  The Hessian at a point is audited at that point's
+    row of `multipliers`, shape (P, n_eq), all ones when not given, against
+    grouped differences of the Lagrangian's gradient cost_grad(x) +
+    eq_jac(x)' y.  Each block's error is its maximum over the points, and
     the worst entry is the first strict maximum in point order.  Every
     difference steps _FD_STEP.
     """
@@ -441,7 +457,15 @@ def check_derivatives(problem, points, multipliers=None) -> DerivativeReport:
     h = _FD_STEP
     worst = (0.0, "cost_grad", -1, -1)
     errors = dict.fromkeys(("cost_grad", "eq_jac", "lagrangian_hess"), 0.0)
-    patterns = {}  # block: (rows, cols, coloring) at the first point
+    patterns = {"eq_jac": problem.eq_jac_pattern, "lagrangian_hess": problem.hess_pattern}
+    colorings = {}  # each pattern's columns, grouped once
+    for block, pattern in patterns.items():
+        coo = pattern.tocoo()
+        colorings[block] = _color_groups(coo.row, coo.col, coo.shape[1])
+
+    def eq_jac(z):
+        return _stored(problem.eq_jac_pattern, problem.eq_jac(z), "eq_jac")
+
     for x, y in zip(points, ys):
         g = problem.cost_grad(x)
         for i in range(x.size):
@@ -455,22 +479,16 @@ def check_derivatives(problem, points, multipliers=None) -> DerivativeReport:
 
         def lagrangian_grad(z):
             g_z = problem.cost_grad(z)
-            return g_z + problem.eq_jac(z).T @ y if problem.n_eq else g_z
+            return g_z + eq_jac(z).T @ y if problem.n_eq else g_z
 
-        # (block, function, its analytic Jacobian at x, rows) per audit
+        # (block, function, the values of its analytic Jacobian at x) per audit
         audits = []
         if problem.n_eq:
-            audits.append(("eq_jac", problem.eq, problem.eq_jac(x), problem.n_eq))
-        audits.append(("lagrangian_hess", lagrangian_grad, problem.lagrangian_hess(x, y), x.size))
-        for block, fun, jac, m_rows in audits:
-            pattern = jac.tocoo()
-            if block not in patterns:
-                coloring = _color_groups(pattern.row, pattern.col, x.size)
-                patterns[block] = (pattern.row, pattern.col, coloring)
-            rows, cols, coloring = patterns[block]
-            if not (np.array_equal(pattern.row, rows) and np.array_equal(pattern.col, cols)):
-                raise ValueError(f"{block} stores other entries than at the first point")
-            err, r, c = _fd_jacobian_check(fun, jac, x, h, m_rows, coloring)
+            audits.append(("eq_jac", problem.eq, problem.eq_jac(x)))
+        audits.append(("lagrangian_hess", lagrangian_grad, problem.lagrangian_hess(x, y)))
+        for block, fun, values in audits:
+            jac = _stored(patterns[block], values, block)
+            err, r, c = _fd_jacobian_check(fun, jac, x, h, jac.shape[0], colorings[block])
             errors[block] = max(errors[block], err)
             if err > worst[0]:
                 worst = (err, block, r, c)

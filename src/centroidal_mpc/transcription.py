@@ -238,24 +238,34 @@ class DecisionLayout:
 class NlpProblem:
     """Callbacks and bounds of one transcribed problem.
 
-    Equality constraints are eq(x) = 0; eq_jac returns scipy CSR matrices
-    whose stored entries (explicit zeros included) never change between
-    evaluations, so their pattern can be read off any evaluation (the QP
-    workspace relies on it, and solver.check_derivatives enforces it).
-    Inequalities are linear interval rows, data rather than callbacks:
-    ineq_lower <= ineq_matrix @ x <= ineq_upper, with ineq_matrix CSR.  A
-    problem without them reads as a (0, dimension) matrix and empty bounds.
+    The problem declares the stored entries of its two derivative matrices
+    once, as pattern matrices: `hess_pattern` (CSC) for the Lagrangian
+    Hessian and `eq_jac_pattern` (CSR) for the equality Jacobian, in
+    canonical format (sorted indices, no duplicates; ValueError otherwise),
+    explicit zeros counting as entries.  The callbacks return value vectors
+    in the order of those stored entries, never matrices, so the patterns
+    hold at every point.
 
-    `lagrangian_hess(x, y_eq)` returns the Hessian of cost(x) + y_eq' eq(x)
-    at x, a sparse matrix whose stored entries never change either; at
-    y_eq = 0 it is the Gauss-Newton Hessian.  It is the only curvature the
-    solver asks for; the linear inequalities add none.
+    Equality constraints are eq(x) = 0, one per row of eq_jac_pattern
+    (`n_eq`), and eq_jac(x) returns their Jacobian's values.  A problem
+    without them leaves eq, eq_jac and eq_jac_pattern None, and its pattern
+    reads as a (0, dimension) matrix.  Inequalities are linear interval
+    rows, data rather than callbacks: ineq_lower <= ineq_matrix @ x <=
+    ineq_upper, with ineq_matrix canonical CSR.  A problem without them
+    reads as a (0, dimension) matrix and empty bounds.
 
-    `qp_workspace`, when set, is the QpWorkspace of every SQP subproblem:
-    its P has lagrangian_hess's pattern, its A the equality Jacobian's rows
-    over the inequality matrix's, and the subproblems bring values only.
-    They factor in its variable ordering, under which the Hessian plus the
-    constraint Jacobians' Gram matrix is narrow-banded.
+    `lagrangian_hess(x, y_eq)` returns the values of the Hessian of cost(x)
+    + y_eq' eq(x) at x; at y_eq = 0 it is the Gauss-Newton Hessian.  It is
+    the only curvature the solver asks for; the linear inequalities add
+    none.
+
+    `qp_workspace` is the QpWorkspace of every SQP subproblem: its P has
+    hess_pattern's entries, its A eq_jac_pattern's rows over ineq_matrix's,
+    and the subproblems bring values only.  When not given, it is set up
+    from those matrices, equilibrated on the values they hold with the cost
+    unscaled, in the natural variable order.  build_nlp gives its
+    structure's, equilibrated the same way and ordered so that the Hessian
+    plus the constraint Jacobians' Gram matrix is narrow-banded.
 
     `shift_rows`, when set, lists per constraint row (equality rows, then
     inequality rows) the row of the same constraint one knot later; the
@@ -269,10 +279,11 @@ class NlpProblem:
     dimension: int
     cost: Callable[[np.ndarray], float]
     cost_grad: Callable[[np.ndarray], np.ndarray]
-    lagrangian_hess: Callable[[np.ndarray, np.ndarray], sp.spmatrix]
-    n_eq: int = 0
+    lagrangian_hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    hess_pattern: sp.csc_matrix
     eq: Callable[[np.ndarray], np.ndarray] | None = None
-    eq_jac: Callable[[np.ndarray], sp.spmatrix] | None = None
+    eq_jac: Callable[[np.ndarray], np.ndarray] | None = None
+    eq_jac_pattern: sp.csr_matrix | None = None
     ineq_matrix: sp.csr_matrix | None = None
     ineq_lower: np.ndarray | None = None
     ineq_upper: np.ndarray | None = None
@@ -281,9 +292,24 @@ class NlpProblem:
     layout: DecisionLayout | None = None
 
     def __post_init__(self):
+        if self.eq_jac_pattern is None:
+            self.eq_jac_pattern = sp.csr_matrix((0, self.dimension))
         if self.ineq_matrix is None:
             self.ineq_matrix = sp.csr_matrix((0, self.dimension))
             self.ineq_lower = self.ineq_upper = np.zeros(0)
+        for name, fmt in (("hess_pattern", "csc"), ("eq_jac_pattern", "csr"),
+                          ("ineq_matrix", "csr")):
+            matrix = getattr(self, name)
+            if not (sp.issparse(matrix) and matrix.format == fmt and matrix.has_canonical_format):
+                raise ValueError(f"{name} is not a {fmt.upper()} matrix in canonical format")
+        if self.qp_workspace is None:
+            self.qp_workspace = QpWorkspace(
+                self.hess_pattern, sp.vstack([self.eq_jac_pattern, self.ineq_matrix], format="csr")
+            )
+
+    @property
+    def n_eq(self) -> int:
+        return self.eq_jac_pattern.shape[0]
 
     @property
     def n_ineq(self) -> int:
@@ -368,10 +394,9 @@ class _HorizonStructure:
     schedule, the measured state and the references set only values and
     bounds (build_nlp, _inequality_bounds).  It holds the cost Hessian `cost_hess`
     (CSR), the table of the defects' bilinear terms, which both of their
-    derivatives read, the fixed patterns of the equality Jacobian, the
-    Lagrangian Hessian and the inequality matrix (see the _add_* methods),
-    the variable `ordering`, and NlpProblem's `shift_rows` and
-    `qp_workspace`.
+    derivatives read, NlpProblem's `eq_jac_pattern`, `hess_pattern` and
+    `ineq_matrix` (see the _add_* methods), the variable `ordering`, and
+    NlpProblem's `shift_rows` and `qp_workspace`.
     """
 
     def __init__(
@@ -389,14 +414,20 @@ class _HorizonStructure:
         self._add_inequality_matrix(layout, plan, pyramid)
         self.shift_rows = _shift_rows(layout)
         self.ordering = layout.stage_order()
-        self._add_qp_workspace(layout)
+        # Equilibrated on the values the patterns hold, which this structure
+        # fixes, with the cost unscaled: the gradient that sets its size
+        # changes with every subproblem.
+        self.qp_workspace = QpWorkspace(
+            self.hess_pattern,
+            sp.vstack([self.eq_jac_pattern, self.ineq_matrix], format="csr"),
+            self.ordering,
+        )
+        matrices = (self.cost_hess, self.eq_jac_pattern, self.hess_pattern, self.ineq_matrix)
         for array in (
-            self.cost_hess.data, self.cost_hess.indices, self.cost_hess.indptr,
+            *(a for m in matrices for a in (m.data, m.indices, m.indptr)),
             self.bilinear_rows, self.bilinear_arms, self.bilinear_forces,
             self.bilinear_signs, self.bilinear_gates, self.bilinear_offsets,
-            self.linear_sources, self.eq_indices, self.eq_indptr, self.eq_slots,
-            self.hess_base, self.hess_indices, self.hess_indptr, self.curvature_slots,
-            self.ineq_matrix.data, self.ineq_matrix.indices, self.ineq_matrix.indptr,
+            self.linear_sources, self.eq_slots, self.curvature_slots,
             self.shift_rows, self.ordering,
         ):
             array.flags.writeable = False
@@ -440,7 +471,7 @@ class _HorizonStructure:
         self.bilinear_offsets = terms(np.stack([offsets, np.zeros_like(offsets)], axis=1))
 
     def _add_eq_jacobian(self, layout: DecisionLayout, corner_contact: np.ndarray):
-        """Entries of the equality-constraint Jacobian and their CSR slots.
+        """Entries of the equality-constraint Jacobian and their slots in its pattern.
 
         build_nlp lists the entries in this order: the linear ones, whose
         values do not depend on x, then every bilinear term's derivative by
@@ -449,10 +480,13 @@ class _HorizonStructure:
         pin and each defect's next state), then per defect its previous
         state, the momentum in the CoM rows, and the gated corner forces and
         velocities; linear entry e takes value `linear_sources[e]` of
-        _linear_values.  Entry e goes to position `eq_slots[e]` of the CSR
-        structure (`eq_indices`, `eq_indptr`); entries of one position add
-        up, in the order listed.  So of each cross product's 3x3 blocks only
-        the six off-diagonal entries are stored, gated-out ones as zeros.
+        _linear_values.  Entry e goes to stored entry `eq_slots[e]` of the
+        CSR pattern `eq_jac_pattern`; entries of one position add up, in the
+        order listed.  So of each cross product's 3x3 blocks only the six
+        off-diagonal entries are stored, gated-out ones as zeros.  The
+        pattern holds the values this structure fixes, which its QP
+        workspace is equilibrated on: the unit entries, with the others (set
+        by the period, the mass, the schedule and the iterate) as zeros.
         """
         com, momentum, contacts = layout.com, layout.momentum, layout.contacts
         states = np.concatenate([com, momentum, contacts.reshape(layout.n_knots + 1, -1)], axis=1)
@@ -464,62 +498,44 @@ class _HorizonStructure:
             (momentum[1:, None, :3], layout.forces, 3 + gates[:, corner_contact, None]),
             (contacts[1:], layout.velocities, 3 + gates.size + gates[:, :, None]),
         ])
-        self.eq_indices, self.eq_indptr, self.eq_slots = _number_pattern(
+        shape = (layout.n_state_vars, layout.size)
+        indices, indptr, self.eq_slots = _number_pattern(
             np.concatenate([rows, self.bilinear_rows, self.bilinear_rows]),
             np.concatenate([cols, self.bilinear_arms, self.bilinear_forces]),
-            (layout.n_state_vars, layout.size),
+            shape,
         )
+        # At period 0 the values set by the period, the mass and the schedule are zeros.
+        units = _linear_values(0.0, 1.0, np.zeros((layout.n_knots, layout.n_contacts)))
+        values = np.bincount(
+            self.eq_slots,
+            np.concatenate([units[self.linear_sources], np.zeros(2 * self.bilinear_rows.size)]),
+        )
+        self.eq_jac_pattern = sp.csr_matrix((values, indices, indptr), shape=shape)
 
     def _add_lagrangian_hessian(self, layout: DecisionLayout):
-        """CSC structure of the Lagrangian Hessian and its cost part.
+        """CSC pattern of the Lagrangian Hessian, holding its cost part.
 
         y_eq' eq(x) is bilinear: term t of the table adds its scaled sign
         times y_eq[bilinear_rows[t]] at (force_t, arm_t) and (arm_t,
         force_t), and no two terms share such a pair.  The pattern
-        (`hess_indices`, `hess_indptr`) is the union of the cost Hessian's
-        and those pairs, for every knot and contact (gated-out ones too).
+        `hess_pattern` is the union of the cost Hessian's and those pairs,
+        for every knot and contact (gated-out ones too); it holds the cost
+        Hessian's values and zeros elsewhere.
 
-        `curvature_slots` lists the CSC positions of (force_t, arm_t) for
-        every term, then those of (arm_t, force_t).  `hess_base` holds the
-        cost Hessian's values and zeros elsewhere.
+        `curvature_slots` lists the stored entries of (force_t, arm_t) for
+        every term, then those of (arm_t, force_t).
         """
         arms, forces, n = self.bilinear_arms, self.bilinear_forces, layout.size
         cost = self.cost_hess.tocoo()
-        self.hess_indices, self.hess_indptr, slots = _number_pattern(
+        indices, indptr, slots = _number_pattern(
             np.concatenate([arms, forces, cost.col]),
             np.concatenate([forces, arms, cost.row]),
             (n, n),
         )
         self.curvature_slots = slots[: 2 * arms.size]
-        self.hess_base = np.zeros(self.hess_indices.size)
-        self.hess_base[slots[2 * arms.size :]] = cost.data
-
-    def _add_qp_workspace(self, layout: DecisionLayout):
-        """The QpWorkspace `qp_workspace` of every SQP subproblem.
-
-        Its equilibration is that of the values this structure fixes: the
-        cost Hessian, the equality Jacobian's unit entries (the others,
-        set by the period, the mass, the schedule and the iterate, count as
-        zero) and the inequality matrix.  The cost is left unscaled, since
-        the gradient that sets its size changes with every subproblem.
-        """
-        n = layout.size
-        # At period 0 the values set by the period, the mass and the schedule are zeros.
-        units = _linear_values(0.0, 1.0, np.zeros((layout.n_knots, layout.n_contacts)))
-        eq_values = np.bincount(
-            self.eq_slots,
-            np.concatenate([units[self.linear_sources], np.zeros(2 * self.bilinear_rows.size)]),
-        )
-        self.qp_workspace = QpWorkspace(
-            sp.csc_matrix((self.hess_base, self.hess_indices, self.hess_indptr), shape=(n, n)),
-            (
-                sp.csr_matrix(
-                    (eq_values, self.eq_indices, self.eq_indptr), shape=(layout.n_state_vars, n)
-                ),
-                self.ineq_matrix,
-            ),
-            self.ordering,
-        )
+        values = np.zeros(indices.size)
+        values[slots[2 * arms.size :]] = cost.data
+        self.hess_pattern = sp.csc_matrix((values, indices, indptr), shape=(n, n))
 
     def _add_inequality_matrix(
         self, layout: DecisionLayout, plan: ContactPlan, pyramid: FrictionPyramid
@@ -760,23 +776,16 @@ def build_nlp(
     linear_values = _linear_values(period, mass, gamma)[structure.linear_sources]
     scaled = structure.bilinear_signs * (-period * gamma.ravel())[structure.bilinear_gates]
 
-    def eq_jac(x: np.ndarray) -> sp.spmatrix:
+    def eq_jac(x: np.ndarray) -> np.ndarray:
         by_arm = scaled * x[structure.bilinear_forces]
         by_force = scaled * (x[structure.bilinear_arms] + structure.bilinear_offsets)
-        data = np.bincount(structure.eq_slots, np.concatenate([linear_values, by_arm, by_force]))
-        return sp.csr_matrix(
-            (data, structure.eq_indices.copy(), structure.eq_indptr.copy()),
-            shape=(m_eq, layout.size),
-        )
+        return np.bincount(structure.eq_slots, np.concatenate([linear_values, by_arm, by_force]))
 
-    def lagrangian_hess(x: np.ndarray, y_eq: np.ndarray) -> sp.csc_matrix:
+    def lagrangian_hess(x: np.ndarray, y_eq: np.ndarray) -> np.ndarray:
         curvature = scaled * np.asarray(y_eq, dtype=float)[structure.bilinear_rows]
-        data = structure.hess_base.copy()
-        data[structure.curvature_slots] = np.concatenate([curvature, curvature])
-        return sp.csc_matrix(
-            (data, structure.hess_indices.copy(), structure.hess_indptr.copy()),
-            shape=(layout.size, layout.size),
-        )
+        values = structure.hess_pattern.data.copy()
+        values[structure.curvature_slots] = np.concatenate([curvature, curvature])
+        return values
 
     ineq_lower, ineq_upper = _inequality_bounds(layout, schedule, plan, pyramid, box)
     return NlpProblem(
@@ -784,9 +793,10 @@ def build_nlp(
         cost=cost,
         cost_grad=cost_grad,
         lagrangian_hess=lagrangian_hess,
-        n_eq=m_eq,
+        hess_pattern=structure.hess_pattern,
         eq=eq,
         eq_jac=eq_jac,
+        eq_jac_pattern=structure.eq_jac_pattern,
         ineq_matrix=structure.ineq_matrix,
         ineq_lower=ineq_lower,
         ineq_upper=ineq_upper,

@@ -407,10 +407,11 @@ class TestCriterion7:
             dimension=3,
             cost=lambda x: float(0.5 * x @ H @ x + g0 @ x),
             cost_grad=lambda x: H @ x + g0,
-            lagrangian_hess=lambda x, y_eq: sp.csc_matrix(H),
-            n_eq=1,
+            lagrangian_hess=lambda x, y_eq: np.diag(H),
+            hess_pattern=sp.csc_matrix(H),
             eq=lambda x: A @ x - b,
-            eq_jac=lambda x: sp.csr_matrix(A),
+            eq_jac=lambda x: A.ravel(),
+            eq_jac_pattern=sp.csr_matrix(A),
         )
         sol = solve(problem, np.zeros(3), tight)
         if not (sol.converged and sol.iterations <= 2
@@ -422,7 +423,8 @@ class TestCriterion7:
             dimension=2,
             cost=lambda x: float(0.5 * x @ x),
             cost_grad=lambda x: x.copy(),
-            lagrangian_hess=lambda x, y_eq: sp.csc_matrix(np.eye(2)),
+            lagrangian_hess=lambda x, y_eq: np.ones(2),
+            hess_pattern=sp.csc_matrix(np.eye(2)),
             ineq_matrix=sp.csr_matrix(np.array([[1.0, 0.0]])),
             ineq_lower=np.array([1.0]),
             ineq_upper=np.array([np.inf]),

@@ -284,6 +284,20 @@ def same_csr(a, b):
     )
 
 
+def jacobian(problem, x):
+    """The equality Jacobian at x: eq_jac's values in the declared pattern."""
+    jac = problem.eq_jac_pattern.copy()
+    jac.data = problem.eq_jac(x)
+    return jac
+
+
+def hessian(problem, x, y):
+    """The Lagrangian Hessian at (x, y): lagrangian_hess's values in the declared pattern."""
+    hess = problem.hess_pattern.copy()
+    hess.data = problem.lagrangian_hess(x, y)
+    return hess
+
+
 def stored_entries(matrix):
     """(row, col) of every stored entry, explicit zeros included, row-major."""
     coo = matrix.tocsr().tocoo()
@@ -296,12 +310,12 @@ def assert_matches_reference(plan, schedule, seed=0):
     rng = np.random.RandomState(seed + 100)
     for _ in range(2):
         x = rng.randn(problem.dimension)
-        jac = problem.eq_jac(x)
+        jac = jacobian(problem, x)
         assert same_csr(jac, ref["eq_jac"](x))
         # every declared entry is stored, the gated-out ones as zeros
         for ours, theirs in zip(stored_entries(jac), ref["eq_pattern"]):
             assert np.array_equal(ours, theirs)
-        hess = problem.lagrangian_hess(x, np.zeros(problem.n_eq))
+        hess = hessian(problem, x, np.zeros(problem.n_eq))
         # at zero multipliers, the cost Hessian plus the curvature entries
         # as zeros, some of them -0.0, which adding 0.0 makes +0.0
         assert np.array_equal(bits(hess.toarray() + 0.0), bits(ref["cost_hess"].toarray()))
@@ -351,7 +365,7 @@ class TestLayoutTemplateMemo:
         assert_matches_reference(two_legs, [[ON, OFF]] * 3 + [[ON, ON]] * 3, seed=1)
         again = assert_matches_reference(one_leg, [[ON]] * 2 + [[OFF]] * 4)
         x = np.random.RandomState(9).randn(first.dimension)
-        assert same_csr(first.eq_jac(x), again.eq_jac(x))
+        assert same_csr(jacobian(first, x), jacobian(again, x))
 
     def test_shared_template_arrays_are_read_only(self, structure_builds):
         plan = make_plan([RECT, POINT])
@@ -362,7 +376,8 @@ class TestLayoutTemplateMemo:
         # the accessor returns the structure build_nlp built, without a rebuild
         assert len(structure_builds) == 1 and structure is structure_builds[0]
         hess = structure.cost_hess
-        shared = [structure.eq_slots, structure.eq_indices, structure.eq_indptr,
+        jac = structure.eq_jac_pattern
+        shared = [structure.eq_slots, jac.data, jac.indices, jac.indptr,
                   structure.linear_sources, hess.data, hess.indices, hess.indptr,
                   structure.bilinear_rows, structure.bilinear_arms, structure.bilinear_forces,
                   structure.bilinear_signs, structure.bilinear_gates, structure.bilinear_offsets,
@@ -370,9 +385,10 @@ class TestLayoutTemplateMemo:
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        # a returned Jacobian is the caller's own to modify
-        jac = problem.eq_jac(np.zeros(problem.dimension))
-        assert all(a.flags.writeable for a in (jac.data, jac.indices, jac.indptr))
+        # returned values are the caller's own to modify
+        x = np.zeros(problem.dimension)
+        assert problem.eq_jac(x).flags.writeable
+        assert problem.lagrangian_hess(x, np.ones(problem.n_eq)).flags.writeable
         # the inequality matrix is the template's, shared by every schedule
         ineq = problem.ineq_matrix
         for array in (ineq.data, ineq.indices, ineq.indptr):
@@ -406,7 +422,7 @@ class TestLayoutTemplateMemo:
 def dense_lagrangian_hessian(problem, x, y, h=1e-6):
     """Column by column central differences of cost_grad + eq_jac' y."""
     def grad(z):
-        return problem.cost_grad(z) + problem.eq_jac(z).T @ y
+        return problem.cost_grad(z) + jacobian(problem, z).T @ y
 
     out = np.empty((problem.dimension, problem.dimension))
     for c in range(problem.dimension):
@@ -427,7 +443,7 @@ class TestLagrangianHessian:
         rng = np.random.RandomState(5)
         x = rng.randn(problem.dimension)
         y = 300.0 * rng.randn(problem.n_eq)
-        hess = problem.lagrangian_hess(x, y)
+        hess = hessian(problem, x, y)
         dense = dense_lagrangian_hessian(problem, x, y)
         scale = np.maximum(1.0, np.abs(dense))
         assert np.max(np.abs(hess.toarray() - dense) / scale) < 1e-6
@@ -438,8 +454,7 @@ class TestLagrangianHessian:
         layout = DecisionLayout(N_KNOTS, [4, 1])
         x = np.zeros(problem.dimension)
         curvature = (
-            problem.lagrangian_hess(x, np.ones(problem.n_eq))
-            - problem.lagrangian_hess(x, np.zeros(problem.n_eq))
+            hessian(problem, x, np.ones(problem.n_eq)) - hessian(problem, x, np.zeros(problem.n_eq))
         ).tocoo()
         assert curvature.nnz == 4 * 6 * N_KNOTS * 5  # (f, p), (f, r) and transposes
         knot = np.concatenate([
@@ -478,12 +493,13 @@ class TestLagrangianHessian:
                 np.array([c.nominal_position for c in plan.contacts]), schedule,
                 np.zeros((n_knots + 1, 3)), Weights(), PYRAMID, BOX, n_knots, PERIOD, PARAMS,
             )
-            hess = problem.lagrangian_hess(x, y)
-            assert hess.format == "csc" and hess.has_sorted_indices
+            pattern = problem.hess_pattern
+            assert pattern.format == "csc" and pattern.has_canonical_format
             if first is None:
-                first = hess
-            assert np.array_equal(hess.indptr, first.indptr)
-            assert np.array_equal(hess.indices, first.indices)
+                first = pattern
+            assert np.array_equal(pattern.indptr, first.indptr)
+            assert np.array_equal(pattern.indices, first.indices)
+            hess = hessian(problem, x, y)
             # a contact gated out at knot k adds no curvature there
             for k, i in zip(*np.nonzero(~schedule)):
                 for j in range(layout.corner_counts[i]):
@@ -497,19 +513,19 @@ class TestLagrangianHessian:
         first, _ = make_problem(one_leg, [[ON]] * N_KNOTS)
         y = np.random.RandomState(3).randn(first.n_eq)
         x = np.zeros(first.dimension)
-        expected = first.lagrangian_hess(x, y)
+        expected = hessian(first, x, y)
         other, _ = make_problem(two_legs, [[ON, ON]] * N_KNOTS, seed=1)
         assert other.lagrangian_hess(np.zeros(other.dimension), np.ones(other.n_eq)
-                                     ).shape == (other.dimension, other.dimension)
+                                     ).shape == other.hess_pattern.data.shape
         again, _ = make_problem(one_leg, [[ON]] * N_KNOTS)
-        assert same_csr(again.lagrangian_hess(x, y).tocsr(), expected.tocsr())
+        assert same_csr(hessian(again, x, y).tocsr(), expected.tocsr())
         # the memo holds the one-leg structure, so the accessor builds nothing
         structure = transcription._horizon_structure(
             DecisionLayout(N_KNOTS, [1]), Weights(), PERIOD, one_leg, PYRAMID
         )
         assert len(structure_builds) == 3 and structure is structure_builds[-1]
-        for array in (structure.hess_indices, structure.hess_indptr, structure.curvature_slots,
-                      structure.hess_base):
+        pattern = structure.hess_pattern
+        for array in (pattern.indices, pattern.indptr, structure.curvature_slots, pattern.data):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -532,7 +548,7 @@ class TestLagrangianHessian:
                 np.array([c.nominal_position for c in plan.contacts]), schedule,
                 np.zeros((N_KNOTS + 1, 3)), weights, PYRAMID, BOX, N_KNOTS, period, PARAMS,
             )
-            cost_hess = problem.lagrangian_hess(x, np.zeros(problem.n_eq))
+            cost_hess = hessian(problem, x, np.zeros(problem.n_eq))
             expected = transcription._cost_hessian(layout, weights, period, plan.corner_contact)
             assert np.array_equal(cost_hess.toarray(), expected.toarray())
             hessians.append(cost_hess.toarray().tobytes())
@@ -592,10 +608,10 @@ class TestBilinearDefects:
         for _ in range(3):
             x, d = rng.randn(2, problem.dimension)
             y = 300.0 * rng.randn(problem.n_eq)
-            jac = problem.eq_jac(x)
+            jac = jacobian(problem, x)
             eq_x, eq_moved = problem.eq(x), problem.eq(x + d)
             remainder = y @ (eq_moved - eq_x - jac @ d)
-            curvature = problem.lagrangian_hess(x, y) - problem.lagrangian_hess(x, no_multipliers)
+            curvature = hessian(problem, x, y) - hessian(problem, x, no_multipliers)
             expected = 0.5 * d @ (curvature @ d)
             scale = np.abs(y) @ (np.abs(eq_moved) + np.abs(eq_x) + abs(jac) @ np.abs(d))
             assert abs(expected) > 1e-5 * scale
@@ -610,6 +626,6 @@ class TestBilinearDefects:
         for plan in (wide, long, wide):
             problem, _ = make_problem(plan, [[ON, ON]] * N_KNOTS)
             x = rng.randn(problem.dimension)
-            jac = problem.eq_jac(x).toarray()
+            jac = jacobian(problem, x).toarray()
             assert np.abs(jac - dense_eq_jacobian(problem, x)).max() < 1e-6
         assert len(structure_builds) == 3

@@ -111,6 +111,27 @@ class TestRun:
         err = capsys.readouterr().err
         assert "integer multiple" in err and "Traceback" not in err
 
+    RIGHT = "position_m = 0.0 -0.08 0.0\nsurface_m = 0.20 0.10\nactive_s = 0.0 0.3"
+
+    @pytest.mark.parametrize(
+        "text, override",
+        [
+            (QUICK.replace("0.3", "1e-12"), None),
+            (QUICK.replace("substeps = 2\n", ""), "simulation.output_dir=out\nsubsteps = 7"),
+            (QUICK.replace(RIGHT, RIGHT.replace("0.0 0.3", "0.1 0.1")), None),
+            (QUICK.replace(RIGHT, RIGHT.replace("0.20 0.10", "0.20 0")), None),
+        ],
+        ids=["shorter_than_a_period", "line_break_in_override", "empty_window", "bad_surface"],
+    )
+    def test_one_error_line_per_defect(self, tmp_path, capsys, monkeypatch, text, override):
+        # each text or override holds one defect, rejected before anything
+        # is simulated
+        monkeypatch.setattr(cli, "simulate", None)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["run", str(bad)] + (["--override", override] if override else [])) == 2
+        assert_one_error_line(capsys.readouterr().err)
+
     def test_missing_file_exit_code(self):
         assert main(["run", "/nonexistent/path.txt"]) == 2
 

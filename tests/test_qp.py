@@ -55,6 +55,11 @@ def one_off_workspace(P, q, A, lower, upper):
     return QpWorkspace(sp.csc_matrix(P), sp.csc_matrix(A), q=q, free=free_rows(lower, upper))
 
 
+def values(P, A):
+    """The value vectors of dense P and A on their own patterns, CSC and CSR."""
+    return sp.csc_matrix(P).data, sp.csr_matrix(A).data
+
+
 def assert_same_result(res, other, atol=1e-9):
     assert res.status == other.status
     np.testing.assert_allclose(res.x, other.x, rtol=0, atol=atol)
@@ -573,7 +578,8 @@ class TestOptions:
         A = sp.csc_matrix(np.eye(3))
         workspace = QpWorkspace(P, A, ordering=[2, 0, 1], q=q)
         assert np.array_equal(workspace.perm, [2, 0, 1])
-        res = solve_qp(P, q, A, np.zeros(3), np.ones(3), workspace=workspace)
+        res = solve_qp(workspace.P.data, q, workspace.A.data, np.zeros(3), np.ones(3),
+                       workspace=workspace)
         assert res.solved
         np.testing.assert_allclose(res.x, [1.0, 0.5, 1.0 / 3.0], atol=1e-8)
         for bad in ([0, 1], [0, 1, 1], [0.0, 1.0, 2.0], [0, 1, 3]):
@@ -590,22 +596,25 @@ class TestOptions:
         # matching sizes are taken: the duals of a previous solve, on a
         # workspace equilibrated as the one-off one
         workspace = QpWorkspace(P, A, q=q)
-        again = solve_qp(P, q, A, lower, upper, y0=first.y, workspace=workspace)
+        p_values, a_values = workspace.P.data, workspace.A.data
+        again = solve_qp(p_values, q, a_values, lower, upper, y0=first.y, workspace=workspace)
         assert again.solved
         np.testing.assert_allclose(again.x, first.x, atol=1e-12)
         for y0 in ([1.0], [1.0, 0.0, 0.0]):
             with pytest.raises(ValueError, match="y0 has"):
                 solve_qp(P, q, A, lower, upper, y0=y0)
+            with pytest.raises(ValueError, match="y0 has"):
+                solve_qp(p_values, q, a_values, lower, upper, y0=y0, workspace=workspace)
         with pytest.raises(ValueError, match="y0 has 1 entries, the QP has 0 rows"):
             solve_qp(P, q, y0=[1.0])
-        # a workspace of other sizes is refused, as the scaling of one was
-        for P_other, q_other, A_other, bounds in (
-            (P, q, A[:1], 1),
-            (P, q, sp.csc_matrix(np.eye(3)), 3),
-            (P[:2, :2], q[:2], A[:, :2], 2),
+        # values of a QP of other sizes are refused, as the scaling of one was
+        for p_other, q_other, a_other, bounds in (
+            (p_values, q, a_values[:1], 1),
+            (p_values, q, np.ones(3), 3),
+            (p_values[:2], q[:2], a_values, 2),
         ):
-            with pytest.raises(ValueError, match="pattern"):
-                solve_qp(P_other, q_other, A_other, np.zeros(bounds), np.ones(bounds),
+            with pytest.raises(ValueError, match="values"):
+                solve_qp(p_other, q_other, a_other, np.zeros(bounds), np.ones(bounds),
                          workspace=workspace)
 
 
@@ -617,8 +626,9 @@ class TestWorkspace:
         P, q, A, lower, upper = random_qp(seed)
         one_off = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper)
         workspace = one_off_workspace(P, q, A, lower, upper)
-        res = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper, workspace=workspace)
-        assert_same_result(res, one_off)
+        p_values, a_values = values(P, A)
+        res = solve_qp(p_values, q, a_values, lower, upper, workspace=workspace)
+        assert_same_result(res, one_off, atol=0.0)
 
     @PROPERTY
     @given(bounded_qps())
@@ -626,9 +636,9 @@ class TestWorkspace:
         P, q, A, lower, upper, y0, _ = case
         one_off = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper, y0=y0)
         workspace = one_off_workspace(P, q, A, lower, upper)
-        res = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper, y0=y0,
-                       workspace=workspace)
-        assert_same_result(res, one_off)
+        p_values, a_values = values(P, A)
+        res = solve_qp(p_values, q, a_values, lower, upper, y0=y0, workspace=workspace)
+        assert_same_result(res, one_off, atol=0.0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_reuse_for_new_values_matches_a_fresh_workspace(self, seed):
@@ -639,45 +649,40 @@ class TestWorkspace:
         first = random_qp(seed)
         P, q, A, lower, upper = random_qp(seed + 100)
         workspace = one_off_workspace(*first)
-        solve_qp(*(sp.csc_matrix(v) if v.ndim == 2 else v for v in first),
-                 workspace=workspace)
-        reused = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper,
-                          workspace=workspace)
-        fresh = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper,
+        p_first, a_first = values(first[0], first[2])
+        solve_qp(p_first, first[1], a_first, *first[3:], workspace=workspace)
+        p_values, a_values = values(P, A)
+        reused = solve_qp(p_values, q, a_values, lower, upper, workspace=workspace)
+        fresh = solve_qp(p_values, q, a_values, lower, upper,
                          workspace=one_off_workspace(*first))
         assert_same_result(reused, fresh, atol=0.0)
         assert reused.solved
         assert kkt_violation(P, q, A, lower, upper, reused.x, reused.y) <= 1e-7
         np.testing.assert_allclose(reused.x, brute_force_qp(P, q, A, lower, upper), atol=1e-7)
 
-    def test_row_blocks_stack_in_order(self):
-        # A workspace of two row blocks solves the QP of the stacked matrix.
-        P, q, A, lower, upper = random_qp(4)
-        blocks = (sp.csr_matrix(A[:1]), sp.csr_matrix(A[1:]))
-        stacked = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper)
-        workspace = QpWorkspace(sp.csc_matrix(P), blocks, q=q)
-        assert_same_result(solve_qp(P, q, blocks, lower, upper, workspace=workspace), stacked)
-
     def test_values_that_do_not_fit_raise(self):
+        # With a workspace, P and A are value vectors of its patterns'
+        # sizes, and q has one entry per variable.
         P, q, A, lower, upper = random_qp(1)
         workspace = QpWorkspace(sp.csc_matrix(P), sp.csc_matrix(A), q=q)
-        sparser_P = sp.csc_matrix(np.diag(np.diag(P)))
-        sparser_A = sp.csc_matrix(np.where(np.abs(A) > 0.5, A, 0.0))
-        blocks = (sp.csr_matrix(A[:2]), sp.csr_matrix(A[2:]))
+        p_values, a_values = workspace.P.data, workspace.A.data
+        assert solve_qp(p_values, q, a_values, lower, upper, workspace=workspace).solved
         for args in (
-            (sparser_P, q, A, lower, upper),
-            (P, q, sparser_A, lower, upper),
-            (P, q, blocks, lower, upper),
-            (P, q, A[:3], lower[:3], upper[:3]),
-            (P[:4, :4], q[:4], A[:, :4], lower, upper),
+            (p_values[:-1], q, a_values),
+            (np.append(p_values, 1.0), q, a_values),
+            (p_values, q, a_values[:-1]),
+            (p_values, q[:4], a_values),
+            (P, q, a_values),  # a dense matrix is no value vector
+            (p_values, q, None),
         ):
-            with pytest.raises(ValueError, match="pattern"):
-                solve_qp(*args, workspace=workspace)
+            with pytest.raises(ValueError, match="values"):
+                solve_qp(*args, lower, upper, workspace=workspace)
 
     def test_arrays_are_read_only(self):
         P, q, A, lower, upper = random_qp(2)
         workspace = QpWorkspace(sp.csc_matrix(P), sp.csc_matrix(A), q=q)
         for array in (workspace.d, workspace.e, workspace.perm, workspace.band_slot,
-                      workspace.indices, *workspace.p_pattern[1:]):
+                      *(getattr(matrix, name) for matrix in (workspace.P, workspace.A)
+                        for name in ("data", "indices", "indptr"))):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0

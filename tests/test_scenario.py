@@ -163,15 +163,19 @@ class TestParsing:
             ("duration_s = 0.3", "duration_s = -0.1"),
             ("corner_m = 0.0 0.0 0.0", "surface_m = 0.2 0"),
             ("active_s = 0.0 1.0", "active_s = 0.5 0.5"),
+            ("corner_m = 0.0 0.0 0.0", "corner_m = 0.0 0.0"),
         ],
     )
     def test_bad_value_reported_at_its_line(self, line, bad):
+        # and only there: a contact whose only window or geometry line is
+        # bad gets no second complaint about a missing one
         text = (MINIMAL + PUSH).replace(line, bad)
         lineno = text.splitlines().index(bad) + 1
         key = bad.split("=")[0].strip()
         with pytest.raises(ScenarioError) as err:
             parse_scenario(text)
-        assert any(p.startswith(f"line {lineno}: key {key!r} ") for p in err.value.problems)
+        (problem,) = err.value.problems
+        assert problem.startswith(f"line {lineno}: key {key!r} ")
 
     def test_second_format_version_is_a_duplicate_key(self):
         text = MINIMAL.replace("format_version = 1\n", "format_version = 2\nformat_version = 1\n")
@@ -203,6 +207,15 @@ class TestParsing:
         (problem,) = err.value.problems
         assert "must be an integer multiple of period_s" in problem
 
+    def test_duration_shorter_than_one_period_rejected(self):
+        # the step count 1e-11 is within rounding of an integer, but of 0
+        text = MINIMAL.replace("duration_s = 1.0", "duration_s = 1e-12").replace(
+            "active_s = 0.0 1.0", "active_s = 0.0 1e-12"
+        )
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert err.value.problems == ["duration_s 1e-12 is shorter than one period_s 0.1"]
+
     def test_config_hash_tracks_text(self):
         a = parse_scenario(MINIMAL)
         b = parse_scenario(MINIMAL.replace("substeps = 2", "substeps = 4"))
@@ -223,6 +236,15 @@ class TestOverrides:
             apply_overrides(MINIMAL, ["horizon_knots=20"])
         with pytest.raises(ScenarioError):
             apply_overrides(MINIMAL, ["contact foot.position_m=1 1 1"])
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0c", "\u2028"])
+    def test_value_with_a_line_break_rejected(self, brk):
+        # it would inject a line of its own: here a substeps line
+        text = MINIMAL.replace("substeps = 2\n", "")
+        item = f"simulation.output_dir=out{brk}substeps = 7"
+        with pytest.raises(ScenarioError) as err:
+            apply_overrides(text, [item])
+        assert err.value.problems == [f"override {item!r}: the value holds a line break"]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioError, match="kkt_tolernce"):

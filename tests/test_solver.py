@@ -13,6 +13,19 @@ from centroidal_mpc.solver import (
 from centroidal_mpc.transcription import NlpProblem
 
 
+def stored(pattern, dense):
+    """The entries of `dense` at the stored entries of `pattern`, in their order."""
+    coo = pattern.tocoo()
+    return np.asarray(dense, dtype=float)[coo.row, coo.col]
+
+
+def declared(entries, values):
+    """The CSC pattern of the nonzeros of `entries`, holding `values` there."""
+    pattern = sp.csc_matrix(np.asarray(entries, dtype=float))
+    pattern.data = stored(pattern, values)
+    return pattern
+
+
 def quadratic_problem(H, g0, eq=None, ineq=None):
     """NlpProblem wrapper around min 1/2 x'Hx + g0'x with linear constraints."""
     H = np.asarray(H, float)
@@ -22,14 +35,17 @@ def quadratic_problem(H, g0, eq=None, ineq=None):
     A_in, lo, hi = ineq if ineq else (None, None, None)
     m_eq = 0 if A_eq is None else np.asarray(b_eq).size
     m_in = 0 if A_in is None else np.asarray(A_in).shape[0]
+    hess = sp.csc_matrix(H)
+    jac = sp.csr_matrix(A_eq) if m_eq else None
     return NlpProblem(
         dimension=n,
         cost=lambda x: float(0.5 * x @ H @ x + g0 @ x),
         cost_grad=lambda x: H @ x + g0,
-        lagrangian_hess=lambda x, y_eq: sp.csc_matrix(H),
-        n_eq=m_eq,
+        lagrangian_hess=lambda x, y_eq: hess.data,
+        hess_pattern=hess,
         eq=(lambda x: np.asarray(A_eq) @ x - b_eq) if m_eq else None,
-        eq_jac=(lambda x: sp.csr_matrix(A_eq)) if m_eq else None,
+        eq_jac=(lambda x: jac.data) if m_eq else None,
+        eq_jac_pattern=jac,
         ineq_matrix=sp.csr_matrix(A_in) if m_in else None,
         ineq_lower=None if lo is None else np.asarray(lo, float),
         ineq_upper=None if hi is None else np.asarray(hi, float),
@@ -80,17 +96,18 @@ class TestNonlinearEquality:
         def eq(v):
             return np.array([v[0] * v[1] - 1.0])
 
-        def eq_jac(v):
-            return sp.csr_matrix(np.array([[v[1], v[0], 0.0]]))
-
+        # The curvature entries are declared at y = 0 too, and the Jacobian
+        # entries at x0 = 0 or x1 = 0.
+        hess = declared(H + swap, H)
         return NlpProblem(
             dimension=3,
             cost=lambda x: float(x @ x - 4 * x[0] - 4 * x[1] - 2 * x[2] + 9),
             cost_grad=lambda x: 2 * x + g0,
-            lagrangian_hess=lambda x, y_eq: sp.csc_matrix(H + y_eq[0] * swap),
-            n_eq=1,
+            lagrangian_hess=lambda x, y_eq: stored(hess, H + y_eq[0] * swap),
+            hess_pattern=hess,
             eq=eq,
-            eq_jac=eq_jac,
+            eq_jac=lambda v: np.array([v[1], v[0]]),
+            eq_jac_pattern=sp.csr_matrix([[1.0, 1.0, 0.0]]),
         )
 
     def test_converges_to_known_solution(self):
@@ -202,14 +219,16 @@ class TestGaussNewtonFallback:
         # when y is large.
         target = np.array([t, t])
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        hess = declared(np.ones((2, 2)), np.eye(2))
         return NlpProblem(
             dimension=2,
             cost=lambda x: float(0.5 * np.sum((x - target) ** 2)),
             cost_grad=lambda x: x - target,
-            lagrangian_hess=lambda x, y_eq: sp.csc_matrix(np.eye(2) + y_eq[0] * swap),
-            n_eq=1,
+            lagrangian_hess=lambda x, y_eq: stored(hess, np.eye(2) + y_eq[0] * swap),
+            hess_pattern=hess,
             eq=lambda x: np.array([x[0] * x[1] - 1.0]),
-            eq_jac=lambda x: sp.csr_matrix(np.array([[x[1], x[0]]])),
+            eq_jac=lambda x: np.array([x[1], x[0]]),
+            eq_jac_pattern=sp.csr_matrix(np.ones((1, 2))),
         )
 
     @staticmethod
@@ -296,10 +315,11 @@ class TestRejectedStepExit:
             dimension=2,
             cost=lambda x: float(np.sum((x - target) ** 2)),
             cost_grad=lambda x: 2.0 * (x - target),
-            lagrangian_hess=lambda x, y_eq: sp.csc_matrix((2.0 + 2.0 * y_eq[0]) * np.eye(2)),
-            n_eq=1,
+            lagrangian_hess=lambda x, y_eq: np.full(2, 2.0 + 2.0 * y_eq[0]),
+            hess_pattern=sp.csc_matrix(2.0 * np.eye(2)),
             eq=lambda x: np.array([x @ x - 1.0]),
-            eq_jac=lambda x: sp.csr_matrix(2.0 * x[None, :]),
+            eq_jac=lambda x: 2.0 * x,
+            eq_jac_pattern=sp.csr_matrix(np.ones((1, 2))),
             ineq_matrix=sp.csr_matrix(np.array([[1.0, 0.0]])),
             ineq_lower=np.array([-np.inf]),
             ineq_upper=np.array([1.5]),
@@ -309,7 +329,9 @@ class TestRejectedStepExit:
     def loop_head_kkt(problem, x, y):
         """Stationarity and complementarity, scaled as Solution documents."""
         y_eq, y_in = y[: problem.n_eq], y[problem.n_eq :]
-        grad = problem.cost_grad(x) + problem.eq_jac(x).T @ y_eq + problem.ineq_matrix.T @ y_in
+        jac = problem.eq_jac_pattern.copy()
+        jac.data = problem.eq_jac(x)
+        grad = problem.cost_grad(x) + jac.T @ y_eq + problem.ineq_matrix.T @ y_in
         v = problem.ineq_matrix @ x
         slack = np.where(y_in > 0, problem.ineq_upper - v,
                          np.where(y_in < 0, v - problem.ineq_lower, 0.0))
@@ -347,20 +369,17 @@ class TestCheckDerivatives:
         """x'x s.t. x0 x1 = 1, x2 = 2, whose Jacobian stores `fault(x)` at
         (0, 2), where the true derivative is zero."""
 
-        def eq_jac(v):
-            data = [v[1], v[0], fault(v), 1.0]
-            return sp.csr_matrix((data, [0, 1, 2, 2], [0, 3, 4]), shape=(2, 3))
-
+        swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        hess = declared(2 * np.eye(3) + swap, 2 * np.eye(3))
         return NlpProblem(
             dimension=3,
             cost=lambda x: float(x @ x),
             cost_grad=lambda x: 2 * x,
-            lagrangian_hess=lambda x, y_eq: sp.csc_matrix(
-                2 * np.eye(3) + y_eq[0] * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-            ),
-            n_eq=2,
+            lagrangian_hess=lambda x, y_eq: stored(hess, 2 * np.eye(3) + y_eq[0] * swap),
+            hess_pattern=hess,
             eq=lambda v: np.array([v[0] * v[1] - 1.0, v[2] - 2.0]),
-            eq_jac=eq_jac,
+            eq_jac=lambda v: np.array([v[1], v[0], fault(v), 1.0]),
+            eq_jac_pattern=sp.csr_matrix((np.ones(4), [0, 1, 2, 2], [0, 3, 4]), shape=(2, 3)),
         )
 
     def test_corrupted_jacobian_flagged_at_exact_index(self):
@@ -386,11 +405,22 @@ class TestCheckDerivatives:
         assert [getattr(both, f) for f in worst] == [getattr(second, f) for f in worst]
         assert (both.worst_block, both.worst_row, both.worst_col) == ("eq_jac", 0, 2)
 
-    def test_pattern_that_changes_between_points_raises(self):
-        # csr_matrix of the dense Jacobian (x1, x0) drops the entry x0 = 0.
+    @pytest.mark.parametrize("block, count", [("eq_jac", 2), ("lagrangian_hess", 4)])
+    def test_values_of_another_count_raise_naming_the_block(self, block, count):
+        # A callback that drops its entry at x0 = 0, as a sparse matrix of
+        # the dense derivative would: at the second point it returns one
+        # value fewer than its pattern stores.
         problem = TestGaussNewtonFallback.hyperbola_problem()
+        exact = getattr(problem, block)
+
+        def dropping(x, *y):
+            values = exact(x, *y)
+            return values if x[0] else values[1:]
+
+        setattr(problem, block, dropping)
         check_derivatives(problem, [[0.3, -1.1]])
-        with pytest.raises(ValueError, match="eq_jac"):
+        message = f"^{block} returned {count - 1} values; its pattern stores {count}$"
+        with pytest.raises(ValueError, match=message):
             check_derivatives(problem, [[0.3, -1.1], [0.0, -1.1]])
 
     @pytest.mark.parametrize(
@@ -412,15 +442,17 @@ class TestCheckDerivatives:
         good = check_derivatives(problem, [x], multipliers=[y])
         assert good.hessian_error < 1e-8 and good.max_relative_error < 1e-8
 
-        def corrupted(v, y_eq):
-            hess = exact(v, y_eq).toarray()
-            if fault == "value":
-                hess[1, 0] += 0.25
-            else:
-                hess[1, 0] = hess[0, 1] = 0.0  # dropped from the pattern too
-            return sp.csc_matrix(hess)
+        if fault == "value":
+            def corrupted(v, y_eq):
+                hess = exact(v, y_eq).copy()
+                hess[1] += 0.25  # entry (1, 0)
+                return hess
 
-        problem.lagrangian_hess = corrupted
+            problem.lagrangian_hess = corrupted
+        else:
+            # a declared pattern without (1, 0) and (0, 1)
+            problem.hess_pattern = sp.csc_matrix(np.eye(2))
+            problem.lagrangian_hess = lambda v, y_eq: exact(v, y_eq)[[0, 3]]
         report = check_derivatives(problem, [x], multipliers=[y])
         assert report.worst_block == "lagrangian_hess"
         if fault == "value":

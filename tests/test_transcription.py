@@ -330,7 +330,9 @@ class TestBuildNlp:
         problem, *_ = two_contact_problem(n_knots=2)
         rng = np.random.RandomState(4)
         x = rng.randn(problem.dimension)
-        J = problem.eq_jac(x).toarray()
+        jac = problem.eq_jac_pattern.copy()
+        jac.data = problem.eq_jac(x)
+        J = jac.toarray()
         h = 1e-6
         dense = np.zeros_like(J)
         for c in range(problem.dimension):
