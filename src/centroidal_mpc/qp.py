@@ -10,9 +10,13 @@ multipliers.  Equality rows are expressed as lower == upper.
 
 Everything that depends only on the sparsity patterns of P and A is set up
 once, in a QpWorkspace: the patterns of P and A, the band slot of every
-entry of the condensed system, and one Ruiz equilibration.  The QPs on
-those patterns then bring values only, as in the setup/update split of
-OSQP; solve_qp sets up a one-off workspace when it is given none.
+entry of the condensed system, one Ruiz equilibration, and the buffers of
+one QP (its scaled matrices and band arrays).  The QPs on those patterns
+then bring values only, as in the setup/update split of OSQP, and a solve
+writes into the buffers instead of allocating: the pattern arrays are
+read-only, a workspace solves one QP at a time, and a factor's solve is
+valid until the next factorization on the same workspace.  solve_qp sets
+up a one-off workspace when it is given none.
 
 P may be indefinite, but on the null space of every active set the
 iteration visits, P + reg I must be positive definite.  With rho large that
@@ -136,9 +140,16 @@ class QpWorkspace:
     slot of every entry of P + A' diag(w) A under `ordering` (the natural
     order when not given) and the pairs of A's entries behind it, and one
     equilibration (d, e, c) by _ruiz_scale of the values of P and A given
-    here, `free` and `q` as there.  A' needs nothing of its own: a solve
-    reads it as the CSC transpose of its A, on A's arrays.  Every array is
-    read-only, so one workspace serves any number of QPs.
+    here, `free` and `q` as there.  These arrays are read-only.
+
+    The workspace also owns the mutable scratch of the one QP being solved
+    on it, which every solve overwrites (see _ScaledQp): the scaled
+    matrices `scaled_P` and `scaled_A` on the patterns' index arrays, with
+    `scaled_AT` the CSC view of scaled_A made once on its arrays, the
+    buffers of the band's pair weights, the band base, and the band that
+    dpbtrf overwrites with its factor.  So one workspace serves any number
+    of QPs, one at a time, and a factor's solve is valid until the next
+    factorization on the workspace.
     """
 
     def __init__(self, P, A, ordering=None, q=None, free=None):
@@ -159,6 +170,14 @@ class QpWorkspace:
         for value in (*vars(self).values(), P.data, P.indptr, A.data, A.indptr):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+        self.scaled_P = sp.csc_matrix((np.empty(P.nnz), P.indices, P.indptr), shape=(n, n))
+        self.scaled_A = sp.csr_matrix((np.empty(A.nnz), A.indices, A.indptr), shape=(m, n))
+        self.scaled_AT = self.scaled_A.T
+        self.a_eq = np.empty(A.nnz)
+        self.weights = np.empty(self.band_slot.size)
+        self.right_values = np.empty(self.pair_right.size)
+        self.base = np.empty((n, self.width + 1))
+        self.band = np.empty((n, self.width + 1))
 
     def _add_band(self, ordering, lens):
         """Band slots of P's entries and of every pair of A's entries in a row.
@@ -201,59 +220,61 @@ class QpWorkspace:
 class _ScaledQp:
     """One QP on a workspace, equilibrated, and its condensed systems.
 
-    P = c D P0 D, q = c D q0 and A = E A0 D, on the workspace's patterns
-    (AT the CSC view of A), with bounds E l0 and E u0 and the equality rows
-    `eq`.  band(rows) is the condensed system P + reg I + rho A_act' A_act
-    of any active set, banded.  Under the horizon's stage order
-    (DecisionLayout.stage_order) these matrices are narrow band matrices:
-    bandwidth 18 for the 552 variables of the one-leg horizon, 45 for the
-    1365 of the two-leg one.  The equality rows are active in every set, so
-    their share, with P and reg I, is summed once per QP (`base`, one
-    weighted bincount over the workspace's band slots, an (n, w + 1) array
-    in C order that is LAPACK's band transposed); the band of an active set
-    adds to it only the pair products of its active inequality rows, which
-    are few.
+    P = c D P0 D, q = c D q0 and A = E A0 D, written into the workspace's
+    scaled matrices (AT the CSC view of A), with bounds E l0 and E u0 and
+    the equality rows `eq`.  band(rows) is the condensed system P + reg I +
+    rho A_act' A_act of any active set, banded.  Under the horizon's stage
+    order (DecisionLayout.stage_order) these matrices are narrow band
+    matrices: bandwidth 18 for the 552 variables of the one-leg horizon, 45
+    for the 1365 of the two-leg one.  The equality rows are active in every
+    set, so their share, with P and reg I, is summed once per QP (`base`,
+    an (n, w + 1) array in C order that is LAPACK's band transposed); the
+    band of an active set adds to it only the pair products of its active
+    inequality rows, which are few.  Every array of size nnz or band is one
+    of the workspace's buffers, overwritten here.
     """
 
     def __init__(self, workspace: QpWorkspace, p_values, a_values, q, lower, upper):
         self.workspace = ws = workspace
         self.d, self.e, self.c = ws.d, ws.e, ws.c
-        p_data, self.a_data = p_values * ws.p_scale, a_values * ws.a_scale
-        n = ws.shape[1]
-        self.P = sp.csc_matrix((p_data, ws.P.indices, ws.P.indptr), shape=(n, n))
-        self.A = sp.csr_matrix((self.a_data, ws.A.indices, ws.A.indptr), shape=ws.shape)
-        self.AT = self.A.T
+        self.P, self.A, self.AT = ws.scaled_P, ws.scaled_A, ws.scaled_AT
+        np.multiply(p_values, ws.p_scale, out=self.P.data)
+        self.a_data = np.multiply(a_values, ws.a_scale, out=self.A.data)
         self.q = self.c * self.d * q
         self.lower, self.upper = self.e * lower, self.e * upper
         self.eq = eq = np.isfinite(lower) & (lower == upper)
         # With the equality rows scaled by sqrt(rho) and the others by zero,
         # a pair's product is its weighted share of the base or else zero.
-        a_eq = np.where(eq[ws.a_row], self.a_data * np.sqrt(_POLISH_RHO), 0.0)
-        weights = np.empty(ws.band_slot.size)
-        n_p = ws.p_entries.size
-        np.take(p_data, ws.p_entries, out=weights[:n_p])
-        np.take(a_eq, ws.pair_left, out=weights[n_p:])
-        weights[n_p:] *= a_eq[ws.pair_right]
-        shape = (n, ws.width + 1)
-        self.base = np.bincount(
-            ws.band_slot, weights=weights, minlength=shape[0] * shape[1]
-        ).reshape(shape).astype(float, copy=False)
+        a_eq = np.multiply(self.a_data, np.sqrt(_POLISH_RHO), out=ws.a_eq)
+        a_eq[~eq[ws.a_row]] = 0.0
+        # The workspace's indices are in range; np.take's default mode would
+        # copy `out` to guard against indices that are not.
+        weights, n_p = ws.weights, ws.p_entries.size
+        np.take(self.P.data, ws.p_entries, out=weights[:n_p], mode="clip")
+        np.take(a_eq, ws.pair_left, out=weights[n_p:], mode="clip")
+        weights[n_p:] *= np.take(a_eq, ws.pair_right, out=ws.right_values, mode="clip")
+        # An in-order scatter-add onto zeros sums each slot's weights in the
+        # order a weighted bincount over the band slots does, bit for bit.
+        self.base = ws.base
+        self.base.fill(0.0)
+        np.add.at(self.base.reshape(-1), ws.band_slot, weights)
         self.base[:, -1] += _POLISH_REG
 
     def band(self, rows: np.ndarray) -> np.ndarray:
         """Upper band storage, permuted, with the inequality `rows` active.
 
-        A fresh (w + 1, n) array in LAPACK's column-major layout, which
-        dpbtrf can overwrite with the factor without a copy.
+        The workspace's band array, overwritten, as a (w + 1, n) view in
+        LAPACK's column-major layout, which dpbtrf can overwrite with the
+        factor without a copy.
         """
         ws = self.workspace
         start = ws.pair_ptr[rows]
         count = ws.pair_ptr[rows + 1] - start
         pairs = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
         values = self.a_data[ws.pair_left[pairs]] * self.a_data[ws.pair_right[pairs]]
-        band = self.base.copy()
-        np.add.at(band.reshape(-1), ws.pair_slot[pairs], values * _POLISH_RHO)
-        return band.T
+        np.copyto(ws.band, self.base)
+        np.add.at(ws.band.reshape(-1), ws.pair_slot[pairs], values * _POLISH_RHO)
+        return ws.band.T
 
 
 class _NotPositiveDefinite(Exception):
@@ -269,7 +290,9 @@ def _factor_kkt(data: _ScaledQp, rows: np.ndarray):
     exactly when P + reg I is positive definite on their null space
     (Finsler's lemma), so a breakdown of the factorization is the inertia
     test of the active set: it raises _NotPositiveDefinite.  Returns the
-    solve with the factor, in the original order of the variables.
+    solve with the factor, in the original order of the variables; the
+    factor is the workspace's band array, so the solve holds until the next
+    factorization on the workspace.
     """
     factor, info = lapack.dpbtrf(data.band(rows), overwrite_ab=True)
     if info > 0:

@@ -9,15 +9,22 @@ active set, that it is positive definite on the constraints' null space.
 When that test fails the same iteration is solved again with the
 Gauss-Newton Hessian, the Lagrangian Hessian at the same iterate with zero
 multipliers, the only safeguard.  The subproblems bring values only to the
-problem's QP workspace, in the order of its declared patterns.
+problem's QP workspace, in the order of its declared patterns.  While a
+solve runs, scipy's OpenBLAS is held at one thread (process-wide): its
+threaded banded Cholesky is slower on these narrow bands than one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 from .qp import QpOptions, solve_qp
@@ -91,16 +98,17 @@ def _kkt_scale(y: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(y), initial=0.0)) / 100.0)
 
 
-def _kkt_residual(g, j_eq, j_in_t, v_in, lo, hi, y) -> float:
+def _kkt_residual(g, j_eq_t, j_in_t, v_in, lo, hi, y) -> float:
     """Scaled max of stationarity and complementarity at one iterate.
 
-    j_in_t is the transposed inequality matrix.  A multiplier counts toward
-    complementarity by its distance to the bound its sign selects: y > 0
-    pairs with the upper bound, y < 0 with the lower one, and a wrong-sign
-    multiplier on a row without that bound is counted in full.
+    j_eq_t and j_in_t are the transposed equality Jacobian and inequality
+    matrix.  A multiplier counts toward complementarity by its distance to
+    the bound its sign selects: y > 0 pairs with the upper bound, y < 0 with
+    the lower one, and a wrong-sign multiplier on a row without that bound
+    is counted in full.
     """
-    m_eq = j_eq.shape[0]
-    grad_lagrangian = g + j_eq.T @ y[:m_eq] + j_in_t @ y[m_eq:]
+    m_eq = j_eq_t.shape[1]
+    grad_lagrangian = g + j_eq_t @ y[:m_eq] + j_in_t @ y[m_eq:]
     stationarity = float(np.max(np.abs(grad_lagrangian), initial=0.0))
     comp = 0.0
     if v_in.size:
@@ -112,17 +120,23 @@ def _kkt_residual(g, j_eq, j_in_t, v_in, lo, hi, y) -> float:
     return max(stationarity, comp) / _kkt_scale(y)
 
 
-def _stored(pattern, values, block: str):
-    """The matrix of `pattern`'s format and entries that stores `values`.
+def _checked(pattern, values, block: str) -> np.ndarray:
+    """`values` as floats, one per stored entry of `pattern`, in their order.
 
-    `values` are what the callback `block` returned, one per stored entry
-    of the pattern, in their order; another count raises ValueError.
+    `values` are what the callback `block` returned; another count raises
+    ValueError.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != pattern.data.shape:
         raise ValueError(
             f"{block} returned {values.size} values; its pattern stores {pattern.data.size}"
         )
+    return values
+
+
+def _stored(pattern, values, block: str):
+    """The matrix of `pattern`'s format and entries that stores `values` (see _checked)."""
+    values = _checked(pattern, values, block)
     return type(pattern)((values, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
@@ -140,7 +154,7 @@ def _constraint_values(problem, x):
 
 
 def _evaluate(problem, x, values=None):
-    """Cost, gradient, constraint values and equality Jacobian at x.
+    """Cost, gradient, constraint values and equality-Jacobian values at x.
 
     `values` are _constraint_values at x when the caller has them already
     (the accepted line-search trial); they are not evaluated again.
@@ -148,8 +162,8 @@ def _evaluate(problem, x, values=None):
     f = problem.cost(x)
     g = problem.cost_grad(x)
     c_eq, v_in = _constraint_values(problem, x) if values is None else values
-    j_eq = _stored(problem.eq_jac_pattern, problem.eq_jac(x) if problem.n_eq else [], "eq_jac")
-    return f, g, c_eq, j_eq, v_in
+    jac = _checked(problem.eq_jac_pattern, problem.eq_jac(x) if problem.n_eq else [], "eq_jac")
+    return f, g, c_eq, jac, v_in
 
 
 def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, n):
@@ -173,12 +187,52 @@ def _elastic_qp(P, g, j_eq, c_eq, j_in, lo, hi, n):
     return res.x[:n], np.concatenate([y_eq, y_in])
 
 
+@functools.cache
+def _openblas():
+    """scipy's bundled OpenBLAS through ctypes, or None where it is not found.
+
+    scipy's wheels ship it as libscipy_openblas in scipy.libs (scipy/.dylibs
+    on macOS); opening the file again yields the library scipy has loaded.
+    """
+    root = Path(scipy.__file__).parent
+    for path in sorted([*root.parent.glob("scipy.libs/libscipy_openblas*"),
+                        *root.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+            lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        return lib
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold scipy's OpenBLAS at one thread, then restore the caller's count.
+
+    The count is process-wide.  Where the library is not found, nothing
+    changes.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(threads)
+
+
+@_one_blas_thread()
 def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) -> Solution:
     """Run the SQP iteration from the given starting point.
 
     y0 optionally seeds the multipliers, one per constraint row (equality
     rows first), e.g. from the previous solve of a problem with the same
-    rows; they shape the first subproblem's Hessian and active set.
+    rows; they shape the first subproblem's Hessian and active set.  The
+    solve holds scipy's OpenBLAS at one thread (_one_blas_thread).
     """
     opts = options or SolverOptions()
     x = np.array(warm_start, dtype=float).reshape(-1)
@@ -196,9 +250,15 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         if y.size != m_eq + m_in:
             raise ValueError(f"y0 has {y.size} entries, problem has {m_eq + m_in} rows")
     lo, hi = problem.ineq_lower, problem.ineq_upper
-    # The inequality rows are constant: one matrix and one transposed view per solve.
+    # The patterns are fixed and the inequality rows constant: one equality
+    # Jacobian and one transposed view of it and of the inequality rows per
+    # solve.  Each iteration overwrites the Jacobian's values, in it and in
+    # the head of the subproblems' constraint values, whose tail is the
+    # inequality rows'.
     j_in = problem.ineq_matrix
-    j_in_t = j_in.T
+    j_eq = _stored(problem.eq_jac_pattern, np.zeros(problem.eq_jac_pattern.nnz), "eq_jac")
+    a_values = np.concatenate([j_eq.data, j_in.data])
+    j_eq_t, j_in_t = j_eq.T, j_in.T
 
     status = "max_iterations"
     iterations = 0
@@ -213,7 +273,8 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
     viol_at_elastic = None
 
     for it in range(opts.max_iterations + 1):
-        f, g, c_eq, j_eq, v_in = _evaluate(problem, x, values)
+        f, g, c_eq, jac, v_in = _evaluate(problem, x, values)
+        j_eq.data[:] = a_values[: jac.size] = jac
         finite = (
             np.isfinite(f)
             and np.all(np.isfinite(g))
@@ -227,7 +288,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         in_gap = _interval_violation(v_in, lo, hi)
         viol = max(viol_eq, float(np.max(in_gap, initial=0.0)))
         cost_value = f
-        kkt = _kkt_residual(g, j_eq, j_in_t, v_in, lo, hi, y)
+        kkt = _kkt_residual(g, j_eq_t, j_in_t, v_in, lo, hi, y)
         iterations = it
 
         phase = 0 if viol <= opts.constraint_tolerance else 1
@@ -243,7 +304,6 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
 
         lower = np.concatenate([-c_eq, lo - v_in])
         upper = np.concatenate([-c_eq, hi - v_in])
-        a_values = np.concatenate([j_eq.data, j_in.data])
         # The exact Hessian first; the Gauss-Newton one (zero multipliers)
         # only for a subproblem that the exact one makes non-convex.
         for y_hess in (y[:m_eq], np.zeros(m_eq)):
@@ -310,7 +370,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             # elastic step the linearized constraints were inconsistent, and
             # the relaxation can make no more progress on them: infeasible.
             y = y_new
-            kkt = _kkt_residual(g, j_eq, j_in_t, v_in, lo, hi, y)
+            kkt = _kkt_residual(g, j_eq_t, j_in_t, v_in, lo, hi, y)
             iterations = it + 1
             if kkt <= opts.kkt_tolerance and viol <= opts.constraint_tolerance:
                 status = "converged"

@@ -660,6 +660,33 @@ class TestWorkspace:
         assert kkt_violation(P, q, A, lower, upper, reused.x, reused.y) <= 1e-7
         np.testing.assert_allclose(reused.x, brute_force_qp(P, q, A, lower, upper), atol=1e-7)
 
+    @PROPERTY
+    @given(bounded_qps(), st.lists(st.integers(0, 2**31 - 1), min_size=2, max_size=4))
+    def test_qps_in_turn_match_a_fresh_workspace(self, case, seeds):
+        # One workspace solves QPs whose equality rows and first active sets
+        # change from QP to QP.  Each solve overwrites the scaled matrices
+        # and band buffers the one before it left, so each result must be
+        # bitwise that of a fresh workspace set up the same way.
+        P, q, A, lower, upper, _, _ = case
+        m, n = A.shape
+        workspace = one_off_workspace(P, q, A, lower, upper)
+        p_values, a_values = values(P, A)
+        for seed in seeds:
+            rng = np.random.RandomState(seed)
+            v = A @ rng.randn(n)
+            width = rng.choice([0.0, 0.3, 1.0], size=m) * np.abs(rng.randn(m))
+            equality = rng.rand(m) < 0.4
+            width[equality] = 0.0
+            lo = np.where(np.isfinite(lower) | equality, v - width, -np.inf)
+            up = np.where(np.isfinite(upper) | equality, v + width, np.inf)
+            q_turn = -P @ rng.randn(n)
+            y0 = None if rng.rand() < 0.3 else rng.choice([1.0, 100.0]) * rng.randn(m)
+            fresh = solve_qp(p_values, q_turn, a_values, lo, up, y0=y0,
+                             workspace=one_off_workspace(P, q, A, lower, upper))
+            res = solve_qp(p_values, q_turn, a_values, lo, up, y0=y0, workspace=workspace)
+            assert res.iterations == fresh.iterations
+            assert_same_result(res, fresh, atol=0.0)
+
     def test_values_that_do_not_fit_raise(self):
         # With a workspace, P and A are value vectors of its patterns'
         # sizes, and q has one entry per variable.

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import centroidal_mpc
 from centroidal_mpc import bundled_scenario, controller, qp, sim, transcription
@@ -259,20 +260,65 @@ class TestQpWorkspaceTraffic:
         simulate(config)
         assert counts == {"workspace": 1, "ruiz": 1}
 
+    @pytest.mark.parametrize("name", ["one_leg_jump", "two_leg_walk_run"])
+    def test_qps_reuse_the_workspace_buffers(self, name, monkeypatch):
+        # Once the structure is set up, an MPC step builds three compressed
+        # matrices, all in solver.solve: the equality Jacobian and the two
+        # transposed views.  Every QP scales into the structure workspace's
+        # matrices and factors in its band array.
+        config = parse_scenario(bundled_scenario(name), name=name)
+        traj, _ = simulate(config)
+        workspace = transcription._LAST_STRUCTURE[1].qp_workspace
+        counts = Counter()
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.csr_array, sp.csc_array):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                counts["matrices"] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        objects = set()
+        scaled, dpbtrf = qp._ScaledQp.__init__, qp.lapack.dpbtrf
+
+        def recording_scaled(self, *args):
+            scaled(self, *args)
+            counts["qps"] += 1
+            objects.update(id(a) for a in (self.workspace, self.P, self.A, self.AT, self.base))
+
+        def recording_dpbtrf(band, **kwargs):
+            objects.add(id(band.base))
+            return dpbtrf(band, **kwargs)
+
+        monkeypatch.setattr(qp._ScaledQp, "__init__", recording_scaled)
+        monkeypatch.setattr(qp.lapack, "dpbtrf", recording_dpbtrf)
+        simulate(config)
+        assert counts["qps"] > traj.n_steps
+        assert counts["matrices"] <= 3 * traj.n_steps
+        assert objects == {id(a) for a in (workspace, workspace.scaled_P, workspace.scaled_A,
+                                           workspace.scaled_AT, workspace.base, workspace.band)}
+
     def test_run_after_another_exports_what_a_fresh_process_does(self, tmp_path):
-        # The earlier run has the layout of the push scenarios but another
-        # mass, so its subproblems differ from theirs from the first on.
+        # First a run with the layout of the push scenarios but another
+        # mass, so its subproblems differ from theirs from the first on;
+        # then walk_run, jump and walk_run again, whose structures and QP
+        # workspaces differ in size.
         heavier = apply_overrides(bundled_scenario("one_leg_jump"), ["physical.mass_kg=1.2"])
-        simulate(parse_scenario(heavier, name="heavier"))
-        name, text = push_sweep_scenarios(1)[0]
-        traj, _ = simulate(parse_scenario(text, name=name))
-        files = export_csv(traj, tmp_path / "after")
+        sequences = (
+            ([("heavier", heavier)], push_sweep_scenarios(1)[0]),
+            ([(name, bundled_scenario(name)) for name in ("two_leg_walk_run", "one_leg_jump")],
+             ("two_leg_walk_run", bundled_scenario("two_leg_walk_run"))),
+        )
         src = str(Path(centroidal_mpc.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run(
-            [sys.executable, "-c", _FRESH_RUN, str(tmp_path / "fresh"), name],
-            input=text, text=True, env=env, check=True, timeout=300,
-        )
-        assert files
-        for path in files:
-            assert Path(path).read_bytes() == (tmp_path / "fresh" / Path(path).name).read_bytes()
+        for index, (earlier, (name, text)) in enumerate(sequences):
+            for earlier_name, earlier_text in earlier:
+                simulate(parse_scenario(earlier_text, name=earlier_name))
+            traj, _ = simulate(parse_scenario(text, name=name))
+            files = export_csv(traj, tmp_path / f"after_{index}")
+            fresh = tmp_path / f"fresh_{index}"
+            subprocess.run(
+                [sys.executable, "-c", _FRESH_RUN, str(fresh), name],
+                input=text, text=True, env=env, check=True, timeout=300,
+            )
+            assert files
+            for path in files:
+                assert Path(path).read_bytes() == (fresh / Path(path).name).read_bytes()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from centroidal_mpc import solver
+from centroidal_mpc import qp, solver
 from centroidal_mpc.solver import (
     SolverOptions,
     _color_groups,
@@ -205,6 +205,43 @@ class TestRobustness:
         problem = quadratic_problem(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError, match="warm start"):
             solve(problem, np.zeros(3))
+
+
+class TestBlasThreads:
+    """solve holds scipy's OpenBLAS at one thread, and gives the caller's
+    count back on every exit."""
+
+    def test_one_thread_inside_and_the_callers_count_after(self, monkeypatch):
+        lib = solver._openblas()
+        if lib is None:
+            pytest.skip("scipy's bundled OpenBLAS not found")
+        threads = []
+        factor = qp._factor_kkt
+
+        def recording(data, rows):
+            threads.append(lib.scipy_openblas_get_num_threads())
+            return factor(data, rows)
+
+        def failing(data, rows):
+            threads.append(lib.scipy_openblas_get_num_threads())
+            raise RuntimeError("factorization failed")
+
+        caller = lib.scipy_openblas_get_num_threads()
+        lib.scipy_openblas_set_num_threads(2)
+        try:
+            assert lib.scipy_openblas_get_num_threads() == 2
+            monkeypatch.setattr(qp, "_factor_kkt", recording)
+            problem = TestGaussNewtonFallback.hyperbola_problem()
+            assert solve(problem, np.array([1.2, 0.9])).converged
+            assert threads and set(threads) == {1}
+            assert lib.scipy_openblas_get_num_threads() == 2
+            monkeypatch.setattr(qp, "_factor_kkt", failing)
+            with pytest.raises(RuntimeError, match="factorization failed"):
+                solve(problem, np.array([1.2, 0.9]))
+            assert threads[-1] == 1
+            assert lib.scipy_openblas_get_num_threads() == 2
+        finally:
+            lib.scipy_openblas_set_num_threads(caller)
 
 
 class TestGaussNewtonFallback:
