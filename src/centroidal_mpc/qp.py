@@ -11,12 +11,13 @@ multipliers.  Equality rows are expressed as lower == upper.
 Everything that depends only on the sparsity patterns of P and A is set up
 once, in a QpWorkspace: the patterns of P and A, the band slot of every
 entry of the condensed system, one Ruiz equilibration, and the buffers of
-one QP (its scaled matrices and band arrays).  The QPs on those patterns
-then bring values only, as in the setup/update split of OSQP, and a solve
-writes into the buffers instead of allocating: the pattern arrays are
-read-only, a workspace solves one QP at a time, and a factor's solve is
-valid until the next factorization on the same workspace.  solve_qp sets
-up a one-off workspace when it is given none.
+one QP (its scaled data and band arrays).  The QPs on those patterns then
+bring values only, as in the setup/update split of OSQP.  A solve loads
+its QP into the buffers instead of allocating (QpWorkspace.load), and its
+helpers take the workspace: there is no per-QP object.  So the pattern
+arrays are read-only, a workspace holds one QP at a time, and a factor's
+solve is valid until the next factorization on the same workspace.
+solve_qp sets up a one-off workspace when it is given none.
 
 P may be indefinite, but on the null space of every active set the
 iteration visits, P + reg I must be positive definite.  With rho large that
@@ -131,25 +132,34 @@ def _ruiz_scale(workspace, p_data: np.ndarray, a_data: np.ndarray, q, free):
 
 
 class QpWorkspace:
-    """What every QP on one pair of sparsity patterns shares, set up once.
+    """What every QP on one pair of sparsity patterns shares, and the QP loaded on it.
 
     `P` and `A` are the patterns: P read as CSC and A as CSR, each with its
     duplicates summed, holding the values given here.  A QP on the
     workspace brings the value vectors of both, in the order of their
     stored entries (P.data, A.data).  The workspace also holds the band
     slot of every entry of P + A' diag(w) A under `ordering` (the natural
-    order when not given) and the pairs of A's entries behind it, and one
-    equilibration (d, e, c) by _ruiz_scale of the values of P and A given
-    here, `free` and `q` as there.  These arrays are read-only.
+    order when not given; `perm`) and the pairs of A's entries behind it,
+    and one equilibration (d, e, c) by _ruiz_scale of the values of P and A
+    given here, `free` and `q` as there.  These arrays are read-only.
 
-    The workspace also owns the mutable scratch of the one QP being solved
-    on it, which every solve overwrites (see _ScaledQp): the scaled
-    matrices `scaled_P` and `scaled_A` on the patterns' index arrays, with
-    `scaled_AT` the CSC view of scaled_A made once on its arrays, the
-    buffers of the band's pair weights, the band base, and the band that
-    dpbtrf overwrites with its factor.  So one workspace serves any number
-    of QPs, one at a time, and a factor's solve is valid until the next
-    factorization on the workspace.
+    A workspace holds one QP at a time, which `load` writes into its
+    buffers; there is no per-QP object.  Loaded, it holds the QP
+    equilibrated: `scaled_P` = c D P D, `scaled_q` = c D q and `scaled_A` =
+    E A D on the patterns' index arrays (`scaled_AT` the CSC view of
+    scaled_A, made once on its arrays), the bounds `scaled_lower` = E l and
+    `scaled_upper` = E u, and the equality rows `eq`.  `condensed(rows)`
+    writes the band of the condensed system P + reg I + rho A_act' A_act of
+    any active set into the `band` array, which dpbtrf overwrites with its
+    factor.  Under the horizon's stage order (DecisionLayout.stage_order)
+    these are narrow band matrices: bandwidth 18 for the 552 variables of
+    the one-leg horizon, 45 for the 1365 of the two-leg one.  The equality
+    rows are active in every set, so their share, with P and reg I, is
+    summed once per QP (`base`, an (n, w + 1) array in C order that is
+    LAPACK's band transposed); the band of an active set adds to it only the
+    pair products of its active inequality rows, which are few.  Every load
+    and every factorization overwrites these buffers, so a factor's solve is
+    valid until the next factorization on the workspace.
     """
 
     def __init__(self, P, A, ordering=None, q=None, free=None):
@@ -173,6 +183,9 @@ class QpWorkspace:
         self.scaled_P = sp.csc_matrix((np.empty(P.nnz), P.indices, P.indptr), shape=(n, n))
         self.scaled_A = sp.csr_matrix((np.empty(A.nnz), A.indices, A.indptr), shape=(m, n))
         self.scaled_AT = self.scaled_A.T
+        self.scaled_q = np.empty(n)
+        self.scaled_lower, self.scaled_upper = np.empty(m), np.empty(m)
+        self.eq = np.empty(m, dtype=bool)
         self.a_eq = np.empty(A.nnz)
         self.weights = np.empty(self.band_slot.size)
         self.right_values = np.empty(self.pair_right.size)
@@ -216,73 +229,54 @@ class QpWorkspace:
         self.pair_slot = hi * (w + 1) + (w + lo - hi)
         self.band_slot = np.concatenate([qj * (w + 1) + (w + qi - qj), self.pair_slot])
 
-
-class _ScaledQp:
-    """One QP on a workspace, equilibrated, and its condensed systems.
-
-    P = c D P0 D, q = c D q0 and A = E A0 D, written into the workspace's
-    scaled matrices (AT the CSC view of A), with bounds E l0 and E u0 and
-    the equality rows `eq`.  band(rows) is the condensed system P + reg I +
-    rho A_act' A_act of any active set, banded.  Under the horizon's stage
-    order (DecisionLayout.stage_order) these matrices are narrow band
-    matrices: bandwidth 18 for the 552 variables of the one-leg horizon, 45
-    for the 1365 of the two-leg one.  The equality rows are active in every
-    set, so their share, with P and reg I, is summed once per QP (`base`,
-    an (n, w + 1) array in C order that is LAPACK's band transposed); the
-    band of an active set adds to it only the pair products of its active
-    inequality rows, which are few.  Every array of size nnz or band is one
-    of the workspace's buffers, overwritten here.
-    """
-
-    def __init__(self, workspace: QpWorkspace, p_values, a_values, q, lower, upper):
-        self.workspace = ws = workspace
-        self.d, self.e, self.c = ws.d, ws.e, ws.c
-        self.P, self.A, self.AT = ws.scaled_P, ws.scaled_A, ws.scaled_AT
-        np.multiply(p_values, ws.p_scale, out=self.P.data)
-        self.a_data = np.multiply(a_values, ws.a_scale, out=self.A.data)
-        self.q = self.c * self.d * q
-        self.lower, self.upper = self.e * lower, self.e * upper
-        self.eq = eq = np.isfinite(lower) & (lower == upper)
+    def load(self, p_values, a_values, q, lower, upper):
+        """Equilibrate one QP into the buffers, with the base of its condensed systems."""
+        np.multiply(p_values, self.p_scale, out=self.scaled_P.data)
+        a_data = np.multiply(a_values, self.a_scale, out=self.scaled_A.data)
+        np.multiply(self.c * self.d, q, out=self.scaled_q)
+        np.multiply(self.e, lower, out=self.scaled_lower)
+        np.multiply(self.e, upper, out=self.scaled_upper)
+        eq = np.equal(lower, upper, out=self.eq)
+        eq &= np.isfinite(lower)
         # With the equality rows scaled by sqrt(rho) and the others by zero,
         # a pair's product is its weighted share of the base or else zero.
-        a_eq = np.multiply(self.a_data, np.sqrt(_POLISH_RHO), out=ws.a_eq)
-        a_eq[~eq[ws.a_row]] = 0.0
-        # The workspace's indices are in range; np.take's default mode would
-        # copy `out` to guard against indices that are not.
-        weights, n_p = ws.weights, ws.p_entries.size
-        np.take(self.P.data, ws.p_entries, out=weights[:n_p], mode="clip")
-        np.take(a_eq, ws.pair_left, out=weights[n_p:], mode="clip")
-        weights[n_p:] *= np.take(a_eq, ws.pair_right, out=ws.right_values, mode="clip")
+        a_eq = np.multiply(a_data, np.sqrt(_POLISH_RHO), out=self.a_eq)
+        a_eq[~eq[self.a_row]] = 0.0
+        # The indices are in range; np.take's default mode would copy `out`
+        # to guard against indices that are not.
+        weights, n_p = self.weights, self.p_entries.size
+        np.take(self.scaled_P.data, self.p_entries, out=weights[:n_p], mode="clip")
+        np.take(a_eq, self.pair_left, out=weights[n_p:], mode="clip")
+        weights[n_p:] *= np.take(a_eq, self.pair_right, out=self.right_values, mode="clip")
         # An in-order scatter-add onto zeros sums each slot's weights in the
         # order a weighted bincount over the band slots does, bit for bit.
-        self.base = ws.base
         self.base.fill(0.0)
-        np.add.at(self.base.reshape(-1), ws.band_slot, weights)
+        np.add.at(self.base.reshape(-1), self.band_slot, weights)
         self.base[:, -1] += _POLISH_REG
 
-    def band(self, rows: np.ndarray) -> np.ndarray:
+    def condensed(self, rows: np.ndarray) -> np.ndarray:
         """Upper band storage, permuted, with the inequality `rows` active.
 
-        The workspace's band array, overwritten, as a (w + 1, n) view in
-        LAPACK's column-major layout, which dpbtrf can overwrite with the
-        factor without a copy.
+        The band array, overwritten, as a (w + 1, n) view in LAPACK's
+        column-major layout, which dpbtrf can overwrite with the factor
+        without a copy.
         """
-        ws = self.workspace
-        start = ws.pair_ptr[rows]
-        count = ws.pair_ptr[rows + 1] - start
+        start = self.pair_ptr[rows]
+        count = self.pair_ptr[rows + 1] - start
         pairs = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-        values = self.a_data[ws.pair_left[pairs]] * self.a_data[ws.pair_right[pairs]]
-        np.copyto(ws.band, self.base)
-        np.add.at(ws.band.reshape(-1), ws.pair_slot[pairs], values * _POLISH_RHO)
-        return ws.band.T
+        a_data = self.scaled_A.data
+        values = a_data[self.pair_left[pairs]] * a_data[self.pair_right[pairs]]
+        np.copyto(self.band, self.base)
+        np.add.at(self.band.reshape(-1), self.pair_slot[pairs], values * _POLISH_RHO)
+        return self.band.T
 
 
 class _NotPositiveDefinite(Exception):
     """The condensed system of an active set has no Cholesky factor."""
 
 
-def _factor_kkt(data: _ScaledQp, rows: np.ndarray):
-    """Banded Cholesky factor of P + reg I + rho A_act' A_act.
+def _factor_kkt(ws: QpWorkspace, rows: np.ndarray):
+    """Banded Cholesky factor of P + reg I + rho A_act' A_act of the loaded QP.
 
     The active rows are the equality rows and the inequality `rows`.  Much
     smaller and fills far less than the equivalent 2x2 saddle form.  With
@@ -294,10 +288,10 @@ def _factor_kkt(data: _ScaledQp, rows: np.ndarray):
     factor is the workspace's band array, so the solve holds until the next
     factorization on the workspace.
     """
-    factor, info = lapack.dpbtrf(data.band(rows), overwrite_ab=True)
+    factor, info = lapack.dpbtrf(ws.condensed(rows), overwrite_ab=True)
     if info > 0:
         raise _NotPositiveDefinite
-    perm = data.workspace.perm
+    perm = ws.perm
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         out = np.empty_like(rhs)
@@ -307,8 +301,8 @@ def _factor_kkt(data: _ScaledQp, rows: np.ndarray):
     return solve
 
 
-def _certificate(data: _ScaledQp, lower, upper, dx, dy):
-    """The infeasibility a scaled step (dx, dy) certifies, or None.
+def _certificate(ws: QpWorkspace, lower, upper, dx, dy):
+    """The infeasibility a scaled step (dx, dy) of the loaded QP certifies, or None.
 
     Every test is made in original units, in which the step is (d dx,
     e dy / c).  dy certifies primal infeasibility when A' dy = 0 while its
@@ -317,11 +311,11 @@ def _certificate(data: _ScaledQp, lower, upper, dx, dy):
     along which no finite bound is reached.  Returns the status name, or
     None.
     """
-    d, e, c = data.d, data.e, data.c
+    d, e, c = ws.d, ws.e, ws.c
     x_step, y_step = d * dx, e * dy / c
     norm_dy = float(np.max(np.abs(y_step), initial=0.0))
     if norm_dy > _DIV_GUARD:
-        at_dy = float(np.max(np.abs(data.AT @ dy) / (c * d), initial=0.0))
+        at_dy = float(np.max(np.abs(ws.scaled_AT @ dy) / (c * d), initial=0.0))
         up = np.where(np.isfinite(upper) & (y_step > 0), upper, 0.0) * np.maximum(y_step, 0.0)
         lo = np.where(np.isfinite(lower) & (y_step < 0), lower, 0.0) * np.minimum(y_step, 0.0)
         support = float(np.sum(up) + np.sum(lo))
@@ -338,10 +332,10 @@ def _certificate(data: _ScaledQp, lower, upper, dx, dy):
     norm_dx = float(np.max(np.abs(x_step), initial=0.0))
     if norm_dx > _DIV_GUARD:
         tol = _EPS_INFEASIBLE * norm_dx
-        adx = (data.A @ dx) / e
+        adx = (ws.scaled_A @ dx) / e
         if (
-            float(np.max(np.abs(data.P @ dx) / (c * d), initial=0.0)) <= tol
-            and float(data.q @ dx) / c < -tol
+            float(np.max(np.abs(ws.scaled_P @ dx) / (c * d), initial=0.0)) <= tol
+            and float(ws.scaled_q @ dx) / c < -tol
             and np.all(adx[np.isfinite(lower)] >= -tol)
             and np.all(adx[np.isfinite(upper)] <= tol)
         ):
@@ -399,9 +393,9 @@ def solve_qp(
         raise ValueError("lower bound exceeds upper bound on some row")
     if y0 is not None and np.asarray(y0).size != m:
         raise ValueError(f"y0 has {np.asarray(y0).size} entries, the QP has {m} rows")
-    data = _ScaledQp(ws, P, A, q, lower, upper)
+    ws.load(P, A, q, lower, upper)
     d, e, c = ws.d, ws.e, ws.c
-    ls, us, eq = data.lower, data.upper, data.eq
+    ls, us, eq = ws.scaled_lower, ws.scaled_upper, ws.eq
 
     # Primal-dual active-set iteration: solve the equality-constrained QP on
     # the active set, then activate the inactive rows its solution violates
@@ -428,7 +422,7 @@ def solve_qp(
     for iterations in range(1, opts.max_iterations + 1):
         seen.add(np.concatenate([low, upp]).tobytes())
         try:
-            found = _polish_point(data, x, y, low, upp)
+            found = _polish_point(ws, x, y, low, upp)
         except _NotPositiveDefinite:
             status = "non_convex"
             break
@@ -456,7 +450,7 @@ def solve_qp(
         signed = np.where(upp, np.maximum(y_new, 0.0), np.where(low, np.minimum(y_new, 0.0), y_new))
         off = np.maximum(np.maximum(ls - ax, ax - us), np.abs(gap))
         pri = float(np.max(off / e, initial=0.0))
-        dua = float(np.max(np.abs(gradient + data.AT @ signed) / (c * d)))
+        dua = float(np.max(np.abs(gradient + ws.scaled_AT @ signed) / (c * d)))
         done = max(pri, dua) <= _EPS_ABS and not np.any(wrong | under | over)
         if done or max(pri, dua) < best[0]:
             best = (max(pri, dua), x_new, signed)
@@ -468,7 +462,7 @@ def solve_qp(
         stationary = np.abs(stationarity) / (c * d)
         unbounded = float(np.max(stationary, initial=0.0)) > _EPS_ABS
         certified = (inconsistent or unbounded) and _certificate(
-            data, lower, upper, *correction()
+            ws, lower, upper, *correction()
         )
         if certified:
             status = certified
@@ -502,8 +496,8 @@ def solve_qp(
     return QpResult(d * xs, (e * ys) / c, status, iterations, polished=bool(np.isfinite(kkt)))
 
 
-def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
-    """Solve the equality-constrained QP of one active set.
+def _polish_point(ws: QpWorkspace, x_est, y_est, low, upp):
+    """Solve the equality-constrained QP of one active set of the loaded QP.
 
     The equality rows and the inequality rows marked in `low` (held at their
     lower bound) and `upp` (at their upper bound) are active.  Works on the
@@ -526,24 +520,25 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
     along dy, a Farkas direction of those rows; where the objective is
     unbounded on them, x runs off along dx.
     """
-    active = data.eq | low | upp
-    targets = np.where(data.eq | upp, data.upper, np.where(low, data.lower, 0.0))
+    A, AT = ws.scaled_A, ws.scaled_AT
+    active = ws.eq | low | upp
+    targets = np.where(ws.eq | upp, ws.scaled_upper, np.where(low, ws.scaled_lower, 0.0))
     weight = np.where(active, _POLISH_RHO, 0.0)
-    solve = _factor_kkt(data, np.flatnonzero(low | upp))
+    solve = _factor_kkt(ws, np.flatnonzero(low | upp))
 
     def products(xh, yh):
         """A x, P x + q and P x + q + A' y at (xh, yh)."""
-        ax = data.A @ xh
-        gradient = data.P @ xh + data.q
-        return ax, gradient, gradient + data.AT @ yh
+        ax = A @ xh
+        gradient = ws.scaled_P @ xh + ws.scaled_q
+        return ax, gradient, gradient + AT @ yh
 
     def step(r_pri, r_dua):
-        dx = solve(-(r_dua + data.AT @ (weight * r_pri)))
-        return dx, weight * (r_pri + data.A @ dx)
+        dx = solve(-(r_dua + AT @ (weight * r_pri)))
+        return dx, weight * (r_pri + A @ dx)
 
     xh = x_est
     yh = np.where(active, y_est, 0.0)
-    dual_unit = data.c * data.d
+    dual_unit = ws.c * ws.d
     # Iterative refinement in correction form: each pass solves the
     # regularized system for a step (dx, dy) against the exact KKT
     # residuals, so rounding in the steps shrinks with the steps.
@@ -556,7 +551,7 @@ def _polish_point(data: _ScaledQp, x_est, y_est, low, upp):
             float(np.max(np.abs(r_pri), initial=0.0)), float(np.max(np.abs(r_dua)))
         )
         error = max(
-            float(np.max(np.abs(r_pri) / data.e, initial=0.0)),
+            float(np.max(np.abs(r_pri) / ws.e, initial=0.0)),
             float(np.max(np.abs(r_dua) / dual_unit)),
         )
         if stop is None:

@@ -71,8 +71,8 @@ class Solution:
       function, and the iterate fails that test;
     - max_iterations: the iteration limit was reached;
     - infeasible: a subproblem was primal_infeasible, and elastic mode
-      found no step, found one along which the merit function did not
-      fall, or made no feasibility progress twice in a row;
+      found no step or found one along which the merit function did not
+      fall;
     - numerical_failure: non-finite values, or a subproblem that is unbounded
       or non-convex under the Gauss-Newton Hessian too.
 
@@ -149,8 +149,8 @@ def _l1_infeasibility(c_eq, in_gap) -> float:
 
 
 def _constraint_values(problem, x):
-    """eq(x), empty for a problem without equality rows, and the inequality rows at x."""
-    return problem.eq(x) if problem.n_eq else np.zeros(0), problem.ineq_matrix @ x
+    """eq(x) and the inequality rows at x."""
+    return problem.eq(x), problem.ineq_matrix @ x
 
 
 def _evaluate(problem, x, values=None):
@@ -162,7 +162,7 @@ def _evaluate(problem, x, values=None):
     f = problem.cost(x)
     g = problem.cost_grad(x)
     c_eq, v_in = _constraint_values(problem, x) if values is None else values
-    jac = _checked(problem.eq_jac_pattern, problem.eq_jac(x) if problem.n_eq else [], "eq_jac")
+    jac = _checked(problem.eq_jac_pattern, problem.eq_jac(x), "eq_jac")
     return f, g, c_eq, jac, v_in
 
 
@@ -269,8 +269,6 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
     merit_history: list = []
     best = None  # (key, x, y, kkt, viol, f)
     values = None  # _constraint_values at x, once a line search has them
-    elastic_stall = 0
-    viol_at_elastic = None
 
     for it in range(opts.max_iterations + 1):
         f, g, c_eq, jac, v_in = _evaluate(problem, x, values)
@@ -323,16 +321,6 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             if elastic is None:
                 status = "infeasible"
                 break
-            # Repeated elastic activations without feasibility progress mean
-            # the constraints themselves are inconsistent.
-            if viol_at_elastic is not None and viol >= 0.9 * viol_at_elastic:
-                elastic_stall += 1
-                if elastic_stall >= 2:
-                    status = "infeasible"
-                    break
-            else:
-                elastic_stall = 0
-            viol_at_elastic = viol
             d, y_new = elastic
         elif qp_res.status in ("dual_infeasible", "non_convex"):
             status = "numerical_failure"
@@ -538,14 +526,13 @@ def check_derivatives(problem, points, multipliers=None) -> DerivativeReport:
                 worst = (err, "cost_grad", 0, i)
 
         def lagrangian_grad(z):
-            g_z = problem.cost_grad(z)
-            return g_z + eq_jac(z).T @ y if problem.n_eq else g_z
+            return problem.cost_grad(z) + eq_jac(z).T @ y
 
         # (block, function, the values of its analytic Jacobian at x) per audit
-        audits = []
-        if problem.n_eq:
-            audits.append(("eq_jac", problem.eq, problem.eq_jac(x)))
-        audits.append(("lagrangian_hess", lagrangian_grad, problem.lagrangian_hess(x, y)))
+        audits = (
+            ("eq_jac", problem.eq, problem.eq_jac(x)),
+            ("lagrangian_hess", lagrangian_grad, problem.lagrangian_hess(x, y)),
+        )
         for block, fun, values in audits:
             jac = _stored(patterns[block], values, block)
             err, r, c = _fd_jacobian_check(fun, jac, x, h, jac.shape[0], colorings[block])

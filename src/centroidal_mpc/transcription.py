@@ -9,12 +9,13 @@ keeping each contact near its nominal location; FrictionPyramid and
 ContactBox own their rows, checks and clamps.  All first derivatives and
 the Hessian of the Lagrangian are analytic and sparse.
 
-The structure of a horizon problem (the cost Hessian, every constraint row,
-the sparsity patterns of the Jacobians and of the Lagrangian Hessian, the
-row shift and the variable ordering) is built once per (layout, weights,
-period, contact rotations and corner arms, friction coefficient) and shared
-read-only by every problem of that key.  The contact schedule sets only
-values and bounds.
+The structure of a horizon problem (every constraint row, the sparsity
+patterns of the Jacobians and of the Lagrangian Hessian, the row shift and
+the QP workspace with its variable ordering) is built once per (layout,
+weights, period, contact rotations and corner arms, friction coefficient)
+and shared read-only by every problem of that key.  The cost Hessian lives
+in the Lagrangian Hessian's pattern, as the values it holds, and nowhere
+else.  The contact schedule sets only values and bounds.
 """
 
 from __future__ import annotations
@@ -248,11 +249,13 @@ class NlpProblem:
 
     Equality constraints are eq(x) = 0, one per row of eq_jac_pattern
     (`n_eq`), and eq_jac(x) returns their Jacobian's values.  A problem
-    without them leaves eq, eq_jac and eq_jac_pattern None, and its pattern
-    reads as a (0, dimension) matrix.  Inequalities are linear interval
-    rows, data rather than callbacks: ineq_lower <= ineq_matrix @ x <=
-    ineq_upper, with ineq_matrix canonical CSR.  A problem without them
-    reads as a (0, dimension) matrix and empty bounds.
+    without them leaves eq_jac_pattern None: its pattern reads as a (0,
+    dimension) matrix, and eq and eq_jac become callbacks that return empty
+    arrays, so the solver takes one path with or without equality rows.
+    Inequalities are linear interval rows, data rather than callbacks:
+    ineq_lower <= ineq_matrix @ x <= ineq_upper, with ineq_matrix canonical
+    CSR.  A problem without them reads as a (0, dimension) matrix and empty
+    bounds.
 
     `lagrangian_hess(x, y_eq)` returns the values of the Hessian of cost(x)
     + y_eq' eq(x) at x; at y_eq = 0 it is the Gauss-Newton Hessian.  It is
@@ -294,6 +297,7 @@ class NlpProblem:
     def __post_init__(self):
         if self.eq_jac_pattern is None:
             self.eq_jac_pattern = sp.csr_matrix((0, self.dimension))
+            self.eq = self.eq_jac = lambda x: np.zeros(0)
         if self.ineq_matrix is None:
             self.ineq_matrix = sp.csr_matrix((0, self.dimension))
             self.ineq_lower = self.ineq_upper = np.zeros(0)
@@ -328,12 +332,12 @@ def _flat_entries(terms) -> list:
 
 def _cost_hessian(
     layout: DecisionLayout, weights: Weights, period: float, corner_contact: np.ndarray
-) -> sp.csr_matrix:
-    """Sparse Hessian of the summed quadratic costs, one (rows, cols, values) put per term.
+) -> list:
+    """Entries (rows, cols, values) of the summed quadratic costs' Hessian, term by term.
 
-    Where terms share an entry (the force diagonal: centering, then the
-    rates to the next and to the previous step) the CSR conversion adds
-    them in the order listed here.
+    Terms share entries (the force diagonal: centering, then the rates to
+    the next and to the previous step); _add_lagrangian_hessian adds them
+    in the order listed here.
     """
     ang_momentum = layout.momentum[:, 3:]
     terms = [
@@ -352,8 +356,7 @@ def _cost_hessian(
     rate = weights.force_rate / period**2
     now, later = layout.forces[:-1], layout.forces[1:]
     terms += [(now, now, rate), (later, later, rate), (now, later, -rate), (later, now, -rate)]
-    rows, cols, vals = _flat_entries(terms)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(layout.size, layout.size)).tocsr()
+    return _flat_entries(terms)
 
 
 def _linear_values(period: float, mass: float, gamma: np.ndarray) -> np.ndarray:
@@ -392,11 +395,12 @@ class _HorizonStructure:
     plan's contact rotations and corner arms, friction coefficient) and
     shared by every problem of that key, so every array is read-only.  The
     schedule, the measured state and the references set only values and
-    bounds (build_nlp, _inequality_bounds).  It holds the cost Hessian `cost_hess`
-    (CSR), the table of the defects' bilinear terms, which both of their
-    derivatives read, NlpProblem's `eq_jac_pattern`, `hess_pattern` and
-    `ineq_matrix` (see the _add_* methods), the variable `ordering`, and
-    NlpProblem's `shift_rows` and `qp_workspace`.
+    bounds (build_nlp, _inequality_bounds).  It holds the table of the
+    defects' bilinear terms, which both of their derivatives read,
+    NlpProblem's `eq_jac_pattern`, `hess_pattern` and `ineq_matrix` (see the
+    _add_* methods), `shift_rows` and `qp_workspace`.  The cost Hessian is
+    stored once, as the values of hess_pattern, and the variable ordering
+    once, as the workspace's `perm` (DecisionLayout.stage_order).
     """
 
     def __init__(
@@ -407,28 +411,28 @@ class _HorizonStructure:
         plan: ContactPlan,
         pyramid: FrictionPyramid,
     ):
-        self.cost_hess = _cost_hessian(layout, weights, period, plan.corner_contact)
         self._add_bilinear_table(layout, plan)
         self._add_eq_jacobian(layout, plan.corner_contact)
-        self._add_lagrangian_hessian(layout)
+        self._add_lagrangian_hessian(
+            layout, _cost_hessian(layout, weights, period, plan.corner_contact)
+        )
         self._add_inequality_matrix(layout, plan, pyramid)
         self.shift_rows = _shift_rows(layout)
-        self.ordering = layout.stage_order()
         # Equilibrated on the values the patterns hold, which this structure
         # fixes, with the cost unscaled: the gradient that sets its size
         # changes with every subproblem.
         self.qp_workspace = QpWorkspace(
             self.hess_pattern,
             sp.vstack([self.eq_jac_pattern, self.ineq_matrix], format="csr"),
-            self.ordering,
+            layout.stage_order(),
         )
-        matrices = (self.cost_hess, self.eq_jac_pattern, self.hess_pattern, self.ineq_matrix)
+        matrices = (self.eq_jac_pattern, self.hess_pattern, self.ineq_matrix)
         for array in (
             *(a for m in matrices for a in (m.data, m.indices, m.indptr)),
             self.bilinear_rows, self.bilinear_arms, self.bilinear_forces,
             self.bilinear_signs, self.bilinear_gates, self.bilinear_offsets,
             self.linear_sources, self.eq_slots, self.curvature_slots,
-            self.shift_rows, self.ordering,
+            self.shift_rows,
         ):
             array.flags.writeable = False
 
@@ -512,29 +516,29 @@ class _HorizonStructure:
         )
         self.eq_jac_pattern = sp.csr_matrix((values, indices, indptr), shape=shape)
 
-    def _add_lagrangian_hessian(self, layout: DecisionLayout):
+    def _add_lagrangian_hessian(self, layout: DecisionLayout, cost_entries: list):
         """CSC pattern of the Lagrangian Hessian, holding its cost part.
 
         y_eq' eq(x) is bilinear: term t of the table adds its scaled sign
         times y_eq[bilinear_rows[t]] at (force_t, arm_t) and (arm_t,
         force_t), and no two terms share such a pair.  The pattern
-        `hess_pattern` is the union of the cost Hessian's and those pairs,
-        for every knot and contact (gated-out ones too); it holds the cost
-        Hessian's values and zeros elsewhere.
+        `hess_pattern` is the union of the cost Hessian's entries
+        (`cost_entries`, _cost_hessian's) and those pairs, for every knot and
+        contact (gated-out ones too).  It holds the cost Hessian, the cost
+        entries of one position summed in their order, and zeros elsewhere:
+        the only copy of the cost Hessian, which cost and cost_grad multiply
+        with.
 
         `curvature_slots` lists the stored entries of (force_t, arm_t) for
         every term, then those of (arm_t, force_t).
         """
         arms, forces, n = self.bilinear_arms, self.bilinear_forces, layout.size
-        cost = self.cost_hess.tocoo()
+        rows, cols, values = cost_entries
         indices, indptr, slots = _number_pattern(
-            np.concatenate([arms, forces, cost.col]),
-            np.concatenate([forces, arms, cost.row]),
-            (n, n),
+            np.concatenate([arms, forces, cols]), np.concatenate([forces, arms, rows]), (n, n)
         )
         self.curvature_slots = slots[: 2 * arms.size]
-        values = np.zeros(indices.size)
-        values[slots[2 * arms.size :]] = cost.data
+        values = np.bincount(slots[2 * arms.size :], values, minlength=indices.size)
         self.hess_pattern = sp.csc_matrix((values, indices, indptr), shape=(n, n))
 
     def _add_inequality_matrix(
@@ -738,7 +742,7 @@ def build_nlp(
     pin_momentum = initial_state.momentum
 
     structure = _horizon_structure(layout, weights, period, plan, pyramid)
-    hess = structure.cost_hess
+    hess = structure.hess_pattern
     c_lin, c0 = _cost_linear_terms(layout, weights, nominal_com_samples, plan.nominal_positions)
 
     def cost(x: np.ndarray) -> float:

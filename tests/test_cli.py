@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from centroidal_mpc import cli
+from centroidal_mpc import bundled_scenario, cli
 from centroidal_mpc.cli import main
+from centroidal_mpc.sim import simulate
 
 QUICK = """\
 format_version = 1
@@ -63,6 +64,37 @@ class TestRun:
         assert code == 0
         payload = json.loads((out_dir / "run_manifest.json").read_text())
         assert payload["steps"] == 3
+
+    def test_run_writes_to_the_scenarios_output_dir(self, tmp_path, monkeypatch, capsys):
+        # without --out, the run goes where the scenario's output_dir says
+        monkeypatch.chdir(tmp_path)
+        scenario = tmp_path / "quick.txt"
+        scenario.write_text(QUICK.replace("substeps = 2", "substeps = 2\noutput_dir = chosen"))
+        assert main(["run", str(scenario)]) == 0
+        assert "to chosen" in capsys.readouterr().out
+        assert json.loads((tmp_path / "chosen" / "run_manifest.json").read_text())["steps"] == 3
+        assert (tmp_path / "chosen" / "states.csv").exists()
+        assert not (tmp_path / "quick_out").exists()
+
+    def test_manifest_lists_the_touchdowns_of_a_bundled_run(self, tmp_path, monkeypatch):
+        runs = []
+
+        def recording(config):
+            runs.append(simulate(config))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "simulate", recording)
+        scenario = tmp_path / "jump.txt"
+        scenario.write_text(bundled_scenario("one_leg_jump"))
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        ((traj, _),) = runs
+        assert traj.touchdowns
+        payload = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert payload["touchdowns"] == [
+            {"time_s": td.time, "contact": td.contact_id, "committed_m": td.committed.tolist(),
+             "nominal_m": td.nominal.tolist(), "adjustment_m": td.adjustment}
+            for td in traj.touchdowns
+        ]
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -97,6 +97,44 @@ class TestParsing:
             parse_scenario(text)
         assert f"line {line}: unknown section [{header}]" in err.value.problems
 
+    def test_line_neither_header_nor_key_value_rejected_at_its_line(self):
+        text = MINIMAL.replace("substeps = 2", "substeps = 2\nsubsteps two")
+        line = text.splitlines().index("substeps two") + 1
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert err.value.problems == [f"line {line}: expected 'key = value', got 'substeps two'"]
+
+    @pytest.mark.parametrize("section", ["physical", "mpc", "simulation"])
+    def test_repeated_section_rejected_at_its_line(self, section):
+        text = MINIMAL + f"\n[{section}]\n"
+        line = len(text.splitlines())
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert err.value.problems == [f"line {line}: duplicate section [{section}]"]
+
+    def test_repeated_contact_name_rejected_at_its_line(self):
+        contact = MINIMAL[MINIMAL.index("[contact foot]"):]
+        text = MINIMAL + "\n" + contact
+        line = len(text.splitlines()) - contact.count("\n") + 1
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert err.value.problems == [f"line {line}: duplicate contact name 'foot'"]
+
+    @pytest.mark.parametrize(
+        "line, replacement, problem",
+        [
+            ("corner_m = 0.0 0.0 0.0\n", "", "needs surface_m or at least one corner_m"),
+            ("active_s = 0.0 1.0\n", "", "needs at least one active_s window"),
+            ("active_s = 0.0 1.0", "active_s = 0.5 1.0\nactive_s = 0.0 0.6",
+             "contact 'foot': overlapping windows"),
+        ],
+        ids=["no_geometry", "no_window", "overlapping_windows"],
+    )
+    def test_contact_section_defect_reported_once(self, line, replacement, problem):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(MINIMAL.replace(line, replacement))
+        assert err.value.problems == [f"section [contact foot]: {problem}"]
+
     def test_missing_format_version(self):
         with pytest.raises(ScenarioError) as err:
             parse_scenario(MINIMAL.replace("format_version = 1\n", ""))

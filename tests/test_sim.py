@@ -264,8 +264,8 @@ class TestQpWorkspaceTraffic:
     def test_qps_reuse_the_workspace_buffers(self, name, monkeypatch):
         # Once the structure is set up, an MPC step builds three compressed
         # matrices, all in solver.solve: the equality Jacobian and the two
-        # transposed views.  Every QP scales into the structure workspace's
-        # matrices and factors in its band array.
+        # transposed views.  Every QP loads into the structure workspace's
+        # buffers and factors in its band array.
         config = parse_scenario(bundled_scenario(name), name=name)
         traj, _ = simulate(config)
         workspace = transcription._LAST_STRUCTURE[1].qp_workspace
@@ -277,18 +277,19 @@ class TestQpWorkspaceTraffic:
 
             monkeypatch.setattr(cls, "__init__", counting_init)
         objects = set()
-        scaled, dpbtrf = qp._ScaledQp.__init__, qp.lapack.dpbtrf
+        load, dpbtrf = qp.QpWorkspace.load, qp.lapack.dpbtrf
 
-        def recording_scaled(self, *args):
-            scaled(self, *args)
+        def recording_load(self, *args):
+            load(self, *args)
             counts["qps"] += 1
-            objects.update(id(a) for a in (self.workspace, self.P, self.A, self.AT, self.base))
+            objects.update(id(a) for a in (self, self.scaled_P, self.scaled_A, self.scaled_AT,
+                                           self.base))
 
         def recording_dpbtrf(band, **kwargs):
             objects.add(id(band.base))
             return dpbtrf(band, **kwargs)
 
-        monkeypatch.setattr(qp._ScaledQp, "__init__", recording_scaled)
+        monkeypatch.setattr(qp.QpWorkspace, "load", recording_load)
         monkeypatch.setattr(qp.lapack, "dpbtrf", recording_dpbtrf)
         simulate(config)
         assert counts["qps"] > traj.n_steps
