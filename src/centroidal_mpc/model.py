@@ -166,43 +166,6 @@ def _torque_rate(p_com, p_contacts, gated, corner_arms, corner_contact, wrench) 
     return rate
 
 
-def momentum_rate_batch(
-    p_com: np.ndarray,
-    p_contacts: np.ndarray,
-    forces: np.ndarray,
-    gamma: np.ndarray,
-    corner_arms: np.ndarray,
-    corner_contact: np.ndarray,
-    mass: float,
-    gravity: np.ndarray,
-    wrench: np.ndarray,
-) -> np.ndarray:
-    """Gated momentum rate, batched over a leading knot axis.
-
-    p_com (K, 3), p_contacts (K, n_c, 3), forces (K, V, 3) of the V
-    corners, gamma (K, n_c), corner_arms (V, 3) of each corner's offset
-    from its contact in the world frame, corner_contact (V,) of each
-    corner's contact, wrench (K, 6).  Returns (K, 6) stacked (linear,
-    angular) rates.  Forces of another corner count than corner_contact
-    raise ValueError.
-
-    The gated forces, lever arms and torques of all corners are computed at
-    once (torques by `cross_rows`, the float operations of np.cross); each
-    corner's force and torque are then added to the rates in an explicit
-    loop over the corners, so the summation order is identical for any K.
-    This keeps single-step rollouts bit-identical to batched evaluations of
-    the same quantities.
-    """
-    gated = _gated_forces(forces, gamma, corner_contact)
-    return np.concatenate(
-        [
-            _force_rate(gated, mass, gravity, wrench),
-            _torque_rate(p_com, p_contacts, gated, corner_arms, corner_contact, wrench),
-        ],
-        axis=1,
-    )
-
-
 def _chain(start: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """start, start + increments[0], ... as K + 1 rows; np.add.accumulate adds in sequence."""
     return np.add.accumulate(np.concatenate([start[None], increments]), axis=0)
@@ -224,17 +187,24 @@ def euler_step_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K explicit Euler steps of the gated dynamics, batched over knots.
 
-    forces (K, V, 3), contact_velocities (K, n_c, 3), gamma (K, n_c) and
-    wrench (K, 6) drive the K steps, with the corners' arms and contacts as
-    in momentum_rate_batch.  With states per knot, p_com (K, 3),
-    momentum (K, 6) and p_contacts (K, n_c, 3), step k starts from row k
-    (the steps are independent, as in the transcription's defects).  With one
-    start state, p_com (3,), momentum (6,) and p_contacts (n_c, 3), the steps
-    are chained into a rollout: step k starts where step k - 1 ended.
+    forces (K, V, 3) of the V corners, contact_velocities (K, n_c, 3),
+    gamma (K, n_c) and wrench (K, 6) drive the K steps; corner_arms (V, 3)
+    holds each corner's offset from its contact in the world frame and
+    corner_contact (V,) each corner's contact.  Forces of another corner
+    count than corner_contact raise ValueError.  With states per knot,
+    p_com (K, 3), momentum (K, 6) and p_contacts (K, n_c, 3), step k starts
+    from row k (the steps are independent, as in the transcription's
+    defects).  With one start state, p_com (3,), momentum (6,) and
+    p_contacts (n_c, 3), the steps are chained into a rollout: step k
+    starts where step k - 1 ended.
     Returns the states after the steps, (p_com (K, 3), momentum (K, 6),
     p_contacts (K, n_c, 3)).  Active contact positions are carried over
     bit-exactly.
 
+    The momentum rate is the gated corner forces and their torques
+    (cross_rows, the float operations of np.cross), each corner's added to
+    the rates in an explicit loop over the corners, so the summation order
+    is identical for any K: K knots equal K one-knot calls bit for bit.
     The rollout takes prefix sums in place of K calls.  Linear momentum, CoM
     and contact positions do not depend on the angular momentum, so each is
     one accumulate; one batched rate evaluation at those states gives every
@@ -274,7 +244,7 @@ def integrate_step(
     """S explicit Euler steps of length dt, one per row of `wrenches`.
 
     p_contacts (n_c, 3), forces (V, 3), gamma (n_c,), corner_arms (V, 3),
-    corner_contact (V,) as in momentum_rate_batch, and wrenches (S, 6) of
+    corner_contact (V,) as in euler_step_batch, and wrenches (S, 6) of
     stacked (force, torque about the CoM); forces of another corner count
     than corner_contact raise ValueError.  The contacts (positions,
     gates, forces) are held over all steps and do not slide.  The steps are

@@ -356,8 +356,11 @@ def solve_qp(
     """Solve the interval-constrained QP; see module docstring.
 
     The status is solved, max_iterations (returning the best point seen),
-    primal_infeasible, dual_infeasible (unbounded objective) or non_convex
-    (P not positive definite on the null space of an active set).  With a
+    primal_infeasible, dual_infeasible (unbounded objective), non_convex
+    (P not positive definite on the null space of an active set) or
+    numerical_failure: P, q or A holds a non-finite value or a bound is NaN
+    (x and y are then zero, after no iteration), or the solution of an
+    active set is not finite (returning the best point seen).  With a
     `workspace`, P and A are value vectors in the order of the stored
     entries of its patterns (QpWorkspace.P.data, .A.data), and the solve
     takes its variable ordering and equilibration; values of another size
@@ -376,17 +379,27 @@ def solve_qp(
         A, lower, upper = sp.csr_matrix((0, q.size)), np.zeros(0), np.zeros(0)
     lower = np.asarray(lower, dtype=float).reshape(-1)
     upper = np.asarray(upper, dtype=float).reshape(-1)
-    if workspace is None:
-        workspace = QpWorkspace(P, A, q=q, free=~(np.isfinite(lower) | np.isfinite(upper)))
-        P, A = workspace.P.data, workspace.A.data
     ws = workspace
+    if ws is None:
+        P, A = sp.csc_matrix(P, dtype=float), sp.csr_matrix(A, dtype=float)
+        data = P.data, A.data
+    else:
+        data = P, A = np.asarray(P, dtype=float), np.asarray(A, dtype=float)
+        n = ws.shape[1]
+        if P.shape != ws.P.data.shape or A.shape != ws.A.data.shape or q.size != n:
+            raise ValueError(
+                f"P, A and q hold {P.size}, {A.size} and {q.size} values; the workspace's"
+                f" patterns store {ws.P.nnz} and {ws.A.nnz} over {n} variables"
+            )
+    # Checked before any scaling: NaN data would pass the KKT test below,
+    # since Python's max(0.0, nan) is 0.0.
+    finite = all(np.isfinite(v).all() for v in (*data, q))
+    if not finite or np.isnan(lower).any() or np.isnan(upper).any():
+        return QpResult(np.zeros(q.size), np.zeros(lower.size), "numerical_failure", 0)
+    if ws is None:
+        ws = QpWorkspace(P, A, q=q, free=~(np.isfinite(lower) | np.isfinite(upper)))
+        P, A = ws.P.data, ws.A.data
     m, n = ws.shape
-    P, A = np.asarray(P, dtype=float), np.asarray(A, dtype=float)
-    if P.shape != ws.P.data.shape or A.shape != ws.A.data.shape or q.size != n:
-        raise ValueError(
-            f"P, A and q hold {P.size}, {A.size} and {q.size} values; the workspace's"
-            f" patterns store {ws.P.nnz} and {ws.A.nnz} over {n} variables"
-        )
     if lower.size != m or upper.size != m:
         raise ValueError("constraint bounds do not match the number of rows")
     if np.any(lower > upper):
@@ -427,6 +440,7 @@ def solve_qp(
             status = "non_convex"
             break
         if found is None:
+            status = "numerical_failure"
             break
         x_new, y_new, ax, gradient, stationarity, correction = found
         sign_tol = 1e-10 * max(1.0, float(np.max(np.abs(y_new), initial=0.0)))
@@ -511,11 +525,12 @@ def _polish_point(ws: QpWorkspace, x_est, y_est, low, upp):
     component of y_est that the active rows leave undetermined.  It stops
     once the active set's KKT residual, in original units as in solve_qp's
     test, is at most min(_POLISH_FORCING * r0, _EPS_ACTIVATE) with r0 the
-    residual at (x_est, y_est), or once a pass stalls (see the constants).
+    residual at (x_est, y_est), once a pass stalls (see the constants), or
+    after _POLISH_REFINE_STEPS passes.
 
     correction() returns the scaled refinement step (dx, dy) that would
-    follow (x, y), computed only when called; after _POLISH_REFINE_STEPS
-    passes it is the last step taken.  Where the active rows are
+    follow (x, y), computed only when called, whichever test ended the
+    refinement.  Where the active rows are
     inconsistent the refinement stalls with the multipliers running off
     along dy, a Farkas direction of those rows; where the objective is
     unbounded on them, x runs off along dx.
@@ -544,7 +559,7 @@ def _polish_point(ws: QpWorkspace, x_est, y_est, low, upp):
     # residuals, so rounding in the steps shrinks with the steps.
     residual = np.inf
     stop = None
-    for _ in range(_POLISH_REFINE_STEPS):
+    for passes in range(_POLISH_REFINE_STEPS + 1):
         ax, gradient, r_dua = products(xh, yh)
         r_pri = np.where(active, ax - targets, 0.0)
         last, residual = residual, max(
@@ -556,18 +571,11 @@ def _polish_point(ws: QpWorkspace, x_est, y_est, low, upp):
         )
         if stop is None:
             stop = min(_POLISH_FORCING * error, _EPS_ACTIVATE)
-        if error <= stop or residual > 0.9 * last:
-            correction = functools.partial(step, r_pri, r_dua)
+        if error <= stop or residual > 0.9 * last or passes == _POLISH_REFINE_STEPS:
             break
         dx, dy = step(r_pri, r_dua)
         xh = xh + dx
         yh = yh + dy
-    else:
-        # The pass cap ended the refinement after a step: evaluate at its end.
-        def correction(taken=(dx, dy)):
-            return taken
-
-        ax, gradient, r_dua = products(xh, yh)
     if not (np.all(np.isfinite(xh)) and np.all(np.isfinite(yh))):
         return None
-    return xh, yh, ax, gradient, r_dua, correction
+    return xh, yh, ax, gradient, r_dua, functools.partial(step, r_pri, r_dua)

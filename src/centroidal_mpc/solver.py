@@ -73,8 +73,10 @@ class Solution:
     - infeasible: a subproblem was primal_infeasible, and elastic mode
       found no step or found one along which the merit function did not
       fall;
-    - numerical_failure: non-finite values, or a subproblem that is unbounded
-      or non-convex under the Gauss-Newton Hessian too.
+    - numerical_failure: non-finite values, a subproblem that is unbounded
+      or non-convex under the Gauss-Newton Hessian too, or a subproblem
+      that the QP ends numerical_failure (non-finite data, or a solution
+      that is not finite).
 
     Any status other than converged returns the best iterate seen.
     """
@@ -322,7 +324,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
                 status = "infeasible"
                 break
             d, y_new = elastic
-        elif qp_res.status in ("dual_infeasible", "non_convex"):
+        elif qp_res.status in ("dual_infeasible", "non_convex", "numerical_failure"):
             status = "numerical_failure"
             break
         else:

@@ -426,15 +426,11 @@ class _HorizonStructure:
             sp.vstack([self.eq_jac_pattern, self.ineq_matrix], format="csr"),
             layout.stage_order(),
         )
-        matrices = (self.eq_jac_pattern, self.hess_pattern, self.ineq_matrix)
-        for array in (
-            *(a for m in matrices for a in (m.data, m.indices, m.indptr)),
-            self.bilinear_rows, self.bilinear_arms, self.bilinear_forces,
-            self.bilinear_signs, self.bilinear_gates, self.bilinear_offsets,
-            self.linear_sources, self.eq_slots, self.curvature_slots,
-            self.shift_rows,
-        ):
-            array.flags.writeable = False
+        for value in vars(self).values():
+            arrays = (value.data, value.indices, value.indptr) if sp.issparse(value) else (value,)
+            for array in arrays:
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
 
     def _add_bilinear_table(self, layout: DecisionLayout, plan: ContactPlan):
         """The table of the angular-momentum defects' bilinear terms, one per entry.

@@ -225,6 +225,22 @@ class TestMetricsCommand:
         assert_one_error_line(capsys.readouterr().err)
 
 
+class TestPackage:
+    def test_unknown_bundled_scenario_lists_the_available_ones(self):
+        with pytest.raises(KeyError, match=r"no bundled scenario 'hop'; available: "
+                                           r"\['one_leg_jump', 'two_leg_walk_run'\]"):
+            bundled_scenario("hop")
+
+    @pytest.mark.parametrize("level, warned", [("loud", True), ("INFO", False)])
+    def test_unknown_log_level_warns_and_uses_error(self, tmp_path, capsys, monkeypatch,
+                                                    level, warned):
+        monkeypatch.setenv("CENTROIDAL_MPC_LOG", level)
+        assert main(["metrics", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        warning = f"warning: unknown CENTROIDAL_MPC_LOG level {level.lower()!r}; using error"
+        assert (warning in err) == warned
+
+
 class TestCheckDerivatives:
     def test_reports_small_error(self, scenario_file, capsys):
         code = main(["check-derivatives", str(scenario_file), "--points", "2"])

@@ -61,6 +61,16 @@ def push(fx):
     return np.array([fx, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
+class TestMpcOptions:
+    @pytest.mark.parametrize("options, message", [
+        (dict(horizon_knots=1), "at least 2 knots"), (dict(period=0.0), "period"),
+        (dict(period=-0.1), "period"), (dict(period=float("nan")), "period"),
+    ])
+    def test_invalid_options_rejected(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            MpcOptions(**options)
+
+
 class TestShiftWarmStart:
     def test_constant_trajectory_identity(self):
         layout = layout_of(standing_plan())

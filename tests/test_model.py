@@ -5,9 +5,9 @@ from centroidal_mpc.model import (
     CentroidalState,
     ContactGeometry,
     PhysicalParams,
+    check_rotation,
     euler_step_batch,
     integrate_step,
-    momentum_rate_batch,
 )
 
 POINT = ContactGeometry.point()
@@ -17,12 +17,15 @@ POINT_ARMS, POINT_CONTACT = np.zeros((1, 3)), np.zeros(1, dtype=int)
 
 
 def rate(state, params, position, force, active=True, wrench=NO_WRENCH):
-    """Momentum rate of one point contact at the identity orientation, one knot."""
-    return momentum_rate_batch(
-        state.p_com[None], np.asarray(position, float).reshape(1, 1, 3),
-        np.asarray(force, float).reshape(1, 1, 3), np.array([[float(active)]]),
-        POINT_ARMS, POINT_CONTACT, params.mass, params.gravity, wrench,
-    )[0]
+    """Momentum rate of one point contact, one knot: the momentum after one
+    euler_step_batch step of dt = 1 from zero momentum."""
+    _, momentum, _ = euler_step_batch(
+        state.p_com[None], np.zeros((1, 6)), np.asarray(position, float).reshape(1, 1, 3),
+        np.asarray(force, float).reshape(1, 1, 3), np.zeros((1, 1, 3)),
+        np.array([[float(active)]]), POINT_ARMS, POINT_CONTACT,
+        params.mass, params.gravity, wrench, 1.0,
+    )
+    return momentum[0]
 
 
 def plant_step(state, params, position, force, active=True, dt=0.1, steps=1):
@@ -222,10 +225,11 @@ class TestIntegrateStep:
         rectangle = ContactGeometry.rectangle(0.2, 0.1).offsets_matrix()
         for n_forces, arms in ((1, rectangle), (4, rectangle[:1])):
             with pytest.raises(ValueError, match="corner"):
-                momentum_rate_batch(
-                    np.zeros((1, 3)), np.zeros((1, 1, 3)), np.ones((1, n_forces, 3)),
-                    np.ones((1, 1)), arms, np.zeros(len(arms), dtype=int), params.mass,
-                    params.gravity, NO_WRENCH,
+                euler_step_batch(
+                    np.zeros((1, 3)), np.zeros((1, 6)), np.zeros((1, 1, 3)),
+                    np.ones((1, n_forces, 3)), np.zeros((1, 1, 3)), np.ones((1, 1)), arms,
+                    np.zeros(len(arms), dtype=int), params.mass, params.gravity, NO_WRENCH,
+                    0.1,
                 )
 
 
@@ -235,6 +239,18 @@ class TestTypes:
             PhysicalParams(mass=-1.0)
         with pytest.raises(ValueError, match="gravity"):
             PhysicalParams(mass=1.0, gravity=[0, 0, 0])
+
+    @pytest.mark.parametrize("value", [[0.0, 0.0], np.zeros(4), np.zeros((2, 3))])
+    def test_vector_of_another_size_rejected(self, value):
+        with pytest.raises(ValueError, match="p_com must have 3 components"):
+            CentroidalState(value, [0, 0, 0], [0, 0, 0])
+        with pytest.raises(ValueError, match="gravity must have 3 components"):
+            PhysicalParams(mass=1.0, gravity=value)
+
+    @pytest.mark.parametrize("matrix", [np.eye(2), np.eye(4), np.ones(9)])
+    def test_rotation_of_another_shape_rejected(self, matrix):
+        with pytest.raises(ValueError, match="must be 3x3"):
+            check_rotation(matrix)
 
     def test_state_requires_finite(self):
         with pytest.raises(ValueError):

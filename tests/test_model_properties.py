@@ -1,8 +1,9 @@
-"""Property tests of the momentum-rate kernel (derandomized, small example counts).
+"""Property tests of the Euler step kernel (derandomized, small example counts).
 
-The kernel must agree bit for bit with the per-corner np.cross form it
-replaced, and a K-knot call must agree bit for bit with K one-knot calls: the
-transcription's defects evaluate all knots at once.  The rollout that the
+A step per knot of euler_step_batch must agree bit for bit with h + dt
+times the momentum rate in the per-corner np.cross form that the batched
+kernel replaced, and a K-knot call must agree bit for bit with K one-knot
+calls: the transcription's defects evaluate all knots at once.  The rollout that the
 controller's prediction and the plant make (euler_step_batch from one start
 state, and integrate_step over the wrenches of several substeps) must agree
 bit for bit with the same steps chained one call at a time.
@@ -20,7 +21,6 @@ from centroidal_mpc.model import (
     cross_rows,
     euler_step_batch,
     integrate_step,
-    momentum_rate_batch,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -39,7 +39,7 @@ def bits(a: np.ndarray) -> np.ndarray:
 def per_corner_oracle(
     p_com, p_contacts, forces, gamma, corner_arms, corner_contact, mass, gravity, wrench
 ):
-    """The momentum-rate kernel as it was written before: one np.cross per corner."""
+    """The momentum rate as it was written before the batched kernel: one np.cross per corner."""
     k = p_com.shape[0]
     rate_lin = np.broadcast_to(mass * gravity, (k, 3)) + wrench[:, 0:3]
     rate_lin = np.ascontiguousarray(rate_lin)
@@ -66,9 +66,16 @@ def vector_pairs(draw):
     )
 
 
+RATE_ARGS = ("p_com", "p_contacts", "forces", "gamma", "corner_arms", "corner_contact",
+             "mass", "gravity", "wrench")
+
+
 @st.composite
 def kernel_inputs(draw):
-    """Arguments of momentum_rate_batch: 1-4 knots, 1-3 contacts of 1 or 4 corners."""
+    """Arguments of one euler_step_batch step per knot: 1-4 knots, 1-3
+    contacts of 1 or 4 corners.  The momentum is -0.0 and dt is 1, so the
+    stepped momentum is the rate itself, bit for bit: -0.0 + r is r for
+    every float r, signed zeros included."""
     k = draw(st.integers(1, 4))
     counts = draw(st.lists(st.sampled_from([1, 4]), min_size=1, max_size=3))
     n_c, n_v = len(counts), sum(counts)
@@ -78,14 +85,17 @@ def kernel_inputs(draw):
 
     return dict(
         p_com=values((k, 3)),
+        momentum=np.full((k, 6), -0.0),
         p_contacts=values((k, n_c, 3)),
         forces=values((k, n_v, 3)),
+        contact_velocities=values((k, n_c, 3)),
         gamma=draw(arrays(np.float64, (k, n_c), elements=st.sampled_from([0.0, 1.0]))),
         corner_arms=values((n_v, 3)),
         corner_contact=corner_contact_of(counts),
         mass=draw(st.floats(min_value=0.1, max_value=100.0)),
         gravity=values((3,)),
         wrench=values((k, 6)),
+        dt=1.0,
     )
 
 
@@ -107,23 +117,24 @@ class TestMomentumRateBatch:
     @given(kernel_inputs())
     def test_equals_per_corner_np_cross_oracle(self, args):
         with np.errstate(all="ignore"):
-            ours = momentum_rate_batch(**args)
-            reference = per_corner_oracle(**args)
+            _, ours, _ = euler_step_batch(**args)
+            rate = per_corner_oracle(**{name: args[name] for name in RATE_ARGS})
+            reference = args["momentum"] + args["dt"] * rate
         assert np.array_equal(bits(ours), bits(reference))
 
     @PROPERTY
     @given(kernel_inputs())
     def test_batch_equals_stacked_single_knot_calls(self, args):
-        per_knot = ("p_com", "p_contacts", "forces", "gamma", "wrench")
+        per_knot = ("p_com", "momentum", "p_contacts", "forces", "contact_velocities",
+                    "gamma", "wrench")
         with np.errstate(all="ignore"):
-            batched = momentum_rate_batch(**args)
+            batched = euler_step_batch(**args)
             single = [
-                momentum_rate_batch(
-                    **{**args, **{name: args[name][k : k + 1] for name in per_knot}}
-                )
+                euler_step_batch(**{**args, **{name: args[name][k : k + 1] for name in per_knot}})
                 for k in range(args["p_com"].shape[0])
             ]
-        assert np.array_equal(bits(batched), bits(np.concatenate(single)))
+        for ours, column in zip(batched, zip(*single)):
+            assert np.array_equal(bits(ours), bits(np.concatenate(column)))
 
 
 @st.composite
@@ -216,7 +227,7 @@ class TestRollout:
         inputs = {name: args[name] for name in args if name not in STATE}
         with np.errstate(all="ignore"):
             ours = euler_step_batch(p, h, pc, **inputs)
-            rate = momentum_rate_batch(
+            rate = per_corner_oracle(
                 p, pc, args["forces"], args["gamma"], args["corner_arms"],
                 args["corner_contact"], args["mass"], args["gravity"], args["wrench"],
             )
@@ -297,7 +308,7 @@ class TestIntegrateStep:
         wrench = args["wrenches"][:1]
         with np.errstate(all="ignore"):
             ours = integrate_step(**{**args, "wrenches": wrench})
-            rate = momentum_rate_batch(
+            rate = per_corner_oracle(
                 state.p_com[None], args["p_contacts"][None], args["forces"][None],
                 args["gamma"][None], args["corner_arms"], args["corner_contact"],
                 params.mass, params.gravity, wrench,

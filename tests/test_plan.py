@@ -123,6 +123,14 @@ class TestHorizonSchedule:
         assert aerial_rows.any()
         assert aerial_rows[3] and aerial_rows[5]
 
+    @pytest.mark.parametrize("n_knots, period, message", [
+        (3, 0.0, "period"), (3, -0.1, "period"), (3, float("nan"), "period"),
+        (0, 0.1, "n_knots"),
+    ])
+    def test_invalid_arguments_rejected(self, n_knots, period, message):
+        with pytest.raises(ValueError, match=message):
+            horizon_schedule(simple_plan([(0.0, 1.0)]), 0.0, n_knots, period)
+
     def test_matches_activation_pointwise(self):
         plan = simple_plan([(0.25, 1.05), (2.0, 2.5)])
         sched = horizon_schedule(plan, 0.1, 14, 0.2)
@@ -206,6 +214,12 @@ class TestQuinticSpline:
         assert np.array_equal(s.position(-5.0), s.position(0.0))
         assert np.array_equal(s.position(99.0), s.position(2.0))
 
+    def test_rejects_length_mismatch_and_no_knot(self):
+        with pytest.raises(ValueError, match="disagree in length"):
+            QuinticSpline([0.0, 1.0], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="at least one knot"):
+            QuinticSpline([], np.zeros((0, 3)))
+
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
             QuinticSpline([1.0, 0.5], np.zeros((2, 3)))
@@ -268,9 +282,11 @@ class TestNominalComTrajectory:
         plan = simple_plan([(1.0, 2.0)], duration=3.0)
         phases = support_phases(plan)
         assert phases[0][2] == [] and phases[-1][2] == []
-        # no grounded phase at all cannot happen via the plan type (windows
-        # non-empty), so exercise the error with a directly crafted subset
-        from centroidal_mpc.plan import QuinticSpline  # noqa: F401
+        # a contact without activation windows never grounds the plan
+        aerial = simple_plan([], duration=3.0)
+        assert [ids for _, _, ids in support_phases(aerial)] == [[]]
+        with pytest.raises(ValueError, match="no grounded phase"):
+            nominal_com_trajectory(aerial, PhysicalParams(mass=1.0))
 
     def test_phase_decomposition(self):
         plan = simple_plan([(0.0, 1.0), (1.5, 2.0)], duration=2.5)
@@ -291,6 +307,10 @@ class TestPlanValidation:
     def test_empty_window(self):
         with pytest.raises(ValueError, match="empty"):
             simple_plan([(1.0, 1.0)])
+
+    def test_no_contact(self):
+        with pytest.raises(ValueError, match="at least one contact"):
+            ContactPlan((), 2.0)
 
     def test_duplicate_ids(self):
         c = NominalContact("c", [0, 0, 0], np.eye(3), POINT, ((0.0, 1.0),))

@@ -467,6 +467,65 @@ class TestPolish:
         assert res.x[0] == pytest.approx(upper[0] / A[0, 0], abs=1e-9)
 
 
+    def test_pass_cap_leaves_the_next_step_as_correction(self, monkeypatch):
+        # The rows of test_nearly_dependent_equality_rows need many passes.
+        # Capped at one pass, the refinement returns the step the next pass
+        # takes: a cap of two lands where the first point plus it does.
+        A = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [1.0, 3e-4, 0.0]]))
+        b = np.array([1.0, 1.0003])
+        q = np.array([-1.0, 2.0, -3.0])
+        workspace = QpWorkspace(sp.eye(3, format="csc"), A, q=q)
+        workspace.load(workspace.P.data, workspace.A.data, q, b, b)
+        none = np.zeros(2, dtype=bool)
+        points = []
+        for cap in (1, 2):
+            monkeypatch.setattr(qp, "_POLISH_REFINE_STEPS", cap)
+            x, y, ax, _, _, correction = qp._polish_point(
+                workspace, np.zeros(3), np.zeros(2), none, none
+            )
+            # the products are those of the point returned
+            assert np.array_equal(ax, workspace.scaled_A @ x)
+            points.append((x, y, correction()))
+        (x1, y1, (dx, dy)), (x2, y2, _) = points
+        assert not np.array_equal(x1, x2)
+        assert np.array_equal(x2, x1 + dx) and np.array_equal(y2, y1 + dy)
+
+
+class TestNumericalFailure:
+    """Data or a refinement that is not finite ends the solve numerical_failure."""
+
+    @pytest.mark.parametrize("where, bad", [
+        *((where, bad) for where in ("P", "q", "A") for bad in (np.nan, np.inf, -np.inf)),
+        ("lower", np.nan), ("upper", np.nan),
+    ])
+    def test_non_finite_data(self, where, bad):
+        # Python's max(0.0, nan) is 0.0: unchecked, NaN data passed the KKT
+        # test and the QP was reported solved at x = 0.  Infinite bounds are
+        # no bounds, and stay allowed.
+        data = dict(P=np.eye(2), q=np.array([1.0, 0.0]), A=np.array([[1.0, 1.0]]),
+                    lower=np.array([-1.0]), upper=np.array([1.0]))
+        data[where] = data[where].copy()
+        data[where].flat[0] = bad
+        res = solve_qp(**data)
+        assert res.status == "numerical_failure" and res.iterations == 0
+        assert not res.polished
+        workspace = QpWorkspace(sp.csc_matrix(np.eye(2)), sp.csr_matrix([[1.0, 1.0]]))
+        values = dict(data, P=sp.csc_matrix(data["P"]).data, A=sp.csr_matrix(data["A"]).data)
+        res = solve_qp(**values, workspace=workspace)
+        assert res.status == "numerical_failure" and res.iterations == 0
+
+    def test_refinement_that_overflows(self):
+        # Unscaled, a gradient of 1e308 takes the second refinement to
+        # infinity; that exit kept the default status max_iterations.
+        P, A = sp.csc_matrix(np.eye(2)), sp.csr_matrix([[1.0, 1.0]])
+        workspace = QpWorkspace(P, A)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solve_qp(workspace.P.data, [1e308, 0.0], workspace.A.data, [-1.0], [1.0],
+                           workspace=workspace)
+        assert res.status == "numerical_failure"
+        assert res.iterations < qp.QpOptions().max_iterations
+
+
 class TestPyramidApex:
     """Friction-pyramid apex: four faces and the normal row (f_min = 0) meet
     at zero force, five active rows on three variables.  The reduced system
@@ -571,6 +630,14 @@ class TestOptions:
     def test_invalid_bounds_raise(self):
         with pytest.raises(ValueError):
             solve_qp(sp.eye(1, format="csc"), [0.0], sp.csc_matrix([[1.0]]), [2.0], [1.0])
+
+    def test_shapes_that_do_not_fit_raise(self):
+        A = sp.csr_matrix(np.ones((1, 2)))
+        with pytest.raises(ValueError, match="does not fit"):
+            QpWorkspace(sp.eye(3, format="csc"), A)
+        for lower, upper in (([0.0, 0.0], [1.0, 1.0]), ([0.0], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="bounds"):
+                solve_qp(sp.eye(2, format="csc"), np.zeros(2), A, lower, upper)
 
     def test_ordering_is_used_and_checked(self):
         P = sp.diags([1.0, 2.0, 3.0], format="csc")

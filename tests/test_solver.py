@@ -193,6 +193,35 @@ class TestRobustness:
         sol = solve(problem, np.ones(2))
         assert sol.status == "numerical_failure"
 
+    def test_nan_hessian_reports_numerical_failure(self):
+        # The QP refuses NaN data; before, it reported NaN data solved at a
+        # zero step, and the solve ran to max_iterations at its start point.
+        problem = quadratic_problem(np.eye(2), np.array([1.0, -2.0]))
+        problem.lagrangian_hess = lambda x, y_eq: np.array([np.nan, 1.0])
+        sol = solve(problem, np.ones(2))
+        assert sol.status == "numerical_failure"
+        assert sol.iterations == 0
+
+    def test_subproblem_that_overflows_reports_numerical_failure(self):
+        # The subproblem's refinement overflows on a gradient of 1e308,
+        # which the QP reports numerical_failure, not max_iterations.
+        problem = quadratic_problem(
+            np.eye(2), np.array([1e308, 0.0]),
+            ineq=(np.array([[1.0, 1.0]]), np.array([-1.0]), np.array([1.0])),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve(problem, np.zeros(2))
+        assert sol.status == "numerical_failure"
+        assert sol.iterations == 0
+
+    @pytest.mark.parametrize("options", [
+        dict(max_iterations=0), dict(kkt_tolerance=0.0), dict(constraint_tolerance=-1e-7),
+        dict(kkt_tolerance=float("nan")),
+    ])
+    def test_options_validation(self, options):
+        with pytest.raises(ValueError):
+            SolverOptions(**options)
+
     def test_converged_solution_meets_tolerances(self):
         problem = TestNonlinearEquality.bilinear_problem()
         opts = SolverOptions()
@@ -393,6 +422,32 @@ class TestRejectedStepExit:
             sol.kkt_residual <= opts.kkt_tolerance
             and sol.constraint_violation <= opts.constraint_tolerance
         )
+
+
+    def test_rejected_step_whose_multipliers_meet_the_kkt_test_converges(self):
+        # min x0 + 1e-8 x1 + |x1|  s.t.  x0 = 0, from its minimum (0, 0),
+        # with the subgradient (1, 1e-8) as the gradient.  The step
+        # (0, -1e-8) raises the merit at every backtrack, while its
+        # multiplier -1 leaves a KKT residual of 1e-8: the loop head's test
+        # fails with the zero start multipliers and passes with the new ones.
+        jac, hess = sp.csr_matrix(np.array([[1.0, 0.0]])), sp.csc_matrix(np.eye(2))
+        trials = []
+
+        def cost(x):
+            trials.append(x.copy())
+            return float(x[0] + 1e-8 * x[1] + abs(x[1]))
+
+        problem = NlpProblem(
+            dimension=2, cost=cost, cost_grad=lambda x: np.array([1.0, 1e-8]),
+            lagrangian_hess=lambda x, y_eq: hess.data, hess_pattern=hess,
+            eq=lambda x: x[:1].copy(), eq_jac=lambda x: jac.data, eq_jac_pattern=jac,
+        )
+        sol = solve(problem, np.zeros(2))
+        assert sol.status == "converged" and sol.iterations == 1
+        assert len(trials) == 1 + solver._MAX_BACKTRACKS
+        assert np.array_equal(sol.x, np.zeros(2))
+        np.testing.assert_allclose(sol.multipliers, [-1.0], atol=1e-12)
+        assert sol.kkt_residual <= SolverOptions().kkt_tolerance
 
 
 class TestCheckDerivatives:

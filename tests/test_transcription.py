@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from centroidal_mpc.transcription import (
     ContactBox,
     DecisionLayout,
     FrictionPyramid,
+    NlpProblem,
     Weights,
     build_nlp,
 )
@@ -225,6 +227,14 @@ class TestDecisionLayout:
             with pytest.raises(ValueError, match="read-only"):
                 block[0] = 0
 
+    @pytest.mark.parametrize("n_knots, counts, message", [
+        (0, [1], "at least one step"), (1, [], "at least one contact"),
+        (1, [4, 0], "corner counts"),
+    ])
+    def test_invalid_layout_rejected(self, n_knots, counts, message):
+        with pytest.raises(ValueError, match=message):
+            DecisionLayout(n_knots, counts)
+
     def test_views_round_trip(self):
         layout = DecisionLayout(2, [2])
         rng = np.random.RandomState(0)
@@ -376,6 +386,15 @@ class TestBuildNlp:
                 4, 0.1, params,
             )
 
+    def test_input_shapes_checked(self):
+        problem, plan, params, schedule, state, measured, profile = two_contact_problem()
+        args = (Weights(), FrictionPyramid(0.8, 0, 60.0), ContactBox.planar(0.15, 0.15), 4,
+                0.1, params)
+        with pytest.raises(ValueError, match="initial contact positions"):
+            build_nlp(plan, state, measured[:1], schedule, np.zeros((5, 3)), *args, profile)
+        with pytest.raises(ValueError, match="disturbance profile shape"):
+            build_nlp(plan, state, measured, schedule, np.zeros((5, 3)), *args, profile[:3])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_disturbance_profile_rejected(self, bad):
         problem, plan, params, schedule, state, measured, profile = two_contact_problem()
@@ -394,8 +413,40 @@ class TestWeights:
         w = Weights(force_reg=2.0)
         np.testing.assert_allclose(w.force_reg, [2, 2, 2])
 
+    @pytest.mark.parametrize("value", [[1.0, 2.0], np.ones(4), np.ones((2, 2))])
+    def test_diagonal_of_another_size_rejected(self, value):
+        with pytest.raises(ValueError, match="3 diagonal entries"):
+            Weights(force_rate=value)
+
     def test_positive_definite_required(self):
         with pytest.raises(ValueError):
             Weights(com_tracking=0.0)
         with pytest.raises(ValueError):
             Weights(ang_momentum=[1.0, -1.0, 1.0])
+
+
+class TestNlpProblem:
+    @staticmethod
+    def compressed(fmt, shape, indices):
+        """A CSR or CSC matrix of ones holding `indices` in its first row or column."""
+        n_major = shape[0] if fmt == "csr" else shape[1]
+        matrix = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
+        return matrix((np.ones(len(indices)), indices, [0] + [len(indices)] * n_major),
+                      shape=shape)
+
+    @pytest.mark.parametrize("field", ["hess_pattern", "eq_jac_pattern", "ineq_matrix"])
+    def test_pattern_not_canonical_rejected(self, field):
+        patterns = {"hess_pattern": sp.csc_matrix(np.eye(2)),
+                    "eq_jac_pattern": sp.csr_matrix(np.ones((1, 2))),
+                    "ineq_matrix": sp.csr_matrix(np.ones((1, 2)))}
+        fmt, shape = patterns[field].format, patterns[field].shape
+        # a repeated entry, unsorted indices, the other format
+        for bad in (self.compressed(fmt, shape, [1, 1]), self.compressed(fmt, shape, [1, 0]),
+                    patterns[field].asformat("csr" if fmt == "csc" else "csc")):
+            with pytest.raises(ValueError, match=f"{field} is not a {fmt.upper()} matrix"):
+                NlpProblem(
+                    dimension=2, cost=lambda x: 0.0, cost_grad=lambda x: np.zeros(2),
+                    lagrangian_hess=lambda x, y: np.zeros(2),
+                    eq=lambda x: np.zeros(1), eq_jac=lambda x: np.zeros(2),
+                    ineq_lower=np.zeros(1), ineq_upper=np.ones(1), **{**patterns, field: bad},
+                )
