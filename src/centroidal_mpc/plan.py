@@ -16,6 +16,10 @@ import numpy as np
 
 from .model import ContactGeometry, PhysicalParams, _as_vector, check_rotation
 
+# Positions a spline keeps for times sampled before; past this many it
+# starts over.
+_SAMPLE_MEMO = 4096
+
 
 @dataclass(frozen=True)
 class NominalContact:
@@ -60,6 +64,8 @@ class ContactPlan:
     numbered in contact order, as the columns of the corner forces:
     `corner_contact` (V,) holds each corner's contact and `corner_arms`
     (V, 3) its offset from the contact in the world frame, R c.
+    `box_anchors` (n_c, 3) holds each contact's nominal position in its own
+    frame, R^T p, the point about which a contact box bounds the contact.
     """
 
     contacts: tuple
@@ -69,6 +75,7 @@ class ContactPlan:
     corner_contact: np.ndarray = field(init=False, repr=False, compare=False)
     corner_arms: np.ndarray = field(init=False, repr=False, compare=False)
     nominal_positions: np.ndarray = field(init=False, repr=False, compare=False)
+    box_anchors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         contacts = tuple(self.contacts)
@@ -87,13 +94,15 @@ class ContactPlan:
         object.__setattr__(self, "contacts", contacts)
         counts = tuple(c.geometry.n_corners for c in contacts)
         orientations = np.array([c.orientation for c in contacts])
+        nominal_positions = np.array([c.nominal_position for c in contacts])
         derived = {
             "orientations": orientations,
             "corner_contact": np.repeat(np.arange(len(contacts)), counts),
             "corner_arms": np.concatenate(
                 [c.geometry.offsets_matrix() @ R.T for c, R in zip(contacts, orientations)]
             ),
-            "nominal_positions": np.array([c.nominal_position for c in contacts]),
+            "nominal_positions": nominal_positions,
+            "box_anchors": np.array([R.T @ p for R, p in zip(orientations, nominal_positions)]),
         }
         for name, arr in derived.items():
             arr.flags.writeable = False
@@ -160,6 +169,7 @@ class QuinticSpline:
         self.knot_points = points
         self.dim = points.shape[1]
         self._coeffs = self._solve_coefficients(times, points)
+        self._samples: dict = {}
 
     @staticmethod
     def _solve_coefficients(times: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -224,13 +234,10 @@ class QuinticSpline:
         tau = np.where(times <= knots[0], 0.0, times - knots[seg])
         tau = np.where(times >= knots[-1], knots[-1] - knots[-2], tau).tolist()
         powers = np.array([[math.pow(x, e) for e in range(6 - order)] for x in tau])
-        coeffs = self._coeffs[seg]
-        for p in range(order, 6):
-            fact = 1.0
-            for q in range(order):
-                fact *= p - q
-            out += (fact * powers[:, p - order])[:, None] * coeffs[:, p]
-        return out
+        facts = [math.prod(range(p - order + 1, p + 1)) for p in range(order, 6)]
+        terms = (facts * powers.reshape(times.size, -1))[:, :, None] * self._coeffs[seg, order:]
+        # The terms of each row added one by one onto zeros, in power order.
+        return np.add.accumulate(np.concatenate([out[:, None], terms], axis=1), axis=1)[:, -1]
 
     def position(self, t: float) -> np.ndarray:
         return self._evaluate(t, 0)[0]
@@ -242,8 +249,24 @@ class QuinticSpline:
         return self._evaluate(t, 2)[0]
 
     def sample(self, times) -> np.ndarray:
-        """Positions at `times`, one row each, equal to position(t) bit for bit."""
-        return self._evaluate(times, 0)
+        """Positions at `times`, one row each, equal to position(t) bit for bit.
+
+        Each position is kept, keyed on the bits of its time, and a time
+        sampled before is not evaluated again: on the receding horizon's
+        grid most times of one control instant were sampled at an earlier
+        one.  A time outside the knot span is keyed as the end of the span
+        it lies beyond, whose position it equals bit for bit.
+        """
+        times = np.asarray(times, dtype=float).reshape(-1)
+        span = self.knot_times[[0, -1]]
+        keys = np.clip(times, *span).view(np.int64).tolist()
+        memo = self._samples
+        if len(memo) > _SAMPLE_MEMO:
+            memo.clear()
+        new = [i for i, key in enumerate(keys) if key not in memo]
+        if new:
+            memo.update(zip([keys[i] for i in new], self._evaluate(times[new], 0)))
+        return np.array([memo[key] for key in keys]).reshape(-1, self.dim)
 
 
 def support_phases(plan: ContactPlan) -> list[tuple[float, float, list[str]]]:

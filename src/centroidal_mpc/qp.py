@@ -11,13 +11,25 @@ multipliers.  Equality rows are expressed as lower == upper.
 Everything that depends only on the sparsity patterns of P and A is set up
 once, in a QpWorkspace: the patterns of P and A, the band slot of every
 entry of the condensed system, one Ruiz equilibration, and the buffers of
-one QP (its scaled data and band arrays).  The QPs on those patterns then
-bring values only, as in the setup/update split of OSQP.  A solve loads
-its QP into the buffers instead of allocating (QpWorkspace.load), and its
-helpers take the workspace: there is no per-QP object.  So the pattern
-arrays are read-only, a workspace holds one QP at a time, and a factor's
-solve is valid until the next factorization on the same workspace.
-solve_qp sets up a one-off workspace when it is given none.
+one QP (its scaled data, the stacked operator [P; A] and band arrays).
+The QPs on those patterns then bring values only, as in the setup/update
+split of OSQP.  A solve loads its QP into the buffers instead of
+allocating (QpWorkspace.load), and its helpers take the workspace: there
+is no per-QP object.  So the pattern arrays are read-only, a workspace
+holds one QP at a time, and a factor's solve is valid until the next
+factorization on the same workspace.  solve_qp sets up a one-off workspace
+when it is given none.
+
+A refinement pass evaluates the KKT residual of the active set with two
+sparse products, [P; A] x and A' y (only A' y at x = 0, where the others
+are known bit for bit), and keeps it as one vector [r_dua; r_pri] with one
+divide by the units [c d; e] into original units.  The refinement's
+products call the compiled kernels of scipy's `@` directly (_product).  The KKT test of each
+iteration reads what the last pass computed: the gaps of the active rows
+are r_pri, the primal and dual parts of the error decide whether the set
+is inconsistent or unbounded, and the dual part is the stationarity of
+the test unless the test clips a multiplier to its sign, which then takes
+a product of its own.
 
 P may be indefinite, but on the null space of every active set the
 iteration visits, P + reg I must be positive definite.  With rho large that
@@ -35,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
 _DIV_GUARD = 1e-30
 _EPS_ABS = 1e-6
@@ -81,6 +94,21 @@ class QpResult:
     @property
     def solved(self) -> bool:
         return self.status == "solved"
+
+
+def _product(matrix, x: np.ndarray) -> np.ndarray:
+    """matrix @ x, for a CSR or CSC matrix of floats and a float vector x.
+
+    Runs the compiled kernel that scipy's `@` runs, into zeros as `@` does,
+    so every bit is the same.  On the refinement's sizes the Python dispatch
+    of `@` around that kernel takes about as long as the kernel itself.
+    Nothing checks the shapes: x must have one entry per column, as the
+    workspace's arrays do.
+    """
+    out = np.zeros(matrix.shape[0])
+    matvec = _sparsetools.csr_matvec if matrix.format == "csr" else _sparsetools.csc_matvec
+    matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, x, out)
+    return out
 
 
 def _column_max(abs_data: np.ndarray, indices: np.ndarray, size: int) -> np.ndarray:
@@ -148,12 +176,19 @@ class QpWorkspace:
     equilibrated: `scaled_P` = c D P D, `scaled_q` = c D q and `scaled_A` =
     E A D on the patterns' index arrays (`scaled_AT` the CSC view of
     scaled_A, made once on its arrays), the bounds `scaled_lower` = E l and
-    `scaled_upper` = E u, and the equality rows `eq`.  `condensed(rows)`
-    writes the band of the condensed system P + reg I + rho A_act' A_act of
-    any active set into the `band` array, which dpbtrf overwrites with its
-    factor.  Under the horizon's stage order (DecisionLayout.stage_order)
-    these are narrow band matrices: bandwidth 18 for the 552 variables of
-    the one-leg horizon, 45 for the 1365 of the two-leg one.  The equality
+    `scaled_upper` = E u, and the equality rows `eq`.  `stacked` is the CSR
+    operator [scaled_P; scaled_A] of a refinement pass: its P block holds
+    P's rows, gathered from scaled_P through the fixed map `p_rows_order`,
+    so each row sums its products in the order scaled_P @ x does and both
+    blocks equal the separate products bit for bit; its A block is the one
+    copy of scaled_A's values, which scaled_A and scaled_AT store theirs
+    in.  `units` = [c d; e] turns the scaled residual [r_dua; r_pri] into
+    original units.  `condensed(rows)` writes the band of the condensed
+    system P + reg I + rho A_act' A_act of any active set into the `band`
+    array, which dpbtrf overwrites with its factor.  Under the horizon's
+    stage order (DecisionLayout.stage_order) these are narrow band
+    matrices: bandwidth 18 for the 552 variables of the one-leg horizon, 45
+    for the 1365 of the two-leg one.  The equality
     rows are active in every set, so their share, with P and reg I, is
     summed once per QP (`base`, an (n, w + 1) array in C order that is
     LAPACK's band transposed); the band of an active set adds to it only the
@@ -177,12 +212,30 @@ class QpWorkspace:
         self.d, self.e, self.c = _ruiz_scale(self, P.data, A.data, q, free)
         self.p_scale = self.c * self.d[self.p_row] * self.d[self.p_col]
         self.a_scale = self.e[self.a_row] * self.d[self.a_col]
-        for value in (*vars(self).values(), P.data, P.indptr, A.data, A.indptr):
+        self.units = np.concatenate([self.c * self.d, self.e])
+        # P's entries in row order, as P.tocsr() stores them: a row of the
+        # stacked operator adds its products column by column, from +0.0, as
+        # the CSC product scaled_P @ x adds them into that row.
+        self.p_rows_order = np.lexsort((self.p_col, self.p_row))
+        stacked_indptr = np.concatenate([
+            np.searchsorted(self.p_row[self.p_rows_order], np.arange(n + 1)),
+            P.nnz + A.indptr[1:],
+        ])
+        stacked_indices = np.concatenate([self.p_col[self.p_rows_order], A.indices])
+        for value in (*vars(self).values(), P.data, P.indptr, A.data, A.indptr,
+                      stacked_indices, stacked_indptr):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
         self.scaled_P = sp.csc_matrix((np.empty(P.nnz), P.indices, P.indptr), shape=(n, n))
+        self.stacked = sp.csr_matrix(
+            (np.empty(P.nnz + A.nnz), stacked_indices, stacked_indptr), shape=(n + m, n)
+        )
+        # scaled_A and its CSC view scaled_AT store their values in the
+        # stacked operator's A block.  Their constructors would copy a view
+        # shorter than half its base, so the view is bound afterwards.
         self.scaled_A = sp.csr_matrix((np.empty(A.nnz), A.indices, A.indptr), shape=(m, n))
         self.scaled_AT = self.scaled_A.T
+        self.scaled_A.data = self.scaled_AT.data = self.stacked.data[P.nnz :]
         self.scaled_q = np.empty(n)
         self.scaled_lower, self.scaled_upper = np.empty(m), np.empty(m)
         self.eq = np.empty(m, dtype=bool)
@@ -231,9 +284,10 @@ class QpWorkspace:
 
     def load(self, p_values, a_values, q, lower, upper):
         """Equilibrate one QP into the buffers, with the base of its condensed systems."""
-        np.multiply(p_values, self.p_scale, out=self.scaled_P.data)
+        p_data = np.multiply(p_values, self.p_scale, out=self.scaled_P.data)
         a_data = np.multiply(a_values, self.a_scale, out=self.scaled_A.data)
-        np.multiply(self.c * self.d, q, out=self.scaled_q)
+        np.take(p_data, self.p_rows_order, out=self.stacked.data[: p_data.size], mode="clip")
+        np.multiply(self.units[: self.shape[1]], q, out=self.scaled_q)
         np.multiply(self.e, lower, out=self.scaled_lower)
         np.multiply(self.e, upper, out=self.scaled_upper)
         eq = np.equal(lower, upper, out=self.eq)
@@ -245,7 +299,7 @@ class QpWorkspace:
         # The indices are in range; np.take's default mode would copy `out`
         # to guard against indices that are not.
         weights, n_p = self.weights, self.p_entries.size
-        np.take(self.scaled_P.data, self.p_entries, out=weights[:n_p], mode="clip")
+        np.take(p_data, self.p_entries, out=weights[:n_p], mode="clip")
         np.take(a_eq, self.pair_left, out=weights[n_p:], mode="clip")
         weights[n_p:] *= np.take(a_eq, self.pair_right, out=self.right_values, mode="clip")
         # An in-order scatter-add onto zeros sums each slot's weights in the
@@ -366,8 +420,11 @@ def solve_qp(
     takes its variable ordering and equilibration; values of another size
     raise ValueError.  Without one, P and A are matrices (A None for a QP
     without rows): solve_qp sets up a workspace for this QP alone,
-    equilibrated on its P, q and A, and solves on its values.  A `y0` of
-    other than m entries raises ValueError.  The first active set is the
+    equilibrated on its P, q and A, and solves on its values; a q that
+    does not have one entry per column of P raises the same ValueError
+    before the workspace is set up.  Each iteration's KKT test reuses the
+    residuals of the refinement's last pass (see the module docstring).  A
+    `y0` of other than m entries raises ValueError.  The first active set is the
     sign pattern of `y0` (no inequality row without it), so a warm start
     that carries the right active set costs one iteration.  A row whose
     bounds are both infinite never becomes active and changes neither the
@@ -383,6 +440,11 @@ def solve_qp(
     if ws is None:
         P, A = sp.csc_matrix(P, dtype=float), sp.csr_matrix(A, dtype=float)
         data = P.data, A.data
+        if q.size != P.shape[1]:
+            raise ValueError(
+                f"P, A and q hold {P.nnz}, {A.nnz} and {q.size} values; P has"
+                f" {P.shape[1]} columns"
+            )
     else:
         data = P, A = np.asarray(P, dtype=float), np.asarray(A, dtype=float)
         n = ws.shape[1]
@@ -442,30 +504,36 @@ def solve_qp(
         if found is None:
             status = "numerical_failure"
             break
-        x_new, y_new, ax, gradient, stationarity, correction = found
-        sign_tol = 1e-10 * max(1.0, float(np.max(np.abs(y_new), initial=0.0)))
+        x_new, y_new, ax, gradient, (gap, primal_error, dual_error), correction = found
+        sign_tol = 1e-10 * max(1.0, float(np.abs(y_new).max(initial=0.0)))
         wrong = (upp & (y_new < -sign_tol)) | (low & (y_new > sign_tol))
         # Active rows the solution cannot meet are inconsistent; the stalled
-        # refinement moves their multipliers along the gaps.  Release the
-        # row whose multiplier that move takes to zero first.
-        gap = np.where(low, ax - ls, np.where(upp | eq, ax - us, 0.0))
-        inconsistent = float(np.max(np.abs(gap) / e, initial=0.0)) > _EPS_ABS
-        inward = (low & (gap > 0.0)) | (upp & (gap < 0.0))
-        if inconsistent and np.any(inward):
-            reach = np.abs(y_new) / np.where(inward, np.abs(gap), 1.0)
-            wrong[np.flatnonzero(inward)[np.argmin(reach[inward])]] = True
+        # refinement moves their multipliers along the gaps (its primal
+        # residual: A x minus the bound of every active row, zero elsewhere).
+        # Release the row whose multiplier that move takes to zero first.
+        inconsistent = primal_error > _EPS_ABS
+        if inconsistent:
+            inward = (low & (gap > 0.0)) | (upp & (gap < 0.0))
+            if inward.any():
+                reach = np.abs(y_new) / np.where(inward, np.abs(gap), 1.0)
+                wrong[np.flatnonzero(inward)[np.argmin(reach[inward])]] = True
         inactive = ~(eq | low | upp)
-        under = inactive & ((ls - ax) / e > _EPS_ACTIVATE)
-        over = inactive & ((ax - us) / e > _EPS_ACTIVATE)
+        below, above = ls - ax, ax - us
+        under = inactive & (below / e > _EPS_ACTIVATE)
+        over = inactive & (above / e > _EPS_ACTIVATE)
 
         # The KKT test in original units: bound violation of every row,
         # distance of every active row from its bound, and stationarity with
-        # the multipliers clipped to their signs.
+        # the multipliers clipped to their signs.  Unclipped, stationarity is
+        # the refinement's dual error.
         signed = np.where(upp, np.maximum(y_new, 0.0), np.where(low, np.minimum(y_new, 0.0), y_new))
-        off = np.maximum(np.maximum(ls - ax, ax - us), np.abs(gap))
-        pri = float(np.max(off / e, initial=0.0))
-        dua = float(np.max(np.abs(gradient + ws.scaled_AT @ signed) / (c * d)))
-        done = max(pri, dua) <= _EPS_ABS and not np.any(wrong | under | over)
+        off = np.maximum(np.maximum(below, above), np.abs(gap))
+        pri = float((off / e).max(initial=0.0))
+        if np.array_equal(signed, y_new):
+            dua = dual_error
+        else:
+            dua = float((np.abs(gradient + _product(ws.scaled_AT, signed)) / (c * d)).max())
+        done = max(pri, dua) <= _EPS_ABS and not (wrong | under | over).any()
         if done or max(pri, dua) < best[0]:
             best = (max(pri, dua), x_new, signed)
         if done:
@@ -473,8 +541,7 @@ def solve_qp(
             break
         # Certificates are read only off an active set the refinement could
         # not solve, since the step after a solved one is rounding noise.
-        stationary = np.abs(stationarity) / (c * d)
-        unbounded = float(np.max(stationary, initial=0.0)) > _EPS_ABS
+        unbounded = dual_error > _EPS_ABS
         certified = (inconsistent or unbounded) and _certificate(
             ws, lower, upper, *correction()
         )
@@ -492,16 +559,16 @@ def solve_qp(
                 low, upp = new_low, new_upp
                 x, y = x_new, np.where(eq | low | upp, y_new, 0.0)
                 continue
-        if np.any(wrong):
+        if wrong.any():
             right = np.where(upp, (y > 0.0) & (y_new < 0.0), (y < 0.0) & (y_new > 0.0))
             ratio = np.where(wrong & right, y / np.where(right, y - y_new, 1.0), 0.0)
             row = int(np.flatnonzero(wrong)[np.argmin(ratio[wrong])])
             x, y = x + ratio[row] * (x_new - x), y + ratio[row] * (y_new - y)
             y[row] = 0.0
             low[row] = upp[row] = False
-        elif np.any(under | over):
+        elif (under | over).any():
             x, y = x_new, y_new
-            row = int(np.argmax(np.where(under, ls - ax, np.where(over, ax - us, -np.inf))))
+            row = int(np.argmax(np.where(under, below, np.where(over, above, -np.inf))))
             low[row], upp[row] = bool(under[row]), bool(over[row])
         else:
             break
@@ -515,7 +582,7 @@ def _polish_point(ws: QpWorkspace, x_est, y_est, low, upp):
 
     The equality rows and the inequality rows marked in `low` (held at their
     lower bound) and `upp` (at their upper bound) are active.  Works on the
-    scaled data and returns a scaled (x, y, A x, P x + q, P x + q + A' y,
+    scaled data and returns a scaled (x, y, A x, P x + q, residuals,
     correction), or None when the solution is not finite; _factor_kkt raises
     _NotPositiveDefinite when P is not positive definite on the null space
     of the active rows.  The equality-constrained QP is solved by iterative
@@ -528,6 +595,11 @@ def _polish_point(ws: QpWorkspace, x_est, y_est, low, upp):
     residual at (x_est, y_est), once a pass stalls (see the constants), or
     after _POLISH_REFINE_STEPS passes.
 
+    `residuals` are what the KKT test reads of the last pass: r_pri, the
+    gap of every active row from its bound (A x minus the bound, zero on
+    the other rows), and the largest primal and dual residuals in original
+    units, max |r_pri| / e and max |P x + q + A' y| / (c d).
+
     correction() returns the scaled refinement step (dx, dy) that would
     follow (x, y), computed only when called, whichever test ended the
     refinement.  Where the active rows are
@@ -536,39 +608,44 @@ def _polish_point(ws: QpWorkspace, x_est, y_est, low, upp):
     unbounded on them, x runs off along dx.
     """
     A, AT = ws.scaled_A, ws.scaled_AT
+    m, n = ws.shape
     active = ws.eq | low | upp
+    inactive = ~active
     targets = np.where(ws.eq | upp, ws.scaled_upper, np.where(low, ws.scaled_lower, 0.0))
     weight = np.where(active, _POLISH_RHO, 0.0)
     solve = _factor_kkt(ws, np.flatnonzero(low | upp))
 
-    def products(xh, yh):
-        """A x, P x + q and P x + q + A' y at (xh, yh)."""
-        ax = A @ xh
-        gradient = ws.scaled_P @ xh + ws.scaled_q
-        return ax, gradient, gradient + AT @ yh
-
     def step(r_pri, r_dua):
-        dx = solve(-(r_dua + AT @ (weight * r_pri)))
-        return dx, weight * (r_pri + A @ dx)
+        dx = solve(-(r_dua + _product(AT, weight * r_pri)))
+        return dx, weight * (r_pri + _product(A, dx))
 
     xh = x_est
     yh = np.where(active, y_est, 0.0)
-    dual_unit = ws.c * ws.d
     # Iterative refinement in correction form: each pass solves the
     # regularized system for a step (dx, dy) against the exact KKT
-    # residuals, so rounding in the steps shrinks with the steps.
+    # residuals, so rounding in the steps shrinks with the steps.  The
+    # residuals are one vector [r_dua; r_pri], in original units once
+    # divided by the workspace's units [c d; e].
+    r, scaled = np.empty(n + m), np.empty(n + m)
+    r_dua, r_pri = r[:n], r[n:]
     residual = np.inf
     stop = None
     for passes in range(_POLISH_REFINE_STEPS + 1):
-        ax, gradient, r_dua = products(xh, yh)
-        r_pri = np.where(active, ax - targets, 0.0)
-        last, residual = residual, max(
-            float(np.max(np.abs(r_pri), initial=0.0)), float(np.max(np.abs(r_dua)))
-        )
-        error = max(
-            float(np.max(np.abs(r_pri) / ws.e, initial=0.0)),
-            float(np.max(np.abs(r_dua) / dual_unit)),
-        )
+        if passes or x_est.any():
+            product = _product(ws.stacked, xh)
+            gradient, ax = product[:n], product[n:]
+            gradient += ws.scaled_q
+        else:
+            # At x = 0 (of either sign), A x is +0.0 and P x + q is q + 0.0,
+            # bit for bit, since every row sum of the products starts at +0.0.
+            gradient, ax = ws.scaled_q + 0.0, np.zeros(m)
+        np.add(gradient, _product(AT, yh), out=r_dua)
+        np.subtract(ax, targets, out=r_pri)
+        r_pri[inactive] = 0.0
+        np.abs(r, out=scaled)
+        last, residual = residual, float(scaled.max(initial=0.0))
+        scaled /= ws.units
+        error = float(scaled.max(initial=0.0))
         if stop is None:
             stop = min(_POLISH_FORCING * error, _EPS_ACTIVATE)
         if error <= stop or residual > 0.9 * last or passes == _POLISH_REFINE_STEPS:
@@ -576,6 +653,8 @@ def _polish_point(ws: QpWorkspace, x_est, y_est, low, upp):
         dx, dy = step(r_pri, r_dua)
         xh = xh + dx
         yh = yh + dy
-    if not (np.all(np.isfinite(xh)) and np.all(np.isfinite(yh))):
+    if not (np.isfinite(xh).all() and np.isfinite(yh).all()):
         return None
-    return xh, yh, ax, gradient, r_dua, functools.partial(step, r_pri, r_dua)
+    primal_error = float(scaled[n:].max(initial=0.0))
+    residuals = r_pri, primal_error, float(scaled[:n].max(initial=0.0))
+    return xh, yh, ax, gradient, residuals, functools.partial(step, r_pri, r_dua)

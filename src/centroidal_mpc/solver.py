@@ -9,7 +9,11 @@ active set, that it is positive definite on the constraints' null space.
 When that test fails the same iteration is solved again with the
 Gauss-Newton Hessian, the Lagrangian Hessian at the same iterate with zero
 multipliers, the only safeguard.  The subproblems bring values only to the
-problem's QP workspace, in the order of its declared patterns.  While a
+problem's QP workspace, in the order of its declared patterns.  The SQP's
+equality Jacobian, its transposed view, the inequality rows' transposed
+view and the subproblems' constraint values are the problem's
+JacobianBuffers (for build_nlp's problems, those of their horizon
+structure), set up once; each iteration overwrites their values.  While a
 solve runs, scipy's OpenBLAS is held at one thread (process-wide): its
 threaded banded Cholesky is slower on these narrow bands than one thread.
 """
@@ -97,28 +101,29 @@ class Solution:
 
 
 def _kkt_scale(y: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(y), initial=0.0)) / 100.0)
+    return max(1.0, float(np.abs(y).max(initial=0.0)) / 100.0)
 
 
-def _kkt_residual(g, j_eq_t, j_in_t, v_in, lo, hi, y) -> float:
+def _kkt_residual(g, j_eq_t, j_in_t, v_in, lo, hi, bounded, y) -> float:
     """Scaled max of stationarity and complementarity at one iterate.
 
     j_eq_t and j_in_t are the transposed equality Jacobian and inequality
-    matrix.  A multiplier counts toward complementarity by its distance to
-    the bound its sign selects: y > 0 pairs with the upper bound, y < 0 with
-    the lower one, and a wrong-sign multiplier on a row without that bound
-    is counted in full.
+    matrix, and `bounded` the masks of the finite entries of lo and hi.  A
+    multiplier counts toward complementarity by its distance to the bound
+    its sign selects: y > 0 pairs with the upper bound, y < 0 with the lower
+    one, and a wrong-sign multiplier on a row without that bound is counted
+    in full.
     """
     m_eq = j_eq_t.shape[1]
     grad_lagrangian = g + j_eq_t @ y[:m_eq] + j_in_t @ y[m_eq:]
-    stationarity = float(np.max(np.abs(grad_lagrangian), initial=0.0))
+    stationarity = float(np.abs(grad_lagrangian).max(initial=0.0))
     comp = 0.0
     if v_in.size:
         y_in = y[m_eq:]
-        slack_hi = np.where(np.isfinite(hi), hi - v_in, np.inf)
-        slack_lo = np.where(np.isfinite(lo), v_in - lo, np.inf)
+        slack_hi = np.where(bounded[1], hi - v_in, np.inf)
+        slack_lo = np.where(bounded[0], v_in - lo, np.inf)
         slack = np.where(y_in > 0, slack_hi, np.where(y_in < 0, slack_lo, 0.0))
-        comp = float(np.max(np.minimum(np.abs(y_in), np.maximum(slack, 0.0)), initial=0.0))
+        comp = float(np.minimum(np.abs(y_in), np.maximum(slack, 0.0)).max(initial=0.0))
     return max(stationarity, comp) / _kkt_scale(y)
 
 
@@ -147,7 +152,7 @@ def _interval_violation(values, lower, upper) -> np.ndarray:
 
 
 def _l1_infeasibility(c_eq, in_gap) -> float:
-    return float(np.sum(np.abs(c_eq))) + float(np.sum(in_gap))
+    return float(np.abs(c_eq).sum()) + float(in_gap.sum())
 
 
 def _constraint_values(problem, x):
@@ -252,15 +257,15 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         if y.size != m_eq + m_in:
             raise ValueError(f"y0 has {y.size} entries, problem has {m_eq + m_in} rows")
     lo, hi = problem.ineq_lower, problem.ineq_upper
-    # The patterns are fixed and the inequality rows constant: one equality
-    # Jacobian and one transposed view of it and of the inequality rows per
-    # solve.  Each iteration overwrites the Jacobian's values, in it and in
-    # the head of the subproblems' constraint values, whose tail is the
-    # inequality rows'.
-    j_in = problem.ineq_matrix
-    j_eq = _stored(problem.eq_jac_pattern, np.zeros(problem.eq_jac_pattern.nnz), "eq_jac")
-    a_values = np.concatenate([j_eq.data, j_in.data])
-    j_eq_t, j_in_t = j_eq.T, j_in.T
+    bounded = np.isfinite(lo), np.isfinite(hi)
+    # The problem's Jacobian buffers: each iteration overwrites the
+    # equality Jacobian's values, in it and in the head of the subproblems'
+    # constraint values, whose tail is the inequality rows'.  The bounds of
+    # every subproblem are written into the same two arrays.
+    jacobians = problem.jacobians
+    j_in, j_eq, a_values = problem.ineq_matrix, jacobians.eq_jac, jacobians.a_values
+    j_eq_t, j_in_t = jacobians.eq_jac_t, jacobians.ineq_t
+    lower, upper = np.empty(m_eq + m_in), np.empty(m_eq + m_in)
 
     status = "max_iterations"
     iterations = 0
@@ -274,21 +279,21 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
 
     for it in range(opts.max_iterations + 1):
         f, g, c_eq, jac, v_in = _evaluate(problem, x, values)
-        j_eq.data[:] = a_values[: jac.size] = jac
+        jacobians.write(jac)
         finite = (
             np.isfinite(f)
-            and np.all(np.isfinite(g))
-            and np.all(np.isfinite(c_eq))
-            and np.all(np.isfinite(v_in))
+            and np.isfinite(g).all()
+            and np.isfinite(c_eq).all()
+            and np.isfinite(v_in).all()
         )
         if not finite:
             status = "numerical_failure"
             break
-        viol_eq = float(np.max(np.abs(c_eq), initial=0.0))
+        viol_eq = float(np.abs(c_eq).max(initial=0.0))
         in_gap = _interval_violation(v_in, lo, hi)
-        viol = max(viol_eq, float(np.max(in_gap, initial=0.0)))
+        viol = max(viol_eq, float(in_gap.max(initial=0.0)))
         cost_value = f
-        kkt = _kkt_residual(g, j_eq_t, j_in_t, v_in, lo, hi, y)
+        kkt = _kkt_residual(g, j_eq_t, j_in_t, v_in, lo, hi, bounded, y)
         iterations = it
 
         phase = 0 if viol <= opts.constraint_tolerance else 1
@@ -302,8 +307,10 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         if it == opts.max_iterations:
             break
 
-        lower = np.concatenate([-c_eq, lo - v_in])
-        upper = np.concatenate([-c_eq, hi - v_in])
+        np.negative(c_eq, out=lower[:m_eq])
+        upper[:m_eq] = lower[:m_eq]
+        np.subtract(lo, v_in, out=lower[m_eq:])
+        np.subtract(hi, v_in, out=upper[m_eq:])
         # The exact Hessian first; the Gauss-Newton one (zero multipliers)
         # only for a subproblem that the exact one makes non-convex.
         for y_hess in (y[:m_eq], np.zeros(m_eq)):
@@ -318,7 +325,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         if qp_res.status == "primal_infeasible":
             elastic = _elastic_qp(
                 _stored(problem.hess_pattern, hess, "lagrangian_hess"),
-                g, j_eq, c_eq, j_in, lo - v_in, hi - v_in, problem.dimension,
+                g, j_eq, c_eq, j_in, lower[m_eq:], upper[m_eq:], problem.dimension,
             )
             if elastic is None:
                 status = "infeasible"
@@ -330,11 +337,11 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
         else:
             d = qp_res.x
             y_new = qp_res.y
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             status = "numerical_failure"
             break
 
-        nu = max(nu, 1.5 * float(np.max(np.abs(y_new), initial=0.0)) + 1e-6)
+        nu = max(nu, 1.5 * float(np.abs(y_new).max(initial=0.0)) + 1e-6)
         infeas0 = _l1_infeasibility(c_eq, in_gap)
         merit0 = f + nu * infeas0
         descent = float(g @ d) - nu * infeas0
@@ -360,7 +367,7 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             # elastic step the linearized constraints were inconsistent, and
             # the relaxation can make no more progress on them: infeasible.
             y = y_new
-            kkt = _kkt_residual(g, j_eq_t, j_in_t, v_in, lo, hi, y)
+            kkt = _kkt_residual(g, j_eq_t, j_in_t, v_in, lo, hi, bounded, y)
             iterations = it + 1
             if kkt <= opts.kkt_tolerance and viol <= opts.constraint_tolerance:
                 status = "converged"

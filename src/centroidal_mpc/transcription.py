@@ -9,11 +9,13 @@ keeping each contact near its nominal location; FrictionPyramid and
 ContactBox own their rows, checks and clamps.  All first derivatives and
 the Hessian of the Lagrangian are analytic and sparse.
 
-The structure of a horizon problem (every constraint row, the sparsity
-patterns of the Jacobians and of the Lagrangian Hessian, the row shift and
-the QP workspace with its variable ordering) is built once per (layout,
-weights, period, contact rotations and corner arms, friction coefficient)
-and shared read-only by every problem of that key.  The cost Hessian lives
+The structure of a horizon problem (its DecisionLayout, every constraint
+row, the sparsity patterns of the Jacobians and of the Lagrangian Hessian,
+the row shift, the QP workspace with its variable ordering and the SQP's
+JacobianBuffers) is built once per (layout, weights, period, contact
+rotations and corner arms, friction coefficient) and shared by every
+problem of that key, read-only apart from the workspace's and the
+buffers' values, which every solve overwrites.  The cost Hessian lives
 in the Lagrangian Hessian's pattern, as the values it holds, and nowhere
 else.  The contact schedule sets only values and bounds.
 """
@@ -235,6 +237,32 @@ class DecisionLayout:
         return x[self.com], x[self.momentum], x[self.contacts]
 
 
+class JacobianBuffers:
+    """The SQP's constraint matrices on one problem's patterns, set up once.
+
+    `eq_jac` is a CSR matrix on eq_jac_pattern's index arrays with values of
+    its own, and `eq_jac_t` and `ineq_t` the CSC views of eq_jac and of
+    ineq_matrix transposed, made once on their arrays.  `a_values` holds
+    the values of every SQP subproblem's constraint matrix [eq_jac;
+    ineq_matrix]: the equality Jacobian's, then ineq_matrix's.  `write`
+    puts one iterate's equality-Jacobian values into eq_jac and the head of
+    a_values.  They are two copies, because scipy copies a CSR's values
+    when they are a view shorter than half its base array.  The buffers
+    hold one iterate at a time: a solve overwrites them.
+    """
+
+    def __init__(self, eq_jac_pattern: sp.csr_matrix, ineq_matrix: sp.csr_matrix):
+        self.eq_jac = sp.csr_matrix(
+            (np.zeros(eq_jac_pattern.nnz), eq_jac_pattern.indices, eq_jac_pattern.indptr),
+            shape=eq_jac_pattern.shape,
+        )
+        self.eq_jac_t, self.ineq_t = self.eq_jac.T, ineq_matrix.T
+        self.a_values = np.concatenate([self.eq_jac.data, ineq_matrix.data])
+
+    def write(self, eq_jac_values: np.ndarray):
+        self.eq_jac.data[:] = self.a_values[: eq_jac_values.size] = eq_jac_values
+
+
 @dataclass
 class NlpProblem:
     """Callbacks and bounds of one transcribed problem.
@@ -270,6 +298,11 @@ class NlpProblem:
     structure's, equilibrated the same way and ordered so that the Hessian
     plus the constraint Jacobians' Gram matrix is narrow-banded.
 
+    `jacobians` are the JacobianBuffers the SQP writes each iterate's
+    equality Jacobian into; set up from the patterns when not given.
+    build_nlp gives its structure's, shared by every problem of the
+    structure like the QP workspace.
+
     `shift_rows`, when set, lists per constraint row (equality rows, then
     inequality rows) the row of the same constraint one knot later; the
     rows of the last knot list themselves.  Multipliers y of one control
@@ -292,6 +325,7 @@ class NlpProblem:
     ineq_upper: np.ndarray | None = None
     shift_rows: np.ndarray | None = None
     qp_workspace: QpWorkspace | None = None
+    jacobians: JacobianBuffers | None = None
     layout: DecisionLayout | None = None
 
     def __post_init__(self):
@@ -310,6 +344,8 @@ class NlpProblem:
             self.qp_workspace = QpWorkspace(
                 self.hess_pattern, sp.vstack([self.eq_jac_pattern, self.ineq_matrix], format="csr")
             )
+        if self.jacobians is None:
+            self.jacobians = JacobianBuffers(self.eq_jac_pattern, self.ineq_matrix)
 
     @property
     def n_eq(self) -> int:
@@ -398,9 +434,12 @@ class _HorizonStructure:
     bounds (build_nlp, _inequality_bounds).  It holds the table of the
     defects' bilinear terms, which both of their derivatives read,
     NlpProblem's `eq_jac_pattern`, `hess_pattern` and `ineq_matrix` (see the
-    _add_* methods), `shift_rows` and `qp_workspace`.  The cost Hessian is
-    stored once, as the values of hess_pattern, and the variable ordering
-    once, as the workspace's `perm` (DecisionLayout.stage_order).
+    _add_* methods), `shift_rows`, `qp_workspace` and `jacobians`, and the
+    `layout` that numbers its problems.  The cost Hessian is stored once, as
+    the values of hess_pattern, and the variable ordering once, as the
+    workspace's `perm` (DecisionLayout.stage_order).  The QP workspace and
+    the SQP's JacobianBuffers are the structure's mutable scratch: every
+    solve of one of its problems overwrites them.
     """
 
     def __init__(
@@ -411,6 +450,7 @@ class _HorizonStructure:
         plan: ContactPlan,
         pyramid: FrictionPyramid,
     ):
+        self.layout = layout
         self._add_bilinear_table(layout, plan)
         self._add_eq_jacobian(layout, plan.corner_contact)
         self._add_lagrangian_hessian(
@@ -426,6 +466,7 @@ class _HorizonStructure:
             sp.vstack([self.eq_jac_pattern, self.ineq_matrix], format="csr"),
             layout.stage_order(),
         )
+        self.jacobians = JacobianBuffers(self.eq_jac_pattern, self.ineq_matrix)
         for value in vars(self).values():
             arrays = (value.data, value.indices, value.indptr) if sp.issparse(value) else (value,)
             for array in arrays:
@@ -589,6 +630,16 @@ def _horizon_structure(
     return _LAST_STRUCTURE[1]
 
 
+def _decision_layout(n_knots: int, corner_counts) -> DecisionLayout:
+    """The latest horizon structure's layout when it has these knots and corners, else a new one."""
+    last = _LAST_STRUCTURE[1]
+    if last is not None and (last.layout.n_knots, last.layout.corner_counts) == (
+        n_knots, tuple(corner_counts)
+    ):
+        return last.layout
+    return DecisionLayout(n_knots, corner_counts)
+
+
 def _cost_linear_terms(
     layout: DecisionLayout,
     weights: Weights,
@@ -639,8 +690,9 @@ def _inequality_bounds(
     dead = ~schedule.any(axis=0)[plan.corner_contact]
     face_lower = np.full((dead.size, 6), -np.inf)
     face_upper = np.where(dead[:, None], np.inf, pyramid.b)
-    face_lower[np.ix_(dead, pyramid.PIN_FACES)] = 0.0
-    face_upper[np.ix_(dead, pyramid.PIN_FACES)] = 0.0
+    if dead.any():
+        face_lower[np.ix_(dead, pyramid.PIN_FACES)] = 0.0
+        face_upper[np.ix_(dead, pyramid.PIN_FACES)] = 0.0
     # While a contact has been gated on since knot 0, the defect chain pins
     # its whole position trajectory to the measured (already box-checked)
     # value; box rows there would only duplicate equalities, and the
@@ -648,9 +700,8 @@ def _inequality_bounds(
     # methods never shake off.  Impose the box only from the first knot the
     # position can actually move to (row k - 1 of `movable` is knot k).
     movable = np.logical_or.accumulate(~schedule, axis=0)[:, :, None]
-    anchors = np.array([R.T @ p for R, p in zip(plan.orientations, plan.nominal_positions)])
-    box_lower = np.where(movable, anchors - box.upper, -np.inf)
-    box_upper = np.where(movable, anchors - box.lower, np.inf)
+    box_lower = np.where(movable, plan.box_anchors - box.upper, -np.inf)
+    box_upper = np.where(movable, plan.box_anchors - box.lower, np.inf)
     lower = np.concatenate([np.tile(face_lower.ravel(), n_knots), box_lower.ravel()])
     upper = np.concatenate([np.tile(face_upper.ravel(), n_knots), box_upper.ravel()])
     return lower, upper
@@ -701,10 +752,11 @@ def build_nlp(
     period, the plan's rotations and corner arms, pyramid.mu); the schedule
     sets the equality Jacobian's gated values, the scale of the bilinear
     terms and the inequality bounds (_inequality_bounds).  The problem's
-    `layout` numbers its decision vector.
+    `layout` numbers its decision vector; it is the structure's, so
+    consecutive control instants of a run share one.
     """
     n_c = plan.n_contacts
-    layout = DecisionLayout(n_knots, plan.corner_counts)
+    layout = _decision_layout(n_knots, plan.corner_counts)
     schedule = np.asarray(schedule)
     if schedule.shape != (n_knots, n_c):
         raise ValueError(
@@ -802,5 +854,6 @@ def build_nlp(
         ineq_upper=ineq_upper,
         shift_rows=structure.shift_rows,
         qp_workspace=structure.qp_workspace,
+        jacobians=structure.jacobians,
         layout=layout,
     )

@@ -571,6 +571,23 @@ class TestHorizonStructureTraffic:
         simulate(config)
         assert len(structure_builds) == 1
 
+    def test_problems_of_a_structure_share_its_layout_and_buffers(self, structure_builds):
+        # The layout, the QP workspace and the SQP's Jacobian buffers are
+        # the structure's, for every schedule; a new layout comes with a new
+        # structure only.
+        one_leg, two_legs = make_plan([POINT]), make_plan([RECT, POINT])
+        problems = [make_problem(one_leg, [[ON]] * 2 + [[OFF]] * 4, seed=seed)[0]
+                    for seed in range(3)]
+        structure = structure_builds[-1]
+        for problem in problems:
+            assert problem.layout is structure.layout
+            assert problem.qp_workspace is structure.qp_workspace
+            assert problem.jacobians is structure.jacobians
+        other, _ = make_problem(two_legs, [[ON, OFF]] * 3 + [[ON, ON]] * 3)
+        assert len(structure_builds) == 2
+        assert other.layout is structure_builds[-1].layout is not structure.layout
+        assert other.layout.corner_counts == (4, 1)
+
 
 def bundled_problem(name):
     """The horizon problem of a bundled scenario at t = 0, as check-derivatives builds it."""

@@ -234,6 +234,36 @@ class TestQuinticSpline:
         assert np.array_equal(bits(sampled), bits([scalar_position(spline, t) for t in times]))
         assert np.array_equal(bits(sampled), bits([spline.position(t) for t in times]))
 
+    @PROPERTY
+    @given(splines(), st.lists(st.lists(TIME, min_size=1, max_size=12), min_size=2, max_size=4))
+    def test_samples_in_turn_equal_a_fresh_splines(self, spline, batches):
+        # The spline keeps every position it sampled; calls whose times
+        # repeat earlier ones, or lie beyond the knot span, return the bits
+        # of a spline that has sampled nothing.
+        span = spline.knot_times[[0, -1]]
+        for times in batches:
+            times = times + times[:1] + [span[0] - 0.5, span[-1] + 0.5]
+            fresh = QuinticSpline(spline.knot_times, spline.knot_points)
+            assert np.array_equal(bits(spline.sample(times)), bits(fresh.sample(times)))
+
+    def test_a_time_sampled_before_is_not_evaluated_again(self, monkeypatch):
+        spline = QuinticSpline([0.0, 1.0, 2.0], np.array([[0, 0, 1.0], [1, 0, 1.2], [2, 0, 1.0]]))
+        quarter = spline.position(0.25)
+        evaluated = []
+        evaluate = QuinticSpline._evaluate
+
+        def recording(self, times, order):
+            evaluated.append(len(times))
+            return evaluate(self, times, order)
+
+        monkeypatch.setattr(QuinticSpline, "_evaluate", recording)
+        first = spline.sample([0.5, 1.5, 2.0])
+        assert evaluated == [3]
+        # 1.5 and 2.0 again, and 3.0 beyond the span, which equals 2.0
+        again = spline.sample([1.5, 3.0, 0.25, 2.0])
+        assert evaluated == [3, 1]
+        assert np.array_equal(bits(again), bits([first[1], first[2], quarter, first[2]]))
+
     def test_one_knot_sample(self):
         s = QuinticSpline([1.0], np.array([[0.5, -0.5, 1.0]]))
         times = [-1.0, 1.0, 3.0]
@@ -344,7 +374,10 @@ class TestStackedArrays:
         assert plan.corner_counts == (4, 1)
         assert np.array_equal(plan.corner_contact, [0, 0, 0, 0, 1])
         assert np.array_equal(plan.corner_arms[4], np.zeros(3))
-        for arr in (plan.orientations, plan.nominal_positions):
+        # each contact's nominal position in its own frame, R^T p
+        assert np.array_equal(bits(plan.box_anchors),
+                              bits([yaw.T @ [0, 0.1, 0], [0.2, -0.1, 0.05]]))
+        for arr in (plan.orientations, plan.nominal_positions, plan.box_anchors):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             plan.orientations[0, 0, 0] = 2.0

@@ -1,12 +1,13 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from centroidal_mpc import qp
+from centroidal_mpc import bundled_scenario, parse_scenario, qp, transcription
 from centroidal_mpc.qp import QpWorkspace, solve_qp
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -58,6 +59,35 @@ def one_off_workspace(P, q, A, lower, upper):
 def values(P, A):
     """The value vectors of dense P and A on their own patterns, CSC and CSR."""
     return sp.csc_matrix(P).data, sp.csr_matrix(A).data
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@functools.cache
+def structure_workspace(name):
+    """The QP workspace of a bundled scenario's horizon structure, set up as a run does."""
+    config = parse_scenario(bundled_scenario(name), name=name)
+    mpc = config.mpc
+    layout = transcription.DecisionLayout(mpc.horizon_knots, config.plan.corner_counts)
+    structure = transcription._HorizonStructure(
+        layout, mpc.weights, mpc.period, config.plan, mpc.pyramid
+    )
+    return structure.qp_workspace
+
+
+def assert_stacked_product_exact(workspace, x, y):
+    """[P; A] x of the stacked operator is scaled_P @ x over scaled_A @ x, bit for
+    bit, and the refinement's products are scipy's."""
+    n = workspace.shape[1]
+    product = qp._product(workspace.stacked, x)
+    assert np.array_equal(bits(product), bits(workspace.stacked @ x))
+    assert np.array_equal(bits(product[:n]), bits(workspace.scaled_P @ x))
+    assert np.array_equal(bits(product[n:]), bits(workspace.scaled_A @ x))
+    assert np.array_equal(bits(qp._product(workspace.scaled_A, x)), bits(workspace.scaled_A @ x))
+    assert np.array_equal(bits(qp._product(workspace.scaled_AT, y)),
+                          bits(workspace.scaled_AT @ y))
 
 
 def assert_same_result(res, other, atol=1e-9):
@@ -674,6 +704,9 @@ class TestOptions:
                 solve_qp(p_values, q, a_values, lower, upper, y0=y0, workspace=workspace)
         with pytest.raises(ValueError, match="y0 has 1 entries, the QP has 0 rows"):
             solve_qp(P, q, y0=[1.0])
+        # without a workspace, a q of another size is refused before one is set up
+        with pytest.raises(ValueError, match="P, A and q hold 2, 2 and 3 values"):
+            solve_qp(np.eye(2), [1.0, 2.0, 3.0], [[1.0, 1.0]], [-1.0], [1.0])
         # values of a QP of other sizes are refused, as the scaling of one was
         for p_other, q_other, a_other, bounds in (
             (p_values, q, a_values[:1], 1),
@@ -753,6 +786,76 @@ class TestWorkspace:
             res = solve_qp(p_values, q_turn, a_values, lo, up, y0=y0, workspace=workspace)
             assert res.iterations == fresh.iterations
             assert_same_result(res, fresh, atol=0.0)
+
+    @PROPERTY
+    @given(st.sampled_from(["one_leg_jump", "two_leg_walk_run"]), st.integers(0, 2**31 - 1))
+    def test_stacked_product_of_a_structure_workspace(self, name, seed):
+        # The refinement's [P; A] x sums each row of P in the order of the
+        # CSC product, so both blocks keep the bits of the separate products.
+        workspace = structure_workspace(name)
+        # scaled_A and its transposed view store their values in the A block
+        assert np.shares_memory(workspace.scaled_A.data, workspace.stacked.data)
+        assert workspace.scaled_AT.data is workspace.scaled_A.data
+        m, n = workspace.shape
+        rng = np.random.RandomState(seed)
+        workspace.load(rng.randn(workspace.P.nnz), rng.randn(workspace.A.nnz), rng.randn(n),
+                       -np.abs(rng.randn(m)), np.abs(rng.randn(m)))
+        assert_stacked_product_exact(workspace, rng.randn(n) * rng.choice([1e-3, 1.0, 1e3], n),
+                                     rng.randn(m))
+
+    @PROPERTY
+    @given(bounded_qps(), st.integers(0, 2**31 - 1))
+    def test_refinement_returns_the_residuals_of_the_kkt_test(self, case, seed):
+        # Equilibrated with a cost (c != 1), the stacked product keeps the
+        # bits of the separate ones, and the refinement hands the KKT test
+        # the gaps and both error parts it used to compute itself.
+        P, _, A, lower, upper, _, _ = case
+        m, n = A.shape
+        rng = np.random.RandomState(seed)
+        # a gradient large against the scaled P, so that the cost is scaled
+        q = 1e3 * rng.randn(n)
+        workspace = one_off_workspace(P, q, A, lower, upper)
+        assume(workspace.c != 1.0)
+        workspace.load(*values(P, A), q, lower, upper)
+        assert_stacked_product_exact(workspace, rng.randn(n), rng.randn(m))
+        ls, us, eq = workspace.scaled_lower, workspace.scaled_upper, workspace.eq
+        low = ~eq & np.isfinite(lower) & (rng.rand(m) < 0.4)
+        upp = ~eq & ~low & np.isfinite(upper) & (rng.rand(m) < 0.4)
+        start = np.zeros(n) if rng.rand() < 0.5 else rng.randn(n)
+        try:
+            found = qp._polish_point(workspace, start, rng.randn(m), low, upp)
+        except qp._NotPositiveDefinite:
+            return
+        assert found is not None
+        x, y, ax, gradient, (gap, primal_error, dual_error), _ = found
+        assert np.array_equal(bits(ax), bits(workspace.scaled_A @ x))
+        assert np.array_equal(bits(gradient), bits(workspace.scaled_P @ x + workspace.scaled_q))
+        expected = np.where(low, ax - ls, np.where(upp | eq, ax - us, 0.0))
+        assert np.array_equal(bits(gap), bits(expected))
+        assert primal_error == float(np.max(np.abs(expected) / workspace.e, initial=0.0))
+        stationarity = np.abs(gradient + workspace.scaled_AT @ y) / (workspace.c * workspace.d)
+        assert dual_error == float(np.max(stationarity))
+
+    def test_kkt_test_with_clipped_multipliers_takes_its_own_product(self, monkeypatch):
+        # Warm multipliers of random signs make rows active whose refined
+        # multipliers take the wrong sign.  The KKT test clips those and
+        # only then computes stationarity itself, with one more product.
+        equal, outcomes = np.array_equal, []
+
+        def recording(a, b, *args, **kwargs):
+            outcomes.append(equal(a, b, *args, **kwargs))
+            return outcomes[-1]
+
+        for seed in range(12):
+            P, q, A, lower, upper = random_qp(seed)
+            y0 = 10.0 * np.random.RandomState(seed).randn(A.shape[0])
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "array_equal", recording)
+                res = solve_qp(sp.csc_matrix(P), q, sp.csc_matrix(A), lower, upper, y0=y0)
+            assert res.solved
+            assert kkt_violation(P, q, A, lower, upper, res.x, res.y) <= 1e-7
+            np.testing.assert_allclose(res.x, brute_force_qp(P, q, A, lower, upper), atol=1e-7)
+        assert True in outcomes and False in outcomes
 
     def test_values_that_do_not_fit_raise(self):
         # With a workspace, P and A are value vectors of its patterns'

@@ -262,13 +262,15 @@ class TestQpWorkspaceTraffic:
 
     @pytest.mark.parametrize("name", ["one_leg_jump", "two_leg_walk_run"])
     def test_qps_reuse_the_workspace_buffers(self, name, monkeypatch):
-        # Once the structure is set up, an MPC step builds three compressed
-        # matrices, all in solver.solve: the equality Jacobian and the two
-        # transposed views.  Every QP loads into the structure workspace's
-        # buffers and factors in its band array.
+        # Once the structure is set up, an MPC step builds no compressed
+        # matrix: the SQP's equality Jacobian and the transposed views are
+        # the structure's JacobianBuffers.  Every QP loads into the
+        # structure workspace's buffers, takes its constraint values from
+        # the buffers' a_values and factors in the workspace's band array.
         config = parse_scenario(bundled_scenario(name), name=name)
         traj, _ = simulate(config)
-        workspace = transcription._LAST_STRUCTURE[1].qp_workspace
+        structure = transcription._LAST_STRUCTURE[1]
+        workspace, jacobians = structure.qp_workspace, structure.jacobians
         counts = Counter()
         for cls in (sp.csr_matrix, sp.csc_matrix, sp.csr_array, sp.csc_array):
             def counting_init(self, *args, _init=cls.__init__, **kwargs):
@@ -278,24 +280,34 @@ class TestQpWorkspaceTraffic:
             monkeypatch.setattr(cls, "__init__", counting_init)
         objects = set()
         load, dpbtrf = qp.QpWorkspace.load, qp.lapack.dpbtrf
+        write = transcription.JacobianBuffers.write
 
-        def recording_load(self, *args):
-            load(self, *args)
+        def recording_load(self, p_values, a_values, *args):
+            load(self, p_values, a_values, *args)
             counts["qps"] += 1
             objects.update(id(a) for a in (self, self.scaled_P, self.scaled_A, self.scaled_AT,
-                                           self.base))
+                                           self.stacked, self.base, a_values))
+
+        def recording_write(self, values):
+            write(self, values)
+            objects.update(id(a) for a in (self, self.eq_jac, self.eq_jac_t, self.ineq_t,
+                                           self.a_values))
 
         def recording_dpbtrf(band, **kwargs):
             objects.add(id(band.base))
             return dpbtrf(band, **kwargs)
 
         monkeypatch.setattr(qp.QpWorkspace, "load", recording_load)
+        monkeypatch.setattr(transcription.JacobianBuffers, "write", recording_write)
         monkeypatch.setattr(qp.lapack, "dpbtrf", recording_dpbtrf)
         simulate(config)
         assert counts["qps"] > traj.n_steps
-        assert counts["matrices"] <= 3 * traj.n_steps
-        assert objects == {id(a) for a in (workspace, workspace.scaled_P, workspace.scaled_A,
-                                           workspace.scaled_AT, workspace.base, workspace.band)}
+        assert counts["matrices"] == 0
+        assert objects == {id(a) for a in (
+            workspace, workspace.scaled_P, workspace.scaled_A, workspace.scaled_AT,
+            workspace.stacked, workspace.base, workspace.band,
+            jacobians, jacobians.eq_jac, jacobians.eq_jac_t, jacobians.ineq_t, jacobians.a_values,
+        )}
 
     def test_run_after_another_exports_what_a_fresh_process_does(self, tmp_path):
         # First a run with the layout of the push scenarios but another
