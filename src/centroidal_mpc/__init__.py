@@ -22,6 +22,7 @@ from .transcription import (  # noqa: F401
     DecisionLayout,
     FrictionPyramid,
     NlpProblem,
+    NlpStructure,
     Weights,
     build_nlp,
 )

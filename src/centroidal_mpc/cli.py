@@ -22,13 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .controller import cold_start
+from .controller import cold_start, horizon_problem
 from .model import CentroidalState
-from .plan import horizon_schedule, nominal_com_trajectory
+from .plan import nominal_com_trajectory
 from .scenario import ScenarioError, apply_overrides, parse_scenario
 from .sim import SimulationDiverged, export_csv, simulate, write_manifest
 from .solver import check_derivatives
-from .transcription import build_nlp
 
 log = logging.getLogger("centroidal_mpc")
 
@@ -70,16 +69,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_derivatives(args) -> int:
     config = _load_config(args.scenario, args.override)
-    plan, params, options = config.plan, config.params, config.mpc
-    schedule = horizon_schedule(plan, 0.0, options.horizon_knots, options.period)
+    plan, params = config.plan, config.params
     spline = nominal_com_trajectory(plan, params)
-    samples = spline.sample(options.period * np.arange(options.horizon_knots + 1))
     state = CentroidalState(spline.position(0.0), np.zeros(3), np.zeros(3))
-    problem = build_nlp(
-        plan, state, plan.nominal_positions, schedule, samples, options.weights, options.pyramid,
-        options.box, options.horizon_knots, options.period, params,
+    problem, _, samples, _ = horizon_problem(
+        state, plan.nominal_positions, plan, 0.0, np.zeros(6), config.mpc, params, spline
     )
-    base = cold_start(plan, problem.layout, samples)
+    base = cold_start(plan, problem.structure.layout, samples)
     rng = np.random.RandomState(args.seed)
     draws = [
         (base + rng.uniform(-0.5, 0.5, size=problem.dimension),

@@ -1,7 +1,9 @@
 """Receding-horizon controller around the transcribed problem.
 
 Each control instant builds the horizon problem from the measured state and
-the plan, solves it warm-started from the previous primal and dual solution,
+the plan (horizon_problem): its per-instant half, the callbacks and bounds,
+on the static NlpStructure that every instant of a run shares.  It solves
+that problem warm-started from the previous primal and dual solution,
 both shifted one knot in time, and extracts the first control plus the
 optimized landing positions of upcoming touchdowns.  The predicted
 trajectory is reconstructed by rolling the solved controls out from the
@@ -61,7 +63,7 @@ class MpcOutput:
     forces (V, 3) are the knot-0 forces of the plan's corners, in column
     order, and landings[i] is contact i's box-clamped landing at its first
     touchdown ahead in the horizon, or its nominal position when none lies
-    ahead.
+    ahead.  A step whose solution did not converge is degraded.
     """
 
     forces: np.ndarray
@@ -70,7 +72,6 @@ class MpcOutput:
     predicted_momentum: np.ndarray
     schedule: np.ndarray
     solution: Solution
-    degraded: bool
 
 
 def cold_start(
@@ -95,12 +96,13 @@ def shift_warm_start(x, layout: DecisionLayout) -> np.ndarray:
 
 def shift_multipliers(multipliers, problem: NlpProblem) -> np.ndarray:
     """Advance constraint multipliers by one knot, as shift_warm_start does x."""
+    shift_rows = problem.structure.shift_rows
     y_prev = np.asarray(multipliers, dtype=float)
-    if y_prev.size != problem.shift_rows.size:
+    if y_prev.size != shift_rows.size:
         raise ValueError(
-            f"multipliers have {y_prev.size} entries, problem has {problem.shift_rows.size} rows"
+            f"multipliers have {y_prev.size} entries, problem has {shift_rows.size} rows"
         )
-    return y_prev[problem.shift_rows]
+    return y_prev[shift_rows]
 
 
 def _sanitize_forces(forces, gamma, pyramid: FrictionPyramid, plan: ContactPlan):
@@ -114,6 +116,34 @@ def _sanitize_forces(forces, gamma, pyramid: FrictionPyramid, plan: ContactPlan)
     rotations = plan.orientations[plan.corner_contact]
     local = pyramid.clamp(np.einsum("jba,kjb->kja", rotations, forces))
     return np.einsum("jab,kjb->kja", rotations, local) * gamma[:, plan.corner_contact, None]
+
+
+def horizon_problem(
+    current_state: CentroidalState,
+    contact_positions: np.ndarray,
+    plan: ContactPlan,
+    t: float,
+    wrench: np.ndarray,
+    options: MpcOptions,
+    params: PhysicalParams,
+    nominal_spline: QuinticSpline,
+) -> tuple[NlpProblem, np.ndarray, np.ndarray, np.ndarray]:
+    """The horizon problem at time t, with the inputs it was built from.
+
+    Returns (problem, schedule, nominal_samples, wrench_profile): the gates
+    of the horizon's steps, the nominal CoM at its knots t + T k, and the
+    measured wrench (6,) held over its steps.  Arguments as for mpc_step.
+    """
+    n_knots = options.horizon_knots
+    period = options.period
+    schedule = horizon_schedule(plan, t, n_knots, period)
+    nominal_samples = nominal_spline.sample(t + period * np.arange(n_knots + 1))
+    profile = np.tile(np.asarray(wrench, dtype=float), (n_knots, 1))
+    problem = build_nlp(
+        plan, current_state, contact_positions, schedule, nominal_samples, options.weights,
+        options.pyramid, options.box, n_knots, period, params, profile,
+    )
+    return problem, schedule, nominal_samples, profile
 
 
 def mpc_step(
@@ -135,27 +165,11 @@ def mpc_step(
     knot 0 are pinned to their measured values, so adjustment applies only
     to touchdowns ahead of the current instant.
     """
-    n_knots = options.horizon_knots
-    period = options.period
-    schedule = horizon_schedule(plan, t, n_knots, period)
-    nominal_samples = nominal_spline.sample(t + period * np.arange(n_knots + 1))
-    profile = np.tile(np.asarray(wrench, dtype=float), (n_knots, 1))
     measured = np.asarray(contact_positions, dtype=float)
-    problem = build_nlp(
-        plan,
-        current_state,
-        measured,
-        schedule,
-        nominal_samples,
-        options.weights,
-        options.pyramid,
-        options.box,
-        n_knots,
-        period,
-        params,
-        profile,
+    problem, schedule, nominal_samples, profile = horizon_problem(
+        current_state, measured, plan, t, wrench, options, params, nominal_spline
     )
-    layout = problem.layout
+    layout = problem.structure.layout
     if previous is not None and previous.x.size == layout.size:
         warm = shift_warm_start(previous.x, layout)
         # duals from a solve that never converged mislead more than they help
@@ -165,7 +179,6 @@ def mpc_step(
         y0 = None
     solution = solve(problem, warm, options.solver, y0=y0)
 
-    degraded = not solution.converged
     x_sol = solution.x
     if solution.status in ("infeasible", "numerical_failure") and previous is not None:
         # Hard failure: fall back to the previous solution advanced one knot.
@@ -188,7 +201,7 @@ def mpc_step(
         params.mass,
         params.gravity,
         profile,
-        period,
+        options.period,
     )
     predicted_com = np.concatenate([current_state.p_com[None], p_next])
     predicted_momentum = np.concatenate([current_state.momentum[None], h_next])
@@ -208,5 +221,4 @@ def mpc_step(
         predicted_momentum=predicted_momentum,
         schedule=schedule,
         solution=solution,
-        degraded=degraded,
     )

@@ -173,16 +173,17 @@ class QpWorkspace:
 
     A workspace holds one QP at a time, which `load` writes into its
     buffers; there is no per-QP object.  Loaded, it holds the QP
-    equilibrated: `scaled_P` = c D P D, `scaled_q` = c D q and `scaled_A` =
-    E A D on the patterns' index arrays (`scaled_AT` the CSC view of
-    scaled_A, made once on its arrays), the bounds `scaled_lower` = E l and
-    `scaled_upper` = E u, and the equality rows `eq`.  `stacked` is the CSR
-    operator [scaled_P; scaled_A] of a refinement pass: its P block holds
-    P's rows, gathered from scaled_P through the fixed map `p_rows_order`,
-    so each row sums its products in the order scaled_P @ x does and both
-    blocks equal the separate products bit for bit; its A block is the one
-    copy of scaled_A's values, which scaled_A and scaled_AT store theirs
-    in.  `units` = [c d; e] turns the scaled residual [r_dua; r_pri] into
+    equilibrated: the values `p_data` of c D P D in the order of P's stored
+    entries, `scaled_q` = c D q and `scaled_A` = E A D on A's index arrays
+    (`scaled_AT` the CSC view of scaled_A, made once on its arrays), the
+    bounds `scaled_lower` = E l and `scaled_upper` = E u, and the equality
+    rows `eq`.  `stacked` is the CSR operator [c D P D; scaled_A] of a
+    refinement pass: its P block holds P's rows, gathered from p_data
+    through the fixed map `p_rows_order`, so each row sums its products in
+    the order the CSC product of c D P D with x does and both blocks equal
+    the separate products bit for bit; its A block is the one copy of
+    scaled_A's values, which scaled_A and scaled_AT store theirs in.
+    `units` = [c d; e] turns the scaled residual [r_dua; r_pri] into
     original units.  `condensed(rows)` writes the band of the condensed
     system P + reg I + rho A_act' A_act of any active set into the `band`
     array, which dpbtrf overwrites with its factor.  Under the horizon's
@@ -215,7 +216,7 @@ class QpWorkspace:
         self.units = np.concatenate([self.c * self.d, self.e])
         # P's entries in row order, as P.tocsr() stores them: a row of the
         # stacked operator adds its products column by column, from +0.0, as
-        # the CSC product scaled_P @ x adds them into that row.
+        # the CSC product of the scaled P with x adds them into that row.
         self.p_rows_order = np.lexsort((self.p_col, self.p_row))
         stacked_indptr = np.concatenate([
             np.searchsorted(self.p_row[self.p_rows_order], np.arange(n + 1)),
@@ -226,7 +227,7 @@ class QpWorkspace:
                       stacked_indices, stacked_indptr):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-        self.scaled_P = sp.csc_matrix((np.empty(P.nnz), P.indices, P.indptr), shape=(n, n))
+        self.p_data = np.empty(P.nnz)
         self.stacked = sp.csr_matrix(
             (np.empty(P.nnz + A.nnz), stacked_indices, stacked_indptr), shape=(n + m, n)
         )
@@ -284,7 +285,7 @@ class QpWorkspace:
 
     def load(self, p_values, a_values, q, lower, upper):
         """Equilibrate one QP into the buffers, with the base of its condensed systems."""
-        p_data = np.multiply(p_values, self.p_scale, out=self.scaled_P.data)
+        p_data = np.multiply(p_values, self.p_scale, out=self.p_data)
         a_data = np.multiply(a_values, self.a_scale, out=self.scaled_A.data)
         np.take(p_data, self.p_rows_order, out=self.stacked.data[: p_data.size], mode="clip")
         np.multiply(self.units[: self.shape[1]], q, out=self.scaled_q)
@@ -369,7 +370,7 @@ def _certificate(ws: QpWorkspace, lower, upper, dx, dy):
     x_step, y_step = d * dx, e * dy / c
     norm_dy = float(np.max(np.abs(y_step), initial=0.0))
     if norm_dy > _DIV_GUARD:
-        at_dy = float(np.max(np.abs(ws.scaled_AT @ dy) / (c * d), initial=0.0))
+        at_dy = float(np.max(np.abs(_product(ws.scaled_AT, dy)) / (c * d), initial=0.0))
         up = np.where(np.isfinite(upper) & (y_step > 0), upper, 0.0) * np.maximum(y_step, 0.0)
         lo = np.where(np.isfinite(lower) & (y_step < 0), lower, 0.0) * np.minimum(y_step, 0.0)
         support = float(np.sum(up) + np.sum(lo))
@@ -386,9 +387,11 @@ def _certificate(ws: QpWorkspace, lower, upper, dx, dy):
     norm_dx = float(np.max(np.abs(x_step), initial=0.0))
     if norm_dx > _DIV_GUARD:
         tol = _EPS_INFEASIBLE * norm_dx
-        adx = (ws.scaled_A @ dx) / e
+        n = dx.size
+        product = _product(ws.stacked, dx)
+        adx = product[n:] / e
         if (
-            float(np.max(np.abs(ws.scaled_P @ dx) / (c * d), initial=0.0)) <= tol
+            float(np.max(np.abs(product[:n]) / (c * d), initial=0.0)) <= tol
             and float(ws.scaled_q @ dx) / c < -tol
             and np.all(adx[np.isfinite(lower)] >= -tol)
             and np.all(adx[np.isfinite(upper)] <= tol)

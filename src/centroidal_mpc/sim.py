@@ -187,7 +187,7 @@ def simulate(config: ScenarioConfig) -> tuple[TrajectoryLog, Metrics]:
         iterations[k] = out.solution.iterations
         kkts[k] = out.solution.kkt_residual
         viols[k] = out.solution.constraint_violation
-        degraded[k] = out.degraded
+        degraded[k] = not out.solution.converged
         solve_times[k] = out.solution.solve_time_ms
         predicted_ang[k] = out.predicted_momentum[:, 3:6]
         predicted_schedules[k] = out.schedule

@@ -8,14 +8,14 @@ The exact Hessian is indefinite; the QP's banded Cholesky tests, on each
 active set, that it is positive definite on the constraints' null space.
 When that test fails the same iteration is solved again with the
 Gauss-Newton Hessian, the Lagrangian Hessian at the same iterate with zero
-multipliers, the only safeguard.  The subproblems bring values only to the
-problem's QP workspace, in the order of its declared patterns.  The SQP's
-equality Jacobian, its transposed view, the inequality rows' transposed
-view and the subproblems' constraint values are the problem's
-JacobianBuffers (for build_nlp's problems, those of their horizon
-structure), set up once; each iteration overwrites their values.  While a
-solve runs, scipy's OpenBLAS is held at one thread (process-wide): its
-threaded banded Cholesky is slower on these narrow bands than one thread.
+multipliers, the only safeguard.  Everything static is read from the
+problem's NlpStructure: the subproblems bring values only to its QP
+workspace, in the order of its declared patterns, and the transposed
+equality Jacobian, the inequality rows' transposed view and the
+subproblems' constraint values are its JacobianBuffers, set up once; each
+iteration overwrites their values.  While a solve runs, scipy's OpenBLAS is
+held at one thread (process-wide): its threaded banded Cholesky is slower
+on these narrow bands than one thread.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def _l1_infeasibility(c_eq, in_gap) -> float:
 
 def _constraint_values(problem, x):
     """eq(x) and the inequality rows at x."""
-    return problem.eq(x), problem.ineq_matrix @ x
+    return problem.eq(x), problem.structure.ineq_matrix @ x
 
 
 def _evaluate(problem, x, values=None):
@@ -169,7 +169,7 @@ def _evaluate(problem, x, values=None):
     f = problem.cost(x)
     g = problem.cost_grad(x)
     c_eq, v_in = _constraint_values(problem, x) if values is None else values
-    jac = _checked(problem.eq_jac_pattern, problem.eq_jac(x), "eq_jac")
+    jac = _checked(problem.structure.eq_jac_pattern, problem.eq_jac(x), "eq_jac")
     return f, g, c_eq, jac, v_in
 
 
@@ -258,13 +258,13 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             raise ValueError(f"y0 has {y.size} entries, problem has {m_eq + m_in} rows")
     lo, hi = problem.ineq_lower, problem.ineq_upper
     bounded = np.isfinite(lo), np.isfinite(hi)
-    # The problem's Jacobian buffers: each iteration overwrites the
-    # equality Jacobian's values, in it and in the head of the subproblems'
-    # constraint values, whose tail is the inequality rows'.  The bounds of
-    # every subproblem are written into the same two arrays.
-    jacobians = problem.jacobians
-    j_in, j_eq, a_values = problem.ineq_matrix, jacobians.eq_jac, jacobians.a_values
-    j_eq_t, j_in_t = jacobians.eq_jac_t, jacobians.ineq_t
+    # The structure's Jacobian buffers: each iteration overwrites the
+    # equality Jacobian's values, the head of the subproblems' constraint
+    # values, whose tail is the inequality rows'.  The bounds of every
+    # subproblem are written into the same two arrays.
+    structure = problem.structure
+    jacobians = structure.jacobians
+    a_values, j_eq_t, j_in_t = jacobians.a_values, jacobians.eq_jac_t, jacobians.ineq_t
     lower, upper = np.empty(m_eq + m_in), np.empty(m_eq + m_in)
 
     status = "max_iterations"
@@ -318,14 +318,15 @@ def solve(problem, warm_start, options: SolverOptions | None = None, y0=None) ->
             qp_res = solve_qp(
                 hess, g, a_values, lower, upper,
                 options=_SUBPROBLEM_OPTIONS,
-                y0=y, workspace=problem.qp_workspace,
+                y0=y, workspace=structure.qp_workspace,
             )
             if qp_res.status != "non_convex":
                 break
         if qp_res.status == "primal_infeasible":
             elastic = _elastic_qp(
-                _stored(problem.hess_pattern, hess, "lagrangian_hess"),
-                g, j_eq, c_eq, j_in, lower[m_eq:], upper[m_eq:], problem.dimension,
+                _stored(structure.hess_pattern, hess, "lagrangian_hess"),
+                g, j_eq_t.T, c_eq, structure.ineq_matrix, lower[m_eq:], upper[m_eq:],
+                problem.dimension,
             )
             if elastic is None:
                 status = "infeasible"
@@ -492,7 +493,7 @@ def check_derivatives(problem, points, multipliers=None) -> DerivativeReport:
     the Lagrangian Hessian at every row of `points`, of shape (P, n), P >= 1.
 
     Each matrix is audited on the stored entries of its declared pattern
-    (NlpProblem.eq_jac_pattern, hess_pattern), whose columns are grouped
+    (NlpStructure.eq_jac_pattern, hess_pattern), whose columns are grouped
     once; a callback that returns another number of values raises
     ValueError naming it.  The inequality rows are a constant matrix, with
     nothing to audit.  The Hessian at a point is audited at that point's
@@ -514,14 +515,15 @@ def check_derivatives(problem, points, multipliers=None) -> DerivativeReport:
     h = _FD_STEP
     worst = (0.0, "cost_grad", -1, -1)
     errors = dict.fromkeys(("cost_grad", "eq_jac", "lagrangian_hess"), 0.0)
-    patterns = {"eq_jac": problem.eq_jac_pattern, "lagrangian_hess": problem.hess_pattern}
+    structure = problem.structure
+    patterns = {"eq_jac": structure.eq_jac_pattern, "lagrangian_hess": structure.hess_pattern}
     colorings = {}  # each pattern's columns, grouped once
     for block, pattern in patterns.items():
         coo = pattern.tocoo()
         colorings[block] = _color_groups(coo.row, coo.col, coo.shape[1])
 
     def eq_jac(z):
-        return _stored(problem.eq_jac_pattern, problem.eq_jac(z), "eq_jac")
+        return _stored(structure.eq_jac_pattern, problem.eq_jac(z), "eq_jac")
 
     for x, y in zip(points, ys):
         g = problem.cost_grad(x)

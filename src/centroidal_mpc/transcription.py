@@ -9,15 +9,19 @@ keeping each contact near its nominal location; FrictionPyramid and
 ContactBox own their rows, checks and clamps.  All first derivatives and
 the Hessian of the Lagrangian are analytic and sparse.
 
-The structure of a horizon problem (its DecisionLayout, every constraint
-row, the sparsity patterns of the Jacobians and of the Lagrangian Hessian,
-the row shift, the QP workspace with its variable ordering and the SQP's
-JacobianBuffers) is built once per (layout, weights, period, contact
-rotations and corner arms, friction coefficient) and shared by every
-problem of that key, read-only apart from the workspace's and the
-buffers' values, which every solve overwrites.  The cost Hessian lives
-in the Lagrangian Hessian's pattern, as the values it holds, and nowhere
-else.  The contact schedule sets only values and bounds.
+A problem is split in two halves.  Its NlpStructure is the static half:
+for a horizon problem (_HorizonStructure) its DecisionLayout, every
+constraint row, the sparsity patterns of the Jacobians and of the
+Lagrangian Hessian, the row shift, the QP workspace with its variable
+ordering and the SQP's JacobianBuffers.  It is built once per (knots,
+corner counts, weights, period, contact rotations and corner arms,
+friction coefficient) and shared by every problem of that key, read-only
+apart from the workspace's and the buffers' values, which every solve
+overwrites.  The cost Hessian lives in the Lagrangian Hessian's pattern,
+as the values it holds, and nowhere else.  The NlpProblem holds the
+per-instant half: the callbacks, which the measured state, the
+references and the contact schedule set, and the inequality bounds, which
+the schedule sets.
 """
 
 from __future__ import annotations
@@ -240,120 +244,126 @@ class DecisionLayout:
 class JacobianBuffers:
     """The SQP's constraint matrices on one problem's patterns, set up once.
 
-    `eq_jac` is a CSR matrix on eq_jac_pattern's index arrays with values of
-    its own, and `eq_jac_t` and `ineq_t` the CSC views of eq_jac and of
-    ineq_matrix transposed, made once on their arrays.  `a_values` holds
-    the values of every SQP subproblem's constraint matrix [eq_jac;
-    ineq_matrix]: the equality Jacobian's, then ineq_matrix's.  `write`
-    puts one iterate's equality-Jacobian values into eq_jac and the head of
-    a_values.  They are two copies, because scipy copies a CSR's values
-    when they are a view shorter than half its base array.  The buffers
-    hold one iterate at a time: a solve overwrites them.
+    `a_values` holds the values of every SQP subproblem's constraint matrix
+    [eq_jac; ineq_matrix]: the equality Jacobian's, then ineq_matrix's.
+    `eq_jac_t` is the CSC matrix of the equality Jacobian transposed, on
+    eq_jac_pattern's index arrays, and stores its values in the head of
+    a_values; `ineq_t` is the CSC view of ineq_matrix transposed.  `write`
+    puts one iterate's equality-Jacobian values into that head, the one copy
+    of them.  The buffers hold one iterate at a time: a solve overwrites
+    them.
     """
 
     def __init__(self, eq_jac_pattern: sp.csr_matrix, ineq_matrix: sp.csr_matrix):
-        self.eq_jac = sp.csr_matrix(
-            (np.zeros(eq_jac_pattern.nnz), eq_jac_pattern.indices, eq_jac_pattern.indptr),
-            shape=eq_jac_pattern.shape,
+        nnz = eq_jac_pattern.nnz
+        self.a_values = np.concatenate([np.zeros(nnz), ineq_matrix.data])
+        self.eq_jac_t = sp.csc_matrix(
+            (np.zeros(nnz), eq_jac_pattern.indices, eq_jac_pattern.indptr),
+            shape=eq_jac_pattern.shape[::-1],
         )
-        self.eq_jac_t, self.ineq_t = self.eq_jac.T, ineq_matrix.T
-        self.a_values = np.concatenate([self.eq_jac.data, ineq_matrix.data])
+        # The constructor would copy a view shorter than half its base, so
+        # the view is bound afterwards.
+        self.eq_jac_t.data = self.a_values[:nnz]
+        self.ineq_t = ineq_matrix.T
 
     def write(self, eq_jac_values: np.ndarray):
-        self.eq_jac.data[:] = self.a_values[: eq_jac_values.size] = eq_jac_values
+        self.a_values[: eq_jac_values.size] = eq_jac_values
 
 
-@dataclass
-class NlpProblem:
-    """Callbacks and bounds of one transcribed problem.
+class NlpStructure:
+    """The static half of an NLP: what every problem on it shares.
 
-    The problem declares the stored entries of its two derivative matrices
-    once, as pattern matrices: `hess_pattern` (CSC) for the Lagrangian
-    Hessian and `eq_jac_pattern` (CSR) for the equality Jacobian, in
-    canonical format (sorted indices, no duplicates; ValueError otherwise),
-    explicit zeros counting as entries.  The callbacks return value vectors
-    in the order of those stored entries, never matrices, so the patterns
-    hold at every point.
+    The structure declares the stored entries of the problem's two
+    derivative matrices once, as pattern matrices: `hess_pattern` (CSC) for
+    the Lagrangian Hessian and `eq_jac_pattern` (CSR) for the equality
+    Jacobian, explicit zeros counting as entries.  `ineq_matrix` (CSR) holds
+    the linear inequality rows.  Each must be in canonical format (sorted
+    indices, no duplicates; ValueError otherwise), and an absent
+    eq_jac_pattern or ineq_matrix reads as a (0, dimension) matrix.
+    `dimension`, `n_eq` and `n_ineq` are the patterns' sizes.
 
-    Equality constraints are eq(x) = 0, one per row of eq_jac_pattern
-    (`n_eq`), and eq_jac(x) returns their Jacobian's values.  A problem
-    without them leaves eq_jac_pattern None: its pattern reads as a (0,
-    dimension) matrix, and eq and eq_jac become callbacks that return empty
-    arrays, so the solver takes one path with or without equality rows.
-    Inequalities are linear interval rows, data rather than callbacks:
-    ineq_lower <= ineq_matrix @ x <= ineq_upper, with ineq_matrix canonical
-    CSR.  A problem without them reads as a (0, dimension) matrix and empty
-    bounds.
-
-    `lagrangian_hess(x, y_eq)` returns the values of the Hessian of cost(x)
-    + y_eq' eq(x) at x; at y_eq = 0 it is the Gauss-Newton Hessian.  It is
-    the only curvature the solver asks for; the linear inequalities add
-    none.
-
-    `qp_workspace` is the QpWorkspace of every SQP subproblem: its P has
-    hess_pattern's entries, its A eq_jac_pattern's rows over ineq_matrix's,
-    and the subproblems bring values only.  When not given, it is set up
-    from those matrices, equilibrated on the values they hold with the cost
-    unscaled, in the natural variable order.  build_nlp gives its
-    structure's, equilibrated the same way and ordered so that the Hessian
-    plus the constraint Jacobians' Gram matrix is narrow-banded.
-
-    `jacobians` are the JacobianBuffers the SQP writes each iterate's
-    equality Jacobian into; set up from the patterns when not given.
-    build_nlp gives its structure's, shared by every problem of the
-    structure like the QP workspace.
-
-    `shift_rows`, when set, lists per constraint row (equality rows, then
-    inequality rows) the row of the same constraint one knot later; the
-    rows of the last knot list themselves.  Multipliers y of one control
-    instant, read as y[shift_rows], seed those of the next, as
-    controller.shift_warm_start seeds x.
-
-    `layout`, when set, is the DecisionLayout that numbers x.
+    It is the one place that sets up the problem's `qp_workspace`, the
+    QpWorkspace of every SQP subproblem (its P has hess_pattern's entries,
+    its A eq_jac_pattern's rows over ineq_matrix's), and `jacobians`, the
+    JacobianBuffers the SQP writes each iterate's equality Jacobian into.
+    The workspace is equilibrated on the values the patterns hold, with the
+    cost unscaled (the gradient that would set its size changes with every
+    subproblem), and factors under `ordering`, the natural variable order
+    when not given.  Both are mutable scratch: every solve on the structure
+    overwrites their values.
     """
 
-    dimension: int
-    cost: Callable[[np.ndarray], float]
-    cost_grad: Callable[[np.ndarray], np.ndarray]
-    lagrangian_hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hess_pattern: sp.csc_matrix
-    eq: Callable[[np.ndarray], np.ndarray] | None = None
-    eq_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    eq_jac_pattern: sp.csr_matrix | None = None
-    ineq_matrix: sp.csr_matrix | None = None
-    ineq_lower: np.ndarray | None = None
-    ineq_upper: np.ndarray | None = None
-    shift_rows: np.ndarray | None = None
-    qp_workspace: QpWorkspace | None = None
-    jacobians: JacobianBuffers | None = None
-    layout: DecisionLayout | None = None
-
-    def __post_init__(self):
-        if self.eq_jac_pattern is None:
-            self.eq_jac_pattern = sp.csr_matrix((0, self.dimension))
-            self.eq = self.eq_jac = lambda x: np.zeros(0)
-        if self.ineq_matrix is None:
-            self.ineq_matrix = sp.csr_matrix((0, self.dimension))
-            self.ineq_lower = self.ineq_upper = np.zeros(0)
+    def __init__(self, hess_pattern, eq_jac_pattern=None, ineq_matrix=None, ordering=None):
+        n = hess_pattern.shape[1]
+        self.hess_pattern = hess_pattern
+        self.eq_jac_pattern = sp.csr_matrix((0, n)) if eq_jac_pattern is None else eq_jac_pattern
+        self.ineq_matrix = sp.csr_matrix((0, n)) if ineq_matrix is None else ineq_matrix
         for name, fmt in (("hess_pattern", "csc"), ("eq_jac_pattern", "csr"),
                           ("ineq_matrix", "csr")):
             matrix = getattr(self, name)
             if not (sp.issparse(matrix) and matrix.format == fmt and matrix.has_canonical_format):
                 raise ValueError(f"{name} is not a {fmt.upper()} matrix in canonical format")
-        if self.qp_workspace is None:
-            self.qp_workspace = QpWorkspace(
-                self.hess_pattern, sp.vstack([self.eq_jac_pattern, self.ineq_matrix], format="csr")
-            )
-        if self.jacobians is None:
-            self.jacobians = JacobianBuffers(self.eq_jac_pattern, self.ineq_matrix)
+        self.qp_workspace = QpWorkspace(
+            self.hess_pattern,
+            sp.vstack([self.eq_jac_pattern, self.ineq_matrix], format="csr"),
+            ordering,
+        )
+        self.jacobians = JacobianBuffers(self.eq_jac_pattern, self.ineq_matrix)
+        self.dimension = n
+        self.n_eq, self.n_ineq = self.eq_jac_pattern.shape[0], self.ineq_matrix.shape[0]
+
+
+@dataclass
+class NlpProblem:
+    """One transcribed problem: its static `structure`, callbacks and bounds.
+
+    The structure (NlpStructure) holds everything that does not change from
+    one problem on it to the next; the problem holds only what does.  The
+    callbacks return value vectors in the order of the stored entries of
+    the structure's patterns, never matrices, so the patterns hold at every
+    point.
+
+    Equality constraints are eq(x) = 0, one per row of eq_jac_pattern
+    (`n_eq`), and eq_jac(x) returns their Jacobian's values.  A problem
+    without them leaves eq and eq_jac None, and they become callbacks that
+    return empty arrays, so the solver takes one path with or without
+    equality rows.  Inequalities are linear interval rows, data rather than
+    callbacks: ineq_lower <= ineq_matrix @ x <= ineq_upper, on the
+    structure's ineq_matrix.  A problem without them leaves the bounds
+    None, which read as empty.
+
+    `lagrangian_hess(x, y_eq)` returns the values of the Hessian of cost(x)
+    + y_eq' eq(x) at x; at y_eq = 0 it is the Gauss-Newton Hessian.  It is
+    the only curvature the solver asks for; the linear inequalities add
+    none.
+    """
+
+    structure: NlpStructure
+    cost: Callable[[np.ndarray], float]
+    cost_grad: Callable[[np.ndarray], np.ndarray]
+    lagrangian_hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    eq: Callable[[np.ndarray], np.ndarray] | None = None
+    eq_jac: Callable[[np.ndarray], np.ndarray] | None = None
+    ineq_lower: np.ndarray | None = None
+    ineq_upper: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.eq is None:
+            self.eq = self.eq_jac = lambda x: np.zeros(0)
+        if self.ineq_lower is None:
+            self.ineq_lower = self.ineq_upper = np.zeros(0)
+
+    @property
+    def dimension(self) -> int:
+        return self.structure.dimension
 
     @property
     def n_eq(self) -> int:
-        return self.eq_jac_pattern.shape[0]
+        return self.structure.n_eq
 
     @property
     def n_ineq(self) -> int:
-        return self.ineq_matrix.shape[0]
+        return self.structure.n_ineq
 
 
 def _flat_entries(terms) -> list:
@@ -424,33 +434,35 @@ def _number_pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple):
     return indices, indptr, np.searchsorted(unique, keys)
 
 
-class _HorizonStructure:
-    """Everything of a horizon problem that its contact schedule does not set.
+class _HorizonStructure(NlpStructure):
+    """The NlpStructure of a horizon problem: everything its schedule does not set.
 
-    Built by _horizon_structure once per (layout, weights, period, the
-    plan's contact rotations and corner arms, friction coefficient) and
-    shared by every problem of that key, so every array is read-only.  The
-    schedule, the measured state and the references set only values and
-    bounds (build_nlp, _inequality_bounds).  It holds the table of the
-    defects' bilinear terms, which both of their derivatives read,
-    NlpProblem's `eq_jac_pattern`, `hess_pattern` and `ineq_matrix` (see the
-    _add_* methods), `shift_rows`, `qp_workspace` and `jacobians`, and the
-    `layout` that numbers its problems.  The cost Hessian is stored once, as
-    the values of hess_pattern, and the variable ordering once, as the
-    workspace's `perm` (DecisionLayout.stage_order).  The QP workspace and
-    the SQP's JacobianBuffers are the structure's mutable scratch: every
-    solve of one of its problems overwrites them.
+    Built by _horizon_structure once per (knots, the plan's corner counts,
+    weights, period, the plan's contact rotations and corner arms, friction
+    coefficient) and shared by every problem of that key, so every array is
+    read-only.  The schedule, the measured state and the references set
+    only values and bounds (build_nlp, _inequality_bounds).  To
+    NlpStructure's patterns (see the _add_* methods), workspace and buffers
+    it adds the `layout` that numbers its problems, built here, the table of
+    the defects' bilinear terms, which both of their derivatives read, and
+    `shift_rows`: per constraint row (equality rows, then inequality rows)
+    the row of the same constraint one knot later, the rows of the last knot
+    listing themselves.  Multipliers y of one control instant, read as
+    y[shift_rows], seed those of the next, as controller.shift_warm_start
+    seeds x.  The cost Hessian is stored once, as the values of
+    hess_pattern, and the variable ordering once, as the workspace's `perm`
+    (DecisionLayout.stage_order).
     """
 
     def __init__(
         self,
-        layout: DecisionLayout,
+        n_knots: int,
         weights: Weights,
         period: float,
         plan: ContactPlan,
         pyramid: FrictionPyramid,
     ):
-        self.layout = layout
+        self.layout = layout = DecisionLayout(n_knots, plan.corner_counts)
         self._add_bilinear_table(layout, plan)
         self._add_eq_jacobian(layout, plan.corner_contact)
         self._add_lagrangian_hessian(
@@ -458,15 +470,9 @@ class _HorizonStructure:
         )
         self._add_inequality_matrix(layout, plan, pyramid)
         self.shift_rows = _shift_rows(layout)
-        # Equilibrated on the values the patterns hold, which this structure
-        # fixes, with the cost unscaled: the gradient that sets its size
-        # changes with every subproblem.
-        self.qp_workspace = QpWorkspace(
-            self.hess_pattern,
-            sp.vstack([self.eq_jac_pattern, self.ineq_matrix], format="csr"),
-            layout.stage_order(),
+        super().__init__(
+            self.hess_pattern, self.eq_jac_pattern, self.ineq_matrix, layout.stage_order()
         )
-        self.jacobians = JacobianBuffers(self.eq_jac_pattern, self.ineq_matrix)
         for value in vars(self).values():
             arrays = (value.data, value.indices, value.indptr) if sp.issparse(value) else (value,)
             for array in arrays:
@@ -601,15 +607,14 @@ class _HorizonStructure:
 
 
 # The latest (key, result) of _horizon_structure, a pure function of its
-# key.  A run keeps one layout, one set of weights, one period, one set of
-# contact rotations and corner arms and one friction coefficient (the
-# pyramid's rows depend on mu alone), so one entry serves all of its horizon
-# problems.
+# key.  A run keeps one horizon, one plan, one set of weights, one period
+# and one friction coefficient (the pyramid's rows depend on mu alone), so
+# one entry serves all of its horizon problems.
 _LAST_STRUCTURE: list = [None, None]
 
 
 def _horizon_structure(
-    layout: DecisionLayout,
+    n_knots: int,
     weights: Weights,
     period: float,
     plan: ContactPlan,
@@ -617,8 +622,8 @@ def _horizon_structure(
 ) -> _HorizonStructure:
     """The _HorizonStructure of its key, rebuilt only when the key changes."""
     key = (
-        layout.n_knots,
-        layout.corner_counts,
+        n_knots,
+        plan.corner_counts,
         period,
         tuple(tuple(getattr(weights, f.name)) for f in fields(weights)),
         plan.orientations.tobytes(),
@@ -626,18 +631,8 @@ def _horizon_structure(
         pyramid.mu,
     )
     if _LAST_STRUCTURE[0] != key:
-        _LAST_STRUCTURE[:] = [key, _HorizonStructure(layout, weights, period, plan, pyramid)]
+        _LAST_STRUCTURE[:] = [key, _HorizonStructure(n_knots, weights, period, plan, pyramid)]
     return _LAST_STRUCTURE[1]
-
-
-def _decision_layout(n_knots: int, corner_counts) -> DecisionLayout:
-    """The latest horizon structure's layout when it has these knots and corners, else a new one."""
-    last = _LAST_STRUCTURE[1]
-    if last is not None and (last.layout.n_knots, last.layout.corner_counts) == (
-        n_knots, tuple(corner_counts)
-    ):
-        return last.layout
-    return DecisionLayout(n_knots, corner_counts)
 
 
 def _cost_linear_terms(
@@ -748,15 +743,14 @@ def build_nlp(
     schedule holds the gate per step (n_knots rows); nominal_com_samples
     covers all n_knots + 1 state knots.  The disturbance profile (one wrench
     per step) enters the momentum defects as a known input.  Everything but
-    values and bounds is the shared _HorizonStructure of (layout, weights,
-    period, the plan's rotations and corner arms, pyramid.mu); the schedule
-    sets the equality Jacobian's gated values, the scale of the bilinear
-    terms and the inequality bounds (_inequality_bounds).  The problem's
-    `layout` numbers its decision vector; it is the structure's, so
-    consecutive control instants of a run share one.
+    values and bounds is the problem's `structure`, the shared
+    _HorizonStructure of (n_knots, the plan's corner counts, rotations and
+    corner arms, weights, period, pyramid.mu), whose `layout` numbers the
+    decision vector; consecutive control instants of a run share it.  The
+    schedule sets the equality Jacobian's gated values, the scale of the
+    bilinear terms and the inequality bounds (_inequality_bounds).
     """
     n_c = plan.n_contacts
-    layout = _decision_layout(n_knots, plan.corner_counts)
     schedule = np.asarray(schedule)
     if schedule.shape != (n_knots, n_c):
         raise ValueError(
@@ -786,11 +780,11 @@ def build_nlp(
 
     gamma = schedule.astype(float)
     mass, gravity = params.mass, params.gravity
-    m_eq = layout.n_state_vars
     pin_momentum = initial_state.momentum
 
-    structure = _horizon_structure(layout, weights, period, plan, pyramid)
-    hess = structure.hess_pattern
+    structure = _horizon_structure(n_knots, weights, period, plan, pyramid)
+    layout, hess = structure.layout, structure.hess_pattern
+    m_eq = layout.n_state_vars
     c_lin, c0 = _cost_linear_terms(layout, weights, nominal_com_samples, plan.nominal_positions)
 
     def cost(x: np.ndarray) -> float:
@@ -841,19 +835,6 @@ def build_nlp(
 
     ineq_lower, ineq_upper = _inequality_bounds(layout, schedule, plan, pyramid, box)
     return NlpProblem(
-        dimension=layout.size,
-        cost=cost,
-        cost_grad=cost_grad,
-        lagrangian_hess=lagrangian_hess,
-        hess_pattern=structure.hess_pattern,
-        eq=eq,
-        eq_jac=eq_jac,
-        eq_jac_pattern=structure.eq_jac_pattern,
-        ineq_matrix=structure.ineq_matrix,
-        ineq_lower=ineq_lower,
-        ineq_upper=ineq_upper,
-        shift_rows=structure.shift_rows,
-        qp_workspace=structure.qp_workspace,
-        jacobians=structure.jacobians,
-        layout=layout,
+        structure, cost, cost_grad, lagrangian_hess, eq=eq, eq_jac=eq_jac,
+        ineq_lower=ineq_lower, ineq_upper=ineq_upper,
     )

@@ -15,12 +15,12 @@ import pytest
 from centroidal_mpc import bundled_scenario, controller, qp
 from centroidal_mpc.controller import cold_start
 from centroidal_mpc.model import CentroidalState, euler_step_batch
-from centroidal_mpc.plan import horizon_schedule, nominal_com_trajectory
+from centroidal_mpc.plan import nominal_com_trajectory
 from centroidal_mpc.qp import solve_qp
 from centroidal_mpc.scenario import apply_overrides, parse_scenario
 from centroidal_mpc.sim import export_csv, simulate
 from centroidal_mpc.solver import SolverOptions, check_derivatives, solve
-from centroidal_mpc.transcription import NlpProblem, build_nlp
+from centroidal_mpc.transcription import NlpProblem, NlpStructure
 
 import scipy.sparse as sp
 
@@ -94,18 +94,17 @@ def two_leg_push():
     return (config, *_recorded_simulation(config))
 
 
-def _scenario_nlp(config, t=0.0):
-    plan, params, options = config.plan, config.params, config.mpc
-    schedule = horizon_schedule(plan, t, options.horizon_knots, options.period)
+def _scenario_nlp(config):
+    """(problem, nominal samples, schedule, state) of the scenario's horizon
+    problem at t = 0 from the nominal CoM at rest, the contacts at their
+    nominal positions and no wrench, as check-derivatives builds it."""
+    plan, params = config.plan, config.params
     spline = nominal_com_trajectory(plan, params)
-    samples = spline.sample(t + options.period * np.arange(options.horizon_knots + 1))
-    state = CentroidalState(spline.position(t), np.zeros(3), np.zeros(3))
-    measured = np.array([c.nominal_position for c in plan.contacts])
-    problem = build_nlp(
-        plan, state, measured, schedule, samples, options.weights, options.pyramid,
-        options.box, options.horizon_knots, options.period, params,
+    state = CentroidalState(spline.position(0.0), np.zeros(3), np.zeros(3))
+    problem, schedule, samples, _ = controller.horizon_problem(
+        state, plan.nominal_positions, plan, 0.0, np.zeros(6), config.mpc, params, spline
     )
-    return problem, plan, params, options, schedule, state, measured
+    return problem, samples, schedule, state
 
 
 class TestCriterion1:
@@ -261,7 +260,7 @@ class TestDualWarmStart:
             for (_, _, previous), (problem, y0, _) in zip(record.calls, record.calls[1:]):
                 assert previous.converged
                 assert y0 is not None and y0.size == problem.n_eq + problem.n_ineq
-                assert np.array_equal(y0, previous.multipliers[problem.shift_rows])
+                assert np.array_equal(y0, previous.multipliers[problem.structure.shift_rows])
 
 
 class TestCriterion4:
@@ -271,12 +270,9 @@ class TestCriterion4:
         worst = worst_hess = 0.0
         points_total = 0
         for config in (one_leg_push[0], two_leg_push[0]):
-            problem, plan, params, options, schedule, state, measured = _scenario_nlp(config)
-            layout = problem.layout
-            samples = nominal_com_trajectory(plan, params).sample(
-                options.period * np.arange(layout.n_knots + 1)
-            )
-            base = cold_start(plan, layout, samples)
+            problem, samples, _, _ = _scenario_nlp(config)
+            layout = problem.structure.layout
+            base = cold_start(config.plan, layout, samples)
             points = base + rng.uniform(-0.5, 0.5, size=(50, layout.size))
             # multipliers of the size seen after a push (100-700)
             y = multiplier_rng.uniform(-700.0, 700.0, size=(50, problem.n_eq))
@@ -297,8 +293,10 @@ class TestCriterion4:
 class TestCriterion5:
     def test_defects_on_rollout(self, two_leg_push):
         config = two_leg_push[0]
-        problem, plan, params, options, schedule, state, measured = _scenario_nlp(config)
-        layout = problem.layout
+        problem, _, schedule, state = _scenario_nlp(config)
+        plan, params, options = config.plan, config.params, config.mpc
+        measured = plan.nominal_positions
+        layout = problem.structure.layout
         rng = np.random.RandomState(7)
         x = np.zeros(layout.size)
         x[layout.n_state_vars:] = 3.0 * rng.randn(layout.n_knots * layout.control_dim)
@@ -404,14 +402,12 @@ class TestCriterion7:
         kkt = np.block([[H, A.T], [A, np.zeros((1, 1))]])
         expected = np.linalg.solve(kkt, np.concatenate([-g0, b]))[:3]
         problem = NlpProblem(
-            dimension=3,
+            NlpStructure(sp.csc_matrix(H), sp.csr_matrix(A)),
             cost=lambda x: float(0.5 * x @ H @ x + g0 @ x),
             cost_grad=lambda x: H @ x + g0,
             lagrangian_hess=lambda x, y_eq: np.diag(H),
-            hess_pattern=sp.csc_matrix(H),
             eq=lambda x: A @ x - b,
             eq_jac=lambda x: A.ravel(),
-            eq_jac_pattern=sp.csr_matrix(A),
         )
         sol = solve(problem, np.zeros(3), tight)
         if not (sol.converged and sol.iterations <= 2
@@ -420,12 +416,11 @@ class TestCriterion7:
 
         # half-space projection: min 1/2||x||^2 s.t. x1 >= 1
         proj = NlpProblem(
-            dimension=2,
+            NlpStructure(sp.csc_matrix(np.eye(2)),
+                         ineq_matrix=sp.csr_matrix(np.array([[1.0, 0.0]]))),
             cost=lambda x: float(0.5 * x @ x),
             cost_grad=lambda x: x.copy(),
             lagrangian_hess=lambda x, y_eq: np.ones(2),
-            hess_pattern=sp.csc_matrix(np.eye(2)),
-            ineq_matrix=sp.csr_matrix(np.array([[1.0, 0.0]])),
             ineq_lower=np.array([1.0]),
             ineq_upper=np.array([np.inf]),
         )

@@ -14,13 +14,9 @@ import pytest
 import scipy.sparse as sp
 
 from centroidal_mpc import bundled_scenario, transcription
+from centroidal_mpc.controller import horizon_problem
 from centroidal_mpc.model import CentroidalState, ContactGeometry, PhysicalParams
-from centroidal_mpc.plan import (
-    ContactPlan,
-    NominalContact,
-    horizon_schedule,
-    nominal_com_trajectory,
-)
+from centroidal_mpc.plan import ContactPlan, NominalContact, nominal_com_trajectory
 from centroidal_mpc.scenario import parse_scenario
 from centroidal_mpc.sim import simulate
 from centroidal_mpc.transcription import (
@@ -286,14 +282,14 @@ def same_csr(a, b):
 
 def jacobian(problem, x):
     """The equality Jacobian at x: eq_jac's values in the declared pattern."""
-    jac = problem.eq_jac_pattern.copy()
+    jac = problem.structure.eq_jac_pattern.copy()
     jac.data = problem.eq_jac(x)
     return jac
 
 
 def hessian(problem, x, y):
     """The Lagrangian Hessian at (x, y): lagrangian_hess's values in the declared pattern."""
-    hess = problem.hess_pattern.copy()
+    hess = problem.structure.hess_pattern.copy()
     hess.data = problem.lagrangian_hess(x, y)
     return hess
 
@@ -322,14 +318,15 @@ def assert_matches_reference(plan, schedule, seed=0):
         expected_cost = float(0.5 * x @ (hess @ x) + ref["c_lin"] @ x + ref["constant"])
         assert bits(problem.cost(x)) == bits(expected_cost)
         assert np.array_equal(bits(problem.cost_grad(x)), bits(hess @ x + ref["c_lin"]))
-    assert same_csr(problem.ineq_matrix, ref["ineq_matrix"])
+    structure = problem.structure
+    assert same_csr(structure.ineq_matrix, ref["ineq_matrix"])
     assert problem.n_ineq == ref["ineq_matrix"].shape[0]
     assert np.array_equal(bits(problem.ineq_lower), bits(ref["ineq_lower"]))
     assert np.array_equal(bits(problem.ineq_upper), bits(ref["ineq_upper"]))
-    for ours, theirs in zip(stored_entries(problem.ineq_matrix),
+    for ours, theirs in zip(stored_entries(structure.ineq_matrix),
                             stored_entries(ref["ineq_matrix"])):
         assert np.array_equal(ours, theirs)
-    assert np.array_equal(problem.shift_rows, ref["shift_rows"])
+    assert np.array_equal(structure.shift_rows, ref["shift_rows"])
     return problem
 
 
@@ -370,18 +367,17 @@ class TestLayoutTemplateMemo:
     def test_shared_template_arrays_are_read_only(self, structure_builds):
         plan = make_plan([RECT, POINT])
         problem, _ = make_problem(plan, [[ON, OFF]] * N_KNOTS)
-        structure = transcription._horizon_structure(
-            DecisionLayout(N_KNOTS, [4, 1]), Weights(), PERIOD, plan, PYRAMID
-        )
+        structure = transcription._horizon_structure(N_KNOTS, Weights(), PERIOD, plan, PYRAMID)
         # the accessor returns the structure build_nlp built, without a rebuild
         assert len(structure_builds) == 1 and structure is structure_builds[0]
+        assert problem.structure is structure
         hess = structure.hess_pattern
         jac = structure.eq_jac_pattern
         shared = [structure.eq_slots, jac.data, jac.indices, jac.indptr,
                   structure.linear_sources, hess.data, hess.indices, hess.indptr,
                   structure.bilinear_rows, structure.bilinear_arms, structure.bilinear_forces,
                   structure.bilinear_signs, structure.bilinear_gates, structure.bilinear_offsets,
-                  problem.shift_rows, problem.qp_workspace.perm]
+                  structure.shift_rows, structure.qp_workspace.perm]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -390,7 +386,7 @@ class TestLayoutTemplateMemo:
         assert problem.eq_jac(x).flags.writeable
         assert problem.lagrangian_hess(x, np.ones(problem.n_eq)).flags.writeable
         # the inequality matrix is the template's, shared by every schedule
-        ineq = problem.ineq_matrix
+        ineq = structure.ineq_matrix
         for array in (ineq.data, ineq.indices, ineq.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -411,8 +407,7 @@ class TestLayoutTemplateMemo:
             if first is None:
                 first = problem
             assert problem.n_ineq == first.n_ineq == 6 * 5 * n_knots + 3 * 2 * n_knots
-            assert same_csr(problem.ineq_matrix, first.ineq_matrix)
-            assert np.array_equal(problem.shift_rows, first.shift_rows)
+            assert problem.structure is first.structure
             bounds.add((bits(problem.ineq_lower).tobytes(), bits(problem.ineq_upper).tobytes()))
         # five bound sets per contact: dead, or bearing load with the box
         # from knot 1, 2, 3 or never
@@ -463,9 +458,10 @@ class TestLagrangianHessian:
         ])
         assert np.array_equal(knot[curvature.row], knot[curvature.col])
         position = np.empty(problem.dimension, dtype=int)
-        position[problem.qp_workspace.perm] = np.arange(problem.dimension)
+        workspace = problem.structure.qp_workspace
+        position[workspace.perm] = np.arange(problem.dimension)
         spread = np.abs(position[curvature.row] - position[curvature.col])
-        assert spread.max() <= problem.qp_workspace.width
+        assert spread.max() <= workspace.width
 
     @pytest.mark.parametrize("geometries, width", [
         ([POINT], 18), ([RECT, POINT], 36), ([RECT, RECT], 45),
@@ -474,7 +470,8 @@ class TestLagrangianHessian:
         # every coupling between knots reaches at most one stage ahead
         problem, _ = make_problem(make_plan(geometries), [[ON] * len(geometries)] * N_KNOTS)
         layout = DecisionLayout(N_KNOTS, [g.n_corners for g in geometries])
-        assert problem.qp_workspace.width == layout.state_dim + layout.control_dim == width
+        width_of = problem.structure.qp_workspace.width
+        assert width_of == layout.state_dim + layout.control_dim == width
 
     def test_pattern_is_identical_for_every_schedule_of_a_layout(self):
         # every schedule of two contacts over three knots, dead contacts
@@ -493,7 +490,7 @@ class TestLagrangianHessian:
                 np.array([c.nominal_position for c in plan.contacts]), schedule,
                 np.zeros((n_knots + 1, 3)), Weights(), PYRAMID, BOX, n_knots, PERIOD, PARAMS,
             )
-            pattern = problem.hess_pattern
+            pattern = problem.structure.hess_pattern
             assert pattern.format == "csc" and pattern.has_canonical_format
             if first is None:
                 first = pattern
@@ -516,13 +513,11 @@ class TestLagrangianHessian:
         expected = hessian(first, x, y)
         other, _ = make_problem(two_legs, [[ON, ON]] * N_KNOTS, seed=1)
         assert other.lagrangian_hess(np.zeros(other.dimension), np.ones(other.n_eq)
-                                     ).shape == other.hess_pattern.data.shape
+                                     ).shape == other.structure.hess_pattern.data.shape
         again, _ = make_problem(one_leg, [[ON]] * N_KNOTS)
         assert same_csr(hessian(again, x, y).tocsr(), expected.tocsr())
         # the memo holds the one-leg structure, so the accessor builds nothing
-        structure = transcription._horizon_structure(
-            DecisionLayout(N_KNOTS, [1]), Weights(), PERIOD, one_leg, PYRAMID
-        )
+        structure = transcription._horizon_structure(N_KNOTS, Weights(), PERIOD, one_leg, PYRAMID)
         assert len(structure_builds) == 3 and structure is structure_builds[-1]
         pattern = structure.hess_pattern
         for array in (pattern.indices, pattern.indptr, structure.curvature_slots, pattern.data):
@@ -572,34 +567,35 @@ class TestHorizonStructureTraffic:
         assert len(structure_builds) == 1
 
     def test_problems_of_a_structure_share_its_layout_and_buffers(self, structure_builds):
-        # The layout, the QP workspace and the SQP's Jacobian buffers are
-        # the structure's, for every schedule; a new layout comes with a new
-        # structure only.
+        # The structure, with its layout, QP workspace and the SQP's
+        # Jacobian buffers, is one object for every schedule; a new layout
+        # comes with a new structure only.
         one_leg, two_legs = make_plan([POINT]), make_plan([RECT, POINT])
         problems = [make_problem(one_leg, [[ON]] * 2 + [[OFF]] * 4, seed=seed)[0]
                     for seed in range(3)]
         structure = structure_builds[-1]
+        assert len(structure_builds) == 1
         for problem in problems:
-            assert problem.layout is structure.layout
-            assert problem.qp_workspace is structure.qp_workspace
-            assert problem.jacobians is structure.jacobians
+            assert problem.structure is structure
+        assert structure.layout.corner_counts == (1,)
         other, _ = make_problem(two_legs, [[ON, OFF]] * 3 + [[ON, ON]] * 3)
         assert len(structure_builds) == 2
-        assert other.layout is structure_builds[-1].layout is not structure.layout
-        assert other.layout.corner_counts == (4, 1)
+        assert other.structure is structure_builds[-1] is not structure
+        assert other.structure.layout is not structure.layout
+        assert other.structure.layout.corner_counts == (4, 1)
+        assert other.structure.qp_workspace is not structure.qp_workspace
+        assert other.structure.jacobians is not structure.jacobians
 
 
 def bundled_problem(name):
     """The horizon problem of a bundled scenario at t = 0, as check-derivatives builds it."""
     config = parse_scenario(bundled_scenario(name), name=name)
-    plan, params, options = config.plan, config.params, config.mpc
-    n, period = options.horizon_knots, options.period
-    samples = nominal_com_trajectory(plan, params).sample(period * np.arange(n + 1))
-    return build_nlp(
-        plan, CentroidalState(samples[0], np.zeros(3), np.zeros(3)), plan.nominal_positions,
-        horizon_schedule(plan, 0.0, n, period), samples, options.weights, options.pyramid,
-        options.box, n, period, params,
-    )
+    plan, params = config.plan, config.params
+    spline = nominal_com_trajectory(plan, params)
+    state = CentroidalState(spline.position(0.0), np.zeros(3), np.zeros(3))
+    return horizon_problem(
+        state, plan.nominal_positions, plan, 0.0, np.zeros(6), config.mpc, params, spline
+    )[0]
 
 
 def dense_eq_jacobian(problem, x, h=1e-6):

@@ -14,11 +14,10 @@ from centroidal_mpc.model import CentroidalState, ContactGeometry, PhysicalParam
 from centroidal_mpc.plan import (
     ContactPlan,
     NominalContact,
-    horizon_schedule,
     nominal_com_trajectory,
 )
 from centroidal_mpc.solver import Solution, SolverOptions
-from centroidal_mpc.transcription import DecisionLayout, build_nlp
+from centroidal_mpc.transcription import DecisionLayout
 
 POINT = ContactGeometry.point()
 RECT = ContactGeometry.rectangle(0.2, 0.1)
@@ -104,15 +103,12 @@ class TestShiftWarmStart:
 class TestShiftMultipliers:
     @staticmethod
     def problem(plan, t):
-        n = OPTIONS.horizon_knots
-        samples = nominal_com_trajectory(plan, PARAMS).sample(t + 0.1 * np.arange(n + 1))
-        problem = build_nlp(
-            plan, CentroidalState(samples[0], np.zeros(3), np.zeros(3)),
-            np.array([c.nominal_position for c in plan.contacts]),
-            horizon_schedule(plan, t, n, OPTIONS.period), samples, OPTIONS.weights,
-            OPTIONS.pyramid, OPTIONS.box, n, OPTIONS.period, PARAMS,
+        spline = nominal_com_trajectory(plan, PARAMS)
+        state = CentroidalState(spline.position(t), np.zeros(3), np.zeros(3))
+        problem, *_ = controller.horizon_problem(
+            state, plan.nominal_positions, plan, t, NO_WRENCH, OPTIONS, PARAMS, spline
         )
-        return problem.layout, problem
+        return problem.structure.layout, problem
 
     def test_block_k_takes_block_k_plus_1_and_the_last_is_duplicated(self):
         for plan in (standing_plan(), hop_plan()):
@@ -213,7 +209,7 @@ class TestMpcStep:
         state = CentroidalState(spline.position(1.0), [2.0, 0, 0], [0, 0, 0])
         out = mpc_step(state, np.zeros((1, 3)), plan, 1.0,
                        push(5.0), None, tight, PARAMS, spline)
-        assert out.degraded
+        assert not out.solution.converged
         for contact, landing in zip(plan.contacts, out.landings):
             assert tight.box.gap(landing, contact.nominal_position, contact.orientation) <= 1e-9
 
@@ -237,7 +233,7 @@ class TestMpcStep:
         monkeypatch.setattr(controller, "solve", failed_solve)
         out = mpc_step(state, positions, plan, 0.1, NO_WRENCH, previous,
                        OPTIONS, PARAMS, spline)
-        assert out.degraded
+        assert out.solution.status == "numerical_failure"
         layout = layout_of(plan)
         shifted = shift_warm_start(previous.x, layout)[layout.forces]
         expected = _sanitize_forces(shifted, out.schedule.astype(float), OPTIONS.pyramid, plan)

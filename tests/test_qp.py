@@ -70,20 +70,30 @@ def structure_workspace(name):
     """The QP workspace of a bundled scenario's horizon structure, set up as a run does."""
     config = parse_scenario(bundled_scenario(name), name=name)
     mpc = config.mpc
-    layout = transcription.DecisionLayout(mpc.horizon_knots, config.plan.corner_counts)
     structure = transcription._HorizonStructure(
-        layout, mpc.weights, mpc.period, config.plan, mpc.pyramid
+        mpc.horizon_knots, mpc.weights, mpc.period, config.plan, mpc.pyramid
     )
     return structure.qp_workspace
 
 
-def assert_stacked_product_exact(workspace, x, y):
-    """[P; A] x of the stacked operator is scaled_P @ x over scaled_A @ x, bit for
-    bit, and the refinement's products are scipy's."""
+def scaled_p(workspace, p_values):
+    """c D P D of the values `p_values` of P as a CSC matrix on P's pattern,
+    built apart from the workspace's buffers: entry (i, j) times c d_i d_j."""
+    P = workspace.P
+    cols = np.repeat(np.arange(P.shape[1]), np.diff(P.indptr))
+    scale = workspace.c * workspace.d[P.indices] * workspace.d[cols]
+    return sp.csc_matrix((p_values * scale, P.indices, P.indptr), shape=P.shape)
+
+
+def assert_stacked_product_exact(workspace, p_values, x, y):
+    """With `p_values` loaded, [P; A] x of the stacked operator is the scaled
+    P times x over scaled_A @ x, bit for bit, and the refinement's products
+    are scipy's."""
     n = workspace.shape[1]
     product = qp._product(workspace.stacked, x)
+    assert np.array_equal(bits(workspace.p_data), bits(scaled_p(workspace, p_values).data))
     assert np.array_equal(bits(product), bits(workspace.stacked @ x))
-    assert np.array_equal(bits(product[:n]), bits(workspace.scaled_P @ x))
+    assert np.array_equal(bits(product[:n]), bits(scaled_p(workspace, p_values) @ x))
     assert np.array_equal(bits(product[n:]), bits(workspace.scaled_A @ x))
     assert np.array_equal(bits(qp._product(workspace.scaled_A, x)), bits(workspace.scaled_A @ x))
     assert np.array_equal(bits(qp._product(workspace.scaled_AT, y)),
@@ -798,9 +808,11 @@ class TestWorkspace:
         assert workspace.scaled_AT.data is workspace.scaled_A.data
         m, n = workspace.shape
         rng = np.random.RandomState(seed)
-        workspace.load(rng.randn(workspace.P.nnz), rng.randn(workspace.A.nnz), rng.randn(n),
+        p_values = rng.randn(workspace.P.nnz)
+        workspace.load(p_values, rng.randn(workspace.A.nnz), rng.randn(n),
                        -np.abs(rng.randn(m)), np.abs(rng.randn(m)))
-        assert_stacked_product_exact(workspace, rng.randn(n) * rng.choice([1e-3, 1.0, 1e3], n),
+        assert_stacked_product_exact(workspace, p_values,
+                                     rng.randn(n) * rng.choice([1e-3, 1.0, 1e3], n),
                                      rng.randn(m))
 
     @PROPERTY
@@ -816,8 +828,9 @@ class TestWorkspace:
         q = 1e3 * rng.randn(n)
         workspace = one_off_workspace(P, q, A, lower, upper)
         assume(workspace.c != 1.0)
-        workspace.load(*values(P, A), q, lower, upper)
-        assert_stacked_product_exact(workspace, rng.randn(n), rng.randn(m))
+        p_values, a_values = values(P, A)
+        workspace.load(p_values, a_values, q, lower, upper)
+        assert_stacked_product_exact(workspace, p_values, rng.randn(n), rng.randn(m))
         ls, us, eq = workspace.scaled_lower, workspace.scaled_upper, workspace.eq
         low = ~eq & np.isfinite(lower) & (rng.rand(m) < 0.4)
         upp = ~eq & ~low & np.isfinite(upper) & (rng.rand(m) < 0.4)
@@ -829,7 +842,8 @@ class TestWorkspace:
         assert found is not None
         x, y, ax, gradient, (gap, primal_error, dual_error), _ = found
         assert np.array_equal(bits(ax), bits(workspace.scaled_A @ x))
-        assert np.array_equal(bits(gradient), bits(workspace.scaled_P @ x + workspace.scaled_q))
+        assert np.array_equal(bits(gradient),
+                              bits(scaled_p(workspace, p_values) @ x + workspace.scaled_q))
         expected = np.where(low, ax - ls, np.where(upp | eq, ax - us, 0.0))
         assert np.array_equal(bits(gap), bits(expected))
         assert primal_error == float(np.max(np.abs(expected) / workspace.e, initial=0.0))

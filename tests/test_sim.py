@@ -263,10 +263,11 @@ class TestQpWorkspaceTraffic:
     @pytest.mark.parametrize("name", ["one_leg_jump", "two_leg_walk_run"])
     def test_qps_reuse_the_workspace_buffers(self, name, monkeypatch):
         # Once the structure is set up, an MPC step builds no compressed
-        # matrix: the SQP's equality Jacobian and the transposed views are
-        # the structure's JacobianBuffers.  Every QP loads into the
+        # matrix: the SQP's transposed equality Jacobian and inequality
+        # rows are the structure's JacobianBuffers, the former storing its
+        # values in the buffers' a_values.  Every QP loads into the
         # structure workspace's buffers, takes its constraint values from
-        # the buffers' a_values and factors in the workspace's band array.
+        # a_values and factors in the workspace's band array.
         config = parse_scenario(bundled_scenario(name), name=name)
         traj, _ = simulate(config)
         structure = transcription._LAST_STRUCTURE[1]
@@ -285,13 +286,13 @@ class TestQpWorkspaceTraffic:
         def recording_load(self, p_values, a_values, *args):
             load(self, p_values, a_values, *args)
             counts["qps"] += 1
-            objects.update(id(a) for a in (self, self.scaled_P, self.scaled_A, self.scaled_AT,
+            objects.update(id(a) for a in (self, self.p_data, self.scaled_A, self.scaled_AT,
                                            self.stacked, self.base, a_values))
 
         def recording_write(self, values):
             write(self, values)
-            objects.update(id(a) for a in (self, self.eq_jac, self.eq_jac_t, self.ineq_t,
-                                           self.a_values))
+            objects.update(id(a) for a in (self, self.eq_jac_t, self.ineq_t, self.a_values))
+            assert np.shares_memory(self.eq_jac_t.data, self.a_values)
 
         def recording_dpbtrf(band, **kwargs):
             objects.add(id(band.base))
@@ -304,9 +305,9 @@ class TestQpWorkspaceTraffic:
         assert counts["qps"] > traj.n_steps
         assert counts["matrices"] == 0
         assert objects == {id(a) for a in (
-            workspace, workspace.scaled_P, workspace.scaled_A, workspace.scaled_AT,
+            workspace, workspace.p_data, workspace.scaled_A, workspace.scaled_AT,
             workspace.stacked, workspace.base, workspace.band,
-            jacobians, jacobians.eq_jac, jacobians.eq_jac_t, jacobians.ineq_t, jacobians.a_values,
+            jacobians, jacobians.eq_jac_t, jacobians.ineq_t, jacobians.a_values,
         )}
 
     def test_run_after_another_exports_what_a_fresh_process_does(self, tmp_path):

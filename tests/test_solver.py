@@ -10,7 +10,7 @@ from centroidal_mpc.solver import (
     check_derivatives,
     solve,
 )
-from centroidal_mpc.transcription import NlpProblem
+from centroidal_mpc.transcription import NlpProblem, NlpStructure
 
 
 def stored(pattern, dense):
@@ -30,7 +30,6 @@ def quadratic_problem(H, g0, eq=None, ineq=None):
     """NlpProblem wrapper around min 1/2 x'Hx + g0'x with linear constraints."""
     H = np.asarray(H, float)
     g0 = np.asarray(g0, float)
-    n = g0.size
     A_eq, b_eq = eq if eq else (None, None)
     A_in, lo, hi = ineq if ineq else (None, None, None)
     m_eq = 0 if A_eq is None else np.asarray(b_eq).size
@@ -38,15 +37,12 @@ def quadratic_problem(H, g0, eq=None, ineq=None):
     hess = sp.csc_matrix(H)
     jac = sp.csr_matrix(A_eq) if m_eq else None
     return NlpProblem(
-        dimension=n,
+        NlpStructure(hess, jac, sp.csr_matrix(A_in) if m_in else None),
         cost=lambda x: float(0.5 * x @ H @ x + g0 @ x),
         cost_grad=lambda x: H @ x + g0,
         lagrangian_hess=lambda x, y_eq: hess.data,
-        hess_pattern=hess,
         eq=(lambda x: np.asarray(A_eq) @ x - b_eq) if m_eq else None,
         eq_jac=(lambda x: jac.data) if m_eq else None,
-        eq_jac_pattern=jac,
-        ineq_matrix=sp.csr_matrix(A_in) if m_in else None,
         ineq_lower=None if lo is None else np.asarray(lo, float),
         ineq_upper=None if hi is None else np.asarray(hi, float),
     )
@@ -100,14 +96,12 @@ class TestNonlinearEquality:
         # entries at x0 = 0 or x1 = 0.
         hess = declared(H + swap, H)
         return NlpProblem(
-            dimension=3,
+            NlpStructure(hess, sp.csr_matrix([[1.0, 1.0, 0.0]])),
             cost=lambda x: float(x @ x - 4 * x[0] - 4 * x[1] - 2 * x[2] + 9),
             cost_grad=lambda x: 2 * x + g0,
             lagrangian_hess=lambda x, y_eq: stored(hess, H + y_eq[0] * swap),
-            hess_pattern=hess,
             eq=eq,
             eq_jac=lambda v: np.array([v[1], v[0]]),
-            eq_jac_pattern=sp.csr_matrix([[1.0, 1.0, 0.0]]),
         )
 
     def test_converges_to_known_solution(self):
@@ -287,14 +281,12 @@ class TestGaussNewtonFallback:
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         hess = declared(np.ones((2, 2)), np.eye(2))
         return NlpProblem(
-            dimension=2,
+            NlpStructure(hess, sp.csr_matrix(np.ones((1, 2)))),
             cost=lambda x: float(0.5 * np.sum((x - target) ** 2)),
             cost_grad=lambda x: x - target,
             lagrangian_hess=lambda x, y_eq: stored(hess, np.eye(2) + y_eq[0] * swap),
-            hess_pattern=hess,
             eq=lambda x: np.array([x[0] * x[1] - 1.0]),
             eq_jac=lambda x: np.array([x[1], x[0]]),
-            eq_jac_pattern=sp.csr_matrix(np.ones((1, 2))),
         )
 
     @staticmethod
@@ -378,15 +370,13 @@ class TestRejectedStepExit:
         # min |x - (2, 0)|^2  s.t.  |x|^2 = 1,  x0 <= 1.5
         target = np.array([2.0, 0.0])
         return NlpProblem(
-            dimension=2,
+            NlpStructure(sp.csc_matrix(2.0 * np.eye(2)), sp.csr_matrix(np.ones((1, 2))),
+                         sp.csr_matrix(np.array([[1.0, 0.0]]))),
             cost=lambda x: float(np.sum((x - target) ** 2)),
             cost_grad=lambda x: 2.0 * (x - target),
             lagrangian_hess=lambda x, y_eq: np.full(2, 2.0 + 2.0 * y_eq[0]),
-            hess_pattern=sp.csc_matrix(2.0 * np.eye(2)),
             eq=lambda x: np.array([x @ x - 1.0]),
             eq_jac=lambda x: 2.0 * x,
-            eq_jac_pattern=sp.csr_matrix(np.ones((1, 2))),
-            ineq_matrix=sp.csr_matrix(np.array([[1.0, 0.0]])),
             ineq_lower=np.array([-np.inf]),
             ineq_upper=np.array([1.5]),
         )
@@ -395,10 +385,11 @@ class TestRejectedStepExit:
     def loop_head_kkt(problem, x, y):
         """Stationarity and complementarity, scaled as Solution documents."""
         y_eq, y_in = y[: problem.n_eq], y[problem.n_eq :]
-        jac = problem.eq_jac_pattern.copy()
+        structure = problem.structure
+        jac = structure.eq_jac_pattern.copy()
         jac.data = problem.eq_jac(x)
-        grad = problem.cost_grad(x) + jac.T @ y_eq + problem.ineq_matrix.T @ y_in
-        v = problem.ineq_matrix @ x
+        grad = problem.cost_grad(x) + jac.T @ y_eq + structure.ineq_matrix.T @ y_in
+        v = structure.ineq_matrix @ x
         slack = np.where(y_in > 0, problem.ineq_upper - v,
                          np.where(y_in < 0, v - problem.ineq_lower, 0.0))
         comp = np.max(np.minimum(np.abs(y_in), np.maximum(slack, 0.0)))
@@ -438,9 +429,9 @@ class TestRejectedStepExit:
             return float(x[0] + 1e-8 * x[1] + abs(x[1]))
 
         problem = NlpProblem(
-            dimension=2, cost=cost, cost_grad=lambda x: np.array([1.0, 1e-8]),
-            lagrangian_hess=lambda x, y_eq: hess.data, hess_pattern=hess,
-            eq=lambda x: x[:1].copy(), eq_jac=lambda x: jac.data, eq_jac_pattern=jac,
+            NlpStructure(hess, jac), cost=cost, cost_grad=lambda x: np.array([1.0, 1e-8]),
+            lagrangian_hess=lambda x, y_eq: hess.data,
+            eq=lambda x: x[:1].copy(), eq_jac=lambda x: jac.data,
         )
         sol = solve(problem, np.zeros(2))
         assert sol.status == "converged" and sol.iterations == 1
@@ -463,15 +454,14 @@ class TestCheckDerivatives:
 
         swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         hess = declared(2 * np.eye(3) + swap, 2 * np.eye(3))
+        jac = sp.csr_matrix((np.ones(4), [0, 1, 2, 2], [0, 3, 4]), shape=(2, 3))
         return NlpProblem(
-            dimension=3,
+            NlpStructure(hess, jac),
             cost=lambda x: float(x @ x),
             cost_grad=lambda x: 2 * x,
             lagrangian_hess=lambda x, y_eq: stored(hess, 2 * np.eye(3) + y_eq[0] * swap),
-            hess_pattern=hess,
             eq=lambda v: np.array([v[0] * v[1] - 1.0, v[2] - 2.0]),
             eq_jac=lambda v: np.array([v[1], v[0], fault(v), 1.0]),
-            eq_jac_pattern=sp.csr_matrix((np.ones(4), [0, 1, 2, 2], [0, 3, 4]), shape=(2, 3)),
         )
 
     def test_corrupted_jacobian_flagged_at_exact_index(self):
@@ -543,7 +533,9 @@ class TestCheckDerivatives:
             problem.lagrangian_hess = corrupted
         else:
             # a declared pattern without (1, 0) and (0, 1)
-            problem.hess_pattern = sp.csc_matrix(np.eye(2))
+            problem.structure = NlpStructure(
+                sp.csc_matrix(np.eye(2)), problem.structure.eq_jac_pattern
+            )
             problem.lagrangian_hess = lambda v, y_eq: exact(v, y_eq)[[0, 3]]
         report = check_derivatives(problem, [x], multipliers=[y])
         assert report.worst_block == "lagrangian_hess"

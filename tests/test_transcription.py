@@ -22,7 +22,7 @@ from centroidal_mpc.transcription import (
     ContactBox,
     DecisionLayout,
     FrictionPyramid,
-    NlpProblem,
+    NlpStructure,
     Weights,
     build_nlp,
 )
@@ -340,7 +340,7 @@ class TestBuildNlp:
         problem, *_ = two_contact_problem(n_knots=2)
         rng = np.random.RandomState(4)
         x = rng.randn(problem.dimension)
-        jac = problem.eq_jac_pattern.copy()
+        jac = problem.structure.eq_jac_pattern.copy()
         jac.data = problem.eq_jac(x)
         J = jac.toarray()
         h = 1e-6
@@ -425,7 +425,7 @@ class TestWeights:
             Weights(ang_momentum=[1.0, -1.0, 1.0])
 
 
-class TestNlpProblem:
+class TestNlpStructure:
     @staticmethod
     def compressed(fmt, shape, indices):
         """A CSR or CSC matrix of ones holding `indices` in its first row or column."""
@@ -444,9 +444,23 @@ class TestNlpProblem:
         for bad in (self.compressed(fmt, shape, [1, 1]), self.compressed(fmt, shape, [1, 0]),
                     patterns[field].asformat("csr" if fmt == "csc" else "csc")):
             with pytest.raises(ValueError, match=f"{field} is not a {fmt.upper()} matrix"):
-                NlpProblem(
-                    dimension=2, cost=lambda x: 0.0, cost_grad=lambda x: np.zeros(2),
-                    lagrangian_hess=lambda x, y: np.zeros(2),
-                    eq=lambda x: np.zeros(1), eq_jac=lambda x: np.zeros(2),
-                    ineq_lower=np.zeros(1), ineq_upper=np.ones(1), **{**patterns, field: bad},
-                )
+                NlpStructure(**{**patterns, field: bad})
+
+    def test_sizes_derive_from_the_patterns(self):
+        structure = NlpStructure(sp.csc_matrix(np.eye(3)), sp.csr_matrix(np.ones((2, 3))))
+        assert (structure.dimension, structure.n_eq, structure.n_ineq) == (3, 2, 0)
+        assert structure.ineq_matrix.shape == (0, 3)
+        bare = NlpStructure(sp.csc_matrix(np.eye(2)))
+        assert bare.eq_jac_pattern.shape == bare.ineq_matrix.shape == (0, 2)
+
+    def test_equality_jacobian_values_are_stored_once(self):
+        # The transposed equality Jacobian stores its values in the head of
+        # the subproblems' constraint values, so one write sets both.
+        jac = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+        ineq = sp.csr_matrix(np.array([[0.0, 5.0, 6.0]]))
+        jacobians = NlpStructure(sp.csc_matrix(np.eye(3)), jac, ineq).jacobians
+        assert np.shares_memory(jacobians.eq_jac_t.data, jacobians.a_values)
+        jacobians.write(np.array([7.0, 8.0, 9.0]))
+        assert np.array_equal(jacobians.a_values, [7.0, 8.0, 9.0, 5.0, 6.0])
+        assert np.array_equal(jacobians.eq_jac_t.toarray(), [[7.0, 0.0], [0.0, 9.0], [8.0, 0.0]])
+        assert np.array_equal(jacobians.ineq_t.toarray(), ineq.T.toarray())
