@@ -6,10 +6,10 @@ on the static NlpStructure that every instant of a run shares.  It solves
 that problem warm-started from the previous primal and dual solution,
 both shifted one knot in time, and extracts the first control plus the
 optimized landing positions of upcoming touchdowns.  The predicted
-trajectory is reconstructed by rolling the solved controls out from the
-measured state in one euler_step_batch call, the rollout the plant's
-integrate_step makes, so prediction and plant agree exactly when their
-inputs match.
+trajectory is reconstructed by rolling the solved forces out from the
+measured state on the solved contact positions (the measured ones at knot
+0) in one euler_step_batch call, the rollout the plant's integrate_step
+makes, so prediction and plant agree exactly when their inputs match.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def cold_start(
 ) -> np.ndarray:
     """Nominal-CoM initialization: the nominal CoM samples (one per state
     knot) for the CoM knots, nominal positions for the contacts, zeros for
-    momenta, forces and velocities."""
+    momenta and forces."""
     x = np.zeros(layout.size)
     x[layout.com] = nominal_samples
     x[layout.contacts] = plan.nominal_positions
@@ -189,12 +189,12 @@ def mpc_step(
     gamma = schedule.astype(float)
     forces = _sanitize_forces(x_sol[layout.forces], gamma, options.pyramid, plan)
 
-    p_next, h_next, _ = euler_step_batch(
+    contacts_sol = x_sol[layout.contacts]
+    p_next, h_next = euler_step_batch(
         current_state.p_com,
         current_state.momentum,
-        measured,
+        np.concatenate([measured[None], contacts_sol[1:-1]]),
         forces,
-        x_sol[layout.velocities],
         gamma,
         plan.corner_arms,
         plan.corner_contact,
@@ -206,7 +206,6 @@ def mpc_step(
     predicted_com = np.concatenate([current_state.p_com[None], p_next])
     predicted_momentum = np.concatenate([current_state.momentum[None], h_next])
 
-    _, _, contacts_sol = layout.state_arrays(x_sol)
     landings = plan.nominal_positions.copy()
     for i, contact in enumerate(plan.contacts):
         onsets = np.flatnonzero(schedule[1:, i] & ~schedule[:-1, i])

@@ -3,8 +3,9 @@
 The state is the CoM position plus the aggregate linear/angular momentum taken
 about the CoM in an inertially-oriented frame.  Contact wrenches are
 represented by pure forces at the corners of each contact surface; a binary
-gate per contact switches its forces in and out of the dynamics and freezes
-the contact location while the contact bears load.
+gate per contact switches its forces in and out of the dynamics.  Contact
+locations are inputs of the dynamics, not states: the transcription holds
+them with linear rows, and the plant holds them over each step.
 """
 
 from __future__ import annotations
@@ -176,7 +177,6 @@ def euler_step_batch(
     momentum: np.ndarray,
     p_contacts: np.ndarray,
     forces: np.ndarray,
-    contact_velocities: np.ndarray,
     gamma: np.ndarray,
     corner_arms: np.ndarray,
     corner_contact: np.ndarray,
@@ -184,50 +184,43 @@ def euler_step_batch(
     gravity: np.ndarray,
     wrench: np.ndarray,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """K explicit Euler steps of the gated dynamics, batched over knots.
 
-    forces (K, V, 3) of the V corners, contact_velocities (K, n_c, 3),
-    gamma (K, n_c) and wrench (K, 6) drive the K steps; corner_arms (V, 3)
-    holds each corner's offset from its contact in the world frame and
-    corner_contact (V,) each corner's contact.  Forces of another corner
-    count than corner_contact raise ValueError.  With states per knot,
-    p_com (K, 3), momentum (K, 6) and p_contacts (K, n_c, 3), step k starts
-    from row k (the steps are independent, as in the transcription's
-    defects).  With one start state, p_com (3,), momentum (6,) and
-    p_contacts (n_c, 3), the steps are chained into a rollout: step k
-    starts where step k - 1 ended.
-    Returns the states after the steps, (p_com (K, 3), momentum (K, 6),
-    p_contacts (K, n_c, 3)).  Active contact positions are carried over
-    bit-exactly.
+    p_contacts (K, n_c, 3), forces (K, V, 3) of the V corners, gamma
+    (K, n_c) and wrench (K, 6) drive the K steps: step k holds its contacts
+    at p_contacts[k].  corner_arms (V, 3) holds each corner's offset from its
+    contact in the world frame and corner_contact (V,) each corner's
+    contact.  Forces of another corner count than corner_contact raise
+    ValueError.  With states per knot, p_com (K, 3) and momentum (K, 6),
+    step k starts from row k (the steps are independent, as in the
+    transcription's defects).  With one start state, p_com (3,) and
+    momentum (6,), the steps are chained into a rollout: step k starts
+    where step k - 1 ended.
+    Returns the states after the steps, (p_com (K, 3), momentum (K, 6)).
 
     The momentum rate is the gated corner forces and their torques
     (cross_rows, the float operations of np.cross), each corner's added to
     the rates in an explicit loop over the corners, so the summation order
     is identical for any K: K knots equal K one-knot calls bit for bit.
-    The rollout takes prefix sums in place of K calls.  Linear momentum, CoM
-    and contact positions do not depend on the angular momentum, so each is
-    one accumulate; one batched rate evaluation at those states gives every
-    step's torque, and one more accumulate chains the angular momentum.
-    Each row equals K chained single-step calls bit for bit.
+    The rollout takes prefix sums in place of K calls.  Linear momentum and
+    CoM do not depend on the angular momentum, so each is one accumulate;
+    one batched rate evaluation at those states gives every step's torque,
+    and one more accumulate chains the angular momentum.  Each row equals K
+    chained single-step calls bit for bit.
     """
     gated = _gated_forces(forces, gamma, corner_contact)
     force_rate = _force_rate(gated, mass, gravity, wrench)
-    held = (gamma > 0.5)[..., None]
-    slide = dt * ((1.0 - gamma)[..., None] * contact_velocities)
     if p_com.ndim == 1:
         h_lin = _chain(momentum[0:3], dt * force_rate)
         com = _chain(p_com, (dt / mass) * h_lin[:-1])
-        # adding -0.0 leaves every float as it is, the sign of a zero too
-        contacts = _chain(p_contacts, np.where(held, -0.0, slide))
-        torque = _torque_rate(com[:-1], contacts[:-1], gated, corner_arms, corner_contact, wrench)
+        torque = _torque_rate(com[:-1], p_contacts, gated, corner_arms, corner_contact, wrench)
         h_ang = _chain(momentum[3:6], dt * torque)
-        return com[1:], np.concatenate([h_lin[1:], h_ang[1:]], axis=1), contacts[1:]
+        return com[1:], np.concatenate([h_lin[1:], h_ang[1:]], axis=1)
     torque = _torque_rate(p_com, p_contacts, gated, corner_arms, corner_contact, wrench)
     momentum_next = momentum + dt * np.concatenate([force_rate, torque], axis=1)
     p_com_next = p_com + (dt / mass) * momentum[:, 0:3]
-    p_contacts_next = np.where(held, p_contacts, p_contacts + slide)
-    return p_com_next, momentum_next, p_contacts_next
+    return p_com_next, momentum_next
 
 
 def integrate_step(
@@ -246,10 +239,10 @@ def integrate_step(
     p_contacts (n_c, 3), forces (V, 3), gamma (n_c,), corner_arms (V, 3),
     corner_contact (V,) as in euler_step_batch, and wrenches (S, 6) of
     stacked (force, torque about the CoM); forces of another corner count
-    than corner_contact raise ValueError.  The contacts (positions,
-    gates, forces) are held over all steps and do not slide.  The steps are
-    one euler_step_batch rollout, so S rows equal S chained one-row calls
-    bit for bit.  The CoM moves with the pre-step linear momentum.
+    than corner_contact raise ValueError.  The contacts (positions, gates,
+    forces) are held over all steps.  The steps are one euler_step_batch
+    rollout, so S rows equal S chained one-row calls bit for bit.  The CoM
+    moves with the pre-step linear momentum.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -257,14 +250,13 @@ def integrate_step(
     if wrenches.ndim != 2 or wrenches.shape[0] < 1 or wrenches.shape[1] != 6:
         raise ValueError(f"wrenches must have shape (S, 6), got {wrenches.shape}")
     _require_finite(wrenches, "wrenches")
-    steps, n_c = wrenches.shape[0], len(gamma)
-    p_next, h_next, _ = euler_step_batch(
+    steps = wrenches.shape[0]
+    p_next, h_next = euler_step_batch(
         state.p_com,
         state.momentum,
-        p_contacts,
+        np.broadcast_to(p_contacts, (steps,) + np.shape(p_contacts)),
         np.broadcast_to(forces, (steps,) + np.shape(forces)),
-        np.zeros((steps, n_c, 3)),
-        np.broadcast_to(gamma, (steps, n_c)),
+        np.broadcast_to(gamma, (steps,) + np.shape(gamma)),
         corner_arms,
         corner_contact,
         params.mass,

@@ -188,8 +188,8 @@ class QpWorkspace:
     system P + reg I + rho A_act' A_act of any active set into the `band`
     array, which dpbtrf overwrites with its factor.  Under the horizon's
     stage order (DecisionLayout.stage_order) these are narrow band
-    matrices: bandwidth 18 for the 552 variables of the one-leg horizon, 45
-    for the 1365 of the two-leg one.  The equality
+    matrices: bandwidth 15 for the 462 variables of the one-leg horizon, 39
+    for the 1185 of the two-leg one.  The equality
     rows are active in every set, so their share, with P and reg I, is
     summed once per QP (`base`, an (n, w + 1) array in C order that is
     LAPACK's band transposed); the band of an active set adds to it only the

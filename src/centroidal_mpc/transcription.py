@@ -1,13 +1,15 @@
 """Multiple-shooting transcription of the centroidal control problem.
 
 Decision variables per knot k in [0, N]: CoM position, 6-vector momentum and
-one location per contact; per knot k in [0, N-1]: corner forces and one
-sliding velocity per contact.  Equality constraints are the explicit-Euler
-defects between consecutive knots plus a pin of knot 0 to the measured state.
-Inequalities are friction-pyramid rows on every corner force and box rows
-keeping each contact near its nominal location; FrictionPyramid and
-ContactBox own their rows, checks and clamps.  All first derivatives and
-the Hessian of the Lagrangian are analytic and sparse.
+one location per contact; per knot k in [0, N-1]: the corner forces.
+Equality constraints are the explicit-Euler defects of the CoM and the
+momentum between consecutive knots plus a pin of knot 0's CoM and momentum
+to the measured state.  The other rows are linear interval rows:
+friction-pyramid rows on every corner force, box rows keeping each contact
+near its nominal location, and contact rows that hold each contact still
+while it bears load and pin knot 0's contacts to the measured positions;
+FrictionPyramid and ContactBox own their rows, checks and clamps.  All first
+derivatives and the Hessian of the Lagrangian are analytic and sparse.
 
 A problem is split in two halves.  Its NlpStructure is the static half:
 for a horizon problem (_HorizonStructure) its DecisionLayout, every
@@ -166,16 +168,14 @@ class DecisionLayout:
     """Index map of the decision vector, the only place that knows its order.
 
     States knot-major first ([com, momentum, contact positions] per knot),
-    then controls knot-major ([corner forces per contact, contact
-    velocities] per knot).  Each read-only block holds the position in the
-    vector of every entry of one quantity: `com` (N+1, 3), `momentum`
-    (N+1, 6), `contacts` (N+1, n_c, 3), `forces` (N, corners, 3), with the
-    corners of all contacts numbered in the order of their columns, and
-    `velocities` (N, n_c, 3).  x[block] reads a quantity and x[block] = v
-    writes it.  The equality rows of the transcription are numbered like
-    the states they define, so the state blocks number those rows too.
-    `shift` advances a vector by one knot, x[shift], with the last knot of
-    the states and of the controls repeated.
+    then controls knot-major (the corner forces per knot, contact by
+    contact).  Each read-only block holds the position in the vector of
+    every entry of one quantity: `com` (N+1, 3), `momentum` (N+1, 6),
+    `contacts` (N+1, n_c, 3) and `forces` (N, corners, 3), with the corners
+    of all contacts numbered in the order of their columns.  x[block] reads
+    a quantity and x[block] = v writes it.  `shift` advances a vector by
+    one knot, x[shift], with the last knot of the states and of the
+    controls repeated.
     """
 
     def __init__(self, n_knots: int, corner_counts: Sequence[int]):
@@ -190,7 +190,7 @@ class DecisionLayout:
         self.n_contacts = len(self.corner_counts)
         n, n_c, n_v = self.n_knots, self.n_contacts, sum(self.corner_counts)
         self.state_dim = 9 + 3 * n_c
-        self.control_dim = 3 * n_v + 3 * n_c
+        self.control_dim = 3 * n_v
         self.n_state_vars = (n + 1) * self.state_dim
         self.size = self.n_state_vars + n * self.control_dim
         index = np.arange(self.size)
@@ -199,26 +199,24 @@ class DecisionLayout:
         self.com = states[:, 0:3]
         self.momentum = states[:, 3:9]
         self.contacts = states[:, 9:].reshape(n + 1, n_c, 3)
-        self.forces = controls[:, : 3 * n_v].reshape(n, n_v, 3)
-        self.velocities = controls[:, 3 * n_v :].reshape(n, n_c, 3)
+        self.forces = controls.reshape(n, n_v, 3)
         self.shift = np.concatenate([
             np.concatenate([block[1:], block[-1:]]).ravel() for block in (states, controls)
         ])
-        for block in (self.com, self.momentum, self.contacts, self.forces, self.velocities,
-                      self.shift):
+        for block in (self.com, self.momentum, self.contacts, self.forces, self.shift):
             block.flags.writeable = False
 
     def stage_order(self) -> np.ndarray:
         """Permutation listing the stages from the last knot to the first.
 
-        It is the reverse of the list [h_ang_k, com_k, h_lin_k, p_k, f_k,
-        v_k] for k = 0..N-1, then [h_ang_N, com_N, h_lin_N, p_N].  In that
-        list every coupling between stages goes from a slot of stage k to
-        the same or a later slot of stage k + 1: the CoM row couples com_k+1
+        It is the reverse of the list [h_ang_k, com_k, h_lin_k, p_k, f_k]
+        for k = 0..N-1, then [h_ang_N, com_N, h_lin_N, p_N].  In that list
+        every coupling between stages goes from a slot of stage k to the
+        same or a later slot of stage k + 1: the CoM row couples com_k+1
         with h_lin_k, the linear-momentum row h_lin_k+1 with f_k, the
         angular-momentum row h_ang_k+1 with h_ang_k, com_k, p_k and f_k, the
-        contact-position row p_k+1 with v_k, and the force-rate cost f_k
-        with f_k+1.  So the condensed QP matrices are banded with a width of
+        contact row p_k+1 with p_k, and the force-rate cost f_k with
+        f_k+1.  So the condensed QP matrices are banded with a width of
         one stage, state_dim + control_dim.  Reversed, their Cholesky factor
         eliminates the horizon from the terminal stage, as a Riccati
         recursion does; factored forwards, the same band fills with values
@@ -230,10 +228,7 @@ class DecisionLayout:
         states = np.concatenate(
             [self.momentum[:, 3:], self.com, self.momentum[:, :3], contacts], axis=1
         )
-        controls = np.concatenate(
-            [self.forces.reshape(n, -1), self.velocities.reshape(n, -1)], axis=1
-        )
-        stages = np.concatenate([states[:-1], controls], axis=1)
+        stages = np.concatenate([states[:-1], self.forces.reshape(n, -1)], axis=1)
         return np.concatenate([stages.ravel(), states[-1]])[::-1].copy()
 
     def state_arrays(self, x: np.ndarray):
@@ -409,13 +404,10 @@ def _linear_values(period: float, mass: float, gamma: np.ndarray) -> np.ndarray:
     """Values of the equality Jacobian's linear entries, by _HorizonStructure.linear_sources.
 
     1 and -1 (the identity chains), -T/m (the momentum in the CoM rows),
-    then -T gamma and -T (1 - gamma) per (step, contact): the gated corner
-    forces in the linear momentum rows and the gated velocities in the
-    contact rows.
+    then -T gamma per (step, contact): the gated corner forces in the
+    linear momentum rows.
     """
-    return np.concatenate(
-        [[1.0, -1.0, -period / mass], (-period * gamma).ravel(), (-period * (1.0 - gamma)).ravel()]
-    )
+    return np.concatenate([[1.0, -1.0, -period / mass], (-period * gamma).ravel()])
 
 
 def _number_pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple):
@@ -443,11 +435,13 @@ class _HorizonStructure(NlpStructure):
     read-only.  The schedule, the measured state and the references set
     only values and bounds (build_nlp, _inequality_bounds).  To
     NlpStructure's patterns (see the _add_* methods), workspace and buffers
-    it adds the `layout` that numbers its problems, built here, the table of
-    the defects' bilinear terms, which both of their derivatives read, and
-    `shift_rows`: per constraint row (equality rows, then inequality rows)
-    the row of the same constraint one knot later, the rows of the last knot
-    listing themselves.  Multipliers y of one control instant, read as
+    it adds the `layout` that numbers its problems, built here, `eq_rows`
+    (N+1, 9), the equality row of each knot's CoM and momentum entries (the
+    knot-0 pin, then defect k in knot k + 1's), the table of the defects'
+    bilinear terms, which both of their derivatives read, and `shift_rows`:
+    per constraint row (equality rows, then inequality rows) the row of the
+    same constraint one knot later, the rows of the last knot listing
+    themselves.  Multipliers y of one control instant, read as
     y[shift_rows], seed those of the next, as controller.shift_warm_start
     seeds x.  The cost Hessian is stored once, as the values of
     hess_pattern, and the variable ordering once, as the workspace's `perm`
@@ -463,6 +457,7 @@ class _HorizonStructure(NlpStructure):
         pyramid: FrictionPyramid,
     ):
         self.layout = layout = DecisionLayout(n_knots, plan.corner_counts)
+        self.eq_rows = np.arange(9 * (n_knots + 1)).reshape(n_knots + 1, 9)
         self._add_bilinear_table(layout, plan)
         self._add_eq_jacobian(layout, plan.corner_contact)
         self._add_lagrangian_hessian(
@@ -507,8 +502,7 @@ class _HorizonStructure(NlpStructure):
         def terms(values):
             return np.broadcast_to(values, shape).ravel()
 
-        # Defect k's rows are numbered like the knot k + 1 states they define.
-        ang_rows = layout.momentum[1:, 3:]
+        ang_rows = self.eq_rows[1:, 6:]
         self.bilinear_rows = terms(ang_rows[:, None, None, row])
         self.bilinear_arms = terms(np.stack([layout.contacts[:-1, contact_of][..., arm], com], 2))
         self.bilinear_forces = terms(layout.forces[:, :, None, force])
@@ -523,29 +517,28 @@ class _HorizonStructure(NlpStructure):
         build_nlp lists the entries in this order: the linear ones, whose
         values do not depend on x, then every bilinear term's derivative by
         its arm, at (row, arm), then by its force, at (row, force).  The
-        linear entries are the unit diagonal of every state row (the knot-0
-        pin and each defect's next state), then per defect its previous
-        state, the momentum in the CoM rows, and the gated corner forces and
-        velocities; linear entry e takes value `linear_sources[e]` of
-        _linear_values.  Entry e goes to stored entry `eq_slots[e]` of the
-        CSR pattern `eq_jac_pattern`; entries of one position add up, in the
-        order listed.  So of each cross product's 3x3 blocks only the six
+        linear entries are the unit diagonal of every row (the knot-0 pin
+        and each defect's next CoM and momentum, in `eq_rows`), then per
+        defect its previous CoM and momentum, the momentum in the CoM rows
+        and the gated corner forces; linear entry e takes value
+        `linear_sources[e]` of _linear_values.  Entry e goes to stored entry
+        `eq_slots[e]` of the CSR pattern `eq_jac_pattern`; entries of one
+        position add up, in the order listed.  So of each cross product's 3x3 blocks only the six
         off-diagonal entries are stored, gated-out ones as zeros.  The
         pattern holds the values this structure fixes, which its QP
         workspace is equilibrated on: the unit entries, with the others (set
         by the period, the mass, the schedule and the iterate) as zeros.
         """
-        com, momentum, contacts = layout.com, layout.momentum, layout.contacts
-        states = np.concatenate([com, momentum, contacts.reshape(layout.n_knots + 1, -1)], axis=1)
+        eq_rows, momentum = self.eq_rows, layout.momentum
+        states = np.concatenate([layout.com, momentum], axis=1)
         gates = np.arange(layout.n_knots * layout.n_contacts).reshape(layout.n_knots, -1)
         rows, cols, self.linear_sources = _flat_entries([
-            (states, states, 0),
-            (states[1:], states[:-1], 1),
-            (com[1:], momentum[:-1, :3], 2),
-            (momentum[1:, None, :3], layout.forces, 3 + gates[:, corner_contact, None]),
-            (contacts[1:], layout.velocities, 3 + gates.size + gates[:, :, None]),
+            (eq_rows, states, 0),
+            (eq_rows[1:], states[:-1], 1),
+            (eq_rows[1:, :3], momentum[:-1, :3], 2),
+            (eq_rows[1:, None, 3:6], layout.forces, 3 + gates[:, corner_contact, None]),
         ])
-        shape = (layout.n_state_vars, layout.size)
+        shape = (eq_rows.size, layout.size)
         indices, indptr, self.eq_slots = _number_pattern(
             np.concatenate([rows, self.bilinear_rows, self.bilinear_rows]),
             np.concatenate([cols, self.bilinear_arms, self.bilinear_forces]),
@@ -589,20 +582,27 @@ class _HorizonStructure(NlpStructure):
     ):
         """The inequality matrix `ineq_matrix` (CSR).
 
-        Rows come in two blocks: six pyramid rows per (step, contact,
-        corner), step-major, then three box rows per (knot 1..N, contact),
-        knot-major.
+        Rows come in three blocks: six pyramid rows per (step, contact,
+        corner), step-major, then three box rows per (knot 1..N, contact)
+        and three contact rows per (knot 0..N, contact), knot-major: p_0 at
+        knot 0, p_k - p_k-1 at knot k.
         """
         rotations = plan.orientations
         pyr_local = np.array([pyramid.A @ R.T for R in rotations])
-        # Axes (step or knot, corner or contact, row, column of the row).
-        cols, vals = _flat_entries([
-            (layout.forces[:, :, None, :], pyr_local[plan.corner_contact]),
-            (layout.contacts[1:, :, None, :], rotations.transpose(0, 2, 1)),
+        forces, contacts = layout.forces, layout.contacts
+        n_pyramid, n_box = 2 * forces.size, contacts[1:].size
+        # Axes (step or knot, corner or contact, row[, column of the row]).
+        pyramid_rows = np.arange(n_pyramid).reshape(forces.shape[:2] + (6, 1))
+        box_rows = n_pyramid + np.arange(n_box).reshape(contacts[1:].shape + (1,))
+        contact_rows = n_pyramid + n_box + np.arange(contacts.size).reshape(contacts.shape)
+        rows, cols, vals = _flat_entries([
+            (pyramid_rows, forces[:, :, None, :], pyr_local[plan.corner_contact]),
+            (box_rows, contacts[1:, :, None, :], rotations.transpose(0, 2, 1)),
+            (contact_rows, contacts, 1.0),
+            (contact_rows[1:], contacts[:-1], -1.0),
         ])
-        n_rows = vals.size // 3
         self.ineq_matrix = sp.coo_matrix(
-            (vals, (np.repeat(np.arange(n_rows), 3), cols)), shape=(n_rows, layout.size)
+            (vals, (rows, cols)), shape=(n_pyramid + n_box + contacts.size, layout.size)
         ).tocsr()
 
 
@@ -665,16 +665,19 @@ def _inequality_bounds(
     plan: ContactPlan,
     pyramid: FrictionPyramid,
     box: ContactBox,
+    initial_contacts: np.ndarray,
 ):
     """Lower and upper bounds of the inequality rows under this schedule.
 
     The rows are _HorizonStructure.ineq_matrix's, the same for every
-    schedule.  The schedule sets only the bounds, and a row that does not
-    apply gets (-inf, inf), which the QP never activates.  Pyramid rows hold
-    the pyramid's bounds at every step of a contact that bears load
-    somewhere in the horizon, gated-out steps included; those of any other
-    contact hold the pyramid's PIN_FACES at zero, which pins its forces to
-    zero.  Box rows hold the box from the first knot the contact can move to.
+    schedule.  The schedule and the measured contact positions (n_c, 3) set
+    only the bounds, and a row that does not apply gets (-inf, inf), which
+    the QP never activates.  Pyramid rows hold the pyramid's bounds at every
+    step of a contact that bears load somewhere in the horizon, gated-out
+    steps included; those of any other contact hold the pyramid's PIN_FACES
+    at zero, which pins its forces to zero.  Box rows hold the box from the
+    first knot the contact can move to.  Contact rows pin knot 0 to the
+    measured positions and hold p_k+1 - p_k at zero while the gate is on.
     """
     n_knots = layout.n_knots
     # A contact gated out over the entire horizon leaves its forces with no
@@ -688,7 +691,7 @@ def _inequality_bounds(
     if dead.any():
         face_lower[np.ix_(dead, pyramid.PIN_FACES)] = 0.0
         face_upper[np.ix_(dead, pyramid.PIN_FACES)] = 0.0
-    # While a contact has been gated on since knot 0, the defect chain pins
+    # While a contact has been gated on since knot 0, the contact rows pin
     # its whole position trajectory to the measured (already box-checked)
     # value; box rows there would only duplicate equalities, and the
     # redundant pairs admit arbitrary multiplier splits that first-order
@@ -697,8 +700,10 @@ def _inequality_bounds(
     movable = np.logical_or.accumulate(~schedule, axis=0)[:, :, None]
     box_lower = np.where(movable, plan.box_anchors - box.upper, -np.inf)
     box_upper = np.where(movable, plan.box_anchors - box.lower, np.inf)
-    lower = np.concatenate([np.tile(face_lower.ravel(), n_knots), box_lower.ravel()])
-    upper = np.concatenate([np.tile(face_upper.ravel(), n_knots), box_upper.ravel()])
+    lower = np.concatenate([np.tile(face_lower.ravel(), n_knots), box_lower.ravel(),
+                            initial_contacts.ravel(), np.where(schedule, 0.0, -np.inf).repeat(3)])
+    upper = np.concatenate([np.tile(face_upper.ravel(), n_knots), box_upper.ravel(),
+                            initial_contacts.ravel(), np.where(schedule, 0.0, np.inf).repeat(3)])
     return lower, upper
 
 
@@ -707,14 +712,17 @@ def _shift_rows(layout: DecisionLayout) -> np.ndarray:
 
     Equality rows come first: the knot-0 pin and then one defect block per
     step, so the pin maps to the first defect, whose multipliers are the
-    costate of knot 1.  Then the pyramid rows, one block per step, and the
-    box rows, one block per knot.  Block k maps to block k + 1, and the last
-    block of each kind to itself, the rule of controller.shift_warm_start.
+    costate of knot 1.  Then the pyramid rows, one block per step, the box
+    rows, one block per knot from knot 1, and the contact rows, one block
+    per knot from knot 0, whose pin maps to the first step's block likewise.
+    Block k maps to block k + 1, and the last block of each kind to itself,
+    the rule of controller.shift_warm_start.
     """
     blocks = (
-        (layout.n_knots + 1, layout.state_dim),
+        (layout.n_knots + 1, 9),
         (layout.n_knots, 6 * sum(layout.corner_counts)),
         (layout.n_knots, 3 * layout.n_contacts),
+        (layout.n_knots + 1, 3 * layout.n_contacts),
     )
     out, start = [], 0
     for count, size in blocks:
@@ -748,7 +756,8 @@ def build_nlp(
     corner arms, weights, period, pyramid.mu), whose `layout` numbers the
     decision vector; consecutive control instants of a run share it.  The
     schedule sets the equality Jacobian's gated values, the scale of the
-    bilinear terms and the inequality bounds (_inequality_bounds).
+    bilinear terms and, with the measured contact positions, the inequality
+    bounds (_inequality_bounds).
     """
     n_c = plan.n_contacts
     schedule = np.asarray(schedule)
@@ -784,7 +793,6 @@ def build_nlp(
 
     structure = _horizon_structure(n_knots, weights, period, plan, pyramid)
     layout, hess = structure.layout, structure.hess_pattern
-    m_eq = layout.n_state_vars
     c_lin, c0 = _cost_linear_terms(layout, weights, nominal_com_samples, plan.nominal_positions)
 
     def cost(x: np.ndarray) -> float:
@@ -795,12 +803,11 @@ def build_nlp(
 
     def eq(x: np.ndarray) -> np.ndarray:
         com, momentum, contacts = layout.state_arrays(x)
-        p_next, h_next, pc_next = euler_step_batch(
+        p_next, h_next = euler_step_batch(
             com[:-1],
             momentum[:-1],
             contacts[:-1],
             x[layout.forces],
-            x[layout.velocities],
             gamma,
             plan.corner_arms,
             plan.corner_contact,
@@ -809,13 +816,11 @@ def build_nlp(
             wrench_profile,
             period,
         )
-        # The pin's rows are numbered like knot 0's states, defect k's like
-        # those of knot k + 1.
-        out = np.empty(m_eq)
-        out[layout.com] = com - np.concatenate([initial_state.p_com[None], p_next])
-        out[layout.momentum] = momentum - np.concatenate([pin_momentum[None], h_next])
-        out[layout.contacts] = contacts - np.concatenate([initial_contacts[None], pc_next])
-        return out
+        # Row by row of eq_rows: the pin, then defect k's, knot k + 1's.
+        out = np.empty(structure.eq_rows.shape)
+        out[:, :3] = com - np.concatenate([initial_state.p_com[None], p_next])
+        out[:, 3:] = momentum - np.concatenate([pin_momentum[None], h_next])
+        return out.ravel()
 
     # The linear Jacobian values; the derivatives of the bilinear terms
     # follow them and are refreshed on every call.
@@ -833,7 +838,9 @@ def build_nlp(
         values[structure.curvature_slots] = np.concatenate([curvature, curvature])
         return values
 
-    ineq_lower, ineq_upper = _inequality_bounds(layout, schedule, plan, pyramid, box)
+    ineq_lower, ineq_upper = _inequality_bounds(
+        layout, schedule, plan, pyramid, box, initial_contacts
+    )
     return NlpProblem(
         structure, cost, cost_grad, lagrangian_hess, eq=eq, eq_jac=eq_jac,
         ineq_lower=ineq_lower, ineq_upper=ineq_upper,

@@ -51,7 +51,7 @@ def horizon_cost(layout, x, weights, nominal_com_samples, nominal_contacts, peri
     Every state knot tracks its CoM sample and a zero angular momentum and
     keeps each contact near its nominal spot; every step regularizes each
     contact's corner forces; every pair of consecutive steps penalizes each
-    corner force's rate.  Contact velocities carry no cost.
+    corner force's rate.  The corner forces are the only controls.
     """
     com, momentum, contacts = layout.state_arrays(x)
     # each contact's corner forces, (N, n_v_i, 3), its corners numbered in order

@@ -300,22 +300,19 @@ class TestCriterion5:
         rng = np.random.RandomState(7)
         x = np.zeros(layout.size)
         x[layout.n_state_vars:] = 3.0 * rng.randn(layout.n_knots * layout.control_dim)
-        forces, velocities = x[layout.forces], x[layout.velocities]
-        p = state.p_com[None]
-        h = state.momentum[None]
-        pc = measured[None]
-        states = np.empty((layout.n_knots + 1, layout.state_dim))
-        states[0] = np.concatenate([p[0], h[0], pc[0].ravel()])
+        x[layout.contacts] = measured
+        forces = x[layout.forces]
+        p, h = state.p_com[None], state.momentum[None]
+        x[layout.com[0]], x[layout.momentum[0]] = p[0], h[0]
         gamma = schedule.astype(float)
         wrench = np.zeros((layout.n_knots, 6))
         for k in range(layout.n_knots):
-            p, h, pc = euler_step_batch(
-                p, h, pc, forces[k : k + 1], velocities[k : k + 1], gamma[k : k + 1],
+            p, h = euler_step_batch(
+                p, h, measured[None], forces[k : k + 1], gamma[k : k + 1],
                 plan.corner_arms, plan.corner_contact, params.mass, params.gravity,
                 wrench[k : k + 1], options.period,
             )
-            states[k + 1] = np.concatenate([p[0], h[0], pc[0].ravel()])
-        x[: layout.n_state_vars] = states.ravel()
+            x[layout.com[k + 1]], x[layout.momentum[k + 1]] = p[0], h[0]
         worst_defect = float(np.abs(problem.eq(x)).max())
         defects_ok = worst_defect < 1e-12
         _report(

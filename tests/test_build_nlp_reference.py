@@ -1,8 +1,8 @@
 """build_nlp against a reference builder that assembles every row knot by knot.
 
 `reference_structure` is the per-knot loop form of the equality Jacobian,
-the inequality rows, the cost Hessian, the cost's linear term and the row
-shift; it reads only the positions of single knots' quantities from the
+the inequality rows and their bounds, the cost Hessian, the cost's linear
+term and the row shift; it reads only the positions of single knots' quantities from the
 layout's index blocks.  build_nlp builds the parts the schedule does not set
 once per (layout, weights, period, rotations, corner offsets, pyramid) and
 fills the rest vectorized over knots; both must give the same entries in the
@@ -58,7 +58,7 @@ def make_problem(plan, schedule, seed=0):
     return build_nlp(
         plan, state, measured, np.asarray(schedule, dtype=bool), nominal, Weights(),
         PYRAMID, BOX, N_KNOTS, PERIOD, PARAMS, profile,
-    ), nominal
+    ), (nominal, measured)
 
 
 @pytest.fixture
@@ -76,8 +76,11 @@ def structure_builds(monkeypatch):
     return built
 
 
-def reference_structure(plan, schedule, nominal_com_samples):
-    """Equality-Jacobian entries, inequality rows, cost terms and row shift, knot by knot."""
+def reference_structure(plan, schedule, nominal_com_samples, measured):
+    """Equality-Jacobian entries, inequality rows, cost terms and row shift, knot by knot.
+
+    `measured` (n_c, 3) are the contact positions the knot-0 pin holds.
+    """
     n_knots, period, mass = N_KNOTS, PERIOD, PARAMS.mass
     n_c = plan.n_contacts
     layout = DecisionLayout(n_knots, [c.geometry.n_corners for c in plan.contacts])
@@ -87,7 +90,6 @@ def reference_structure(plan, schedule, nominal_com_samples):
     corner_offsets = [c.geometry.offsets_matrix() for c in plan.contacts]
     nominal_contacts = np.array([c.nominal_position for c in plan.contacts])
     weights = Weights()
-    sd = layout.state_dim
     first_corner = np.cumsum((0,) + layout.corner_counts)
 
     def force(k, i, j):
@@ -146,19 +148,18 @@ def reference_structure(plan, schedule, nominal_com_samples):
         const_cols.append(col0 + np.arange(count))
         const_vals.append(np.full(count, value) if np.isscalar(value) else value)
 
-    put_diag(0, 0, sd, 1.0)
+    # Nine equality rows per knot, the CoM's and then the momentum's: the
+    # knot-0 pin, then defect k's in the rows of knot k + 1.
+    put_diag(0, layout.com[0, 0], 3, 1.0)
+    put_diag(3, layout.momentum[0, 0], 6, 1.0)
     for k in range(n_knots):
-        rb = sd + k * sd
+        rb = 9 + 9 * k
         put_diag(rb, layout.com[k + 1, 0], 3, 1.0)
         put_diag(rb, layout.com[k, 0], 3, -1.0)
         put_diag(rb, layout.momentum[k, 0], 3, -period / mass)
         put_diag(rb + 3, layout.momentum[k + 1, 0], 6, 1.0)
         put_diag(rb + 3, layout.momentum[k, 0], 6, -1.0)
         for i in range(n_c):
-            row = rb + 9 + 3 * i
-            put_diag(row, layout.contacts[k + 1, i, 0], 3, 1.0)
-            put_diag(row, layout.contacts[k, i, 0], 3, -1.0)
-            put_diag(row, layout.velocities[k, i, 0], 3, -period * (1.0 - gamma[k, i]))
             for j in range(layout.corner_counts[i]):
                 put_diag(rb + 3, force(k, i, j)[0], 3, -period * gamma[k, i])
 
@@ -179,10 +180,10 @@ def reference_structure(plan, schedule, nominal_com_samples):
             for j in range(layout.corner_counts[i]):
                 f_col = force(k, i, j)[0]
                 for c, a, b, sign in products:
-                    row, scale = sd + k * sd + 6 + c, sign * (-period * gamma[k, i])
+                    row, scale = 9 + 9 * k + 6 + c, sign * (-period * gamma[k, i])
                     bilinear.append((row, p_col + a, f_col + b, scale, world[j, a]))
                 for c, a, b, sign in products:
-                    row, scale = sd + k * sd + 6 + c, -sign * (-period * gamma[k, i])
+                    row, scale = 9 + 9 * k + 6 + c, -sign * (-period * gamma[k, i])
                     bilinear.append((row, layout.com[k, a], f_col + b, scale, 0.0))
     # of each cross product's 3x3 blocks, the six off-diagonal entries
     positions = {(row, col) for row, col, _ in const_entries}
@@ -200,14 +201,15 @@ def reference_structure(plan, schedule, nominal_com_samples):
             sums[row, force] = sums.get((row, force), 0.0) + scale * (x[arm] + offset)
         rows, cols = np.array(list(sums)).T
         return sp.coo_matrix(
-            (list(sums.values()), (rows, cols)), shape=(sd + n_knots * sd, layout.size)
+            (list(sums.values()), (rows, cols)), shape=(9 + 9 * n_knots, layout.size)
         ).tocsr()
 
-    # Every pyramid and box row exists for every schedule; the schedule sets
-    # only the bounds, (-inf, inf) where a row does not apply.  `blocks`
-    # names each row by (kind, knot, position in its block), so that the
-    # row of the same constraint one knot later can be looked up.
-    blocks = [("eq", k, r) for k in range(n_knots + 1) for r in range(sd)]
+    # Every pyramid, box and contact row exists for every schedule; the
+    # schedule and the measured positions set only the bounds, (-inf, inf)
+    # where a row does not apply.  `blocks` names each row by (kind, knot,
+    # position in its block), so that the row of the same constraint one
+    # knot later can be looked up.
+    blocks = [("eq", k, r) for k in range(n_knots + 1) for r in range(9)]
     in_rows, in_cols, in_vals, lower, upper = [], [], [], [], []
     row = 0
     pyr_local = [PYRAMID.A @ rotations[i].T for i in range(n_c)]
@@ -245,6 +247,25 @@ def reference_structure(plan, schedule, nominal_com_samples):
                 lower.append(-free[:3])
                 upper.append(free[:3])
             blocks += [("box", k, 3 * i + r) for r in range(3)]
+            row += 3
+    # The contact rows: p_0 pinned to the measured position, then p_k -
+    # p_k-1 held at zero while the contact's gate at step k - 1 is on.
+    for k in range(n_knots + 1):
+        for i in range(n_c):
+            in_rows.append(row + np.arange(3))
+            in_cols.append(layout.contacts[k, i])
+            in_vals.append(np.ones(3))
+            if k == 0:
+                lower.append(measured[i])
+                upper.append(measured[i])
+            else:
+                in_rows.append(row + np.arange(3))
+                in_cols.append(layout.contacts[k - 1, i])
+                in_vals.append(-np.ones(3))
+                held = schedule[k - 1, i]
+                lower.append(np.zeros(3) if held else -free[:3])
+                upper.append(np.zeros(3) if held else free[:3])
+            blocks += [("contact", k, 3 * i + r) for r in range(3)]
             row += 3
     index = {block: r for r, block in enumerate(blocks)}
     shift_rows = np.array(
@@ -301,8 +322,8 @@ def stored_entries(matrix):
 
 
 def assert_matches_reference(plan, schedule, seed=0):
-    problem, nominal = make_problem(plan, schedule, seed)
-    ref = reference_structure(plan, schedule, nominal)
+    problem, (nominal, measured) = make_problem(plan, schedule, seed)
+    ref = reference_structure(plan, schedule, nominal, measured)
     rng = np.random.RandomState(seed + 100)
     for _ in range(2):
         x = rng.randn(problem.dimension)
@@ -396,7 +417,7 @@ class TestLayoutTemplateMemo:
         # included: the schedule sets the inequality bounds and nothing else
         n_knots = 3
         plan = make_plan([RECT, POINT])
-        first, bounds = None, set()
+        first, bounds, pyramid_and_box = None, set(), set()
         for bits_ in range(2 ** (2 * n_knots)):
             schedule = (bits_ >> np.arange(2 * n_knots) & 1).astype(bool).reshape(n_knots, 2)
             problem = build_nlp(
@@ -406,12 +427,17 @@ class TestLayoutTemplateMemo:
             )
             if first is None:
                 first = problem
-            assert problem.n_ineq == first.n_ineq == 6 * 5 * n_knots + 3 * 2 * n_knots
+            n_rows = 6 * 5 * n_knots + 3 * 2 * n_knots
+            assert problem.n_ineq == first.n_ineq == n_rows + 3 * 2 * (n_knots + 1)
             assert problem.structure is first.structure
-            bounds.add((bits(problem.ineq_lower).tobytes(), bits(problem.ineq_upper).tobytes()))
-        # five bound sets per contact: dead, or bearing load with the box
-        # from knot 1, 2, 3 or never
-        assert len(bounds) == 5 * 5
+            lower, upper = bits(problem.ineq_lower), bits(problem.ineq_upper)
+            bounds.add((lower.tobytes(), upper.tobytes()))
+            pyramid_and_box.add((lower[:n_rows].tobytes(), upper[:n_rows].tobytes()))
+        # the contact rows carry every gate, so every schedule has its own
+        # bounds; of the pyramid and box rows, five bound sets per contact:
+        # dead, or bearing load with the box from knot 1, 2, 3 or never
+        assert len(bounds) == 2 ** (2 * n_knots)
+        assert len(pyramid_and_box) == 5 * 5
 
 
 def dense_lagrangian_hessian(problem, x, y, h=1e-6):
@@ -464,7 +490,7 @@ class TestLagrangianHessian:
         assert spread.max() <= workspace.width
 
     @pytest.mark.parametrize("geometries, width", [
-        ([POINT], 18), ([RECT, POINT], 36), ([RECT, RECT], 45),
+        ([POINT], 15), ([RECT, POINT], 30), ([RECT, RECT], 39),
     ])
     def test_band_is_one_stage_wide(self, geometries, width):
         # every coupling between knots reaches at most one stage ahead
@@ -481,7 +507,7 @@ class TestLagrangianHessian:
         layout = DecisionLayout(n_knots, [4, 1])
         rng = np.random.RandomState(8)
         x = rng.randn(layout.size)
-        y = rng.randn(layout.state_dim * (n_knots + 1))
+        y = rng.randn(9 * (n_knots + 1))
         first = None
         for bits_ in range(2 ** (2 * n_knots)):
             schedule = (bits_ >> np.arange(2 * n_knots) & 1).astype(bool).reshape(n_knots, 2)

@@ -115,9 +115,10 @@ class TestShiftMultipliers:
             layout, problem = self.problem(plan, 1.0)
             n = layout.n_knots
             # (blocks, rows per block): the knot-0 pin and one defect per
-            # step, pyramid rows per step, box rows per knot 1..N
-            kinds = [(n + 1, layout.state_dim), (n, 6 * sum(layout.corner_counts)),
-                     (n, 3 * layout.n_contacts)]
+            # step, pyramid rows per step, box rows per knot 1..N, contact
+            # rows per knot 0..N
+            kinds = [(n + 1, 9), (n, 6 * sum(layout.corner_counts)),
+                     (n, 3 * layout.n_contacts), (n + 1, 3 * layout.n_contacts)]
             codes = [1000 * kind + 10 * np.repeat(np.arange(count), size)
                      + np.tile(np.arange(size), count) / size
                      for kind, (count, size) in enumerate(kinds)]

@@ -19,10 +19,10 @@ POINT_ARMS, POINT_CONTACT = np.zeros((1, 3)), np.zeros(1, dtype=int)
 def rate(state, params, position, force, active=True, wrench=NO_WRENCH):
     """Momentum rate of one point contact, one knot: the momentum after one
     euler_step_batch step of dt = 1 from zero momentum."""
-    _, momentum, _ = euler_step_batch(
+    _, momentum = euler_step_batch(
         state.p_com[None], np.zeros((1, 6)), np.asarray(position, float).reshape(1, 1, 3),
-        np.asarray(force, float).reshape(1, 1, 3), np.zeros((1, 1, 3)),
-        np.array([[float(active)]]), POINT_ARMS, POINT_CONTACT,
+        np.asarray(force, float).reshape(1, 1, 3), np.array([[float(active)]]),
+        POINT_ARMS, POINT_CONTACT,
         params.mass, params.gravity, wrench, 1.0,
     )
     return momentum[0]
@@ -35,17 +35,6 @@ def plant_step(state, params, position, force, active=True, dt=0.1, steps=1):
         np.asarray(force, float).reshape(1, 3), np.array([float(active)]),
         POINT_ARMS, POINT_CONTACT, params, np.zeros((steps, 6)), dt,
     )
-
-
-def contact_step(position, velocity, active, dt=0.1):
-    """Position of one contact after one euler_step_batch step of sliding velocity."""
-    _, _, moved = euler_step_batch(
-        np.zeros(3), np.zeros(6), np.asarray(position, float).reshape(1, 3),
-        np.zeros((1, 1, 3)), np.asarray(velocity, float).reshape(1, 1, 3),
-        np.array([[float(active)]]), POINT_ARMS, POINT_CONTACT,
-        1.0, np.array([0.0, 0.0, -9.81]), NO_WRENCH, dt,
-    )
-    return moved[0, 0]
 
 
 class TestMomentumDerivative:
@@ -118,23 +107,6 @@ class TestComVelocity:
         np.testing.assert_allclose(self.displacement([3, -1.5, 0.6], 3.0), [1, -0.5, 0.2])
 
 
-class TestContactPositionDerivative:
-    """A contact moves with (1 - gate) * v: frozen while it is active."""
-
-    def test_active_contact_frozen(self):
-        start = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(contact_step(start, [5, 5, 5], active=True), start)
-
-    def test_inactive_moves(self):
-        np.testing.assert_allclose(
-            contact_step([0, 0, 0], [1, 2, 3], active=False, dt=0.5), [0.5, 1.0, 1.5]
-        )
-
-    def test_zero_velocity(self):
-        start = np.array([1.0, -2.0, 0.5])
-        assert np.array_equal(contact_step(start, [0, 0, 0], active=False), start)
-
-
 class TestIntegrateStep:
     def test_flight_single_step(self):
         params = PhysicalParams(mass=1.0)
@@ -150,8 +122,9 @@ class TestIntegrateStep:
         assert np.array_equal(nxt.momentum, state.momentum)
 
     def test_active_contact_position_bit_exact(self):
-        # The plant holds its contacts; an active contact given a sliding
-        # velocity in the rollout stays put, so both integrate bit for bit.
+        # The plant holds its contacts over all substeps and leaves the
+        # caller's positions as they are; it integrates bit for bit as the
+        # rollout on those positions at every step.
         params = PhysicalParams(mass=1.0)
         state = CentroidalState([0.2, -0.1, 1.0], [0.3, 0, 0], [0, 0, 0])
         start = np.array([1.0, 2.0, 3.0])
@@ -160,13 +133,12 @@ class TestIntegrateStep:
         position = start.copy()
         nxt = plant_step(state, params, position, force, dt=dt, steps=steps)
         assert np.array_equal(position, start)
-        p_com, momentum, moved = euler_step_batch(
-            state.p_com, state.momentum, start.reshape(1, 3),
+        p_com, momentum = euler_step_batch(
+            state.p_com, state.momentum, np.broadcast_to(start, (steps, 1, 3)),
             np.broadcast_to(np.reshape(force, (1, 1, 3)), (steps, 1, 3)),
-            np.full((steps, 1, 3), 5.0), np.ones((steps, 1)), POINT_ARMS,
+            np.ones((steps, 1)), POINT_ARMS,
             POINT_CONTACT, params.mass, params.gravity, np.zeros((steps, 6)), dt,
         )
-        assert np.array_equal(moved[:, 0], np.broadcast_to(start, (steps, 3)))
         assert np.array_equal(nxt.p_com, p_com[-1])
         assert np.array_equal(nxt.momentum, momentum[-1])
         assert np.any(nxt.h_ang != 0.0)
@@ -227,7 +199,7 @@ class TestIntegrateStep:
             with pytest.raises(ValueError, match="corner"):
                 euler_step_batch(
                     np.zeros((1, 3)), np.zeros((1, 6)), np.zeros((1, 1, 3)),
-                    np.ones((1, n_forces, 3)), np.zeros((1, 1, 3)), np.ones((1, 1)), arms,
+                    np.ones((1, n_forces, 3)), np.ones((1, 1)), arms,
                     np.zeros(len(arms), dtype=int), params.mass, params.gravity, NO_WRENCH,
                     0.1,
                 )

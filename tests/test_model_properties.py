@@ -88,7 +88,6 @@ def kernel_inputs(draw):
         momentum=np.full((k, 6), -0.0),
         p_contacts=values((k, n_c, 3)),
         forces=values((k, n_v, 3)),
-        contact_velocities=values((k, n_c, 3)),
         gamma=draw(arrays(np.float64, (k, n_c), elements=st.sampled_from([0.0, 1.0]))),
         corner_arms=values((n_v, 3)),
         corner_contact=corner_contact_of(counts),
@@ -117,7 +116,7 @@ class TestMomentumRateBatch:
     @given(kernel_inputs())
     def test_equals_per_corner_np_cross_oracle(self, args):
         with np.errstate(all="ignore"):
-            _, ours, _ = euler_step_batch(**args)
+            _, ours = euler_step_batch(**args)
             rate = per_corner_oracle(**{name: args[name] for name in RATE_ARGS})
             reference = args["momentum"] + args["dt"] * rate
         assert np.array_equal(bits(ours), bits(reference))
@@ -125,8 +124,7 @@ class TestMomentumRateBatch:
     @PROPERTY
     @given(kernel_inputs())
     def test_batch_equals_stacked_single_knot_calls(self, args):
-        per_knot = ("p_com", "momentum", "p_contacts", "forces", "contact_velocities",
-                    "gamma", "wrench")
+        per_knot = ("p_com", "momentum", "p_contacts", "forces", "gamma", "wrench")
         with np.errstate(all="ignore"):
             batched = euler_step_batch(**args)
             single = [
@@ -140,7 +138,8 @@ class TestMomentumRateBatch:
 @st.composite
 def rollout_inputs(draw):
     """Arguments of a rollout: one start state, 1-30 steps, 1-3 contacts of 1
-    or 4 corners, each in stance or swing at every step, a wrench per step."""
+    or 4 corners, each at its own position and in stance or swing at every
+    step, a wrench per step."""
     k = draw(st.integers(1, 30))
     counts = draw(st.lists(st.sampled_from([1, 4]), min_size=1, max_size=3))
     n_c, n_v = len(counts), sum(counts)
@@ -151,9 +150,8 @@ def rollout_inputs(draw):
     return dict(
         p_com=values((3,)),
         momentum=values((6,)),
-        p_contacts=values((n_c, 3)),
+        p_contacts=values((k, n_c, 3)),
         forces=values((k, n_v, 3)),
-        contact_velocities=values((k, n_c, 3)),
         gamma=draw(arrays(np.float64, (k, n_c), elements=st.sampled_from([0.0, 1.0]))),
         corner_arms=values((n_v, 3)),
         corner_contact=corner_contact_of(counts),
@@ -164,35 +162,35 @@ def rollout_inputs(draw):
     )
 
 
-STATE = ("p_com", "momentum", "p_contacts")
+STATE = ("p_com", "momentum")
 
 
 def chained_steps(args):
     """The rollout as K one-knot euler_step_batch calls, each from the last one's end."""
     fixed_names = ("corner_arms", "corner_contact", "mass", "gravity", "dt")
     fixed = {name: args[name] for name in fixed_names}
-    p, h, pc = (args[name][None] for name in STATE)
+    p, h = (args[name][None] for name in STATE)
     rows = []
     for k in range(args["gamma"].shape[0]):
-        p, h, pc = euler_step_batch(
-            p, h, pc,
+        p, h = euler_step_batch(
+            p, h,
+            p_contacts=args["p_contacts"][k : k + 1],
             forces=args["forces"][k : k + 1],
-            contact_velocities=args["contact_velocities"][k : k + 1],
             gamma=args["gamma"][k : k + 1],
             wrench=args["wrench"][k : k + 1],
             **fixed,
         )
-        rows.append((p[0], h[0], pc[0]))
+        rows.append((p[0], h[0]))
     return [np.stack(column) for column in zip(*rows)]
 
 
-# A stance contact at signed zeros, which the rollout must carry over as they are.
+# Contacts at signed zeros, in stance and in swing, and a momentum at signed
+# zeros: the rollout must sum their arms and rates as the chained steps do.
 SIGNED_ZERO_STANCE = dict(
     p_com=np.array([0.1, -0.2, 0.9]),
     momentum=np.array([-0.0, 0.0, 1.0, -0.0, 0.0, -0.0]),
-    p_contacts=np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]),
+    p_contacts=np.array([[[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]] * 3),
     forces=np.concatenate([np.full((3, 1, 3), -0.0), np.ones((3, 4, 3))], axis=1),
-    contact_velocities=np.array([[[1.0, -1.0, 0.5]] * 2] * 3),
     gamma=np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     corner_arms=np.concatenate([np.zeros((1, 3)), -np.ones((4, 3))]),
     corner_contact=corner_contact_of([1, 4]),
@@ -223,21 +221,15 @@ class TestRollout:
         rng = np.random.RandomState(k)
         p = rng.randn(k, 3)
         h = rng.randn(k, 6)
-        pc = rng.randn(k, *args["p_contacts"].shape)
         inputs = {name: args[name] for name in args if name not in STATE}
         with np.errstate(all="ignore"):
-            ours = euler_step_batch(p, h, pc, **inputs)
+            ours = euler_step_batch(p, h, **inputs)
             rate = per_corner_oracle(
-                p, pc, args["forces"], args["gamma"], args["corner_arms"],
+                p, args["p_contacts"], args["forces"], args["gamma"], args["corner_arms"],
                 args["corner_contact"], args["mass"], args["gravity"], args["wrench"],
             )
-            dt, gamma = args["dt"], args["gamma"]
-            moved = pc + dt * ((1.0 - gamma)[..., None] * args["contact_velocities"])
-            reference = (
-                p + (dt / args["mass"]) * h[:, 0:3],
-                h + dt * rate,
-                np.where((gamma > 0.5)[..., None], pc, moved),
-            )
+            dt = args["dt"]
+            reference = (p + (dt / args["mass"]) * h[:, 0:3], h + dt * rate)
         for a, b in zip(ours, reference):
             assert np.array_equal(bits(a), bits(b))
 

@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from centroidal_mpc import bundled_scenario, parse_scenario
+from centroidal_mpc import bundled_scenario, controller, parse_scenario
 from centroidal_mpc.model import (
     CentroidalState,
     ContactGeometry,
@@ -17,6 +18,8 @@ from centroidal_mpc.plan import (
     horizon_schedule,
     nominal_com_trajectory,
 )
+from centroidal_mpc.qp import _POLISH_REG, QpWorkspace
+from centroidal_mpc.sim import simulate
 from centroidal_mpc.solver import check_derivatives
 from centroidal_mpc.transcription import (
     ContactBox,
@@ -213,13 +216,13 @@ class TestContactBox:
 
 class TestDecisionLayout:
     def test_smallest_problem_dimension(self):
-        # N=1, one contact, one corner: 2*(9+3) + (3+3) = 30
-        assert DecisionLayout(1, [1]).size == 30
+        # N=1, one contact, one corner: 2*(9+3) + 3 = 27
+        assert DecisionLayout(1, [1]).size == 27
 
     def test_index_map_is_bijection(self):
         layout = DecisionLayout(3, [4, 1])
-        blocks = [layout.com, layout.momentum, layout.contacts, layout.forces, layout.velocities]
-        assert [b.shape for b in blocks] == [(4, 3), (4, 6), (4, 2, 3), (3, 5, 3), (3, 2, 3)]
+        blocks = [layout.com, layout.momentum, layout.contacts, layout.forces]
+        assert [b.shape for b in blocks] == [(4, 3), (4, 6), (4, 2, 3), (3, 5, 3)]
         # together the blocks list every index of the vector exactly once
         assert np.array_equal(np.sort(np.concatenate([b.ravel() for b in blocks])),
                               np.arange(layout.size))
@@ -240,14 +243,14 @@ class TestDecisionLayout:
         rng = np.random.RandomState(0)
         x = rng.randn(layout.size)
         com, momentum, contacts = layout.state_arrays(x)
-        forces, velocities = x[layout.forces], x[layout.velocities]
+        forces = x[layout.forces]
         # three knots of 12 states (CoM, momentum, one contact), then two
-        # steps of 9 controls (two corner forces, one velocity)
+        # steps of 6 controls (two corner forces)
         np.testing.assert_array_equal(com[1], x[12:15])
         np.testing.assert_array_equal(momentum[2], x[27:33])
         np.testing.assert_array_equal(contacts[0, 0], x[9:12])
-        np.testing.assert_array_equal(forces[1, 1], x[48:51])
-        np.testing.assert_array_equal(velocities[1, 0], x[51:54])
+        np.testing.assert_array_equal(forces[1, 1], x[45:48])
+        assert layout.size == 48
 
 
 def two_contact_problem(n_knots=4, period=0.1, disturbance=True, seed=0):
@@ -287,7 +290,11 @@ class TestBuildNlp:
         problem, plan, *_ = two_contact_problem()
         layout = DecisionLayout(4, [4, 1])
         assert problem.dimension == layout.size
-        assert problem.n_eq == layout.state_dim * 5
+        # the CoM and momentum rows of the pin and of four defects
+        assert problem.n_eq == 9 * 5
+        # pyramid rows per step and corner, box rows per knot 1-4 and
+        # contact, contact rows per knot 0-4 and contact
+        assert problem.n_ineq == 6 * 5 * 4 + 3 * 2 * 4 + 3 * 2 * 5
 
     def test_warm_start_cost_finite(self):
         problem, plan, params, schedule, state, measured, _ = two_contact_problem()
@@ -300,23 +307,24 @@ class TestBuildNlp:
         rng = np.random.RandomState(5)
         x = np.zeros(layout.size)
         x[layout.n_state_vars:] = 2.0 * rng.randn(layout.n_knots * layout.control_dim)
-        forces, velocities = x[layout.forces], x[layout.velocities]
-        p = state.p_com[None]
-        h = state.momentum[None]
-        pc = measured[None]
-        states = np.empty((5, layout.state_dim))
-        states[0] = np.concatenate([p[0], h[0], pc[0].ravel()])
+        x[layout.contacts] = measured
+        forces = x[layout.forces]
+        p, h = state.p_com[None], state.momentum[None]
+        x[layout.com[0]], x[layout.momentum[0]] = p[0], h[0]
         gamma = schedule.astype(float)
         for k in range(4):
-            p, h, pc = euler_step_batch(
-                p, h, pc, forces[k : k + 1], velocities[k : k + 1],
-                gamma[k : k + 1], plan.corner_arms, plan.corner_contact, params.mass,
-                params.gravity,
+            p, h = euler_step_batch(
+                p, h, measured[None], forces[k : k + 1], gamma[k : k + 1],
+                plan.corner_arms, plan.corner_contact, params.mass, params.gravity,
                 profile[k : k + 1], 0.1,
             )
-            states[k + 1] = np.concatenate([p[0], h[0], pc[0].ravel()])
-        x[: layout.n_state_vars] = states.ravel()
+            x[layout.com[k + 1]], x[layout.momentum[k + 1]] = p[0], h[0]
         assert np.abs(problem.eq(x)).max() == 0.0
+        # the contacts held at their measured positions meet the contact rows
+        rows = slice(problem.n_ineq - layout.contacts.size, None)
+        values = problem.structure.ineq_matrix[rows] @ x
+        assert np.all(problem.ineq_lower[rows] <= values)
+        assert np.all(values <= problem.ineq_upper[rows])
 
     def test_gated_forces_absent_from_defects(self):
         problem, *_ = two_contact_problem()
@@ -406,6 +414,101 @@ class TestBuildNlp:
                 FrictionPyramid(0.8, 0, 60.0), ContactBox.planar(0.15, 0.15),
                 4, 0.1, params, profile,
             )
+
+
+@st.composite
+def contact_schedules(draw):
+    """1-5 steps of two_contact_problem's plan: a gate per step and contact,
+    and measured contact positions."""
+    n_knots = draw(st.integers(1, 5))
+    schedule = draw(arrays(bool, (n_knots, 2)))
+    measured = draw(arrays(np.float64, (2, 3), elements=st.floats(-10.0, 10.0)))
+    return n_knots, schedule, measured
+
+
+class TestContactRows:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(contact_schedules())
+    def test_bounds_hold_the_stance_steps_and_pin_knot_0(self, drawn):
+        n_knots, schedule, measured = drawn
+        _, plan, params, *_ = two_contact_problem()
+        problem = build_nlp(
+            plan, CentroidalState.zero(), measured, schedule, np.zeros((n_knots + 1, 3)),
+            Weights(), FrictionPyramid(0.8, 0.0, 60.0), ContactBox.planar(0.15, 0.15),
+            n_knots, 0.1, params,
+        )
+        layout = problem.structure.layout
+        # the last rows, three per knot and contact, knot-major
+        rows = slice(problem.n_ineq - layout.contacts.size, None)
+        shape = layout.contacts.shape
+        lower = problem.ineq_lower[rows].reshape(shape)
+        upper = problem.ineq_upper[rows].reshape(shape)
+        assert np.array_equal(lower[0], measured) and np.array_equal(upper[0], measured)
+        on = np.broadcast_to(schedule[:, :, None], (n_knots, 2, 3))
+        assert np.all(lower[1:][on] == 0.0) and np.all(upper[1:][on] == 0.0)
+        assert np.all(lower[1:][~on] == -np.inf) and np.all(upper[1:][~on] == np.inf)
+        # the rows are p_0, then p_k - p_k-1
+        x = np.random.RandomState(n_knots).randn(problem.dimension)
+        p = x[layout.contacts]
+        values = (problem.structure.ineq_matrix[rows] @ x).reshape(shape)
+        assert np.array_equal(values, np.concatenate([p[:1], p[1:] - p[:-1]]))
+
+
+@pytest.fixture(scope="module", params=["one_leg_jump", "two_leg_walk_run"])
+def bundled_pass(request):
+    """One closed-loop pass of a bundled scenario: every MPC step's problem
+    and solution, and every load of a QP workspace with the least diagonal
+    entry of the band base it left."""
+    steps, loads = [], []
+    solve, load = controller.solve, QpWorkspace.load
+
+    def recording_solve(problem, *args, **kwargs):
+        steps.append((problem, solve(problem, *args, **kwargs)))
+        return steps[-1][1]
+
+    def recording_load(workspace, *args):
+        load(workspace, *args)
+        loads.append((workspace, float(workspace.base[:, -1].min())))
+
+    config = parse_scenario(bundled_scenario(request.param), name=request.param)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "solve", recording_solve)
+        patch.setattr(QpWorkspace, "load", recording_load)
+        simulate(config)
+    return request.param, steps, loads
+
+
+class TestBundledHorizon:
+    def test_sizes(self, bundled_pass):
+        # CoM, momentum and contacts per knot, corner forces per step; nine
+        # equality rows per knot; a band one stage wide
+        name, steps, _ = bundled_pass
+        expected = {"one_leg_jump": (462, 279, 642, 15),
+                    "two_leg_walk_run": (1185, 279, 2085, 39)}[name]
+        for problem, _ in steps:
+            sizes = (problem.dimension, problem.n_eq, problem.n_eq + problem.n_ineq,
+                     problem.structure.qp_workspace.width)
+            assert sizes == expected
+
+    def test_no_variable_is_held_only_by_the_regularization(self, bundled_pass):
+        # Every subproblem's condensed diagonal has more than _POLISH_REG in
+        # every variable: each variable has a cost or an equality row.
+        _, steps, loads = bundled_pass
+        workspace = steps[0][0].structure.qp_workspace
+        diagonals = [least for ws, least in loads if ws is workspace]
+        assert len(diagonals) >= len(steps)
+        assert min(diagonals) > _POLISH_REG
+
+    def test_swing_contact_rows_have_zero_multipliers(self, bundled_pass):
+        _, steps, _ = bundled_pass
+        swing_rows = 0
+        for problem, solution in steps:
+            rows = slice(problem.n_ineq - problem.structure.layout.contacts.size, None)
+            swing = problem.ineq_lower[rows] == -np.inf
+            y = solution.multipliers[problem.n_eq:][rows]
+            assert np.all(y[swing] == 0.0)
+            swing_rows += swing.sum()
+        assert swing_rows > 0
 
 
 class TestWeights:
